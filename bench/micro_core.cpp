@@ -149,7 +149,7 @@ struct ContentionBed {
     std::vector<std::unique_ptr<mac::DcfMac>> macs;
 
     struct NullCallbacks final : mac::MacCallbacks {
-        void mac_rx(const phy::Frame&) override {}
+        void mac_rx(const phy::Frame&, std::uint64_t, std::uint32_t) override {}
         void mac_sniffed(const phy::Frame&) override {}
         void mac_first_tx(const mac::QueueKey&, const net::Packet&) override {}
         void mac_tx_success(const mac::QueueKey&, const net::Packet&) override {}
@@ -237,8 +237,7 @@ void BM_FrameFanout(benchmark::State& state)
     proto.type = phy::FrameType::kData;
     proto.tx_node = 0;
     proto.rx_node = 1;
-    proto.has_packet = true;
-    proto.packet = bench_packet(1);
+    proto.mpdus.push_back(phy::Mpdu{bench_packet(1), 1, 0});
     std::uint64_t sink = 0;
     std::vector<sim::EventFn> batch;
     batch.reserve(kReceivers);
@@ -249,12 +248,12 @@ void BM_FrameFanout(benchmark::State& state)
             const phy::FrameRef ref = pool.make(phy::Frame(proto));
             for (int r = 0; r < kReceivers; ++r)
                 batch.emplace_back([ref = ref, &sink] {
-                    sink += static_cast<std::uint64_t>(ref->packet.bytes);
+                    sink += static_cast<std::uint64_t>(ref->mpdus[0].packet.bytes);
                 });
         } else {
             for (int r = 0; r < kReceivers; ++r)
                 batch.emplace_back([frame = proto, &sink] {
-                    sink += static_cast<std::uint64_t>(frame.packet.bytes);
+                    sink += static_cast<std::uint64_t>(frame.mpdus[0].packet.bytes);
                 });
         }
         inline_events = inline_events && batch.front().is_inline();
@@ -319,8 +318,7 @@ void BM_ChannelFanout(benchmark::State& state)
     phy::Frame frame;
     frame.type = phy::FrameType::kData;
     frame.tx_node = nodes / 2;
-    frame.has_packet = true;
-    frame.packet = bench_packet(1);
+    frame.mpdus.push_back(phy::Mpdu{bench_packet(1), 1, 0});
     for (auto _ : state) {
         phys[static_cast<std::size_t>(nodes) / 2]->start_tx(frame);
         scheduler.run();  // drain the signal-end and tx-end events

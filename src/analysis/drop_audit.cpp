@@ -1,6 +1,5 @@
 #include "analysis/drop_audit.h"
 
-#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
@@ -34,20 +33,16 @@ DropLedger collect_drop_ledger(Experiment& experiment)
         ledger.drops_unroutable += node.drops_unroutable();
         ledger.retry_drops += node.mac().retry_drops();
         ledger.dup_rx_suppressed += node.mac().dup_rx_suppressed();
-        // MPDUs flushed out of a quiesced sender window leave through the
-        // node-down bucket; unsettled window MPDUs and reorder-parked
-        // receptions are in-flight backlog, exactly like queued packets.
+        // Dequeued MPDUs flushed out of a quiesced sender window leave
+        // through the node-down bucket; dequeued but unsettled MPDUs and
+        // reorder-parked receptions are in-flight backlog, exactly like
+        // queued packets.
         ledger.drops_node_down += node.mac().ampdu_node_down_drops();
         ledger.backlog += node.mac().ampdu_pending() + node.reorder_buffered();
-        // A frozen serving MAC holds one half-open dialogue — or, with
-        // aggregation, up to a whole window of them (every unsettled MPDU
-        // may already be decoded and progressed at the receiver).
-        if (node.mac().serving())
-            ledger.clone_allowance += std::max<std::uint64_t>(1, node.mac().ampdu_pending());
-        // A node-down quiesce that cut a dialogue short flushed a head
-        // packet (or window) its receiver may already have decoded — one
-        // more potential clone per abort, just like a frozen dialogue.
-        ledger.clone_allowance += node.mac().teardown_aborts();
+        // Every MPDU of a frozen batch in flight is a half-open dialogue
+        // (it may already be decoded and progressed at the receiver), and
+        // so is every MPDU whose dialogue a node-down quiesce cut short.
+        ledger.clone_allowance += node.mac().in_flight_mpdus() + node.mac().teardown_aborts();
         for (const auto& queue : node.mac().queues().queues()) {
             ledger.drops_node_down += queue->dropped_node_down();
             ledger.backlog += static_cast<std::uint64_t>(queue->size());
@@ -80,11 +75,11 @@ DropLedger audit_drop_accounting(Experiment& experiment)
             if (queue->enqueued() != kept) fail("queue conservation", queue->enqueued(), kept);
             dequeued += queue->dequeued();
         }
-        // A packet leaves its queue exactly when its exchange settles
-        // (success or retry drop); a frozen in-service head is unpopped.
-        // With aggregation the batch is popped at TXOP fill instead, so
-        // unsettled window MPDUs (and window flushes at teardown) make up
-        // the difference — exactly, not as an allowance.
+        // One settlement law for every batch: each dequeued packet was
+        // acked, retry-dropped, is still in flight, or was flushed by a
+        // teardown. A lone MPDU leaves its queue when it settles, an
+        // A-MPDU batch at fill — ampdu_pending and ampdu_node_down_drops
+        // count only dequeued MPDUs, so the law is exact either way.
         const std::uint64_t settled = node.mac().successes() + node.mac().retry_drops() +
                                       node.mac().ampdu_pending() +
                                       node.mac().ampdu_node_down_drops();

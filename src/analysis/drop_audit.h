@@ -37,9 +37,9 @@ struct DropLedger {
     /// Legitimate over-count allowance: a packet can be counted twice when
     /// its data was decoded but the sender never saw an ACK — the sender's
     /// retry_drop coexists with the receiver's progression (a clone). A
-    /// run frozen mid-exchange holds at most one such half-open dialogue
-    /// per serving MAC, and a node-down quiesce that cut a dialogue short
-    /// (teardown_aborts) flushed a possibly-decoded head the same way.
+    /// run frozen mid-exchange holds one such half-open dialogue per MPDU
+    /// in flight, and a node-down quiesce that cut dialogues short
+    /// (teardown_aborts) flushed possibly-decoded MPDUs the same way.
     std::uint64_t clone_allowance = 0;
     std::uint64_t dup_rx_suppressed = 0;  ///< diagnostic: clones usually match these
 };
@@ -53,8 +53,8 @@ DropLedger collect_drop_ledger(Experiment& experiment);
 /// plus the exact local conservation laws (per interface queue:
 /// enqueued == dequeued + dropped_node_down + size; per MAC:
 /// dequeued == successes + retry_drops + ampdu_pending +
-/// ampdu_node_down_drops — the A-MPDU terms cover batches popped at TXOP
-/// fill whose MPDUs have not settled yet, and are zero at K=1).
+/// ampdu_node_down_drops — the last two count A-MPDU MPDUs dequeued at
+/// batch fill that have not settled on the air).
 /// Throws std::logic_error naming the violated invariant. Stands down
 /// when any node has a forward interceptor — the pacer holds packets
 /// outside the MAC queues, so the MAC-level ledger cannot balance — and

@@ -75,10 +75,11 @@ struct ScenarioSpec {
     /// spec is unaffected.
     phy::PhyModelConfig models;
 
-    /// A-MPDU batch size applied to every node's MAC. 1 (the default)
-    /// keeps the legacy single-MSDU pipeline, bit-exactly; larger values
-    /// enable aggregation + block-ack and suffix the scenario name with
-    /// "-k<K>" so sweep cells stay distinguishable.
+    /// Block-ack agreement applied to every node's MAC: up to this many
+    /// MPDUs per A-MPDU batch. 1 (the default) sends one MPDU per access,
+    /// answered by a normal ACK; larger values batch under block-ack and
+    /// suffix the scenario name with "-k<K>" so sweep cells stay
+    /// distinguishable.
     int ampdu_max_mpdus = 1;
 
     /// Scheduled node/link faults carried into the built Scenario (empty

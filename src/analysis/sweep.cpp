@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <mutex>
 #include <stdexcept>
 
 #include "analysis/drop_audit.h"
@@ -18,10 +19,11 @@ std::atomic<std::uint64_t> g_events{0};
 std::atomic<std::uint64_t> g_runs{0};
 std::atomic<std::uint64_t> g_wall_ns{0};
 
-// Shard accounting for the [perf] line: the widest shard count seen and
-// per-shard event totals over a fixed number of display slots.
+// Shard accounting for the [perf] line: completed runs per shard count
+// and per-shard event totals over a fixed number of display slots.
 constexpr int kShardSlots = 8;
-std::atomic<int> g_shards_max{1};
+std::mutex g_shard_mutex;
+std::map<int, std::uint64_t> g_runs_by_shards;  ///< guarded by g_shard_mutex
 std::atomic<std::uint64_t> g_shard_events[kShardSlots]{};
 
 /// Run one (cell, seed) task to completion and summarize every window.
@@ -48,9 +50,9 @@ SeedResult run_one(const ExperimentFactory& factory, const SweepConfig& config,
     g_events.fetch_add(network.total_processed(), std::memory_order_relaxed);
     g_runs.fetch_add(1, std::memory_order_relaxed);
     const int shards = network.shard_count();
-    int widest = g_shards_max.load(std::memory_order_relaxed);
-    while (shards > widest &&
-           !g_shards_max.compare_exchange_weak(widest, shards, std::memory_order_relaxed)) {
+    {
+        const std::lock_guard<std::mutex> lock(g_shard_mutex);
+        ++g_runs_by_shards[shards];
     }
     if (shards > 1) {
         for (int s = 0; s < shards && s < kShardSlots; ++s)
@@ -120,14 +122,24 @@ PerfTotals perf_totals()
     totals.events = g_events.load(std::memory_order_relaxed);
     totals.runs = g_runs.load(std::memory_order_relaxed);
     totals.wall_seconds = static_cast<double>(g_wall_ns.load(std::memory_order_relaxed)) * 1e-9;
-    totals.shards = g_shards_max.load(std::memory_order_relaxed);
-    if (totals.shards > 1) {
-        const int slots = totals.shards < kShardSlots ? totals.shards : kShardSlots;
-        totals.shard_events.reserve(static_cast<std::size_t>(slots));
-        for (int s = 0; s < slots; ++s)
-            totals.shard_events.push_back(g_shard_events[s].load(std::memory_order_relaxed));
+    {
+        const std::lock_guard<std::mutex> lock(g_shard_mutex);
+        totals.runs_by_shards = g_runs_by_shards;
     }
+    for (const std::atomic<std::uint64_t>& events : g_shard_events)
+        totals.shard_events.push_back(events.load(std::memory_order_relaxed));
     return totals;
+}
+
+int PerfTotals::shards_since(const PerfTotals& before) const
+{
+    int widest = 1;
+    for (const auto& [shards, runs] : runs_by_shards) {
+        const auto it = before.runs_by_shards.find(shards);
+        if (runs > (it == before.runs_by_shards.end() ? 0 : it->second) && shards > widest)
+            widest = shards;
+    }
+    return widest;
 }
 
 SweepResult SweepRunner::run(const ExperimentFactory& factory, const SweepConfig& config) const

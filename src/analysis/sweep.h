@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -78,12 +79,15 @@ struct PerfTotals {
     std::uint64_t events = 0;
     std::uint64_t runs = 0;
     double wall_seconds = 0.0;
-    /// Largest shard count any completed run used (1 = serial engine).
-    int shards = 1;
-    /// Events processed per shard id, summed across multi-shard runs
-    /// (empty until a multi-shard run completes; capped at a small fixed
-    /// number of slots — the CLI reports "+" when a run had more).
+    /// Completed runs per shard count (key 1 = the serial engine).
+    std::map<int, std::uint64_t> runs_by_shards;
+    /// Events processed per shard id, summed across multi-shard runs over
+    /// a small fixed number of slots (the CLI marks runs that had more).
     std::vector<std::uint64_t> shard_events;
+
+    /// Widest shard count among the runs completed since `before` (1 when
+    /// none was sharded).
+    int shards_since(const PerfTotals& before) const;
 };
 
 /// Snapshot of the accumulated totals (monotonic; diff two snapshots to

@@ -38,9 +38,7 @@ int usage(const char* message = nullptr)
         "        cross-product sweep over axes scale, seeds, seed, threads, shards\n"
         "  diff  <golden> <candidate> [--rel-tol=R] [--abs-tol=A] [--bit-exact]\n"
         "        compare result JSON files (or directories of them); exit 1 on drift\n"
-        "  help  show this text\n"
-        "\n"
-        "Former bench/example binaries map 1:1 onto registered names; see `ezflow list`.\n");
+        "  help  show this text\n");
     return message == nullptr ? 0 : 2;
 }
 
@@ -200,15 +198,18 @@ void print_perf(const FigureSpec& spec, const analysis::PerfTotals& before)
                 spec.name.c_str(), wall, format_magnitude(static_cast<double>(events)).c_str(),
                 format_magnitude(static_cast<double>(events) / wall).c_str(),
                 static_cast<unsigned long long>(runs), runs == 1 ? "" : "s");
-    if (now.shards > 1) {
+    // This figure's own shard count, not the widest any earlier figure in
+    // the process used.
+    const int shards = now.shards_since(before);
+    if (shards > 1) {
         std::string per_shard;
-        for (std::size_t s = 0; s < now.shard_events.size(); ++s) {
-            const std::uint64_t prior = s < before.shard_events.size() ? before.shard_events[s] : 0;
+        for (std::size_t s = 0; s < now.shard_events.size() && static_cast<int>(s) < shards; ++s) {
             if (!per_shard.empty()) per_shard += " ";
-            per_shard += format_magnitude(static_cast<double>(now.shard_events[s] - prior));
+            per_shard +=
+                format_magnitude(static_cast<double>(now.shard_events[s] - before.shard_events[s]));
         }
-        if (now.shards > static_cast<int>(now.shard_events.size())) per_shard += " ...";
-        std::printf("[perf] %s: %d shards, events/shard: %s\n", spec.name.c_str(), now.shards,
+        if (shards > static_cast<int>(now.shard_events.size())) per_shard += " ...";
+        std::printf("[perf] %s: %d shards, events/shard: %s\n", spec.name.c_str(), shards,
                     per_shard.c_str());
     }
 }
@@ -493,24 +494,6 @@ int run_app(int argc, char** argv)
     }
     if (command == "help" || command == "--help") return usage();
     return usage(("unknown command '" + command + "'").c_str());
-}
-
-int run_figure_main(const std::string& name, int argc, char** argv)
-{
-    register_builtin_figures();
-    const FigureSpec* spec = FigureRegistry::instance().find(name);
-    if (spec == nullptr || !spec->runnable()) {
-        std::fprintf(stderr, "ezflow: figure '%s' is not registered\n", name.c_str());
-        return 2;
-    }
-    const util::Cli cli(argc, argv);
-    try {
-        return run_one(*spec, parse_run_flags(cli));
-    } catch (const std::invalid_argument&) {
-        return usage("malformed numeric flag value");
-    } catch (const std::out_of_range&) {
-        return usage("numeric flag value out of range");
-    }
 }
 
 }  // namespace ezflow::cli

@@ -1,7 +1,5 @@
 #pragma once
 
-#include <string>
-
 namespace ezflow::cli {
 
 /// Entry point of the unified `ezflow` binary:
@@ -13,10 +11,5 @@ namespace ezflow::cli {
 ///   ezflow help [command]
 /// Returns a process exit code (0 ok, 1 run/diff failure, 2 usage error).
 int run_app(int argc, char** argv);
-
-/// Compatibility shim for the former standalone bench/example mains:
-/// `run_figure_main("fig06", argc, argv)` behaves like
-/// `ezflow run fig06 <argv flags...>`.
-int run_figure_main(const std::string& name, int argc, char** argv);
 
 }  // namespace ezflow::cli

@@ -1,8 +1,8 @@
 // The A-MPDU aggregation family: the grid_gateway convergecast workload
 // re-run at TXOP batch sizes K = 1, 4, 16, with and without EZ-Flow.
-// K=1 is the legacy one-MSDU-per-frame MAC (bit-identical to the
-// grid_gateway figure); K>1 engages the block-ack scoreboard, selective
-// retransmit, and the receiver reorder buffer, amortising one
+// K=1 sends one MPDU per access answered by a normal ACK (bit-identical
+// to the grid_gateway figure); K>1 batches under a block-ack agreement —
+// selective retransmit of the lost MPDUs, amortising one
 // DIFS/backoff/BA exchange over a whole batch.
 
 #include <vector>
@@ -43,7 +43,7 @@ FigureResult run_ampdu(const FigureContext& ctx)
         ScenarioSpec spec = ScenarioSpec::grid_gateway(grid);
         spec.ampdu_max_mpdus = k;
         // Cell labels stay distinct per batch size: scenario_name appends
-        // "-k<K>" for K > 1, so the K=1 cells keep the legacy labels.
+        // "-k<K>" for K > 1, so the K=1 cells keep their plain labels.
         const auto sweeps =
             sweep_modes(ctx, spec, {Mode::kBaseline80211, Mode::kEzFlow}, windows);
         for (const SweepResult& sweep : sweeps)

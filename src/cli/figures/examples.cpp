@@ -1,6 +1,5 @@
 // The example workloads, registered so `ezflow run` can exercise them
 // with the same structured-result/golden machinery as the paper figures.
-// The former standalone example binaries remain as thin launchers.
 
 #include <map>
 #include <memory>

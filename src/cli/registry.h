@@ -46,7 +46,7 @@ struct FigureContext {
 
 /// A registered scenario/figure: the unit `ezflow list | run | sweep`
 /// operates on. Every former standalone bench/example main is one of
-/// these; the old binaries remain as thin launchers around the registry.
+/// these, reachable by its old target name too.
 struct FigureSpec {
     std::string name;        ///< canonical short name ("fig06", "table2", ...)
     std::string aka;         ///< former bench/example target name, also resolvable
@@ -90,7 +90,7 @@ private:
 };
 
 /// Register every figure/table/ablation/example/micro entry exactly once
-/// (idempotent; safe to call from each thin launcher main).
+/// (idempotent).
 void register_builtin_figures();
 
 }  // namespace ezflow::cli

@@ -56,20 +56,13 @@ void EzFlowAgent::on_sniffed(const phy::Frame& frame)
     const auto it = successors_.find(frame.tx_node);
     if (it == successors_.end()) return;  // not one of our successors
     SuccessorState& state = *it->second;
-    if (frame.aggregated()) {
-        // The testbed BOE sniffs with a second monitor-mode radio, which
-        // sees each forwarded MSDU inside the successor's A-MPDU
-        // individually — so every subframe is a sniff opportunity, with
-        // the sniff-loss ablation rolled per subframe.
-        for (const phy::Mpdu& mpdu : frame.subframes) {
-            if (sniff_loss_ > 0.0 && rng_.bernoulli(sniff_loss_)) continue;
-            deliver_sample(state, mpdu.packet.checksum);
-        }
-        return;
+    // The testbed BOE sniffs with a second monitor-mode radio, which sees
+    // every MSDU the successor forwards — each MPDU of its data frame is
+    // one sniff opportunity, with the sniff-loss ablation rolled per MPDU.
+    for (const phy::Mpdu& mpdu : frame.mpdus) {
+        if (sniff_loss_ > 0.0 && rng_.bernoulli(sniff_loss_)) continue;
+        deliver_sample(state, mpdu.packet.checksum);
     }
-    if (!frame.has_packet) return;
-    if (sniff_loss_ > 0.0 && rng_.bernoulli(sniff_loss_)) return;
-    deliver_sample(state, frame.packet.checksum);
 }
 
 void EzFlowAgent::deliver_sample(SuccessorState& state, std::uint16_t checksum)

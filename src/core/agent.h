@@ -62,8 +62,8 @@ private:
     SuccessorState& ensure_successor(net::NodeId successor);
     void on_first_tx(const mac::QueueKey& key, const net::Packet& packet);
     void on_sniffed(const phy::Frame& frame);
-    /// Feed one overheard checksum (a legacy frame's packet or one A-MPDU
-    /// subframe) through the BOE into the CAA control loop.
+    /// Feed one overheard checksum (one MPDU of a sniffed data frame)
+    /// through the BOE into the CAA control loop.
     void deliver_sample(SuccessorState& state, std::uint16_t checksum);
 
     net::Network& network_;

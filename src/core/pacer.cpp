@@ -95,17 +95,11 @@ void PacedEzFlowAgent::on_sniffed(const phy::Frame& frame)
     const auto it = successors_.find(frame.tx_node);
     if (it == successors_.end()) return;
     SuccessorState& state = *it->second;
-    if (frame.aggregated()) {
-        // Each A-MPDU subframe forwarded by the successor is its own
-        // sniff opportunity (the testbed monitor radio sees every MSDU).
-        for (const phy::Mpdu& mpdu : frame.subframes)
-            if (const auto estimate = state.boe.on_packet_overheard(mpdu.packet.checksum))
-                state.queue->on_sample(*estimate);
-        return;
-    }
-    if (!frame.has_packet) return;
-    if (const auto estimate = state.boe.on_packet_overheard(frame.packet.checksum))
-        state.queue->on_sample(*estimate);
+    // Each MPDU forwarded by the successor is its own sniff opportunity
+    // (the testbed monitor radio sees every MSDU).
+    for (const phy::Mpdu& mpdu : frame.mpdus)
+        if (const auto estimate = state.boe.on_packet_overheard(mpdu.packet.checksum))
+            state.queue->on_sample(*estimate);
 }
 
 const PacedQueue* PacedEzFlowAgent::queue_toward(net::NodeId successor) const

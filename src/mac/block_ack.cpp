@@ -23,36 +23,41 @@ void BlockAckManager::add_mpdu(net::Packet&& packet, std::uint32_t seq)
     window_.push_back(std::move(entry));
 }
 
-BlockAckManager::Settled BlockAckManager::on_block_ack(std::uint32_t start, std::uint64_t bitmap,
-                                                       int retry_limit)
+const BlockAckManager::Settled& BlockAckManager::on_block_ack(std::uint32_t start,
+                                                              std::uint64_t bitmap,
+                                                              int retry_limit)
 {
-    Settled settled;
-    std::vector<SenderEntry> keep;
-    keep.reserve(window_.size());
+    settled_.acked.clear();
+    settled_.dropped.clear();
+    // Compact the survivors in place: no allocation once the scratch
+    // vectors have grown to the window size.
+    std::size_t kept = 0;
     for (SenderEntry& entry : window_) {
         const bool acked =
             entry.seq < start ||
             (entry.seq - start < 64 && ((bitmap >> (entry.seq - start)) & 1) != 0);
         if (acked) {
-            settled.acked.push_back(std::move(entry));
+            settled_.acked.push_back(entry);
         } else if (++entry.retry > retry_limit) {
-            settled.dropped.push_back(std::move(entry));
+            settled_.dropped.push_back(entry);
         } else {
-            keep.push_back(std::move(entry));
+            window_[kept++] = entry;
         }
     }
-    window_ = std::move(keep);
-    return settled;
+    window_.resize(kept);
+    return settled_;
 }
 
-BlockAckManager::Settled BlockAckManager::on_timeout(int retry_limit)
+const BlockAckManager::Settled& BlockAckManager::on_timeout(int retry_limit)
 {
     return on_block_ack(/*start=*/0, /*bitmap=*/0, retry_limit);
 }
 
-std::vector<BlockAckManager::SenderEntry> BlockAckManager::flush()
+std::size_t BlockAckManager::flush()
 {
-    return std::exchange(window_, {});
+    const std::size_t count = window_.size();
+    window_.clear();
+    return count;
 }
 
 BlockAckManager::RxVerdict BlockAckManager::receive(const phy::Frame& frame,
@@ -64,18 +69,27 @@ BlockAckManager::RxVerdict BlockAckManager::receive(const phy::Frame& frame,
     // abandoned it at the retry limit — either way it will never be
     // retransmitted, so holding out for it would stall delivery forever).
     if (frame.ba_start_seq > sb.window_start) {
+        const std::uint32_t shift = frame.ba_start_seq - sb.window_start;
+        sb.received = shift >= 64 ? 0 : sb.received >> shift;
         sb.window_start = frame.ba_start_seq;
-        sb.received.erase(sb.received.begin(), sb.received.lower_bound(sb.window_start));
     }
     RxVerdict verdict;
     verdict.release_below = sb.window_start;
-    for (std::size_t i = 0; i < frame.subframes.size() && i < 64; ++i) {
+    for (std::size_t i = 0; i < frame.mpdus.size() && i < 64; ++i) {
         if ((corrupt_bits >> i) & 1) continue;
-        const std::uint32_t seq = frame.subframes[i].seq;
-        if (seq < sb.window_start || !sb.received.insert(seq).second) {
+        const std::uint32_t seq = frame.mpdus[i].seq;
+        if (seq < sb.window_start) {
             ++verdict.duplicates;
             continue;
         }
+        const std::uint32_t offset = seq - sb.window_start;
+        if (offset >= 64)
+            throw std::logic_error("BlockAckManager::receive: MPDU beyond the 64-sequence window");
+        if ((sb.received >> offset) & 1) {
+            ++verdict.duplicates;
+            continue;
+        }
+        sb.received |= 1ull << offset;
         verdict.ok_bits |= (1ull << i);
     }
     return verdict;
@@ -86,13 +100,7 @@ BlockAckManager::BaResponse BlockAckManager::response_for(net::NodeId tx) const
     const auto it = scoreboards_.find(tx);
     if (it == scoreboards_.end())
         throw std::logic_error("BlockAckManager::response_for: unknown originator");
-    BaResponse response;
-    response.start = it->second.window_start;
-    for (const std::uint32_t seq : it->second.received) {
-        const std::uint32_t offset = seq - response.start;
-        if (offset < 64) response.bitmap |= (1ull << offset);
-    }
-    return response;
+    return BaResponse{it->second.window_start, it->second.received};
 }
 
 }  // namespace ezflow::mac

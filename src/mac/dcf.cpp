@@ -62,21 +62,19 @@ void DcfMac::quiesce()
     next_ctrl_at_ = -1;
     cts_data_at_ = -1;
     in_contention_ = false;
-    if (current_queue_ != nullptr && !ba_.batch_active()) ++teardown_aborts_;
     current_queue_ = nullptr;
-    // Surrender the block-ack window: these MPDUs were dequeued but never
-    // settled. Each one the receiver may already hold — the same cloned-
-    // outcome slack a single aborted dialogue contributes.
-    const std::vector<BlockAckManager::SenderEntry> flushed = ba_.flush();
-    ampdu_node_down_drops_ += flushed.size();
-    teardown_aborts_ += flushed.size();
+    // Surrender the batch in flight: the receiver may already hold any of
+    // its MPDUs — one potential cloned outcome each. An A-MPDU batch was
+    // dequeued at fill, so it leaves through ampdu_node_down_drops; a lone
+    // MPDU is still queue backlog, which the flush below accounts exactly
+    // once, in drops_node_down, never as a dequeue.
+    const std::size_t flushed = ba_.flush();
+    teardown_aborts_ += flushed;
+    if (batch_ampdu_) ampdu_node_down_drops_ += flushed;
     retries_ = 0;
     backoff_remaining_ = 0;
     nav_until_ = 0;
     state_ = State::kIdle;
-    // The committed head packet (if any) is still queue backlog —
-    // finish_current never popped it — so the flush accounts it exactly
-    // once, in drops_node_down, never as a dequeue.
     queues_.flush_all_node_down();
 }
 
@@ -85,9 +83,8 @@ void DcfMac::revive()
     if (!down_) return;
     down_ = false;
     // Neighbours' sequence numbers moved on while this node was dead;
-    // stale entries could suppress the first genuinely new frame. The
-    // block-ack scoreboards are in the same position.
-    last_rx_seq_.clear();
+    // stale scoreboard entries could suppress the first genuinely new
+    // frame.
     ba_.clear_rx_state();
     maybe_start_work();
 }
@@ -124,20 +121,22 @@ void DcfMac::start_new_contention()
     if (current_queue_ == nullptr) throw std::logic_error("DcfMac: no work to contend for");
     in_contention_ = true;
     retries_ = 0;
-    if (aggregation_enabled()) {
-        // Fill the TXOP batch: the window persists across retries (only
-        // unsettled MPDUs are retransmitted) and a new batch starts only
-        // once the previous one settled completely.
-        if (ba_.batch_active())
-            throw std::logic_error("DcfMac: new contention with unsettled block-ack window");
-        batch_key_ = current_queue_->key();
+    // Fill the batch: the window persists across retries (only unsettled
+    // MPDUs are retransmitted) and a new batch starts only once the
+    // previous one settled completely.
+    if (ba_.batch_active())
+        throw std::logic_error("DcfMac: new contention with unsettled block-ack window");
+    batch_ampdu_ = params_.ampdu_max_mpdus > 1;
+    if (batch_ampdu_) {
+        // The TXOP takes up to ampdu_max_mpdus packets off the queue.
         batch_fill_.clear();
         current_queue_->pop_batch(std::min(params_.ampdu_max_mpdus, 64), params_.ampdu_max_bytes,
                                   batch_fill_);
         for (net::Packet& packet : batch_fill_) ba_.add_mpdu(std::move(packet), next_seq_++);
         batch_fill_.clear();
     } else {
-        current_seq_ = next_seq_++;
+        // The head packet alone; it stays queue backlog until it settles.
+        ba_.add_mpdu(net::Packet(current_queue_->front()), next_seq_++);
     }
     backoff_remaining_ = rng_.uniform_int(0, effective_cw() - 1);
     resume_access();
@@ -180,11 +179,11 @@ void DcfMac::start_difs()
     coordinator_.register_access(*this, wait, backoff_remaining_, params_.slot_us);
 }
 
-void DcfMac::set_nav_for_ack(bool aggregated)
+void DcfMac::set_nav_for_ack(bool ampdu)
 {
     const phy::PhyParams& phy_params = phy_.channel_params();
     phy::Frame ack;
-    ack.type = aggregated ? phy::FrameType::kBlockAck : phy::FrameType::kAck;
+    ack.type = ampdu ? phy::FrameType::kBlockAck : phy::FrameType::kAck;
     set_nav_until(scheduler_.now() + params_.sifs_us + phy_params.tx_duration(ack));
 }
 
@@ -221,36 +220,22 @@ void DcfMac::backoff_expired()
     start_exchange();
 }
 
-SimTime DcfMac::current_data_airtime() const
-{
-    phy::Frame data;
-    data.type = phy::FrameType::kData;
-    data.bitrate_bps = current_rate_bps_;
-    data.has_packet = true;
-    data.packet = current_queue_->front();
-    return phy_.channel_params().tx_duration(data);
-}
-
 void DcfMac::start_exchange()
 {
-    if (ba_.batch_active()) {
-        // Aggregated access is always basic: the block-ack exchange is
-        // its own protection and RTS/CTS duration fields cannot describe
-        // a selective-retransmit TXOP.
-        current_rate_bps_ = phy_.data_bitrate_for(batch_key_.next_hop);
-        transmit_aggregated();
-        return;
-    }
     // One rate decision per attempt (retries re-ask, so the manager can
     // walk a failing link down); 0 = the fixed PHY default. The choice is
     // cached so the RTS duration field and the data frame agree on the
     // airtime.
     current_rate_bps_ = phy_.data_bitrate_for(current_queue_->key().next_hop);
-    if (params_.rts_cts_enabled && current_queue_->front().bytes >= params_.rts_threshold_bytes) {
+    // An A-MPDU is always basic access: the block-ack exchange is its own
+    // protection and RTS/CTS duration fields cannot describe a
+    // selective-retransmit TXOP.
+    if (!batch_ampdu_ && params_.rts_cts_enabled &&
+        ba_.window().front().packet.bytes >= params_.rts_threshold_bytes) {
         transmit_rts();
         return;
     }
-    transmit_data();
+    transmit_batch();
 }
 
 void DcfMac::transmit_rts()
@@ -265,65 +250,44 @@ void DcfMac::transmit_rts()
     rts.type = phy::FrameType::kRts;
     rts.tx_node = phy_.id();
     rts.rx_node = current_queue_->key().next_hop;
-    rts.mac_seq = current_seq_;
+    rts.mac_seq = ba_.window_start();
     rts.retry = retries_;
     // Duration: the rest of the exchange after the RTS ends.
-    rts.duration_us = 3 * params_.sifs_us + phy_params.tx_duration(cts) + current_data_airtime() +
-                      phy_params.tx_duration(ack);
+    rts.duration_us = 3 * params_.sifs_us + phy_params.tx_duration(cts) +
+                      phy_params.tx_duration(data_frame()) + phy_params.tx_duration(ack);
     phy_.start_tx(std::move(rts));
 }
 
-void DcfMac::transmit_data()
+void DcfMac::transmit_batch()
 {
     state_ = State::kTxData;
     if (retries_ == 0) {
-        net::Packet& head = current_queue_->mutable_front();
-        if (head.first_tx_at < 0) head.first_tx_at = scheduler_.now();
+        // First attempt of a fresh batch: its MPDUs reach the air.
+        for (BlockAckManager::SenderEntry& entry : ba_.window()) {
+            if (entry.packet.first_tx_at < 0) entry.packet.first_tx_at = scheduler_.now();
+            if (callbacks_ != nullptr)
+                callbacks_->mac_first_tx(current_queue_->key(), entry.packet);
+        }
     }
+    ++data_attempts_;
+    if (retries_ > 0) ++retransmissions_;
+    phy_.start_tx(data_frame());
+}
+
+phy::Frame DcfMac::data_frame() const
+{
     phy::Frame frame;
     frame.type = phy::FrameType::kData;
     frame.tx_node = phy_.id();
     frame.rx_node = current_queue_->key().next_hop;
-    frame.mac_seq = current_seq_;
-    frame.retry = retries_;
-    frame.bitrate_bps = current_rate_bps_;
-    frame.has_packet = true;
-    frame.packet = current_queue_->front();
-    ++data_attempts_;
-    if (retries_ > 0) ++retransmissions_;
-    if (retries_ == 0 && callbacks_ != nullptr)
-        callbacks_->mac_first_tx(current_queue_->key(), frame.packet);
-    phy_.start_tx(std::move(frame));
-}
-
-void DcfMac::transmit_aggregated()
-{
-    state_ = State::kTxData;
-    phy::Frame frame;
-    frame.type = phy::FrameType::kData;
-    frame.tx_node = phy_.id();
-    frame.rx_node = batch_key_.next_hop;
     frame.mac_seq = ba_.window_start();
     frame.ba_start_seq = ba_.window_start();
     frame.retry = retries_;
     frame.bitrate_bps = current_rate_bps_;
-    frame.has_packet = false;
-    frame.subframes.reserve(ba_.window().size());
-    for (BlockAckManager::SenderEntry& entry : ba_.window()) {
-        if (!entry.sent) {
-            entry.sent = true;
-            if (entry.packet.first_tx_at < 0) entry.packet.first_tx_at = scheduler_.now();
-            if (callbacks_ != nullptr) callbacks_->mac_first_tx(batch_key_, entry.packet);
-        }
-        phy::Mpdu mpdu;
-        mpdu.packet = entry.packet;
-        mpdu.seq = entry.seq;
-        mpdu.retry = entry.retry;
-        frame.subframes.push_back(std::move(mpdu));
-    }
-    ++data_attempts_;
-    if (retries_ > 0) ++retransmissions_;
-    phy_.start_tx(std::move(frame));
+    frame.ampdu = batch_ampdu_;
+    for (const BlockAckManager::SenderEntry& entry : ba_.window())
+        frame.mpdus.push_back(phy::Mpdu{entry.packet, entry.seq, entry.retry});
+    return frame;
 }
 
 void DcfMac::phy_tx_done(const phy::Frame& frame)
@@ -359,7 +323,7 @@ void DcfMac::phy_tx_done(const phy::Frame& frame)
     // Data frame sent: await the ACK (block-ack for an A-MPDU).
     state_ = State::kWaitAck;
     phy::Frame ack;
-    ack.type = frame.aggregated() ? phy::FrameType::kBlockAck : phy::FrameType::kAck;
+    ack.type = frame.ampdu ? phy::FrameType::kBlockAck : phy::FrameType::kAck;
     const SimTime ack_air = phy_params.tx_duration(ack);
     ack_timer_.arm_in(params_.sifs_us + ack_air + params_.ack_timeout_slack_us);
 }
@@ -371,7 +335,7 @@ void DcfMac::phy_frame_decoded(const phy::Frame& frame)
         // its ACK exchange; foreign RTS/CTS frames carry the remaining
         // exchange duration explicitly.
         if (frame.type == phy::FrameType::kData) {
-            set_nav_for_ack(frame.aggregated());
+            set_nav_for_ack(frame.ampdu);
         } else if (frame.type == phy::FrameType::kRts || frame.type == phy::FrameType::kCts) {
             set_nav_until(scheduler_.now() + frame.duration_us);
         }
@@ -380,30 +344,30 @@ void DcfMac::phy_frame_decoded(const phy::Frame& frame)
     }
     switch (frame.type) {
         case phy::FrameType::kAck:
-            if (state_ == State::kWaitAck && !ba_.batch_active() &&
-                frame.mac_seq == current_seq_ &&
-                frame.tx_node == current_queue_->key().next_hop) {
-                ack_timer_.cancel();
-                phy_.report_tx_result(frame.tx_node, /*success=*/true);
-                finish_current(/*success=*/true);
-            }
+        case phy::FrameType::kBlockAck: {
+            // The response that settles the batch: a normal ACK echoing a
+            // lone MPDU's sequence, or a compressed block-ack for an
+            // A-MPDU. An ACK is a block-ack of that one sequence.
+            const bool ack = frame.type == phy::FrameType::kAck;
+            if (state_ != State::kWaitAck || ack == batch_ampdu_ ||
+                frame.tx_node != current_queue_->key().next_hop ||
+                (ack && frame.mac_seq != ba_.window_start()))
+                return;
+            ack_timer_.cancel();
+            const BlockAckManager::Settled& settled =
+                ack ? ba_.on_block_ack(frame.mac_seq, 1, params_.retry_limit)
+                    : ba_.on_block_ack(frame.ba_start_seq, frame.ba_bitmap, params_.retry_limit);
+            phy_.report_tx_result(frame.tx_node, /*success=*/!settled.acked.empty());
+            settle(settled);
             return;
+        }
         case phy::FrameType::kCts:
-            if (state_ == State::kWaitCts && frame.mac_seq == current_seq_ &&
+            if (state_ == State::kWaitCts && frame.mac_seq == ba_.window_start() &&
                 frame.tx_node == current_queue_->key().next_hop) {
                 cts_timer_.cancel();
                 // Data follows the CTS after SIFS, without re-contending.
                 cts_data_at_ = scheduler_.now() + params_.sifs_us;
                 cts_data_timer_.arm_in(params_.sifs_us);
-            }
-            return;
-        case phy::FrameType::kBlockAck:
-            if (state_ == State::kWaitAck && ba_.batch_active() &&
-                frame.tx_node == batch_key_.next_hop) {
-                ack_timer_.cancel();
-                const BlockAckManager::Settled settled =
-                    ba_.on_block_ack(frame.ba_start_seq, frame.ba_bitmap, params_.retry_limit);
-                settle_block_ack(settled, /*any_acked=*/!settled.acked.empty());
             }
             return;
         case phy::FrameType::kRts: {
@@ -420,35 +384,26 @@ void DcfMac::phy_frame_decoded(const phy::Frame& frame)
             return;
         }
         case phy::FrameType::kData: {
-            if (frame.aggregated()) {
-                // Score the surviving subframes (the PHY's per-MPDU
-                // verdict is valid during this callback), answer with a
-                // compressed block-ack after SIFS, and hand the newly
-                // received MPDUs — plus the release threshold — to the
-                // reorder buffer upstairs. The scoreboard does the
-                // duplicate filtering, not last_rx_seq_.
-                const BlockAckManager::RxVerdict verdict =
-                    ba_.receive(frame, phy_.last_decode_mpdu_errors());
-                dup_rx_suppressed_ += verdict.duplicates;
+            // Score the surviving MPDUs against the originator's
+            // scoreboard — the duplicate filter for every frame (the PHY's
+            // per-MPDU verdict is valid during this callback) — answer
+            // after SIFS with a compressed block-ack for an A-MPDU or a
+            // normal ACK otherwise, and hand the new MPDUs plus the
+            // release threshold to the reorder buffer upstairs.
+            const BlockAckManager::RxVerdict verdict =
+                ba_.receive(frame, phy_.last_decode_mpdu_errors());
+            dup_rx_suppressed_ += verdict.duplicates;
+            PendingControl ctrl{phy::FrameType::kAck, frame.tx_node, frame.mac_seq, 0};
+            if (frame.ampdu) {
                 const BlockAckManager::BaResponse response = ba_.response_for(frame.tx_node);
-                PendingControl ctrl{phy::FrameType::kBlockAck, frame.tx_node, frame.mac_seq, 0,
-                                    response.start, response.bitmap};
-                pending_ctrl_.push_back(ctrl);
-                schedule_control_if_needed();
-                if (callbacks_ != nullptr)
-                    callbacks_->mac_rx_aggregated(frame, verdict.ok_bits, verdict.release_below);
-                return;
+                ctrl.type = phy::FrameType::kBlockAck;
+                ctrl.ba_start = response.start;
+                ctrl.ba_bitmap = response.bitmap;
             }
-            // Always acknowledge; deliver unless duplicate.
-            pending_ctrl_.push_back(
-                PendingControl{phy::FrameType::kAck, frame.tx_node, frame.mac_seq, 0});
+            pending_ctrl_.push_back(ctrl);
             schedule_control_if_needed();
-            const auto it = last_rx_seq_.find(frame.tx_node);
-            const bool duplicate =
-                frame.retry > 0 && it != last_rx_seq_.end() && it->second == frame.mac_seq;
-            last_rx_seq_[frame.tx_node] = frame.mac_seq;
-            if (duplicate) ++dup_rx_suppressed_;
-            if (!duplicate && callbacks_ != nullptr) callbacks_->mac_rx(frame);
+            if (callbacks_ != nullptr)
+                callbacks_->mac_rx(frame, verdict.ok_bits, verdict.release_below);
             return;
         }
     }
@@ -490,7 +445,6 @@ void DcfMac::send_pending_control()
     frame.duration_us = ctrl.duration_us;
     frame.ba_start_seq = ctrl.ba_start;
     frame.ba_bitmap = ctrl.ba_bitmap;
-    frame.has_packet = false;
     // SIFS-timed response: its trigger was scheduled after any contending
     // station's virtual slot re-arm one slot earlier, so boundary ties
     // resolve in the contenders' favour (late_trigger = true).
@@ -504,21 +458,24 @@ void DcfMac::on_cts_data_follow_up()
     cts_data_at_ = -1;
     if (state_ == State::kWaitCts && !phy_.transmitting()) {
         coordinator_.begin_external_tx(/*late_trigger=*/true);
-        transmit_data();
+        transmit_batch();
         coordinator_.end_external_tx();
     }
 }
 
-void DcfMac::settle_block_ack(const BlockAckManager::Settled& settled, bool any_acked)
+void DcfMac::settle(const BlockAckManager::Settled& settled)
 {
-    phy_.report_tx_result(batch_key_.next_hop, any_acked);
+    const QueueKey key = current_queue_->key();
+    // A lone MPDU stayed queue backlog while in flight; it leaves the
+    // queue now that it settled.
+    if (!batch_ampdu_ && !ba_.batch_active()) current_queue_->pop();
     for (const BlockAckManager::SenderEntry& entry : settled.acked) {
         ++successes_;
-        if (callbacks_ != nullptr) callbacks_->mac_tx_success(batch_key_, entry.packet);
+        if (callbacks_ != nullptr) callbacks_->mac_tx_success(key, entry.packet);
     }
     for (const BlockAckManager::SenderEntry& entry : settled.dropped) {
         ++retry_drops_;
-        if (callbacks_ != nullptr) callbacks_->mac_tx_drop(batch_key_, entry.packet);
+        if (callbacks_ != nullptr) callbacks_->mac_tx_drop(key, entry.packet);
     }
     if (ba_.batch_active()) {
         // Selective retransmit of the remainder: escalate and re-contend.
@@ -537,55 +494,17 @@ void DcfMac::settle_block_ack(const BlockAckManager::Settled& settled, bool any_
 void DcfMac::on_ack_timeout()
 {
     if (state_ != State::kWaitAck) throw std::logic_error("DcfMac::on_ack_timeout: bad state");
-    if (ba_.batch_active()) {
-        // No block-ack at all: every window entry burns a retry
-        // (settle_block_ack reports the failed attempt to the rate
-        // manager).
-        const BlockAckManager::Settled settled = ba_.on_timeout(params_.retry_limit);
-        settle_block_ack(settled, /*any_acked=*/false);
-        return;
-    }
+    // No response at all: every MPDU of the batch burns a retry.
     phy_.report_tx_result(current_queue_->key().next_hop, /*success=*/false);
-    ++retries_;
-    if (retries_ > params_.retry_limit) {
-        ++retry_drops_;
-        finish_current(/*success=*/false);
-        return;
-    }
-    // Redraw the backoff from the escalated window and re-contend.
-    backoff_remaining_ = rng_.uniform_int(0, effective_cw() - 1);
-    resume_access();
+    settle(ba_.on_timeout(params_.retry_limit));
 }
 
 void DcfMac::on_cts_timeout()
 {
     if (state_ != State::kWaitCts) throw std::logic_error("DcfMac::on_cts_timeout: bad state");
-    ++retries_;
-    if (retries_ > params_.retry_limit) {
-        ++retry_drops_;
-        finish_current(/*success=*/false);
-        return;
-    }
-    backoff_remaining_ = rng_.uniform_int(0, effective_cw() - 1);
-    resume_access();
-}
-
-void DcfMac::finish_current(bool success)
-{
-    const QueueKey key = current_queue_->key();
-    const net::Packet packet = std::move(current_queue_->mutable_front());
-    current_queue_->pop();
-    in_contention_ = false;
-    current_queue_ = nullptr;
-    retries_ = 0;
-    state_ = State::kIdle;
-    if (success) {
-        ++successes_;
-        if (callbacks_ != nullptr) callbacks_->mac_tx_success(key, packet);
-    } else {
-        if (callbacks_ != nullptr) callbacks_->mac_tx_drop(key, packet);
-    }
-    maybe_start_work();
+    // The protected MPDU burns a retry; no data frame went out, so the
+    // rate manager hears nothing.
+    settle(ba_.on_timeout(params_.retry_limit));
 }
 
 SimTime DcfMac::earliest_committed_tx_at() const

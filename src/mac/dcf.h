@@ -2,7 +2,7 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
+#include <vector>
 
 #include "mac/block_ack.h"
 #include "mac/contention.h"
@@ -22,9 +22,12 @@ using util::SimTime;
 class MacCallbacks {
 public:
     virtual ~MacCallbacks() = default;
-    /// A data frame addressed to this node was received (after ACK and
-    /// duplicate filtering).
-    virtual void mac_rx(const phy::Frame& frame) = 0;
+    /// A data frame addressed to this node was received: bit i of
+    /// `ok_bits` marks MPDU i as decoded, new (scoreboard-filtered) and to
+    /// be delivered; reorder-held packets with seq below `release_below`
+    /// must be released first (BAR-free window advance).
+    virtual void mac_rx(const phy::Frame& frame, std::uint64_t ok_bits,
+                        std::uint32_t release_below) = 0;
     /// A decoded frame not addressed to this node (promiscuous tap —
     /// the raw-socket/monitor-mode capture EZ-Flow's BOE relies on).
     virtual void mac_sniffed(const phy::Frame& frame) = 0;
@@ -35,21 +38,25 @@ public:
     virtual void mac_tx_success(const QueueKey& key, const net::Packet& packet) = 0;
     /// A data frame was abandoned after the retry limit.
     virtual void mac_tx_drop(const QueueKey& key, const net::Packet& packet) = 0;
-    /// An aggregated data frame addressed to this node was received: bit i
-    /// of `ok_bits` marks subframe i as decoded, new (scoreboard-filtered)
-    /// and to be delivered; reorder-held packets with seq below
-    /// `release_below` must be released first (BAR-free window advance).
-    /// Default no-op so legacy single-MSDU listeners need no change.
-    virtual void mac_rx_aggregated(const phy::Frame& frame, std::uint64_t ok_bits,
-                                   std::uint32_t release_below)
-    {
-        (void)frame;
-        (void)ok_bits;
-        (void)release_below;
-    }
 };
 
-/// IEEE 802.11 DCF (basic access, no RTS/CTS) over one NodePhy.
+/// IEEE 802.11 DCF (basic access; RTS/CTS optional) over one NodePhy.
+///
+/// One transmission pipeline serves every batch size: each access fills
+/// a batch of MPDUs from one queue, transmits it as one data frame,
+/// settles the acknowledgement per MPDU through the block-ack window, and
+/// re-contends for whatever is still unsettled. The block-ack agreement
+/// (`ampdu_max_mpdus > 1`) picks how a batch is filled and answered:
+///  * without it the batch is the queue's head packet alone, which stays
+///    queue backlog until it settles; it is answered by a normal ACK and
+///    may be protected by RTS/CTS;
+///  * with it up to `ampdu_max_mpdus` packets leave the queue at once and
+///    travel as one A-MPDU (a delimiter per MPDU), answered by a
+///    compressed block-ack that retransmits only the lost MPDUs.
+///
+/// The receiver side is shared too: the per-originator block-ack
+/// scoreboard drops duplicates of either kind, and the node's reorder
+/// buffer releases packets in sequence order.
 ///
 /// Contention rule, matching the paper's description: every transmission
 /// draws a fresh backoff uniformly from [0, cw-1]; the counter decrements
@@ -87,11 +94,11 @@ public:
     void set_queue_cw_min(const QueueKey& key, int cw);
     int queue_cw_min(const QueueKey& key) const;
 
-    /// A-MPDU batch size (1 = legacy single-MSDU pipeline). Clamped to
-    /// [1, 64]; call before traffic starts — mid-run changes only take
+    /// Block-ack agreement: up to `k` MPDUs per A-MPDU batch (1 = no
+    /// agreement: one MPDU per access, answered by a normal ACK). Clamped
+    /// to [1, 64]; call before traffic starts — mid-run changes only take
     /// effect at the next batch fill.
     void set_ampdu_max_mpdus(int k);
-    bool aggregation_enabled() const { return params_.ampdu_max_mpdus > 1; }
 
     // --- fault injection ---
     /// Graceful teardown (node death): cancel the coordinator
@@ -102,8 +109,9 @@ public:
     /// CTS follow-ups) become no-ops via their state guards. Idempotent.
     void quiesce();
     /// Undo quiesce after the PHY is powered and reattached: clear the
-    /// duplicate filter (neighbours restart their sequence dialogue) and
-    /// resume serving whatever has been enqueued since.
+    /// block-ack scoreboards (neighbours' sequence spaces moved on while
+    /// this node was dead) and resume serving whatever has been enqueued
+    /// since.
     void revive();
     bool is_down() const { return down_; }
 
@@ -125,7 +133,7 @@ public:
     std::uint64_t retry_drops() const { return retry_drops_; }
     std::uint64_t acks_sent() const { return acks_sent_; }
     std::uint64_t successes() const { return successes_; }
-    /// Duplicate data frames suppressed by the receive filter. Each one
+    /// Duplicate MPDUs suppressed by the block-ack scoreboard. Each one
     /// marks a packet the sender may have retry-dropped (or will ACK
     /// later) after it already progressed — the exact slack the
     /// end-to-end drop audit must allow for cloned outcomes.
@@ -144,28 +152,25 @@ public:
     /// conservative epoch horizon.
     SimTime earliest_committed_tx_at() const;
 
-    /// Whether the MAC is currently committed to a head packet (an access
-    /// or exchange is in progress). The packet stays queue backlog until
-    /// the exchange settles, but its receiver may already have progressed
-    /// it — the one-per-node in-flight slack the drop audit allows when a
-    /// run is frozen mid-dialogue.
-    bool serving() const { return current_queue_ != nullptr; }
+    /// MPDUs of the batch in flight (0 when idle). Their receiver may
+    /// already have progressed any of them — the in-flight slack the drop
+    /// audit allows when a run is frozen mid-dialogue.
+    std::uint64_t in_flight_mpdus() const { return ba_.window_size(); }
 
-    /// Dialogues cut short by a node-down quiesce while the MAC was
-    /// committed to a head packet. The receiver may already have decoded
-    /// that packet's data before the teardown flushed it into
-    /// drops_node_down — each abort is therefore one more potential
-    /// cloned outcome the drop audit must allow.
+    /// MPDUs whose dialogue a node-down quiesce cut short. The receiver
+    /// may already have decoded each before the teardown flushed it —
+    /// each abort is therefore one more potential cloned outcome the drop
+    /// audit must allow.
     std::uint64_t teardown_aborts() const { return teardown_aborts_; }
 
-    /// MPDUs currently held in the sender's block-ack window: dequeued
-    /// from their interface queue but not yet settled (acked, retry-
-    /// dropped, or teardown-flushed). Counts as MAC-held backlog in the
-    /// drop audit's conservation laws.
-    std::uint64_t ampdu_pending() const { return ba_.window_size(); }
-    /// Window MPDUs surrendered by a node-down quiesce (the aggregated
-    /// analogue of a queue's dropped_node_down bucket: these packets were
-    /// dequeued but never settled on the air).
+    /// In-flight MPDUs already dequeued from their interface queue: an
+    /// A-MPDU batch leaves its queue at fill, while a lone MPDU stays
+    /// queue backlog until it settles (0 then). Counts as MAC-held
+    /// backlog in the drop audit's conservation laws.
+    std::uint64_t ampdu_pending() const { return batch_ampdu_ ? ba_.window_size() : 0; }
+    /// Dequeued A-MPDU MPDUs surrendered by a node-down quiesce (the
+    /// batch analogue of a queue's dropped_node_down bucket: these packets
+    /// were dequeued but never settled on the air).
     std::uint64_t ampdu_node_down_drops() const { return ampdu_node_down_drops_; }
     /// Compressed block-acks transmitted by this MAC.
     std::uint64_t block_acks_sent() const { return block_acks_sent_; }
@@ -183,8 +188,8 @@ private:
         kWaitAck,
     };
 
-    /// Commit to the head packet of the next round-robin queue and draw a
-    /// fresh backoff from its (possibly escalated) contention window.
+    /// Fill a batch from the next round-robin queue and draw a fresh
+    /// backoff from its (possibly escalated) contention window.
     void start_new_contention();
     /// Enter the access procedure keeping the current backoff counter.
     void resume_access();
@@ -195,33 +200,31 @@ private:
     void freeze_contention();
     /// Physical or virtual (NAV) carrier indicates a busy medium.
     bool medium_busy() const;
-    /// Extend the NAV to cover a sniffed data frame's ACK (or, for
-    /// aggregated data, block-ack) exchange.
-    void set_nav_for_ack(bool aggregated);
+    /// Extend the NAV to cover a sniffed data frame's ACK (block-ack for
+    /// an A-MPDU) exchange.
+    void set_nav_for_ack(bool ampdu);
     /// Extend the NAV to an absolute deadline (RTS/CTS Duration fields).
     void set_nav_until(SimTime until);
     void on_nav_expired();
-    /// Start the frame exchange for the committed packet: either the data
-    /// frame directly (basic access) or the RTS when the handshake is on.
+    /// Start the frame exchange for the batch: either the data frame
+    /// directly (basic access) or the RTS when the handshake applies.
     void start_exchange();
     void transmit_rts();
-    void transmit_data();
-    /// Build and transmit the A-MPDU carrying every unsettled window
-    /// entry (selective retransmit: settled MPDUs are already gone).
-    void transmit_aggregated();
+    /// Transmit the data frame carrying every unsettled window entry
+    /// (selective retransmit: settled MPDUs are already gone).
+    void transmit_batch();
+    /// The data frame for the current window.
+    phy::Frame data_frame() const;
     void on_ack_timeout();
     void on_cts_timeout();
-    void finish_current(bool success);
-    /// Apply a block-ack verdict (or its timeout analogue) to the sender
-    /// window: report acked/dropped MPDUs upward, then either re-contend
-    /// for the remainder or finish the batch.
-    void settle_block_ack(const BlockAckManager::Settled& settled, bool any_acked);
+    /// Apply an acknowledgement verdict (or its timeout analogue) to the
+    /// sender window: report acked/dropped MPDUs upward, then either
+    /// re-contend for the remainder or finish the batch.
+    void settle(const BlockAckManager::Settled& settled);
     /// CTS received: transmit the data frame SIFS later (timer callback).
     void on_cts_data_follow_up();
     int effective_cw() const;
     void maybe_start_work();
-    /// Airtime of the committed packet's data frame.
-    SimTime current_data_airtime() const;
     void schedule_control_if_needed();
     void send_pending_control();
 
@@ -241,7 +244,6 @@ private:
     MacQueue* current_queue_ = nullptr;
     int retries_ = 0;
     int backoff_remaining_ = 0;
-    std::uint32_t current_seq_ = 0;
     /// Rate of the in-flight attempt (0 = PHY default), chosen once per
     /// attempt in start_exchange so RTS duration and data frame agree.
     std::int64_t current_rate_bps_ = 0;
@@ -273,13 +275,16 @@ private:
     SimTime next_ctrl_at_ = -1;  ///< armed control trigger (-1: none/on air)
     SimTime cts_data_at_ = -1;   ///< armed CTS -> data follow-up (-1: none)
 
-    // A-MPDU batch state (aggregation_enabled() only; empty otherwise).
+    // Batch state: the sender window (non-empty exactly while serving)
+    // and the receiver scoreboards.
     BlockAckManager ba_;
-    QueueKey batch_key_{};  ///< queue the active batch was filled from
+    /// The batch in flight was filled under the block-ack agreement: its
+    /// MPDUs left the queue at fill and travel as an A-MPDU. Stamped on
+    /// its data frames as Frame::ampdu.
+    bool batch_ampdu_ = false;
     std::vector<net::Packet> batch_fill_;  ///< pop_batch scratch
 
     std::uint32_t next_seq_ = 1;
-    std::map<net::NodeId, std::uint32_t> last_rx_seq_;  ///< duplicate filter
     SimTime nav_until_ = 0;  ///< virtual carrier sense (Duration field)
 
     std::uint64_t data_attempts_ = 0;

@@ -49,11 +49,11 @@ struct MacParams {
     bool rts_cts_enabled = false;
     int rts_threshold_bytes = 0;
 
-    /// A-MPDU aggregation: maximum MPDUs dequeued into one TXOP batch.
-    /// 1 (the default) keeps the legacy one-MSDU-per-access pipeline —
-    /// the golden-pinned path — bit-exactly; values above 1 enable the
-    /// batch/block-ack machinery (capped at 64, the compressed block-ack
-    /// bitmap width). Aggregated access is always basic (no RTS/CTS).
+    /// Block-ack agreement: maximum MPDUs dequeued into one A-MPDU batch
+    /// (capped at 64, the compressed block-ack bitmap width). 1 (the
+    /// default, every paper figure) sends one MPDU per access, answered by
+    /// a normal ACK; above 1 a batch travels as an A-MPDU answered by a
+    /// compressed block-ack, always with basic access (no RTS/CTS).
     int ampdu_max_mpdus = 1;
     /// Byte ceiling on one A-MPDU batch (payload bytes of the batched
     /// MSDUs); 0 means unlimited. The batch always admits at least one

@@ -237,6 +237,11 @@ void Network::run_until(util::SimTime t)
         shards_[0]->scheduler.run_until(t);
         return;
     }
+    // Shard workers share the forwarding table, and its lazy compile on
+    // first lookup would race between them: compile it here, before any
+    // worker starts. Routes cannot change mid-run on a sharded network
+    // (fault injection requires a single shard).
+    routing_table_.ensure_fresh();
     sharded_engine()->run_until(t);
 }
 

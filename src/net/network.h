@@ -120,9 +120,9 @@ public:
     /// per-link state out from under in-flight frames.
     void set_phy_models(const phy::PhyModelConfig& models);
 
-    /// Set the A-MPDU batch size on every node's MAC (1 = legacy
-    /// single-MSDU pipeline, the golden-pinned default). Call after the
-    /// topology is built and before traffic starts.
+    /// Set the block-ack agreement (A-MPDU batch size) on every node's
+    /// MAC (1 = one MPDU per access, the golden-pinned default). Call
+    /// after the topology is built and before traffic starts.
     void set_ampdu_max_mpdus(int k);
 
     /// Flip the unified reference-path switches (see ReferenceModeFlags).

@@ -96,39 +96,43 @@ void Node::handle_packet(const Packet& packet)
     if (!mac_.enqueue(key, packet)) ++forward_queue_drops_;
 }
 
-void Node::mac_rx(const phy::Frame& frame)
-{
-    if (!frame.has_packet) throw std::logic_error("Node::mac_rx: data frame without packet");
-    handle_packet(frame.packet);
-}
-
-void Node::mac_rx_aggregated(const phy::Frame& frame, std::uint64_t ok_bits,
-                             std::uint32_t release_below)
+void Node::mac_rx(const phy::Frame& frame, std::uint64_t ok_bits, std::uint32_t release_below)
 {
     ReorderStream& stream = reorder_[frame.tx_node];
-    // Park the newly received MPDUs (the MAC's scoreboard already
-    // filtered duplicates, so each sequence lands here at most once).
-    for (std::size_t i = 0; i < frame.subframes.size() && i < 64; ++i) {
-        if (((ok_bits >> i) & 1) == 0) continue;
-        const phy::Mpdu& mpdu = frame.subframes[i];
-        if (mpdu.seq < stream.next_seq) continue;  // defensive: already released
-        stream.held.emplace(mpdu.seq, mpdu.packet);
-    }
+    // Release the contiguous run the buffer holds from next_seq on.
+    const auto drain = [this, &stream] {
+        while (!stream.held.empty() && stream.held.begin()->first == stream.next_seq) {
+            handle_packet(stream.held.begin()->second);
+            stream.held.erase(stream.held.begin());
+            ++stream.next_seq;
+        }
+    };
     // BAR-free window advance: the sender's advertised start proves every
     // lower sequence is settled there (acked or abandoned), so release
     // what we hold below it — in order — and skip the holes for good.
+    // Every new MPDU sits at or above it (the frame advertises its own
+    // oldest MPDU, and the scoreboard drops anything older).
     if (release_below > stream.next_seq) {
         const auto end = stream.held.lower_bound(release_below);
         for (auto it = stream.held.begin(); it != end; ++it) handle_packet(it->second);
         stream.held.erase(stream.held.begin(), end);
         stream.next_seq = release_below;
+        drain();
     }
-    // Drain the contiguous in-order run from the buffer.
-    for (auto it = stream.held.find(stream.next_seq); it != stream.held.end();
-         it = stream.held.find(stream.next_seq)) {
-        handle_packet(it->second);
-        stream.held.erase(it);
-        ++stream.next_seq;
+    // The new MPDUs arrive in sequence order (the scoreboard already
+    // filtered duplicates). An in-order one goes straight up, followed by
+    // whatever its arrival makes contiguous in the buffer; only an MPDU
+    // behind a hole is parked.
+    for (std::size_t i = 0; i < frame.mpdus.size() && i < 64; ++i) {
+        if (((ok_bits >> i) & 1) == 0) continue;
+        const phy::Mpdu& mpdu = frame.mpdus[i];
+        if (mpdu.seq > stream.next_seq) {
+            stream.held.emplace(mpdu.seq, mpdu.packet);
+        } else if (mpdu.seq == stream.next_seq) {
+            handle_packet(mpdu.packet);
+            ++stream.next_seq;
+            drain();
+        }  // below next_seq: already released (defensive)
     }
 }
 

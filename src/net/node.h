@@ -96,26 +96,24 @@ public:
     /// suspended after a partition, or repair in progress).
     std::uint64_t drops_unroutable() const { return drops_unroutable_; }
     /// Packets parked in the per-originator reorder buffers: received out
-    /// of order from an A-MPDU and awaiting their predecessors (counts as
+    /// of order and awaiting their predecessors (counts as
     /// in-flight backlog for the drop audit's conservation laws).
     std::uint64_t reorder_buffered() const;
 
     // --- mac::MacCallbacks ---
-    void mac_rx(const phy::Frame& frame) override;
+    void mac_rx(const phy::Frame& frame, std::uint64_t ok_bits,
+                std::uint32_t release_below) override;
     void mac_sniffed(const phy::Frame& frame) override;
     void mac_first_tx(const mac::QueueKey& key, const Packet& packet) override;
     void mac_tx_success(const mac::QueueKey& key, const Packet& packet) override;
     void mac_tx_drop(const mac::QueueKey& key, const Packet& packet) override;
-    void mac_rx_aggregated(const phy::Frame& frame, std::uint64_t ok_bits,
-                           std::uint32_t release_below) override;
 
 private:
-    /// Deliver locally or forward toward the next hop — the single-packet
-    /// receive path shared by mac_rx and the reorder-buffer release.
+    /// Deliver locally or forward toward the next hop.
     void handle_packet(const Packet& packet);
 
-    /// Per-originator reorder stream: MPDUs of one A-MPDU sender are
-    /// released upward strictly in sequence order. `next_seq` is the
+    /// Per-originator reorder stream: MPDUs of one sender are released
+    /// upward strictly in sequence order. `next_seq` is the
     /// lowest sequence not yet released; `held` parks out-of-order
     /// arrivals until their predecessors arrive or the sender's advertised
     /// window start (release_below) flushes past an abandoned hole.

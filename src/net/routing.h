@@ -129,13 +129,17 @@ public:
     int flow_count() const;
     NodeId node_stride() const;
 
-private:
-    void compile() const;
-    void refresh() const;
+    /// Bring the compiled rows up to date with the builder now. Lookups
+    /// do this lazily, which is not thread-safe: callers that share one
+    /// table across threads must call it before the threads start.
     void ensure_fresh() const
     {
         if (compiled_version_ != builder_->version()) refresh();
     }
+
+private:
+    void compile() const;
+    void refresh() const;
     /// Rewrite one flow's row from the builder. Returns false when the
     /// row cannot be patched in place (flow unknown to the compiled index
     /// or path uses nodes outside the compiled axis) and a full compile

@@ -53,7 +53,6 @@ void Channel::set_models(const PhyModelConfig& config, std::uint64_t network_see
     set_rate_manager(make_rate_manager(config));
     set_interference_mode(config.interference);
     if (config.noise_floor_w >= 0.0) params_.noise_floor_w = config.noise_floor_w;
-    if (config.weighted_overlap) params_.weighted_overlap_interference = true;
 }
 
 void Channel::set_propagation_model(std::unique_ptr<PropagationModel> model)
@@ -170,6 +169,8 @@ void Channel::transmit(NodePhy& sender, Frame frame)
     const double threshold = frame_capture_threshold(shared);
     const double noise_w = sinr ? params_.noise_floor_w : 0.0;
     const bool dynamic_power = propagation_ != nullptr && !propagation_->time_invariant();
+    const std::size_t spans = shared.span_count();
+    const std::uint64_t all_spans = spans >= 64 ? ~0ull : (1ull << spans) - 1;
 
     const auto deliver = [&](NodePhy* phy, bool in_delivery_range, bool sensed, double power_w) {
         RxEvent rx;
@@ -180,24 +181,14 @@ void Channel::transmit(NodePhy& sender, Frame frame)
         rx.capture_threshold = threshold;
         rx.in_delivery = in_delivery_range;
         rx.sensed = sensed;
-        rx.error = false;
-        rx.mpdu_error_bits = 0;
         if (in_delivery_range) {
-            const std::size_t n_sub = shared.subframes.size();
-            if (n_sub > 0) {
-                // Aggregated frame: the per-link error model corrupts each
-                // MPDU independently (one roll per subframe from the same
-                // sampled loss), and `error` collapses to the legacy
-                // whole-frame verdict only when every subframe is lost.
-                const double loss = sample_link_loss(sender.id(), phy->id());
-                std::uint64_t bits = 0;
-                for (std::size_t i = 0; i < n_sub && i < 64; ++i)
-                    if (rng_.bernoulli(loss)) bits |= (1ull << i);
-                rx.mpdu_error_bits = bits;
-                rx.error = bits == (n_sub >= 64 ? ~0ull : (1ull << n_sub) - 1);
-            } else {
-                rx.error = rng_.bernoulli(sample_link_loss(sender.id(), phy->id()));
-            }
+            // The per-link error model corrupts each span independently
+            // (one roll per span from the same sampled loss); `error` is
+            // the every-span-lost verdict.
+            const double loss = sample_link_loss(sender.id(), phy->id());
+            for (std::size_t i = 0; i < spans && i < 64; ++i)
+                if (rng_.bernoulli(loss)) rx.span_error_bits |= (1ull << i);
+            rx.error = rx.span_error_bits == all_spans;
         }
         phy->signal_start(rx);
         scheduler_.schedule_in(

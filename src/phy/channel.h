@@ -36,7 +36,7 @@ namespace ezflow::phy {
 ///  * RateManager — per-link data bitrate selection, consulted by the MAC
 ///    through NodePhy; null means the fixed PHY default.
 /// Interference semantics are selected by `PhyModelConfig::Interference`:
-/// the reference start-time capture against the linear threshold, or the
+/// the reference capture test against the linear threshold, or the
 /// cumulative-SINR ledger (capture_threshold_db + per-rate decode floors +
 /// noise floor).
 ///

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -14,18 +15,52 @@ using util::SimTime;
 
 enum class FrameType { kData, kAck, kRts, kCts, kBlockAck };
 
-/// One MPDU of an aggregated (A-MPDU) data frame: the MSDU payload plus
-/// its own MAC sequence number and retry count — each subframe succeeds or
-/// fails independently at the PHY and is acknowledged selectively by the
-/// compressed block-ack.
+/// One MPDU of a data frame: the MSDU payload plus its own MAC sequence
+/// number and retry count — each MPDU succeeds or fails independently at
+/// the PHY and is acknowledged and retransmitted on its own.
 struct Mpdu {
     net::Packet packet{};
     std::uint32_t seq = 0;
     int retry = 0;  ///< retry index of this MPDU (0 = first transmission)
 };
 
-/// A MAC frame on the air. Data frames carry a Packet; control frames
-/// (ACK/RTS/CTS) carry only the MAC addressing needed for the exchange.
+/// The MPDUs of one data frame, in ascending sequence order. The first
+/// MPDU lives inline, so a single-MPDU frame costs no heap allocation;
+/// only a multi-MPDU A-MPDU spills to the heap, and then holds every
+/// MPDU there.
+class MpduList {
+public:
+    std::size_t size() const { return many_.empty() ? (has_one_ ? 1 : 0) : many_.size(); }
+    bool empty() const { return size() == 0; }
+
+    const Mpdu* begin() const { return many_.empty() ? &one_ : many_.data(); }
+    const Mpdu* end() const { return begin() + size(); }
+    const Mpdu& operator[](std::size_t i) const { return many_.empty() ? one_ : many_[i]; }
+    Mpdu& operator[](std::size_t i) { return many_.empty() ? one_ : many_[i]; }
+
+    void push_back(const Mpdu& mpdu)
+    {
+        if (many_.empty()) {
+            if (!has_one_) {
+                one_ = mpdu;
+                has_one_ = true;
+                return;
+            }
+            many_.push_back(one_);
+            has_one_ = false;
+        }
+        many_.push_back(mpdu);
+    }
+
+private:
+    Mpdu one_{};
+    bool has_one_ = false;
+    std::vector<Mpdu> many_;  ///< every MPDU, once there is more than one
+};
+
+/// A MAC frame on the air. A data frame carries one or more MPDUs;
+/// control frames (ACK/RTS/CTS/block-ack) carry only the MAC addressing
+/// and fields the exchange needs.
 ///
 /// Copies are counted (a relaxed atomic, so multi-seed sweeps stay safe):
 /// the transmission pipeline is single-copy by design — one FrameRecord
@@ -47,25 +82,30 @@ struct Frame {
     /// picks a per-link rate; control frames always stay at the default so
     /// timeout/NAV arithmetic is rate-independent.
     std::int64_t bitrate_bps = 0;
-    bool has_packet = false;
-    net::Packet packet{};
 
-    /// A-MPDU subframes. Empty on every frame of the legacy one-MSDU
-    /// pipeline (the golden-pinned path); a data frame carrying MPDUs here
-    /// is one PPDU whose subframes are error-checked, acknowledged and
+    /// Data frames: the MPDUs, each error-checked, acknowledged and
     /// retransmitted individually. At most 64 (the compressed block-ack
     /// bitmap width).
-    std::vector<Mpdu> subframes;
-    /// Sender window start advertised on aggregated data frames (the
-    /// oldest unsettled sequence number): the receiver releases its
-    /// scoreboard and reorder buffer below it, so abandoned MPDUs never
-    /// stall in-order delivery (BAR-free window advance). On kBlockAck
-    /// frames: the responder's scoreboard window start.
+    MpduList mpdus;
+    /// Data frames: the MPDUs travel as an A-MPDU under a block-ack
+    /// agreement (the sender's `ampdu_max_mpdus > 1`) — every MPDU pays a
+    /// subframe delimiter and the receiver answers with a compressed
+    /// block-ack. False: a single MPDU answered by a normal ACK, which may
+    /// be protected by RTS/CTS.
+    bool ampdu = false;
+    /// Sender window start advertised on data frames (the oldest
+    /// unsettled sequence number): the receiver releases its scoreboard
+    /// and reorder buffer below it, so abandoned MPDUs never stall
+    /// in-order delivery (BAR-free window advance). On kBlockAck frames:
+    /// the responder's scoreboard window start.
     std::uint32_t ba_start_seq = 0;
     /// kBlockAck only: bit j acknowledges sequence ba_start_seq + j.
     std::uint64_t ba_bitmap = 0;
 
-    bool aggregated() const { return !subframes.empty(); }
+    /// Reception spans: one per MPDU of a data frame, a single one for a
+    /// control frame. The PHY judges interference per span and the
+    /// per-link error model rolls once per span.
+    std::size_t span_count() const { return mpdus.empty() ? 1 : mpdus.size(); }
 
     Frame() = default;
     Frame(Frame&&) = default;
@@ -78,9 +118,8 @@ struct Frame {
           retry(other.retry),
           duration_us(other.duration_us),
           bitrate_bps(other.bitrate_bps),
-          has_packet(other.has_packet),
-          packet(other.packet),
-          subframes(other.subframes),
+          mpdus(other.mpdus),
+          ampdu(other.ampdu),
           ba_start_seq(other.ba_start_seq),
           ba_bitmap(other.ba_bitmap)
     {
@@ -96,9 +135,8 @@ struct Frame {
             retry = other.retry;
             duration_us = other.duration_us;
             bitrate_bps = other.bitrate_bps;
-            has_packet = other.has_packet;
-            packet = other.packet;
-            subframes = other.subframes;
+            mpdus = other.mpdus;
+            ampdu = other.ampdu;
             ba_start_seq = other.ba_start_seq;
             ba_bitmap = other.ba_bitmap;
             copy_counter().fetch_add(1, std::memory_order_relaxed);
@@ -139,21 +177,13 @@ struct PhyParams {
     /// (reference two-ray emits 1/d^4 for unit tx power). 0 keeps SINR a
     /// pure signal-to-interference ratio.
     double noise_floor_w = 0.0;
-    /// Interference weighting for the cumulative-SINR ledger: when set, an
-    /// interferer overlapping x% of a locked frame contributes x-weighted
-    /// energy to the capture test (settled once, at frame end) instead of
-    /// full power at every overlap instant. Off by default — the sticky
-    /// instantaneous test is the golden-pinned behaviour — and installed
-    /// via PhyModelConfig::weighted_overlap. A 100%-overlap interferer
-    /// yields the same verdict either way.
-    bool weighted_overlap_interference = false;
     std::int64_t bitrate_bps = 1'000'000;
     SimTime plcp_overhead_us = 192;  ///< long PLCP preamble + header at 1 Mb/s
     int mac_data_overhead_bytes = 36;  ///< 24 B MAC header + 4 B FCS + 8 B LLC/SNAP
     int ack_frame_bytes = 14;
     int rts_frame_bytes = 20;
     int cts_frame_bytes = 14;
-    /// A-MPDU subframe delimiter prepended to every aggregated MPDU.
+    /// A-MPDU subframe delimiter prepended to every MPDU of an A-MPDU.
     int ampdu_delimiter_bytes = 4;
     /// Compressed block-ack frame: control header + starting sequence +
     /// 8-byte bitmap.
@@ -163,13 +193,12 @@ struct PhyParams {
     /// UP, matching 802.11 symbol rounding: a partially filled final
     /// microsecond still occupies the medium (at 1 Mb/s every frame is an
     /// exact number of microseconds, so the paper figures are unaffected;
-    /// at 2/5.5/11 Mb/s truncation would undercount airtime). An
-    /// aggregated data frame pays one PLCP for the whole PPDU plus the
-    /// per-MPDU MAC overhead and delimiter — the amortization that makes
-    /// A-MPDU a throughput (and events-per-byte) win.
+    /// at 2/5.5/11 Mb/s truncation would undercount airtime). A data
+    /// frame pays one PLCP for the whole PPDU plus each MPDU's on-air
+    /// bytes — the amortization that makes A-MPDU a throughput (and
+    /// events-per-byte) win.
     SimTime tx_duration(const Frame& frame) const
     {
-        const std::int64_t rate = frame.bitrate_bps > 0 ? frame.bitrate_bps : bitrate_bps;
         std::int64_t bytes = 0;
         switch (frame.type) {
             case FrameType::kAck: bytes = ack_frame_bytes; break;
@@ -177,33 +206,28 @@ struct PhyParams {
             case FrameType::kCts: bytes = cts_frame_bytes; break;
             case FrameType::kBlockAck: bytes = ba_frame_bytes; break;
             case FrameType::kData:
-                if (frame.aggregated()) {
-                    for (const Mpdu& mpdu : frame.subframes)
-                        bytes += mac_data_overhead_bytes + ampdu_delimiter_bytes +
-                                 mpdu.packet.bytes;
-                } else {
-                    bytes = mac_data_overhead_bytes + (frame.has_packet ? frame.packet.bytes : 0);
-                }
+                for (const Mpdu& mpdu : frame.mpdus) bytes += mpdu_bytes(frame, mpdu);
                 break;
         }
-        const std::int64_t bits = bytes * 8;
-        return plcp_overhead_us + (bits * 1'000'000 + rate - 1) / rate;
+        return airtime(frame, bytes);
     }
 
-    /// End offsets (microseconds from frame start) of every subframe of an
-    /// aggregated data frame; subframe i occupies [out[i-1], out[i]) with
-    /// the PLCP preamble attributed to subframe 0. The last offset equals
-    /// tx_duration(frame), so per-MPDU interference intervals tile the
-    /// PPDU airtime exactly.
-    void mpdu_end_offsets(const Frame& frame, std::vector<SimTime>& out) const
+    /// End offsets (microseconds from frame start) of the frame's
+    /// reception spans (Frame::span_count): span i occupies
+    /// [out[i-1], out[i]) with the PLCP preamble attributed to span 0. The
+    /// last offset equals tx_duration(frame), so per-span interference
+    /// intervals tile the airtime exactly.
+    void span_end_offsets(const Frame& frame, std::vector<SimTime>& out) const
     {
         out.clear();
-        const std::int64_t rate = frame.bitrate_bps > 0 ? frame.bitrate_bps : bitrate_bps;
+        if (frame.mpdus.empty()) {
+            out.push_back(tx_duration(frame));
+            return;
+        }
         std::int64_t cum_bytes = 0;
-        for (const Mpdu& mpdu : frame.subframes) {
-            cum_bytes += mac_data_overhead_bytes + ampdu_delimiter_bytes + mpdu.packet.bytes;
-            const std::int64_t bits = cum_bytes * 8;
-            out.push_back(plcp_overhead_us + (bits * 1'000'000 + rate - 1) / rate);
+        for (const Mpdu& mpdu : frame.mpdus) {
+            cum_bytes += mpdu_bytes(frame, mpdu);
+            out.push_back(airtime(frame, cum_bytes));
         }
     }
 
@@ -219,6 +243,20 @@ struct PhyParams {
         if (cs_range_m > r) r = cs_range_m;
         if (interference_range_m > r) r = interference_range_m;
         return r;
+    }
+
+private:
+    /// On-air bytes of one MPDU: MAC overhead plus payload, plus the
+    /// subframe delimiter inside an A-MPDU.
+    std::int64_t mpdu_bytes(const Frame& frame, const Mpdu& mpdu) const
+    {
+        return mac_data_overhead_bytes + (frame.ampdu ? ampdu_delimiter_bytes : 0) +
+               mpdu.packet.bytes;
+    }
+    SimTime airtime(const Frame& frame, std::int64_t bytes) const
+    {
+        const std::int64_t rate = frame.bitrate_bps > 0 ? frame.bitrate_bps : bitrate_bps;
+        return plcp_overhead_us + (bytes * 8 * 1'000'000 + rate - 1) / rate;
     }
 };
 

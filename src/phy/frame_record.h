@@ -15,10 +15,10 @@ class FramePool;
 /// the scheduler's inline event buffer — by every receiver's signal-end
 /// event plus the sender's tx-end, so the per-receiver fan-out copies
 /// pointers instead of Frame+Packet payloads. Records are recycled
-/// through the owning FramePool when the last handle releases. An
-/// aggregated frame's MPDU subframe vector lives inside the pooled Frame,
-/// so a whole A-MPDU batch still costs one record per transmission — the
-/// single-copy pipeline is per PPDU, not per MSDU.
+/// through the owning FramePool when the last handle releases. A data
+/// frame's MPDU list lives inside the pooled Frame, so a whole A-MPDU
+/// batch still costs one record per transmission — the single-copy
+/// pipeline is per PPDU, not per MSDU.
 class FrameRecord {
 public:
     const Frame& frame() const { return frame_; }

@@ -10,7 +10,7 @@ namespace ezflow::phy {
 
 /// Selection of pluggable PHY models for a simulation. The default value is
 /// the golden-pinned reference configuration — binary-range two-ray power,
-/// start-time capture against the linear threshold, fixed PHY bitrate —
+/// capture against the linear threshold, fixed PHY bitrate —
 /// and `Network::set_phy_models` with `is_reference() == true` is an exact
 /// no-op, so every existing golden stays byte-identical.
 struct PhyModelConfig {
@@ -39,11 +39,6 @@ struct PhyModelConfig {
     /// Noise floor override for SINR mode; negative means keep
     /// `PhyParams::noise_floor_w`.
     double noise_floor_w = -1.0;
-    /// Partial-overlap interference weighting for the SINR ledger: an
-    /// interferer overlapping x% of a locked frame contributes x-weighted
-    /// energy (settled at frame end) instead of full power at any overlap
-    /// instant. Only meaningful with Interference::kSinrLedger.
-    bool weighted_overlap = false;
     int minstrel_probe_period = 10;
     double minstrel_ewma = 0.25;
 

@@ -28,18 +28,17 @@ double NodePhy::interference_sum(std::uint64_t except_id) const
     return sum;
 }
 
-bool NodePhy::rx_weighted() const
+void NodePhy::close_bad_interval()
 {
-    return channel_ != nullptr && channel_->params().weighted_overlap_interference;
-}
-
-void NodePhy::mark_mpdus_corrupt(SimTime bad_from, SimTime bad_to)
-{
-    if (bad_to <= bad_from) return;
-    for (std::size_t i = 0; i < rx_mpdu_ends_.size() && i < 64; ++i) {
-        const SimTime begin = rx_started_at_ + (i == 0 ? 0 : rx_mpdu_ends_[i - 1]);
-        const SimTime end = rx_started_at_ + rx_mpdu_ends_[i];
-        if (bad_from < end && bad_to > begin) rx_mpdu_errors_ |= (1ull << i);
+    const SimTime bad_from = rx_bad_since_;
+    const SimTime bad_to = scheduler_.now();
+    rx_bad_since_ = -1;
+    if (bad_to <= bad_from) return;  // zero length: overlaps nothing
+    channel_params().span_end_offsets(*rx_frame_, span_ends_);
+    for (std::size_t i = 0; i < span_ends_.size() && i < 64; ++i) {
+        const SimTime begin = rx_started_at_ + (i == 0 ? 0 : span_ends_[i - 1]);
+        const SimTime end = rx_started_at_ + span_ends_[i];
+        if (bad_from < end && bad_to > begin) rx_span_errors_ |= (1ull << i);
     }
 }
 
@@ -69,8 +68,7 @@ void NodePhy::power_off()
     ledger_w_ = 0.0;
     transmitting_ = false;
     rx_active_ = false;
-    rx_corrupted_ = false;
-    rx_aggregated_ = false;
+    rx_frame_ = nullptr;
     rx_bad_since_ = -1;
     last_rx_error_ = false;
     last_busy_ = false;
@@ -84,7 +82,7 @@ void NodePhy::power_on()
 void NodePhy::signal_start(const RxEvent& rx)
 {
     if (!powered_) return;  // dead radios hear nothing (and are detached anyway)
-    active_.push_back(ActiveSignal{rx.signal_id, rx.power_w, rx.sensed, scheduler_.now()});
+    active_.push_back(ActiveSignal{rx.signal_id, rx.power_w, rx.sensed});
     ledger_w_ += rx.power_w;
     if (rx.sensed) ++sensed_active_;
     const bool decodable = rx.decodable();
@@ -92,22 +90,10 @@ void NodePhy::signal_start(const RxEvent& rx)
         // Cannot hear anything while transmitting.
         if (decodable) ++frames_missed_busy_;
     } else if (rx_active_) {
-        // The locked reception survives only while it still clears its SINR
-        // over the exact sum of all interferers plus noise (corruption is
-        // sticky). The sum is recomputed from the ledger entries rather
-        // than taken from the incremental total: capture decisions must be
-        // bit-exact, and interference only changes at signal edges, so the
-        // minimum SINR over the frame is observed at exactly these checks.
-        if (rx_aggregated_) {
-            // Per-MPDU regime: an arrival only raises interference, so it
-            // can open (never close) a below-threshold interval; recovery
-            // is observed at interferer signal ends.
-            if (rx_bad_since_ < 0 && rx_below_threshold()) rx_bad_since_ = scheduler_.now();
-        } else if (rx_weighted()) {
-            // Verdict deferred to frame end (overlap-weighted integral).
-        } else if (rx_below_threshold()) {
-            rx_corrupted_ = true;
-        }
+        // An arrival only raises interference, so it can open (never
+        // close) a below-threshold interval; recovery is observed at
+        // interferer signal ends.
+        if (rx_bad_since_ < 0 && rx_below_threshold()) rx_bad_since_ = scheduler_.now();
         if (decodable) ++frames_missed_busy_;
     } else if (decodable) {
         rx_active_ = true;
@@ -115,25 +101,12 @@ void NodePhy::signal_start(const RxEvent& rx)
         rx_power_w_ = rx.power_w;
         rx_threshold_ = rx.capture_threshold;
         rx_noise_w_ = rx.noise_w;
-        rx_aggregated_ = rx.frame->aggregated();
+        rx_frame_ = rx.frame;
         rx_started_at_ = scheduler_.now();
-        rx_bad_since_ = -1;
-        rx_interference_integral_ = 0.0;
-        rx_mpdu_errors_ = 0;
-        if (rx_aggregated_) {
-            rx_mpdu_errors_ = rx.mpdu_error_bits;
-            channel_params().mpdu_end_offsets(*rx.frame, rx_mpdu_ends_);
-            rx_corrupted_ = false;
-            if (rx_below_threshold()) rx_bad_since_ = scheduler_.now();
-        } else if (rx_weighted()) {
-            // Pre-existing interferers contribute their eventual overlap
-            // at their signal ends; the verdict settles at frame end.
-            rx_corrupted_ = false;
-        } else {
-            // Pre-existing overlapping energy corrupts the new reception
-            // unless the frame captures over it.
-            rx_corrupted_ = rx_below_threshold();
-        }
+        rx_span_errors_ = rx.span_error_bits;
+        // Pre-existing overlapping energy opens an interval at once unless
+        // the frame captures over it.
+        rx_bad_since_ = rx_below_threshold() ? scheduler_.now() : -1;
     }
     update_busy();
 }
@@ -150,68 +123,29 @@ void NodePhy::signal_end(std::uint64_t signal_id, const Frame& frame)
         throw std::logic_error("NodePhy::signal_end: unknown signal");
     }
     const bool was_sensed = it->sensed;
-    const double ended_power = it->power_w;
-    const SimTime ended_start = it->start_us;
     ledger_w_ -= it->power_w;
     active_.erase(it);
     if (active_.empty()) ledger_w_ = 0.0;  // empty ledger is exactly quiet
     if (was_sensed) --sensed_active_;
 
     const bool completes_rx = rx_active_ && rx_signal_id_ == signal_id;
-    if (rx_active_ && !completes_rx) {
-        // An interferer left while a frame is locked.
-        if (rx_aggregated_) {
-            // Interference just dropped: a below-threshold interval may
-            // close here — map it onto the subframes it overlapped.
-            if (rx_bad_since_ >= 0 && !rx_below_threshold()) {
-                mark_mpdus_corrupt(rx_bad_since_, scheduler_.now());
-                rx_bad_since_ = -1;
-            }
-        } else if (rx_weighted()) {
-            rx_interference_integral_ +=
-                ended_power *
-                static_cast<double>(scheduler_.now() - std::max(ended_start, rx_started_at_));
-        }
-    }
+    // An interferer left while a frame is locked: interference just
+    // dropped, so an open below-threshold interval may close here.
+    if (rx_active_ && !completes_rx && rx_bad_since_ >= 0 && !rx_below_threshold())
+        close_bad_interval();
     bool deliver = false;
     if (completes_rx) {
+        if (rx_bad_since_ >= 0) close_bad_interval();
         rx_active_ = false;
-        last_decode_mpdu_errors_ = 0;
-        if (rx_aggregated_) {
-            if (rx_bad_since_ >= 0) {
-                mark_mpdus_corrupt(rx_bad_since_, scheduler_.now());
-                rx_bad_since_ = -1;
-            }
-            const std::size_t n = frame.subframes.size();
-            const std::uint64_t all = n >= 64 ? ~0ull : ((1ull << n) - 1);
-            if ((rx_mpdu_errors_ & all) == all) {
-                ++frames_corrupted_;
-            } else {
-                ++frames_decoded_;
-                last_decode_mpdu_errors_ = rx_mpdu_errors_ & all;
-                deliver = true;
-            }
+        rx_frame_ = nullptr;
+        const std::size_t n = frame.span_count();
+        const std::uint64_t all = n >= 64 ? ~0ull : ((1ull << n) - 1);
+        if ((rx_span_errors_ & all) == all) {
+            ++frames_corrupted_;
         } else {
-            if (rx_weighted()) {
-                // Close the integral over the interferers still on the air
-                // (the frame's own entry is already erased) and settle the
-                // overlap-weighted capture verdict once, for the whole
-                // frame.
-                for (const ActiveSignal& s : active_)
-                    rx_interference_integral_ +=
-                        s.power_w *
-                        static_cast<double>(scheduler_.now() -
-                                            std::max(s.start_us, rx_started_at_));
-                const double span = static_cast<double>(scheduler_.now() - rx_started_at_);
-                const double mean_w = span > 0 ? rx_interference_integral_ / span : 0.0;
-                rx_corrupted_ = rx_power_w_ < rx_threshold_ * (mean_w + rx_noise_w_);
-            }
-            if (rx_corrupted_) {
-                ++frames_corrupted_;
-            } else {
-                ++frames_decoded_;
-                deliver = true;
-            }
+            ++frames_decoded_;
+            last_decode_mpdu_errors_ = rx_span_errors_ & all;
+            deliver = true;
         }
     }
     // EIFS bookkeeping: a sensed busy period that did not end in a clean

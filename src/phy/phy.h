@@ -28,12 +28,11 @@ struct RxEvent {
     double capture_threshold = 10.0;
     bool in_delivery = false;  ///< within tx_range: decode candidate
     bool sensed = false;       ///< within cs_range: counts for energy detection
-    bool error = false;        ///< per-link error model rolled a loss
-    /// Aggregated frames only: bit i set means the per-link error model
-    /// corrupted subframe i (the channel rolls once per MPDU instead of
-    /// once per PPDU). `error` is then the all-subframes-lost verdict —
-    /// a fully corrupted A-MPDU fails to lock, like a lost legacy frame.
-    std::uint64_t mpdu_error_bits = 0;
+    /// Bit i set: the per-link error model corrupted reception span i
+    /// (Frame::span_count — one roll per span).
+    std::uint64_t span_error_bits = 0;
+    /// Every span was lost: the frame cannot be locked onto.
+    bool error = false;
 
     bool decodable() const { return in_delivery && !error; }
 };
@@ -56,11 +55,23 @@ public:
 ///  * carrier sense counts overlapping signals within cs_range;
 ///  * the node locks onto the first decodable signal while idle;
 ///  * overlapping signals within interference range accumulate in the
-///    interference ledger; the locked frame survives only while its power
-///    clears `capture_threshold x (interference + noise)` (cumulative
-///    SINR — the threshold and noise arrive per-frame in the RxEvent);
+///    interference ledger; the locked frame's power must clear
+///    `capture_threshold x (interference + noise)` (cumulative SINR — the
+///    threshold and noise arrive per-frame in the RxEvent);
 ///  * a transmitting node hears nothing (half duplex) — this is what made
 ///    the authors use a second radio as sniffer on the testbed.
+///
+/// One reception regime serves every frame. The locked frame is a row of
+/// spans (Frame::span_count: one per MPDU of a data frame, one for a
+/// control frame), and the PHY records each interval during which the
+/// locked power fails the capture test. Interference changes only at
+/// signal edges, so the interval endpoints are observed exactly. Every
+/// span such an interval overlaps is lost; the frame is corrupted when
+/// all its spans are, and delivered otherwise with the lost MPDUs named.
+/// Intervals are half-open, [start, end): a signal that starts at the
+/// instant a locked frame ends does not overlap it, and of two signals
+/// where one ends at the instant the other starts, neither sees the
+/// other — an interval of zero length corrupts nothing.
 class NodePhy {
 public:
     NodePhy(net::NodeId id, Position position, sim::Scheduler& scheduler);
@@ -90,9 +101,9 @@ public:
     /// A signal reaching this node started; `rx` carries the power, range
     /// facts and model verdicts (see RxEvent). The node locks onto the
     /// first decodable arrival while idle and applies the capture test —
-    /// locked power vs threshold x (interference + noise) — both at lock
-    /// and again at every later arrival, so mid-frame interferers corrupt
-    /// a reception that no longer clears its SINR (corruption is sticky).
+    /// locked power vs threshold x (interference + noise) — at lock and
+    /// at every later edge, so a mid-frame interferer corrupts the spans
+    /// it overlaps while the reception no longer clears its SINR.
     void signal_start(const RxEvent& rx);
     /// The same signal ended.
     void signal_end(std::uint64_t signal_id, const Frame& frame);
@@ -127,10 +138,10 @@ public:
     /// decode at this node (drives the MAC's EIFS rule).
     bool last_rx_error() const { return last_rx_error_; }
 
-    /// Per-MPDU corruption verdict of the most recently decoded aggregated
-    /// frame (error-model bits combined with the per-subframe interference
-    /// intervals). Valid during the phy_frame_decoded callback; 0 for
-    /// legacy frames.
+    /// Per-MPDU corruption verdict of the most recently decoded frame
+    /// (error-model bits combined with the per-span interference
+    /// intervals; bit i = MPDU i lost). Valid during the
+    /// phy_frame_decoded callback.
     std::uint64_t last_decode_mpdu_errors() const { return last_decode_mpdu_errors_; }
 
     // --- statistics ---
@@ -143,7 +154,6 @@ private:
         std::uint64_t id;
         double power_w;
         bool sensed;
-        SimTime start_us;  ///< arrival time (overlap weighting, interval tracking)
     };
 
     void update_busy();
@@ -151,16 +161,15 @@ private:
     double interference_sum(std::uint64_t except_id) const;
     /// Instantaneous capture test of the locked frame against the current
     /// interference sum plus noise (true = below threshold, corrupting).
+    /// The sum is recomputed from the ledger entries rather than taken
+    /// from the incremental total: capture decisions must be bit-exact.
     bool rx_below_threshold() const
     {
         return rx_power_w_ < rx_threshold_ * (interference_sum(rx_signal_id_) + rx_noise_w_);
     }
-    /// Mark every subframe of the locked aggregated frame overlapping the
-    /// below-threshold interval [bad_from, bad_to) as corrupt.
-    void mark_mpdus_corrupt(SimTime bad_from, SimTime bad_to);
-    /// Whether the locked legacy frame defers its capture verdict to frame
-    /// end, integrating overlap-weighted interferer energy.
-    bool rx_weighted() const;
+    /// Close the open below-threshold interval at now and mark every span
+    /// of the locked frame it overlaps as lost.
+    void close_bad_interval();
 
     net::NodeId id_;
     Position position_;
@@ -183,24 +192,16 @@ private:
     double rx_power_w_ = 0.0;
     double rx_threshold_ = 0.0;  ///< linear SINR the locked frame must keep clearing
     double rx_noise_w_ = 0.0;    ///< noise floor under the locked frame
-    bool rx_corrupted_ = false;
-    bool last_rx_error_ = false;
-    double ledger_w_ = 0.0;  ///< incremental total of active signal power
-
-    // Aggregated reception: instead of the sticky whole-frame corruption
-    // bit, the PHY tracks the below-threshold intervals of the locked
-    // PPDU (interference changes only at signal edges, so the interval
-    // endpoints are observed exactly) and maps them onto subframe
-    // boundaries at recovery/frame end.
-    bool rx_aggregated_ = false;
+    /// The locked frame. Its pooled record outlives the lock: the pending
+    /// signal-end event that completes the reception holds a reference.
+    const Frame* rx_frame_ = nullptr;
     SimTime rx_started_at_ = 0;
     SimTime rx_bad_since_ = -1;  ///< start of the open below-threshold interval
-    std::uint64_t rx_mpdu_errors_ = 0;       ///< error-model + interference bits
-    std::vector<SimTime> rx_mpdu_ends_;      ///< subframe end offsets from lock
+    std::uint64_t rx_span_errors_ = 0;  ///< error-model + interference bits
+    std::vector<SimTime> span_ends_;    ///< scratch: span end offsets from lock
     std::uint64_t last_decode_mpdu_errors_ = 0;
-    /// Overlap-weighted interferer energy-time integral (power x us) under
-    /// the locked frame; only accrued in weighted-overlap mode.
-    double rx_interference_integral_ = 0.0;
+    bool last_rx_error_ = false;
+    double ledger_w_ = 0.0;  ///< incremental total of active signal power
 
     std::uint64_t frames_decoded_ = 0;
     std::uint64_t frames_corrupted_ = 0;

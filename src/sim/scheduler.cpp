@@ -131,12 +131,12 @@ bool Scheduler::pop_and_run_next(SimTime limit)
         release_slot(rec.slot);
         now_ = rec.at;
         current_scheduled_at_ = scheduled_at;
-        current_seq_ = rec.seq;
+        current_event_seq_ = rec.seq;
         --live_events_;
         ++processed_;
         action();
         current_scheduled_at_ = -1;
-        current_seq_ = ~0ull;
+        current_event_seq_ = ~0ull;
         return true;
     }
     return false;

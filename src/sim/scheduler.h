@@ -89,7 +89,7 @@ public:
 
     /// Sequence number of the currently executing event (same-instant
     /// events fire in ascending sequence), or ~0 outside event execution.
-    std::uint64_t current_event_seq() const { return current_seq_; }
+    std::uint64_t current_event_seq() const { return current_event_seq_; }
 
     /// The sequence number the next scheduled event will receive. A
     /// hypothetical event "scheduled right here" can be tie-broken
@@ -143,7 +143,7 @@ private:
     std::size_t stale_records_ = 0;
     SimTime now_ = 0;
     SimTime current_scheduled_at_ = -1;
-    std::uint64_t current_seq_ = ~0ull;
+    std::uint64_t current_event_seq_ = ~0ull;
     std::uint64_t next_seq_ = 0;
     std::size_t live_events_ = 0;
     std::uint64_t processed_ = 0;

@@ -1,9 +1,9 @@
 // A-MPDU aggregation & block-ack: the BlockAckManager's selective
-// retransmit and receiver scoreboard, the PHY's per-MPDU interference
-// intervals and overlap-weighted capture, and the end-to-end properties
-// the TXOP-batch refactor must keep — exactly-once in-order delivery
-// under random loss, balanced drop ledgers under churn and kill-time
-// scans, and deterministic replays at K > 1.
+// retransmit and receiver scoreboard, the PHY's per-MPDU airtime spans,
+// and the end-to-end properties the batch pipeline must keep —
+// exactly-once in-order delivery under random loss, balanced drop
+// ledgers under churn and kill-time scans, and deterministic replays at
+// K > 1.
 
 #include <gtest/gtest.h>
 
@@ -21,10 +21,7 @@
 #include "net/topo_gen.h"
 #include "phy/channel.h"
 #include "phy/frame.h"
-#include "phy/phy.h"
 #include "sim/fault_injector.h"
-#include "sim/scheduler.h"
-#include "util/rng.h"
 #include "util/units.h"
 
 namespace ezflow {
@@ -111,11 +108,12 @@ phy::Frame aggregated_frame(net::NodeId from, net::NodeId to, std::uint32_t star
     frame.rx_node = to;
     frame.mac_seq = start;
     frame.ba_start_seq = start;
+    frame.ampdu = true;
     for (int i = 0; i < count; ++i) {
         phy::Mpdu mpdu;
         mpdu.packet = test_packet(start + static_cast<std::uint32_t>(i));
         mpdu.seq = start + static_cast<std::uint32_t>(i);
-        frame.subframes.push_back(std::move(mpdu));
+        frame.mpdus.push_back(mpdu);
     }
     return frame;
 }
@@ -156,97 +154,29 @@ TEST(BlockAckReceiver, AdvertisedStartReleasesScoreboard)
 
 // --------------------------------------------- PHY: A-MPDU airtime tiling
 
-TEST(AmpduPhy, MpduEndOffsetsTileTheAirtime)
+TEST(BlockAckReceiver, RejectsMpduBeyondTheBitmapWindow)
+{
+    // A sender window never spans more than 64 sequences, so an MPDU 64
+    // or more past the advertised start is a protocol violation.
+    BlockAckManager ba;
+    phy::Frame frame = aggregated_frame(7, 8, 0, 2);
+    frame.mpdus[1].seq = 64;
+    EXPECT_THROW(ba.receive(frame, 0), std::logic_error);
+}
+
+TEST(AmpduPhy, SpanEndOffsetsTileTheAirtime)
 {
     phy::PhyParams params;
     phy::Frame frame = aggregated_frame(0, 1, 0, 5);
-    frame.subframes[2].packet.bytes = 250;  // uneven subframe sizes
+    frame.mpdus[2].packet.bytes = 250;  // uneven MPDU sizes
     std::vector<util::SimTime> ends;
-    params.mpdu_end_offsets(frame, ends);
+    params.span_end_offsets(frame, ends);
     ASSERT_EQ(ends.size(), 5u);
     for (std::size_t i = 1; i < ends.size(); ++i) EXPECT_GT(ends[i], ends[i - 1]);
     // The last offset is the whole PPDU airtime: per-MPDU interference
     // intervals tile the frame exactly, with no uncovered tail.
     EXPECT_EQ(ends.back(), params.tx_duration(frame));
     EXPECT_GT(ends.front(), params.plcp_overhead_us);
-}
-
-// ----------------------------- PHY: overlap-weighted interference verdict
-
-/// Minimal channel bed (mirrors phy_test.cpp): raw NodePhys on a channel,
-/// no MAC, transmissions driven by hand.
-class CountingListener final : public phy::PhyListener {
-public:
-    int decoded = 0;
-    void phy_busy_changed(bool) override {}
-    void phy_frame_decoded(const phy::Frame&) override { ++decoded; }
-    void phy_tx_done(const phy::Frame&) override {}
-};
-
-struct PhyBed {
-    sim::Scheduler scheduler;
-    phy::Channel channel;
-    std::vector<std::unique_ptr<phy::NodePhy>> phys;
-    std::vector<std::unique_ptr<CountingListener>> listeners;
-
-    explicit PhyBed(phy::PhyParams params) : channel(scheduler, util::Rng(7), params) {}
-
-    phy::NodePhy& add(double x)
-    {
-        const auto id = static_cast<net::NodeId>(phys.size());
-        phys.push_back(std::make_unique<phy::NodePhy>(id, phy::Position{x, 0.0}, scheduler));
-        listeners.push_back(std::make_unique<CountingListener>());
-        channel.attach(*phys.back());
-        phys.back()->set_listener(listeners.back().get());
-        return *phys.back();
-    }
-};
-
-phy::Frame plain_data(net::NodeId from, net::NodeId to, int bytes)
-{
-    phy::Frame frame;
-    frame.type = phy::FrameType::kData;
-    frame.tx_node = from;
-    frame.rx_node = to;
-    frame.has_packet = true;
-    frame.packet.bytes = bytes;
-    return frame;
-}
-
-/// Run the hidden-terminal geometry — a(0) -> b(200) locked, interferer
-/// c(400) equal-power at b — with an interferer of `interferer_bytes`
-/// starting 1 ms into the data frame. Returns whether b decoded the frame.
-bool hidden_terminal_decodes(bool weighted, int interferer_bytes)
-{
-    phy::PhyParams params;
-    params.weighted_overlap_interference = weighted;
-    PhyBed bed(params);
-    phy::NodePhy& a = bed.add(0);
-    bed.add(200);
-    phy::NodePhy& c = bed.add(400);
-    a.start_tx(plain_data(0, 1, 1000));
-    bed.scheduler.schedule_at(1000, [&] { c.start_tx(plain_data(2, 3, interferer_bytes)); });
-    bed.scheduler.run();
-    EXPECT_EQ(bed.listeners[1]->decoded + static_cast<int>(bed.phys[1]->frames_corrupted()), 1);
-    return bed.listeners[1]->decoded == 1;
-}
-
-TEST(WeightedOverlap, FullOverlapMatchesStickyVerdict)
-{
-    // An equal-power interferer spanning (essentially all of) the locked
-    // frame corrupts it under both regimes: the overlap weight is ~1, so
-    // the weighted mean equals the instantaneous sum the sticky test uses.
-    EXPECT_FALSE(hidden_terminal_decodes(/*weighted=*/false, /*interferer_bytes=*/1000));
-    EXPECT_FALSE(hidden_terminal_decodes(/*weighted=*/true, /*interferer_bytes=*/1000));
-}
-
-TEST(WeightedOverlap, BriefInterfererOnlyCorruptsSticky)
-{
-    // A 10-byte burst overlaps ~6% of the 1000-byte frame: the sticky
-    // instantaneous test corrupts the whole frame, the overlap-weighted
-    // integral amortises the burst below the capture threshold.
-    EXPECT_FALSE(hidden_terminal_decodes(/*weighted=*/false, /*interferer_bytes=*/10));
-    EXPECT_TRUE(hidden_terminal_decodes(/*weighted=*/true, /*interferer_bytes=*/10));
 }
 
 // --------------------- end to end: exactly-once, in-order, audited, deterministic

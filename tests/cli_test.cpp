@@ -30,7 +30,8 @@ TEST_F(RegistryTest, RegistrationIsIdempotent)
 
 TEST_F(RegistryTest, EnumeratesEveryFormerBenchAndExampleTarget)
 {
-    // Every former standalone main must be reachable by name.
+    // Every figure the former standalone mains ran stays reachable by
+    // name through `ezflow run`.
     const std::vector<std::string> expected = {
         // bench figures/tables
         "fig01", "fig04", "fig06", "fig07", "fig08", "fig10", "fig11", "fig12",
@@ -169,6 +170,26 @@ TEST(App, SweepGridAcceptsShardsAxis)
 
     // Unknown axes are still a usage error (exit code 2).
     EXPECT_EQ(run_cli({"ezflow", "sweep", "islands", "--grid=bogus=1:2", "--quiet"}), 2);
+}
+
+TEST(App, PerfLineReportsEachFiguresOwnShardCount)
+{
+    // Regression: the [perf] shard line reported the widest shard count
+    // any earlier figure in the process had used, so a serial figure run
+    // after a sharded one printed "4 shards, events/shard: 0 0 0 0".
+    const auto run_captured = [](std::vector<std::string> args) {
+        testing::internal::CaptureStdout();
+        EXPECT_EQ(run_cli(std::move(args)), 0);
+        return testing::internal::GetCapturedStdout();
+    };
+    const std::string sharded =
+        run_captured({"ezflow", "run", "islands", "--smoke", "--json-only", "--shards=4"});
+    EXPECT_NE(sharded.find("[perf] islands: 4 shards, events/shard:"), std::string::npos)
+        << sharded;
+    const std::string serial =
+        run_captured({"ezflow", "run", "grid_cross", "--smoke", "--json-only"});
+    EXPECT_NE(serial.find("[perf] grid_cross:"), std::string::npos) << serial;
+    EXPECT_EQ(serial.find("shards"), std::string::npos) << serial;
 }
 
 }  // namespace

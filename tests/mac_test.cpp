@@ -2,6 +2,7 @@
 
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "mac/dcf.h"
@@ -125,13 +126,17 @@ struct MacBed {
 
 class Recorder final : public MacCallbacks {
 public:
-    std::vector<phy::Frame> received;
+    std::vector<net::Packet> received;  ///< newly delivered MPDUs
     std::vector<phy::Frame> sniffed;
     std::vector<net::Packet> first_tx;
     std::vector<net::Packet> successes;
     std::vector<net::Packet> drops;
 
-    void mac_rx(const phy::Frame& frame) override { received.push_back(frame); }
+    void mac_rx(const phy::Frame& frame, std::uint64_t ok_bits, std::uint32_t) override
+    {
+        for (std::size_t i = 0; i < frame.mpdus.size(); ++i)
+            if ((ok_bits >> i) & 1) received.push_back(frame.mpdus[i].packet);
+    }
     void mac_sniffed(const phy::Frame& frame) override { sniffed.push_back(frame); }
     void mac_first_tx(const QueueKey&, const net::Packet& p) override { first_tx.push_back(p); }
     void mac_tx_success(const QueueKey&, const net::Packet& p) override { successes.push_back(p); }
@@ -228,19 +233,94 @@ TEST(Dcf, RetriesUntilLimitThenDrops)
     EXPECT_EQ(bed.recorders[1]->received.size(), 0u);
 }
 
-TEST(Dcf, LostAckCausesRetransmissionAndReceiverDedups)
+// ------------------------------ one pipeline: the block-ack agreement picks
+// how a batch is filled and answered, nothing else
+
+/// The one data frame a bystander sniffed.
+const phy::Frame& sniffed_data(const Recorder& bystander)
+{
+    const phy::Frame* data = nullptr;
+    for (const phy::Frame& frame : bystander.sniffed) {
+        if (frame.type != phy::FrameType::kData) continue;
+        EXPECT_EQ(data, nullptr) << "more than one data frame on the air";
+        data = &frame;
+    }
+    if (data == nullptr) throw std::logic_error("no data frame sniffed");
+    return *data;
+}
+
+TEST(Dcf, LoneMpduIsAnsweredByANormalAck)
 {
     MacBed bed;
-    bed.channel.set_link_loss(1, 0, 1.0);  // ACKs from node 1 never arrive
     DcfMac& a = bed.add(0);
-    bed.add(200);
+    DcfMac& b = bed.add(200);
+    bed.add(100, 100);  // bystander
+    a.enqueue(QueueKey{1, true}, packet(0));
+    bed.scheduler.run_until(kSecond);
+    EXPECT_EQ(a.successes(), 1u);
+    EXPECT_EQ(bed.recorders[1]->received.size(), 1u);
+    EXPECT_EQ(b.acks_sent(), 1u);
+    EXPECT_EQ(b.block_acks_sent(), 0u);
+    const phy::Frame& data = sniffed_data(*bed.recorders[2]);
+    EXPECT_FALSE(data.ampdu);
+    ASSERT_EQ(data.mpdus.size(), 1u);
+    // No A-MPDU delimiter: 192 us PLCP + (1000 + 36) * 8 bits.
+    EXPECT_EQ(bed.phy_params.tx_duration(data), 192 + 8288);
+}
+
+TEST(Dcf, RetransmissionAfterLostAckIsSuppressedByTheScoreboard)
+{
+    MacBed bed;
+    bed.channel.set_link_loss(1, 0, 1.0);  // every ACK is lost
+    DcfMac& a = bed.add(0);
+    DcfMac& b = bed.add(200);
     a.enqueue(QueueKey{1, true}, packet(0));
     bed.scheduler.run_until(10 * kSecond);
-    // Sender exhausts retries (never sees the ACK) and drops.
-    EXPECT_EQ(a.retry_drops(), 1u);
-    // Receiver got every copy but delivered exactly once.
+    // Every attempt is decoded and answered; all but the first are
+    // duplicates of the one delivered MPDU.
+    const auto attempts = static_cast<std::uint64_t>(1 + bed.mac_params.retry_limit);
+    EXPECT_EQ(a.data_attempts(), attempts);
+    EXPECT_EQ(b.acks_sent(), attempts);
+    EXPECT_EQ(b.dup_rx_suppressed(), attempts - 1);
     EXPECT_EQ(bed.recorders[1]->received.size(), 1u);
-    EXPECT_GE(bed.macs[1]->acks_sent(), 2u);
+    EXPECT_EQ(a.retry_drops(), 1u);
+}
+
+TEST(Dcf, RtsCtsExchangeCompletesForALoneMpdu)
+{
+    MacParams mp;
+    mp.rts_cts_enabled = true;
+    MacBed bed(mp);
+    DcfMac& a = bed.add(0);
+    DcfMac& b = bed.add(200);
+    a.enqueue(QueueKey{1, true}, packet(0));
+    bed.scheduler.run_until(kSecond);
+    EXPECT_EQ(a.successes(), 1u);
+    EXPECT_EQ(bed.recorders[1]->received.size(), 1u);
+    EXPECT_EQ(b.acks_sent(), 1u);
+    EXPECT_EQ(bed.channel.transmissions(), 4u);  // RTS, CTS, data, ACK
+    EXPECT_EQ(bed.channel.data_transmissions(), 1u);
+}
+
+TEST(Dcf, BlockAckAgreementSendsEvenOnePacketAsAnAmpdu)
+{
+    // K > 1 with a single packet queued: still a one-subframe A-MPDU,
+    // delimiter included, answered by a compressed block-ack.
+    MacBed bed;
+    DcfMac& a = bed.add(0);
+    DcfMac& b = bed.add(200);
+    bed.add(100, 100);  // bystander
+    a.set_ampdu_max_mpdus(4);
+    a.enqueue(QueueKey{1, true}, packet(0));
+    bed.scheduler.run_until(kSecond);
+    EXPECT_EQ(a.successes(), 1u);
+    EXPECT_EQ(bed.recorders[1]->received.size(), 1u);
+    EXPECT_EQ(b.block_acks_sent(), 1u);
+    EXPECT_EQ(b.acks_sent(), 0u);
+    const phy::Frame& data = sniffed_data(*bed.recorders[2]);
+    EXPECT_TRUE(data.ampdu);
+    ASSERT_EQ(data.mpdus.size(), 1u);
+    EXPECT_EQ(bed.phy_params.tx_duration(data), 192 + 8288 + 4 * 8);
 }
 
 TEST(Dcf, PromiscuousSniffSeesForeignFrames)

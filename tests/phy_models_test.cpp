@@ -209,8 +209,9 @@ struct SinrBed {
         f.rx_node = to;
         f.mac_seq = 42;
         f.bitrate_bps = rate_bps;
-        f.has_packet = true;
-        f.packet.bytes = 1000;
+        Mpdu mpdu;
+        mpdu.packet.bytes = 1000;
+        f.mpdus.push_back(mpdu);
         return f;
     }
 };

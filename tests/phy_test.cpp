@@ -63,15 +63,47 @@ TEST(Propagation, RangeForThresholdRejectsBadThreshold)
 
 // ----------------------------------------------------------- PHY params
 
+/// A one-MPDU data frame, as the MAC sends without a block-ack agreement.
+Frame data_frame(net::NodeId from, net::NodeId to, int bytes = 1000)
+{
+    Frame f;
+    f.type = FrameType::kData;
+    f.tx_node = from;
+    f.rx_node = to;
+    Mpdu mpdu;
+    mpdu.packet.bytes = bytes;
+    mpdu.packet.checksum = 0xBEEF;
+    f.mpdus.push_back(mpdu);
+    return f;
+}
+
 TEST(PhyParams, DataFrameAirtime)
 {
     PhyParams params;
-    Frame frame;
-    frame.type = FrameType::kData;
-    frame.has_packet = true;
-    frame.packet.bytes = 1000;
     // 192 us PLCP + (1000 + 36) * 8 bits at 1 Mb/s.
-    EXPECT_EQ(params.tx_duration(frame), 192 + 8288);
+    EXPECT_EQ(params.tx_duration(data_frame(0, 1)), 192 + 8288);
+}
+
+TEST(PhyParams, OnlyAnAmpduPaysTheSubframeDelimiter)
+{
+    // The same single MPDU under a block-ack agreement travels as a
+    // one-subframe A-MPDU: 4 delimiter bytes more on the air.
+    PhyParams params;
+    Frame frame = data_frame(0, 1);
+    frame.ampdu = true;
+    EXPECT_EQ(params.tx_duration(frame), 192 + 8288 + 4 * 8);
+}
+
+TEST(PhyParams, SingleSpanCoversTheWholeAirtime)
+{
+    PhyParams params;
+    std::vector<SimTime> ends;
+    params.span_end_offsets(data_frame(0, 1), ends);
+    EXPECT_EQ(ends, std::vector<SimTime>{params.tx_duration(data_frame(0, 1))});
+    Frame ack;
+    ack.type = FrameType::kAck;
+    params.span_end_offsets(ack, ends);
+    EXPECT_EQ(ends, std::vector<SimTime>{params.tx_duration(ack)});
 }
 
 TEST(PhyParams, AckFrameAirtime)
@@ -88,10 +120,7 @@ TEST(PhyParams, AirtimeRoundsUpAtNonDividingBitrates)
     // (paper figures unaffected); at 11 Mb/s truncation would undercount
     // the 753.45 us payload time by a partial symbol.
     PhyParams params;
-    Frame frame;
-    frame.type = FrameType::kData;
-    frame.has_packet = true;
-    frame.packet.bytes = 1000;
+    const Frame frame = data_frame(0, 1);
 
     params.bitrate_bps = 11'000'000;
     EXPECT_EQ(params.tx_duration(frame), params.plcp_overhead_us + 754);  // ceil(8288/11)
@@ -143,18 +172,6 @@ struct TestBed {
 
     RecordingListener& listener(std::size_t i) { return *listeners[i]; }
 };
-
-Frame data_frame(net::NodeId from, net::NodeId to, int bytes = 1000)
-{
-    Frame f;
-    f.type = FrameType::kData;
-    f.tx_node = from;
-    f.rx_node = to;
-    f.has_packet = true;
-    f.packet.bytes = bytes;
-    f.packet.checksum = 0xBEEF;
-    return f;
-}
 
 TEST(Channel, DeliversWithinRange)
 {
@@ -234,6 +251,87 @@ TEST(Channel, CollisionWhenSecondSignalArrivesFirstFrameAlreadyLocked)
     bed.scheduler.schedule_at(500, [&] { c.start_tx(data_frame(2, 1)); });
     bed.scheduler.run();
     EXPECT_TRUE(bed.listener(1).decoded.empty());
+}
+
+// --------------------------------- one reception regime: interval edges
+//
+// The locked frame's spans are judged over half-open intervals: only an
+// interval of positive length during which the capture test fails can
+// corrupt. Geometry: sender a(0) -> receiver b(200); an interferer at
+// 372 m from b is 12x weaker than a there (captured over alone), two of
+// them together are only 6x weaker (corrupting), and one at 200 m from b
+// is as strong as a.
+
+constexpr double kWeakInterfererM = 372.0;  // (372/200)^4 ~ 12x weaker
+
+TEST(NodePhy, InterfererArrivingAtTheLockedFramesEndInstantDoesNotCorrupt)
+{
+    // The interferer's start event is queued before the frame's own end,
+    // so at the end instant it arrives while b is still locked: the
+    // below-threshold interval opens and closes at the same instant.
+    TestBed bed;
+    NodePhy& a = bed.add(0);
+    bed.add(200);
+    NodePhy& c = bed.add(400);  // equal power at b
+    const SimTime end = bed.params.tx_duration(data_frame(0, 1));
+    bed.scheduler.schedule_at(end, [&] { c.start_tx(data_frame(2, 3)); });
+    a.start_tx(data_frame(0, 1));
+    bed.scheduler.run();
+    EXPECT_EQ(bed.listener(1).decoded.size(), 1u);
+    EXPECT_EQ(bed.phys[1]->frames_corrupted(), 0u);
+}
+
+/// Two weak interferers inside a's frame: the second starts `gap_us`
+/// after the first one's airtime ends (0 = at the same instant). Returns
+/// whether b decoded a's frame.
+bool survives_back_to_back_interferers(SimTime gap_us)
+{
+    TestBed bed;
+    NodePhy& a = bed.add(0);
+    bed.add(200);
+    NodePhy& c1 = bed.add(200 + kWeakInterfererM, 0);
+    NodePhy& c2 = bed.add(200, kWeakInterfererM);
+    const SimTime first_end = 1000 + bed.params.tx_duration(data_frame(2, 4, 100));
+    // Both start events are queued up front, so c2's start precedes c1's
+    // signal end when they share an instant.
+    bed.scheduler.schedule_at(1000, [&] { c1.start_tx(data_frame(2, 4, 100)); });
+    bed.scheduler.schedule_at(first_end + gap_us, [&] { c2.start_tx(data_frame(3, 4, 100)); });
+    a.start_tx(data_frame(0, 1));
+    bed.scheduler.run();
+    EXPECT_EQ(bed.listener(1).decoded.size() + bed.phys[1]->frames_corrupted(), 1u);
+    return bed.listener(1).decoded.size() == 1;
+}
+
+TEST(NodePhy, InterfererStartingAsAnotherEndsOverlapsNeither)
+{
+    // At the shared instant both are briefly on the ledger together, but
+    // [start1, t) and [t, end2) do not overlap: neither sum is ever held
+    // for a positive time, and each alone is captured over.
+    EXPECT_TRUE(survives_back_to_back_interferers(0));
+    // One microsecond of genuine overlap is enough to corrupt.
+    EXPECT_FALSE(survives_back_to_back_interferers(-1));
+}
+
+TEST(NodePhy, MidFrameInterfererCorruptsAControlFrame)
+{
+    // A control frame is one span: an equal-power interferer arriving
+    // half-way through the ACK corrupts it; a weak one is captured over.
+    for (const bool strong : {true, false}) {
+        TestBed bed;
+        NodePhy& a = bed.add(0);
+        bed.add(200);
+        NodePhy& c = strong ? bed.add(400) : bed.add(200 + kWeakInterfererM);
+        Frame ack;
+        ack.type = FrameType::kAck;
+        ack.tx_node = 0;
+        ack.rx_node = 1;
+        bed.scheduler.schedule_at(bed.params.tx_duration(ack) / 2,
+                                  [&] { c.start_tx(data_frame(2, 3)); });
+        a.start_tx(ack);
+        bed.scheduler.run();
+        EXPECT_EQ(bed.listener(1).decoded.size(), strong ? 0u : 1u) << "strong=" << strong;
+        EXPECT_EQ(bed.phys[1]->frames_corrupted(), strong ? 1u : 0u) << "strong=" << strong;
+    }
 }
 
 TEST(Channel, BackToBackTransmissionsBothDecoded)

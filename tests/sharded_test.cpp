@@ -401,6 +401,32 @@ TEST(ShardedRun, ClustersGhostMirroringMatchesSerialReference)
     EXPECT_EQ(serial, sharded);
 }
 
+TEST(ShardedRun, ThreadedClustersMatchSerialWithoutManualRouteCompile)
+{
+    // Shard workers share the routing table. Nothing here compiles it
+    // before the run, so the Network must: a lazy compile on the first
+    // lookup races between the two workers and made some runs diverge
+    // from the serial reference (the TSan CI job flags the race itself).
+    const auto fingerprint = [](int shards, int threads) {
+        // The benchmark ladder's cluster grid, which exposed the race.
+        net::ClustersSpec clusters;
+        clusters.cols = 8;
+        clusters.rows = 8;
+        clusters.start_s = 0.0;
+        clusters.duration_s = 1.0;
+        clusters.max_shards = shards;
+        analysis::ExperimentFactory factory(analysis::ScenarioSpec::clusters_spec(clusters),
+                                            analysis::ExperimentOptions{});
+        std::unique_ptr<analysis::Experiment> experiment = factory.make(/*seed=*/3);
+        experiment->network().set_shard_threads(threads);
+        experiment->run();
+        EXPECT_EQ(experiment->network().shard_count(), shards);
+        return experiment_fingerprint(*experiment, /*include_processed=*/false);
+    };
+    const auto serial = fingerprint(1, 1);
+    for (int rep = 0; rep < 12; ++rep) EXPECT_EQ(fingerprint(4, 2), serial) << "rep " << rep;
+}
+
 TEST(ShardedRun, ClustersFigureJsonIsByteIdenticalAcrossShardsAndThreads)
 {
     cli::register_builtin_figures();
