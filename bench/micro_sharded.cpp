@@ -8,15 +8,20 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include "analysis/experiment.h"
 #include "analysis/experiment_factory.h"
 #include "net/topo_gen.h"
+#include "sim/scheduler.h"
+#include "sim/sharded_engine.h"
 #include "util/units.h"
 
 namespace {
@@ -227,6 +232,40 @@ BENCHMARK(BM_ClusterGridEventRate)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
+
+void BM_EpochDispatch(benchmark::State& state)
+{
+    // The engine's fixed cost per epoch: 4 shard schedulers on 2 threads
+    // with a 1 us lookahead, each holding one trivial self-rescheduling
+    // event per epoch, so nearly all the time is dispatch and barrier.
+    // ns_per_epoch is wall nanoseconds per epoch.
+    using clock = std::chrono::steady_clock;
+    constexpr int kShards = 4;
+    constexpr util::SimTime kEpochsPerIteration = 1000;
+    std::array<sim::Scheduler, kShards> shards;
+    std::vector<sim::Scheduler*> pointers;
+    for (sim::Scheduler& shard : shards) pointers.push_back(&shard);
+    sim::ShardedEngine::Options options;
+    options.threads = 2;
+    options.lookahead = 1;
+    sim::ShardedEngine engine(std::move(pointers), options);
+    std::function<void(sim::Scheduler&)> tick = [&tick](sim::Scheduler& shard) {
+        shard.schedule_in(1, [&tick, &shard] { tick(shard); });
+    };
+    for (sim::Scheduler& shard : shards) tick(shard);
+
+    std::chrono::nanoseconds elapsed{0};
+    for (auto _ : state) {
+        const auto start = clock::now();
+        engine.run_until(engine.now() + kEpochsPerIteration);
+        elapsed += clock::now() - start;
+    }
+    const auto epochs = static_cast<double>(engine.epochs());
+    state.SetItemsProcessed(static_cast<std::int64_t>(engine.epochs()));
+    state.counters["ns_per_epoch"] =
+        benchmark::Counter(epochs > 0 ? static_cast<double>(elapsed.count()) / epochs : 0.0);
+}
+BENCHMARK(BM_EpochDispatch)->UseRealTime()->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

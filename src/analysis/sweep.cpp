@@ -25,6 +25,8 @@ constexpr int kShardSlots = 8;
 std::mutex g_shard_mutex;
 std::map<int, std::uint64_t> g_runs_by_shards;  ///< guarded by g_shard_mutex
 std::atomic<std::uint64_t> g_shard_events[kShardSlots]{};
+std::atomic<std::uint64_t> g_epochs{0};
+std::atomic<std::uint64_t> g_sharded_events{0};
 
 /// Run one (cell, seed) task to completion and summarize every window.
 SeedResult run_one(const ExperimentFactory& factory, const SweepConfig& config,
@@ -57,6 +59,8 @@ SeedResult run_one(const ExperimentFactory& factory, const SweepConfig& config,
     if (shards > 1) {
         for (int s = 0; s < shards && s < kShardSlots; ++s)
             g_shard_events[s].fetch_add(network.shard_processed(s), std::memory_order_relaxed);
+        g_epochs.fetch_add(network.sharded_engine()->epochs(), std::memory_order_relaxed);
+        g_sharded_events.fetch_add(network.total_processed(), std::memory_order_relaxed);
     }
 
     SeedResult result;
@@ -128,6 +132,8 @@ PerfTotals perf_totals()
     }
     for (const std::atomic<std::uint64_t>& events : g_shard_events)
         totals.shard_events.push_back(events.load(std::memory_order_relaxed));
+    totals.epochs = g_epochs.load(std::memory_order_relaxed);
+    totals.sharded_events = g_sharded_events.load(std::memory_order_relaxed);
     return totals;
 }
 

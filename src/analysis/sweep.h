@@ -84,6 +84,10 @@ struct PerfTotals {
     /// Events processed per shard id, summed across multi-shard runs over
     /// a small fixed number of slots (the CLI marks runs that had more).
     std::vector<std::uint64_t> shard_events;
+    /// Epoch barriers crossed by multi-shard runs, and the events those
+    /// runs processed (their ratio is the mean events per epoch).
+    std::uint64_t epochs = 0;
+    std::uint64_t sharded_events = 0;
 
     /// Widest shard count among the runs completed since `before` (1 when
     /// none was sharded).

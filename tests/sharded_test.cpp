@@ -7,10 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/experiment.h"
@@ -306,6 +308,133 @@ TEST(ShardedEngine, RejectsHandoffsBehindTheEpochHorizon)
     EXPECT_TRUE(threw);
     EXPECT_EQ(engine.handoffs(), 0u);
     EXPECT_THROW(engine.post(0, 2, 1000, [] {}), std::invalid_argument);
+}
+
+// A synthetic 4-shard workload for the worker team: every shard runs a
+// self-rescheduling chain with pseudo-random gaps, and about one chain
+// event in three posts a handoff to each other shard, stamped one
+// lookahead ahead. Several shards post into the same target at equal
+// timestamps, so the per-shard traces only match across thread counts if
+// the barrier's (timestamp, shard, seq) delivery order holds.
+constexpr std::size_t kChainShards = 4;
+constexpr util::SimTime kChainLookahead = 2;
+
+class ChainWorkload {
+public:
+    using Trace = std::vector<std::pair<util::SimTime, int>>;  ///< (time, origin)
+
+    explicit ChainWorkload(int threads)
+        : engine_({&shards_[0], &shards_[1], &shards_[2], &shards_[3]}, options(threads))
+    {
+        for (std::size_t s = 0; s < kChainShards; ++s)
+            schedule_step(s, static_cast<util::SimTime>(s), 0x9E3779B97F4A7C15ULL * (s + 1));
+    }
+
+    sim::ShardedEngine& engine() { return engine_; }
+    const Trace& trace(std::size_t s) const { return traces_[s]; }
+
+private:
+    static sim::ShardedEngine::Options options(int threads)
+    {
+        sim::ShardedEngine::Options options;
+        options.threads = threads;
+        options.lookahead = kChainLookahead;
+        return options;
+    }
+
+    void schedule_step(std::size_t s, util::SimTime at, std::uint64_t state)
+    {
+        shards_[s].schedule_at(at, [this, s, state] { step(s, state); });
+    }
+
+    void step(std::size_t s, std::uint64_t state)
+    {
+        const util::SimTime now = shards_[s].now();
+        traces_[s].emplace_back(now, static_cast<int>(s));
+        state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+        const auto draw = static_cast<util::SimTime>(state >> 33);
+        if (draw % 3 == 0) {
+            for (std::size_t to = 0; to < kChainShards; ++to) {
+                if (to == s) continue;
+                engine_.post(static_cast<int>(s), static_cast<int>(to), now + kChainLookahead,
+                             [this, s, to] {
+                                 traces_[to].emplace_back(shards_[to].now(),
+                                                          static_cast<int>(kChainShards + s));
+                             });
+            }
+        }
+        schedule_step(s, now + 1 + draw % 4, state);
+    }
+
+    std::array<sim::Scheduler, kChainShards> shards_;
+    std::array<Trace, kChainShards> traces_;
+    sim::ShardedEngine engine_;
+};
+
+TEST(ShardedEngine, WorkerTeamReproducesTheSerialEventOrder)
+{
+    // 10k epochs, split over two run_until() calls so the team also
+    // persists across calls.
+    constexpr util::SimTime kEnd = 10000 * kChainLookahead;
+    const auto run = [](ChainWorkload& workload) {
+        workload.engine().run_until(kEnd / 2);
+        workload.engine().run_until(kEnd);
+    };
+    ChainWorkload serial(1);
+    run(serial);
+    ASSERT_EQ(serial.engine().epochs(), 10000u);
+    ASSERT_GT(serial.engine().handoffs(), 10000u);
+    for (const int threads : {2, 4}) {
+        ChainWorkload team(threads);
+        run(team);
+        EXPECT_EQ(team.engine().epochs(), serial.engine().epochs()) << threads << " threads";
+        EXPECT_EQ(team.engine().handoffs(), serial.engine().handoffs()) << threads << " threads";
+        for (std::size_t s = 0; s < kChainShards; ++s)
+            EXPECT_EQ(team.trace(s), serial.trace(s)) << "shard " << s << ", " << threads
+                                                      << " threads";
+    }
+}
+
+TEST(ShardedEngine, LowestShardExceptionSurfacesWhateverTheInterleaving)
+{
+    // On 2 threads, shard 1 runs on the worker and shard 2 on the caller.
+    // Both throw in the first epoch; shard 1's lookahead violation must
+    // win every time, and the team must survive it.
+    for (int rep = 0; rep < 50; ++rep) {
+        std::array<sim::Scheduler, 4> shards;
+        sim::ShardedEngine::Options options;
+        options.threads = 2;
+        options.lookahead = 100;
+        auto engine = std::make_unique<sim::ShardedEngine>(
+            std::vector<sim::Scheduler*>{&shards[0], &shards[1], &shards[2], &shards[3]},
+            options);
+        shards[1].schedule_at(10, [&engine] { engine->post(1, 0, 50, [] {}); });
+        shards[2].schedule_at(10, [] { throw std::runtime_error("shard 2"); });
+        EXPECT_THROW(engine->run_until(300), std::logic_error) << "rep " << rep;
+        EXPECT_EQ(engine->now(), 0);
+        // A later run_until() completes the failed epoch and carries on.
+        engine->run_until(300);
+        EXPECT_EQ(engine->now(), 300);
+        EXPECT_EQ(engine->threads_started(), 1);
+        engine.reset();  // joins the parked worker
+    }
+}
+
+TEST(ShardedEngine, StartsWorkerThreadsOnlyForAMultiMemberTeam)
+{
+    const auto threads_started = [](int threads, bool run) {
+        std::array<sim::Scheduler, 4> shards;
+        sim::ShardedEngine::Options options;
+        options.threads = threads;
+        options.lookahead = 10;
+        sim::ShardedEngine engine({&shards[0], &shards[1], &shards[2], &shards[3]}, options);
+        if (run) engine.run_until(1000);
+        return engine.threads_started();
+    };
+    EXPECT_EQ(threads_started(4, /*run=*/false), 0) << "threads start lazily";
+    EXPECT_EQ(threads_started(1, /*run=*/true), 0) << "the caller is the whole team";
+    EXPECT_EQ(threads_started(2, /*run=*/true), 1);
+    EXPECT_EQ(threads_started(8, /*run=*/true), 3) << "the team never outnumbers the shards";
 }
 
 // --------------------------------------- end-to-end shard byte-identity
