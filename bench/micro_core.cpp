@@ -272,11 +272,9 @@ BENCHMARK(BM_FrameFanout)->Arg(0)->Arg(1);
 void BM_SaturatedSource(benchmark::State& state)
 {
     // Scheduler events needed per simulated second when a greedy CBR
-    // source offers 10x the link capacity. Arg(0): the per-period
-    // reference burns one emit event per nominal packet (plus the drop);
-    // Arg(1): the backpressure gate parks the source on queue-vacancy
-    // callbacks, so only accepted generations cost events.
-    const bool gated = state.range(0) != 0;
+    // source offers 10x the link capacity. The backpressure gate parks
+    // the source on queue-vacancy callbacks, so only accepted generations
+    // cost events.
     const util::SimTime sim_us = 2 * util::kSecond;
     std::uint64_t events = 0;
     std::uint64_t generated = 0;
@@ -285,7 +283,6 @@ void BM_SaturatedSource(benchmark::State& state)
         net::Scenario scenario = net::make_line(1, 1000.0, 7);
         net::Network& network = *scenario.network;
         traffic::CbrSource source(network, 0, 1000, 8e6);
-        source.set_backpressure_gating(gated);
         source.activate(0, sim_us);
         state.ResumeTiming();
         network.run_until(sim_us);
@@ -300,7 +297,7 @@ void BM_SaturatedSource(benchmark::State& state)
     state.counters["generated"] = benchmark::Counter(static_cast<double>(generated) /
                                                      static_cast<double>(state.iterations()));
 }
-BENCHMARK(BM_SaturatedSource)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SaturatedSource)->Unit(benchmark::kMillisecond);
 
 void BM_ChannelFanout(benchmark::State& state)
 {

@@ -20,7 +20,7 @@ Network::Network(Config config) : config_(std::move(config)), rng_(config_.seed)
 
 void Network::set_phy_models(const phy::PhyModelConfig& models)
 {
-    if (reference_mode_.force_reference_models || models.is_reference()) return;
+    if (models.is_reference()) return;
     // Connected-cut sharding forks the channel RNG per shard; that is
     // provably equivalent to the serial reference only while no channel
     // ever draws (the reference models short-circuit every zero-loss
@@ -37,19 +37,6 @@ void Network::set_phy_models(const phy::PhyModelConfig& models)
 void Network::set_ampdu_max_mpdus(int k)
 {
     for (auto& node : nodes_) node->mac().set_ampdu_max_mpdus(k);
-}
-
-void Network::set_reference_mode(const ReferenceModeFlags& flags)
-{
-    reference_mode_ = flags;
-    for (auto& shard : shards_) shard->channel.set_reachability_cull(flags.reachability_cull);
-    if (flags.force_reference_models) {
-        for (auto& shard : shards_) {
-            shard->channel.set_propagation_model(nullptr);
-            shard->channel.set_rate_manager(nullptr);
-            shard->channel.set_interference_mode(phy::PhyModelConfig::Interference::kReference);
-        }
-    }
 }
 
 NodeId Network::add_node(phy::Position position)

@@ -15,25 +15,6 @@
 
 namespace ezflow::net {
 
-/// The reference-path switches, unified in one place. The defaults are the
-/// golden-pinned reference behaviour; tests that want to prove an
-/// optimisation is outcome-identical flip the corresponding flag through
-/// `Network::set_reference_mode` instead of hunting down per-component
-/// setters. `force_reference_models` additionally overrides any
-/// `Config::models` selection back to the reference PHY (two-ray, reference
-/// capture, fixed rate).
-struct ReferenceModeFlags {
-    /// Channel iterates precomputed reachability sets (false: the
-    /// full-broadcast reference scan — outcome-identical by construction).
-    bool reachability_cull = true;
-    /// Saturated sources gate injection on MAC queue backpressure (false:
-    /// the reference timer-driven refill). Read by traffic::Source at
-    /// construction; per-source setters still override.
-    bool backpressure_gating = true;
-    /// Discard any configured PHY models and run the reference PHY.
-    bool force_reference_models = false;
-};
-
 /// Everything a simulation needs, wired together: scheduler, channel,
 /// nodes, routing. Owns all components; nodes are addressed by dense ids
 /// in creation order.
@@ -115,22 +96,15 @@ public:
     util::Rng fork_rng() { return rng_.fork(); }
 
     /// Apply a PHY model selection to every shard's channel. A reference
-    /// config (or force_reference_models) is an exact no-op. Install
-    /// models before traffic starts — swapping mid-run would tear
-    /// per-link state out from under in-flight frames.
+    /// config is an exact no-op. Install models before traffic starts —
+    /// swapping mid-run would tear per-link state out from under in-flight
+    /// frames.
     void set_phy_models(const phy::PhyModelConfig& models);
 
     /// Set the block-ack agreement (A-MPDU batch size) on every node's
     /// MAC (1 = one MPDU per access, the golden-pinned default). Call
     /// after the topology is built and before traffic starts.
     void set_ampdu_max_mpdus(int k);
-
-    /// Flip the unified reference-path switches (see ReferenceModeFlags).
-    /// Takes effect immediately on every shard's channel; the
-    /// backpressure-gating default is read by traffic::Source at
-    /// construction.
-    void set_reference_mode(const ReferenceModeFlags& flags);
-    const ReferenceModeFlags& reference_mode() const { return reference_mode_; }
 
     /// Worker threads for the sharded engine (<= 0: hardware
     /// concurrency). Takes effect when the engine is first built, i.e.
@@ -185,7 +159,6 @@ private:
 
     Config config_;
     util::Rng rng_;
-    ReferenceModeFlags reference_mode_;
     std::vector<std::unique_ptr<Shard>> shards_;
     std::vector<int> shard_of_;  ///< dense by node id
     StaticRouting routing_;

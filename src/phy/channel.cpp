@@ -32,10 +32,7 @@ void Channel::detach(NodePhy& phy)
     for (auto& [id, index] : index_by_id_)
         if (index > gone) --index;
     phy.set_channel(nullptr);
-    // Symmetric invalidation with attach: ensure_reach only compares
-    // sizes, so a detach followed by an attach of another node would
-    // otherwise leave the cache at the same size but pointing at the
-    // dead PHY.
+    // The sets are indexed by attach position and list the dead PHY.
     reach_.clear();
     ghost_reach_.clear();
 }
@@ -72,14 +69,7 @@ void Channel::set_mirror_hook(std::vector<net::NodeId> boundary_senders, MirrorH
 
 double Channel::link_power(net::NodeId tx, net::NodeId rx, double distance_m)
 {
-    if (propagation_ == nullptr) {
-        // Reference two-ray ground power (all scenario distances sit beyond
-        // the ~86 m crossover, so the d^-4 regime applies; the constant
-        // factor cancels in every capture-SIR comparison). Clamp tiny
-        // distances to keep the power finite for co-located nodes.
-        const double d_eff = std::max(distance_m, 1.0);
-        return 1.0 / (d_eff * d_eff * d_eff * d_eff);
-    }
+    if (propagation_ == nullptr) return TwoRayReference::power_w(1.0, distance_m);
     return propagation_->link_power_w(tx, rx, 1.0, distance_m, scheduler_.now());
 }
 
@@ -96,7 +86,7 @@ double Channel::frame_capture_threshold(const Frame& frame) const
 
 void Channel::ensure_reach()
 {
-    if (reach_.size() == phys_.size()) return;
+    if (!reach_.empty()) return;
     const bool static_power = propagation_ == nullptr || propagation_->time_invariant();
     reach_.assign(phys_.size(), {});
     for (std::size_t s = 0; s < phys_.size(); ++s) {
@@ -172,16 +162,20 @@ void Channel::transmit(NodePhy& sender, Frame frame)
     const std::size_t spans = shared.span_count();
     const std::uint64_t all_spans = spans >= 64 ? ~0ull : (1ull << spans) - 1;
 
-    const auto deliver = [&](NodePhy* phy, bool in_delivery_range, bool sensed, double power_w) {
+    ensure_reach();
+    const auto it = index_by_id_.find(sender.id());
+    if (it == index_by_id_.end()) throw std::logic_error("Channel::transmit: sender not attached");
+    for (const ReachEntry& r : reach_[it->second]) {
+        NodePhy* phy = r.phy;
         RxEvent rx;
         rx.signal_id = signal_id;
         rx.frame = &shared;
-        rx.power_w = power_w;
+        rx.power_w = dynamic_power ? link_power(sender.id(), phy->id(), r.distance_m) : r.power_w;
         rx.noise_w = noise_w;
         rx.capture_threshold = threshold;
-        rx.in_delivery = in_delivery_range;
-        rx.sensed = sensed;
-        if (in_delivery_range) {
+        rx.in_delivery = r.in_delivery;
+        rx.sensed = r.sensed;
+        if (r.in_delivery) {
             // The per-link error model corrupts each span independently
             // (one roll per span from the same sampled loss); `error` is
             // the every-span-lost verdict.
@@ -193,29 +187,6 @@ void Channel::transmit(NodePhy& sender, Frame frame)
         phy->signal_start(rx);
         scheduler_.schedule_in(
             duration, [phy, signal_id, ref = record] { phy->signal_end(signal_id, *ref); });
-    };
-
-    if (cull_enabled_) {
-        ensure_reach();
-        const auto it = index_by_id_.find(sender.id());
-        if (it == index_by_id_.end())
-            throw std::logic_error("Channel::transmit: sender not attached");
-        for (const ReachEntry& r : reach_[it->second]) {
-            const double power_w =
-                dynamic_power ? link_power(sender.id(), r.phy->id(), r.distance_m) : r.power_w;
-            deliver(r.phy, r.in_delivery, r.sensed, power_w);
-        }
-    } else {
-        // Reference full-broadcast scan. Identical per-receiver facts and
-        // loss-roll order (attach order, delivery-range receivers only),
-        // so either path produces the same simulation.
-        for (NodePhy* phy : phys_) {
-            if (phy == &sender) continue;
-            const double d = distance(sender.position(), phy->position());
-            if (d > params_.conflict_radius_m()) continue;
-            deliver(phy, d <= params_.tx_range_m, d <= params_.cs_range_m,
-                    link_power(sender.id(), phy->id(), d));
-        }
     }
     scheduler_.schedule_in(duration,
                            [phy = &sender, ref = record] { phy->tx_end(*ref); });
@@ -223,7 +194,7 @@ void Channel::transmit(NodePhy& sender, Frame frame)
     // Boundary mirroring (connected-cut sharding): hand the transmission
     // to the Network's hook so foreign shards receive it as a ghost. The
     // hook only copies and posts — it consumes no channel RNG and cannot
-    // affect anything local, so the reference path is untouched.
+    // affect anything local, so the local simulation is untouched.
     if (mirror_hook_ &&
         std::binary_search(mirror_senders_.begin(), mirror_senders_.end(), sender.id()))
         mirror_hook_(sender, shared, duration, signal_id);

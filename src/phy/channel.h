@@ -45,11 +45,10 @@ namespace ezflow::phy {
 /// receivers can sense or be interfered by it, with their precomputed
 /// powers — is static (time-variant propagation stores the distance and
 /// re-derives power at transmit time). Transmissions iterate only that
-/// culled neighbour list instead of every attached PHY, in attach order,
-/// and the per-link loss rolls are drawn for exactly the same receivers as
-/// the full broadcast would (out-of-range nodes never drew), so the Rng
-/// stream and all outcomes are identical while per-transmission cost
-/// drops from O(nodes) to O(reachable neighbours).
+/// neighbour list, in attach order, rolling the per-link loss for the
+/// receivers within delivery range, so per-transmission cost is
+/// O(reachable neighbours), not O(nodes). Every attach, detach and
+/// propagation change clears the sets; the next transmission rebuilds them.
 class Channel {
 public:
     Channel(sim::Scheduler& scheduler, util::Rng rng, PhyParams params);
@@ -104,14 +103,6 @@ public:
     /// Long-run mean loss of the link's installed error model (0 if none).
     double link_loss(net::NodeId tx, net::NodeId rx) const;
 
-    using GilbertParams = phy::GilbertParams;
-
-    /// Stationary loss fraction of a Gilbert link (for tests/calibration).
-    static double gilbert_stationary_loss(const GilbertParams& params)
-    {
-        return phy::gilbert_stationary_loss(params);
-    }
-
     /// Broadcast a frame from `sender`. Called by NodePhy::start_tx.
     /// Takes the frame by value: it is moved into a pooled FrameRecord
     /// shared by every receiver's signal-end event (single-copy fan-out).
@@ -152,12 +143,6 @@ public:
         if (rate_manager_) rate_manager_->report(tx, rx, success);
     }
 
-    /// Disable (or re-enable) the reachability cull, falling back to the
-    /// full-broadcast scan over every attached PHY. The outcomes are
-    /// identical either way — this exists so tests can prove exactly that.
-    void set_reachability_cull(bool enabled) { cull_enabled_ = enabled; }
-    bool reachability_cull() const { return cull_enabled_; }
-
     /// Size of `tx`'s reachability set (receivers within carrier-sense or
     /// interference range). Exposed for tests and benchmarks.
     std::size_t reachable_count(net::NodeId tx);
@@ -194,7 +179,8 @@ private:
         double distance_m;  ///< link distance, for time-variant re-evaluation
     };
 
-    /// Rebuild the per-transmitter reachability sets when stale.
+    /// Rebuild the per-transmitter reachability sets after they were
+    /// cleared.
     void ensure_reach();
 
     /// One local receiver of a foreign boundary node's ghost signals,
@@ -214,7 +200,6 @@ private:
     std::unordered_map<net::NodeId, std::vector<GhostReachEntry>> ghost_reach_;
     std::vector<net::NodeId> mirror_senders_;  ///< sorted; mirror their transmissions
     MirrorHook mirror_hook_;
-    bool cull_enabled_ = true;
     LinkTable<std::unique_ptr<ErrorModel>> error_models_;
     std::unique_ptr<PropagationModel> propagation_;  ///< null = reference two-ray
     std::unique_ptr<RateManager> rate_manager_;      ///< null = fixed default

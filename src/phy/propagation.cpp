@@ -1,6 +1,5 @@
 #include "phy/propagation.h"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -60,15 +59,6 @@ double TwoRayGround::rx_power_w(double tx_power_w, double distance_m) const
     const double d2 = distance_m * distance_m;
     return tx_power_w * gain_tx_ * gain_rx_ * height_m_ * height_m_ * height_m_ * height_m_ /
            (d2 * d2 * system_loss_);
-}
-
-double TwoRayReference::rx_power_w(double tx_power_w, double distance_m) const
-{
-    // Operation order matters: this must stay the exact expression the
-    // Channel historically inlined so reference-model goldens remain
-    // byte-identical under -ffp-contract=off.
-    const double d_eff = std::max(distance_m, 1.0);
-    return tx_power_w / (d_eff * d_eff * d_eff * d_eff);
 }
 
 struct JakesFading::Oscillators {

@@ -34,18 +34,6 @@ public:
     virtual void report(net::NodeId tx, net::NodeId rx, bool success) = 0;
 };
 
-/// Reference manager: every link uses one fixed rate (0 = the PHY default,
-/// leaving frames unstamped — byte-identical to the pre-RateManager path).
-class FixedRate final : public RateManager {
-public:
-    explicit FixedRate(std::int64_t bitrate_bps = 0) : rate_(bitrate_bps) {}
-    std::int64_t bitrate_bps(net::NodeId, net::NodeId) override { return rate_; }
-    void report(net::NodeId, net::NodeId, bool) override {}
-
-private:
-    std::int64_t rate_;
-};
-
 /// Minstrel-style probing rate adaptation, deterministic by construction.
 ///
 /// Each link keeps an EWMA of per-rate delivery success; attempts normally

@@ -11,7 +11,6 @@ Source::Source(net::Network& network, int flow_id, int payload_bytes)
     : network_(network), flow_id_(flow_id), payload_bytes_(payload_bytes)
 {
     if (payload_bytes <= 0) throw std::invalid_argument("Source: payload must be > 0");
-    gating_enabled_ = network.reference_mode().backpressure_gating;
     const auto& path = network.routing().path(flow_id);
     src_node_ = path.front();
     dst_node_ = path.back();
@@ -59,20 +58,6 @@ bool Source::boundary_emit_fires_first() const
     if (virtual_chain_seq_ != kUnknownSeq)
         return virtual_chain_seq_ <= scheduler_->current_event_seq();
     return true;
-}
-
-void Source::set_backpressure_gating(bool enabled)
-{
-    if (enabled == gating_enabled_) return;
-    gating_enabled_ = enabled;
-    if (!enabled && gated_) {
-        // Resume the per-period event chain from the pending generation
-        // (instants already due are settled first, exactly as a vacancy
-        // would have).
-        leave_gate();
-        if (settle(scheduler_->now(), boundary_emit_fires_first()))
-            scheduler_->schedule_at(next_emit_at_, [this] { emit(); });
-    }
 }
 
 const Source::Stats& Source::stats()
@@ -132,7 +117,7 @@ void Source::emit()
     chain_scheduled_at_ = scheduler_->now();
     next_emit_at_ = scheduler_->now() + gap;
 
-    if (!accepted && gating_enabled_) {
+    if (!accepted) {
         // The own-traffic queue is full (a failed send means the MAC
         // queue dropped the packet; an interceptor that consumed it
         // would have reported acceptance). Park on a vacancy callback
@@ -154,13 +139,6 @@ void Source::enter_gate(mac::MacQueue& queue)
     queue.add_vacancy_waiter(this);
     gate_queue_ = &queue;
     gated_ = true;
-}
-
-void Source::leave_gate()
-{
-    if (gate_queue_ != nullptr) gate_queue_->remove_vacancy_waiter(this);
-    gate_queue_ = nullptr;
-    gated_ = false;
 }
 
 void Source::account_skipped_generation()

@@ -21,14 +21,14 @@ using util::SimTime;
 /// Saturated sources are backpressure-gated: when an emission finds the
 /// own-traffic queue full, the source stops burning one scheduler event
 /// per nominal packet period and instead registers a vacancy callback
-/// with the MAC queue (mac::VacancyWaiter). The generations that the
-/// per-packet reference would have produced — and dropped — while the
-/// queue stayed full are accounted in closed form when the queue frees a
-/// slot (or when stats() is read), consuming the same per-generation
-/// next_interval() draws in the same order, so packet sequence numbers,
-/// Rng streams, per-queue/per-node drop counters and delivery order are
-/// identical to the reference. set_backpressure_gating(false) keeps the
-/// one-event-per-period reference path; tests prove the equivalence.
+/// with the MAC queue (mac::VacancyWaiter). The generations that a
+/// one-event-per-period emitter would have produced — and dropped — while
+/// the queue stayed full are accounted in closed form when the queue
+/// frees a slot (or when stats() is read), consuming the same
+/// per-generation next_interval() draws in the same order, so packet
+/// sequence numbers, Rng streams, per-queue/per-node drop counters and
+/// delivery order are identical to that reference. The reference lives
+/// in tests/reference_source.h; tests/traffic_test.cpp races the two.
 ///
 /// Residual tie caveat: an emit re-materialized at a vacancy is
 /// scheduled "now", so against an unrelated event scheduled during the
@@ -51,7 +51,7 @@ public:
         std::uint64_t accepted = 0;
         std::uint64_t dropped_at_source = 0;
         /// Generations accounted in closed form instead of an event each
-        /// (a subset of dropped_at_source; 0 with gating disabled).
+        /// (a subset of dropped_at_source).
         std::uint64_t gated_skips = 0;
         /// Retry waits taken because the flow was unroutable (source node
         /// down or flow suspended). The application pauses — no
@@ -68,12 +68,6 @@ public:
     /// Schedule the active period [start, stop). Call once.
     void activate(SimTime start, SimTime stop);
 
-    /// Disable (or re-enable) the backpressure gate, falling back to one
-    /// emit event per nominal packet period. The outcomes are identical
-    /// either way — this exists so tests and benches can prove exactly
-    /// that.
-    void set_backpressure_gating(bool enabled);
-    bool backpressure_gating() const { return gating_enabled_; }
     /// Whether the source is currently parked on a vacancy callback.
     bool gated() const { return gated_; }
 
@@ -109,7 +103,6 @@ private:
     bool boundary_emit_fires_first() const;
     void account_skipped_generation();
     void enter_gate(mac::MacQueue& queue);
-    void leave_gate();
 
     // --- mac::VacancyWaiter ---
     Resume vacancy_prepare() override;
@@ -129,7 +122,6 @@ private:
     Stats stats_;
     bool activated_ = false;
 
-    bool gating_enabled_ = true;
     bool gated_ = false;
     mac::MacQueue* gate_queue_ = nullptr;  ///< registered waiter target
     /// Next pending generation instant (the emit event's fire time, real

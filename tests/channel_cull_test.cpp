@@ -1,159 +1,43 @@
-// Reachability culling equivalence: Channel::transmit with precomputed
-// per-transmitter neighbour lists must produce exactly the simulation the
-// full-broadcast scan produces — same Rng stream, same decodes, same
-// corruption, same carrier sense — on chain, parking-lot and grid
-// topologies. Plus unit coverage of the reachability sets themselves and
-// the id-indexed attach.
+// The reachability cull is the channel's only fan-out, so it is checked
+// against brute-force geometry instead of a second production path. Every
+// attached PHY fires one isolated transmission; each other PHY must then
+// carry the two-ray power in its ledger iff it lies within the conflict
+// radius, sense the medium busy iff within carrier-sense range, and decode
+// the frame iff within delivery range. Seeded random scatters cover
+// irregular neighbourhoods; detach/attach cycles cover the cache rebuild.
+// Plus unit coverage of the reachability sets and the id-indexed attach.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "analysis/experiment.h"
-#include "analysis/experiment_factory.h"
-#include "experiment_fingerprint.h"
-#include "net/network.h"
-#include "net/topo_gen.h"
-#include "net/topologies.h"
 #include "phy/channel.h"
 #include "phy/phy.h"
+#include "phy/propagation.h"
 #include "sim/scheduler.h"
 #include "util/rng.h"
-#include "util/units.h"
 
 namespace ezflow::phy {
 namespace {
 
-// ------------------------------------------------ full-run equivalence
+/// Counts decodes, which is all the geometry oracle needs from a listener.
+class DecodeCounter final : public PhyListener {
+public:
+    std::uint64_t decoded = 0;
 
-using testutil::experiment_fingerprint;
-
-std::vector<std::uint64_t> run_scenario(const analysis::ScenarioSpec& spec, bool cull)
-{
-    analysis::ExperimentFactory factory(spec, analysis::ExperimentOptions{});
-    std::unique_ptr<analysis::Experiment> experiment = factory.make(/*seed=*/11);
-    net::ReferenceModeFlags flags;
-    flags.reachability_cull = cull;
-    experiment->network().set_reference_mode(flags);
-    experiment->run();
-    return experiment_fingerprint(*experiment);
-}
-
-TEST(ChannelCull, ChainRunMatchesFullBroadcast)
-{
-    // 4-hop chain: hidden terminals and chained interference.
-    const analysis::ScenarioSpec spec = analysis::ScenarioSpec::line(4, /*duration_s=*/15.0);
-    EXPECT_EQ(run_scenario(spec, true), run_scenario(spec, false));
-}
-
-TEST(ChannelCull, ParkingLotRunMatchesFullBroadcast)
-{
-    // Scenario 1 is the paper's parking-lot merge: two 8-hop branches
-    // joining toward the gateway.
-    const analysis::ScenarioSpec spec = analysis::ScenarioSpec::scenario1(/*time_scale=*/0.01);
-    EXPECT_EQ(run_scenario(spec, true), run_scenario(spec, false));
-}
-
-TEST(ChannelCull, GeneratedGridGatewayMatchesFullBroadcast)
-{
-    // Generated convergecast lattice (net/topo_gen.h): every flow funnels
-    // into one corner, so the gateway neighbourhood is the dense case the
-    // cull must get exactly right.
-    net::GridSpec grid;
-    grid.cols = 5;
-    grid.rows = 4;
-    grid.sources = 5;
-    grid.duration_s = 4.0;
-    const analysis::ScenarioSpec spec = analysis::ScenarioSpec::grid_gateway(grid);
-    EXPECT_EQ(run_scenario(spec, true), run_scenario(spec, false));
-}
-
-TEST(ChannelCull, GeneratedRandomMeshMatchesFullBroadcast)
-{
-    // Seeded random scatters: irregular reachability sets, including
-    // asymmetric hidden-terminal geometry no hand-built scenario covers.
-    net::MeshSpec mesh;
-    mesh.nodes = 18;
-    mesh.flows = 4;
-    mesh.width_m = 1100.0;
-    mesh.height_m = 1100.0;
-    mesh.duration_s = 4.0;
-    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-        analysis::ExperimentFactory factory(analysis::ScenarioSpec::random_mesh(mesh),
-                                            analysis::ExperimentOptions{});
-        const auto run_with_cull = [&factory, seed](bool cull) {
-            std::unique_ptr<analysis::Experiment> experiment = factory.make(seed);
-            net::ReferenceModeFlags flags;
-            flags.reachability_cull = cull;
-            experiment->network().set_reference_mode(flags);
-            experiment->run();
-            return experiment_fingerprint(*experiment);
-        };
-        EXPECT_EQ(run_with_cull(true), run_with_cull(false)) << "seed " << seed;
-    }
-}
-
-TEST(ChannelCull, GridRunMatchesFullBroadcast)
-{
-    // A 4x4 grid with two crossing flows, built directly.
-    const auto build = [](bool cull) {
-        net::Network::Config config;
-        net::Network network(config);
-        for (int y = 0; y < 4; ++y)
-            for (int x = 0; x < 4; ++x)
-                network.add_node(Position{x * 200.0, y * 200.0});
-        net::ReferenceModeFlags flags;
-        flags.reachability_cull = cull;
-        network.set_reference_mode(flags);
-        network.add_flow(1, {0, 1, 2, 3});       // west -> east along the top row
-        network.add_flow(2, {0, 4, 8, 12});      // north -> south along the left column
-        network.add_flow(3, {5, 6, 10});         // interior dog-leg
-        util::Rng traffic(42);
-        for (int i = 0; i < 400; ++i) {
-            const util::SimTime at = 1000 + i * 2000;
-            for (int flow = 1; flow <= 3; ++flow) {
-                net::Packet packet;
-                packet.uid = static_cast<std::uint64_t>(flow) * 100000 + i;
-                packet.seq = static_cast<std::uint64_t>(i);
-                packet.flow_id = flow;
-                packet.bytes = 500;
-                packet.src = flow == 2 ? 0 : (flow == 3 ? 5 : 0);
-                packet.dst = flow == 1 ? 3 : (flow == 2 ? 12 : 10);
-                net::NodeId src = packet.src;
-                network.scheduler().schedule_at(at, [&network, src, packet] {
-                    network.node(src).send(packet);
-                });
-            }
-        }
-        network.run_until(3 * util::kSecond);
-        std::vector<std::uint64_t> print;
-        print.push_back(network.channel().transmissions());
-        print.push_back(network.scheduler().processed());
-        for (int id = 0; id < network.node_count(); ++id) {
-            const net::Node& node = network.node(id);
-            print.push_back(node.phy().frames_decoded());
-            print.push_back(node.phy().frames_corrupted());
-            print.push_back(node.mac().successes());
-            print.push_back(node.delivered());
-            print.push_back(node.forwarded());
-        }
-        return print;
-    };
-    const auto culled = build(true);
-    const auto broadcast = build(false);
-    EXPECT_FALSE(culled.empty());
-    EXPECT_EQ(culled, broadcast);
-}
-
-// ------------------------------------------------ reachability-set units
+    void phy_busy_changed(bool) override {}
+    void phy_frame_decoded(const Frame&) override { ++decoded; }
+    void phy_tx_done(const Frame&) override {}
+};
 
 struct CullBed {
     sim::Scheduler scheduler;
     PhyParams params;
     Channel channel;
     std::vector<std::unique_ptr<NodePhy>> phys;
+    std::vector<std::unique_ptr<DecodeCounter>> listeners;
 
     explicit CullBed(PhyParams pp = {}) : params(pp), channel(scheduler, util::Rng(5), pp) {}
 
@@ -161,15 +45,111 @@ struct CullBed {
     {
         const auto id = static_cast<net::NodeId>(phys.size());
         phys.push_back(std::make_unique<NodePhy>(id, Position{x, y}, scheduler));
+        listeners.push_back(std::make_unique<DecodeCounter>());
+        phys.back()->set_listener(listeners.back().get());
         channel.attach(*phys.back());
         return *phys.back();
     }
+
+    void scatter(int count, double side_m, std::uint64_t seed)
+    {
+        util::Rng rng(seed);
+        for (int i = 0; i < count; ++i)
+            add(rng.uniform_real(0.0, side_m), rng.uniform_real(0.0, side_m));
+    }
 };
+
+Frame one_mpdu_frame(net::NodeId from)
+{
+    Frame frame;
+    frame.type = FrameType::kData;
+    frame.tx_node = from;
+    frame.rx_node = from + 1;
+    Mpdu mpdu;
+    mpdu.packet.bytes = 100;
+    frame.mpdus.push_back(mpdu);
+    return frame;
+}
+
+/// The geometry oracle: one isolated transmission per attached sender,
+/// every PHY (attached or not) checked against distance-vs-range.
+void expect_fanout_matches_geometry(CullBed& bed)
+{
+    const PhyParams& p = bed.params;
+    for (const auto& sender : bed.phys) {
+        if (!bed.channel.is_attached(*sender)) continue;
+        std::vector<std::uint64_t> decoded_before;
+        for (const auto& listener : bed.listeners) decoded_before.push_back(listener->decoded);
+
+        sender->start_tx(one_mpdu_frame(sender->id()));
+        std::vector<bool> delivers(bed.phys.size(), false);
+        for (std::size_t i = 0; i < bed.phys.size(); ++i) {
+            const NodePhy& rx = *bed.phys[i];
+            if (&rx == sender.get()) continue;
+            const double d = distance(sender->position(), rx.position());
+            const bool reached = bed.channel.is_attached(rx) && d <= p.conflict_radius_m();
+            delivers[i] = reached && d <= p.tx_range_m;
+            EXPECT_EQ(rx.interference_ledger_w(), reached ? TwoRayReference::power_w(1.0, d) : 0.0)
+                << "tx " << sender->id() << " rx " << rx.id() << " at " << d << " m";
+            EXPECT_EQ(rx.busy(), reached && d <= p.cs_range_m)
+                << "tx " << sender->id() << " rx " << rx.id() << " at " << d << " m";
+        }
+        bed.scheduler.run();
+        for (std::size_t i = 0; i < bed.phys.size(); ++i)
+            EXPECT_EQ(bed.listeners[i]->decoded - decoded_before[i], delivers[i] ? 1u : 0u)
+                << "tx " << sender->id() << " rx " << bed.phys[i]->id();
+    }
+}
+
+/// Ranges with a band in each regime: decode (<= 250 m), sense-only
+/// (250-550 m) and interference-only (550-700 m).
+PhyParams banded_params()
+{
+    PhyParams params;
+    params.interference_range_m = 700.0;
+    return params;
+}
+
+TEST(ChannelCull, FanOutMatchesGeometryOnRandomScatters)
+{
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        CullBed bed(banded_params());
+        bed.scatter(40, 2000.0, seed);
+        expect_fanout_matches_geometry(bed);
+    }
+    // Default ranges: interference reaches exactly as far as carrier sense.
+    CullBed bed;
+    bed.scatter(40, 2000.0, 9);
+    expect_fanout_matches_geometry(bed);
+}
+
+TEST(ChannelCull, FanOutMatchesGeometryAcrossDetachAttach)
+{
+    CullBed bed(banded_params());
+    bed.scatter(30, 1500.0, 21);
+    expect_fanout_matches_geometry(bed);  // builds the reach cache
+
+    // Detach every fourth node: the cache is indexed by attach position
+    // and lists the dead PHYs, so it must be rebuilt.
+    std::vector<NodePhy*> detached;
+    for (std::size_t i = 0; i < bed.phys.size(); i += 4) {
+        bed.channel.detach(*bed.phys[i]);
+        detached.push_back(bed.phys[i].get());
+    }
+    expect_fanout_matches_geometry(bed);
+
+    // Newcomers at fresh positions, then the dead nodes back at the end of
+    // the attach order.
+    bed.scatter(5, 1500.0, 22);
+    expect_fanout_matches_geometry(bed);
+    for (NodePhy* phy : detached) bed.channel.attach(*phy);
+    expect_fanout_matches_geometry(bed);
+}
 
 TEST(ChannelCull, ReachableSetsMatchGeometry)
 {
     // Random scatter: every transmitter's reachability set must contain
-    // exactly the nodes the broadcast scan would not skip.
+    // exactly the nodes within carrier-sense or interference range.
     CullBed bed;
     util::Rng rng(77);
     std::vector<Position> positions;

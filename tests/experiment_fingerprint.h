@@ -1,9 +1,9 @@
 #pragma once
 
 // Shared per-node run fingerprint for equivalence tests: every counter
-// that can observably differ when two channel/MAC fast paths diverge.
-// channel_cull_test.cpp and grid_test.cpp both compare runs with this,
-// so the two suites enforce one notion of equivalence.
+// that can observably differ when two runs diverge. The PHY-model,
+// sharding, fault and A-MPDU suites all compare runs with this, so they
+// enforce one notion of equivalence.
 
 #include <cstdint>
 #include <vector>

@@ -211,7 +211,7 @@ TEST(ChannelDetach, ReachCacheInvalidatedSymmetrically)
     EXPECT_TRUE(channel.is_attached(*phys[2]));
 
     // Detach after the cache was built: the cull must forget node 2 (the
-    // staleness hazard — an early-return on reach_.size() would keep
+    // staleness hazard — a cache kept across the detach would keep
     // serving the dead node).
     channel.detach(*phys[2]);
     EXPECT_FALSE(channel.is_attached(*phys[2]));
@@ -231,8 +231,7 @@ TEST(ChannelDetach, ReachCacheInvalidatedSymmetrically)
 /// `kill_us` and reviving 300 ms later. Returns the run's fingerprint.
 /// Asserts zero FramePool leakage and exact queue/MAC conservation
 /// afterwards — whatever MAC/PHY state the kill interrupted.
-std::vector<std::uint64_t> chain_kill_cycle(util::SimTime kill_us, bool sinr_ledger,
-                                            bool cull = true)
+std::vector<std::uint64_t> chain_kill_cycle(util::SimTime kill_us, bool sinr_ledger)
 {
     ScenarioSpec spec = ScenarioSpec::line(4, /*duration_s=*/1.2);
     if (sinr_ledger) spec.models.interference = phy::PhyModelConfig::Interference::kSinrLedger;
@@ -242,9 +241,6 @@ std::vector<std::uint64_t> chain_kill_cycle(util::SimTime kill_us, bool sinr_led
         {kill_us + 300'000, net::FaultKind::kNodeUp, /*node=*/2, -1, -1});
     ExperimentFactory factory(spec, ExperimentOptions{});
     std::unique_ptr<analysis::Experiment> experiment = factory.make(/*seed=*/11);
-    net::ReferenceModeFlags flags;
-    flags.reachability_cull = cull;
-    experiment->network().set_reference_mode(flags);
     experiment->run();
     // Run far past the stop so every in-flight signal end has fired.
     experiment->run_until_s(10.0);
@@ -312,16 +308,6 @@ TEST(FaultLifetime, FlashReviveWithinSifsKeepsControlPathSane)
         const auto fingerprint = flash_cycle(kill);
         EXPECT_EQ(fingerprint, flash_cycle(kill)) << "kill at " << kill;
     }
-}
-
-TEST(FaultLifetime, CullMatchesBroadcastAcrossDownUpCycle)
-{
-    // Satellite of the reach-cache fix: the culled channel must produce
-    // the exact run the full-broadcast reference produces across a
-    // detach/reattach cycle (decode-for-decode, event-for-event).
-    const util::SimTime kill = util::from_seconds(5.35);
-    EXPECT_EQ(chain_kill_cycle(kill, false, /*cull=*/true),
-              chain_kill_cycle(kill, false, /*cull=*/false));
 }
 
 // -------------------------------------------- source pause / repair flow

@@ -68,7 +68,7 @@ TEST(Gilbert, ErrorModelInstallMatchesStationaryLoss)
     params.to_good_per_s = 3.0;
     params.loss_bad = 0.8;
     s.network->channel().set_link_error_model(0, 1, make_gilbert(params));
-    EXPECT_DOUBLE_EQ(Channel::gilbert_stationary_loss(params), 0.2);
+    EXPECT_DOUBLE_EQ(phy::gilbert_stationary_loss(params), 0.2);
     EXPECT_DOUBLE_EQ(s.network->channel().link_loss(0, 1), 0.2);
 }
 

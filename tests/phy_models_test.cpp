@@ -108,15 +108,21 @@ TEST(PhyModelEquivalence, SinrLedgerWithoutNoiseMatchesReference)
     }
 }
 
+/// Stamps every data attempt with the 1 Mb/s PHY default.
+struct OneMegabitRate final : RateManager {
+    std::int64_t bitrate_bps(net::NodeId, net::NodeId) override { return 1'000'000; }
+    void report(net::NodeId, net::NodeId, bool) override {}
+};
+
 TEST(PhyModelEquivalence, ExplicitFixedRateManagerMatchesReference)
 {
-    // Installing FixedRate at the PHY default rate stamps every data frame
+    // A rate manager fixed at the PHY default rate stamps every data frame
     // explicitly; airtime and capture must not move.
     for (std::uint64_t seed : {11ull, 12ull, 13ull}) {
         analysis::ScenarioSpec spec = analysis::ScenarioSpec::line(4, /*duration_s=*/12.0);
         analysis::ExperimentFactory factory(spec, analysis::ExperimentOptions{});
         std::unique_ptr<analysis::Experiment> experiment = factory.make(seed);
-        experiment->network().channel().set_rate_manager(std::make_unique<FixedRate>(1'000'000));
+        experiment->network().channel().set_rate_manager(std::make_unique<OneMegabitRate>());
         experiment->run();
         EXPECT_EQ(experiment_fingerprint(*experiment),
                   line_fingerprint(PhyModelConfig{}, seed))

@@ -487,13 +487,11 @@ TEST(Channel, FramePoolRecyclesAcrossTransmissions)
     EXPECT_EQ(bed.listener(1).decoded.size(), 2u);
 }
 
-TEST(Channel, FramePoolSharesOneRecordOnBroadcastPath)
+TEST(Channel, FramePoolSharesOneRecordAcrossLossyFanOut)
 {
-    // Cull disabled (reference full-broadcast scan) with a lossy Gilbert
-    // link in the fan-out: still one record per transmission, released
-    // when the last signal end fires.
+    // A lossy Gilbert link in the fan-out: still one record per
+    // transmission, released when the last signal end fires.
     TestBed bed;
-    bed.channel.set_reachability_cull(false);
     bed.channel.set_link_error_model(0, 1, make_gilbert(GilbertParams{1.0, 1.0, 0.0, 1.0}));
     NodePhy& a = bed.add(0);
     bed.add(200);

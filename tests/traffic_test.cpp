@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "net/topologies.h"
+#include "reference_source.h"
 #include "traffic/sink.h"
 #include "traffic/source.h"
 
@@ -90,7 +91,6 @@ TEST(Cbr, ErrorCarryingTimelineMatchesAwkwardRate)
     // 0.01 % of nominal over a long run.
     OneLink bed;
     CbrSource src(bed.net, 0, 1000, 1.7e6);
-    src.set_backpressure_gating(false);  // count every generation as an event
     const double duration_s = 200.0;
     src.activate(0, util::from_seconds(duration_s));
     bed.net.run_until(util::from_seconds(duration_s));
@@ -123,13 +123,15 @@ TEST(Cbr, BackpressureGateSkipsEventsButKeepsAccounting)
     EXPECT_EQ(node.source_queue_drops(), stats.dropped_at_source);
 }
 
-/// Everything observable that could differ if the gated fast path and the
-/// one-event-per-period reference diverged (scheduler.processed() is
-/// deliberately absent: saving events is the point).
-std::vector<std::uint64_t> source_run_fingerprint(net::Network& net, Sink& sink,
-                                                  std::vector<Source*> sources)
+/// Everything observable that could differ if the gated source and the
+/// per-period reference emitter diverged (scheduler.processed() is
+/// deliberately absent: saving events is the point). `generations` holds
+/// each source's (generated, accepted, dropped_at_source); the sink's
+/// highest delivered sequence number pins the packet numbering.
+std::vector<std::uint64_t> source_run_fingerprint(net::Network& net, const Sink& sink, int flows,
+                                                  const std::vector<std::uint64_t>& generations)
 {
-    std::vector<std::uint64_t> print;
+    std::vector<std::uint64_t> print = generations;
     print.push_back(net.channel().transmissions());
     print.push_back(net.channel().data_transmissions());
     for (int id = 0; id < net.node_count(); ++id) {
@@ -147,57 +149,84 @@ std::vector<std::uint64_t> source_run_fingerprint(net::Network& net, Sink& sink,
             print.push_back(queue->dropped_full());
         }
     }
-    for (Source* source : sources) {
-        print.push_back(source->stats().generated);
-        print.push_back(source->stats().accepted);
-        print.push_back(source->stats().dropped_at_source);
-    }
-    for (int flow = 0; flow < 4; ++flow) {
-        try {
-            const auto& rec = sink.flow(flow);
-            print.push_back(rec.packets);
-            print.push_back(rec.bytes);
-            print.push_back(static_cast<std::uint64_t>(rec.delay_us.mean() * 1e3));
-        } catch (const std::invalid_argument&) {
-            break;
-        }
+    for (int flow = 0; flow < flows; ++flow) {
+        const auto& rec = sink.flow(flow);
+        print.push_back(rec.packets);
+        print.push_back(rec.bytes);
+        print.push_back(static_cast<std::uint64_t>(rec.max_seq_seen));
+        print.push_back(static_cast<std::uint64_t>(rec.delay_us.mean() * 1e3));
     }
     return print;
 }
 
-/// Two saturated flows sharing one own-traffic queue at the same source
-/// node (the voip_mesh shape), run gated vs ungated: the vacancy-ordered
-/// wakeups must reproduce the reference interleaving exactly.
-std::vector<std::uint64_t> shared_queue_fingerprint(bool gated, std::uint64_t seed,
-                                                    std::uint64_t* events_out = nullptr)
-{
-    net::Scenario scenario = net::make_line(3, 30.0, seed);
-    net::Network& net = *scenario.network;
-    net.add_flow(1, scenario.flows[0].path);  // same path => same own queue
-    Sink sink(net);
-    sink.attach_flow(0);
-    sink.attach_flow(1);
-    CbrSource bulk(net, 0, 1000, 2e6);
-    CbrSource second(net, 1, 200, 64'000.0);
-    bulk.set_backpressure_gating(gated);
-    second.set_backpressure_gating(gated);
-    bulk.activate(0, 20 * kSecond);
-    second.activate(0, 20 * kSecond);
-    net.run_until(25 * kSecond);
-    if (events_out != nullptr) *events_out = net.scheduler().processed();
-    return source_run_fingerprint(net, sink, {&bulk, &second});
-}
+/// One leg of a gated-vs-reference race: a `hops`-hop line with a sink on
+/// flows 0..flows-1. Extra flows share flow 0's path, and so its
+/// own-traffic queue at the source node (the voip_mesh shape).
+struct RaceBed {
+    net::Scenario scenario;
+    net::Network& net;
+    Sink sink;
+    int flows;
 
-TEST(Gating, SharedQueueMatchesUngatedReferenceAcrossSeeds)
+    RaceBed(int hops, int flow_count, std::uint64_t seed)
+        : scenario(net::make_line(hops, 30.0, seed)),
+          net(*scenario.network),
+          sink(net),
+          flows(flow_count)
+    {
+        for (int f = 1; f < flows; ++f) net.add_flow(f, scenario.flows[0].path);
+        for (int f = 0; f < flows; ++f) sink.attach_flow(f);
+    }
+
+    /// Activates `sources` (flow i = sources[i]) over [0, 20 s), runs to
+    /// 25 s and fingerprints the run at every whole second. The CBR grids
+    /// divide a second, so stats() is read mid-gate with a generation due
+    /// exactly at the checkpoint, which the reference fires before the
+    /// run stops.
+    template <class SourcePtr>
+    std::vector<std::uint64_t> race(const std::vector<SourcePtr>& sources)
+    {
+        for (SourcePtr source : sources) source->activate(0, 20 * kSecond);
+        std::vector<std::uint64_t> print;
+        for (SimTime t = kSecond; t <= 25 * kSecond; t += kSecond) {
+            net.run_until(t);
+            std::vector<std::uint64_t> generations;
+            for (SourcePtr source : sources) {
+                const auto& stats = source->stats();
+                generations.insert(generations.end(),
+                                   {stats.generated, stats.accepted, stats.dropped_at_source});
+            }
+            const auto checkpoint = source_run_fingerprint(net, sink, flows, generations);
+            print.insert(print.end(), checkpoint.begin(), checkpoint.end());
+        }
+        return print;
+    }
+};
+
+using testutil::ReferenceSource;
+
+TEST(Gating, SharedQueueMatchesPerPeriodReferenceAcrossSeeds)
 {
+    // Two saturated CBR flows share one own-traffic queue: the
+    // vacancy-ordered wakeups must reproduce the per-period interleaving
+    // exactly.
     for (const std::uint64_t seed : {3u, 7u, 11u, 19u, 42u}) {
-        std::uint64_t events_gated = 0;
-        std::uint64_t events_reference = 0;
-        const auto gated = shared_queue_fingerprint(true, seed, &events_gated);
-        const auto reference = shared_queue_fingerprint(false, seed, &events_reference);
+        RaceBed gated_bed(3, 2, seed);
+        CbrSource bulk(gated_bed.net, 0, 1000, 2e6);
+        CbrSource second(gated_bed.net, 1, 200, 64'000.0);
+        const auto gated = gated_bed.race(std::vector<Source*>{&bulk, &second});
+
+        RaceBed reference_bed(3, 2, seed);
+        ReferenceSource ref_bulk(reference_bed.net, 0, 1000, testutil::cbr_law(1000, 2e6));
+        ReferenceSource ref_second(reference_bed.net, 1, 200, testutil::cbr_law(200, 64'000.0));
+        const auto reference = reference_bed.race(std::vector{&ref_bulk, &ref_second});
+
         EXPECT_EQ(gated, reference) << "seed=" << seed;
+        EXPECT_GT(bulk.stats().gated_skips, 0u) << "seed=" << seed;
         // The gate must actually save scheduler events on a saturated run.
-        EXPECT_LT(events_gated, events_reference) << "seed=" << seed;
+        EXPECT_LT(gated_bed.net.scheduler().processed(),
+                  reference_bed.net.scheduler().processed())
+            << "seed=" << seed;
     }
 }
 
@@ -206,19 +235,17 @@ TEST(Gating, PoissonSourceReproducesDrawSequence)
     // An Rng-drawing source saturating the link: closed-form accounting
     // must consume the exact same draw sequence as per-packet events.
     for (const std::uint64_t seed : {5u, 23u}) {
-        std::vector<std::uint64_t> prints[2];
-        for (const bool gated : {true, false}) {
-            net::Scenario scenario = net::make_line(1, 30.0, seed);
-            net::Network& net = *scenario.network;
-            Sink sink(net);
-            sink.attach_flow(0);
-            PoissonSource src(net, 0, 1000, 2.5e6);
-            src.set_backpressure_gating(gated);
-            src.activate(0, 20 * kSecond);
-            net.run_until(25 * kSecond);
-            prints[gated ? 0 : 1] = source_run_fingerprint(net, sink, {&src});
-        }
-        EXPECT_EQ(prints[0], prints[1]) << "seed=" << seed;
+        RaceBed gated_bed(1, 1, seed);
+        PoissonSource src(gated_bed.net, 0, 1000, 2.5e6);
+        const auto gated = gated_bed.race(std::vector<Source*>{&src});
+
+        RaceBed reference_bed(1, 1, seed);
+        ReferenceSource ref(reference_bed.net, 0, 1000,
+                            testutil::poisson_law(reference_bed.net, 1000, 2.5e6));
+        const auto reference = reference_bed.race(std::vector{&ref});
+
+        EXPECT_EQ(gated, reference) << "seed=" << seed;
+        EXPECT_GT(src.stats().gated_skips, 0u) << "seed=" << seed;
     }
 }
 
