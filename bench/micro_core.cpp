@@ -103,29 +103,24 @@ BENCHMARK(BM_ModelStep)->Arg(4)->Arg(8);
 
 void BM_RoutingLookup(benchmark::State& state)
 {
-    // Per-forwarded-packet routing cost at 1k flows x 64-hop paths:
-    // Arg(0) scans the map-based StaticRouting builder (O(log flows) +
-    // O(hops), the pre-PR-4 hot path), Arg(1) probes the compiled
-    // RoutingTable the forwarding plane now uses (O(1)).
-    const bool compiled = state.range(0) != 0;
+    // Per-forwarded-packet routing cost at 1k flows x 64-hop paths: one
+    // flow lookup plus one row index (O(1)).
     constexpr int kFlows = 1000;
     constexpr int kHops = 64;
-    net::StaticRouting routing;
+    net::RoutingTable table;
     std::vector<net::NodeId> path;
     for (int n = 0; n <= kHops; ++n) path.push_back(n);
-    for (int f = 0; f < kFlows; ++f) routing.add_flow(f, path);
-    const net::RoutingTable table(routing);
+    for (int f = 0; f < kFlows; ++f) table.add_flow(f, path);
     int flow = 0;
     net::NodeId node = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(compiled ? table.next_hop(flow, node)
-                                          : routing.next_hop(flow, node));
+        benchmark::DoNotOptimize(table.next_hop_or_none(flow, node));
         flow = (flow + 7) % kFlows;
         node = (node + 13) % kHops;  // stays short of the destination
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_RoutingLookup)->Arg(0)->Arg(1);
+BENCHMARK(BM_RoutingLookup);
 
 net::Packet bench_packet(std::uint64_t seq)
 {

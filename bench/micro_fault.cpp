@@ -1,9 +1,7 @@
-// Micro-benchmarks (google-benchmark) for the fault-injection path:
-// incremental route repair against the full-recompile strawman, the
-// injector's live-path BFS, and a full kill/revive cycle on a running
-// network. The headline comparison is incremental vs recompile — the
-// change-log patch must make churn repair O(changed flows), not
-// O(flows).
+// Micro-benchmarks (google-benchmark) for the fault-injection path: one
+// route-repair update (which rewrites only the changed flow's row, so its
+// cost must not grow with the flow count), the injector's live-path BFS,
+// and a full kill/revive cycle on a running network.
 
 #include <benchmark/benchmark.h>
 
@@ -22,10 +20,10 @@ namespace {
 
 using namespace ezflow;
 
-/// A routing builder with `flows` parallel 6-hop paths over a disjoint
+/// A routing table with `flows` parallel 6-hop paths over a disjoint
 /// node strip each, plus the two alternate paths churn flips between.
 struct RepairBed {
-    net::StaticRouting routing;
+    net::RoutingTable routing;
     std::vector<std::vector<net::NodeId>> primary;
     std::vector<std::vector<net::NodeId>> alternate;
 
@@ -45,46 +43,23 @@ struct RepairBed {
     }
 };
 
-/// Incremental: one persistent RoutingTable; each churn step patches the
-/// single dirty flow through the change log.
+/// One churn step: update a single flow's path, then look it up.
 void BM_RepairIncremental(benchmark::State& state)
 {
     const int flows = static_cast<int>(state.range(0));
     RepairBed bed(flows);
-    net::RoutingTable table(bed.routing);
-    benchmark::DoNotOptimize(table.next_hop(1, 0));  // initial compile outside the loop
     int step = 0;
     for (auto _ : state) {
         const int flow = step % flows + 1;
         const auto& path =
             (step / flows) % 2 ? bed.primary[flow - 1] : bed.alternate[flow - 1];
         bed.routing.update_flow(flow, path);
-        benchmark::DoNotOptimize(table.next_hop(flow, path[2]));
+        benchmark::DoNotOptimize(bed.routing.next_hop_or_none(flow, path[2]));
         ++step;
     }
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RepairIncremental)->Arg(64)->Arg(512);
-
-/// Strawman: recompile the whole table after every change (a fresh
-/// RoutingTable per step compiles all flows on first lookup).
-void BM_RepairFullRecompile(benchmark::State& state)
-{
-    const int flows = static_cast<int>(state.range(0));
-    RepairBed bed(flows);
-    int step = 0;
-    for (auto _ : state) {
-        const int flow = step % flows + 1;
-        const auto& path =
-            (step / flows) % 2 ? bed.primary[flow - 1] : bed.alternate[flow - 1];
-        bed.routing.update_flow(flow, path);
-        net::RoutingTable table(bed.routing);
-        benchmark::DoNotOptimize(table.next_hop(flow, path[2]));
-        ++step;
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_RepairFullRecompile)->Arg(64)->Arg(512);
 
 /// The injector's end of the same work: a node death and revival on a
 /// convergecast grid mid-run, including teardown, per-flow BFS repair

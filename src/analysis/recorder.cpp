@@ -109,7 +109,7 @@ ThroughputMeter::ThroughputMeter(net::Network& network, int flow_id, SimTime win
     : network_(network), flow_id_(flow_id), window_(window)
 {
     if (window_ <= 0) throw std::invalid_argument("ThroughputMeter: window must be > 0");
-    const auto& path = network_.routing().path(flow_id);
+    const auto& path = network_.routing_table().path(flow_id);
     scheduler_ = &network_.scheduler_for(path.back());
     network_.node(path.back()).add_delivery_handler([this](const net::Packet& packet) {
         if (packet.flow_id == flow_id_)

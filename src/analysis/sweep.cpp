@@ -7,7 +7,7 @@
 #include <stdexcept>
 
 #include "analysis/drop_audit.h"
-#include "util/thread_pool.h"
+#include "util/parallel.h"
 
 namespace ezflow::analysis {
 

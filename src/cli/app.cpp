@@ -27,7 +27,7 @@ int usage(const char* message = nullptr)
     std::printf(
         "usage: ezflow <command> [args]\n"
         "\n"
-        "  list  [--category=figure|table|ablation|example|micro]\n"
+        "  list  [--category=figure|table|ablation|example]\n"
         "        enumerate the registered scenarios/figures\n"
         "  run   <figure...> [--scale=F] [--seed=N] [--seeds=K] [--threads=T]\n"
         "        [--shards=S] [--streaming] [--out=DIR] [--csv=DIR] [--smoke] [--all]\n"
@@ -60,16 +60,13 @@ struct RunFlags {
     std::map<std::string, std::string> extra;
 };
 
-/// Throws std::invalid_argument (caught by the command dispatchers and
-/// turned into a usage error) on malformed numeric flag values.
+/// Throws std::invalid_argument / std::out_of_range (caught by run_app and
+/// turned into a usage error) on malformed flag values.
 RunFlags parse_run_flags(const util::Cli& cli)
 {
     RunFlags flags;
     flags.scale = cli.get_double("scale", -1.0);
-    const std::string seed_text = cli.get("seed", "7");
-    if (seed_text.empty() || seed_text[0] == '-')  // stoull would silently wrap negatives
-        throw std::invalid_argument("seed");
-    flags.seed = std::stoull(seed_text);  // full 64-bit seed range
+    flags.seed = util::Cli::parse_uint64(cli.get("seed", "7"), "--seed");  // full 64-bit range
     flags.seeds = cli.get_int("seeds", -1);
     flags.threads = cli.get_int("threads", 0);
     flags.shards = cli.get_int("shards", 0);
@@ -244,24 +241,15 @@ bool write_outputs(const RunFlags& flags, const analysis::FigureResult& result)
 }
 
 std::vector<const FigureSpec*> resolve_figures(const std::vector<std::string>& names,
-                                               bool all_runnable, std::string& error)
+                                               bool all, std::string& error)
 {
     FigureRegistry& registry = FigureRegistry::instance();
+    if (all) return registry.list();
     std::vector<const FigureSpec*> specs;
-    if (all_runnable) {
-        for (const FigureSpec* spec : registry.list())
-            if (spec->runnable()) specs.push_back(spec);
-        return specs;
-    }
     for (const std::string& name : names) {
         const FigureSpec* spec = registry.find(name);
         if (spec == nullptr) {
             error = "unknown figure '" + name + "' (see `ezflow list`)";
-            return {};
-        }
-        if (!spec->runnable()) {
-            error = "'" + name + "' is a standalone " + spec->category +
-                    " harness; run build/bench/" + name + " directly";
             return {};
         }
         specs.push_back(spec);
@@ -277,7 +265,7 @@ int cmd_list(const util::Cli& cli)
     for (const FigureSpec* spec : FigureRegistry::instance().list()) {
         if (!category.empty() && spec->category != category) continue;
         table.add_row({spec->name + (spec->aka.empty() ? "" : " (" + spec->aka + ")"),
-                       spec->category + (spec->runnable() ? "" : " [standalone]"),
+                       spec->category,
                        util::Table::num(spec->default_scale, 2), std::to_string(spec->default_seeds),
                        spec->title});
     }
@@ -387,11 +375,12 @@ int cmd_sweep(const util::Cli& cli)
             std::string suffix;
             for (const auto& [axis, value] : point) {
                 suffix += "_" + axis + value;
-                if (axis == "scale") point_flags.scale = std::stod(value);
-                if (axis == "seeds") point_flags.seeds = std::stoi(value);
-                if (axis == "seed") point_flags.seed = std::stoull(value);
-                if (axis == "threads") point_flags.threads = std::stoi(value);
-                if (axis == "shards") point_flags.shards = std::stoi(value);
+                const std::string what = "--grid " + axis;
+                if (axis == "scale") point_flags.scale = util::Cli::parse_double(value, what);
+                if (axis == "seeds") point_flags.seeds = util::Cli::parse_int(value, what);
+                if (axis == "seed") point_flags.seed = util::Cli::parse_uint64(value, what);
+                if (axis == "threads") point_flags.threads = util::Cli::parse_int(value, what);
+                if (axis == "shards") point_flags.shards = util::Cli::parse_int(value, what);
             }
             if (!out_root.empty()) point_flags.out_dir = out_root + "/" + spec->name + suffix;
             if (!flags.quiet)
@@ -492,10 +481,10 @@ int run_app(int argc, char** argv)
         if (command == "run") return cmd_run(cli);
         if (command == "sweep") return cmd_sweep(cli);
         if (command == "diff") return cmd_diff(cli);
-    } catch (const std::invalid_argument&) {
-        return usage("malformed numeric flag value");
-    } catch (const std::out_of_range&) {
-        return usage("numeric flag value out of range");
+    } catch (const std::invalid_argument& e) {
+        return usage(("malformed flag value: " + std::string(e.what())).c_str());
+    } catch (const std::out_of_range& e) {
+        return usage(("flag value out of range: " + std::string(e.what())).c_str());
     }
     if (command == "help" || command == "--help") return usage();
     return usage(("unknown command '" + command + "'").c_str());

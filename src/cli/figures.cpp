@@ -4,21 +4,6 @@
 
 namespace ezflow::cli {
 
-void register_micro_entries()
-{
-    FigureRegistry& registry = FigureRegistry::instance();
-    // The micro benchmarks are google-benchmark harnesses with their own
-    // flag surface (--benchmark_filter etc.); they are listed here for
-    // discoverability but stay standalone binaries under build/bench/.
-    registry.add(FigureSpec{
-        "micro_core", "", "micro", "google-benchmark microbenchmarks of the core hot paths",
-        "run build/bench/micro_core directly", "", 1.0, 1, 1.0, 1, nullptr});
-    registry.add(FigureSpec{
-        "micro_scheduler", "", "micro",
-        "google-benchmark microbenchmarks of the event scheduler",
-        "run build/bench/micro_scheduler directly", "", 1.0, 1, 1.0, 1, nullptr});
-}
-
 void register_builtin_figures()
 {
     static const bool registered = [] {
@@ -33,7 +18,6 @@ void register_builtin_figures()
         register_phy_model_figures();
         register_ablation_figures();
         register_example_figures();
-        register_micro_entries();
         return true;
     }();
     (void)registered;

@@ -16,6 +16,5 @@ void register_failover_figures();   // failover_gateway, failover_relay
 void register_phy_model_figures();  // fading, rate_adapt
 void register_ablation_figures();   // ablation_*
 void register_example_figures();    // quickstart, parking_lot, ...
-void register_micro_entries();      // micro_core, micro_scheduler (external)
 
 }  // namespace ezflow::cli

@@ -3,7 +3,7 @@
 // (arXiv:0704.0528), and a Leith et al. (arXiv:1002.1581) style
 // per-flow-throughput / max-min sweep over parking-lot chains. These are
 // the first workloads beyond the paper's own 9-node scenarios, opened up
-// by the PR-3 event collapse and the O(1) compiled routing table.
+// by the scheduler's event collapse and the O(1) per-flow routing table.
 
 #include <algorithm>
 #include <vector>

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "util/cli.h"
+
 namespace ezflow::cli {
 
 std::vector<std::uint64_t> FigureContext::seed_grid() const
@@ -16,24 +18,21 @@ int FigureContext::extra_int(const std::string& name, int fallback) const
 {
     extra_consumed.insert(name);
     const auto it = extra.find(name);
-    if (it == extra.end()) return fallback;
-    return std::stoi(it->second);  // throws on malformed input, like core flags
+    return it == extra.end() ? fallback : util::Cli::parse_int(it->second, "--" + name);
 }
 
 double FigureContext::extra_double(const std::string& name, double fallback) const
 {
     extra_consumed.insert(name);
     const auto it = extra.find(name);
-    if (it == extra.end()) return fallback;
-    return std::stod(it->second);
+    return it == extra.end() ? fallback : util::Cli::parse_double(it->second, "--" + name);
 }
 
 bool FigureContext::extra_bool(const std::string& name, bool fallback) const
 {
     extra_consumed.insert(name);
     const auto it = extra.find(name);
-    if (it == extra.end()) return fallback;
-    return it->second != "false" && it->second != "0";
+    return it == extra.end() ? fallback : util::Cli::parse_bool(it->second, "--" + name);
 }
 
 FigureRegistry& FigureRegistry::instance()
@@ -45,6 +44,8 @@ FigureRegistry& FigureRegistry::instance()
 void FigureRegistry::add(FigureSpec spec)
 {
     if (spec.name.empty()) throw std::invalid_argument("FigureRegistry: empty name");
+    if (!spec.run)
+        throw std::invalid_argument("FigureRegistry: figure '" + spec.name + "' has no run");
     if (find(spec.name) != nullptr || (!spec.aka.empty() && find(spec.aka) != nullptr))
         throw std::invalid_argument("FigureRegistry: duplicate figure '" + spec.name + "'");
     specs_.emplace(spec.name, std::move(spec));

@@ -37,8 +37,9 @@ struct FigureContext {
     mutable std::set<std::string> extra_consumed;
 
     std::vector<std::uint64_t> seed_grid() const;
-    /// Throws std::invalid_argument on a malformed value (like the core
-    /// numeric flags do); marks `name` consumed either way.
+    /// Parsed as strictly as the core flags (util::Cli::parse_*): throws
+    /// std::invalid_argument on a malformed value; marks `name` consumed
+    /// either way.
     int extra_int(const std::string& name, int fallback) const;
     double extra_double(const std::string& name, double fallback) const;
     bool extra_bool(const std::string& name, bool fallback) const;
@@ -50,7 +51,7 @@ struct FigureContext {
 struct FigureSpec {
     std::string name;        ///< canonical short name ("fig06", "table2", ...)
     std::string aka;         ///< former bench/example target name, also resolvable
-    std::string category;    ///< "figure" | "table" | "ablation" | "example" | "micro"
+    std::string category;    ///< "figure" | "table" | "ablation" | "example"
     std::string title;       ///< one-line description for `ezflow list`
     std::string paper_ref;   ///< which paper artifact it reproduces
     std::string expectation; ///< the qualitative shape the paper predicts
@@ -61,11 +62,7 @@ struct FigureSpec {
     double smoke_scale = 0.05;
     int smoke_seeds = 2;
 
-    /// Null for external entries (the google-benchmark micro harnesses),
-    /// which are listed but not runnable through the CLI.
     std::function<analysis::FigureResult(const FigureContext&)> run;
-
-    bool runnable() const { return static_cast<bool>(run); }
 };
 
 /// Process-wide name -> FigureSpec table. Populated by
@@ -74,7 +71,8 @@ class FigureRegistry {
 public:
     static FigureRegistry& instance();
 
-    /// Throws std::invalid_argument on a duplicate name or aka.
+    /// Throws std::invalid_argument on a missing name or run, or on a
+    /// duplicate name or aka.
     void add(FigureSpec spec);
 
     /// Lookup by canonical name or by former target name (aka).
@@ -89,7 +87,7 @@ private:
     std::map<std::string, FigureSpec> specs_;  ///< keyed by canonical name
 };
 
-/// Register every figure/table/ablation/example/micro entry exactly once
+/// Register every figure/table/ablation/example entry exactly once
 /// (idempotent).
 void register_builtin_figures();
 

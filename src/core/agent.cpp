@@ -90,8 +90,8 @@ std::map<net::NodeId, std::unique_ptr<EzFlowAgent>> install_ezflow(net::Network&
                                                                    bool record_traces)
 {
     std::map<net::NodeId, std::unique_ptr<EzFlowAgent>> agents;
-    for (int flow_id : network.routing().flow_ids()) {
-        const auto& path = network.routing().path(flow_id);
+    for (int flow_id : network.routing_table().flow_ids()) {
+        const auto& path = network.routing_table().path(flow_id);
         for (std::size_t i = 0; i + 1 < path.size(); ++i) {
             const net::NodeId node = path[i];
             if (agents.count(node) > 0) continue;

@@ -112,8 +112,8 @@ std::map<net::NodeId, std::unique_ptr<PacedEzFlowAgent>> install_paced_ezflow(
     net::Network& network, const PacedEzFlowAgent::Options& options)
 {
     std::map<net::NodeId, std::unique_ptr<PacedEzFlowAgent>> agents;
-    for (int flow_id : network.routing().flow_ids()) {
-        const auto& path = network.routing().path(flow_id);
+    for (int flow_id : network.routing_table().flow_ids()) {
+        const auto& path = network.routing_table().path(flow_id);
         for (std::size_t i = 0; i + 1 < path.size(); ++i) {
             const net::NodeId node = path[i];
             if (agents.count(node) > 0) continue;

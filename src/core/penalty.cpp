@@ -13,8 +13,8 @@ std::map<net::NodeId, int> apply_penalty_policy(net::Network& network, const Pen
 
     const int source_cw = static_cast<int>(std::lround(config.relay_cw / config.q));
     std::map<net::NodeId, int> assigned;
-    for (int flow_id : network.routing().flow_ids()) {
-        const auto& path = network.routing().path(flow_id);
+    for (int flow_id : network.routing_table().flow_ids()) {
+        const auto& path = network.routing_table().path(flow_id);
         for (std::size_t i = 0; i + 1 < path.size(); ++i) {
             const net::NodeId node = path[i];
             const net::NodeId next = path[i + 1];

@@ -75,7 +75,7 @@ void Network::add_flow(int flow_id, std::vector<NodeId> path)
                 "Network::add_flow: path crosses a shard boundary (radio hops are intra-shard; "
                 "use ShardedEngine::post for wired handoffs)");
     }
-    routing_.add_flow(flow_id, std::move(path));
+    routing_table_.add_flow(flow_id, std::move(path));
 }
 
 Node& Network::node(NodeId id)
@@ -224,11 +224,6 @@ void Network::run_until(util::SimTime t)
         shards_[0]->scheduler.run_until(t);
         return;
     }
-    // Shard workers share the forwarding table, and its lazy compile on
-    // first lookup would race between them: compile it here, before any
-    // worker starts. Routes cannot change mid-run on a sharded network
-    // (fault injection requires a single shard).
-    routing_table_.ensure_fresh();
     sharded_engine()->run_until(t);
 }
 

@@ -83,11 +83,10 @@ public:
     std::uint64_t total_data_transmissions() const;
     std::uint64_t shard_processed(int s) const { return shard(s).scheduler.processed(); }
 
-    StaticRouting& routing() { return routing_; }
-    const StaticRouting& routing() const { return routing_; }
-    /// The compiled O(1) forwarding table over routing(); what every
-    /// node's per-packet forwarding consults (it tracks the builder
-    /// automatically, so flows may still be added after nodes).
+    /// Every flow's path and next-hop row: what each node's per-packet
+    /// forwarding consults. Flows may be added after nodes; route repair
+    /// (the fault injector) mutates it through the non-const overload.
+    RoutingTable& routing_table() { return routing_table_; }
     const RoutingTable& routing_table() const { return routing_table_; }
     const Config& config() const { return config_; }
 
@@ -161,8 +160,7 @@ private:
     util::Rng rng_;
     std::vector<std::unique_ptr<Shard>> shards_;
     std::vector<int> shard_of_;  ///< dense by node id
-    StaticRouting routing_;
-    RoutingTable routing_table_{routing_};
+    RoutingTable routing_table_;
     std::vector<std::unique_ptr<Node>> nodes_;
     int shard_threads_ = 0;
     std::unique_ptr<sim::ShardedEngine> engine_;

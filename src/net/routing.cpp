@@ -6,265 +6,94 @@
 
 namespace ezflow::net {
 
-std::vector<NodeId> StaticRouting::validated(std::vector<NodeId> path)
+void RoutingTable::validate(const std::vector<NodeId>& path)
 {
-    if (path.size() < 2) throw std::invalid_argument("StaticRouting::add_flow: path too short");
-    for (NodeId n : path) {
-        if (n < -kMaxNodeId || n > kMaxNodeId)
-            throw std::invalid_argument("StaticRouting::add_flow: node id out of range");
-    }
+    if (path.size() < 2) throw std::invalid_argument("RoutingTable: path too short");
+    for (NodeId n : path)
+        if (n < 0) throw std::invalid_argument("RoutingTable: negative node id");
     std::set<NodeId> seen(path.begin(), path.end());
     if (seen.size() != path.size())
-        throw std::invalid_argument("StaticRouting::add_flow: path revisits a node");
-    return path;
+        throw std::invalid_argument("RoutingTable: path revisits a node");
 }
 
-void StaticRouting::record_change(int flow_id)
+RoutingTable::Flow& RoutingTable::flow(int flow_id)
 {
-    ++version_;
-    change_log_.push_back(FlowChange{version_, flow_id});
-    // Bound the log: drop the older half once it grows past 1024 entries
-    // and remember the highest pruned version so tables compiled before
-    // it know the replay is incomplete and fall back to a full compile.
-    constexpr std::size_t kLogCapacity = 1024;
-    if (change_log_.size() > kLogCapacity) {
-        const std::size_t drop = change_log_.size() / 2;
-        log_floor_ = change_log_[drop - 1].version;
-        change_log_.erase(change_log_.begin(),
-                          change_log_.begin() + static_cast<std::ptrdiff_t>(drop));
-    }
-}
-
-void StaticRouting::add_flow(int flow_id, std::vector<NodeId> path)
-{
-    path = validated(std::move(path));
-    if (paths_.count(flow_id) > 0)
-        throw std::invalid_argument("StaticRouting::add_flow: duplicate flow id");
-    paths_[flow_id] = std::move(path);
-    ++version_;
-    ++structure_version_;
-}
-
-void StaticRouting::update_flow(int flow_id, std::vector<NodeId> path)
-{
-    path = validated(std::move(path));
-    const auto it = paths_.find(flow_id);
-    if (it == paths_.end()) throw std::invalid_argument("StaticRouting::update_flow: unknown flow");
-    it->second = std::move(path);
-    suspended_.erase(flow_id);
-    record_change(flow_id);
-}
-
-void StaticRouting::suspend_flow(int flow_id)
-{
-    if (paths_.count(flow_id) == 0)
-        throw std::invalid_argument("StaticRouting::suspend_flow: unknown flow");
-    if (!suspended_.insert(flow_id).second) return;
-    record_change(flow_id);
-}
-
-void StaticRouting::resume_flow(int flow_id)
-{
-    if (paths_.count(flow_id) == 0)
-        throw std::invalid_argument("StaticRouting::resume_flow: unknown flow");
-    if (suspended_.erase(flow_id) == 0) return;
-    record_change(flow_id);
-}
-
-NodeId StaticRouting::next_hop(int flow_id, NodeId node) const
-{
-    const auto& p = path(flow_id);
-    if (suspended_.count(flow_id) == 0) {
-        for (std::size_t i = 0; i + 1 < p.size(); ++i) {
-            if (p[i] == node) return p[i + 1];
-        }
-    }
-    throw std::invalid_argument("StaticRouting::next_hop: node has no next hop on this flow");
-}
-
-bool StaticRouting::has_next_hop(int flow_id, NodeId node) const
-{
-    const auto it = paths_.find(flow_id);
-    if (it == paths_.end()) return false;
-    if (suspended_.count(flow_id) > 0) return false;
-    const auto& p = it->second;
-    for (std::size_t i = 0; i + 1 < p.size(); ++i)
-        if (p[i] == node) return true;
-    return false;
-}
-
-const std::vector<NodeId>& StaticRouting::path(int flow_id) const
-{
-    const auto it = paths_.find(flow_id);
-    if (it == paths_.end()) throw std::invalid_argument("StaticRouting: unknown flow");
+    const auto it = flows_.find(flow_id);
+    if (it == flows_.end()) throw std::invalid_argument("RoutingTable: unknown flow");
     return it->second;
 }
 
-std::vector<int> StaticRouting::flow_ids() const
+void RoutingTable::write_row(Flow& flow)
+{
+    const NodeId top = *std::max_element(flow.path.begin(), flow.path.end());
+    if (flow.next.size() <= static_cast<std::size_t>(top))
+        flow.next.resize(static_cast<std::size_t>(top) + 1, kNoNextHop);
+    for (std::size_t i = 0; i + 1 < flow.path.size(); ++i)
+        flow.next[static_cast<std::size_t>(flow.path[i])] = flow.path[i + 1];
+}
+
+void RoutingTable::clear_row(Flow& flow)
+{
+    // Only path nodes ever hold a next hop, so this resets the whole row
+    // (write_row sized it to cover the path).
+    for (NodeId n : flow.path) flow.next[static_cast<std::size_t>(n)] = kNoNextHop;
+}
+
+void RoutingTable::add_flow(int flow_id, std::vector<NodeId> path)
+{
+    validate(path);
+    const auto [it, inserted] = flows_.try_emplace(flow_id);
+    if (!inserted) throw std::invalid_argument("RoutingTable::add_flow: duplicate flow id");
+    it->second.path = std::move(path);
+    write_row(it->second);
+}
+
+void RoutingTable::update_flow(int flow_id, std::vector<NodeId> path)
+{
+    validate(path);
+    Flow& f = flow(flow_id);
+    clear_row(f);
+    f.path = std::move(path);
+    f.suspended = false;
+    write_row(f);
+}
+
+void RoutingTable::suspend_flow(int flow_id)
+{
+    Flow& f = flow(flow_id);
+    if (f.suspended) return;
+    f.suspended = true;
+    clear_row(f);
+}
+
+void RoutingTable::resume_flow(int flow_id)
+{
+    Flow& f = flow(flow_id);
+    if (!f.suspended) return;
+    f.suspended = false;
+    write_row(f);
+}
+
+bool RoutingTable::is_suspended(int flow_id) const
+{
+    const auto it = flows_.find(flow_id);
+    return it != flows_.end() && it->second.suspended;
+}
+
+const std::vector<NodeId>& RoutingTable::path(int flow_id) const
+{
+    const auto it = flows_.find(flow_id);
+    if (it == flows_.end()) throw std::invalid_argument("RoutingTable: unknown flow");
+    return it->second.path;
+}
+
+std::vector<int> RoutingTable::flow_ids() const
 {
     std::vector<int> ids;
-    ids.reserve(paths_.size());
-    for (const auto& [id, _] : paths_) ids.push_back(id);
+    ids.reserve(flows_.size());
+    for (const auto& [id, _] : flows_) ids.push_back(id);
+    std::sort(ids.begin(), ids.end());
     return ids;
-}
-
-void RoutingTable::compile() const
-{
-    const std::vector<int> ids = builder_->flow_ids();
-    rows_ = static_cast<std::int32_t>(ids.size());
-    // The builder accepts any NodeId values (Network validates ids
-    // separately), so the dense node axis covers [node_base_, node_base_
-    // + node_stride_) of the ids actually used — negative included.
-    node_base_ = 0;
-    NodeId node_max = -1;
-    bool first = true;
-    for (int id : ids) {
-        for (NodeId n : builder_->path(id)) {
-            node_base_ = first ? n : std::min(node_base_, n);
-            node_max = first ? n : std::max(node_max, n);
-            first = false;
-        }
-    }
-    node_stride_ = first ? 0 : node_max - node_base_ + 1;
-
-    slot_of_flow_.clear();
-    sparse_flows_.clear();
-    flow_slots_ = 0;
-    if (!ids.empty()) {
-        flow_min_ = ids.front();  // flow_ids() is ascending
-        const std::int64_t range = static_cast<std::int64_t>(ids.back()) - flow_min_ + 1;
-        // A dense id index only pays when ids are reasonably packed;
-        // otherwise fall back to binary search over the sorted pairs.
-        if (range <= 64 + 16 * static_cast<std::int64_t>(ids.size())) {
-            flow_slots_ = range;
-            slot_of_flow_.assign(static_cast<std::size_t>(range), -1);
-        }
-        for (std::int32_t row = 0; row < rows_; ++row) {
-            if (flow_slots_ > 0)
-                slot_of_flow_[static_cast<std::size_t>(ids[static_cast<std::size_t>(row)] -
-                                                       flow_min_)] = row;
-            else
-                sparse_flows_.emplace_back(ids[static_cast<std::size_t>(row)], row);
-        }
-    }
-
-    next_.assign(static_cast<std::size_t>(rows_) * static_cast<std::size_t>(node_stride_),
-                 kNoNextHop);
-    for (std::int32_t row = 0; row < rows_; ++row) {
-        const int flow_id = ids[static_cast<std::size_t>(row)];
-        // Suspended flows keep their row (the node axis covers their
-        // path so a later resume patches in place) but answer kNoNextHop
-        // everywhere, matching the builder.
-        if (builder_->is_suspended(flow_id)) continue;
-        const auto& p = builder_->path(flow_id);
-        NodeId* base = next_.data() + static_cast<std::size_t>(row) *
-                                          static_cast<std::size_t>(node_stride_);
-        for (std::size_t i = 0; i + 1 < p.size(); ++i) base[p[i] - node_base_] = p[i + 1];
-    }
-    compiled_version_ = builder_->version();
-    compiled_structure_version_ = builder_->structure_version();
-}
-
-bool RoutingTable::patch_flow(int flow_id) const
-{
-    const std::int64_t row = flow_row(flow_id);
-    if (row < 0) return false;
-    if (!builder_->is_suspended(flow_id)) {
-        // Reject before touching the row: a path that stepped outside the
-        // compiled node axis needs a full compile to widen the stride.
-        for (NodeId n : builder_->path(flow_id)) {
-            const std::int64_t slot = static_cast<std::int64_t>(n) - node_base_;
-            if (slot < 0 || slot >= node_stride_) return false;
-        }
-    }
-    NodeId* base =
-        next_.data() + static_cast<std::size_t>(row) * static_cast<std::size_t>(node_stride_);
-    std::fill(base, base + node_stride_, kNoNextHop);
-    if (!builder_->is_suspended(flow_id)) {
-        const auto& p = builder_->path(flow_id);
-        for (std::size_t i = 0; i + 1 < p.size(); ++i) base[p[i] - node_base_] = p[i + 1];
-    }
-    return true;
-}
-
-void RoutingTable::refresh() const
-{
-    // Incremental repair only applies when the flow set itself is stable
-    // and the change log still reaches back to the compiled version;
-    // otherwise rebuild everything.
-    if (compiled_version_ == ~std::uint64_t{0} ||
-        compiled_structure_version_ != builder_->structure_version() ||
-        compiled_version_ < builder_->change_log_floor()) {
-        compile();
-        return;
-    }
-    for (const StaticRouting::FlowChange& change : builder_->change_log()) {
-        if (change.version <= compiled_version_) continue;
-        if (!patch_flow(change.flow_id)) {
-            compile();
-            return;
-        }
-    }
-    compiled_version_ = builder_->version();
-}
-
-std::int64_t RoutingTable::flow_row(int flow_id) const
-{
-    if (flow_slots_ > 0) {
-        const std::int64_t slot = static_cast<std::int64_t>(flow_id) - flow_min_;
-        if (slot < 0 || slot >= flow_slots_) return -1;
-        return slot_of_flow_[static_cast<std::size_t>(slot)];
-    }
-    const auto it = std::lower_bound(
-        sparse_flows_.begin(), sparse_flows_.end(), flow_id,
-        [](const std::pair<int, std::int32_t>& entry, int id) { return entry.first < id; });
-    if (it == sparse_flows_.end() || it->first != flow_id) return -1;
-    return it->second;
-}
-
-NodeId RoutingTable::next_hop_or_none(int flow_id, NodeId node) const
-{
-    ensure_fresh();
-    const std::int64_t row = flow_row(flow_id);
-    // 64-bit slot arithmetic: callers may probe any int node id, and
-    // node - node_base_ would be signed-overflow UB at the extremes.
-    const std::int64_t slot = static_cast<std::int64_t>(node) - node_base_;
-    if (row < 0 || slot < 0 || slot >= node_stride_) return kNoNextHop;
-    return next_[static_cast<std::size_t>(row) * static_cast<std::size_t>(node_stride_) +
-                 static_cast<std::size_t>(slot)];
-}
-
-NodeId RoutingTable::next_hop(int flow_id, NodeId node) const
-{
-    ensure_fresh();
-    const std::int64_t row = flow_row(flow_id);
-    if (row < 0) throw std::invalid_argument("StaticRouting: unknown flow");
-    const std::int64_t slot = static_cast<std::int64_t>(node) - node_base_;
-    if (slot < 0 || slot >= node_stride_)
-        throw std::invalid_argument("StaticRouting::next_hop: node has no next hop on this flow");
-    const NodeId next = next_[static_cast<std::size_t>(row) *
-                                  static_cast<std::size_t>(node_stride_) +
-                              static_cast<std::size_t>(slot)];
-    if (next == kNoNextHop)
-        throw std::invalid_argument("StaticRouting::next_hop: node has no next hop on this flow");
-    return next;
-}
-
-bool RoutingTable::has_next_hop(int flow_id, NodeId node) const
-{
-    return next_hop_or_none(flow_id, node) != kNoNextHop;
-}
-
-int RoutingTable::flow_count() const
-{
-    ensure_fresh();
-    return rows_;
-}
-
-NodeId RoutingTable::node_stride() const
-{
-    ensure_fresh();
-    return node_stride_;
 }
 
 }  // namespace ezflow::net

@@ -1,7 +1,5 @@
 #include "sim/fault_injector.h"
 
-#include <algorithm>
-#include <deque>
 #include <stdexcept>
 #include <utility>
 
@@ -11,14 +9,14 @@ FaultInjector::FaultInjector(net::Network& network, net::FaultPlan plan)
     : network_(network), plan_(std::move(plan))
 {
     // Deliberately re-asserted for connected-cut sharding too: beyond the
-    // routing-builder race, a mid-run node death would invalidate the
+    // routing-table race, a mid-run node death would invalidate the
     // ghost-mirror wiring (boundary sets, cached ghost reach) and the
     // horizon provider's committed-transmission bounds, none of which are
     // safe to mutate while shard workers run.
     if (network.shard_count() > 1)
         throw std::invalid_argument(
             "FaultInjector: requires a single-shard network (route repair mutates the shared "
-            "routing builder, which must not race shard threads; with connected-cut sharding "
+            "routing table, which must not race shard threads; with connected-cut sharding "
             "the ghost-mirror wiring would go stale as well)");
 }
 
@@ -34,8 +32,10 @@ void FaultInjector::arm()
     for (net::NodeId id = 0; id < n; ++id) topo_.positions.push_back(network_.node(id).phy().position());
     topo_.link_range_m = network_.config().phy.tx_range_m;
     net::rebuild_links(topo_);
+    live_ = topo_;
     node_admin_up_.assign(static_cast<std::size_t>(n), 1);
-    for (int flow : network_.routing().flow_ids()) original_path_[flow] = network_.routing().path(flow);
+    const net::RoutingTable& routing = network_.routing_table();
+    for (int flow : routing.flow_ids()) original_path_[flow] = routing.path(flow);
 
     for (const net::FaultEvent& event : plan_.sorted()) {
         if (event.kind == net::FaultKind::kNodeDown || event.kind == net::FaultKind::kNodeUp) {
@@ -84,61 +84,37 @@ void FaultInjector::apply(const net::FaultEvent& event)
     }
 }
 
+void FaultInjector::rebuild_live()
+{
+    for (std::size_t a = 0; a < topo_.neighbours.size(); ++a) {
+        std::vector<net::NodeId>& live = live_.neighbours[a];
+        live.clear();
+        if (!node_admin_up_[a]) continue;
+        // Filtering keeps the lists sorted, which the tie-break relies on.
+        for (net::NodeId b : topo_.neighbours[a])
+            if (node_admin_up_[static_cast<std::size_t>(b)] &&
+                link_is_up(static_cast<net::NodeId>(a), b))
+                live.push_back(b);
+    }
+}
+
 bool FaultInjector::path_is_live(const std::vector<net::NodeId>& path) const
 {
-    for (net::NodeId node : path)
-        if (!node_admin_up_[static_cast<std::size_t>(node)]) return false;
     for (std::size_t i = 0; i + 1 < path.size(); ++i)
-        if (links_admin_down_.count(link_key(path[i], path[i + 1])) != 0) return false;
+        if (!live_.has_link(path[i], path[i + 1])) return false;
     return true;
 }
 
 std::vector<net::NodeId> FaultInjector::live_path(net::NodeId src, net::NodeId dst)
 {
     ++stats_.repair_bfs_runs;
-    // Same structure as net::shortest_path — BFS of hop distances from the
-    // destination, then walk downhill taking the smallest-id neighbour —
-    // restricted to live nodes and in-service links, so repaired routes
-    // tie-break exactly like the planners' originals.
-    const auto n = static_cast<std::size_t>(topo_.node_count());
-    std::vector<int> dist(n, -1);
-    std::deque<net::NodeId> frontier;
-    dist[static_cast<std::size_t>(dst)] = 0;
-    frontier.push_back(dst);
-    while (!frontier.empty()) {
-        const net::NodeId at = frontier.front();
-        frontier.pop_front();
-        for (net::NodeId next : topo_.neighbours[static_cast<std::size_t>(at)]) {
-            if (!node_admin_up_[static_cast<std::size_t>(next)]) continue;
-            if (links_admin_down_.count(link_key(at, next)) != 0) continue;
-            if (dist[static_cast<std::size_t>(next)] >= 0) continue;
-            dist[static_cast<std::size_t>(next)] = dist[static_cast<std::size_t>(at)] + 1;
-            frontier.push_back(next);
-        }
-    }
-    if (dist[static_cast<std::size_t>(src)] < 0) return {};
-
-    std::vector<net::NodeId> path;
-    path.push_back(src);
-    net::NodeId at = src;
-    while (at != dst) {
-        const int d = dist[static_cast<std::size_t>(at)];
-        for (net::NodeId next : topo_.neighbours[static_cast<std::size_t>(at)]) {
-            if (!node_admin_up_[static_cast<std::size_t>(next)]) continue;
-            if (links_admin_down_.count(link_key(at, next)) != 0) continue;
-            if (dist[static_cast<std::size_t>(next)] == d - 1) {
-                path.push_back(next);
-                at = next;
-                break;
-            }
-        }
-    }
-    return path;
+    return net::shortest_path(live_, src, dst);
 }
 
 void FaultInjector::repair_after_element_down()
 {
-    net::StaticRouting& routing = network_.routing();
+    rebuild_live();
+    net::RoutingTable& routing = network_.routing_table();
     for (const auto& [flow, original] : original_path_) {
         if (routing.is_suspended(flow)) continue;  // already out of service
         const std::vector<net::NodeId>& current = routing.path(flow);
@@ -165,7 +141,8 @@ void FaultInjector::repair_after_element_down()
 
 void FaultInjector::reconsider_after_element_up()
 {
-    net::StaticRouting& routing = network_.routing();
+    rebuild_live();
+    net::RoutingTable& routing = network_.routing_table();
     // Only flows off their original path can profit from a revival.
     const std::vector<int> candidates(detoured_.begin(), detoured_.end());
     for (int flow : candidates) {

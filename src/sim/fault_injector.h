@@ -36,7 +36,7 @@ namespace ezflow::sim {
 /// Determinism: all bookkeeping is event-driven on the shard scheduler;
 /// same plan + same seed -> byte-identical runs at any --threads. The
 /// injector requires a single-shard network (every canned connected
-/// topology): repair mutates the shared routing builder, which must not
+/// topology): repair mutates the shared routing table, which must not
 /// race shard threads.
 class FaultInjector {
 public:
@@ -72,10 +72,11 @@ private:
     /// Re-examine suspended and detoured flows after a revival: restore
     /// the original path when fully live, otherwise the best live detour.
     void reconsider_after_element_up();
+    /// Recompute live_ from topo_ and the current node/link state.
+    void rebuild_live();
     bool path_is_live(const std::vector<net::NodeId>& path) const;
-    /// Shortest live src -> dst path (BFS, smallest-id tie-break over
-    /// sorted neighbour lists), skipping down nodes and admin-down
-    /// links. Empty when unreachable.
+    /// net::shortest_path over live_ (same smallest-id tie-break as the
+    /// planners). Empty when unreachable.
     std::vector<net::NodeId> live_path(net::NodeId src, net::NodeId dst);
 
     static std::pair<net::NodeId, net::NodeId> link_key(net::NodeId a, net::NodeId b)
@@ -87,6 +88,9 @@ private:
     net::FaultPlan plan_;
     bool armed_ = false;
     net::Topology topo_;  ///< delivery-range graph snapshot (arm time)
+    /// topo_ minus down nodes and admin-down links (a down node keeps no
+    /// neighbours and appears in no list); rebuilt on every fault event.
+    net::Topology live_;
     std::vector<char> node_admin_up_;
     std::set<std::pair<net::NodeId, net::NodeId>> links_admin_down_;
     std::map<int, std::vector<net::NodeId>> original_path_;

@@ -17,7 +17,7 @@ void Sink::attach_flow(int flow_id)
     if (flows_.count(flow_id) > 0) throw std::invalid_argument("Sink::attach_flow: already attached");
     flows_[flow_id];  // default-construct the record
     if (!streaming_) arrivals_[flow_id];
-    const auto& path = network_.routing().path(flow_id);
+    const auto& path = network_.routing_table().path(flow_id);
     schedulers_[flow_id] = &network_.scheduler_for(path.back());
     net::Node& dst = network_.node(path.back());
     // Several flows can terminate at the same node; the callback filters

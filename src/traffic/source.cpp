@@ -11,7 +11,7 @@ Source::Source(net::Network& network, int flow_id, int payload_bytes)
     : network_(network), flow_id_(flow_id), payload_bytes_(payload_bytes)
 {
     if (payload_bytes <= 0) throw std::invalid_argument("Source: payload must be > 0");
-    const auto& path = network.routing().path(flow_id);
+    const auto& path = network.routing_table().path(flow_id);
     src_node_ = path.front();
     dst_node_ = path.back();
     scheduler_ = &network.scheduler_for(src_node_);
@@ -70,7 +70,7 @@ const Source::Stats& Source::stats()
 
 bool Source::routable() const
 {
-    return network_.node_is_up(src_node_) && !network_.routing().is_suspended(flow_id_);
+    return network_.node_is_up(src_node_) && !network_.routing_table().is_suspended(flow_id_);
 }
 
 void Source::emit()

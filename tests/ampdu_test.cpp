@@ -201,7 +201,7 @@ TEST(AmpduEndToEnd, RandomLossDeliversExactlyOnceInOrder)
     ExperimentFactory factory(spec, ExperimentOptions{});
     std::unique_ptr<analysis::Experiment> experiment = factory.make(/*seed=*/5);
     net::Network& network = experiment->network();
-    const auto& path = network.routing().path(0);  // line flows are id 0
+    const auto& path = network.routing_table().path(0);  // line flows are id 0
     for (std::size_t i = 0; i + 1 < path.size(); ++i) {
         network.channel().set_link_loss(path[i], path[i + 1], 0.15);
         network.channel().set_link_loss(path[i + 1], path[i], 0.15);

@@ -39,14 +39,15 @@ TEST_F(RegistryTest, EnumeratesEveryFormerBenchAndExampleTarget)
         // bench ablations
         "ablation_pacer", "ablation_penalty_q", "ablation_phy_capture", "ablation_rtscts",
         "ablation_sample_window", "ablation_sniff_loss", "ablation_thresholds",
-        // micro harnesses (listed, standalone)
-        "micro_core", "micro_scheduler",
         // examples
         "quickstart", "parking_lot", "backhaul_gateway", "voip_mesh", "adaptive_traffic",
         "model_explorer"};
     for (const std::string& name : expected)
         EXPECT_NE(FigureRegistry::instance().find(name), nullptr) << name;
     EXPECT_GE(FigureRegistry::instance().size(), expected.size());
+    // The google-benchmark harnesses are binaries under build/bench/, not
+    // registry entries.
+    EXPECT_EQ(FigureRegistry::instance().find("micro_core"), nullptr);
 }
 
 TEST_F(RegistryTest, FindResolvesFormerTargetNames)
@@ -69,30 +70,40 @@ TEST_F(RegistryTest, ListIsNameSortedAndCategorized)
     for (const FigureSpec* spec : specs) {
         EXPECT_FALSE(spec->title.empty()) << spec->name;
         EXPECT_TRUE(spec->category == "figure" || spec->category == "table" ||
-                    spec->category == "ablation" || spec->category == "example" ||
-                    spec->category == "micro")
+                    spec->category == "ablation" || spec->category == "example")
             << spec->name << " has category " << spec->category;
-        // Only the micro google-benchmark harnesses are non-runnable.
-        EXPECT_EQ(spec->runnable(), spec->category != "micro") << spec->name;
+        EXPECT_TRUE(static_cast<bool>(spec->run)) << spec->name;
     }
 }
 
 TEST_F(RegistryTest, DuplicateRegistrationThrows)
 {
+    const auto run = [](const FigureContext&) { return analysis::FigureResult{}; };
     FigureSpec duplicate;
     duplicate.name = "fig06";
+    duplicate.run = run;
     EXPECT_THROW(FigureRegistry::instance().add(std::move(duplicate)), std::invalid_argument);
     FigureSpec aka_clash;
     aka_clash.name = "brand_new";
     aka_clash.aka = "fig06";
+    aka_clash.run = run;
     // An aka colliding with an existing canonical name is also rejected.
     EXPECT_THROW(FigureRegistry::instance().add(std::move(aka_clash)), std::invalid_argument);
+}
+
+TEST_F(RegistryTest, SpecWithoutRunIsRejected)
+{
+    FigureSpec listed_only;
+    listed_only.name = "listed_only";
+    listed_only.category = "example";
+    listed_only.title = "no runner";
+    EXPECT_THROW(FigureRegistry::instance().add(std::move(listed_only)), std::invalid_argument);
+    EXPECT_EQ(FigureRegistry::instance().find("listed_only"), nullptr);
 }
 
 TEST_F(RegistryTest, SmokeGridsAreFasterThanDefaults)
 {
     for (const FigureSpec* spec : FigureRegistry::instance().list()) {
-        if (!spec->runnable()) continue;
         EXPECT_LE(spec->smoke_scale, spec->default_scale) << spec->name;
         EXPECT_LE(spec->smoke_seeds, spec->default_seeds) << spec->name;
         EXPECT_GT(spec->smoke_scale, 0.0) << spec->name;
@@ -111,6 +122,19 @@ TEST_F(RegistryTest, ContextDerivesSeedGridAndExtras)
     EXPECT_EQ(ctx.extra_int("absent", 4), 4);
     EXPECT_FALSE(ctx.extra_bool("flag", true));
     EXPECT_TRUE(ctx.extra_bool("absent", true));
+}
+
+TEST_F(RegistryTest, ExtrasRejectMalformedValues)
+{
+    // Regression: any unknown boolean spelling used to read as true, and
+    // numeric extras ignored trailing characters.
+    FigureContext ctx;
+    ctx.extra = {{"flag", "ture"}, {"hops", "6x"}, {"duration", "1.5s"}, {"on", "on"}};
+    EXPECT_THROW(ctx.extra_bool("flag", false), std::invalid_argument);
+    EXPECT_THROW(ctx.extra_int("hops", 4), std::invalid_argument);
+    EXPECT_THROW(ctx.extra_double("duration", 1.0), std::invalid_argument);
+    EXPECT_TRUE(ctx.extra_bool("on", false));
+    EXPECT_EQ(ctx.extra_consumed.count("flag"), 1u);
 }
 
 TEST_F(RegistryTest, RunnableFigureProducesStructuredResult)
@@ -170,6 +194,24 @@ TEST(App, SweepGridAcceptsShardsAxis)
 
     // Unknown axes are still a usage error (exit code 2).
     EXPECT_EQ(run_cli({"ezflow", "sweep", "islands", "--grid=bogus=1:2", "--quiet"}), 2);
+}
+
+TEST(App, MalformedFlagValuesAreUsageErrors)
+{
+    // Regression: --smoke=ture ran at full scale (unknown spellings read
+    // as false) and --shards=4x ran 4 shards (trailing characters were
+    // ignored). Both must now stop before any figure runs, with exit 2.
+    testing::internal::CaptureStdout();
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(run_cli({"ezflow", "run", "quickstart", "--smoke=ture"}), 2);
+    EXPECT_EQ(run_cli({"ezflow", "run", "quickstart", "--shards=4x"}), 2);
+    EXPECT_EQ(run_cli({"ezflow", "run", "quickstart", "--seed=7x"}), 2);
+    EXPECT_EQ(run_cli({"ezflow", "run", "quickstart", "--seed=-1"}), 2);
+    EXPECT_EQ(run_cli({"ezflow", "sweep", "quickstart", "--grid=scale=0.1x"}), 2);
+    testing::internal::GetCapturedStdout();
+    const std::string errors = testing::internal::GetCapturedStderr();
+    EXPECT_NE(errors.find("--smoke: 'ture' is not a boolean"), std::string::npos) << errors;
+    EXPECT_NE(errors.find("--shards: '4x' is not an integer"), std::string::npos) << errors;
 }
 
 TEST(App, PerfLineReportsEachFiguresOwnShardCount)

@@ -15,6 +15,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "analysis/drop_audit.h"
@@ -106,92 +107,6 @@ TEST(FaultPlan, RandomChurnIsSeededAndWellFormed)
         }
     }
     EXPECT_TRUE(down_since.empty()) << "unpaired node_down";
-}
-
-// ------------------------------------- routing: incremental repair units
-
-TEST(RoutingRepair, UpdateSuspendResumeMatchFreshBuilder)
-{
-    // Property check: after any batch of update/suspend/resume, the
-    // incrementally repaired RoutingTable answers every probe exactly
-    // like a freshly built reference (builder + full compile).
-    util::Rng rng(7);
-    net::StaticRouting routing;
-    net::RoutingTable table(routing);
-    const std::vector<std::vector<net::NodeId>> pool = {
-        {0, 1, 2, 3}, {3, 2, 1, 0}, {0, 4, 8}, {8, 4, 0}, {1, 5, 9, 13}, {2, 6, 10}};
-    for (int f = 1; f <= 6; ++f) routing.add_flow(f, pool[static_cast<std::size_t>(f - 1)]);
-    (void)table.next_hop(1, 0);  // force the initial compile
-
-    std::uint64_t expected_version = routing.version();
-    for (int step = 0; step < 300; ++step) {
-        const int flow = rng.uniform_int(1, 6);
-        switch (rng.uniform_int(0, 2)) {
-            case 0:
-                routing.update_flow(flow, pool[static_cast<std::size_t>(rng.uniform_int(0, 5))]);
-                ++expected_version;
-                break;
-            case 1:
-                if (!routing.is_suspended(flow)) ++expected_version;  // idempotent otherwise
-                routing.suspend_flow(flow);
-                break;
-            default:
-                if (routing.is_suspended(flow)) ++expected_version;
-                routing.resume_flow(flow);
-                break;
-        }
-        // Fresh reference over the same builder state.
-        net::StaticRouting reference;
-        for (int f = 1; f <= 6; ++f) {
-            reference.add_flow(f, routing.path(f));
-            if (routing.is_suspended(f)) reference.suspend_flow(f);
-        }
-        net::RoutingTable fresh(reference);
-        for (int f = 1; f <= 6; ++f) {
-            for (net::NodeId node = 0; node <= 13; ++node) {
-                EXPECT_EQ(table.has_next_hop(f, node), fresh.has_next_hop(f, node))
-                    << "step " << step << " flow " << f << " node " << node;
-                EXPECT_EQ(table.next_hop_or_none(f, node), fresh.next_hop_or_none(f, node))
-                    << "step " << step << " flow " << f << " node " << node;
-            }
-        }
-    }
-    // 300 single-flow changes against an initial compile: the change log
-    // must have carried them (no structure growth), and every effective
-    // mutation — and only those — bumped the version.
-    EXPECT_EQ(routing.structure_version(), 6u);
-    EXPECT_EQ(routing.version(), expected_version);
-}
-
-TEST(RoutingRepair, SuspendedFlowHasNoNextHops)
-{
-    net::StaticRouting routing;
-    routing.add_flow(1, {0, 1, 2});
-    net::RoutingTable table(routing);
-    EXPECT_EQ(table.next_hop(1, 0), 1);
-    routing.suspend_flow(1);
-    EXPECT_FALSE(table.has_next_hop(1, 0));
-    EXPECT_EQ(table.next_hop_or_none(1, 0), net::RoutingTable::kNoNextHop);
-    EXPECT_THROW(routing.next_hop(1, 0), std::invalid_argument);
-    routing.resume_flow(1);
-    EXPECT_EQ(table.next_hop(1, 0), 1);
-    EXPECT_EQ(routing.path(1), (std::vector<net::NodeId>{0, 1, 2}));
-}
-
-TEST(RoutingRepair, ChangeLogPruningFallsBackToFullCompile)
-{
-    net::StaticRouting routing;
-    routing.add_flow(1, {0, 1});
-    routing.add_flow(2, {1, 2});
-    net::RoutingTable table(routing);
-    (void)table.next_hop(1, 0);
-    // Blow far past the log capacity so the compiled version falls below
-    // the floor; the table must recover via a full compile.
-    for (int i = 0; i < 5000; ++i) routing.update_flow(2, i % 2 ? std::vector<net::NodeId>{2, 1}
-                                                                : std::vector<net::NodeId>{1, 2});
-    EXPECT_GT(routing.change_log_floor(), 0u);
-    EXPECT_EQ(table.next_hop(2, 2), 1);  // last update left the path {2, 1}
-    EXPECT_EQ(table.next_hop(1, 0), 1);
 }
 
 // ----------------------------------------- channel detach/attach symmetry
@@ -334,7 +249,7 @@ TEST(FaultFlow, GatewayDeathPausesSourcesAndRecovers)
     experiment->run_until_s(12.9);
     EXPECT_FALSE(experiment->network().node_is_up(0));
     for (int f = 1; f <= grid.sources; ++f)
-        EXPECT_TRUE(experiment->network().routing().is_suspended(f)) << "flow " << f;
+        EXPECT_TRUE(experiment->network().routing_table().is_suspended(f)) << "flow " << f;
     std::uint64_t delivered_outage = 0;
     for (int id = 0; id < experiment->network().node_count(); ++id)
         delivered_outage += experiment->network().node(id).delivered();
@@ -351,7 +266,7 @@ TEST(FaultFlow, GatewayDeathPausesSourcesAndRecovers)
     for (const auto& source : experiment->sources()) backoffs += source->stats().backoff_retries;
     EXPECT_GT(backoffs, 0u);
     for (int f = 1; f <= grid.sources; ++f)
-        EXPECT_FALSE(experiment->network().routing().is_suspended(f)) << "flow " << f;
+        EXPECT_FALSE(experiment->network().routing_table().is_suspended(f)) << "flow " << f;
 
     const auto ledger = analysis::audit_drop_accounting(*experiment);
     EXPECT_GT(ledger.generated, 0u);
@@ -380,7 +295,54 @@ TEST(FaultFlow, RelayDeathReroutesWithoutSuspension)
     EXPECT_EQ(injector->stats().flows_restored, injector->stats().flows_rerouted);
     // Restoration is exact: every flow ends on its planner-original path.
     for (const net::FlowPlan& plan : experiment->scenario().flows)
-        EXPECT_EQ(experiment->network().routing().path(plan.flow_id), plan.path);
+        EXPECT_EQ(experiment->network().routing_table().path(plan.flow_id), plan.path);
+    analysis::audit_drop_accounting(*experiment);
+}
+
+TEST(FaultFlow, LinkDownDetoursAroundTheLinkAndRestores)
+{
+    net::GridSpec grid;
+    grid.cols = 4;
+    grid.rows = 4;
+    grid.sources = 3;
+    grid.duration_s = 8.0;
+    ScenarioSpec spec = ScenarioSpec::grid_gateway(grid);
+    const std::vector<net::NodeId> original = ExperimentFactory(spec, ExperimentOptions{})
+                                                  .make(/*seed=*/3)
+                                                  ->network()
+                                                  .routing_table()
+                                                  .path(1);
+    const net::NodeId a = original[0];
+    const net::NodeId b = original[1];
+    spec.faults.link_down(4.0, a, b).link_up(7.0, a, b);
+    std::unique_ptr<analysis::Experiment> experiment =
+        ExperimentFactory(spec, ExperimentOptions{}).make(/*seed=*/3);
+    net::Network& network = experiment->network();
+
+    // Mid-outage the flow runs on the planners' shortest path over the
+    // delivery graph without that one link.
+    experiment->run_until_s(5.0);
+    net::Topology without_link;
+    for (net::NodeId id = 0; id < network.node_count(); ++id)
+        without_link.positions.push_back(network.node(id).phy().position());
+    without_link.link_range_m = network.config().phy.tx_range_m;
+    net::rebuild_links(without_link);
+    for (auto [from, to] : {std::pair{a, b}, std::pair{b, a}}) {
+        auto& list = without_link.neighbours[static_cast<std::size_t>(from)];
+        list.erase(std::find(list.begin(), list.end(), to));
+    }
+    const std::vector<net::NodeId> detour = network.routing_table().path(1);
+    EXPECT_NE(detour, original);
+    EXPECT_EQ(detour, net::shortest_path(without_link, original.front(), original.back()));
+    EXPECT_FALSE(experiment->fault_injector()->link_is_up(b, a));
+
+    experiment->run();
+    EXPECT_EQ(network.routing_table().path(1), original);
+    const sim::FaultInjector::Stats& stats = experiment->fault_injector()->stats();
+    EXPECT_EQ(stats.link_downs, 1u);
+    EXPECT_EQ(stats.link_ups, 1u);
+    EXPECT_EQ(stats.flows_suspended, 0u);
+    EXPECT_GT(stats.flows_restored, 0u);
     analysis::audit_drop_accounting(*experiment);
 }
 
@@ -417,7 +379,7 @@ TEST(FaultFlow, ChurnedRunBalancesItsLedger)
 
 TEST(FaultInjectorGuards, MultiShardNetworkRefused)
 {
-    // Route repair mutates the shared routing builder; the injector must
+    // Route repair mutates the shared routing table; the injector must
     // refuse a genuinely sharded network outright.
     net::IslandsSpec islands;
     islands.islands = 2;

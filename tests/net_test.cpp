@@ -4,7 +4,6 @@
 
 #include "net/network.h"
 #include "net/packet.h"
-#include "net/routing.h"
 #include "net/topologies.h"
 
 namespace ezflow::net {
@@ -38,50 +37,6 @@ TEST(Packet, ChecksumDependsOnAllFields)
     EXPECT_NE(base, packet_checksum(2, 42, 0, 5, 1000));
     EXPECT_NE(base, packet_checksum(1, 43, 0, 5, 1000));
     EXPECT_NE(base, packet_checksum(1, 42, 1, 5, 1000));
-}
-
-// -------------------------------------------------------------- routing
-
-TEST(Routing, NextHopFollowsPath)
-{
-    StaticRouting routing;
-    routing.add_flow(1, {0, 1, 2, 3});
-    EXPECT_EQ(routing.next_hop(1, 0), 1);
-    EXPECT_EQ(routing.next_hop(1, 1), 2);
-    EXPECT_EQ(routing.next_hop(1, 2), 3);
-}
-
-TEST(Routing, DestinationHasNoNextHop)
-{
-    StaticRouting routing;
-    routing.add_flow(1, {0, 1, 2});
-    EXPECT_FALSE(routing.has_next_hop(1, 2));
-    EXPECT_THROW(routing.next_hop(1, 2), std::invalid_argument);
-}
-
-TEST(Routing, UnknownFlowThrows)
-{
-    StaticRouting routing;
-    EXPECT_THROW(routing.next_hop(9, 0), std::invalid_argument);
-    EXPECT_THROW(routing.path(9), std::invalid_argument);
-    EXPECT_FALSE(routing.has_next_hop(9, 0));
-}
-
-TEST(Routing, RejectsBadPaths)
-{
-    StaticRouting routing;
-    EXPECT_THROW(routing.add_flow(1, {0}), std::invalid_argument);
-    EXPECT_THROW(routing.add_flow(1, {0, 1, 0}), std::invalid_argument);
-    routing.add_flow(1, {0, 1});
-    EXPECT_THROW(routing.add_flow(1, {2, 3}), std::invalid_argument);
-}
-
-TEST(Routing, FlowIdsSorted)
-{
-    StaticRouting routing;
-    routing.add_flow(3, {0, 1});
-    routing.add_flow(1, {2, 3});
-    EXPECT_EQ(routing.flow_ids(), (std::vector<int>{1, 3}));
 }
 
 // -------------------------------------------------------------- network

@@ -37,8 +37,8 @@ public:
         : network_(network),
           flow_id_(flow_id),
           payload_bytes_(payload_bytes),
-          src_(network.routing().path(flow_id).front()),
-          dst_(network.routing().path(flow_id).back()),
+          src_(network.routing_table().path(flow_id).front()),
+          dst_(network.routing_table().path(flow_id).back()),
           scheduler_(network.scheduler_for(src_)),
           law_(std::move(law))
     {

@@ -532,10 +532,11 @@ TEST(ShardedRun, ClustersGhostMirroringMatchesSerialReference)
 
 TEST(ShardedRun, ThreadedClustersMatchSerialWithoutManualRouteCompile)
 {
-    // Shard workers share the routing table. Nothing here compiles it
-    // before the run, so the Network must: a lazy compile on the first
-    // lookup races between the two workers and made some runs diverge
-    // from the serial reference (the TSan CI job flags the race itself).
+    // Shard workers share the routing table and nothing here prepares it
+    // before the run: lookups must be pure reads. (A table that compiled
+    // lazily on the first lookup raced between the two workers and made
+    // some runs diverge from the serial reference; the TSan CI job flags
+    // such a race itself.)
     const auto fingerprint = [](int shards, int threads) {
         // The benchmark ladder's cluster grid, which exposed the race.
         net::ClustersSpec clusters;

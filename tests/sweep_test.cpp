@@ -7,7 +7,7 @@
 
 #include "analysis/experiment_factory.h"
 #include "analysis/sweep.h"
-#include "util/thread_pool.h"
+#include "util/parallel.h"
 
 namespace ezflow::analysis {
 namespace {
@@ -142,7 +142,7 @@ TEST(ExperimentFactory, WithModeChangesOnlyTheMode)
     EXPECT_EQ(ez.label(), "line-3hop / EZ-flow");
 }
 
-TEST(ThreadPool, ParallelForCoversEveryIndexOnce)
+TEST(ParallelFor, CoversEveryIndexOnce)
 {
     std::vector<std::atomic<int>> hits(257);
     for (auto& h : hits) h = 0;
@@ -150,30 +150,23 @@ TEST(ThreadPool, ParallelForCoversEveryIndexOnce)
     for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPool, ParallelForRunsInlineWhenSingleThreaded)
+TEST(ParallelFor, RunsInlineWhenSingleThreaded)
 {
     std::vector<int> order;
     util::parallel_for(5, 1, [&](int i) { order.push_back(i); });  // no locking needed
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-TEST(ThreadPool, ParallelForPropagatesFirstException)
+TEST(ParallelFor, PropagatesFirstException)
 {
+    std::atomic<int> ran{0};
     EXPECT_THROW(util::parallel_for(16, 4,
-                                    [](int i) {
+                                    [&](int i) {
+                                        ++ran;
                                         if (i % 3 == 0) throw std::runtime_error("boom");
                                     }),
                  std::runtime_error);
-}
-
-TEST(ThreadPool, SubmitAndWaitIdle)
-{
-    util::ThreadPool pool(3);
-    EXPECT_EQ(pool.size(), 3);
-    std::atomic<int> done{0};
-    for (int i = 0; i < 20; ++i) pool.submit([&done] { ++done; });
-    pool.wait_idle();
-    EXPECT_EQ(done.load(), 20);
+    EXPECT_EQ(ran.load(), 16);  // the throw comes after every index has run
 }
 
 }  // namespace

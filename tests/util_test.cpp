@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "util/cli.h"
 #include "util/csv.h"
@@ -425,6 +427,43 @@ TEST(Cli, ParsesEqualsAndSwitchForms)
     EXPECT_TRUE(cli.get_bool("verbose", false));
     ASSERT_EQ(cli.positional().size(), 1u);
     EXPECT_EQ(cli.positional()[0], "positional");
+}
+
+TEST(Cli, StrictParsersRejectTrailingCharacters)
+{
+    EXPECT_EQ(Cli::parse_int("-12", "n"), -12);
+    EXPECT_EQ(Cli::parse_uint64("18446744073709551615", "n"), 18446744073709551615ULL);
+    EXPECT_DOUBLE_EQ(Cli::parse_double("0.05", "x"), 0.05);
+    EXPECT_DOUBLE_EQ(Cli::parse_double("1e-3", "x"), 1e-3);
+    for (const char* bad : {"4x", "", " 4", "4 ", "4.0", "0x10"})
+        EXPECT_THROW(Cli::parse_int(bad, "n"), std::invalid_argument) << "'" << bad << "'";
+    for (const char* bad : {"1.5s", "", "abc", "1.0.0"})
+        EXPECT_THROW(Cli::parse_double(bad, "x"), std::invalid_argument) << "'" << bad << "'";
+    EXPECT_THROW(Cli::parse_uint64("-1", "n"), std::invalid_argument);  // no silent wrap
+    EXPECT_THROW(Cli::parse_int("99999999999", "n"), std::out_of_range);
+    EXPECT_THROW(Cli::parse_uint64("18446744073709551616", "n"), std::out_of_range);
+}
+
+TEST(Cli, BooleansAcceptOnlyKnownSpellings)
+{
+    for (const char* yes : {"true", "1", "yes", "on"}) EXPECT_TRUE(Cli::parse_bool(yes, "b"));
+    for (const char* no : {"false", "0", "no", "off"}) EXPECT_FALSE(Cli::parse_bool(no, "b"));
+    for (const char* bad : {"ture", "", "TRUE", "2", "y"})
+        EXPECT_THROW(Cli::parse_bool(bad, "b"), std::invalid_argument) << "'" << bad << "'";
+}
+
+TEST(Cli, TypedGettersThrowOnMalformedValues)
+{
+    const char* argv[] = {"prog", "--shards=4x", "--smoke=ture", "--rate=2.5x"};
+    Cli cli(4, argv);
+    EXPECT_THROW(cli.get_int("shards", 1), std::invalid_argument);
+    EXPECT_THROW(cli.get_bool("smoke", false), std::invalid_argument);
+    EXPECT_THROW(cli.get_double("rate", 0.0), std::invalid_argument);
+    try {
+        cli.get_int("shards", 1);
+    } catch (const std::invalid_argument& e) {
+        EXPECT_EQ(std::string(e.what()), "--shards: '4x' is not an integer");
+    }
 }
 
 TEST(Cli, FallbacksWhenAbsent)
