@@ -1,7 +1,7 @@
-// Micro-benchmarks (google-benchmark) for the fault-injection path: one
-// route-repair update (which rewrites only the changed flow's row, so its
-// cost must not grow with the flow count), the injector's live-path BFS,
-// and a full kill/revive cycle on a running network.
+// Micro-benchmarks (google-benchmark) for churn, which no ladder workload
+// has: one route-repair update (which rewrites only the changed flow's
+// row, so its cost must not grow with the flow count) and a full
+// kill/revive cycle through the fault injector on a running network.
 
 #include <benchmark/benchmark.h>
 

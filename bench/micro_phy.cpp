@@ -1,12 +1,11 @@
-// Microbenchmarks for the pluggable-PHY hot paths: per-link model lookup
-// (the flat LinkTable vs the ordered map it replaced), interference-ledger
-// maintenance at signal edges, the cumulative-SINR capture decision, and
-// the Jakes fading gain evaluation. The LinkTable ratio is the number the
-// PR-7 container swap is accountable to.
+// Microbenchmarks for the non-reference PHY models, which no ladder
+// workload installs: per-link model lookup in a populated LinkTable (the
+// ladder's tables stay empty), interference-ledger maintenance at signal
+// edges, the cumulative-SINR capture decision, and the Jakes fading gain
+// evaluation.
 
 #include <benchmark/benchmark.h>
 
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -55,25 +54,6 @@ void BM_LinkLookupFlat(benchmark::State& state)
     state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(2 * links.size()));
 }
 BENCHMARK(BM_LinkLookupFlat)->Arg(16)->Arg(256);
-
-void BM_LinkLookupMap(benchmark::State& state)
-{
-    // The container the LinkTable replaced: ordered map with a pair key.
-    const auto links = synthetic_links(static_cast<int>(state.range(0)));
-    std::map<std::pair<net::NodeId, net::NodeId>, double> table;
-    for (const auto& [tx, rx] : links) table[{tx, rx}] = 0.25;
-    double sum = 0.0;
-    for (auto _ : state) {
-        for (const auto& [tx, rx] : links) {
-            const auto it = table.find({tx, rx});
-            if (it != table.end()) sum += it->second;
-            benchmark::DoNotOptimize(table.find({rx + 1, tx}));
-        }
-    }
-    benchmark::DoNotOptimize(sum);
-    state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(2 * links.size()));
-}
-BENCHMARK(BM_LinkLookupMap)->Arg(16)->Arg(256);
 
 void BM_LedgerUpdate(benchmark::State& state)
 {

@@ -74,6 +74,42 @@ void add_planned_flow(Scenario& scenario, int flow_id, std::vector<NodeId> path,
     scenario.flows.push_back(FlowPlan{flow_id, std::move(path), start_s, start_s + duration_s});
 }
 
+/// `copies` cols x rows grids side by side along x, `gap_m` apart, each
+/// with `sources` convergecast flows to its own corner gateway; node and
+/// flow ids are copy-major. Flows route on the single grid and
+/// instantiate reads only positions, so the layout carries no adjacency.
+template <typename Spec>
+Scenario make_replicated_convergecast(const char* who, const Spec& spec, int copies,
+                                      Network::Config config)
+{
+    const Topology grid = make_grid_topology(spec.cols, spec.rows, spec.spacing_m);
+    const std::vector<NodeId> rim = convergecast_rim(spec.cols, spec.rows);
+    if (spec.sources < 1 || spec.sources > static_cast<int>(rim.size()))
+        throw std::invalid_argument(std::string(who) + ": bad source count");
+    const int per_copy = grid.node_count();
+    const double copy_width = (spec.cols - 1) * spec.spacing_m;
+
+    Topology topo;
+    topo.positions.reserve(static_cast<std::size_t>(per_copy) * static_cast<std::size_t>(copies));
+    for (int k = 0; k < copies; ++k) {
+        const double offset = k * (copy_width + spec.gap_m);
+        for (const phy::Position& p : grid.positions)
+            topo.positions.push_back(phy::Position{p.x + offset, p.y});
+    }
+
+    Scenario scenario = instantiate(topo, std::move(config));
+    for (int k = 0; k < copies; ++k) {
+        const NodeId base = k * per_copy;
+        for (int i = 0; i < spec.sources; ++i) {
+            std::vector<NodeId> path = shortest_path(grid, rim[static_cast<std::size_t>(i)], 0);
+            for (NodeId& n : path) n += base;
+            add_planned_flow(scenario, k * spec.sources + i + 1, std::move(path), spec.start_s,
+                             spec.duration_s);
+        }
+    }
+    return scenario;
+}
+
 }  // namespace
 
 bool Topology::has_link(NodeId a, NodeId b) const
@@ -330,37 +366,7 @@ Scenario make_islands(const IslandsSpec& spec, std::uint64_t seed)
     if (spec.gap_m <= conflict_radius)
         throw std::invalid_argument(
             "make_islands: gap must exceed the radio conflict radius (islands would merge)");
-
-    // One island's local plan, replicated at increasing x offsets.
-    const Topology island = make_grid_topology(spec.cols, spec.rows, spec.spacing_m);
-    const std::vector<NodeId> rim = convergecast_rim(spec.cols, spec.rows);
-    if (spec.sources < 1 || spec.sources > static_cast<int>(rim.size()))
-        throw std::invalid_argument("make_islands: bad source count");
-    const int per_island = island.node_count();
-    const double island_width = (spec.cols - 1) * spec.spacing_m;
-
-    Topology topo;
-    topo.positions.reserve(static_cast<std::size_t>(per_island) *
-                           static_cast<std::size_t>(spec.islands));
-    for (int k = 0; k < spec.islands; ++k) {
-        const double offset = k * (island_width + spec.gap_m);
-        for (const phy::Position& p : island.positions)
-            topo.positions.push_back(phy::Position{p.x + offset, p.y});
-    }
-    rebuild_links(topo);  // gap > link range: no cross-island links
-
-    Scenario scenario = instantiate(topo, std::move(config));
-    for (int k = 0; k < spec.islands; ++k) {
-        const NodeId base = k * per_island;
-        for (int i = 0; i < spec.sources; ++i) {
-            std::vector<NodeId> path =
-                shortest_path(island, rim[static_cast<std::size_t>(i)], 0);
-            for (NodeId& n : path) n += base;
-            add_planned_flow(scenario, k * spec.sources + i + 1, std::move(path), spec.start_s,
-                             spec.duration_s);
-        }
-    }
-    return scenario;
+    return make_replicated_convergecast("make_islands", spec, spec.islands, std::move(config));
 }
 
 Scenario make_cluster_grid(const ClustersSpec& spec, std::uint64_t seed)
@@ -391,37 +397,8 @@ Scenario make_cluster_grid(const ClustersSpec& spec, std::uint64_t seed)
         throw std::invalid_argument(
             "make_cluster_grid: gap exceeds the interference range (use make_islands for "
             "fully disconnected grids)");
-
-    const Topology cluster = make_grid_topology(spec.cols, spec.rows, spec.spacing_m);
-    const std::vector<NodeId> rim = convergecast_rim(spec.cols, spec.rows);
-    if (spec.sources < 1 || spec.sources > static_cast<int>(rim.size()))
-        throw std::invalid_argument("make_cluster_grid: bad source count");
-    const int per_cluster = cluster.node_count();
-    const double cluster_width = (spec.cols - 1) * spec.spacing_m;
-
-    Topology topo;
-    topo.positions.reserve(static_cast<std::size_t>(per_cluster) *
-                           static_cast<std::size_t>(spec.clusters));
-    for (int k = 0; k < spec.clusters; ++k) {
-        const double offset = k * (cluster_width + spec.gap_m);
-        for (const phy::Position& p : cluster.positions)
-            topo.positions.push_back(phy::Position{p.x + offset, p.y});
-    }
-    topo.link_range_m = config.phy.tx_range_m;
-    rebuild_links(topo);  // gap > link range: no cross-cluster links
-
-    Scenario scenario = instantiate(topo, std::move(config));
-    for (int k = 0; k < spec.clusters; ++k) {
-        const NodeId base = k * per_cluster;
-        for (int i = 0; i < spec.sources; ++i) {
-            std::vector<NodeId> path =
-                shortest_path(cluster, rim[static_cast<std::size_t>(i)], 0);
-            for (NodeId& n : path) n += base;
-            add_planned_flow(scenario, k * spec.sources + i + 1, std::move(path), spec.start_s,
-                             spec.duration_s);
-        }
-    }
-    return scenario;
+    return make_replicated_convergecast("make_cluster_grid", spec, spec.clusters,
+                                        std::move(config));
 }
 
 }  // namespace ezflow::net

@@ -20,8 +20,8 @@ namespace ezflow::phy {
 /// linearly through a power-of-two slot array — no allocation on lookup,
 /// one cache line for the common hit/miss. Slots are never erased
 /// (models are installed, then live for the run), which keeps probing
-/// tombstone-free. bench/micro_phy.cpp carries the lookup-rate
-/// comparison against the ordered map it replaced.
+/// tombstone-free. bench/micro_phy.cpp measures the lookup rate of a
+/// populated table.
 template <typename T>
 class LinkTable {
 public:

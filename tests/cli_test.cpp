@@ -47,7 +47,7 @@ TEST_F(RegistryTest, EnumeratesEveryFormerBenchAndExampleTarget)
     EXPECT_GE(FigureRegistry::instance().size(), expected.size());
     // The google-benchmark harnesses are binaries under build/bench/, not
     // registry entries.
-    EXPECT_EQ(FigureRegistry::instance().find("micro_core"), nullptr);
+    EXPECT_EQ(FigureRegistry::instance().find("micro_fault"), nullptr);
 }
 
 TEST_F(RegistryTest, FindResolvesFormerTargetNames)
