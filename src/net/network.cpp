@@ -1,5 +1,6 @@
 #include "net/network.h"
 
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -41,6 +42,8 @@ void Network::set_ampdu_max_mpdus(int k)
 
 NodeId Network::add_node(phy::Position position)
 {
+    if (!std::isfinite(position.x) || !std::isfinite(position.y))
+        throw std::invalid_argument("Network::add_node: non-finite position");
     const NodeId id = static_cast<NodeId>(nodes_.size());
     int target = 0;
     if (!config_.shard_plan.empty()) {

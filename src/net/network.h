@@ -51,6 +51,7 @@ public:
     Network& operator=(const Network&) = delete;
 
     /// Create a node at `position`; returns its id (dense, from 0).
+    /// Throws std::invalid_argument for a NaN or infinite coordinate.
     NodeId add_node(phy::Position position);
 
     /// Register a static flow path. All nodes must already exist,

@@ -1,10 +1,8 @@
 #include "net/shard_plan.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <map>
-#include <stdexcept>
 #include <utility>
 
 namespace ezflow::net {
@@ -45,7 +43,6 @@ private:
 struct Component {
     int min_id;
     int size;
-    int root;
 };
 
 /// Greedy balanced packing: biggest components first (ties by min id for
@@ -109,11 +106,6 @@ ShardPlan plan_shards(const std::vector<phy::Position>& positions, const phy::Ph
     ShardPlan plan;
     if (n == 0 || max_shards <= 1) return plan;  // empty plan: serial reference
 
-    // The same bound the Channel's reachability cull and interference
-    // ledger use: beyond it a node contributes neither delivery, carrier
-    // sense, nor ledger energy, so cutting there is conflict-free.
-    const double radius = phy.conflict_radius_m();
-    if (!(radius > 0.0)) throw std::invalid_argument("plan_shards: conflict radius must be > 0");
     // Within radius_hard an edge may carry decodable frames or carrier-
     // sense energy, whose event order is irreducible — such edges are
     // never cut. Between radius_hard and the conflict radius an edge is
@@ -121,36 +113,22 @@ ShardPlan plan_shards(const std::vector<phy::Position>& positions, const phy::Ph
     // run time by ghost mirroring.
     const double radius_hard = std::max(phy.tx_range_m, phy.cs_range_m);
 
-    // Spatial hash with cell size = conflict radius: any pair within the
-    // radius lives in the same or an adjacent cell, so scanning each
-    // node's 3x3 neighborhood visits every conflict edge in O(n)
-    // expected time.
-    const auto cell_of = [radius](const phy::Position& p) {
-        return std::pair<std::int64_t, std::int64_t>(
-            static_cast<std::int64_t>(std::floor(p.x / radius)),
-            static_cast<std::int64_t>(std::floor(p.y / radius)));
-    };
-    std::map<std::pair<std::int64_t, std::int64_t>, std::vector<int>> cells;
-    for (int i = 0; i < n; ++i) cells[cell_of(positions[i])].push_back(i);
-
+    // Every conflict edge, each pair once. The conflict radius is the bound
+    // the Channel's reachability cull and interference ledger use: beyond
+    // it a node contributes neither delivery, carrier sense, nor ledger
+    // energy, so cutting there is conflict-free.
+    const phy::GridIndex index(positions, phy.conflict_radius_m());
     UnionFind hard(static_cast<std::size_t>(n));
     std::vector<std::pair<int, int>> soft_pairs;  // interference-only edges
+    std::vector<int> near;
     for (int i = 0; i < n; ++i) {
-        const auto [cx, cy] = cell_of(positions[i]);
-        for (std::int64_t dx = -1; dx <= 1; ++dx) {
-            for (std::int64_t dy = -1; dy <= 1; ++dy) {
-                const auto neighbour = cells.find({cx + dx, cy + dy});
-                if (neighbour == cells.end()) continue;
-                for (int j : neighbour->second) {
-                    if (j <= i) continue;  // each pair once
-                    const double d = phy::distance(positions[i], positions[j]);
-                    if (d > radius) continue;
-                    if (d <= radius_hard)
-                        hard.unite(i, j);
-                    else
-                        soft_pairs.push_back({i, j});
-                }
-            }
+        index.within(positions[i], near);
+        for (int j : near) {
+            if (j <= i) continue;
+            if (phy::distance(positions[i], positions[j]) <= radius_hard)
+                hard.unite(i, j);
+            else
+                soft_pairs.push_back({i, j});
         }
     }
 
@@ -166,31 +144,23 @@ ShardPlan plan_shards(const std::vector<phy::Position>& positions, const phy::Ph
         }
     }
 
-    // Collect hard components as (min node id, size), ordered by min id —
-    // the deterministic unit indexing for packing and refinement.
-    std::map<int, std::pair<int, int>> by_root;  // root -> {min id, size}
-    for (int i = 0; i < n; ++i) {
-        const int root = hard.find(i);
-        auto [it, inserted] = by_root.emplace(root, std::pair<int, int>{i, 0});
-        it->second.first = std::min(it->second.first, i);
-        ++it->second.second;
-    }
+    // Hard components become units numbered by min node id — the
+    // deterministic order for packing and refinement. Ascending ids meet
+    // each component first at its min id.
     std::vector<Component> comps;
-    comps.reserve(by_root.size());
-    for (const auto& [root, info] : by_root) comps.push_back({info.first, info.second, root});
-    std::sort(comps.begin(), comps.end(),
-              [](const Component& a, const Component& b) { return a.min_id < b.min_id; });
-
+    std::vector<int> unit_of_root(static_cast<std::size_t>(n), -1);
+    std::vector<int> unit_of_node(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) {
+        int& unit = unit_of_root[static_cast<std::size_t>(hard.find(i))];
+        if (unit < 0) {
+            unit = static_cast<int>(comps.size());
+            comps.push_back({i, 0});
+        }
+        ++comps[static_cast<std::size_t>(unit)].size;
+        unit_of_node[static_cast<std::size_t>(i)] = unit;
+    }
     const int units = static_cast<int>(comps.size());
     const int shard_count = std::min<int>(max_shards, units);
-
-    std::vector<int> unit_of_node(static_cast<std::size_t>(n), -1);
-    {
-        std::map<int, int> unit_of_root;
-        for (int u = 0; u < units; ++u) unit_of_root[comps[static_cast<std::size_t>(u)].root] = u;
-        for (int i = 0; i < n; ++i)
-            unit_of_node[static_cast<std::size_t>(i)] = unit_of_root[hard.find(i)];
-    }
 
     std::vector<std::int64_t> load;
     std::vector<int> shard_of_unit = pack_greedy(comps, shard_count, load);

@@ -55,8 +55,8 @@ struct ShardPlan {
 /// guarantee: when in doubt (boundary distances, asymmetric ranges) nodes
 /// end up in the same shard.
 ///
-/// Connected components of that conflict graph (union-find over a
-/// spatial hash, O(n) expected) are packed greedily into
+/// Connected components of that conflict graph (union-find over the
+/// edges phy::GridIndex finds, O(n) expected) are packed greedily into
 /// min(max_shards, components) shards balanced by node count; shard ids
 /// are relabeled so shards ascend by their minimum node id, which makes
 /// the assignment deterministic and independent of packing order.

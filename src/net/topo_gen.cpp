@@ -40,7 +40,10 @@ Scenario instantiate(const Topology& topo, Network::Config config)
     return scenario;
 }
 
-Network::Config grid_config(const GridSpec& spec, std::uint64_t seed)
+/// default_config with a GridSpec's or ClustersSpec's ranges (<= 0 keeps
+/// the default) and shard budget.
+template <typename Spec>
+Network::Config grid_config(const Spec& spec, std::uint64_t seed)
 {
     Network::Config config = default_config(seed);
     if (spec.tx_range_m > 0) config.phy.tx_range_m = spec.tx_range_m;
@@ -82,7 +85,8 @@ template <typename Spec>
 Scenario make_replicated_convergecast(const char* who, const Spec& spec, int copies,
                                       Network::Config config)
 {
-    const Topology grid = make_grid_topology(spec.cols, spec.rows, spec.spacing_m);
+    const Topology grid =
+        make_grid_topology(spec.cols, spec.rows, spec.spacing_m, config.phy.tx_range_m);
     const std::vector<NodeId> rim = convergecast_rim(spec.cols, spec.rows);
     if (spec.sources < 1 || spec.sources > static_cast<int>(rim.size()))
         throw std::invalid_argument(std::string(who) + ": bad source count");
@@ -121,26 +125,21 @@ bool Topology::has_link(NodeId a, NodeId b) const
 
 void rebuild_links(Topology& topo)
 {
-    const int n = topo.node_count();
-    topo.neighbours.assign(static_cast<std::size_t>(n), {});
-    for (int a = 0; a < n; ++a) {
-        for (int b = a + 1; b < n; ++b) {
-            if (phy::distance(topo.positions[static_cast<std::size_t>(a)],
-                              topo.positions[static_cast<std::size_t>(b)]) <= topo.link_range_m) {
-                topo.neighbours[static_cast<std::size_t>(a)].push_back(b);
-                topo.neighbours[static_cast<std::size_t>(b)].push_back(a);
-            }
-        }
+    const phy::GridIndex index(topo.positions, topo.link_range_m);
+    topo.neighbours.assign(topo.positions.size(), {});
+    for (std::size_t a = 0; a < topo.positions.size(); ++a) {
+        std::vector<NodeId>& list = topo.neighbours[a];
+        index.within(topo.positions[a], list);  // ascending, and includes a itself
+        list.erase(std::find(list.begin(), list.end(), static_cast<NodeId>(a)));
     }
-    // b-loop order already appends ascending ids for the lower endpoint;
-    // the mirrored entries arrive ascending in a too, so lists stay sorted.
 }
 
-Topology make_grid_topology(int cols, int rows, double spacing_m)
+Topology make_grid_topology(int cols, int rows, double spacing_m, double link_range_m)
 {
     if (cols < 1 || rows < 1) throw std::invalid_argument("make_grid_topology: empty lattice");
     if (spacing_m <= 0) throw std::invalid_argument("make_grid_topology: bad spacing");
     Topology topo;
+    topo.link_range_m = link_range_m;
     topo.positions.reserve(static_cast<std::size_t>(cols) * static_cast<std::size_t>(rows));
     for (int r = 0; r < rows; ++r)
         for (int c = 0; c < cols; ++c)
@@ -258,8 +257,10 @@ Scenario make_grid_cross(const GridSpec& spec, std::uint64_t seed)
     if (spec.cols < 2 || spec.rows < 2)
         throw std::invalid_argument("make_grid_cross: need at least a 2x2 grid");
     if (spec.cross_flows < 1) throw std::invalid_argument("make_grid_cross: need >= 1 flow");
-    const Topology topo = make_grid_topology(spec.cols, spec.rows, spec.spacing_m);
-    Scenario scenario = instantiate(topo, grid_config(spec, seed));
+    Network::Config config = grid_config(spec, seed);
+    const Topology topo =
+        make_grid_topology(spec.cols, spec.rows, spec.spacing_m, config.phy.tx_range_m);
+    Scenario scenario = instantiate(topo, std::move(config));
 
     const auto node_at = [&spec](int row, int col) { return row * spec.cols + col; };
     const int horizontal = (spec.cross_flows + 1) / 2;
@@ -287,13 +288,15 @@ Scenario make_grid_convergecast(const GridSpec& spec, std::uint64_t seed)
 {
     if (spec.cols < 2 || spec.rows < 2)
         throw std::invalid_argument("make_grid_convergecast: need at least a 2x2 grid");
-    const Topology topo = make_grid_topology(spec.cols, spec.rows, spec.spacing_m);
+    Network::Config config = grid_config(spec, seed);
+    const Topology topo =
+        make_grid_topology(spec.cols, spec.rows, spec.spacing_m, config.phy.tx_range_m);
 
     const std::vector<NodeId> rim = convergecast_rim(spec.cols, spec.rows);
     if (spec.sources < 1 || spec.sources > static_cast<int>(rim.size()))
         throw std::invalid_argument("make_grid_convergecast: bad source count");
 
-    Scenario scenario = instantiate(topo, grid_config(spec, seed));
+    Scenario scenario = instantiate(topo, std::move(config));
     for (int i = 0; i < spec.sources; ++i) {
         std::vector<NodeId> path = shortest_path(topo, rim[static_cast<std::size_t>(i)], 0);
         add_planned_flow(scenario, i + 1, std::move(path), spec.start_s, spec.duration_s);
@@ -307,8 +310,9 @@ Scenario make_parking_lot_chain(int hops, int flows, double start_s, double dura
     if (hops < 1) throw std::invalid_argument("make_parking_lot_chain: need at least 1 hop");
     if (flows < 1 || flows > hops)
         throw std::invalid_argument("make_parking_lot_chain: need 1 <= flows <= hops");
-    const Topology topo = make_grid_topology(hops + 1, 1, 200.0);
-    Scenario scenario = instantiate(topo, default_config(seed));
+    Network::Config config = default_config(seed);
+    const Topology topo = make_grid_topology(hops + 1, 1, 200.0, config.phy.tx_range_m);
+    Scenario scenario = instantiate(topo, std::move(config));
     for (int i = 0; i < flows; ++i) {
         // Flow 1 spans the chain; later flows enter at evenly spread
         // relays, all draining toward the gateway at the far end.
@@ -360,10 +364,7 @@ Scenario make_islands(const IslandsSpec& spec, std::uint64_t seed)
         throw std::invalid_argument("make_islands: need at least 2x2 islands");
     Network::Config config = default_config(seed);
     config.max_shards = spec.max_shards;
-    const double conflict_radius =
-        std::max(config.phy.tx_range_m,
-                 std::max(config.phy.cs_range_m, config.phy.interference_range_m));
-    if (spec.gap_m <= conflict_radius)
+    if (spec.gap_m <= config.phy.conflict_radius_m())
         throw std::invalid_argument(
             "make_islands: gap must exceed the radio conflict radius (islands would merge)");
     return make_replicated_convergecast("make_islands", spec, spec.islands, std::move(config));
@@ -374,16 +375,11 @@ Scenario make_cluster_grid(const ClustersSpec& spec, std::uint64_t seed)
     if (spec.clusters < 1) throw std::invalid_argument("make_cluster_grid: need >= 1 cluster");
     if (spec.cols < 2 || spec.rows < 2)
         throw std::invalid_argument("make_cluster_grid: need at least 2x2 clusters");
-    Network::Config config = default_config(seed);
-    if (spec.tx_range_m > 0) config.phy.tx_range_m = spec.tx_range_m;
-    if (spec.cs_range_m > 0) config.phy.cs_range_m = spec.cs_range_m;
-    if (spec.interference_range_m > 0)
-        config.phy.interference_range_m = spec.interference_range_m;
+    Network::Config config = grid_config(spec, seed);
     if (spec.capture_threshold > 0) {
         config.phy.capture_threshold = spec.capture_threshold;
         config.phy.capture_threshold_db = 10.0 * std::log10(spec.capture_threshold);
     }
-    config.max_shards = spec.max_shards;
     // The gap must open an interference-only band: beyond sense/delivery
     // (no hard coupling, so the planner may cut it) but within
     // interference range (otherwise the clusters are plain islands and

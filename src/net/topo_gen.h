@@ -29,9 +29,11 @@ struct Topology {
 void rebuild_links(Topology& topo);
 
 /// cols x rows lattice at `spacing_m`; node id = row * cols + col
-/// (row-major). With 200 m spacing under the default ns-2 ranges,
-/// axis-aligned neighbours are 1-hop links and diagonals (283 m) are not.
-Topology make_grid_topology(int cols, int rows, double spacing_m);
+/// (row-major), linked at `link_range_m` (pass the PHY delivery range, so
+/// planned flows follow the graph the PHY delivers on). With 200 m
+/// spacing and the default 250 m range, axis-aligned neighbours are 1-hop
+/// links and diagonals (283 m) are not.
+Topology make_grid_topology(int cols, int rows, double spacing_m, double link_range_m);
 
 /// `nodes` positions drawn uniformly over [0,width] x [0,height] from the
 /// seed, resampled (deterministically) until the delivery graph is

@@ -88,13 +88,19 @@ void Channel::ensure_reach()
 {
     if (!reach_.empty()) return;
     const bool static_power = propagation_ == nullptr || propagation_->time_invariant();
+    std::vector<Position> positions;
+    for (const NodePhy* phy : phys_) positions.push_back(phy->position());
+    geometry_.emplace(std::move(positions), params_.conflict_radius_m());
     reach_.assign(phys_.size(), {});
+    std::vector<int> near;
     for (std::size_t s = 0; s < phys_.size(); ++s) {
         const NodePhy& sender = *phys_[s];
-        for (NodePhy* phy : phys_) {
+        // Ascending ids are attach order, which fixes same-instant FIFO order.
+        geometry_->within(sender.position(), near);
+        for (const int j : near) {
+            NodePhy* phy = phys_[static_cast<std::size_t>(j)];
             if (phy == &sender) continue;
             const double d = distance(sender.position(), phy->position());
-            if (d > params_.conflict_radius_m()) continue;
             // Time-variant propagation (fading) re-derives power at
             // transmit time from the stored distance; otherwise the power
             // is precomputed here, once per topology.
@@ -211,9 +217,12 @@ void Channel::inject_ghost(net::NodeId foreign_id, const Position& foreign_pos, 
         // transmission would (bit-identical doubles).
         const double radius_hard = std::max(params_.tx_range_m, params_.cs_range_m);
         std::vector<GhostReachEntry> entries;
-        for (NodePhy* phy : phys_) {
+        std::vector<int> near;
+        ensure_reach();  // (re)builds geometry_ with the reach sets
+        geometry_->within(foreign_pos, near);
+        for (const int j : near) {
+            NodePhy* phy = phys_[static_cast<std::size_t>(j)];
             const double d = distance(foreign_pos, phy->position());
-            if (d > params_.conflict_radius_m()) continue;
             if (d <= radius_hard)
                 throw std::logic_error(
                     "Channel::inject_ghost: foreign node within sense/delivery range "

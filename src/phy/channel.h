@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -47,8 +48,10 @@ namespace ezflow::phy {
 /// re-derives power at transmit time). Transmissions iterate only that
 /// neighbour list, in attach order, rolling the per-link loss for the
 /// receivers within delivery range, so per-transmission cost is
-/// O(reachable neighbours), not O(nodes). Every attach, detach and
-/// propagation change clears the sets; the next transmission rebuilds them.
+/// O(reachable neighbours), not O(nodes). The sets come from a GridIndex
+/// over the attach positions at the conflict radius, so building them all
+/// is O(nodes). Every attach, detach and propagation change clears the
+/// sets; the next transmission rebuilds them, index included.
 class Channel {
 public:
     Channel(sim::Scheduler& scheduler, util::Rng rng, PhyParams params);
@@ -198,6 +201,7 @@ private:
     std::unordered_map<net::NodeId, std::size_t> index_by_id_;  ///< attach index per node id
     std::vector<std::vector<ReachEntry>> reach_;  ///< per transmitter, in attach order
     std::unordered_map<net::NodeId, std::vector<GhostReachEntry>> ghost_reach_;
+    std::optional<GridIndex> geometry_;  ///< attach positions; rebuilt with reach_
     std::vector<net::NodeId> mirror_senders_;  ///< sorted; mirror their transmissions
     MirrorHook mirror_hook_;
     LinkTable<std::unique_ptr<ErrorModel>> error_models_;

@@ -180,6 +180,33 @@ TEST(ChannelCull, LineReachabilityIsLocal)
     EXPECT_EQ(bed.channel.reachable_count(1), 3u);
 }
 
+TEST(ChannelCull, Reach40kLatticeMatchesLatticeCounts)
+{
+    // 200x200 nodes at 200 m under the default 550 m conflict radius: a
+    // node reaches the lattice offsets (dx, dy) != 0 with dx^2 + dy^2 <=
+    // 2.75^2, i.e. <= 7 — 20 in the interior, fewer where the edge clips.
+    constexpr int kSide = 200;
+    CullBed bed;
+    for (int row = 0; row < kSide; ++row)
+        for (int col = 0; col < kSide; ++col) bed.add(col * 200.0, row * 200.0);
+    const auto lattice_count = [](int col, int row) {
+        std::size_t count = 0;
+        for (int dy = -2; dy <= 2; ++dy)
+            for (int dx = -2; dx <= 2; ++dx)
+                count += (dx != 0 || dy != 0) && dx * dx + dy * dy <= 7 && col + dx >= 0 &&
+                         col + dx < kSide && row + dy >= 0 && row + dy < kSide;
+        return count;
+    };
+    for (int row = 0; row < kSide; ++row)
+        for (int col = 0; col < kSide; ++col)
+            ASSERT_EQ(bed.channel.reachable_count(row * kSide + col), lattice_count(col, row))
+                << "node (" << col << ", " << row << ")";
+    EXPECT_EQ(lattice_count(kSide / 2, kSide / 2), 20u);  // interior
+    EXPECT_EQ(lattice_count(kSide / 2, 0), 12u);          // edge
+    EXPECT_EQ(lattice_count(1, 1), 14u);                  // one in from a corner
+    EXPECT_EQ(lattice_count(kSide - 1, kSide - 1), 7u);   // corner
+}
+
 TEST(ChannelCull, AttachAfterTransmitRebuildsReach)
 {
     CullBed bed;

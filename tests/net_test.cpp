@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "net/network.h"
@@ -48,6 +49,21 @@ TEST(Network, AddNodeAssignsDenseIds)
     EXPECT_EQ(net.add_node({200, 0}), 1);
     EXPECT_EQ(net.node_count(), 2);
     EXPECT_THROW(net.node(2), std::out_of_range);
+}
+
+TEST(Network, AddNodeRejectsNonFinitePositions)
+{
+    // A NaN coordinate would join every reach list (d > r is false for
+    // NaN) with NaN power; inf would poison the geometry index.
+    Network net(topo_config());
+    net.add_node({0, 0});
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const phy::Position bad : {phy::Position{nan, 0}, phy::Position{0, nan},
+                                    phy::Position{inf, 0}, phy::Position{0, -inf}})
+        EXPECT_THROW(net.add_node(bad), std::invalid_argument);
+    EXPECT_EQ(net.node_count(), 1);
+    EXPECT_EQ(net.add_node({200, 0}), 1);
 }
 
 TEST(Network, AddFlowValidatesNodesAndRange)

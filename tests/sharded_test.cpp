@@ -34,11 +34,6 @@ namespace {
 
 using testutil::experiment_fingerprint;
 
-double conflict_radius(const phy::PhyParams& phy)
-{
-    return std::max(phy.tx_range_m, std::max(phy.cs_range_m, phy.interference_range_m));
-}
-
 // ---------------------------------------------- partitioner property test
 
 TEST(ShardPlanner, NoConflictEdgeCrossesShardsOn200RandomLayouts)
@@ -47,7 +42,7 @@ TEST(ShardPlanner, NoConflictEdgeCrossesShardsOn200RandomLayouts)
     // whatever the layout, no two nodes within the conflict radius may
     // land in different shards, and shard ids must be dense.
     const phy::PhyParams phy;
-    const double radius = conflict_radius(phy);
+    const double radius = phy.conflict_radius_m();
     util::Rng rng(0xA11CE5ULL);
     int multi_shard_layouts = 0;
     for (int trial = 0; trial < 200; ++trial) {
@@ -98,7 +93,7 @@ TEST(ShardPlanner, NoConflictEdgeCrossesShardsOn200RandomLayouts)
 
 TEST(ShardPlanner, ConnectedGridCollapsesToOneShard)
 {
-    const net::Topology grid = net::make_grid_topology(5, 5, 200.0);
+    const net::Topology grid = net::make_grid_topology(5, 5, 200.0, 250.0);
     const phy::PhyParams phy;
     const net::ShardPlan plan = net::plan_shards(grid.positions, phy, 8);
     EXPECT_EQ(plan.shard_count, 1);
@@ -135,7 +130,7 @@ TEST(ShardPlanner, ConnectedCutPropertiesOn200RandomLayouts)
     // must stay deterministic.
     phy::PhyParams phy;
     phy.interference_range_m = 700.0;
-    const double radius = conflict_radius(phy);
+    const double radius = phy.conflict_radius_m();
     const double radius_hard = std::max(phy.tx_range_m, phy.cs_range_m);
     util::Rng rng(0xB0B57ULL);
     int cut_layouts = 0;

@@ -70,7 +70,7 @@ void check_flow_invariants(const Scenario& scenario)
 TEST(TopoGen, GridNeighbourSetsMatchBruteForce)
 {
     for (const auto& [cols, rows] : std::vector<std::pair<int, int>>{{2, 2}, {5, 3}, {7, 7}}) {
-        const Topology topo = make_grid_topology(cols, rows, 200.0);
+        const Topology topo = make_grid_topology(cols, rows, 200.0, 250.0);
         ASSERT_EQ(topo.node_count(), cols * rows);
         for (int a = 0; a < topo.node_count(); ++a) {
             std::vector<NodeId> expected;
@@ -188,6 +188,30 @@ TEST(TopoGen, GridConvergecastRoutesEverySourceToTheGateway)
     EXPECT_EQ(sources.size(), 6u) << "sources are distinct";
     spec.sources = 100;
     EXPECT_THROW(make_grid_convergecast(spec, 3), std::invalid_argument);
+}
+
+TEST(TopoGen, GridConvergecastPlansOnThePhyDeliveryGraph)
+{
+    // At 450 m a 200 m lattice also links two-step and knight's-move
+    // neighbours: the far corner of a 6x6 grid is 4 hops from the gateway
+    // on the PHY's own graph, 10 on the 250 m default one.
+    GridSpec spec;
+    spec.cols = 6;
+    spec.rows = 6;
+    spec.sources = 1;
+    spec.tx_range_m = 450.0;
+    spec.duration_s = 10.0;
+    const Scenario scenario = make_grid_convergecast(spec, 3);
+    ASSERT_EQ(scenario.flows.size(), 1u);
+    check_flow_invariants(scenario);
+    Topology delivery;
+    for (NodeId id = 0; id < scenario.network->node_count(); ++id)
+        delivery.positions.push_back(scenario.network->node(id).phy().position());
+    delivery.link_range_m = scenario.network->config().phy.tx_range_m;
+    rebuild_links(delivery);
+    const std::vector<NodeId>& path = scenario.flows[0].path;
+    EXPECT_EQ(path, shortest_path(delivery, 35, 0));
+    EXPECT_EQ(path.size(), 5u);
 }
 
 TEST(TopoGen, ParkingLotChainSpreadsEntriesTowardTheGateway)
