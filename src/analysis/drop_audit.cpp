@@ -43,6 +43,10 @@ DropLedger collect_drop_ledger(Experiment& experiment)
         // (it may already be decoded and progressed at the receiver), and
         // so is every MPDU whose dialogue a node-down quiesce cut short.
         ledger.clone_allowance += node.mac().in_flight_mpdus() + node.mac().teardown_aborts();
+        if (const core::PacedEzFlowAgent* pacer = experiment.paced_agent(id)) {
+            ledger.pacer_drops += pacer->drops();
+            ledger.backlog += pacer->held();
+        }
         for (const auto& queue : node.mac().queues().queues()) {
             ledger.drops_node_down += queue->dropped_node_down();
             ledger.backlog += static_cast<std::uint64_t>(queue->size());
@@ -56,14 +60,6 @@ DropLedger collect_drop_ledger(Experiment& experiment)
 DropLedger audit_drop_accounting(Experiment& experiment)
 {
     net::Network& network = experiment.network();
-    for (net::NodeId id = 0; id < network.node_count(); ++id) {
-        if (network.node(id).has_interceptor()) {
-            DropLedger skipped;
-            skipped.status = DropLedger::Status::kSkippedInterceptor;
-            return skipped;
-        }
-    }
-
     // Exact local conservation first: it localizes a leak to one queue or
     // MAC before the end-to-end partition smears it across the network.
     for (net::NodeId id = 0; id < network.node_count(); ++id) {

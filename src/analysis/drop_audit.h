@@ -11,14 +11,8 @@ namespace ezflow::analysis {
 /// every generated packet must sit in exactly one bucket. Collected by
 /// audit_drop_accounting and exposed for tests and reports.
 struct DropLedger {
-    /// Whether the audit actually ran. kSkippedInterceptor means the
-    /// network had forward interceptors (the EZ-Flow pacer holds packets
-    /// outside the MAC queues), so the MAC-level ledger cannot balance
-    /// and every counter below is zero — a coverage gap, not a verified
-    /// zero-traffic run.
-    enum class Status { kBalanced, kSkippedInterceptor };
-    Status status = Status::kBalanced;
-    bool skipped() const { return status != Status::kBalanced; }
+    /// Always false now that every audit runs; the ladder's checks still call it.
+    bool skipped() const { return false; }
 
     std::uint64_t generated = 0;          ///< source generations (all flows)
     std::uint64_t dropped_at_source = 0;  ///< refused at the full own-queue
@@ -27,12 +21,13 @@ struct DropLedger {
     std::uint64_t retry_drops = 0;        ///< abandoned at the MAC retry limit
     std::uint64_t drops_node_down = 0;    ///< queue flushes + refused sends at dead nodes
     std::uint64_t drops_unroutable = 0;   ///< no next hop (suspension / repair window)
-    std::uint64_t backlog = 0;            ///< still queued when the run froze
+    std::uint64_t pacer_drops = 0;        ///< lost in a paced queue (full, or MAC refused)
+    std::uint64_t backlog = 0;            ///< still queued (MAC or pacer) when the run froze
     /// Accounted instances (the right-hand side of the partition).
     std::uint64_t accounted() const
     {
         return dropped_at_source + delivered + forward_queue_drops + retry_drops +
-               drops_node_down + drops_unroutable + backlog;
+               drops_node_down + drops_unroutable + pacer_drops + backlog;
     }
     /// Legitimate over-count allowance: a packet can be counted twice when
     /// its data was decoded but the sender never saw an ACK — the sender's
@@ -44,8 +39,8 @@ struct DropLedger {
     std::uint64_t dup_rx_suppressed = 0;  ///< diagnostic: clones usually match these
 };
 
-/// Sum the ledger over every source, node, MAC and interface queue of the
-/// experiment's network.
+/// Sum the ledger over every source, node, MAC, interface queue and
+/// paced queue of the experiment's network.
 DropLedger collect_drop_ledger(Experiment& experiment);
 
 /// Verify the loss partition:
@@ -55,12 +50,8 @@ DropLedger collect_drop_ledger(Experiment& experiment);
 /// dequeued == successes + retry_drops + ampdu_pending +
 /// ampdu_node_down_drops — the last two count A-MPDU MPDUs dequeued at
 /// batch fill that have not settled on the air).
-/// Throws std::logic_error naming the violated invariant. Stands down
-/// when any node has a forward interceptor — the pacer holds packets
-/// outside the MAC queues, so the MAC-level ledger cannot balance — and
-/// says so: the returned ledger carries Status::kSkippedInterceptor
-/// (all counters zero) instead of masquerading as a balanced
-/// zero-traffic run.
+/// Throws std::logic_error naming the violated invariant.
+/// Experiment::run_until_s calls it at the end of every run.
 DropLedger audit_drop_accounting(Experiment& experiment);
 
 }  // namespace ezflow::analysis

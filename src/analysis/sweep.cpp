@@ -1,32 +1,12 @@
 #include "analysis/sweep.h"
 
-#include <atomic>
-#include <chrono>
-#include <cstdio>
-#include <mutex>
 #include <stdexcept>
 
-#include "analysis/drop_audit.h"
 #include "util/parallel.h"
 
 namespace ezflow::analysis {
 
 namespace {
-
-// Effort accumulators behind perf_totals(). Wall time is tracked in
-// nanoseconds so a plain integer atomic suffices.
-std::atomic<std::uint64_t> g_events{0};
-std::atomic<std::uint64_t> g_runs{0};
-std::atomic<std::uint64_t> g_wall_ns{0};
-
-// Shard accounting for the [perf] line: completed runs per shard count
-// and per-shard event totals over a fixed number of display slots.
-constexpr int kShardSlots = 8;
-std::mutex g_shard_mutex;
-std::map<int, std::uint64_t> g_runs_by_shards;  ///< guarded by g_shard_mutex
-std::atomic<std::uint64_t> g_shard_events[kShardSlots]{};
-std::atomic<std::uint64_t> g_epochs{0};
-std::atomic<std::uint64_t> g_sharded_events{0};
 
 /// Run one (cell, seed) task to completion and summarize every window.
 SeedResult run_one(const ExperimentFactory& factory, const SweepConfig& config,
@@ -34,35 +14,6 @@ SeedResult run_one(const ExperimentFactory& factory, const SweepConfig& config,
 {
     std::unique_ptr<Experiment> experiment = factory.make(seed);
     experiment->run();
-    // Every swept run balances its packet ledger: the losses must
-    // partition into the named drop buckets (throws on a leak or a
-    // double-count, so the goldens cannot absorb an accounting bug).
-    // Interceptor runs (EZ-Flow pacers) cannot balance and are skipped —
-    // announce that coverage gap once per process instead of silently
-    // returning an all-zero ledger.
-    if (audit_drop_accounting(*experiment).skipped()) {
-        static std::atomic<bool> warned{false};
-        if (!warned.exchange(true, std::memory_order_relaxed))
-            std::fprintf(stderr,
-                         "[audit] drop-accounting audit skipped for runs with forward "
-                         "interceptors (pacer holds packets outside the MAC queues); "
-                         "conservation is unchecked there\n");
-    }
-    net::Network& network = experiment->network();
-    g_events.fetch_add(network.total_processed(), std::memory_order_relaxed);
-    g_runs.fetch_add(1, std::memory_order_relaxed);
-    const int shards = network.shard_count();
-    {
-        const std::lock_guard<std::mutex> lock(g_shard_mutex);
-        ++g_runs_by_shards[shards];
-    }
-    if (shards > 1) {
-        for (int s = 0; s < shards && s < kShardSlots; ++s)
-            g_shard_events[s].fetch_add(network.shard_processed(s), std::memory_order_relaxed);
-        g_epochs.fetch_add(network.sharded_engine()->epochs(), std::memory_order_relaxed);
-        g_sharded_events.fetch_add(network.total_processed(), std::memory_order_relaxed);
-    }
-
     SeedResult result;
     result.seed = seed;
     result.windows.reserve(config.windows.size());
@@ -120,34 +71,6 @@ void aggregate(const SweepConfig& config, SweepResult& sweep)
 
 }  // namespace
 
-PerfTotals perf_totals()
-{
-    PerfTotals totals;
-    totals.events = g_events.load(std::memory_order_relaxed);
-    totals.runs = g_runs.load(std::memory_order_relaxed);
-    totals.wall_seconds = static_cast<double>(g_wall_ns.load(std::memory_order_relaxed)) * 1e-9;
-    {
-        const std::lock_guard<std::mutex> lock(g_shard_mutex);
-        totals.runs_by_shards = g_runs_by_shards;
-    }
-    for (const std::atomic<std::uint64_t>& events : g_shard_events)
-        totals.shard_events.push_back(events.load(std::memory_order_relaxed));
-    totals.epochs = g_epochs.load(std::memory_order_relaxed);
-    totals.sharded_events = g_sharded_events.load(std::memory_order_relaxed);
-    return totals;
-}
-
-int PerfTotals::shards_since(const PerfTotals& before) const
-{
-    int widest = 1;
-    for (const auto& [shards, runs] : runs_by_shards) {
-        const auto it = before.runs_by_shards.find(shards);
-        if (runs > (it == before.runs_by_shards.end() ? 0 : it->second) && shards > widest)
-            widest = shards;
-    }
-    return widest;
-}
-
 SweepResult SweepRunner::run(const ExperimentFactory& factory, const SweepConfig& config) const
 {
     std::vector<SweepResult> results = run_grid({factory}, config);
@@ -159,8 +82,6 @@ std::vector<SweepResult> SweepRunner::run_grid(const std::vector<ExperimentFacto
 {
     if (cells.empty()) throw std::invalid_argument("SweepRunner::run_grid: no cells");
     if (config.seeds.empty()) throw std::invalid_argument("SweepRunner::run_grid: no seeds");
-
-    const auto started = std::chrono::steady_clock::now();
 
     std::vector<SweepResult> results(cells.size());
     const std::size_t seeds = config.seeds.size();
@@ -181,13 +102,7 @@ std::vector<SweepResult> SweepRunner::run_grid(const std::vector<ExperimentFacto
         results[c].per_seed[s] = run_one(cells[c], config, config.seeds[s], keep);
     });
 
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();
-    g_wall_ns.fetch_add(static_cast<std::uint64_t>(wall * 1e9), std::memory_order_relaxed);
-    for (SweepResult& result : results) {
-        aggregate(config, result);
-        result.wall_seconds = wall;
-    }
+    for (SweepResult& result : results) aggregate(config, result);
     return results;
 }
 

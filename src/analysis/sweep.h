@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -67,36 +66,7 @@ struct SweepResult {
     std::vector<SeedResult> per_seed;   ///< parallel to config.seeds
     std::vector<WindowAggregate> windows;  ///< parallel to config.windows
     std::vector<std::unique_ptr<Experiment>> experiments;  ///< when kept
-    double wall_seconds = 0.0;
 };
-
-/// Process-wide tally of simulation effort: scheduler events processed,
-/// completed (cell, seed) runs, and wall time spent inside run_grid. The
-/// CLI reports wall time and events/second from snapshots of this — the
-/// numbers never enter any result JSON, so byte-determinism of results
-/// across thread counts is untouched.
-struct PerfTotals {
-    std::uint64_t events = 0;
-    std::uint64_t runs = 0;
-    double wall_seconds = 0.0;
-    /// Completed runs per shard count (key 1 = the serial engine).
-    std::map<int, std::uint64_t> runs_by_shards;
-    /// Events processed per shard id, summed across multi-shard runs over
-    /// a small fixed number of slots (the CLI marks runs that had more).
-    std::vector<std::uint64_t> shard_events;
-    /// Epoch barriers crossed by multi-shard runs, and the events those
-    /// runs processed (their ratio is the mean events per epoch).
-    std::uint64_t epochs = 0;
-    std::uint64_t sharded_events = 0;
-
-    /// Widest shard count among the runs completed since `before` (1 when
-    /// none was sharded).
-    int shards_since(const PerfTotals& before) const;
-};
-
-/// Snapshot of the accumulated totals (monotonic; diff two snapshots to
-/// measure one command).
-PerfTotals perf_totals();
 
 /// Fans an experiment grid (modes x seeds x scenario knobs, expressed as
 /// ExperimentFactory cells x SweepConfig seeds) across a std::thread

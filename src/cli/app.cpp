@@ -1,6 +1,7 @@
 #include "cli/app.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <exception>
 #include <filesystem>
@@ -9,8 +10,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "analysis/experiment.h"
 #include "analysis/result_diff.h"
-#include "analysis/sweep.h"
 #include "cli/registry.h"
 #include "util/cli.h"
 #include "util/table.h"
@@ -184,12 +185,11 @@ std::string format_magnitude(double value)
 /// Wall-time/event-rate line for one figure run. Reported to the console
 /// only — the result JSON stays byte-deterministic across thread counts
 /// and machines.
-void print_perf(const FigureSpec& spec, const analysis::PerfTotals& before)
+void print_perf(const FigureSpec& spec, const analysis::PerfTotals& before, double wall)
 {
     const analysis::PerfTotals now = analysis::perf_totals();
     const std::uint64_t events = now.events - before.events;
     const std::uint64_t runs = now.runs - before.runs;
-    const double wall = now.wall_seconds - before.wall_seconds;
     if (runs == 0 || wall <= 0.0) return;
     std::printf("[perf] %s: %.2f s wall, %s events, %s events/s (%llu run%s)\n",
                 spec.name.c_str(), wall, format_magnitude(static_cast<double>(events)).c_str(),
@@ -281,7 +281,10 @@ int run_one(const FigureSpec& spec, const RunFlags& flags)
     try {
         if (!ctx.csv_dir.empty()) fs::create_directories(ctx.csv_dir);
         const analysis::PerfTotals perf_before = analysis::perf_totals();
+        const auto started = std::chrono::steady_clock::now();
         const analysis::FigureResult result = spec.run(ctx);
+        const double wall =
+            std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();
         for (const auto& [name, value] : ctx.extra) {
             if (ctx.extra_consumed.count(name) == 0)
                 std::fprintf(stderr, "ezflow: warning: --%s is not used by figure '%s'\n",
@@ -289,7 +292,7 @@ int run_one(const FigureSpec& spec, const RunFlags& flags)
         }
         if (!flags.quiet) {
             print_report(spec, result);
-            print_perf(spec, perf_before);
+            print_perf(spec, perf_before, wall);
         }
         if (!write_outputs(flags, result)) return 1;
     } catch (const std::exception& e) {

@@ -3,15 +3,10 @@
 // bench mains; each produces a structured FigureResult.
 
 #include <algorithm>
-#include <map>
-#include <memory>
 
 #include "cli/figures.h"
 #include "cli/figures_common.h"
-#include "core/pacer.h"
 #include "net/topologies.h"
-#include "traffic/sink.h"
-#include "traffic/source.h"
 #include "util/table.h"
 
 namespace ezflow::cli {
@@ -45,27 +40,18 @@ FigureResult run_ablation_pacer(const FigureContext& ctx)
     pacer_cw_variant(ctx, result, Mode::kBaseline80211, duration_s);
     pacer_cw_variant(ctx, result, Mode::kEzFlow, duration_s);
 
-    net::Scenario scenario = net::make_line(4, duration_s, ctx.seed);
-    net::Network& network = *scenario.network;
-    auto agents = core::install_paced_ezflow(network, core::PacedEzFlowAgent::Options{});
-    traffic::Sink sink(network);
-    sink.attach_flow(0);
-    BufferTracer tracer(network, {1}, 100 * util::kMillisecond);
-    tracer.start();
-    traffic::CbrSource source(network, 0, 1000, 2e6);
-    source.activate(util::from_seconds(5), util::from_seconds(duration_s));
-    network.run_until(util::from_seconds(duration_s));
+    ExperimentOptions options;
+    options.mode = Mode::kPaced;
+    Experiment exp(net::make_chain(net::testbed_config(ctx.seed), 4, 200.0, 5.0, duration_s),
+                   options);
+    exp.run_until_s(duration_s);
     const double from = 0.5 * duration_s;
-    const auto& rec = sink.flow(0);
-    WindowResult& window = result.add_cell("EZ-flow (paced)").add_window("settled");
-    window.set("goodput_kbps", metric_point(sink.goodput_kbps(0, util::from_seconds(from),
-                                                              util::from_seconds(duration_s))));
-    window.set("mac_b1", metric_point(tracer.mean_occupancy(1, util::from_seconds(from),
-                                                            util::from_seconds(duration_s))));
-    window.set("delay_s",
-               metric_point(rec.delay_series.mean_between(util::from_seconds(from),
-                                                          util::from_seconds(duration_s)) /
-                            static_cast<double>(util::kSecond)));
+    WindowResult& window = result.add_cell(mode_name(Mode::kPaced)).add_window("settled");
+    window.set("goodput_kbps", metric_point(exp.sink().goodput_kbps(
+                                   0, util::from_seconds(from), util::from_seconds(duration_s))));
+    window.set("mac_b1", metric_point(exp.buffers().mean_occupancy(
+                             1, util::from_seconds(from), util::from_seconds(duration_s))));
+    window.set("delay_s", metric_point(exp.summarize(0, from, duration_s).mean_delay_s));
     return result;
 }
 
@@ -112,25 +98,14 @@ void capture_run(const FigureContext& ctx, RunResult& cell, int hops, double cap
 {
     net::Network::Config config = net::testbed_config(ctx.seed);
     config.phy.capture_threshold = capture_threshold;
-    net::Network network(config);
-    std::vector<net::NodeId> path;
-    for (int i = 0; i <= hops; ++i) path.push_back(network.add_node({200.0 * i, 0.0}));
-    network.add_flow(0, path);
-    traffic::Sink sink(network);
-    sink.attach_flow(0);
-    BufferTracer tracer(network, {path.begin() + 1, path.end() - 1}, 100 * util::kMillisecond);
-    tracer.start();
-    traffic::CbrSource source(network, 0, 1000, 2e6);
-    source.activate(util::from_seconds(5), util::from_seconds(duration_s));
-    network.run_until(util::from_seconds(duration_s));
-    const double from = 0.4 * duration_s;
+    Experiment exp(net::make_chain(config, hops, 200.0, 5.0, duration_s), ExperimentOptions{});
+    exp.run_until_s(duration_s);
+    const util::SimTime from = util::from_seconds(0.4 * duration_s);
+    const util::SimTime to = util::from_seconds(duration_s);
     WindowResult& window = cell.add_window(std::to_string(hops) + "-hop");
-    window.set("b1", metric_point(tracer.mean_occupancy(1, util::from_seconds(from),
-                                                        util::from_seconds(duration_s))));
-    window.set("b_last", metric_point(tracer.mean_occupancy(hops - 1, util::from_seconds(from),
-                                                            util::from_seconds(duration_s))));
-    window.set("goodput_kbps", metric_point(sink.goodput_kbps(0, util::from_seconds(from),
-                                                              util::from_seconds(duration_s))));
+    window.set("b1", metric_point(exp.buffers().mean_occupancy(1, from, to)));
+    window.set("b_last", metric_point(exp.buffers().mean_occupancy(hops - 1, from, to)));
+    window.set("goodput_kbps", metric_point(exp.sink().goodput_kbps(0, from, to)));
 }
 
 FigureResult run_ablation_phy_capture(const FigureContext& ctx)
@@ -153,27 +128,15 @@ void rtscts_run(const FigureContext& ctx, RunResult& cell, const std::string& wi
     net::Network::Config config = net::default_config(ctx.seed);
     config.phy.cs_range_m = cs_range;
     config.mac.rts_cts_enabled = rts;
-    net::Network network(config);
-    std::vector<net::NodeId> path;
-    for (int i = 0; i <= 4; ++i) path.push_back(network.add_node({200.0 * i, 0.0}));
-    network.add_flow(0, path);
-
-    std::map<net::NodeId, std::unique_ptr<core::EzFlowAgent>> agents;
-    if (ezflow) agents = core::install_ezflow(network, core::CaaConfig{});
-
-    traffic::Sink sink(network);
-    sink.attach_flow(0);
-    BufferTracer tracer(network, {1}, 100 * util::kMillisecond);
-    tracer.start();
-    traffic::CbrSource source(network, 0, 1000, 2e6);
-    source.activate(util::from_seconds(5), util::from_seconds(duration_s));
-    network.run_until(util::from_seconds(duration_s));
-    const double from = 0.4 * duration_s;
+    ExperimentOptions options;
+    options.mode = ezflow ? Mode::kEzFlow : Mode::kBaseline80211;
+    Experiment exp(net::make_chain(config, 4, 200.0, 5.0, duration_s), options);
+    exp.run_until_s(duration_s);
+    const util::SimTime from = util::from_seconds(0.4 * duration_s);
+    const util::SimTime to = util::from_seconds(duration_s);
     WindowResult& window = cell.add_window(window_label);
-    window.set("goodput_kbps", metric_point(sink.goodput_kbps(0, util::from_seconds(from),
-                                                              util::from_seconds(duration_s))));
-    window.set("b1", metric_point(tracer.mean_occupancy(1, util::from_seconds(from),
-                                                        util::from_seconds(duration_s))));
+    window.set("goodput_kbps", metric_point(exp.sink().goodput_kbps(0, from, to)));
+    window.set("b1", metric_point(exp.buffers().mean_occupancy(1, from, to)));
 }
 
 FigureResult run_ablation_rtscts(const FigureContext& ctx)

@@ -5,19 +5,14 @@
 // relay at growing hop distances, where the per-rate SNR decode floors
 // turn link distance into a rate ladder.
 
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "cli/figures.h"
 #include "cli/figures_common.h"
-#include "core/pacer.h"
 #include "net/topologies.h"
 #include "phy/channel.h"
 #include "phy/rate_manager.h"
-#include "traffic/sink.h"
-#include "traffic/source.h"
 #include "util/table.h"
 
 namespace ezflow::cli {
@@ -69,28 +64,18 @@ void rate_adapt_run(const FigureContext& ctx, RunResult& cell, double hop_m, boo
     config.phy.noise_floor_w = 6e-11;
     config.models.interference = phy::PhyModelConfig::Interference::kSinrLedger;
     if (minstrel) config.models.rate = phy::PhyModelConfig::Rate::kMinstrel;
-    net::Network network(config);
-    std::vector<net::NodeId> path;
-    for (int i = 0; i < 3; ++i) path.push_back(network.add_node({hop_m * i, 0.0}));
-    network.add_flow(0, path);
+    ExperimentOptions options;
+    options.mode = ezflow ? Mode::kEzFlow : Mode::kBaseline80211;
+    options.cbr_rate_bps = 4e6;
+    Experiment exp(net::make_chain(config, 2, hop_m, 5.0, duration_s), options);
+    exp.run_until_s(duration_s);
 
-    std::map<net::NodeId, std::unique_ptr<core::EzFlowAgent>> agents;
-    if (ezflow) agents = core::install_ezflow(network, core::CaaConfig{});
-
-    traffic::Sink sink(network);
-    sink.attach_flow(0);
-    BufferTracer tracer(network, {1}, 100 * util::kMillisecond);
-    tracer.start();
-    traffic::CbrSource source(network, 0, 1000, 4e6);
-    source.activate(util::from_seconds(5), util::from_seconds(duration_s));
-    network.run_until(util::from_seconds(duration_s));
-
-    const double from = 0.4 * duration_s;
+    const util::SimTime from = util::from_seconds(0.4 * duration_s);
+    const util::SimTime to = util::from_seconds(duration_s);
     WindowResult& window = cell.add_window("hop " + util::Table::num(hop_m, 0) + " m");
-    window.set("goodput_kbps", metric_point(sink.goodput_kbps(0, util::from_seconds(from),
-                                                              util::from_seconds(duration_s))));
-    window.set("b1", metric_point(tracer.mean_occupancy(1, util::from_seconds(from),
-                                                        util::from_seconds(duration_s))));
+    window.set("goodput_kbps", metric_point(exp.sink().goodput_kbps(0, from, to)));
+    window.set("b1", metric_point(exp.buffers().mean_occupancy(1, from, to)));
+    net::Network& network = exp.network();
     auto* manager = dynamic_cast<phy::MinstrelRate*>(network.channel().rate_manager());
     window.set("rate_0_1_mbps",
                metric_point(manager != nullptr

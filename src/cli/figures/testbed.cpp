@@ -4,8 +4,6 @@
 #include "cli/figures.h"
 #include "cli/figures_common.h"
 #include "net/topologies.h"
-#include "traffic/sink.h"
-#include "traffic/source.h"
 
 namespace ezflow::cli {
 
@@ -74,18 +72,15 @@ FigureResult run_fig04(const FigureContext& ctx)
 double measure_link(const FigureContext& ctx, int link, double duration_s)
 {
     // A 1-hop network with the link's loss rate applied.
-    net::Network net(net::testbed_config(ctx.seed + static_cast<std::uint64_t>(link)));
-    const auto tx = net.add_node({0, 0});
-    const auto rx = net.add_node({200, 0});
-    net.add_flow(0, {tx, rx});
-    net.channel().set_link_loss(tx, rx, net::testbed_link_loss()[static_cast<std::size_t>(link)]);
-    traffic::Sink sink(net);
-    sink.attach_flow(0);
-    traffic::CbrSource source(net, 0, 1000, 2e6);
-    source.activate(0, util::from_seconds(duration_s));
-    net.run_until(util::from_seconds(duration_s));
-    return sink.goodput_kbps(0, util::from_seconds(duration_s * 0.05),
-                             util::from_seconds(duration_s));
+    net::Scenario scenario = net::make_chain(
+        net::testbed_config(ctx.seed + static_cast<std::uint64_t>(link)), 1, 200.0, 0.0,
+        duration_s);
+    scenario.network->channel().set_link_loss(
+        0, 1, net::testbed_link_loss()[static_cast<std::size_t>(link)]);
+    Experiment exp(std::move(scenario), ExperimentOptions{});
+    exp.run_until_s(duration_s);
+    return exp.sink().goodput_kbps(0, util::from_seconds(duration_s * 0.05),
+                                   util::from_seconds(duration_s));
 }
 
 FigureResult run_table1(const FigureContext& ctx)

@@ -49,8 +49,9 @@ void PacedQueue::release_one()
     ++released_;
     // Hand the packet to the MAC with the standard CWmin untouched. The
     // MAC's own 50-packet queue should stay nearly empty: the pacing
-    // interval is the congestion control.
-    network_.node(node_).mac().enqueue(key_, packet);
+    // interval is the congestion control. A release into a full queue is
+    // lost, and counted.
+    if (!network_.node(node_).mac().enqueue(key_, packet)) ++release_drops_;
     schedule_release();
 }
 
@@ -106,6 +107,22 @@ const PacedQueue* PacedEzFlowAgent::queue_toward(net::NodeId successor) const
 {
     const auto it = successors_.find(successor);
     return it == successors_.end() ? nullptr : it->second->queue.get();
+}
+
+std::uint64_t PacedEzFlowAgent::held() const
+{
+    std::uint64_t held = 0;
+    for (const auto& [successor, state] : successors_)
+        held += static_cast<std::uint64_t>(state->queue->size());
+    return held;
+}
+
+std::uint64_t PacedEzFlowAgent::drops() const
+{
+    std::uint64_t drops = 0;
+    for (const auto& [successor, state] : successors_)
+        drops += state->queue->dropped() + state->queue->release_drops();
+    return drops;
 }
 
 std::map<net::NodeId, std::unique_ptr<PacedEzFlowAgent>> install_paced_ezflow(

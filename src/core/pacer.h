@@ -40,8 +40,12 @@ public:
     int capacity() const { return capacity_; }
     util::SimTime release_interval() const { return interval_; }
     const ChannelAccessAdaptation& caa() const { return caa_; }
+    /// Pushes refused because this queue was full.
     std::uint64_t dropped() const { return dropped_; }
     std::uint64_t released() const { return released_; }
+    /// Releases the MAC refused (its queue was full or the node down):
+    /// the packet is lost here, and counted.
+    std::uint64_t release_drops() const { return release_drops_; }
 
 private:
     void schedule_release();
@@ -58,6 +62,7 @@ private:
     sim::Timer release_timer_;
     std::uint64_t dropped_ = 0;
     std::uint64_t released_ = 0;
+    std::uint64_t release_drops_ = 0;
 };
 
 /// The paced EZ-Flow program at one node: BOE per successor (identical to
@@ -81,6 +86,12 @@ public:
     /// Paced queue toward `successor`; nullptr before any packet went
     /// that way.
     const PacedQueue* queue_toward(net::NodeId successor) const;
+    /// Packets held in this node's paced queues (in-flight backlog for
+    /// the drop audit).
+    std::uint64_t held() const;
+    /// Packets lost in this node's paced queues: refused pushes plus
+    /// releases the MAC refused.
+    std::uint64_t drops() const;
 
 private:
     struct SuccessorState {

@@ -70,10 +70,6 @@ public:
     /// the MAC. Used by the rate-pacing EZ-Flow variant (core/pacer.h).
     /// At most one interceptor can be installed.
     void set_forward_interceptor(ForwardInterceptor interceptor);
-    /// Whether an interceptor is installed — the pacer holds packets
-    /// outside the MAC queues, so the end-to-end drop audit must stand
-    /// down when this is true.
-    bool has_interceptor() const { return static_cast<bool>(interceptor_); }
 
     // --- fault injection (orchestrated by Network::set_node_down/up) ---
     /// Quiesce the MAC (flushing queues into drops_node_down) and kill

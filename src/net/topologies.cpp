@@ -33,21 +33,27 @@ Network::Config testbed_config(std::uint64_t seed)
     return config;
 }
 
-Scenario make_line(int hops, double duration_s, std::uint64_t seed)
+Scenario make_chain(const Network::Config& config, int hops, double spacing_m, double start_s,
+                    double stop_s)
 {
-    if (hops < 1) throw std::invalid_argument("make_line: need at least 1 hop");
+    if (hops < 1) throw std::invalid_argument("make_chain: need at least 1 hop");
     Scenario scenario;
-    scenario.network = std::make_unique<Network>(testbed_config(seed));
+    scenario.network = std::make_unique<Network>(config);
     Network& net = *scenario.network;
     std::vector<NodeId> path;
     for (int i = 0; i <= hops; ++i) {
-        const NodeId id = net.add_node({kSpacing * i, 0.0});
+        const NodeId id = net.add_node({spacing_m * i, 0.0});
         path.push_back(id);
         scenario.labels[id] = "N" + std::to_string(i);
     }
     net.add_flow(0, path);
-    scenario.flows.push_back(FlowPlan{0, path, 5.0, 5.0 + duration_s});
+    scenario.flows.push_back(FlowPlan{0, path, start_s, stop_s});
     return scenario;
+}
+
+Scenario make_line(int hops, double duration_s, std::uint64_t seed)
+{
+    return make_chain(testbed_config(seed), hops, kSpacing, 5.0, 5.0 + duration_s);
 }
 
 const std::vector<double>& testbed_link_loss()

@@ -46,8 +46,13 @@ Network::Config default_config(std::uint64_t seed);
 /// floods the first relay. Interference still carries to 550 m.
 Network::Config testbed_config(std::uint64_t seed);
 
-/// A linear K-hop chain (K+1 nodes), the Fig. 1 topology family. One flow
-/// (id 0) from node 0 to node K, active for `duration_s` from t = 5 s.
+/// A straight K-hop chain (K+1 nodes, `spacing_m` apart) under `config`.
+/// One flow (id 0) from node 0 to node K, active over [start_s, stop_s).
+Scenario make_chain(const Network::Config& config, int hops, double spacing_m, double start_s,
+                    double stop_s);
+
+/// The Fig. 1 topology family: make_chain under testbed_config with 200 m
+/// hops, the flow active for `duration_s` from t = 5 s.
 Scenario make_line(int hops, double duration_s, std::uint64_t seed);
 
 /// The 9-router testbed of Fig. 3: a 7-hop flow F1 (N0 -> ... -> N7) and a

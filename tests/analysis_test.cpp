@@ -128,6 +128,7 @@ TEST(Experiment, ModeNames)
     EXPECT_EQ(mode_name(Mode::kBaseline80211), "802.11");
     EXPECT_EQ(mode_name(Mode::kEzFlow), "EZ-flow");
     EXPECT_EQ(mode_name(Mode::kPenalty), "penalty-q");
+    EXPECT_EQ(mode_name(Mode::kPaced), "EZ-flow (paced)");
 }
 
 TEST(Experiment, CollectsTransmittersAcrossFlows)
@@ -197,30 +198,59 @@ TEST(Sweep, UnmeasuredWindowAggregatesToZeroSeedCells)
     EXPECT_DOUBLE_EQ(metric_from_stats(after.mean_kbps).mean, 0.0);
 }
 
-TEST(DropAudit, InterceptorRunsReportSkippedNotBalanced)
+TEST(DropAudit, PacedRunBalancesWithPacerBacklogMidRun)
 {
-    // A plain 802.11 run balances its ledger; a paced EZ-Flow run holds
-    // packets inside the pacer (a forward interceptor), so the audit
-    // stands down — and must say so via status, not by returning an
-    // all-zero ledger that reads as a verified zero-traffic run.
-    ExperimentOptions baseline;
-    baseline.mode = Mode::kBaseline80211;
-    Experiment plain(net::make_line(2, 10, 4), baseline);
-    plain.run();
-    const DropLedger balanced = audit_drop_accounting(plain);
-    EXPECT_FALSE(balanced.skipped());
-    EXPECT_EQ(balanced.status, DropLedger::Status::kBalanced);
-    EXPECT_GT(balanced.generated, 0u);
+    // The pacer holds packets outside the MAC queues and loses some
+    // (full paced queue, or a release the full MAC queue refused); the
+    // ledger must count both, mid-run as well as at the end.
+    ExperimentOptions options;
+    options.mode = Mode::kPaced;
+    Experiment exp(net::make_line(4, 60, 4), options);
+    exp.run_until_s(35.0);  // settles the audit; throws on an imbalance
+    const DropLedger mid = audit_drop_accounting(exp);
+    std::uint64_t held = 0;
+    std::uint64_t release_drops = 0;
+    for (net::NodeId node = 0; node < 4; ++node) {
+        const core::PacedEzFlowAgent* pacer = exp.paced_agent(node);
+        ASSERT_NE(pacer, nullptr) << "node " << node;
+        held += pacer->held();
+        release_drops += pacer->queue_toward(node + 1)->release_drops();
+    }
+    EXPECT_EQ(exp.paced_agent(4), nullptr);  // the destination does not transmit
+    EXPECT_GT(held, 0u);
+    EXPECT_GT(release_drops, 0u);
+    EXPECT_GE(mid.backlog, held);
+    EXPECT_GT(mid.pacer_drops, release_drops);  // refused pushes count too
+    EXPECT_GE(mid.accounted(), mid.generated);
+    exp.run();
+    EXPECT_GT(audit_drop_accounting(exp).delivered, mid.delivered);
+}
 
-    Experiment paced(net::make_line(2, 10, 4), baseline);
-    const auto pacers =
-        core::install_paced_ezflow(paced.network(), core::PacedEzFlowAgent::Options{});
-    paced.run();
-    const DropLedger skipped = audit_drop_accounting(paced);
-    EXPECT_TRUE(skipped.skipped());
-    EXPECT_EQ(skipped.status, DropLedger::Status::kSkippedInterceptor);
-    EXPECT_EQ(skipped.generated, 0u);
-    EXPECT_EQ(skipped.accounted(), 0u);
+TEST(Experiment, RunUntilSettlesTheAudit)
+{
+    // Pop a MAC queue packet behind the MAC's back: the packet leaves no
+    // trace in any bucket, so the next run_until_s must throw.
+    Experiment exp(net::make_line(2, 30, 4), ExperimentOptions{});
+    exp.run_until_s(10.0);
+    mac::MacQueue* victim = nullptr;
+    for (const auto& queue : exp.network().node(0).mac().queues().queues())
+        if (queue->size() >= 2) victim = queue.get();
+    ASSERT_NE(victim, nullptr);
+    victim->pop();
+    EXPECT_THROW(exp.run_until_s(10.0), std::logic_error);
+}
+
+TEST(Experiment, CountsEachRunAndItsEventsOnce)
+{
+    const PerfTotals before = perf_totals();
+    Experiment exp(net::make_line(2, 20, 4), ExperimentOptions{});
+    exp.run_until_s(10.0);
+    exp.run_until_s(20.0);
+    exp.run();
+    const PerfTotals after = perf_totals();
+    EXPECT_EQ(after.runs - before.runs, 1u);
+    EXPECT_EQ(after.events - before.events, exp.network().total_processed());
+    EXPECT_EQ(after.shards_since(before), 1);
 }
 
 TEST(Experiment, EzFlowModeInstallsAgents)

@@ -239,5 +239,16 @@ TEST(App, PerfLineReportsEachFiguresOwnShardCount)
     EXPECT_EQ(serial.find("epoch"), std::string::npos) << serial;
 }
 
+TEST(App, PerfLineCoversFiguresThatDoNotSweep)
+{
+    // table1 runs seven Experiments directly, with no SweepRunner: they
+    // are counted all the same.
+    testing::internal::CaptureStdout();
+    EXPECT_EQ(run_cli({"ezflow", "run", "table1", "--smoke", "--json-only"}), 0);
+    const std::string out = testing::internal::GetCapturedStdout();
+    EXPECT_NE(out.find("[perf] table1:"), std::string::npos) << out;
+    EXPECT_NE(out.find("(7 runs)"), std::string::npos) << out;
+}
+
 }  // namespace
 }  // namespace ezflow::cli

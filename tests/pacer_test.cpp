@@ -55,6 +55,24 @@ TEST(PacedQueue, DropsWhenFull)
     EXPECT_EQ(queue.dropped(), 5u);
 }
 
+TEST(PacedQueue, CountsReleasesTheFullMacQueueRefuses)
+{
+    // A 1 us release interval overruns the MAC's 50-slot queue long
+    // before its first transmission settles: every release is either
+    // accepted by the MAC or counted as a release drop.
+    PacerBed bed;
+    PacedQueue queue(bed.net, 0, mac::QueueKey{1, true}, CaaConfig{}, 200, 1);
+    for (int i = 0; i < 120; ++i) queue.push(packet(i));
+    bed.net.run_until(kMillisecond);
+    const mac::MacQueue* mac_queue = bed.net.node(0).mac().queues().find(mac::QueueKey{1, true});
+    ASSERT_NE(mac_queue, nullptr);
+    EXPECT_EQ(queue.released(), 120u);
+    EXPECT_EQ(mac_queue->enqueued(), 50u);
+    EXPECT_EQ(queue.release_drops(), 70u);
+    EXPECT_EQ(queue.released(), mac_queue->enqueued() + queue.release_drops());
+    EXPECT_EQ(queue.dropped(), 0u);
+}
+
 TEST(PacedQueue, CongestionSignalSlowsRelease)
 {
     PacerBed bed;

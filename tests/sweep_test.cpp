@@ -136,7 +136,7 @@ TEST(ExperimentFactory, WithModeChangesOnlyTheMode)
     const ExperimentFactory base = small_factory(Mode::kBaseline80211);
     const ExperimentFactory ez = base.with_mode(Mode::kEzFlow);
     EXPECT_EQ(ez.options().mode, Mode::kEzFlow);
-    EXPECT_EQ(ez.options().payload_bytes, base.options().payload_bytes);
+    EXPECT_EQ(ez.options().caa.bmin, base.options().caa.bmin);
     EXPECT_EQ(ez.spec().line_hops, base.spec().line_hops);
     EXPECT_EQ(base.label(), "line-3hop / 802.11");
     EXPECT_EQ(ez.label(), "line-3hop / EZ-flow");
