@@ -126,8 +126,8 @@ void Network::set_node_down(NodeId id)
     Node& n = node(id);
     if (!n.is_up()) return;
     // MAC quiesced and radio wiped first, then the channel forgets the
-    // PHY; in-flight signal-end events keep their pooled frame refs and
-    // drain as tolerated no-ops at the dead PHY.
+    // PHY; in-flight end events keep their pooled records (frame and
+    // receiver list) and drain as tolerated no-ops at the dead PHY.
     n.teardown();
     shard(shard_of(id)).channel.detach(n.phy());
 }

@@ -154,11 +154,12 @@ void Channel::transmit(NodePhy& sender, Frame frame)
     ++transmissions_;
     if (frame.type == FrameType::kData) ++data_transmissions_;
 
-    // Single-copy fan-out: the frame moves into one pooled record and
-    // every per-receiver signal-end (plus the sender's tx-end) captures a
-    // pointer-sized handle, so the events stay in the scheduler's inline
+    // Single-copy fan-out: the frame moves into one pooled record that
+    // also lists the receivers, and the batched end events capture a
+    // pointer-sized handle to it, so they stay in the scheduler's inline
     // buffer and fan-out cost is O(receivers) pointer copies.
     const FrameRef record = frame_pool_.make(std::move(frame));
+    const SimTime end_at = scheduler_.now() + duration;
     const Frame& shared = *record;
 
     const bool sinr = interference_ == PhyModelConfig::Interference::kSinrLedger;
@@ -190,12 +191,11 @@ void Channel::transmit(NodePhy& sender, Frame frame)
                 if (rng_.bernoulli(loss)) rx.span_error_bits |= (1ull << i);
             rx.error = rx.span_error_bits == all_spans;
         }
-        phy->signal_start(rx);
-        scheduler_.schedule_in(
-            duration, [phy, signal_id, ref = record] { phy->signal_end(signal_id, *ref); });
+        start_signal(*phy, rx, record, end_at, &sender);
     }
-    scheduler_.schedule_in(duration,
-                           [phy = &sender, ref = record] { phy->tx_end(*ref); });
+    // The tx-end rides on the last batch; a transmission nobody hears
+    // ends with a lone tx-end event.
+    if (record.receivers().empty()) schedule_ends(record, signal_id, end_at, 0, &sender);
 
     // Boundary mirroring (connected-cut sharding): hand the transmission
     // to the Network's hook so foreign shards receive it as a ghost. The
@@ -234,6 +234,7 @@ void Channel::inject_ghost(net::NodeId foreign_id, const Position& foreign_pos, 
 
     const FrameRef record = frame_pool_.make(std::move(frame));
     const Frame& shared = *record;
+    const SimTime end_at = scheduler_.now() + duration_us;
     const bool sinr = interference_ == PhyModelConfig::Interference::kSinrLedger;
     const double threshold = frame_capture_threshold(shared);
     const double noise_w = sinr ? params_.noise_floor_w : 0.0;
@@ -252,11 +253,34 @@ void Channel::inject_ghost(net::NodeId foreign_id, const Position& foreign_pos, 
         rx.in_delivery = false;
         rx.sensed = false;
         rx.error = false;
-        entry.phy->signal_start(rx);
-        scheduler_.schedule_in(duration_us, [phy = entry.phy, ghost_signal_id, ref = record] {
-            phy->signal_end(ghost_signal_id, *ref);
-        });
+        start_signal(*entry.phy, rx, record, end_at, nullptr);
     }
+}
+
+void Channel::start_signal(NodePhy& phy, const RxEvent& rx, const FrameRef& record,
+                           SimTime end_at, NodePhy* sender)
+{
+    const std::uint64_t seq_before = scheduler_.next_event_seq();
+    phy.signal_start(rx);
+    std::vector<NodePhy*>& receivers = record.receivers();
+    if (receivers.empty() || scheduler_.next_event_seq() != seq_before) {
+        if (!receivers.empty()) receivers.push_back(nullptr);  // closes the open batch
+        schedule_ends(record, rx.signal_id, end_at, receivers.size(), sender);
+    }
+    receivers.push_back(&phy);
+}
+
+void Channel::schedule_ends(const FrameRef& record, std::uint64_t signal_id, SimTime end_at,
+                            std::size_t begin, NodePhy* sender)
+{
+    scheduler_.schedule_at(end_at, [ref = record, signal_id, begin, sender] {
+        const std::vector<NodePhy*>& receivers = ref.receivers();
+        for (std::size_t i = begin; i < receivers.size(); ++i) {
+            if (receivers[i] == nullptr) return;  // a later batch takes over
+            receivers[i]->signal_end(signal_id, *ref);
+        }
+        if (sender != nullptr) sender->tx_end(*ref);
+    });
 }
 
 }  // namespace ezflow::phy

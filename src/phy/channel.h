@@ -21,10 +21,11 @@ namespace ezflow::phy {
 
 /// The shared wireless medium. Dispatches every transmission to the nodes
 /// within carrier-sense or interference range, decides decodability per
-/// receiver (delivery range + per-link error model roll) and schedules
-/// signal-end events. The channel never filters by MAC address — everyone
-/// in range hears everything, which is exactly the property EZ-Flow's BOE
-/// exploits.
+/// receiver (delivery range + per-link error model roll) and schedules the
+/// transmission's end: normally one event that runs every receiver's
+/// signal end, in reach order, and then the sender's tx-end. The channel
+/// never filters by MAC address — everyone in range hears everything,
+/// which is exactly the property EZ-Flow's BOE exploits.
 ///
 /// The physics is pluggable behind three model interfaces, installed via
 /// `set_models` / the individual setters:
@@ -65,9 +66,9 @@ public:
 
     /// Remove a PHY from the medium (node death). The reachability cache
     /// is invalidated symmetrically with attach — a same-size detach +
-    /// attach cycle can never serve stale sets — and signal-end events
-    /// already in flight keep their pooled frame references, so they
-    /// drain without touching the channel. Throws if not attached.
+    /// attach cycle can never serve stale sets — and end events already
+    /// in flight keep their pooled records (frame and receiver list), so
+    /// they drain without touching the channel. Throws if not attached.
     void detach(NodePhy& phy);
 
     /// Whether this PHY is currently attached to the medium.
@@ -108,7 +109,9 @@ public:
 
     /// Broadcast a frame from `sender`. Called by NodePhy::start_tx.
     /// Takes the frame by value: it is moved into a pooled FrameRecord
-    /// shared by every receiver's signal-end event (single-copy fan-out).
+    /// that also lists the receivers, shared by the transmission's end
+    /// events (single-copy fan-out). Those fire in the same-instant FIFO
+    /// order one event per receiver plus one for the tx-end would have.
     void transmit(NodePhy& sender, Frame frame);
 
     // --- connected-cut sharding: boundary-proxy (ghost) layer ---
@@ -185,6 +188,20 @@ private:
     /// Rebuild the per-transmitter reachability sets after they were
     /// cleared.
     void ensure_reach();
+
+    /// Signal-start `rx` at `phy` and enrol `phy` in the batched signal
+    /// ends of `record`'s transmission at `end_at`. A batch event sits
+    /// where its first receiver's own signal-end event would have been
+    /// scheduled, so `phy` joins the open batch unless its signal_start
+    /// scheduled something — an event for `end_at` would then fire
+    /// between the two ends — and opens a new batch otherwise. The last
+    /// batch also runs `sender`'s tx-end (null for ghosts).
+    void start_signal(NodePhy& phy, const RxEvent& rx, const FrameRef& record, SimTime end_at,
+                      NodePhy* sender);
+    /// Schedule the end event of the batch whose receivers start at
+    /// index `begin` of `record`'s receiver list.
+    void schedule_ends(const FrameRef& record, std::uint64_t signal_id, SimTime end_at,
+                       std::size_t begin, NodePhy* sender);
 
     /// One local receiver of a foreign boundary node's ghost signals,
     /// with its precomputed power. Cached per foreign node (positions are

@@ -9,16 +9,20 @@
 namespace ezflow::phy {
 
 class FramePool;
+class NodePhy;
 
-/// One transmission's immutable on-air frame. Allocated once per
-/// Channel::transmit and shared — via FrameRef handles small enough for
-/// the scheduler's inline event buffer — by every receiver's signal-end
-/// event plus the sender's tx-end, so the per-receiver fan-out copies
-/// pointers instead of Frame+Packet payloads. Records are recycled
-/// through the owning FramePool when the last handle releases. A data
-/// frame's MPDU list lives inside the pooled Frame, so a whole A-MPDU
-/// batch still costs one record per transmission — the single-copy
-/// pipeline is per PPDU, not per MSDU.
+/// One transmission's immutable on-air frame plus the receivers whose
+/// signal ends it owes. Allocated once per Channel::transmit (or ghost
+/// injection) and shared — via FrameRef handles small enough for the
+/// scheduler's inline event buffer — by the transmission's end events:
+/// usually one, which runs every receiver's signal end in reach order and
+/// then the sender's tx-end, so the fan-out copies pointers instead of
+/// Frame+Packet payloads and schedules one event instead of one per
+/// receiver. Records are recycled through the owning FramePool when the
+/// last handle releases; the receiver list keeps its capacity, so steady
+/// state allocates nothing. A data frame's MPDU list lives inside the
+/// pooled Frame, so a whole A-MPDU batch still costs one record per
+/// transmission — the single-copy pipeline is per PPDU, not per MSDU.
 class FrameRecord {
 public:
     const Frame& frame() const { return frame_; }
@@ -28,6 +32,10 @@ private:
     friend class FrameRef;
 
     Frame frame_{};
+    /// Receivers in reach order, the end events' batches separated by
+    /// nullptr. Owned here rather than pointing into the channel's reach
+    /// sets, which a detach clears while signal ends are in flight.
+    std::vector<NodePhy*> receivers_;
     std::uint32_t refs_ = 0;
     /// Owning pool, or nullptr when the pool was destroyed first (the
     /// scheduler can outlive the channel with signal-end events still
@@ -66,6 +74,9 @@ public:
     explicit operator bool() const { return record_ != nullptr; }
     const Frame& operator*() const { return record_->frame_; }
     const Frame* operator->() const { return &record_->frame_; }
+    /// The record's receiver list: the channel appends to it while the
+    /// transmission's signal starts run; the end events only read it.
+    std::vector<NodePhy*>& receivers() const { return record_->receivers_; }
 
 private:
     friend class FramePool;
@@ -118,6 +129,7 @@ public:
             ++created_;
         }
         record->frame_ = std::move(frame);
+        record->receivers_.clear();
         return FrameRef(record);
     }
 

@@ -11,7 +11,6 @@ namespace ezflow::phy {
 NodePhy::NodePhy(net::NodeId id, Position position, sim::Scheduler& scheduler)
     : id_(id), position_(position), scheduler_(scheduler)
 {
-    (void)scheduler_;  // kept for symmetry/future use (e.g. switching delays)
 }
 
 const PhyParams& NodePhy::channel_params() const

@@ -10,9 +10,10 @@ namespace ezflow::sim {
 /// Move-only type-erased `void()` callable with a small-buffer store.
 ///
 /// Scheduler callbacks are overwhelmingly a captured `this` pointer (MAC
-/// timers, tracers, pacers) or the channel's delivery events, which since
-/// the single-copy frame pipeline capture only {NodePhy*, signal id,
-/// FrameRef} (24 B) instead of a ~100 B phy::Frame by value. The inline
+/// timers, tracers, pacers) or the channel's end-of-transmission events,
+/// one per transmission rather than per receiver, which capture only
+/// {FrameRef, signal id, batch start, sender NodePhy*} (32 B) — the
+/// pooled record holds the frame and the receiver list. The inline
 /// buffer is sized for those hot captures with headroom, which keeps the
 /// event arena slots compact; scheduling a hot-path event never touches
 /// the allocator. Larger captures fall back to the heap transparently.

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "phy/channel.h"
@@ -452,10 +455,15 @@ TEST(Channel, FanoutPerformsZeroPerReceiverFrameCopies)
     // whole pipeline — start_tx, the pooled FrameRecord, per-receiver
     // signal_start/signal_end and the sender's tx_end — must not copy the
     // Frame at all, regardless of the receiver count (listeners are left
-    // unset: delivery callbacks may copy, the transport may not).
+    // unset: delivery callbacks may copy, the transport may not). Every
+    // signal end and the tx-end ride one scheduler event; so do the ends
+    // of a foreign boundary node's ghost, which reaches every PHY as pure
+    // interference from beyond carrier-sense range.
+    PhyParams params;
+    params.interference_range_m = 700.0;
     for (const int nodes : {3, 61}) {
         sim::Scheduler scheduler;
-        Channel channel(scheduler, util::Rng(7), PhyParams{});
+        Channel channel(scheduler, util::Rng(7), params);
         std::vector<std::unique_ptr<NodePhy>> phys;
         for (int i = 0; i < nodes; ++i) {
             phys.push_back(std::make_unique<NodePhy>(i, Position{i * 1.0, 0.0}, scheduler));
@@ -466,7 +474,92 @@ TEST(Channel, FanoutPerformsZeroPerReceiverFrameCopies)
         scheduler.run();
         EXPECT_EQ(Frame::copies() - copies_before, 0u) << "nodes=" << nodes;
         EXPECT_EQ(channel.frame_pool().created(), 1u) << "nodes=" << nodes;
+        EXPECT_EQ(scheduler.processed(), 1u) << "nodes=" << nodes;
+
+        channel.inject_ghost(1000, Position{-600.0, 0.0}, data_frame(1000, 1001), 500, 1ull << 62);
+        for (const auto& phy : phys) EXPECT_GT(phy->interference_ledger_w(), 0.0);
+        scheduler.run();
+        EXPECT_EQ(scheduler.processed(), 2u) << "nodes=" << nodes;
+        for (const auto& phy : phys) EXPECT_EQ(phy->interference_ledger_w(), 0.0);
+        EXPECT_EQ(Frame::copies() - copies_before, 0u) << "nodes=" << nodes;
+        EXPECT_EQ(channel.frame_pool().live(), 0u);
     }
+}
+
+/// Logs busy -> idle edges and tx-ends into one shared order; the
+/// armed instance also schedules a probe for `probe_at` the moment a
+/// signal starts at its node, as a MAC rearming a timer would.
+class OrderListener final : public PhyListener {
+public:
+    OrderListener(std::string name, std::vector<std::string>& log, sim::Scheduler& scheduler)
+        : name_(std::move(name)), log_(log), scheduler_(scheduler)
+    {
+    }
+    SimTime probe_at = -1;
+
+    void phy_busy_changed(bool busy) override
+    {
+        if (!busy) log_.push_back(name_ + " idle");
+        if (busy && probe_at >= 0)
+            scheduler_.schedule_at(probe_at, [this] { log_.push_back("probe"); });
+    }
+    void phy_frame_decoded(const Frame&) override {}
+    void phy_tx_done(const Frame&) override { log_.push_back(name_ + " tx_done"); }
+
+private:
+    std::string name_;
+    std::vector<std::string>& log_;
+    sim::Scheduler& scheduler_;
+};
+
+TEST(Channel, BatchedEndsKeepPerEventFifoOrder)
+{
+    // Receiver c's signal_start schedules a probe for exactly the end
+    // instant. Had every receiver its own end event, the probe (scheduled
+    // between b's and c's end events) would fire between those two ends;
+    // the batching must split there to keep that order.
+    TestBed bed;
+    std::vector<std::string> log;
+    const char* names[] = {"a", "b", "c", "d"};
+    std::vector<std::unique_ptr<OrderListener>> listeners;
+    for (int i = 0; i < 4; ++i) {
+        NodePhy& phy = bed.add(i * 100.0);
+        listeners.push_back(std::make_unique<OrderListener>(names[i], log, bed.scheduler));
+        phy.set_listener(listeners.back().get());
+    }
+    const Frame frame = data_frame(0, 1);
+    listeners[2]->probe_at = bed.params.tx_duration(frame);
+    bed.phys[0]->start_tx(frame);
+    bed.scheduler.run();
+    const std::vector<std::string> per_event = {"b idle", "probe",  "c idle",
+                                                "d idle", "a idle", "a tx_done"};
+    EXPECT_EQ(log, per_event);
+    // Two batches (b; c, d and the tx-end) plus the probe.
+    EXPECT_EQ(bed.scheduler.processed(), 3u);
+}
+
+TEST(Channel, BatchSurvivesDetachAndPowerCycleInFlight)
+{
+    // Between the transmission and its batched ends, one receiver leaves
+    // the medium (clearing the reach sets) and another is power-cycled.
+    // The batch owns its receiver list, so every other end and the
+    // sender's tx-end still fire and the record is released — ASan runs
+    // of this test pin the lifetime down.
+    TestBed bed;
+    NodePhy& a = bed.add(0);
+    for (int i = 1; i <= 4; ++i) bed.add(i * 50.0);
+    a.start_tx(data_frame(0, 1));
+    bed.channel.detach(*bed.phys[1]);
+    bed.phys[2]->power_off();
+    bed.phys[2]->power_on();
+    bed.scheduler.run();
+    EXPECT_EQ(bed.phys[1]->interference_ledger_w(), 0.0);  // its end still fired
+    EXPECT_TRUE(bed.listener(2).decoded.empty());          // wiped by the power cycle
+    EXPECT_EQ(bed.listener(3).decoded.size(), 1u);
+    EXPECT_EQ(bed.listener(4).decoded.size(), 1u);
+    EXPECT_EQ(bed.listener(0).tx_done.size(), 1u);
+    EXPECT_FALSE(a.transmitting());
+    EXPECT_EQ(bed.channel.frame_pool().live(), 0u);
 }
 
 TEST(Channel, FramePoolRecyclesAcrossTransmissions)
