@@ -17,6 +17,7 @@ EzFlowAgent::EzFlowAgent(net::Network& network, net::NodeId node, CaaConfig conf
 {
     if (sniff_loss < 0.0 || sniff_loss > 1.0)
         throw std::invalid_argument("EzFlowAgent: sniff_loss out of range");
+    BufferOccupancyEstimator::check_history(boe_history);
     net::Node& n = network_.node(node_id_);
     n.add_first_tx_handler(
         [this](const mac::QueueKey& key, const net::Packet& packet) { on_first_tx(key, packet); });
@@ -40,8 +41,7 @@ EzFlowAgent::SuccessorState& EzFlowAgent::ensure_successor(net::NodeId successor
             mac.set_queue_cw_min(mac::QueueKey{successor, /*own_traffic=*/true}, cw);
             if (record_traces_) raw->cw_trace.add(scheduler_->now(), static_cast<double>(cw));
         });
-    successors_[successor] = std::move(state);
-    return *successors_.at(successor);
+    return *successors_.emplace(successor, std::move(state)).first->second;
 }
 
 void EzFlowAgent::on_first_tx(const mac::QueueKey& key, const net::Packet& packet)

@@ -58,6 +58,11 @@ void PacedQueue::release_one()
 PacedEzFlowAgent::PacedEzFlowAgent(net::Network& network, net::NodeId node, Options options)
     : network_(network), node_id_(node), options_(options)
 {
+    BufferOccupancyEstimator::check_history(options.boe_history);
+    if (options.queue_capacity <= 0)
+        throw std::invalid_argument("PacedEzFlowAgent: queue_capacity must be > 0");
+    if (options.base_interval <= 0)
+        throw std::invalid_argument("PacedEzFlowAgent: base_interval must be > 0");
     net::Node& n = network_.node(node_id_);
     n.set_forward_interceptor(
         [this](const mac::QueueKey& key, const net::Packet& packet) { return intercept(key, packet); });
@@ -74,8 +79,7 @@ PacedEzFlowAgent::SuccessorState& PacedEzFlowAgent::ensure(net::NodeId successor
     auto state = std::make_unique<SuccessorState>(options_.boe_history);
     state->queue = std::make_unique<PacedQueue>(network_, node_id_, key, options_.caa,
                                                 options_.queue_capacity, options_.base_interval);
-    successors_[successor] = std::move(state);
-    return *successors_.at(successor);
+    return *successors_.emplace(successor, std::move(state)).first->second;
 }
 
 bool PacedEzFlowAgent::intercept(const mac::QueueKey& key, const net::Packet& packet)

@@ -119,6 +119,14 @@ TEST(Agent, RejectsBadSniffLoss)
     EXPECT_THROW(EzFlowAgent(*s.network, 0, CaaConfig{}, 1000, 1.5), std::invalid_argument);
 }
 
+TEST(Agent, RejectsBadBoeHistoryAtConstruction)
+{
+    // Checked up front, not on the first transmission mid-run.
+    net::Scenario s = net::make_line(2, 10, 9);
+    EXPECT_THROW(EzFlowAgent(*s.network, 0, CaaConfig{}, 0), std::invalid_argument);
+    EXPECT_THROW(EzFlowAgent(*s.network, 0, CaaConfig{}, 65536), std::invalid_argument);
+}
+
 TEST(Agent, MultipleSuccessorsGetIndependentCaa)
 {
     // A node relaying two flows toward different successors runs one

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
+#include <stdexcept>
 #include <vector>
 
 #include "core/boe.h"
@@ -199,6 +201,177 @@ TEST(Boe, CountersTrackActivity)
     EXPECT_EQ(boe.sent_recorded(), 2u);
     EXPECT_EQ(boe.matches(), 1u);
     EXPECT_EQ(boe.misses(), 1u);
+}
+
+TEST(Boe, RejectsHistoryOutsideFilterRange)
+{
+    EXPECT_THROW(BufferOccupancyEstimator(0), std::invalid_argument);
+    EXPECT_THROW(BufferOccupancyEstimator(BufferOccupancyEstimator::kMaxHistory + 1),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(BufferOccupancyEstimator(1));
+    EXPECT_NO_THROW(BufferOccupancyEstimator(BufferOccupancyEstimator::kMaxHistory));
+}
+
+TEST(Boe, FullHistoryInOneBucketStillMatches)
+{
+    // Every checksum in one bucket at the largest history: that bucket's
+    // count sits at kMaxHistory without overflowing.
+    const std::size_t history = BufferOccupancyEstimator::kMaxHistory;
+    BufferOccupancyEstimator boe(history);
+    for (std::size_t i = 0; i < history + 100; ++i)
+        boe.on_packet_sent(static_cast<std::uint16_t>((i % 16) << 12));
+    // The oldest retained entry (send 100) is the first match from the cursor.
+    const auto oldest = boe.on_packet_overheard(static_cast<std::uint16_t>((100 % 16) << 12));
+    ASSERT_TRUE(oldest.has_value());
+    EXPECT_EQ(*oldest, static_cast<int>(history) - 1);
+    EXPECT_FALSE(boe.on_packet_overheard(0x0001).has_value());
+}
+
+// ------------------------------------------------------------ oracle race
+
+/// The estimator as a plain linear scan over every checksum ever sent:
+/// the search order the filtered ring must reproduce exactly.
+class ReferenceBoe {
+public:
+    explicit ReferenceBoe(std::size_t history) : history_(history) {}
+
+    void on_packet_sent(std::uint16_t checksum) { sent_.push_back(checksum); }
+
+    std::optional<int> on_packet_overheard(std::uint16_t checksum)
+    {
+        const std::uint64_t next = sent_.size();
+        const std::uint64_t oldest = next > history_ ? next - history_ : 0;
+        const std::uint64_t search_from = std::max(cursor_, oldest);
+        for (std::uint64_t s = search_from; s < next; ++s) {
+            if (sent_[s] == checksum) {
+                cursor_ = s + 1;
+                ++matches_;
+                return static_cast<int>(next - 1 - s);
+            }
+        }
+        for (std::uint64_t s = search_from; s-- > oldest;) {
+            if (sent_[s] == checksum) {
+                ++matches_;
+                return static_cast<int>(next - 1 - s);
+            }
+        }
+        ++misses_;
+        return std::nullopt;
+    }
+
+    std::uint64_t sent_recorded() const { return sent_.size(); }
+    std::uint64_t matches() const { return matches_; }
+    std::uint64_t misses() const { return misses_; }
+
+private:
+    std::size_t history_;
+    std::vector<std::uint16_t> sent_;
+    std::uint64_t cursor_ = 0;
+    std::uint64_t matches_ = 0;
+    std::uint64_t misses_ = 0;
+};
+
+using ChecksumDraw = std::uint16_t (*)(util::Rng&);
+
+/// Drive both estimators with one seeded stream of sends and sniffs and
+/// compare every return value and counter. The successor serves FIFO; a
+/// sniff is its head-of-line forward, a re-sniff of something already
+/// forwarded, an old send that may have been evicted, or a stray checksum.
+/// `sniff_each_send` also sniffs every checksum right after it is sent.
+void race(std::size_t history, std::uint64_t seed, int steps, ChecksumDraw draw,
+          bool sniff_each_send = false)
+{
+    BufferOccupancyEstimator boe(history);
+    ReferenceBoe reference(history);
+    util::Rng rng(seed);
+    std::deque<std::uint16_t> queued;
+    std::vector<std::uint16_t> sent;
+    std::vector<std::uint16_t> forwarded;
+    const auto sniff = [&](std::uint16_t checksum) {
+        const std::optional<int> expected = reference.on_packet_overheard(checksum);
+        ASSERT_EQ(boe.on_packet_overheard(checksum), expected)
+            << "checksum " << checksum << " after " << sent.size() << " sends";
+    };
+    for (int step = 0; step < steps; ++step) {
+        const int action = rng.uniform_int(0, 9);
+        if (queued.empty() || action < 4) {
+            const std::uint16_t checksum = draw(rng);
+            boe.on_packet_sent(checksum);
+            reference.on_packet_sent(checksum);
+            queued.push_back(checksum);
+            sent.push_back(checksum);
+            if (sniff_each_send) sniff(checksum);
+        } else if (action < 7) {
+            forwarded.push_back(queued.front());
+            queued.pop_front();
+            if (action < 6) sniff(forwarded.back());  // else: sniff missed
+        } else if (action == 7 && !forwarded.empty()) {
+            const int back = rng.uniform_int(1, std::min(4, static_cast<int>(forwarded.size())));
+            sniff(forwarded[forwarded.size() - static_cast<std::size_t>(back)]);
+        } else if (action == 8) {
+            const int back = rng.uniform_int(1, static_cast<int>(sent.size()));
+            sniff(sent[sent.size() - static_cast<std::size_t>(back)]);
+        } else {
+            sniff(draw(rng));
+        }
+        if (::testing::Test::HasFatalFailure()) return;
+        ASSERT_EQ(boe.sent_recorded(), reference.sent_recorded());
+        ASSERT_EQ(boe.matches(), reference.matches());
+        ASSERT_EQ(boe.misses(), reference.misses());
+    }
+}
+
+std::uint16_t any_checksum(util::Rng& rng)
+{
+    return static_cast<std::uint16_t>(rng.next_u64());
+}
+
+/// Sixteen values: collisions everywhere, on both sides of the cursor.
+std::uint16_t few_checksums(util::Rng& rng)
+{
+    return static_cast<std::uint16_t>(rng.uniform_int(0, 15) * 0x0101);
+}
+
+/// Sixteen values that all share filter bucket 0x123.
+std::uint16_t one_bucket(util::Rng& rng)
+{
+    return static_cast<std::uint16_t>((rng.uniform_int(0, 15) << 12) | 0x123);
+}
+
+class BoeRace : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(BoeRace, MatchesReferenceOnRandomChecksums)
+{
+    const auto [history, seed] = GetParam();
+    race(static_cast<std::size_t>(history), static_cast<std::uint64_t>(seed), 6000,
+         any_checksum);
+}
+
+TEST_P(BoeRace, MatchesReferenceUnderCollisions)
+{
+    const auto [history, seed] = GetParam();
+    race(static_cast<std::size_t>(history), static_cast<std::uint64_t>(seed), 6000,
+         few_checksums);
+}
+
+TEST_P(BoeRace, MatchesReferenceWithEveryChecksumInOneBucket)
+{
+    const auto [history, seed] = GetParam();
+    race(static_cast<std::size_t>(history), static_cast<std::uint64_t>(seed), 6000, one_bucket);
+}
+
+// Histories 1 and 7 wrap the ring every few sends, so evictions keep
+// emptying filter buckets that later sends refill.
+INSTANTIATE_TEST_SUITE_P(Histories, BoeRace,
+                         ::testing::Combine(::testing::Values(1, 7, 1000),
+                                            ::testing::Values(1, 2, 3)));
+
+TEST(BoeRace, LongOneBucketStreamOutlastsTheCounterRange)
+{
+    // More sends into one bucket than a 16-bit counter can count, each
+    // sniffed at once: a filter that missed an eviction would wrap to zero
+    // after the 65,536th send and reject the checksum just sent.
+    race(7, 5, 200000, one_bucket, /*sniff_each_send=*/true);
 }
 
 // Property sweep: for random workloads and any history size, a sniffed

@@ -157,6 +157,27 @@ TEST(PacedAgent, StabilizesFourHopChain)
     EXPECT_GT(sink.goodput_kbps(0, util::from_seconds(150), util::from_seconds(300)), 100.0);
 }
 
+TEST(PacedAgent, RejectsBadOptionsAtConstruction)
+{
+    // Checked up front, not when the first packet builds the per-successor
+    // state mid-run.
+    PacerBed bed(2);
+    PacedEzFlowAgent::Options no_history;
+    no_history.boe_history = 0;
+    EXPECT_THROW(PacedEzFlowAgent(bed.net, 0, no_history), std::invalid_argument);
+    PacedEzFlowAgent::Options huge_history;
+    huge_history.boe_history = 65536;
+    EXPECT_THROW(PacedEzFlowAgent(bed.net, 0, huge_history), std::invalid_argument);
+    PacedEzFlowAgent::Options no_capacity;
+    no_capacity.queue_capacity = 0;
+    EXPECT_THROW(PacedEzFlowAgent(bed.net, 0, no_capacity), std::invalid_argument);
+    PacedEzFlowAgent::Options no_interval;
+    no_interval.base_interval = 0;
+    EXPECT_THROW(PacedEzFlowAgent(bed.net, 0, no_interval), std::invalid_argument);
+    // A rejected agent registered nothing, so a valid one still installs.
+    EXPECT_NO_THROW(PacedEzFlowAgent(bed.net, 0, PacedEzFlowAgent::Options{}));
+}
+
 TEST(PacedAgent, SecondInterceptorRejected)
 {
     PacerBed bed(2);

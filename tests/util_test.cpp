@@ -7,7 +7,6 @@
 
 #include "util/cli.h"
 #include "util/csv.h"
-#include "util/ring_buffer.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -214,71 +213,6 @@ TEST(Rng, WeightedIndexRejectsBadInput)
     Rng rng(11);
     EXPECT_THROW(rng.weighted_index({0.0, 0.0}), std::invalid_argument);
     EXPECT_THROW(rng.weighted_index({-1.0, 2.0}), std::invalid_argument);
-}
-
-// ---------------------------------------------------------- ring buffer
-
-TEST(RingBuffer, RejectsZeroCapacity)
-{
-    EXPECT_THROW(RingBuffer<int>(0), std::invalid_argument);
-}
-
-TEST(RingBuffer, PushAssignsSequentialSeqs)
-{
-    RingBuffer<int> ring(4);
-    EXPECT_EQ(ring.push(10), 0u);
-    EXPECT_EQ(ring.push(11), 1u);
-    EXPECT_EQ(ring.push(12), 2u);
-    EXPECT_EQ(ring.size(), 3u);
-}
-
-TEST(RingBuffer, OverwritesOldestWhenFull)
-{
-    RingBuffer<int> ring(3);
-    for (int i = 0; i < 5; ++i) ring.push(i);
-    EXPECT_EQ(ring.size(), 3u);
-    EXPECT_EQ(ring.oldest_seq(), 2u);
-    EXPECT_EQ(ring.newest_seq(), 4u);
-    EXPECT_EQ(ring.at_seq(2), 2);
-    EXPECT_EQ(ring.at_seq(4), 4);
-}
-
-TEST(RingBuffer, ContainsSeqTracksEviction)
-{
-    RingBuffer<int> ring(2);
-    ring.push(0);
-    ring.push(1);
-    ring.push(2);
-    EXPECT_FALSE(ring.contains_seq(0));
-    EXPECT_TRUE(ring.contains_seq(1));
-    EXPECT_TRUE(ring.contains_seq(2));
-    EXPECT_FALSE(ring.contains_seq(3));
-}
-
-TEST(RingBuffer, AtSeqThrowsForEvicted)
-{
-    RingBuffer<int> ring(2);
-    ring.push(0);
-    ring.push(1);
-    ring.push(2);
-    EXPECT_THROW(ring.at_seq(0), std::out_of_range);
-}
-
-TEST(RingBuffer, EmptyAccessorsThrow)
-{
-    RingBuffer<int> ring(2);
-    EXPECT_TRUE(ring.empty());
-    EXPECT_THROW(ring.oldest_seq(), std::out_of_range);
-    EXPECT_THROW(ring.newest_seq(), std::out_of_range);
-}
-
-TEST(RingBuffer, ClearResets)
-{
-    RingBuffer<int> ring(2);
-    ring.push(1);
-    ring.clear();
-    EXPECT_TRUE(ring.empty());
-    EXPECT_EQ(ring.push(9), 0u);
 }
 
 // ---------------------------------------------------------------- stats
