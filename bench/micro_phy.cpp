@@ -129,8 +129,7 @@ void BM_JakesGain(benchmark::State& state)
     // Per-transmission fading evaluation: one |h(t)|^2 over the default
     // 16-oscillator ray bank (the extra cost every transmit pays per
     // reachable receiver when fading is installed).
-    phy::JakesFading model(std::make_unique<phy::TwoRayReference>(), /*doppler_hz=*/10.0,
-                           /*seed=*/7);
+    phy::JakesFading model(/*doppler_hz=*/10.0, /*seed=*/7);
     util::SimTime now = 0;
     double sum = 0.0;
     for (auto _ : state) {

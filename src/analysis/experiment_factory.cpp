@@ -3,6 +3,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "mac/mac_params.h"
+
 namespace ezflow::analysis {
 
 ScenarioSpec ScenarioSpec::line(int hops, double duration_s)
@@ -183,6 +185,9 @@ net::Scenario build_topology(const ScenarioSpec& spec, std::uint64_t seed)
 
 net::Scenario build_scenario(const ScenarioSpec& spec, std::uint64_t seed)
 {
+    // Checked before the topology is built, so a bad spec fails fast.
+    if (spec.ampdu_max_mpdus < 1 || spec.ampdu_max_mpdus > mac::kMaxAmpduMpdus)
+        throw std::invalid_argument("build_scenario: ampdu_max_mpdus outside [1, 64]");
     net::Scenario scenario = build_topology(spec, seed);
     // Model installation is applied after construction rather than threaded
     // through every topology builder; a reference config is an exact no-op.

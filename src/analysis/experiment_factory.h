@@ -76,10 +76,10 @@ struct ScenarioSpec {
     phy::PhyModelConfig models;
 
     /// Block-ack agreement applied to every node's MAC: up to this many
-    /// MPDUs per A-MPDU batch. 1 (the default) sends one MPDU per access,
-    /// answered by a normal ACK; larger values batch under block-ack and
-    /// suffix the scenario name with "-k<K>" so sweep cells stay
-    /// distinguishable.
+    /// MPDUs per A-MPDU batch, in [1, 64]. 1 (the default) sends one MPDU
+    /// per access, answered by a normal ACK; larger values batch under
+    /// block-ack and suffix the scenario name with "-k<K>" so sweep cells
+    /// stay distinguishable.
     int ampdu_max_mpdus = 1;
 
     /// Scheduled node/link faults carried into the built Scenario (empty
@@ -104,6 +104,7 @@ struct ScenarioSpec {
 std::string scenario_name(const ScenarioSpec& spec);
 
 /// Build the network + flow plan a spec describes, seeded for one run.
+/// Throws std::invalid_argument when `ampdu_max_mpdus` is outside [1, 64].
 net::Scenario build_scenario(const ScenarioSpec& spec, std::uint64_t seed);
 
 /// Binds a ScenarioSpec to the ExperimentOptions under test and stamps

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -46,9 +48,9 @@ int usage(const char* message = nullptr)
 /// The flags every run-like command understands; everything else is kept
 /// as a figure-specific extra.
 struct RunFlags {
-    double scale = -1.0;  ///< <0: use the spec default
+    std::optional<double> scale;  ///< unset: use the spec default
     std::uint64_t seed = 7;
-    int seeds = -1;  ///< <0: use the spec default
+    std::optional<int> seeds;  ///< unset: use the spec default
     int threads = 0;
     int shards = 0;  ///< 0: keep each figure's default shard budget
     bool streaming = false;
@@ -66,9 +68,9 @@ struct RunFlags {
 RunFlags parse_run_flags(const util::Cli& cli)
 {
     RunFlags flags;
-    flags.scale = cli.get_double("scale", -1.0);
+    if (cli.has("scale")) flags.scale = cli.get_double("scale", 0.0);
     flags.seed = util::Cli::parse_uint64(cli.get("seed", "7"), "--seed");  // full 64-bit range
-    flags.seeds = cli.get_int("seeds", -1);
+    if (cli.has("seeds")) flags.seeds = cli.get_int("seeds", 0);
     flags.threads = cli.get_int("threads", 0);
     flags.shards = cli.get_int("shards", 0);
     flags.streaming = cli.get_bool("streaming", false);
@@ -90,16 +92,22 @@ RunFlags parse_run_flags(const util::Cli& cli)
     return flags;
 }
 
+/// Every `run` and each `sweep` grid point passes through here, so this is
+/// where out-of-range values are rejected: the throw becomes a usage error
+/// (exit 2) in run_app.
 FigureContext make_context(const FigureSpec& spec, const RunFlags& flags)
 {
+    if (flags.scale && !(std::isfinite(*flags.scale) && *flags.scale > 0.0))
+        throw std::out_of_range("--scale must be positive and finite");
+    if (flags.seeds && *flags.seeds < 1) throw std::out_of_range("--seeds must be at least 1");
+    if (flags.threads < 0) throw std::out_of_range("--threads must not be negative");
+    if (flags.shards < 0) throw std::out_of_range("--shards must not be negative");
     FigureContext ctx;
     ctx.spec = &spec;
     // An explicit flag always wins; --smoke only replaces the defaults.
-    ctx.scale = flags.scale > 0 ? flags.scale
-                                : (flags.smoke ? spec.smoke_scale : spec.default_scale);
+    ctx.scale = flags.scale.value_or(flags.smoke ? spec.smoke_scale : spec.default_scale);
     ctx.seed = flags.seed;
-    ctx.seeds = flags.seeds > 0 ? flags.seeds
-                                : (flags.smoke ? spec.smoke_seeds : spec.default_seeds);
+    ctx.seeds = flags.seeds.value_or(flags.smoke ? spec.smoke_seeds : spec.default_seeds);
     ctx.threads = flags.threads;
     ctx.shards = flags.shards;
     ctx.streaming = flags.streaming;

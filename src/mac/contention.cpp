@@ -65,41 +65,10 @@ void ContentionCoordinator::register_access(BackoffClient& client, SimTime difs_
     entry.armed = now;
     entry.seq = next_seq_++;
     entry.slot = slot_us;
-    if (backoff_slots == 0) {
-        // Immediate access: the reference transmits inside its DIFS-end
-        // event; no decrement is ever owed.
-        entry.remaining = 0;
-        entry.difs_pending = false;
-        entry.expiry = entry.reg_at;
-    } else {
-        // One decrement at DIFS end, the rest at subsequent boundaries.
-        entry.remaining = backoff_slots - 1;
-        entry.difs_pending = true;
-        entry.expiry = entry.reg_at + static_cast<SimTime>(backoff_slots) * slot_us;
-    }
-    insert_entry(entry);
-}
-
-void ContentionCoordinator::register_backoff(BackoffClient& client, int remaining_slots,
-                                             SimTime slot_us)
-{
-    if (remaining_slots < 0)
-        throw std::invalid_argument("ContentionCoordinator::register_backoff: negative count");
-    if (slot_us <= 0)
-        throw std::invalid_argument("ContentionCoordinator::register_backoff: bad slot");
-    if (is_registered(client))
-        throw std::logic_error("ContentionCoordinator::register_backoff: already registered");
-
-    const SimTime now = scheduler_.now();
-    Entry entry;
-    entry.client = &client;
-    entry.reg_at = now;  // the caller's DIFS ended (and decremented) here
-    entry.armed = now;
-    entry.seq = next_seq_++;
-    entry.slot = slot_us;
-    entry.remaining = remaining_slots;
-    entry.difs_pending = false;
-    entry.expiry = now + (static_cast<SimTime>(remaining_slots) + 1) * slot_us;
+    // One decrement at DIFS end, the rest at subsequent boundaries; with a
+    // zero counter the reference transmits inside its DIFS-end event.
+    entry.owed = backoff_slots;
+    entry.expiry = entry.reg_at + static_cast<SimTime>(backoff_slots) * slot_us;
     insert_entry(entry);
 }
 
@@ -127,7 +96,7 @@ int ContentionCoordinator::freeze(BackoffClient& client)
         // Exactly at the (virtual) DIFS end: the first decrement happened
         // only when the DIFS-end event preceded the interrupting
         // transmission in the scheduler's FIFO tie order.
-        if (entry.difs_pending && precedes_transmitter(index)) consumed = 1;
+        if (precedes_transmitter(index)) consumed = 1;
     } else if (now > entry.reg_at) {
         // The DIFS-end decrement (when owed) certainly fired; boundaries
         // reg_at + k*slot, k >= 1, strictly before now all fired, and the
@@ -141,10 +110,9 @@ int ContentionCoordinator::freeze(BackoffClient& client)
         } else {
             boundaries = static_cast<int>(whole) - 1 + (precedes_transmitter(index) ? 1 : 0);
         }
-        const int owed = entry.remaining + (entry.difs_pending ? 1 : 0);
-        consumed = (entry.difs_pending ? 1 : 0) + std::max(boundaries, 0);
-        consumed = std::min(consumed, owed);
+        consumed = 1 + std::max(boundaries, 0);
     }
+    consumed = std::min(consumed, entry.owed);
     slots_batched_ += static_cast<std::uint64_t>(consumed);
     erase_at(index);
     return consumed;

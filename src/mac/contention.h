@@ -87,13 +87,6 @@ public:
     void register_access(BackoffClient& client, SimTime difs_us, int backoff_slots,
                          SimTime slot_us);
 
-    /// Backoff-only registration (the pre-fused API, kept for equivalence
-    /// tests): the caller has already consumed the decrement at the
-    /// current instant; `remaining_slots` more decrements are owed, one
-    /// per further slot boundary, and backoff_expired() fires one slot
-    /// after the last of them. Throws if `client` is already registered.
-    void register_backoff(BackoffClient& client, int remaining_slots, SimTime slot_us);
-
     /// The client's medium went busy: consume the decrements that elapsed
     /// since registration (batch decrement) and unregister. Returns the
     /// number of decrements; the client subtracts it from its remaining
@@ -131,14 +124,12 @@ public:
 private:
     struct Entry {
         BackoffClient* client;
-        SimTime reg_at;  ///< DIFS end: first decrement owed here (difs_pending)
+        SimTime reg_at;  ///< DIFS end: the first decrement is owed here
         SimTime armed;   ///< when the pending DIFS-end event was armed
         std::uint64_t seq;  ///< registration order, ties in (reg_at, armed)
         SimTime slot;    ///< slot duration, microseconds
-        int remaining;   ///< decrements owed at boundaries after reg_at
-        bool difs_pending;  ///< a decrement is owed at reg_at itself
-        SimTime expiry;  ///< fire instant: reg_at when the counter is
-                         ///< already zero, else reg_at + (remaining+1)*slot
+        int owed;        ///< decrements owed: at reg_at, then one per slot
+        SimTime expiry;  ///< fire instant: reg_at + owed * slot
     };
 
     void insert_entry(Entry entry);

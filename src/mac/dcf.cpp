@@ -91,7 +91,9 @@ void DcfMac::revive()
 
 void DcfMac::set_ampdu_max_mpdus(int k)
 {
-    params_.ampdu_max_mpdus = std::min(std::max(k, 1), 64);
+    if (k < 1 || k > kMaxAmpduMpdus)
+        throw std::invalid_argument("DcfMac::set_ampdu_max_mpdus: batch size outside [1, 64]");
+    params_.ampdu_max_mpdus = k;
 }
 
 void DcfMac::set_queue_cw_min(const QueueKey& key, int cw)
@@ -130,8 +132,7 @@ void DcfMac::start_new_contention()
     if (batch_ampdu_) {
         // The TXOP takes up to ampdu_max_mpdus packets off the queue.
         batch_fill_.clear();
-        current_queue_->pop_batch(std::min(params_.ampdu_max_mpdus, 64), params_.ampdu_max_bytes,
-                                  batch_fill_);
+        current_queue_->pop_batch(params_.ampdu_max_mpdus, params_.ampdu_max_bytes, batch_fill_);
         for (net::Packet& packet : batch_fill_) ba_.add_mpdu(std::move(packet), next_seq_++);
         batch_fill_.clear();
     } else {

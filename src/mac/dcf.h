@@ -95,9 +95,10 @@ public:
     int queue_cw_min(const QueueKey& key) const;
 
     /// Block-ack agreement: up to `k` MPDUs per A-MPDU batch (1 = no
-    /// agreement: one MPDU per access, answered by a normal ACK). Clamped
-    /// to [1, 64]; call before traffic starts — mid-run changes only take
-    /// effect at the next batch fill.
+    /// agreement: one MPDU per access, answered by a normal ACK). Throws
+    /// std::invalid_argument outside [1, kMaxAmpduMpdus]; call before
+    /// traffic starts — mid-run changes only take effect at the next batch
+    /// fill.
     void set_ampdu_max_mpdus(int k);
 
     // --- fault injection ---

@@ -8,6 +8,9 @@ namespace ezflow::mac {
 
 using util::SimTime;
 
+/// Largest A-MPDU batch: the compressed block-ack bitmap is 64 bits wide.
+constexpr int kMaxAmpduMpdus = 64;
+
 /// IEEE 802.11b DCF timing and policy parameters (DSSS PHY, long preamble,
 /// 1 Mb/s, RTS/CTS disabled — the configuration used throughout the paper).
 struct MacParams {
@@ -50,10 +53,10 @@ struct MacParams {
     int rts_threshold_bytes = 0;
 
     /// Block-ack agreement: maximum MPDUs dequeued into one A-MPDU batch
-    /// (capped at 64, the compressed block-ack bitmap width). 1 (the
-    /// default, every paper figure) sends one MPDU per access, answered by
-    /// a normal ACK; above 1 a batch travels as an A-MPDU answered by a
-    /// compressed block-ack, always with basic access (no RTS/CTS).
+    /// (at most kMaxAmpduMpdus). 1 (the default, every paper figure) sends
+    /// one MPDU per access, answered by a normal ACK; above 1 a batch
+    /// travels as an A-MPDU answered by a compressed block-ack, always with
+    /// basic access (no RTS/CTS).
     int ampdu_max_mpdus = 1;
     /// Byte ceiling on one A-MPDU batch (payload bytes of the batched
     /// MSDUs); 0 means unlimited. The batch always admits at least one

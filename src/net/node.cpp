@@ -153,15 +153,4 @@ void Node::mac_first_tx(const mac::QueueKey& key, const Packet& packet)
     for (const auto& handler : first_tx_) handler(key, packet);
 }
 
-void Node::mac_tx_success(const mac::QueueKey& key, const Packet& packet)
-{
-    for (const auto& handler : tx_success_) handler(key, packet);
-}
-
-void Node::mac_tx_drop(const mac::QueueKey& key, const Packet& packet)
-{
-    (void)key;
-    (void)packet;
-}
-
 }  // namespace ezflow::net

@@ -24,7 +24,6 @@ public:
     using DeliveryHandler = std::function<void(const Packet&)>;
     using SniffHandler = std::function<void(const phy::Frame&)>;
     using FirstTxHandler = std::function<void(const mac::QueueKey&, const Packet&)>;
-    using TxEventHandler = std::function<void(const mac::QueueKey&, const Packet&)>;
     /// Returns true when it consumed the packet (e.g. a routing-layer
     /// pacing queue took it instead of the MAC).
     using ForwardInterceptor = std::function<bool(const mac::QueueKey&, const Packet&)>;
@@ -63,8 +62,6 @@ public:
     void add_sniff_handler(SniffHandler handler) { sniffers_.push_back(std::move(handler)); }
     /// Observers of first on-air transmission attempts (BOE send hook).
     void add_first_tx_handler(FirstTxHandler handler) { first_tx_.push_back(std::move(handler)); }
-    /// Observers of MAC completion events (success after ACK / retry drop).
-    void add_tx_success_handler(TxEventHandler handler) { tx_success_.push_back(std::move(handler)); }
 
     /// Intercept outgoing packets (source and forwarded) before they reach
     /// the MAC. Used by the rate-pacing EZ-Flow variant (core/pacer.h).
@@ -101,8 +98,9 @@ public:
                 std::uint32_t release_below) override;
     void mac_sniffed(const phy::Frame& frame) override;
     void mac_first_tx(const mac::QueueKey& key, const Packet& packet) override;
-    void mac_tx_success(const mac::QueueKey& key, const Packet& packet) override;
-    void mac_tx_drop(const mac::QueueKey& key, const Packet& packet) override;
+    /// Completions need no action here: the MAC keeps the counters.
+    void mac_tx_success(const mac::QueueKey&, const Packet&) override {}
+    void mac_tx_drop(const mac::QueueKey&, const Packet&) override {}
 
 private:
     /// Deliver locally or forward toward the next hop.
@@ -125,7 +123,6 @@ private:
     std::vector<DeliveryHandler> delivery_;
     std::vector<SniffHandler> sniffers_;
     std::vector<FirstTxHandler> first_tx_;
-    std::vector<TxEventHandler> tx_success_;
     ForwardInterceptor interceptor_;
     std::map<NodeId, ReorderStream> reorder_;
 

@@ -46,17 +46,12 @@ bool Channel::is_attached(const NodePhy& phy) const
 void Channel::set_models(const PhyModelConfig& config, std::uint64_t network_seed)
 {
     if (config.is_reference()) return;  // exact no-op: golden-pinned path
-    set_propagation_model(make_propagation(config, network_seed));
-    set_rate_manager(make_rate_manager(config));
-    set_interference_mode(config.interference);
-    if (config.noise_floor_w >= 0.0) params_.noise_floor_w = config.noise_floor_w;
-}
-
-void Channel::set_propagation_model(std::unique_ptr<PropagationModel> model)
-{
-    propagation_ = std::move(model);
+    fading_ = make_fading(config, network_seed);
     reach_.clear();  // power law changed: precomputed powers are stale
     ghost_reach_.clear();
+    set_rate_manager(make_rate_manager(config));
+    interference_ = config.interference;
+    if (config.noise_floor_w >= 0.0) params_.noise_floor_w = config.noise_floor_w;
 }
 
 void Channel::set_mirror_hook(std::vector<net::NodeId> boundary_senders, MirrorHook hook)
@@ -69,8 +64,8 @@ void Channel::set_mirror_hook(std::vector<net::NodeId> boundary_senders, MirrorH
 
 double Channel::link_power(net::NodeId tx, net::NodeId rx, double distance_m)
 {
-    if (propagation_ == nullptr) return TwoRayReference::power_w(1.0, distance_m);
-    return propagation_->link_power_w(tx, rx, 1.0, distance_m, scheduler_.now());
+    if (fading_ == nullptr) return two_ray_power_w(1.0, distance_m);
+    return fading_->link_power_w(tx, rx, 1.0, distance_m, scheduler_.now());
 }
 
 double Channel::frame_capture_threshold(const Frame& frame) const
@@ -87,7 +82,7 @@ double Channel::frame_capture_threshold(const Frame& frame) const
 void Channel::ensure_reach()
 {
     if (!reach_.empty()) return;
-    const bool static_power = propagation_ == nullptr || propagation_->time_invariant();
+    const bool static_power = fading_ == nullptr || fading_->time_invariant();
     std::vector<Position> positions;
     for (const NodePhy* phy : phys_) positions.push_back(phy->position());
     geometry_.emplace(std::move(positions), params_.conflict_radius_m());
@@ -120,31 +115,18 @@ std::size_t Channel::reachable_count(net::NodeId tx)
     return reach_[it->second].size();
 }
 
-void Channel::set_link_error_model(net::NodeId tx, net::NodeId rx,
-                                   std::unique_ptr<ErrorModel> model)
-{
-    if (model == nullptr)
-        throw std::invalid_argument("Channel::set_link_error_model: model required");
-    model->reset(scheduler_.now(), rng_);
-    error_models_.insert_or_assign(tx, rx, std::move(model));
-}
-
 void Channel::set_link_loss(net::NodeId tx, net::NodeId rx, double loss_probability)
 {
-    set_link_error_model(tx, rx, std::make_unique<StaticLoss>(loss_probability));
+    // Written so that NaN fails it too.
+    if (!(loss_probability >= 0.0 && loss_probability <= 1.0))
+        throw std::invalid_argument("Channel::set_link_loss: probability outside [0, 1]");
+    link_loss_.insert_or_assign(tx, rx, loss_probability);
 }
 
 double Channel::link_loss(net::NodeId tx, net::NodeId rx) const
 {
-    const auto* model = error_models_.find(tx, rx);
-    return model == nullptr ? 0.0 : (*model)->mean_loss();
-}
-
-double Channel::sample_link_loss(net::NodeId tx, net::NodeId rx)
-{
-    auto* model = error_models_.find(tx, rx);
-    if (model == nullptr) return 0.0;
-    return (*model)->loss_probability(scheduler_.now(), rng_);
+    const double* loss = link_loss_.find(tx, rx);
+    return loss == nullptr ? 0.0 : *loss;
 }
 
 void Channel::transmit(NodePhy& sender, Frame frame)
@@ -165,7 +147,7 @@ void Channel::transmit(NodePhy& sender, Frame frame)
     const bool sinr = interference_ == PhyModelConfig::Interference::kSinrLedger;
     const double threshold = frame_capture_threshold(shared);
     const double noise_w = sinr ? params_.noise_floor_w : 0.0;
-    const bool dynamic_power = propagation_ != nullptr && !propagation_->time_invariant();
+    const bool dynamic_power = fading_ != nullptr && !fading_->time_invariant();
     const std::size_t spans = shared.span_count();
     const std::uint64_t all_spans = spans >= 64 ? ~0ull : (1ull << spans) - 1;
 
@@ -183,10 +165,9 @@ void Channel::transmit(NodePhy& sender, Frame frame)
         rx.in_delivery = r.in_delivery;
         rx.sensed = r.sensed;
         if (r.in_delivery) {
-            // The per-link error model corrupts each span independently
-            // (one roll per span from the same sampled loss); `error` is
-            // the every-span-lost verdict.
-            const double loss = sample_link_loss(sender.id(), phy->id());
+            // The link loss corrupts each span independently (one roll
+            // per span); `error` is the every-span-lost verdict.
+            const double loss = link_loss(sender.id(), phy->id());
             for (std::size_t i = 0; i < spans && i < 64; ++i)
                 if (rng_.bernoulli(loss)) rx.span_error_bits |= (1ull << i);
             rx.error = rx.span_error_bits == all_spans;
@@ -247,7 +228,7 @@ void Channel::inject_ghost(net::NodeId foreign_id, const Position& foreign_pos, 
         rx.capture_threshold = threshold;
         // Interference-only by the plan (checked when the cache was
         // built): no decode candidate, no carrier-sense energy, no
-        // error-model roll — a pure SINR-ledger entry, which is what
+        // loss roll — a pure SINR-ledger entry, which is what
         // makes ghost delivery order-commutative against local events at
         // the same instant.
         rx.in_delivery = false;

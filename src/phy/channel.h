@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "phy/error_model.h"
 #include "phy/frame.h"
 #include "phy/frame_record.h"
 #include "phy/link_table.h"
@@ -21,26 +20,22 @@ namespace ezflow::phy {
 
 /// The shared wireless medium. Dispatches every transmission to the nodes
 /// within carrier-sense or interference range, decides decodability per
-/// receiver (delivery range + per-link error model roll) and schedules the
+/// receiver (delivery range + per-link loss roll) and schedules the
 /// transmission's end: normally one event that runs every receiver's
 /// signal end, in reach order, and then the sender's tx-end. The channel
 /// never filters by MAC address — everyone in range hears everything,
 /// which is exactly the property EZ-Flow's BOE exploits.
 ///
-/// The physics is pluggable behind three model interfaces, installed via
-/// `set_models` / the individual setters:
-///  * PropagationModel — per-link received power; null means the inlined
-///    reference two-ray 1/d^4 (the golden-pinned fast path). Time-variant
-///    models (fading) are re-evaluated per transmission.
-///  * ErrorModel — per-directed-link loss process (`set_link_error_model`);
-///    the Gilbert–Elliott chain is one implementation, installed by the
-///    `make_gilbert` factory.
-///  * RateManager — per-link data bitrate selection, consulted by the MAC
-///    through NodePhy; null means the fixed PHY default.
-/// Interference semantics are selected by `PhyModelConfig::Interference`:
-/// the reference capture test against the linear threshold, or the
-/// cumulative-SINR ledger (capture_threshold_db + per-rate decode floors +
-/// noise floor).
+/// Models beyond the golden-pinned reference are selected by one
+/// PhyModelConfig, installed through `set_models`:
+///  * propagation — the inlined reference two-ray 1/d^4 (the fast path), or
+///    JakesFading over it, re-evaluated per transmission;
+///  * interference — the reference capture test against the linear
+///    threshold, or the cumulative-SINR ledger (capture_threshold_db +
+///    per-rate decode floors + noise floor);
+///  * rate — a RateManager consulted by the MAC through NodePhy; null means
+///    the fixed PHY default.
+/// Frame loss per directed link is a fixed probability (`set_link_loss`).
 ///
 /// Node positions are fixed for the lifetime of a run (NodePhy has no
 /// position setter), so the per-transmitter reachability set — which
@@ -74,37 +69,28 @@ public:
     /// Whether this PHY is currently attached to the medium.
     bool is_attached(const NodePhy& phy) const;
 
-    // --- pluggable models ---
-    /// Install the full model selection in one call. A reference config is
-    /// an exact no-op (models stay null, semantics stay the inlined
-    /// golden-pinned path). `network_seed` keys model-private randomness.
+    // --- models ---
+    /// Install the full model selection: propagation, interference and
+    /// rate. A reference config is an exact no-op (models stay null,
+    /// semantics stay the inlined golden-pinned path). `network_seed` keys
+    /// model-private randomness.
     void set_models(const PhyModelConfig& config, std::uint64_t network_seed);
 
-    /// Propagation model for link powers; nullptr restores the inlined
-    /// reference two-ray expression.
-    void set_propagation_model(std::unique_ptr<PropagationModel> model);
-    /// Interference/capture semantics (reference vs cumulative SINR).
-    void set_interference_mode(PhyModelConfig::Interference mode) { interference_ = mode; }
-    PhyModelConfig::Interference interference_mode() const { return interference_; }
     /// Rate manager consulted by MACs via NodePhy; nullptr = fixed default.
+    /// Replaces the one `set_models` installed (tests substitute fakes).
     void set_rate_manager(std::unique_ptr<RateManager> manager)
     {
         rate_manager_ = std::move(manager);
     }
     RateManager* rate_manager() { return rate_manager_.get(); }
 
-    /// Install a frame error process on the directed link tx -> rx,
-    /// replacing any previous one. The model's `reset` hook runs
-    /// immediately against the channel clock and RNG (state machines draw
-    /// their initial state there).
-    void set_link_error_model(net::NodeId tx, net::NodeId rx, std::unique_ptr<ErrorModel> model);
-
-    /// Convenience: time-invariant loss probability for the directed link
-    /// tx -> rx (installs a StaticLoss model). Models link quality
+    /// Frame loss probability for the directed link tx -> rx, replacing
+    /// any previous one: every span of a frame on the link is lost
+    /// independently with this probability. Models link quality
     /// (distance, obstacles); used to calibrate the heterogeneous testbed
-    /// capacities of Table 1.
+    /// capacities of Table 1. Throws outside [0, 1], NaN included.
     void set_link_loss(net::NodeId tx, net::NodeId rx, double loss_probability);
-    /// Long-run mean loss of the link's installed error model (0 if none).
+    /// The link's loss probability (0 if none was set).
     double link_loss(net::NodeId tx, net::NodeId rx) const;
 
     /// Broadcast a frame from `sender`. Called by NodePhy::start_tx.
@@ -129,7 +115,7 @@ public:
     /// Inject a foreign shard's boundary transmission as a read-only
     /// ghost signal: every attached PHY within interference range of
     /// `foreign_pos` receives a pure SINR-ledger RxEvent (no decode, no
-    /// carrier sense, no error-model roll — and therefore no RNG
+    /// carrier sense, no loss roll — and therefore no RNG
     /// consumption), with signal-end scheduled `duration_us` later.
     /// `ghost_signal_id` must be namespaced by the caller so it can never
     /// collide with this channel's own signal ids. Throws if any local
@@ -162,11 +148,8 @@ public:
     const FramePool& frame_pool() const { return frame_pool_; }
 
 private:
-    /// Current loss probability of the link, evolving any stateful model.
-    double sample_link_loss(net::NodeId tx, net::NodeId rx);
-
-    /// Received power on tx -> rx at distance d: the installed propagation
-    /// model, or the inlined reference two-ray 1/max(d,1)^4.
+    /// Received power on tx -> rx at distance d: the fading process, or
+    /// the inlined reference two-ray 1/max(d,1)^4.
     double link_power(net::NodeId tx, net::NodeId rx, double distance_m);
 
     /// Linear SINR threshold a frame must clear at its receivers: the
@@ -221,9 +204,9 @@ private:
     std::optional<GridIndex> geometry_;  ///< attach positions; rebuilt with reach_
     std::vector<net::NodeId> mirror_senders_;  ///< sorted; mirror their transmissions
     MirrorHook mirror_hook_;
-    LinkTable<std::unique_ptr<ErrorModel>> error_models_;
-    std::unique_ptr<PropagationModel> propagation_;  ///< null = reference two-ray
-    std::unique_ptr<RateManager> rate_manager_;      ///< null = fixed default
+    LinkTable<double> link_loss_;
+    std::unique_ptr<JakesFading> fading_;        ///< null = reference two-ray
+    std::unique_ptr<RateManager> rate_manager_;  ///< null = fixed default
     PhyModelConfig::Interference interference_ = PhyModelConfig::Interference::kReference;
     FramePool frame_pool_;
     std::uint64_t next_signal_id_ = 1;

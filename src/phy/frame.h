@@ -104,7 +104,7 @@ struct Frame {
 
     /// Reception spans: one per MPDU of a data frame, a single one for a
     /// control frame. The PHY judges interference per span and the
-    /// per-link error model rolls once per span.
+    /// per-link loss rolls once per span.
     std::size_t span_count() const { return mpdus.empty() ? 1 : mpdus.size(); }
 
     Frame() = default;

@@ -12,14 +12,14 @@ namespace ezflow::phy {
 
 /// Flat open-addressing hash table keyed by a directed link (tx, rx).
 ///
-/// The per-signal hot path of the Channel consults per-link model state
-/// (error models, fading oscillators, rate tables) once per reachable
+/// The per-signal hot path of the Channel consults per-link state (loss
+/// probabilities, rate tables) once per reachable
 /// receiver per transmission. A std::map there costs an ordered-tree
 /// walk with a pair comparator per lookup; this table packs the link
 /// into one 64-bit key, hashes it with a SplitMix64 finalizer and probes
 /// linearly through a power-of-two slot array — no allocation on lookup,
 /// one cache line for the common hit/miss. Slots are never erased
-/// (models are installed, then live for the run), which keeps probing
+/// (entries are set, then live for the run), which keeps probing
 /// tombstone-free. bench/micro_phy.cpp measures the lookup rate of a
 /// populated table.
 template <typename T>

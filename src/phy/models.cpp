@@ -13,15 +13,13 @@ std::uint64_t derive_model_seed(const PhyModelConfig& config, std::uint64_t netw
 
 }  // namespace
 
-std::unique_ptr<PropagationModel> make_propagation(const PhyModelConfig& config,
-                                                   std::uint64_t network_seed)
+std::unique_ptr<JakesFading> make_fading(const PhyModelConfig& config, std::uint64_t network_seed)
 {
     switch (config.propagation) {
         case PhyModelConfig::Propagation::kTwoRay:
             return nullptr;  // reference: Channel keeps the inlined 1/d^4
         case PhyModelConfig::Propagation::kJakes:
-            return std::make_unique<JakesFading>(std::make_unique<TwoRayReference>(),
-                                                 config.jakes_doppler_hz,
+            return std::make_unique<JakesFading>(config.jakes_doppler_hz,
                                                  derive_model_seed(config, network_seed),
                                                  config.jakes_oscillators);
     }

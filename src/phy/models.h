@@ -49,10 +49,9 @@ struct PhyModelConfig {
     }
 };
 
-/// Build the configured propagation model, or nullptr for the reference
-/// configuration (the Channel keeps its inlined two-ray fast path).
-std::unique_ptr<PropagationModel> make_propagation(const PhyModelConfig& config,
-                                                   std::uint64_t network_seed);
+/// Build the configured fading process, or nullptr for plain two-ray
+/// propagation (the Channel keeps its inlined fast path).
+std::unique_ptr<JakesFading> make_fading(const PhyModelConfig& config, std::uint64_t network_seed);
 
 /// Build the configured rate manager, or nullptr for the reference
 /// configuration (frames stay unstamped at the PHY default rate).

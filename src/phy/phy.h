@@ -12,7 +12,7 @@ class Channel;
 
 /// Everything the channel tells a receiver about an arriving signal: the
 /// geometry/range facts, the received power, and the model verdicts
-/// (per-link error roll, the SINR threshold this frame must clear, the
+/// (per-link loss roll, the SINR threshold this frame must clear, the
 /// noise floor beneath it). One struct instead of a positional boolean
 /// soup — a new model extends this type, not every signal_start call site.
 struct RxEvent {
@@ -28,7 +28,7 @@ struct RxEvent {
     double capture_threshold = 10.0;
     bool in_delivery = false;  ///< within tx_range: decode candidate
     bool sensed = false;       ///< within cs_range: counts for energy detection
-    /// Bit i set: the per-link error model corrupted reception span i
+    /// Bit i set: the per-link loss corrupted reception span i
     /// (Frame::span_count — one roll per span).
     std::uint64_t span_error_bits = 0;
     /// Every span was lost: the frame cannot be locked onto.
@@ -139,7 +139,7 @@ public:
     bool last_rx_error() const { return last_rx_error_; }
 
     /// Per-MPDU corruption verdict of the most recently decoded frame
-    /// (error-model bits combined with the per-span interference
+    /// (link-loss bits combined with the per-span interference
     /// intervals; bit i = MPDU i lost). Valid during the
     /// phy_frame_decoded callback.
     std::uint64_t last_decode_mpdu_errors() const { return last_decode_mpdu_errors_; }
@@ -197,7 +197,7 @@ private:
     const Frame* rx_frame_ = nullptr;
     SimTime rx_started_at_ = 0;
     SimTime rx_bad_since_ = -1;  ///< start of the open below-threshold interval
-    std::uint64_t rx_span_errors_ = 0;  ///< error-model + interference bits
+    std::uint64_t rx_span_errors_ = 0;  ///< link-loss + interference bits
     std::vector<SimTime> span_ends_;    ///< scratch: span end offsets from lock
     std::uint64_t last_decode_mpdu_errors_ = 0;
     bool last_rx_error_ = false;

@@ -10,57 +10,6 @@ namespace ezflow::phy {
 
 using util::kPi;
 
-double PropagationModel::range_for_threshold(double tx_power_w, double threshold_w) const
-{
-    if (threshold_w <= 0.0) throw std::invalid_argument("range_for_threshold: threshold must be > 0");
-    // Bisect on a monotone decreasing power profile.
-    double lo = 0.1;
-    double hi = 1.0;
-    while (rx_power_w(tx_power_w, hi) > threshold_w && hi < 1e7) hi *= 2.0;
-    for (int i = 0; i < 200; ++i) {
-        const double mid = 0.5 * (lo + hi);
-        if (rx_power_w(tx_power_w, mid) > threshold_w)
-            lo = mid;
-        else
-            hi = mid;
-    }
-    return 0.5 * (lo + hi);
-}
-
-FreeSpace::FreeSpace(double wavelength_m, double gain_tx, double gain_rx, double system_loss)
-    : wavelength_m_(wavelength_m), gain_tx_(gain_tx), gain_rx_(gain_rx), system_loss_(system_loss)
-{
-    if (wavelength_m <= 0.0) throw std::invalid_argument("FreeSpace: wavelength must be > 0");
-}
-
-double FreeSpace::rx_power_w(double tx_power_w, double distance_m) const
-{
-    if (distance_m <= 0.0) return tx_power_w;
-    const double denom = 4.0 * kPi * distance_m;
-    return tx_power_w * gain_tx_ * gain_rx_ * wavelength_m_ * wavelength_m_ /
-           (denom * denom * system_loss_);
-}
-
-TwoRayGround::TwoRayGround(double wavelength_m, double antenna_height_m, double gain_tx,
-                           double gain_rx, double system_loss)
-    : friis_(wavelength_m, gain_tx, gain_rx, system_loss),
-      height_m_(antenna_height_m),
-      gain_tx_(gain_tx),
-      gain_rx_(gain_rx),
-      system_loss_(system_loss),
-      crossover_m_(4.0 * kPi * antenna_height_m * antenna_height_m / wavelength_m)
-{
-    if (antenna_height_m <= 0.0) throw std::invalid_argument("TwoRayGround: height must be > 0");
-}
-
-double TwoRayGround::rx_power_w(double tx_power_w, double distance_m) const
-{
-    if (distance_m < crossover_m_) return friis_.rx_power_w(tx_power_w, distance_m);
-    const double d2 = distance_m * distance_m;
-    return tx_power_w * gain_tx_ * gain_rx_ * height_m_ * height_m_ * height_m_ * height_m_ /
-           (d2 * d2 * system_loss_);
-}
-
 struct JakesFading::Oscillators {
     std::vector<double> omega;  ///< w_d * cos(alpha_k), rad/s
     std::vector<double> phi;    ///< initial phase, rad
@@ -78,21 +27,14 @@ std::uint64_t splitmix_key(std::uint64_t x)
 
 }  // namespace
 
-JakesFading::JakesFading(std::unique_ptr<PropagationModel> base, double doppler_hz,
-                         std::uint64_t seed, int oscillators)
-    : base_(std::move(base)), doppler_hz_(doppler_hz), seed_(seed), oscillators_(oscillators)
+JakesFading::JakesFading(double doppler_hz, std::uint64_t seed, int oscillators)
+    : doppler_hz_(doppler_hz), seed_(seed), oscillators_(oscillators)
 {
-    if (!base_) throw std::invalid_argument("JakesFading: base model required");
     if (doppler_hz < 0.0) throw std::invalid_argument("JakesFading: doppler must be >= 0");
     if (oscillators < 1) throw std::invalid_argument("JakesFading: need at least one oscillator");
 }
 
 JakesFading::~JakesFading() = default;
-
-double JakesFading::rx_power_w(double tx_power_w, double distance_m) const
-{
-    return base_->rx_power_w(tx_power_w, distance_m);
-}
 
 JakesFading::Oscillators& JakesFading::rays_for(net::NodeId tx, net::NodeId rx)
 {
@@ -134,9 +76,9 @@ double JakesFading::power_gain(net::NodeId tx, net::NodeId rx, util::SimTime now
 double JakesFading::link_power_w(net::NodeId tx, net::NodeId rx, double tx_power_w,
                                  double distance_m, util::SimTime now)
 {
-    const double base = base_->link_power_w(tx, rx, tx_power_w, distance_m, now);
+    const double base = two_ray_power_w(tx_power_w, distance_m);
     // Degenerate case: zero Doppler means a static unit-mean channel; skip
-    // the gain product entirely so the base power is returned bit-for-bit.
+    // the gain product entirely so the two-ray power is returned bit-for-bit.
     if (doppler_hz_ == 0.0) return base;
     return base * power_gain(tx, rx, now);
 }

@@ -6,100 +6,26 @@
 #include <vector>
 
 #include "net/packet.h"
-#include "phy/geometry.h"
 #include "util/units.h"
 
 namespace ezflow::phy {
 
-/// Received-power propagation models. The paper's simulations use ns-2
-/// defaults: two-ray ground reflection with a 250 m delivery range and a
-/// 550 m carrier-sense range. Historically the packet simulator worked with
-/// range thresholds and these models only *derived* consistent thresholds
-/// from physical parameters; the Channel now also consults a
-/// PropagationModel per transmission through `link_power_w`, so time- and
-/// link-dependent processes (fading) plug in behind the same interface.
-class PropagationModel {
-public:
-    virtual ~PropagationModel() = default;
-    /// Received power in watts for a transmit power `tx_power_w` at distance d (m).
-    virtual double rx_power_w(double tx_power_w, double distance_m) const = 0;
+/// The reference path-loss law the golden-pinned simulations use. The
+/// paper's simulations use ns-2's two-ray ground model (250 m delivery,
+/// 550 m carrier sense); this is its normalized far-field limit
+/// Pr = Pt / max(d, 1)^4 with all gains and heights folded into the unit
+/// transmit power. All scenario distances sit beyond the ~86 m crossover,
+/// so the d^-4 regime applies, and the constant factor cancels in every
+/// capture-SIR comparison; the clamp keeps the power finite for
+/// co-located nodes. This is the one copy of the expression: keep its
+/// operation order, goldens are pinned under `-ffp-contract=off`.
+inline double two_ray_power_w(double tx_power_w, double distance_m)
+{
+    const double d_eff = std::max(distance_m, 1.0);
+    return tx_power_w / (d_eff * d_eff * d_eff * d_eff);
+}
 
-    /// Received power on the directed link tx -> rx at simulation time
-    /// `now`. The default forwards to the pure distance law; time-variant
-    /// models (fading) override this and must also report
-    /// `time_invariant() == false` so the Channel recomputes per
-    /// transmission instead of caching per-link powers.
-    virtual double link_power_w(net::NodeId tx, net::NodeId rx, double tx_power_w,
-                                double distance_m, util::SimTime now)
-    {
-        (void)tx;
-        (void)rx;
-        (void)now;
-        return rx_power_w(tx_power_w, distance_m);
-    }
-
-    /// True when link_power_w depends only on distance, so per-link powers
-    /// may be precomputed once.
-    virtual bool time_invariant() const { return true; }
-
-    /// Distance at which rx power crosses `threshold_w` (monotone models only).
-    double range_for_threshold(double tx_power_w, double threshold_w) const;
-};
-
-/// Friis free-space model: Pr = Pt * (Gt*Gr*lambda^2) / ((4*pi*d)^2 * L).
-class FreeSpace final : public PropagationModel {
-public:
-    FreeSpace(double wavelength_m, double gain_tx = 1.0, double gain_rx = 1.0, double system_loss = 1.0);
-    double rx_power_w(double tx_power_w, double distance_m) const override;
-
-private:
-    double wavelength_m_;
-    double gain_tx_;
-    double gain_rx_;
-    double system_loss_;
-};
-
-/// Two-ray ground reflection: Pr = Pt * Gt*Gr*ht^2*hr^2 / (d^4*L) beyond the
-/// crossover distance, Friis below it (the ns-2 implementation).
-class TwoRayGround final : public PropagationModel {
-public:
-    TwoRayGround(double wavelength_m, double antenna_height_m, double gain_tx = 1.0,
-                 double gain_rx = 1.0, double system_loss = 1.0);
-    double rx_power_w(double tx_power_w, double distance_m) const override;
-    double crossover_distance_m() const { return crossover_m_; }
-
-private:
-    FreeSpace friis_;
-    double height_m_;
-    double gain_tx_;
-    double gain_rx_;
-    double system_loss_;
-    double crossover_m_;
-};
-
-/// The reference path-loss law the golden-pinned simulations use: the
-/// normalized far-field two-ray limit Pr = Pt / max(d, 1)^4 with all gains
-/// and heights folded into the unit transmit power. All scenario distances
-/// sit beyond the ~86 m crossover, so the d^-4 regime applies, and the
-/// constant factor cancels in every capture-SIR comparison; the clamp keeps
-/// the power finite for co-located nodes. `power_w` is the one copy of the
-/// expression: the Channel's null-model path calls it with Pt = 1, so
-/// selecting this model is byte-identical to installing none. Keep its
-/// operation order: goldens are pinned under `-ffp-contract=off`.
-class TwoRayReference final : public PropagationModel {
-public:
-    static double power_w(double tx_power_w, double distance_m)
-    {
-        const double d_eff = std::max(distance_m, 1.0);
-        return tx_power_w / (d_eff * d_eff * d_eff * d_eff);
-    }
-    double rx_power_w(double tx_power_w, double distance_m) const override
-    {
-        return power_w(tx_power_w, distance_m);
-    }
-};
-
-/// Jakes sum-of-sinusoids Rayleigh fading over a base path-loss model.
+/// Jakes sum-of-sinusoids Rayleigh fading over the reference two-ray law.
 ///
 /// Each directed link owns a fixed bank of `oscillators` rays whose arrival
 /// angles and phases are drawn once from a private RNG keyed by
@@ -107,24 +33,24 @@ public:
 /// and symmetric links fade independently (distinct keys). The complex
 /// channel gain at time t is
 ///     h(t) = sqrt(1/M) * sum_k exp(j * (w_d * cos(alpha_k) * t + phi_k))
-/// and the power gain |h(t)|^2 multiplies the base model's link power.
+/// and the power gain |h(t)|^2 multiplies the two-ray power.
 /// E[|h|^2] = 1, so fading preserves mean power; the envelope |h| is
 /// Rayleigh-distributed for moderate M (16 by default, the classic Jakes
 /// configuration).
 ///
-/// Degenerate parameters reproduce the base model exactly: with
-/// `doppler_hz == 0` the gain computation is bypassed entirely and
-/// link_power_w returns the base power bit-for-bit.
-class JakesFading final : public PropagationModel {
+/// With `doppler_hz == 0` the gain computation is bypassed entirely and
+/// link_power_w returns the two-ray power bit-for-bit.
+class JakesFading {
 public:
-    JakesFading(std::unique_ptr<PropagationModel> base, double doppler_hz, std::uint64_t seed,
-                int oscillators = 16);
-    ~JakesFading() override;
+    JakesFading(double doppler_hz, std::uint64_t seed, int oscillators = 16);
+    ~JakesFading();
 
-    double rx_power_w(double tx_power_w, double distance_m) const override;
+    /// Received power on the directed link tx -> rx at time `now`.
     double link_power_w(net::NodeId tx, net::NodeId rx, double tx_power_w, double distance_m,
-                        util::SimTime now) override;
-    bool time_invariant() const override { return doppler_hz_ == 0.0; }
+                        util::SimTime now);
+    /// True when link_power_w depends only on distance (zero Doppler), so
+    /// the Channel may precompute per-link powers once.
+    bool time_invariant() const { return doppler_hz_ == 0.0; }
 
     /// Power gain |h(t)|^2 on a link at time t; exposed for the
     /// distribution tests.
@@ -134,7 +60,6 @@ private:
     struct Oscillators;  // per-link ray bank, built lazily
     Oscillators& rays_for(net::NodeId tx, net::NodeId rx);
 
-    std::unique_ptr<PropagationModel> base_;
     double doppler_hz_;
     std::uint64_t seed_;
     int oscillators_;
@@ -142,17 +67,6 @@ private:
     // also work; the bank is touched once per transmission so a map is off
     // the critical path, but we keep it pointer-stable via unique_ptr.
     std::vector<std::pair<std::uint64_t, std::unique_ptr<Oscillators>>> banks_;
-};
-
-/// ns-2 default WiFi PHY constants (wireless-phy.cc), used in tests to show
-/// that the 250 m / 550 m thresholds follow from the two-ray model.
-struct Ns2DefaultPhy {
-    static constexpr double kTxPowerW = 0.28183815;
-    static constexpr double kRxThresholdW = 3.652e-10;  // ~250 m
-    static constexpr double kCsThresholdW = 1.559e-11;  // ~550 m
-    static constexpr double kFrequencyHz = 914e6;
-    static constexpr double kAntennaHeightM = 1.5;
-    static constexpr double kSpeedOfLight = 3e8;
 };
 
 }  // namespace ezflow::phy

@@ -9,6 +9,7 @@
 
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "analysis/drop_audit.h"
@@ -187,6 +188,29 @@ std::uint64_t total_block_acks(net::Network& network)
     for (int id = 0; id < network.node_count(); ++id)
         total += network.node(id).mac().block_acks_sent();
     return total;
+}
+
+TEST(AmpduSpec, BatchSizeOutsideTheBitmapWidthIsRejected)
+{
+    // K = 100 used to run as K = 64 under the name "-k100", and K = 0 as
+    // K = 1; both now fail when the scenario is built.
+    for (const int k : {0, -1, 65, 100}) {
+        ScenarioSpec spec = ScenarioSpec::line(2, /*duration_s=*/1.0);
+        spec.ampdu_max_mpdus = k;
+        EXPECT_THROW(analysis::build_scenario(spec, /*seed=*/1), std::invalid_argument) << k;
+    }
+    for (const int k : {1, 64}) {
+        ScenarioSpec spec = ScenarioSpec::line(2, /*duration_s=*/1.0);
+        spec.ampdu_max_mpdus = k;
+        net::Scenario scenario = analysis::build_scenario(spec, /*seed=*/1);
+        EXPECT_EQ(scenario.network->node(0).mac().params().ampdu_max_mpdus, k);
+    }
+    // The MAC setter no longer clamps either.
+    net::Scenario scenario = analysis::build_scenario(ScenarioSpec::line(2, 1.0), 1);
+    mac::DcfMac& mac = scenario.network->node(0).mac();
+    EXPECT_THROW(mac.set_ampdu_max_mpdus(65), std::invalid_argument);
+    EXPECT_THROW(mac.set_ampdu_max_mpdus(0), std::invalid_argument);
+    EXPECT_EQ(mac.params().ampdu_max_mpdus, 1);
 }
 
 TEST(AmpduEndToEnd, RandomLossDeliversExactlyOnceInOrder)

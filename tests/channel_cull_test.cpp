@@ -89,7 +89,7 @@ void expect_fanout_matches_geometry(CullBed& bed)
             const double d = distance(sender->position(), rx.position());
             const bool reached = bed.channel.is_attached(rx) && d <= p.conflict_radius_m();
             delivers[i] = reached && d <= p.tx_range_m;
-            EXPECT_EQ(rx.interference_ledger_w(), reached ? TwoRayReference::power_w(1.0, d) : 0.0)
+            EXPECT_EQ(rx.interference_ledger_w(), reached ? two_ray_power_w(1.0, d) : 0.0)
                 << "tx " << sender->id() << " rx " << rx.id() << " at " << d << " m";
             EXPECT_EQ(rx.busy(), reached && d <= p.cs_range_m)
                 << "tx " << sender->id() << " rx " << rx.id() << " at " << d << " m";

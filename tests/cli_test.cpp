@@ -212,6 +212,44 @@ TEST(App, MalformedFlagValuesAreUsageErrors)
     const std::string errors = testing::internal::GetCapturedStderr();
     EXPECT_NE(errors.find("--smoke: 'ture' is not a boolean"), std::string::npos) << errors;
     EXPECT_NE(errors.find("--shards: '4x' is not an integer"), std::string::npos) << errors;
+
+    // Regression: `run model_explorer --scale=-1 --seeds=0 --shards=-3`
+    // exited 0 after running at scale 1 with 1 seed, and a sweep point
+    // `scale=0` fell back to the default scale. A given flag is checked
+    // where run and every sweep point build their figure context.
+    const auto error_of = [](std::vector<std::string> args) {
+        testing::internal::CaptureStdout();
+        testing::internal::CaptureStderr();
+        EXPECT_EQ(run_cli(args), 2) << args.back();
+        testing::internal::GetCapturedStdout();
+        return testing::internal::GetCapturedStderr();
+    };
+    const struct {
+        std::vector<std::string> args;
+        const char* names;
+    } out_of_range[] = {
+        {{"ezflow", "run", "model_explorer", "--scale=-1", "--seeds=0", "--shards=-3"},
+         "--scale"},
+        {{"ezflow", "run", "model_explorer", "--scale=0"}, "--scale"},
+        {{"ezflow", "run", "model_explorer", "--scale=nan"}, "--scale"},
+        {{"ezflow", "run", "model_explorer", "--scale=inf"}, "--scale"},
+        {{"ezflow", "run", "model_explorer", "--seeds=0"}, "--seeds"},
+        {{"ezflow", "run", "model_explorer", "--seeds=-2"}, "--seeds"},
+        {{"ezflow", "run", "model_explorer", "--shards=-3"}, "--shards"},
+        {{"ezflow", "run", "model_explorer", "--threads=-1"}, "--threads"},
+        // --all checks before the first figure runs.
+        {{"ezflow", "run", "--all", "--seeds=0"}, "--seeds"},
+        {{"ezflow", "sweep", "model_explorer", "--grid=scale=0"}, "--scale"},
+        {{"ezflow", "sweep", "model_explorer", "--grid=seeds=0"}, "--seeds"},
+        {{"ezflow", "sweep", "model_explorer", "--grid=threads=-1"}, "--threads"},
+        {{"ezflow", "sweep", "model_explorer", "--grid=shards=-1"}, "--shards"},
+    };
+    for (const auto& test_case : out_of_range) {
+        const std::string message = error_of(test_case.args);
+        EXPECT_NE(message.find("flag value out of range: " + std::string(test_case.names)),
+                  std::string::npos)
+            << message;
+    }
 }
 
 TEST(App, PerfLineReportsEachFiguresOwnShardCount)

@@ -189,69 +189,9 @@ private:
     sim::Timer slot_timer_;
 };
 
-/// The batched countdown: DIFS timer plus a registration with the shared
-/// ContentionCoordinator, exactly as DcfMac wires it.
-class BatchedStation final : public StationBase, public BackoffClient {
-public:
-    BatchedStation(int id, sim::Scheduler& scheduler, Medium& medium,
-                   ContentionCoordinator& coordinator, std::uint64_t rng_seed, int cw,
-                   SimTime airtime, std::vector<int> visible_to, std::vector<TxRecord>& log)
-        : StationBase(id, scheduler, medium, rng_seed, cw, airtime, std::move(visible_to), log),
-          coordinator_(coordinator),
-          difs_timer_(scheduler, [this] { on_difs(); })
-    {
-    }
-
-    ~BatchedStation() override { coordinator_.unregister(*this); }
-
-    void medium_changed(bool busy) override
-    {
-        if (busy) {
-            if (state_ == State::kWaitDifs) {
-                difs_timer_.cancel();
-                state_ = State::kWaitIdle;
-            } else if (state_ == State::kBackoff) {
-                remaining_ -= coordinator_.freeze(*this);
-                state_ = State::kWaitIdle;
-            }
-            return;
-        }
-        if (state_ == State::kWaitIdle) start_difs();
-    }
-
-    void backoff_expired() override
-    {
-        remaining_ = 0;
-        transmit();
-    }
-
-private:
-    void start_difs() override
-    {
-        state_ = State::kWaitDifs;
-        difs_timer_.arm_in(kDifs);
-    }
-
-    void on_difs()
-    {
-        state_ = State::kBackoff;
-        if (remaining_ == 0) {
-            coordinator_.begin_external_tx(/*late_trigger=*/false);
-            transmit();
-            coordinator_.end_external_tx();
-            return;
-        }
-        --remaining_;
-        coordinator_.register_backoff(*this, remaining_, kSlot);
-    }
-
-    ContentionCoordinator& coordinator_;
-    sim::Timer difs_timer_;
-};
-
-/// The fused registration: a single register_access covers the DIFS wait
-/// and the backoff countdown, exactly as DcfMac wires it post-fusion.
-/// Note there is no DIFS timer at all — one scheduler insert per cycle.
+/// The coordinator's countdown: a single register_access covers the DIFS
+/// wait and the backoff countdown, exactly as DcfMac wires it. There is no
+/// DIFS timer at all — one scheduler insert per cycle.
 class FusedStation final : public StationBase, public BackoffClient {
 public:
     FusedStation(int id, sim::Scheduler& scheduler, Medium& medium,
@@ -354,7 +294,7 @@ struct TraceOutcome {
     std::uint64_t events = 0;               ///< scheduler events processed
 };
 
-enum class Impl { kPerSlot, kBatched, kFused };
+enum class Impl { kPerSlot, kFused };
 
 /// Run the trace on one implementation. Members are declared so that
 /// stations are destroyed before the coordinator, and both before the
@@ -371,11 +311,7 @@ TraceOutcome run_trace(const TraceSpec& spec, Impl impl)
     for (int i = 0; i < n; ++i) {
         const auto index = static_cast<std::size_t>(i);
         const std::uint64_t rng_seed = 1000 + static_cast<std::uint64_t>(i);
-        if (impl == Impl::kBatched) {
-            stations.push_back(std::make_unique<BatchedStation>(
-                i, scheduler, medium, *coordinator, rng_seed, spec.cw[index],
-                spec.airtime[index], spec.visible_to[index], outcome.log));
-        } else if (impl == Impl::kFused) {
+        if (impl == Impl::kFused) {
             stations.push_back(std::make_unique<FusedStation>(
                 i, scheduler, medium, *coordinator, rng_seed, spec.cw[index],
                 spec.airtime[index], spec.visible_to[index], outcome.log));
@@ -422,33 +358,20 @@ TraceOutcome run_trace(const TraceSpec& spec, Impl impl)
 
 TEST(ContentionEquivalence, RandomizedBusyIdleTraces)
 {
-    std::uint64_t batched_events = 0;
-    std::uint64_t fused_events = 0;
     for (std::uint64_t seed = 1; seed <= 40; ++seed) {
         const TraceSpec spec = make_trace(seed, 2 + static_cast<int>(seed % 4));
         const TraceOutcome reference = run_trace(spec, Impl::kPerSlot);
-        const TraceOutcome batched = run_trace(spec, Impl::kBatched);
         const TraceOutcome fused = run_trace(spec, Impl::kFused);
         ASSERT_FALSE(reference.log.empty()) << "trace " << seed << " produced no transmissions";
-        ASSERT_EQ(reference.log.size(), batched.log.size()) << "trace " << seed;
         ASSERT_EQ(reference.log.size(), fused.log.size()) << "trace " << seed;
         for (std::size_t i = 0; i < reference.log.size(); ++i) {
-            ASSERT_EQ(reference.log[i].at, batched.log[i].at) << "trace " << seed << " tx " << i;
-            ASSERT_EQ(reference.log[i].station, batched.log[i].station)
-                << "trace " << seed << " tx " << i;
             ASSERT_EQ(reference.log[i].at, fused.log[i].at) << "trace " << seed << " tx " << i;
             ASSERT_EQ(reference.log[i].station, fused.log[i].station)
                 << "trace " << seed << " tx " << i;
         }
         // Identical Rng consumption: the next raw draw matches per station.
-        ASSERT_EQ(reference.rng_probes, batched.rng_probes) << "trace " << seed;
         ASSERT_EQ(reference.rng_probes, fused.rng_probes) << "trace " << seed;
-        batched_events += batched.events;
-        fused_events += fused.events;
     }
-    // The fused registration drops the separate DIFS timer: one fewer
-    // scheduler insert per contention cycle than the batched API.
-    EXPECT_LT(fused_events, batched_events);
 }
 
 TEST(ContentionEquivalence, EventCountCollapses)
@@ -480,161 +403,6 @@ struct ProbeClient final : BackoffClient {
     }
 };
 
-TEST(ContentionCoordinator, ExpiresAtPerSlotInstant)
-{
-    sim::Scheduler scheduler;
-    ContentionCoordinator coordinator(scheduler);
-    ProbeClient client;
-    std::vector<SimTime> fired;
-    client.fired_at = &fired;
-    client.scheduler = &scheduler;
-    // remaining = 5 decrements owed after now: the per-slot reference
-    // transmits at now + (5 + 1) * slot.
-    coordinator.register_backoff(client, 5, kSlot);
-    EXPECT_TRUE(coordinator.is_registered(client));
-    scheduler.run();
-    ASSERT_EQ(fired.size(), 1u);
-    EXPECT_EQ(fired[0], 6 * kSlot);
-    EXPECT_FALSE(coordinator.is_registered(client));
-    EXPECT_EQ(coordinator.expiries(), 1u);
-}
-
-TEST(ContentionCoordinator, FreezeConsumesWholeSlots)
-{
-    // freeze at D microseconds after registration consumes the slots the
-    // per-slot countdown would have: ceil(D/slot) off-boundary, D/slot-1
-    // on a boundary when the interrupter preempts the countdown event.
-    const struct {
-        SimTime at;
-        int consumed;
-    } cases[] = {
-        {0, 0},    // same instant as registration: only the caller's own
-                   // immediate decrement happened
-        {1, 0},    {19, 0},  // inside the first slot
-        {20, 0},   // exact boundary, unknown transmitter: event preempted
-        {21, 1},   {40, 1},  {41, 2}, {59, 2}, {100, 4},
-    };
-    for (const auto& test_case : cases) {
-        sim::Scheduler scheduler;
-        ContentionCoordinator coordinator(scheduler);
-        ProbeClient client;
-        coordinator.register_backoff(client, 10, kSlot);
-        scheduler.run_until(test_case.at);
-        EXPECT_EQ(coordinator.freeze(client), test_case.consumed) << "D=" << test_case.at;
-        EXPECT_FALSE(coordinator.is_registered(client));
-    }
-}
-
-TEST(ContentionCoordinator, ExternalTxResolvesBoundaryTies)
-{
-    // At an exact boundary, a late-triggered (SIFS-timed) transmission
-    // loses the FIFO race against the countdown event: the decrement
-    // happened. An early-armed (DIFS-end) transmission wins it: no
-    // decrement.
-    for (const bool late : {false, true}) {
-        sim::Scheduler scheduler;
-        ContentionCoordinator coordinator(scheduler);
-        ProbeClient client;
-        coordinator.register_backoff(client, 10, kSlot);
-        scheduler.run_until(2 * kSlot);
-        coordinator.begin_external_tx(late);
-        EXPECT_EQ(coordinator.freeze(client), late ? 2 : 1);
-        coordinator.end_external_tx();
-    }
-}
-
-TEST(ContentionCoordinator, CohortFiresInRegistrationOrder)
-{
-    sim::Scheduler scheduler;
-    ContentionCoordinator coordinator(scheduler);
-    ProbeClient a;
-    ProbeClient b;
-    std::vector<const ProbeClient*> order;
-    a.order = &order;
-    b.order = &order;
-    coordinator.register_backoff(a, 3, kSlot);
-    coordinator.register_backoff(b, 3, kSlot);
-    scheduler.run();
-    ASSERT_EQ(order.size(), 2u);
-    EXPECT_EQ(order[0], &a);
-    EXPECT_EQ(order[1], &b);
-}
-
-TEST(ContentionCoordinator, FreezeDuringFireSeesChainOrder)
-{
-    // a and b expire at the same instant; a fires first (registered
-    // first) and its "transmission" freezes b, which therefore consumed
-    // everything but never fires — exactly how a sensed same-slot winner
-    // silences the rest of the cohort.
-    sim::Scheduler scheduler;
-    ContentionCoordinator coordinator(scheduler);
-    ProbeClient a;
-    ProbeClient b;
-    std::vector<const ProbeClient*> order;
-    a.order = &order;
-    b.order = &order;
-    int b_consumed = -1;
-    a.on_fire = [&] { b_consumed = coordinator.freeze(b); };
-    coordinator.register_backoff(a, 3, kSlot);
-    coordinator.register_backoff(b, 3, kSlot);
-    scheduler.run();
-    ASSERT_EQ(order.size(), 1u);
-    EXPECT_EQ(order[0], &a);
-    EXPECT_EQ(b_consumed, 3);  // remaining fully consumed; b is at zero
-    EXPECT_FALSE(coordinator.is_registered(b));
-}
-
-TEST(ContentionCoordinator, LateJoinerPrecedesOngoingChains)
-{
-    // c registers several slots after a (same boundary phase). In the
-    // per-slot reference c's first event was armed before a's most
-    // recent slot re-arm, so at their shared expiry instant c fires
-    // first; a, frozen by c's transmission exactly on its own boundary,
-    // loses that boundary's decrement.
-    sim::Scheduler scheduler;
-    ContentionCoordinator coordinator(scheduler);
-    ProbeClient a;
-    ProbeClient c;
-    std::vector<const ProbeClient*> order;
-    a.order = &order;
-    c.order = &order;
-    int a_consumed = -1;
-    c.on_fire = [&] { a_consumed = coordinator.freeze(a); };
-    coordinator.register_backoff(a, 10, kSlot);
-    scheduler.run_until(2 * kSlot);
-    // Joins at t=40 (same phase), expires at t=40+(1+1)*20 = 80 = a's
-    // fourth boundary.
-    coordinator.register_backoff(c, 1, kSlot);
-    scheduler.run();
-    ASSERT_EQ(order.size(), 1u);
-    EXPECT_EQ(order[0], &c);
-    // a's boundaries before/at t=80: 20, 40, 60 fired; 80 is a boundary
-    // and a does NOT precede the firing chain c (c joined later, so it
-    // goes first): 3 slots consumed... but the per-slot reference at the
-    // t=80 instant fires c's chain first only when c's pending event was
-    // armed earlier — c's expiry event is staged at t=60, a's virtual
-    // re-arm is also t=60; c joined the front of the chain order, so c
-    // fires first and a loses the t=80 decrement.
-    EXPECT_EQ(a_consumed, 3);
-}
-
-TEST(ContentionCoordinator, RegistrationErrors)
-{
-    sim::Scheduler scheduler;
-    ContentionCoordinator coordinator(scheduler);
-    ProbeClient client;
-    EXPECT_THROW(coordinator.freeze(client), std::logic_error);
-    EXPECT_THROW(coordinator.register_backoff(client, -1, kSlot), std::invalid_argument);
-    EXPECT_THROW(coordinator.register_backoff(client, 1, 0), std::invalid_argument);
-    coordinator.register_backoff(client, 1, kSlot);
-    EXPECT_THROW(coordinator.register_backoff(client, 1, kSlot), std::logic_error);
-    coordinator.unregister(client);
-    EXPECT_FALSE(coordinator.is_registered(client));
-    EXPECT_THROW(coordinator.end_external_tx(), std::logic_error);
-}
-
-// ------------------------------------------- fused register_access tests
-
 TEST(ContentionCoordinator, FusedImmediateAccessFiresAtDifsEnd)
 {
     // Zero backoff: the per-slot reference transmits inside its DIFS-end
@@ -662,9 +430,13 @@ TEST(ContentionCoordinator, FusedExpiryMatchesPerSlotInstant)
     client.fired_at = &fired;
     client.scheduler = &scheduler;
     coordinator.register_access(client, kDifs, 5, kSlot);
+    EXPECT_TRUE(coordinator.is_registered(client));
+    EXPECT_EQ(coordinator.registered_expiry(client), kDifs + 5 * kSlot);
     scheduler.run();
     ASSERT_EQ(fired.size(), 1u);
     EXPECT_EQ(fired[0], kDifs + 5 * kSlot);
+    EXPECT_FALSE(coordinator.is_registered(client));
+    EXPECT_EQ(coordinator.expiries(), 1u);
 }
 
 TEST(ContentionCoordinator, FusedFreezeInsideDifsConsumesNothing)
@@ -697,15 +469,20 @@ TEST(ContentionCoordinator, FusedFreezeAtDifsEndHonorsTieOrder)
 
 TEST(ContentionCoordinator, FusedFreezeCountsDifsEndDecrement)
 {
-    // Freeze D microseconds into the backoff: the DIFS-end decrement plus
-    // the whole boundaries since — identical to what the reference's
-    // immediate decrement + per-slot countdown would have consumed.
+    // Freeze D microseconds after DIFS end: the DIFS-end decrement plus
+    // the whole boundaries since — ceil(D/slot) off a boundary, D/slot on
+    // one when the interrupter preempts the countdown event — identical to
+    // what the reference's immediate decrement + per-slot countdown would
+    // have consumed.
     const struct {
         SimTime at;
         int consumed;
     } cases[] = {
-        {kDifs + 1, 1},  {kDifs + kSlot - 1, 1}, {kDifs + kSlot + 1, 2},
-        {kDifs + 3 * kSlot + 5, 4},
+        {kDifs, 0},  // exact DIFS end, unknown transmitter: event preempted
+        {kDifs + 1, 1},          {kDifs + kSlot - 1, 1},
+        {kDifs + kSlot, 1},      // exact boundary, unknown transmitter
+        {kDifs + kSlot + 1, 2},  {kDifs + 2 * kSlot, 2},     {kDifs + 2 * kSlot + 1, 3},
+        {kDifs + 3 * kSlot - 1, 3}, {kDifs + 3 * kSlot + 5, 4}, {kDifs + 5 * kSlot, 5},
     };
     for (const auto& test_case : cases) {
         sim::Scheduler scheduler;
@@ -714,7 +491,93 @@ TEST(ContentionCoordinator, FusedFreezeCountsDifsEndDecrement)
         coordinator.register_access(client, kDifs, 10, kSlot);
         scheduler.run_until(test_case.at);
         EXPECT_EQ(coordinator.freeze(client), test_case.consumed) << "at=" << test_case.at;
+        EXPECT_FALSE(coordinator.is_registered(client));
     }
+}
+
+TEST(ContentionCoordinator, ExternalTxResolvesBoundaryTies)
+{
+    // At an exact slot boundary after DIFS end, a late-triggered
+    // (SIFS-timed) transmission loses the FIFO race against the countdown
+    // event: the decrement happened. An early-armed (DIFS-end)
+    // transmission wins it: no decrement.
+    for (const bool late : {false, true}) {
+        sim::Scheduler scheduler;
+        ContentionCoordinator coordinator(scheduler);
+        ProbeClient client;
+        coordinator.register_access(client, kDifs, 10, kSlot);
+        scheduler.run_until(kDifs + 2 * kSlot);
+        coordinator.begin_external_tx(late);
+        EXPECT_EQ(coordinator.freeze(client), late ? 3 : 2);
+        coordinator.end_external_tx();
+    }
+}
+
+TEST(ContentionCoordinator, CohortFiresInRegistrationOrder)
+{
+    sim::Scheduler scheduler;
+    ContentionCoordinator coordinator(scheduler);
+    ProbeClient a;
+    ProbeClient b;
+    std::vector<const ProbeClient*> order;
+    a.order = &order;
+    b.order = &order;
+    coordinator.register_access(a, kDifs, 3, kSlot);
+    coordinator.register_access(b, kDifs, 3, kSlot);
+    scheduler.run();
+    ASSERT_EQ(order.size(), 2u);
+    EXPECT_EQ(order[0], &a);
+    EXPECT_EQ(order[1], &b);
+}
+
+TEST(ContentionCoordinator, FreezeDuringFireSeesChainOrder)
+{
+    // a and b expire at the same instant; a fires first (registered
+    // first) and its "transmission" freezes b, which therefore consumed
+    // everything but never fires — exactly how a sensed same-slot winner
+    // silences the rest of the cohort.
+    sim::Scheduler scheduler;
+    ContentionCoordinator coordinator(scheduler);
+    ProbeClient a;
+    ProbeClient b;
+    std::vector<const ProbeClient*> order;
+    a.order = &order;
+    b.order = &order;
+    int b_consumed = -1;
+    a.on_fire = [&] { b_consumed = coordinator.freeze(b); };
+    coordinator.register_access(a, kDifs, 3, kSlot);
+    coordinator.register_access(b, kDifs, 3, kSlot);
+    scheduler.run();
+    ASSERT_EQ(order.size(), 1u);
+    EXPECT_EQ(order[0], &a);
+    EXPECT_EQ(b_consumed, 3);  // counter fully consumed; b is at zero
+    EXPECT_FALSE(coordinator.is_registered(b));
+}
+
+TEST(ContentionCoordinator, LateJoinerPrecedesOngoingChains)
+{
+    // c registers two slots after a, on a's boundary phase: c's DIFS ends
+    // at t=90 (a's third decrement) and c expires at t=110, a's fourth
+    // boundary. In the per-slot reference c's DIFS event was armed at
+    // t=40, before a's re-arm at t=70, so at t=90 c re-arms for t=110
+    // first and fires first there; a, frozen by c's transmission exactly
+    // on its own boundary, loses that boundary's decrement.
+    sim::Scheduler scheduler;
+    ContentionCoordinator coordinator(scheduler);
+    ProbeClient a;
+    ProbeClient c;
+    std::vector<const ProbeClient*> order;
+    a.order = &order;
+    c.order = &order;
+    int a_consumed = -1;
+    c.on_fire = [&] { a_consumed = coordinator.freeze(a); };
+    coordinator.register_access(a, kDifs, 10, kSlot);  // decrements at 50, 70, 90, 110, ...
+    scheduler.run_until(2 * kSlot);
+    coordinator.register_access(c, kDifs, 1, kSlot);  // DIFS end 90, fires at 110
+    scheduler.run();
+    ASSERT_EQ(order.size(), 1u);
+    EXPECT_EQ(order[0], &c);
+    EXPECT_EQ(a_consumed, 3);  // 50, 70 and 90 fired; the tie at 110 went to c
 }
 
 TEST(ContentionCoordinator, DifsPhasePrecedesBackoffPhaseAtSharedInstant)
@@ -723,9 +586,8 @@ TEST(ContentionCoordinator, DifsPhasePrecedesBackoffPhaseAtSharedInstant)
     // same instant with a zero counter. d's pending event was armed a
     // whole DIFS back — earlier than a's virtual slot re-arm — so d fires
     // first and a, frozen by d's transmission exactly on its boundary,
-    // loses that boundary's decrement (boundaries 60, 80 only... a
-    // registered at t=0 via register_access: decrements at 50, 70, 90;
-    // the one at 90 is lost, so 2 remain consumed).
+    // loses that boundary's decrement (a registered at t=0: decrements at
+    // 50, 70, 90; the one at 90 is lost, so 2 are consumed).
     sim::Scheduler scheduler;
     ContentionCoordinator coordinator(scheduler);
     ProbeClient a;
@@ -749,14 +611,15 @@ TEST(ContentionCoordinator, FusedRegistrationErrors)
     sim::Scheduler scheduler;
     ContentionCoordinator coordinator(scheduler);
     ProbeClient client;
+    EXPECT_THROW(coordinator.freeze(client), std::logic_error);
     EXPECT_THROW(coordinator.register_access(client, kDifs, -1, kSlot), std::invalid_argument);
     EXPECT_THROW(coordinator.register_access(client, kDifs, 1, 0), std::invalid_argument);
     EXPECT_THROW(coordinator.register_access(client, kSlot, 1, kSlot), std::invalid_argument);
     coordinator.register_access(client, kDifs, 1, kSlot);
     EXPECT_THROW(coordinator.register_access(client, kDifs, 1, kSlot), std::logic_error);
-    EXPECT_THROW(coordinator.register_backoff(client, 1, kSlot), std::logic_error);
     coordinator.unregister(client);
     EXPECT_FALSE(coordinator.is_registered(client));
+    EXPECT_THROW(coordinator.end_external_tx(), std::logic_error);
 }
 
 TEST(ContentionCoordinator, SlotsBatchedStatistic)
@@ -764,10 +627,10 @@ TEST(ContentionCoordinator, SlotsBatchedStatistic)
     sim::Scheduler scheduler;
     ContentionCoordinator coordinator(scheduler);
     ProbeClient client;
-    coordinator.register_backoff(client, 100, kSlot);
-    scheduler.run_until(50 * kSlot + 7);
-    EXPECT_EQ(coordinator.freeze(client), 50);
-    EXPECT_EQ(coordinator.slots_batched(), 50u);
+    coordinator.register_access(client, kDifs, 100, kSlot);
+    scheduler.run_until(kDifs + 50 * kSlot + 7);
+    EXPECT_EQ(coordinator.freeze(client), 51);  // the DIFS-end decrement + 50 boundaries
+    EXPECT_EQ(coordinator.slots_batched(), 51u);
 }
 
 }  // namespace

@@ -137,7 +137,7 @@ TEST(JakesFading, PowerGainIsRayleighDistributed)
     // |h|^2 of a Rayleigh channel is exponential with mean 1: check the
     // mean, the second moment (E[X^2] = 2) and the median (ln 2) over many
     // independent links and sample instants.
-    JakesFading model(std::make_unique<TwoRayReference>(), /*doppler_hz=*/10.0, /*seed=*/99);
+    JakesFading model(/*doppler_hz=*/10.0, /*seed=*/99);
     std::vector<double> samples;
     for (net::NodeId link = 0; link < 16; ++link)
         for (int i = 0; i < 512; ++i)
@@ -161,22 +161,36 @@ TEST(JakesFading, PowerGainIsRayleighDistributed)
 
 TEST(JakesFading, DeterministicPerSeedAndLink)
 {
-    JakesFading a(std::make_unique<TwoRayReference>(), 10.0, 7);
-    JakesFading b(std::make_unique<TwoRayReference>(), 10.0, 7);
-    JakesFading c(std::make_unique<TwoRayReference>(), 10.0, 8);
+    JakesFading a(10.0, 7);
+    JakesFading b(10.0, 7);
+    JakesFading c(10.0, 8);
     EXPECT_DOUBLE_EQ(a.power_gain(0, 1, 5000), b.power_gain(0, 1, 5000));
     EXPECT_NE(a.power_gain(0, 1, 5000), c.power_gain(0, 1, 5000));  // seed matters
     EXPECT_NE(a.power_gain(0, 1, 5000), a.power_gain(1, 0, 5000));  // direction matters
 }
 
-TEST(JakesFading, ZeroDopplerReturnsBasePowerBitForBit)
+TEST(JakesFading, ZeroDopplerReturnsTwoRayPowerBitForBit)
 {
-    JakesFading model(std::make_unique<TwoRayReference>(), 0.0, 7);
-    TwoRayReference reference;
+    JakesFading model(0.0, 7);
     for (double d : {1.0, 150.0, 250.0, 420.0})
-        EXPECT_EQ(model.link_power_w(0, 1, 1.0, d, 123'456),
-                  reference.rx_power_w(1.0, d));
+        EXPECT_EQ(model.link_power_w(0, 1, 1.0, d, 123'456), two_ray_power_w(1.0, d));
     EXPECT_TRUE(model.time_invariant());
+}
+
+TEST(JakesFading, ScalesTheTwoRayPowerByTheGain)
+{
+    JakesFading model(10.0, 7);
+    EXPECT_FALSE(model.time_invariant());
+    for (double d : {150.0, 420.0}) {
+        const double gain = model.power_gain(0, 1, 5000);
+        EXPECT_EQ(model.link_power_w(0, 1, 1.0, d, 5000), two_ray_power_w(1.0, d) * gain);
+    }
+}
+
+TEST(JakesFading, RejectsBadParameters)
+{
+    EXPECT_THROW(JakesFading(-1.0, 7), std::invalid_argument);
+    EXPECT_THROW(JakesFading(10.0, 7, 0), std::invalid_argument);
 }
 
 // --------------------------------------------- cumulative-SINR semantics
@@ -196,6 +210,14 @@ struct SinrBed {
     std::vector<std::unique_ptr<NullListener>> listeners;
 
     explicit SinrBed(PhyParams params) : channel(scheduler, util::Rng(7), params) {}
+
+    /// Cumulative-SINR capture, installed the way every run installs it.
+    void use_sinr_ledger()
+    {
+        PhyModelConfig config;
+        config.interference = PhyModelConfig::Interference::kSinrLedger;
+        channel.set_models(config, /*network_seed=*/0);
+    }
 
     NodePhy& add(double x)
     {
@@ -253,7 +275,7 @@ TEST(SinrCapture, MidFrameInterfererPlusNoiseCorruptsUnderSinrLedger)
     PhyParams params;
     params.noise_floor_w = 2e-11;
     SinrBed bed{params};
-    bed.channel.set_interference_mode(PhyModelConfig::Interference::kSinrLedger);
+    bed.use_sinr_ledger();
     NodePhy& sender = bed.add(kSenderX);
     bed.add(kReceiverX);
     NodePhy& interferer = bed.add(kInterfererX);
@@ -270,7 +292,7 @@ TEST(SinrCapture, StrongMidFrameInterfererCorruptsInBothModes)
     // capture ratio, so reference and SINR mode agree on corruption.
     for (const bool sinr : {false, true}) {
         SinrBed bed{PhyParams{}};
-        if (sinr) bed.channel.set_interference_mode(PhyModelConfig::Interference::kSinrLedger);
+        if (sinr) bed.use_sinr_ledger();
         NodePhy& sender = bed.add(kSenderX);
         bed.add(kReceiverX);
         NodePhy& interferer = bed.add(kReceiverX + 200.0 * std::pow(5.0, 0.25));
@@ -291,7 +313,7 @@ TEST(SinrCapture, RateDecodeFloorBindsAtHighRates)
     params.noise_floor_w = 5e-11;
     for (const std::int64_t rate : {std::int64_t{1'000'000}, std::int64_t{11'000'000}}) {
         SinrBed bed{params};
-        bed.channel.set_interference_mode(PhyModelConfig::Interference::kSinrLedger);
+        bed.use_sinr_ledger();
         NodePhy& sender = bed.add(kSenderX);
         bed.add(kReceiverX);
         sender.start_tx(SinrBed::data(0, 1, rate));

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <string>
 #include <utility>
@@ -25,43 +26,40 @@ TEST(Geometry, DistanceEuclidean)
 
 // ---------------------------------------------------------- propagation
 
-TEST(Propagation, FreeSpaceFollowsInverseSquare)
+TEST(Propagation, ReferenceLawIsInverseFourthClampedAtOneMetre)
 {
-    FreeSpace model(0.328);  // ~914 MHz
-    const double p100 = model.rx_power_w(0.28, 100.0);
-    const double p200 = model.rx_power_w(0.28, 200.0);
-    EXPECT_NEAR(p100 / p200, 4.0, 1e-9);
-}
-
-TEST(Propagation, TwoRayFollowsInverseFourthBeyondCrossover)
-{
-    const double lambda = Ns2DefaultPhy::kSpeedOfLight / Ns2DefaultPhy::kFrequencyHz;
-    TwoRayGround model(lambda, Ns2DefaultPhy::kAntennaHeightM);
-    const double cross = model.crossover_distance_m();
-    const double p1 = model.rx_power_w(0.28, cross * 2.0);
-    const double p2 = model.rx_power_w(0.28, cross * 4.0);
-    EXPECT_NEAR(p1 / p2, 16.0, 1e-9);
+    EXPECT_EQ(two_ray_power_w(1.0, 2.0), 1.0 / 16.0);
+    EXPECT_EQ(two_ray_power_w(2.0, 10.0), 2e-4);
+    // Co-located nodes: the clamp keeps the power finite.
+    EXPECT_EQ(two_ray_power_w(1.0, 0.5), 1.0);
+    EXPECT_EQ(two_ray_power_w(1.0, 0.0), 1.0);
 }
 
 TEST(Propagation, Ns2ThresholdsYieldPaperRanges)
 {
     // The 250 m delivery / 550 m carrier-sense ranges the paper quotes are
-    // the ns-2 defaults; verify our two-ray model reproduces them from the
-    // raw PHY constants.
-    const double lambda = Ns2DefaultPhy::kSpeedOfLight / Ns2DefaultPhy::kFrequencyHz;
-    TwoRayGround model(lambda, Ns2DefaultPhy::kAntennaHeightM);
-    const double rx_range =
-        model.range_for_threshold(Ns2DefaultPhy::kTxPowerW, Ns2DefaultPhy::kRxThresholdW);
-    const double cs_range =
-        model.range_for_threshold(Ns2DefaultPhy::kTxPowerW, Ns2DefaultPhy::kCsThresholdW);
-    EXPECT_NEAR(rx_range, 250.0, 10.0);
-    EXPECT_NEAR(cs_range, 550.0, 15.0);
-}
-
-TEST(Propagation, RangeForThresholdRejectsBadThreshold)
-{
-    FreeSpace model(0.328);
-    EXPECT_THROW(model.range_for_threshold(0.28, 0.0), std::invalid_argument);
+    // the ns-2 defaults (wireless-phy.cc). Beyond the two-ray crossover
+    // 4*pi*h^2/lambda (~86 m here) the received power is Pt*h^4/d^4 (unit
+    // gains, equal antenna heights), so the range at which it falls to a
+    // threshold Pr is d = (Pt*h^4/Pr)^(1/4).
+    constexpr double kTxPowerW = 0.28183815;
+    constexpr double kRxThresholdW = 3.652e-10;
+    constexpr double kCsThresholdW = 1.559e-11;
+    constexpr double kAntennaHeightM = 1.5;
+    const double wavelength_m = 3e8 / 914e6;
+    const double crossover_m = 4.0 * util::kPi * kAntennaHeightM * kAntennaHeightM / wavelength_m;
+    const auto range_m = [&](double threshold_w) {
+        const double h2 = kAntennaHeightM * kAntennaHeightM;
+        return std::pow(kTxPowerW * h2 * h2 / threshold_w, 0.25);
+    };
+    EXPECT_NEAR(crossover_m, 86.0, 1.0);
+    EXPECT_NEAR(range_m(kRxThresholdW), 250.0, 1.0);
+    EXPECT_NEAR(range_m(kCsThresholdW), 550.0, 1.0);
+    // Both ranges lie beyond the crossover, where the d^-4 law holds.
+    EXPECT_GT(range_m(kRxThresholdW), crossover_m);
+    // The Channel's defaults are those ranges.
+    EXPECT_EQ(PhyParams{}.tx_range_m, 250.0);
+    EXPECT_EQ(PhyParams{}.cs_range_m, 550.0);
 }
 
 // ----------------------------------------------------------- PHY params
@@ -394,6 +392,25 @@ TEST(Channel, LinkLossValidation)
     EXPECT_THROW(bed.channel.set_link_loss(0, 1, -0.1), std::invalid_argument);
     EXPECT_THROW(bed.channel.set_link_loss(0, 1, 1.1), std::invalid_argument);
     EXPECT_DOUBLE_EQ(bed.channel.link_loss(3, 4), 0.0);
+    // The bounds themselves are valid, and a second call replaces the first.
+    bed.channel.set_link_loss(0, 1, 0.0);
+    bed.channel.set_link_loss(0, 1, 1.0);
+    EXPECT_DOUBLE_EQ(bed.channel.link_loss(0, 1), 1.0);
+    bed.channel.set_link_loss(0, 1, 0.5);
+    EXPECT_DOUBLE_EQ(bed.channel.link_loss(0, 1), 0.5);
+    EXPECT_DOUBLE_EQ(bed.channel.link_loss(1, 0), 0.0);
+}
+
+TEST(Channel, LinkLossRejectsNaN)
+{
+    // A NaN compares false against both bounds, so a range check written
+    // as `p < 0 || p > 1` would store it.
+    TestBed bed;
+    bed.channel.set_link_loss(0, 1, 0.25);
+    EXPECT_THROW(bed.channel.set_link_loss(0, 1, std::nan("")), std::invalid_argument);
+    EXPECT_THROW(bed.channel.set_link_loss(2, 3, std::nan("")), std::invalid_argument);
+    EXPECT_DOUBLE_EQ(bed.channel.link_loss(0, 1), 0.25);  // the rejected value was not stored
+    EXPECT_DOUBLE_EQ(bed.channel.link_loss(2, 3), 0.0);
 }
 
 TEST(Channel, RejectsDuplicateNodeIds)
@@ -582,10 +599,10 @@ TEST(Channel, FramePoolRecyclesAcrossTransmissions)
 
 TEST(Channel, FramePoolSharesOneRecordAcrossLossyFanOut)
 {
-    // A lossy Gilbert link in the fan-out: still one record per
-    // transmission, released when the last signal end fires.
+    // A lossy link in the fan-out: still one record per transmission,
+    // released when the last signal end fires.
     TestBed bed;
-    bed.channel.set_link_error_model(0, 1, make_gilbert(GilbertParams{1.0, 1.0, 0.0, 1.0}));
+    bed.channel.set_link_loss(0, 1, 0.5);
     NodePhy& a = bed.add(0);
     bed.add(200);
     bed.add(400);
