@@ -15,7 +15,8 @@ EzFlowAgent::EzFlowAgent(net::Network& network, net::NodeId node, CaaConfig conf
       record_traces_(record_traces),
       rng_(network.fork_rng())
 {
-    if (sniff_loss < 0.0 || sniff_loss > 1.0)
+    // Written so that NaN fails it too.
+    if (!(sniff_loss >= 0.0 && sniff_loss <= 1.0))
         throw std::invalid_argument("EzFlowAgent: sniff_loss out of range");
     BufferOccupancyEstimator::check_history(boe_history);
     net::Node& n = network_.node(node_id_);

@@ -13,8 +13,12 @@ Channel::Channel(sim::Scheduler& scheduler, util::Rng rng, PhyParams params)
 
 void Channel::attach(NodePhy& phy)
 {
-    if (!index_by_id_.emplace(phy.id(), phys_.size()).second)
+    if (phy.id() < 0) throw std::invalid_argument("Channel::attach: negative node id");
+    if (attach_index(phy.id()) >= 0)
         throw std::invalid_argument("Channel::attach: duplicate node id");
+    const auto slot = static_cast<std::size_t>(phy.id());
+    if (slot >= index_by_id_.size()) index_by_id_.resize(slot + 1, -1);
+    index_by_id_[slot] = static_cast<std::int32_t>(phys_.size());
     phys_.push_back(&phy);
     phy.set_channel(this);
     reach_.clear();  // topology grew: rebuild lazily on the next transmit
@@ -23,14 +27,12 @@ void Channel::attach(NodePhy& phy)
 
 void Channel::detach(NodePhy& phy)
 {
-    const auto it = index_by_id_.find(phy.id());
-    if (it == index_by_id_.end() || phys_[it->second] != &phy)
-        throw std::invalid_argument("Channel::detach: phy not attached");
-    const std::size_t gone = it->second;
+    if (!is_attached(phy)) throw std::invalid_argument("Channel::detach: phy not attached");
+    const auto gone = static_cast<std::size_t>(attach_index(phy.id()));
     phys_.erase(phys_.begin() + static_cast<std::ptrdiff_t>(gone));
-    index_by_id_.erase(it);
-    for (auto& [id, index] : index_by_id_)
-        if (index > gone) --index;
+    index_by_id_[static_cast<std::size_t>(phy.id())] = -1;
+    for (std::size_t k = gone; k < phys_.size(); ++k)
+        index_by_id_[static_cast<std::size_t>(phys_[k]->id())] = static_cast<std::int32_t>(k);
     phy.set_channel(nullptr);
     // The sets are indexed by attach position and list the dead PHY.
     reach_.clear();
@@ -39,8 +41,8 @@ void Channel::detach(NodePhy& phy)
 
 bool Channel::is_attached(const NodePhy& phy) const
 {
-    const auto it = index_by_id_.find(phy.id());
-    return it != index_by_id_.end() && phys_[it->second] == &phy;
+    const std::int32_t index = attach_index(phy.id());
+    return index >= 0 && phys_[static_cast<std::size_t>(index)] == &phy;
 }
 
 void Channel::set_models(const PhyModelConfig& config, std::uint64_t network_seed)
@@ -108,11 +110,10 @@ void Channel::ensure_reach()
 
 std::size_t Channel::reachable_count(net::NodeId tx)
 {
-    const auto it = index_by_id_.find(tx);
-    if (it == index_by_id_.end())
-        throw std::invalid_argument("Channel::reachable_count: unknown node");
+    const std::int32_t index = attach_index(tx);
+    if (index < 0) throw std::invalid_argument("Channel::reachable_count: unknown node");
     ensure_reach();
-    return reach_[it->second].size();
+    return reach_[static_cast<std::size_t>(index)].size();
 }
 
 void Channel::set_link_loss(net::NodeId tx, net::NodeId rx, double loss_probability)
@@ -152,9 +153,9 @@ void Channel::transmit(NodePhy& sender, Frame frame)
     const std::uint64_t all_spans = spans >= 64 ? ~0ull : (1ull << spans) - 1;
 
     ensure_reach();
-    const auto it = index_by_id_.find(sender.id());
-    if (it == index_by_id_.end()) throw std::logic_error("Channel::transmit: sender not attached");
-    for (const ReachEntry& r : reach_[it->second]) {
+    const std::int32_t index = attach_index(sender.id());
+    if (index < 0) throw std::logic_error("Channel::transmit: sender not attached");
+    for (const ReachEntry& r : reach_[static_cast<std::size_t>(index)]) {
         NodePhy* phy = r.phy;
         RxEvent rx;
         rx.signal_id = signal_id;

@@ -148,6 +148,13 @@ public:
     const FramePool& frame_pool() const { return frame_pool_; }
 
 private:
+    /// Attach position of node `id`, or -1 when it is not attached.
+    std::int32_t attach_index(net::NodeId id) const
+    {
+        const auto slot = static_cast<std::size_t>(id);
+        return id >= 0 && slot < index_by_id_.size() ? index_by_id_[slot] : -1;
+    }
+
     /// Received power on tx -> rx at distance d: the fading process, or
     /// the inlined reference two-ray 1/max(d,1)^4.
     double link_power(net::NodeId tx, net::NodeId rx, double distance_m);
@@ -198,7 +205,7 @@ private:
     util::Rng rng_;
     PhyParams params_;
     std::vector<NodePhy*> phys_;
-    std::unordered_map<net::NodeId, std::size_t> index_by_id_;  ///< attach index per node id
+    std::vector<std::int32_t> index_by_id_;  ///< attach position per node id; -1 = not attached
     std::vector<std::vector<ReachEntry>> reach_;  ///< per transmitter, in attach order
     std::unordered_map<net::NodeId, std::vector<GhostReachEntry>> ghost_reach_;
     std::optional<GridIndex> geometry_;  ///< attach positions; rebuilt with reach_

@@ -1,6 +1,7 @@
 #include "util/rng.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace ezflow::util {
@@ -19,11 +20,11 @@ std::uint64_t splitmix64(std::uint64_t z)
 
 }  // namespace
 
-Rng::Rng(std::uint64_t seed) : stream_key_(seed)
+void Rng::seed_engine()
 {
     // Expand the 64-bit key into enough entropy that sibling streams do
     // not share correlated regions of the 19937-bit state.
-    std::uint64_t z = seed;
+    std::uint64_t z = stream_key_;
     std::uint32_t words[8];
     for (int i = 0; i < 4; ++i) {
         z = splitmix64(z);
@@ -31,34 +32,37 @@ Rng::Rng(std::uint64_t seed) : stream_key_(seed)
         words[2 * i + 1] = static_cast<std::uint32_t>(z >> 32);
     }
     std::seed_seq seq(words, words + 8);
-    engine_.seed(seq);
+    engine_ = std::make_unique<std::mt19937_64>(seq);
 }
 
 int Rng::uniform_int(int lo, int hi)
 {
     if (lo > hi) throw std::invalid_argument("Rng::uniform_int: lo > hi");
     std::uniform_int_distribution<int> dist(lo, hi);
-    return dist(engine_);
+    return dist(engine());
 }
 
 double Rng::uniform_real(double lo, double hi)
 {
+    // Written so that NaN fails it too.
+    if (!(lo <= hi)) throw std::invalid_argument("Rng::uniform_real: lo > hi or NaN");
     std::uniform_real_distribution<double> dist(lo, hi);
-    return dist(engine_);
+    return dist(engine());
 }
 
 bool Rng::bernoulli(double p)
 {
+    if (std::isnan(p)) throw std::invalid_argument("Rng::bernoulli: p is NaN");
     const double clamped = std::clamp(p, 0.0, 1.0);
     std::bernoulli_distribution dist(clamped);
-    return dist(engine_);
+    return dist(engine());
 }
 
 double Rng::exponential(double mean)
 {
-    if (mean <= 0.0) throw std::invalid_argument("Rng::exponential: mean must be > 0");
+    if (!(mean > 0.0)) throw std::invalid_argument("Rng::exponential: mean must be > 0");
     std::exponential_distribution<double> dist(1.0 / mean);
-    return dist(engine_);
+    return dist(engine());
 }
 
 int Rng::weighted_index(const std::vector<double>& weights)

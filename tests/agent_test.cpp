@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "analysis/experiment.h"
 #include "core/agent.h"
 #include "net/topologies.h"
@@ -117,6 +119,19 @@ TEST(Agent, RejectsBadSniffLoss)
 {
     net::Scenario s = net::make_line(2, 10, 9);
     EXPECT_THROW(EzFlowAgent(*s.network, 0, CaaConfig{}, 1000, 1.5), std::invalid_argument);
+    EXPECT_THROW(EzFlowAgent(*s.network, 0, CaaConfig{}, 1000, -0.1), std::invalid_argument);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(EzFlowAgent(*s.network, 0, CaaConfig{}, 1000, nan), std::invalid_argument);
+}
+
+TEST(Agent, NanSniffLossFailsTheExperiment)
+{
+    // NaN once slipped past the range check and ran with no sniff loss.
+    analysis::ExperimentOptions options;
+    options.mode = analysis::Mode::kEzFlow;
+    options.boe_sniff_loss = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(analysis::Experiment(net::make_line(4, 400.0, 8), options),
+                 std::invalid_argument);
 }
 
 TEST(Agent, RejectsBadBoeHistoryAtConstruction)

@@ -233,7 +233,14 @@ TEST(ChannelCull, DuplicateAttachThrowsViaIdIndex)
     bed.add(0);
     NodePhy duplicate(0, Position{50, 50}, bed.scheduler);
     EXPECT_THROW(bed.channel.attach(duplicate), std::invalid_argument);
+    EXPECT_THROW(bed.channel.detach(duplicate), std::invalid_argument);  // same id, other phy
+    EXPECT_FALSE(bed.channel.is_attached(duplicate));
     EXPECT_THROW(bed.channel.reachable_count(99), std::invalid_argument);
+    EXPECT_THROW(bed.channel.reachable_count(-1), std::invalid_argument);
+    // The index is a vector over node ids: a negative id has no slot.
+    NodePhy negative(-1, Position{50, 50}, bed.scheduler);
+    EXPECT_THROW(bed.channel.attach(negative), std::invalid_argument);
+    EXPECT_FALSE(bed.channel.is_attached(negative));
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <utility>
 
 #include "net/network.h"
@@ -106,8 +107,10 @@ inline ReferenceSource::IntervalLaw poisson_law(net::Network& network, int paylo
                                                 double rate_bps)
 {
     const double mean_us = static_cast<double>(payload_bytes) * 8.0 * 1e6 / rate_bps;
-    return [mean_us, rng = network.fork_rng()]() mutable {
-        return static_cast<util::SimTime>(rng.exponential(mean_us));
+    // std::function needs a copyable callable and Rng is move-only, so
+    // the law's copies share one stream.
+    return [mean_us, rng = std::make_shared<util::Rng>(network.fork_rng())]() {
+        return static_cast<util::SimTime>(rng->exponential(mean_us));
     };
 }
 

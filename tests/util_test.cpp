@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <limits>
+#include <new>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
 
 #include "util/cli.h"
 #include "util/csv.h"
@@ -11,6 +17,30 @@
 #include "util/stats.h"
 #include "util/table.h"
 #include "util/units.h"
+
+// Counts every heap allocation in this test binary, so the Rng tests can
+// tell whether an engine was allocated (and so seeded).
+namespace {
+std::atomic<long> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size)
+{
+    ++g_allocations;
+    if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+    throw std::bad_alloc();
+}
+// GCC cannot see that these free only what the operator new above
+// malloc'd, and warns.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace ezflow::util {
 namespace {
@@ -37,6 +67,75 @@ TEST(Units, KbpsZeroDurationIsZero)
 }
 
 // ------------------------------------------------------------------ rng
+
+static_assert(!std::is_copy_constructible_v<Rng>, "Rng is move-only");
+static_assert(!std::is_copy_assignable_v<Rng>, "Rng is move-only");
+static_assert(std::is_nothrow_move_constructible_v<Rng>);
+static_assert(sizeof(Rng) <= 32, "an unseeded Rng holds only its stream key");
+
+// The first draws of fixed streams, captured from the engine-at-construction
+// implementation: seeding on the first draw must not move any of them.
+TEST(Rng, StreamsArePinned)
+{
+    Rng root(7);
+    EXPECT_EQ(root.next_u64(), 0x03897df4301fc13bULL);
+    EXPECT_EQ(root.next_u64(), 0x2e22d4ab77829f12ULL);
+    EXPECT_EQ(root.next_u64(), 0x4f20d66dba1da42eULL);
+    EXPECT_EQ(root.next_u64(), 0xf703e46a9c7ab7c4ULL);
+    EXPECT_EQ(root.next_u64(), 0xffa4ba471353f4a9ULL);
+    EXPECT_EQ(root.next_u64(), 0xf4a40cfdcbd49a2aULL);
+    EXPECT_EQ(root.next_u64(), 0x0d4a21c96ee29c1fULL);
+    EXPECT_EQ(root.next_u64(), 0xfb404982ee8f72b4ULL);
+
+    const auto expect_first_fork = [](Rng child) {
+        EXPECT_EQ(child.next_u64(), 0x29636afc9bdf6726ULL);
+        EXPECT_EQ(child.next_u64(), 0x28a9647402eafab7ULL);
+        EXPECT_EQ(child.next_u64(), 0x48a1d9dc3d4f32beULL);
+        EXPECT_EQ(child.next_u64(), 0xfadb75ae6a501569ULL);
+        EXPECT_EQ(child.next_u64(), 0x3ac672725191e221ULL);
+        EXPECT_EQ(child.next_u64(), 0xf09a8954994c718cULL);
+        EXPECT_EQ(child.next_u64(), 0xa7b52e918f3c2a34ULL);
+        EXPECT_EQ(child.next_u64(), 0x616a96df939c2924ULL);
+    };
+    Rng fresh(7);
+    expect_first_fork(fresh.fork());
+    Rng drawn(7);
+    for (int i = 0; i < 1000; ++i) drawn.next_u64();
+    expect_first_fork(drawn.fork());  // keyed: the draws do not move it
+}
+
+TEST(Rng, StreamContinuesAcrossMoves)
+{
+    Rng reference(7);
+    Rng unseeded(7);
+    Rng early = std::move(unseeded);  // moved before its first draw
+    for (int i = 0; i < 8; ++i) EXPECT_EQ(early.next_u64(), reference.next_u64());
+    Rng late = std::move(early);  // moved after it
+    for (int i = 0; i < 8; ++i) EXPECT_EQ(late.next_u64(), reference.next_u64());
+    Rng assigned(99);
+    assigned = std::move(late);
+    for (int i = 0; i < 8; ++i) EXPECT_EQ(assigned.next_u64(), reference.next_u64());
+}
+
+// The engine is allocated and seeded on the first draw, once; constructing,
+// forking and moving an Rng allocate nothing.
+TEST(Rng, EngineIsSeededOnFirstDrawOnly)
+{
+    long mark = g_allocations.load();
+    Rng parent(7);
+    Rng child = parent.fork();
+    Rng grandchild = child.fork();
+    EXPECT_EQ(g_allocations.load(), mark);
+
+    parent.next_u64();
+    EXPECT_GT(g_allocations.load(), mark);
+    mark = g_allocations.load();
+    for (int i = 0; i < 100; ++i) parent.uniform_int(0, 9);
+    Rng late_child = parent.fork();
+    Rng moved = std::move(parent);
+    moved.next_u64();
+    EXPECT_EQ(g_allocations.load(), mark);
+}
 
 TEST(Rng, UniformIntWithinBounds)
 {
@@ -169,7 +268,11 @@ TEST(Rng, BernoulliExtremes)
     for (int i = 0; i < 100; ++i) {
         EXPECT_FALSE(rng.bernoulli(0.0));
         EXPECT_TRUE(rng.bernoulli(1.0));
+        // Finite p outside [0, 1] is clamped; NaN is rejected.
+        EXPECT_FALSE(rng.bernoulli(-0.5));
+        EXPECT_TRUE(rng.bernoulli(1.5));
     }
+    EXPECT_THROW(rng.bernoulli(std::numeric_limits<double>::quiet_NaN()), std::invalid_argument);
 }
 
 TEST(Rng, BernoulliRateApproximatesP)
@@ -195,6 +298,24 @@ TEST(Rng, ExponentialRejectsNonPositiveMean)
 {
     Rng rng(5);
     EXPECT_THROW(rng.exponential(0.0), std::invalid_argument);
+    EXPECT_THROW(rng.exponential(-1.0), std::invalid_argument);
+    EXPECT_THROW(rng.exponential(std::numeric_limits<double>::quiet_NaN()),
+                 std::invalid_argument);
+}
+
+TEST(Rng, UniformRealRejectsInvertedOrNanRange)
+{
+    Rng rng(5);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(rng.uniform_real(2.0, 1.0), std::invalid_argument);
+    EXPECT_THROW(rng.uniform_real(nan, 1.0), std::invalid_argument);
+    EXPECT_THROW(rng.uniform_real(0.0, nan), std::invalid_argument);
+    EXPECT_DOUBLE_EQ(rng.uniform_real(3.0, 3.0), 3.0);
+    for (int i = 0; i < 1000; ++i) {
+        const double v = rng.uniform_real(-1.0, 2.0);
+        EXPECT_GE(v, -1.0);
+        EXPECT_LT(v, 2.0);
+    }
 }
 
 TEST(Rng, WeightedIndexFollowsWeights)
@@ -213,6 +334,8 @@ TEST(Rng, WeightedIndexRejectsBadInput)
     Rng rng(11);
     EXPECT_THROW(rng.weighted_index({0.0, 0.0}), std::invalid_argument);
     EXPECT_THROW(rng.weighted_index({-1.0, 2.0}), std::invalid_argument);
+    EXPECT_THROW(rng.weighted_index({std::numeric_limits<double>::quiet_NaN(), 2.0}),
+                 std::invalid_argument);
 }
 
 // ---------------------------------------------------------------- stats
