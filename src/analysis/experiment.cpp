@@ -89,8 +89,7 @@ Experiment::Experiment(net::Scenario scenario, ExperimentOptions options)
             break;
         case Mode::kEzFlow:
             agents_ = core::install_ezflow(net, options_.caa, kBoeHistory,
-                                           options_.boe_sniff_loss,
-                                           /*record_traces=*/!options_.streaming);
+                                           options_.boe_sniff_loss);
             break;
         case Mode::kPenalty:
             core::apply_penalty_policy(net, options_.penalty);

@@ -36,10 +36,11 @@ struct ExperimentOptions {
     double cbr_rate_bps = 2e6;         ///< saturating CBR, as in the paper
     util::SimTime throughput_window = 10 * util::kSecond;
     double boe_sniff_loss = 0.0;       ///< ablation: fraction of sniffs missed (kEzFlow)
-    /// Streaming measurement: recorders keep whole-run summaries
-    /// (RunningStats) instead of per-event series, so peak memory is
-    /// O(nodes + flows) regardless of run length. summarize() then
-    /// reports whole-run delay stats instead of windowed ones; series
+    /// Streaming measurement: the sink and the buffer and CW tracers
+    /// keep whole-run summaries (RunningStats) instead of per-event
+    /// series, so peak memory is O(nodes + flows) regardless of run
+    /// length (EZ-Flow agents keep no series in either mode). summarize()
+    /// then reports whole-run delay stats instead of windowed ones; series
     /// accessors (delay_series, tracer trace(), goodput_kbps) are
     /// unavailable. For long perf runs (islands / 10k grids), not for
     /// figure generation.

@@ -5,14 +5,12 @@
 namespace ezflow::core {
 
 EzFlowAgent::EzFlowAgent(net::Network& network, net::NodeId node, CaaConfig config,
-                         std::size_t boe_history, double sniff_loss, bool record_traces)
+                         std::size_t boe_history, double sniff_loss)
     : network_(network),
-      scheduler_(&network.scheduler_for(node)),
       node_id_(node),
       config_(config),
       boe_history_(boe_history),
       sniff_loss_(sniff_loss),
-      record_traces_(record_traces),
       rng_(network.fork_rng())
 {
     // Written so that NaN fails it too.
@@ -31,16 +29,14 @@ EzFlowAgent::SuccessorState& EzFlowAgent::ensure_successor(net::NodeId successor
     if (it != successors_.end()) return *it->second;
 
     auto state = std::make_unique<SuccessorState>(boe_history_);
-    SuccessorState* raw = state.get();
     mac::DcfMac& mac = network_.node(node_id_).mac();
     // EZ-Flow steers the CWmin of every queue feeding this successor:
     // the forwarded-traffic queue and (at nodes that are also sources)
     // the own-traffic queue share the same channel-access budget.
-    raw->caa = std::make_unique<ChannelAccessAdaptation>(
-        config_, [this, successor, raw, &mac](int cw) {
+    state->caa = std::make_unique<ChannelAccessAdaptation>(
+        config_, [successor, &mac](int cw) {
             mac.set_queue_cw_min(mac::QueueKey{successor, /*own_traffic=*/false}, cw);
             mac.set_queue_cw_min(mac::QueueKey{successor, /*own_traffic=*/true}, cw);
-            if (record_traces_) raw->cw_trace.add(scheduler_->now(), static_cast<double>(cw));
         });
     return *successors_.emplace(successor, std::move(state)).first->second;
 }
@@ -71,8 +67,7 @@ void EzFlowAgent::deliver_sample(SuccessorState& state, std::uint16_t checksum)
     const std::optional<int> estimate = state.boe.on_packet_overheard(checksum);
     if (!estimate.has_value()) return;
     ++samples_delivered_;
-    if (record_traces_)
-        state.estimate_trace.add(scheduler_->now(), static_cast<double>(*estimate));
+    state.last_estimate = *estimate;
     state.caa->on_sample(*estimate);
 }
 
@@ -87,8 +82,7 @@ int EzFlowAgent::cw_toward(net::NodeId successor) const
 std::map<net::NodeId, std::unique_ptr<EzFlowAgent>> install_ezflow(net::Network& network,
                                                                    const CaaConfig& config,
                                                                    std::size_t boe_history,
-                                                                   double sniff_loss,
-                                                                   bool record_traces)
+                                                                   double sniff_loss)
 {
     std::map<net::NodeId, std::unique_ptr<EzFlowAgent>> agents;
     for (int flow_id : network.routing_table().flow_ids()) {
@@ -97,7 +91,7 @@ std::map<net::NodeId, std::unique_ptr<EzFlowAgent>> install_ezflow(net::Network&
             const net::NodeId node = path[i];
             if (agents.count(node) > 0) continue;
             agents[node] = std::make_unique<EzFlowAgent>(network, node, config, boe_history,
-                                                         sniff_loss, record_traces);
+                                                         sniff_loss);
         }
     }
     return agents;

@@ -7,7 +7,7 @@
 #include "core/caa.h"
 #include "net/network.h"
 #include "net/node.h"
-#include "util/stats.h"
+#include "util/rng.h"
 
 namespace ezflow::core {
 
@@ -17,6 +17,10 @@ namespace ezflow::core {
 ///  * promiscuous sniff hook  -> BOE matching -> CAA sample;
 ///  * CAA decision            -> per-successor queue CWmin.
 ///
+/// The agent keeps no per-sample history: each successor holds only the
+/// latest BOE estimate, so its memory is O(successors) however long the
+/// run. The CWmin trajectory is sampled by analysis::CwTracer.
+///
 /// The last hop before a destination never overhears forwarded packets
 /// (the destination consumes them), so its cw stays at the initial value —
 /// exactly as on the testbed.
@@ -25,22 +29,18 @@ public:
     struct SuccessorState {
         BufferOccupancyEstimator boe;
         std::unique_ptr<ChannelAccessAdaptation> caa;
-        /// (time, cw) trace for Fig. 8 / Fig. 11.
-        util::TimeSeries cw_trace;
-        /// (time, estimated successor occupancy) trace.
-        util::TimeSeries estimate_trace;
+        /// The BOE's latest estimate of the successor's buffer occupancy
+        /// (-1 before the first matched sniff).
+        int last_estimate = -1;
 
         explicit SuccessorState(std::size_t history) : boe(history) {}
     };
 
     /// Attach EZ-Flow to `node`. `sniff_loss` optionally drops a fraction
     /// of overheard frames before they reach the BOE (ablation: robustness
-    /// to missed sniffs). `record_traces = false` (streaming runs) skips
-    /// the O(events) cw/estimate trace appends; the control loop itself
-    /// is unaffected.
+    /// to missed sniffs).
     EzFlowAgent(net::Network& network, net::NodeId node, CaaConfig config,
-                std::size_t boe_history = 1000, double sniff_loss = 0.0,
-                bool record_traces = true);
+                std::size_t boe_history = 1000, double sniff_loss = 0.0);
     EzFlowAgent(const EzFlowAgent&) = delete;
     EzFlowAgent& operator=(const EzFlowAgent&) = delete;
 
@@ -67,12 +67,10 @@ private:
     void deliver_sample(SuccessorState& state, std::uint16_t checksum);
 
     net::Network& network_;
-    sim::Scheduler* scheduler_;  ///< the node's shard scheduler (trace timestamps)
     net::NodeId node_id_;
     CaaConfig config_;
     std::size_t boe_history_;
     double sniff_loss_;
-    bool record_traces_;
     util::Rng rng_;
     std::map<net::NodeId, std::unique_ptr<SuccessorState>> successors_;
     std::uint64_t samples_delivered_ = 0;
@@ -83,7 +81,6 @@ private:
 std::map<net::NodeId, std::unique_ptr<EzFlowAgent>> install_ezflow(net::Network& network,
                                                                    const CaaConfig& config,
                                                                    std::size_t boe_history = 1000,
-                                                                   double sniff_loss = 0.0,
-                                                                   bool record_traces = true);
+                                                                   double sniff_loss = 0.0);
 
 }  // namespace ezflow::core

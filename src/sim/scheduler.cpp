@@ -80,7 +80,7 @@ void Scheduler::flush_staging()
             continue;
         }
         heap_.push_back(rec);
-        std::push_heap(heap_.begin(), heap_.end(), later);
+        std::push_heap(heap_.begin(), heap_.end(), Later{});
     }
     staging_.clear();
 }
@@ -92,7 +92,7 @@ void Scheduler::compact_heap()
         return !slot.armed || slot.gen != rec.gen;
     };
     heap_.erase(std::remove_if(heap_.begin(), heap_.end(), stale), heap_.end());
-    std::make_heap(heap_.begin(), heap_.end(), later);
+    std::make_heap(heap_.begin(), heap_.end(), Later{});
     staging_.erase(std::remove_if(staging_.begin(), staging_.end(), stale), staging_.end());
     stale_records_ = 0;
 }
@@ -104,7 +104,7 @@ SimTime Scheduler::next_event_time()
         const HeapRecord& rec = heap_.front();
         const Slot& slot = slots_[rec.slot];
         if (slot.armed && slot.gen == rec.gen) return rec.at;
-        std::pop_heap(heap_.begin(), heap_.end(), later);
+        std::pop_heap(heap_.begin(), heap_.end(), Later{});
         heap_.pop_back();
         if (stale_records_ > 0) --stale_records_;
     }
@@ -116,7 +116,7 @@ bool Scheduler::pop_and_run_next(SimTime limit)
     if (!staging_.empty()) flush_staging();
     while (!heap_.empty()) {
         if (heap_.front().at > limit) return false;
-        std::pop_heap(heap_.begin(), heap_.end(), later);
+        std::pop_heap(heap_.begin(), heap_.end(), Later{});
         const HeapRecord rec = heap_.back();
         heap_.pop_back();
         Slot& slot = slots_[rec.slot];

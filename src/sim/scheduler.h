@@ -123,12 +123,15 @@ private:
         std::uint32_t gen;
     };
 
-    /// Min-heap order on (at, seq).
-    static bool later(const HeapRecord& a, const HeapRecord& b)
-    {
-        if (a.at != b.at) return a.at > b.at;
-        return a.seq > b.seq;
-    }
+    /// Min-heap order on (at, seq). A stateless function object rather
+    /// than a function pointer, so the std:: heap algorithms inline it.
+    struct Later {
+        bool operator()(const HeapRecord& a, const HeapRecord& b) const
+        {
+            if (a.at != b.at) return a.at > b.at;
+            return a.seq > b.seq;
+        }
+    };
 
     std::uint32_t acquire_slot();
     void release_slot(std::uint32_t index);

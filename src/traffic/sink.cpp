@@ -16,7 +16,6 @@ void Sink::attach_flow(int flow_id)
 {
     if (flows_.count(flow_id) > 0) throw std::invalid_argument("Sink::attach_flow: already attached");
     flows_[flow_id];  // default-construct the record
-    if (!streaming_) arrivals_[flow_id];
     const auto& path = network_.routing_table().path(flow_id);
     schedulers_[flow_id] = &network_.scheduler_for(path.back());
     net::Node& dst = network_.node(path.back());
@@ -49,7 +48,7 @@ void Sink::on_delivery(int flow_id, const net::Packet& packet)
     record.total_delay_us.add(static_cast<double>(now - packet.created_at));
     if (!streaming_) {
         record.delay_series.add(now, delay);
-        arrivals_.at(flow_id).add(now, static_cast<double>(packet.bytes) * 8.0);
+        record.delivered_bytes.push_back(packet.bytes);
     }
 }
 
@@ -63,16 +62,14 @@ const Sink::FlowRecord& Sink::flow(int flow_id) const
 double Sink::goodput_kbps(int flow_id, SimTime from, SimTime to) const
 {
     if (streaming_)
-        throw std::logic_error("Sink::goodput_kbps: no arrival log in streaming mode");
-    const auto it = arrivals_.find(flow_id);
-    if (it == arrivals_.end()) throw std::invalid_argument("Sink::goodput_kbps: unknown flow");
+        throw std::logic_error("Sink::goodput_kbps: no delivery log in streaming mode");
+    const FlowRecord& record = flow(flow_id);
     if (to <= from) return 0.0;
-    const util::TimeSeries& log = it->second;
     double bits = 0.0;
-    const auto& times = log.times();
-    const auto& values = log.values();
+    const auto& times = record.delay_series.times();
     for (std::size_t i = 0; i < times.size(); ++i) {
-        if (times[i] >= from && times[i] < to) bits += values[i];
+        if (times[i] >= from && times[i] < to)
+            bits += static_cast<double>(record.delivered_bytes[i]) * 8.0;
     }
     return util::kbps(static_cast<std::int64_t>(bits), to - from);
 }
@@ -81,7 +78,6 @@ std::size_t Sink::stored_samples() const
 {
     std::size_t total = 0;
     for (const auto& [flow, record] : flows_) total += record.delay_series.size();
-    for (const auto& [flow, log] : arrivals_) total += log.size();
     return total;
 }
 

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <map>
+#include <vector>
 
 #include "net/network.h"
 #include "net/packet.h"
@@ -31,6 +32,9 @@ public:
         util::RunningStats total_delay_us;
         /// (time, network delay) samples, for Fig. 7 / Fig. 10 plots.
         util::TimeSeries delay_series;
+        /// Delivered bytes, one entry per delay_series sample (same
+        /// index, same delivery instant) — kept to window throughput.
+        std::vector<int> delivered_bytes;
         /// Highest sequence number seen, for reorder/duplicate detection.
         std::int64_t max_seq_seen = -1;
     };
@@ -40,7 +44,7 @@ public:
     Sink& operator=(const Sink&) = delete;
 
     /// Streaming mode: keep only the whole-run RunningStats per flow —
-    /// no delay series, no arrival log — so sink memory is O(flows)
+    /// no delay series, no delivered-bytes log — so sink memory is O(flows)
     /// regardless of run length. Windowed queries (goodput_kbps, the
     /// delay_series) are unavailable. Set before attaching flows.
     void set_streaming(bool on);
@@ -53,12 +57,12 @@ public:
     const FlowRecord& flow(int flow_id) const;
 
     /// Total goodput of a flow over [from, to) in kb/s, computed from the
-    /// per-packet arrival log. Throws in streaming mode (no log).
+    /// per-delivery instants and bytes. Throws in streaming mode (no log).
     double goodput_kbps(int flow_id, SimTime from, SimTime to) const;
 
-    /// Stored per-event samples across all flows (delay series + arrival
-    /// logs); stays 0 in streaming mode — the flat-memory assertion of
-    /// the islands benchmark.
+    /// Stored per-delivery samples across all flows (one per delivery);
+    /// stays 0 in streaming mode — the flat-memory assertion of the
+    /// islands benchmark.
     std::size_t stored_samples() const;
 
 private:
@@ -70,8 +74,6 @@ private:
     /// The destination node's shard scheduler per flow: delivery
     /// timestamps are shard-local.
     std::map<int, sim::Scheduler*> schedulers_;
-    /// Arrival log per flow: (time, bits) — kept to window throughput.
-    std::map<int, util::TimeSeries> arrivals_;
 };
 
 }  // namespace ezflow::traffic

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <limits>
+#include <vector>
 
 #include "analysis/experiment.h"
 #include "core/agent.h"
@@ -63,24 +65,42 @@ TEST(Agent, BoeMatchesSniffedForwards)
 TEST(Agent, EstimateTrackMatchesBufferScale)
 {
     AgentBed bed;
-    bed.net.run_until(120 * kSecond);
-    // After stabilization, the source's estimate of b1 must be small
-    // (the integration suite checks b1 itself; here we check the BOE's
-    // view agrees).
+    bed.net.run_until(60 * kSecond);
     const auto& state = *bed.agents.at(0)->successors().at(1);
-    const double estimate =
-        state.estimate_trace.mean_between(util::from_seconds(60), util::from_seconds(120));
-    EXPECT_LT(estimate, 25.0);
+    // Sample the BOE's latest estimate of b1 every 100 ms over 60-120 s.
+    // After stabilization it must be small (the integration suite checks
+    // b1 itself; here we check the BOE's view agrees).
+    std::vector<int> samples;
+    sim::Scheduler& scheduler = bed.net.scheduler();
+    std::function<void()> sample = [&] {
+        samples.push_back(state.last_estimate);
+        if (scheduler.now() + 100'000 < 120 * kSecond) scheduler.schedule_in(100'000, sample);
+    };
+    scheduler.schedule_in(0, sample);
+    bed.net.run_until(120 * kSecond);
+
+    ASSERT_GE(samples.size(), 100u);
+    double sum = 0.0;
+    for (const int estimate : samples) {
+        EXPECT_GE(estimate, 0);
+        sum += estimate;
+    }
+    EXPECT_LT(sum / static_cast<double>(samples.size()), 25.0);
 }
 
-TEST(Agent, CwTraceRecordsTransitions)
+TEST(Agent, CwStartsAtInitialAndAdapts)
 {
     AgentBed bed;
-    bed.net.run_until(120 * kSecond);
+    // The source starts at 5 s; 100 ms later fewer BOE samples than one
+    // decision window (50) can have matched.
+    bed.net.run_until(5 * kSecond + 100'000);
     const auto& state = *bed.agents.at(0)->successors().at(1);
-    ASSERT_FALSE(state.cw_trace.empty());
-    // First recorded value is the initial cw.
-    EXPECT_DOUBLE_EQ(state.cw_trace.values().front(), 16.0);
+    // Before the first decision the CAA holds the initial cw.
+    ASSERT_EQ(state.caa->decisions(), 0u);
+    EXPECT_EQ(state.caa->cw(), 16);
+    EXPECT_EQ(bed.agents.at(0)->cw_toward(1), 16);
+    bed.net.run_until(120 * kSecond);
+    EXPECT_GT(state.caa->decisions(), 0u);
 }
 
 TEST(Agent, CwTowardUnknownSuccessorThrows)

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "net/topologies.h"
@@ -312,6 +313,41 @@ TEST(Sink, GoodputWindowed)
     bed.net.run_until(10 * kSecond);
     EXPECT_NEAR(sink.goodput_kbps(0, 0, 10 * kSecond), 80.0, 4.0);
     EXPECT_DOUBLE_EQ(sink.goodput_kbps(0, 10 * kSecond, 10 * kSecond), 0.0);
+}
+
+TEST(Sink, GoodputMatchesADeliveryLogBitForBit)
+{
+    // Two sources of different payload sizes share flow 0, so deliveries
+    // interleave 1000 B and 300 B packets and a misaligned byte entry
+    // changes some window's sum.
+    OneLink bed;
+    Sink sink(bed.net);
+    sink.attach_flow(0);
+    std::vector<std::pair<util::SimTime, int>> log;
+    bed.net.node(1).add_delivery_handler([&](const net::Packet& packet) {
+        log.emplace_back(bed.net.scheduler().now(), packet.bytes);
+    });
+    CbrSource cbr(bed.net, 0, 1000, 80'000.0);
+    PoissonSource poisson(bed.net, 0, 300, 60'000.0);
+    cbr.activate(0, 10 * kSecond);
+    poisson.activate(0, 10 * kSecond);
+    bed.net.run_until(10 * kSecond);
+
+    const auto& rec = sink.flow(0);
+    ASSERT_GT(log.size(), 150u);
+    ASSERT_EQ(rec.delay_series.size(), log.size());
+    ASSERT_EQ(rec.delivered_bytes.size(), log.size());
+    EXPECT_EQ(sink.stored_samples(), log.size());
+    const std::vector<std::pair<util::SimTime, util::SimTime>> windows = {
+        {0, 10 * kSecond},       {0, kSecond},           {kSecond, 2 * kSecond},
+        {kSecond / 3, 7 * kSecond}, {9 * kSecond, 10 * kSecond}, {2 * kSecond, 2 * kSecond}};
+    for (const auto& [from, to] : windows) {
+        double bits = 0.0;
+        for (const auto& [at, bytes] : log)
+            if (at >= from && at < to) bits += static_cast<double>(bytes) * 8.0;
+        const double reference = to > from ? util::kbps(static_cast<std::int64_t>(bits), to - from) : 0.0;
+        EXPECT_EQ(sink.goodput_kbps(0, from, to), reference) << "[" << from << ", " << to << ")";
+    }
 }
 
 TEST(Sink, UnknownFlowThrows)
