@@ -25,7 +25,7 @@ struct ScenarioSpec {
         kParkingLot,  ///< arbitrary-length chain, staggered entry flows
         kMesh,        ///< seeded random mesh, shortest-path flows
         kIslands,     ///< disconnected grid islands (sharded-engine bench)
-        kClusters,    ///< connected clustered grids (connected-cut bench)
+        kClusters,    ///< clustered grids coupled by interference only
     };
 
     Kind kind = Kind::kScenario1;

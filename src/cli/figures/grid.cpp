@@ -149,32 +149,6 @@ FigureResult run_islands(const FigureContext& ctx)
     return result;
 }
 
-// -- grid_clusters: connected clustered grids, interference-only gap -----
-
-FigureResult run_grid_clusters(const FigureContext& ctx)
-{
-    net::ClustersSpec clusters;
-    clusters.clusters = ctx.extra_int("clusters", 4);
-    clusters.cols = ctx.extra_int("cols", 4);
-    clusters.rows = ctx.extra_int("rows", 4);
-    clusters.sources = ctx.extra_int("sources", 2);
-    clusters.spacing_m = ctx.extra_double("spacing", clusters.spacing_m);
-    clusters.gap_m = ctx.extra_double("gap", clusters.gap_m);
-    clusters.duration_s = ctx.extra_double("duration", 60.0 * ctx.scale);
-    // Default to one shard per cluster so every run (including CI smoke)
-    // exercises the connected-cut engine; --shards overrides, and the
-    // figure JSON is byte-identical at any shard count.
-    clusters.max_shards = clusters.clusters;
-    const int flows = clusters.clusters * clusters.sources;
-    const std::vector<SweepWindow> windows = {
-        SweepWindow{"settled", clusters.start_s + 0.3 * clusters.duration_s,
-                    clusters.start_s + clusters.duration_s, flow_ids_upto(flows)}};
-    FigureResult result = make_result(ctx);
-    append_mode_cells(result, ctx, ScenarioSpec::clusters_spec(clusters), windows,
-                      /*maxmin=*/false);
-    return result;
-}
-
 }  // namespace
 
 void register_grid_figures()
@@ -213,16 +187,6 @@ void register_grid_figures()
         "Figure JSON is byte-identical to the serial engine (--shards=1). Extra flags: "
         "--islands, --cols, --rows, --sources, --spacing, --gap, --duration.",
         1.0, 2, 0.1, 2, run_islands});
-    registry.add(FigureSpec{
-        "grid_clusters", "", "figure",
-        "connected clustered grids cut along an interference-only gap",
-        "the connected-cut partitioner's target case: one conflict component, severable edges",
-        "Clusters are linked only by cross-gap interference (no sensing or delivery), so the "
-        "partitioner cuts the gap and the sharded engine mirrors boundary transmissions as "
-        "read-only ghost signals. Figure JSON is byte-identical to the serial engine "
-        "(--shards=1). Extra flags: --clusters, --cols, --rows, --sources, --spacing, --gap, "
-        "--duration.",
-        1.0, 2, 0.1, 2, run_grid_clusters});
 }
 
 }  // namespace ezflow::cli

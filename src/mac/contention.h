@@ -100,9 +100,8 @@ public:
 
     /// The registered expiry instant of `client`, or -1 when it is not
     /// registered. For a frozen-then-rearmed chain this is the instant
-    /// currently committed; it can only move later, never earlier — the
-    /// conservative property the sharded engine's lookahead relies on
-    /// when bounding the next boundary transmission.
+    /// currently committed; it can only move later, never earlier (a busy
+    /// medium postpones an expiry, nothing advances one).
     SimTime registered_expiry(const BackoffClient& client) const;
 
     /// Bracket a transmission that is not driven by a coordinator expiry

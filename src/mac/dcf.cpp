@@ -59,8 +59,6 @@ void DcfMac::quiesce()
     cts_data_timer_.cancel();
     pending_ctrl_.clear();
     ack_tx_scheduled_ = false;
-    next_ctrl_at_ = -1;
-    cts_data_at_ = -1;
     in_contention_ = false;
     current_queue_ = nullptr;
     // Surrender the batch in flight: the receiver may already hold any of
@@ -367,7 +365,6 @@ void DcfMac::phy_frame_decoded(const phy::Frame& frame)
                 frame.tx_node == current_queue_->key().next_hop) {
                 cts_timer_.cancel();
                 // Data follows the CTS after SIFS, without re-contending.
-                cts_data_at_ = scheduler_.now() + params_.sifs_us;
                 cts_data_timer_.arm_in(params_.sifs_us);
             }
             return;
@@ -419,7 +416,6 @@ void DcfMac::schedule_control_if_needed()
         freeze_contention();
         state_ = State::kWaitMediumIdle;  // re-entered after the response
     }
-    next_ctrl_at_ = scheduler_.now() + params_.sifs_us;
     ctrl_timer_.arm_in(params_.sifs_us);
 }
 
@@ -431,11 +427,9 @@ void DcfMac::send_pending_control()
     if (phy_.transmitting()) {
         // Extremely rare: our own transmission started in the SIFS
         // window. Retry shortly after.
-        next_ctrl_at_ = scheduler_.now() + params_.slot_us;
         ctrl_timer_.arm_in(params_.slot_us);
         return;
     }
-    next_ctrl_at_ = -1;  // the control frame goes on air now
     const PendingControl ctrl = pending_ctrl_.front();
     pending_ctrl_.pop_front();
     phy::Frame frame;
@@ -456,7 +450,6 @@ void DcfMac::send_pending_control()
 
 void DcfMac::on_cts_data_follow_up()
 {
-    cts_data_at_ = -1;
     if (state_ == State::kWaitCts && !phy_.transmitting()) {
         coordinator_.begin_external_tx(/*late_trigger=*/true);
         transmit_batch();
@@ -506,19 +499,6 @@ void DcfMac::on_cts_timeout()
     // The protected MPDU burns a retry; no data frame went out, so the
     // rate manager hears nothing.
     settle(ba_.on_timeout(params_.retry_limit));
-}
-
-SimTime DcfMac::earliest_committed_tx_at() const
-{
-    if (down_) return -1;
-    SimTime earliest = -1;
-    const auto consider = [&earliest](SimTime at) {
-        if (at >= 0 && (earliest < 0 || at < earliest)) earliest = at;
-    };
-    consider(next_ctrl_at_);
-    consider(cts_data_at_);
-    consider(coordinator_.registered_expiry(*this));
-    return earliest;
 }
 
 void DcfMac::phy_busy_changed(bool busy)

@@ -143,16 +143,6 @@ public:
     /// Virtual carrier sense deadline (NAV). Exposed for tests.
     SimTime nav_until() const { return nav_until_; }
 
-    /// Earliest instant at which this MAC is already committed to putting
-    /// energy on the air: the armed SIFS/slot control trigger, the
-    /// CTS -> data follow-up, or the coordinator backoff expiry —
-    /// whichever comes first; -1 when nothing is committed. Commitments
-    /// can only be replaced by later ones (a busy medium postpones, never
-    /// advances), so the value is a sound lower bound on the next
-    /// transmission — the per-node input to the sharded engine's
-    /// conservative epoch horizon.
-    SimTime earliest_committed_tx_at() const;
-
     /// MPDUs of the batch in flight (0 when idle). Their receiver may
     /// already have progressed any of them — the in-flight slack the drop
     /// audit allows when a run is frozen mid-dialogue.
@@ -273,8 +263,6 @@ private:
     /// cancelled timer cannot fire after a teardown or revive).
     sim::Timer ctrl_timer_;
     sim::Timer cts_data_timer_;
-    SimTime next_ctrl_at_ = -1;  ///< armed control trigger (-1: none/on air)
-    SimTime cts_data_at_ = -1;   ///< armed CTS -> data follow-up (-1: none)
 
     // Batch state: the sender window (non-empty exactly while serving)
     // and the receiver scoreboards.

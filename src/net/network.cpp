@@ -22,16 +22,6 @@ Network::Network(Config config) : config_(std::move(config)), rng_(config_.seed)
 void Network::set_phy_models(const phy::PhyModelConfig& models)
 {
     if (models.is_reference()) return;
-    // Connected-cut sharding forks the channel RNG per shard; that is
-    // provably equivalent to the serial reference only while no channel
-    // ever draws (the reference models short-circuit every zero-loss
-    // bernoulli). Non-reference models (fading, per-link error chains,
-    // rate managers) do draw, and their streams would diverge between
-    // shard counts — refuse instead of silently losing byte-identity.
-    if (config_.shard_plan.connected_cut && shard_count() > 1)
-        throw std::invalid_argument(
-            "Network::set_phy_models: connected-cut sharding requires the reference PHY models "
-            "(per-shard RNG streams diverge once a model draws)");
     for (auto& shard : shards_) shard->channel.set_models(models, config_.seed);
 }
 
@@ -75,8 +65,8 @@ void Network::add_flow(int flow_id, std::vector<NodeId> path)
     for (std::size_t i = 0; i + 1 < path.size(); ++i) {
         if (shard_of(path[i]) != shard_of(path[i + 1]))
             throw std::invalid_argument(
-                "Network::add_flow: path crosses a shard boundary (radio hops are intra-shard; "
-                "use ShardedEngine::post for wired handoffs)");
+                "Network::add_flow: path crosses a shard boundary (a radio path must stay "
+                "inside one shard)");
     }
     routing_table_.add_flow(flow_id, std::move(path));
 }
@@ -150,75 +140,8 @@ sim::ShardedEngine* Network::sharded_engine()
         sim::ShardedEngine::Options options;
         options.threads = shard_threads_;
         engine_ = std::make_unique<sim::ShardedEngine>(std::move(schedulers), options);
-        if (config_.shard_plan.connected_cut) install_connected_cut_support();
     }
     return engine_.get();
-}
-
-void Network::install_connected_cut_support()
-{
-    const ShardPlan& plan = config_.shard_plan;
-    for (int s = 0; s < shard_count(); ++s) {
-        const std::vector<int>& boundary = plan.boundary_nodes[static_cast<std::size_t>(s)];
-        if (boundary.empty()) continue;
-        std::vector<NodeId> senders(boundary.begin(), boundary.end());
-        shards_[static_cast<std::size_t>(s)]->channel.set_mirror_hook(
-            std::move(senders),
-            [this, s](const phy::NodePhy& sender, const phy::Frame& frame,
-                      util::SimTime duration_us, std::uint64_t signal_id) {
-                // Runs inside shard s's worker mid-epoch; post() is the
-                // only cross-shard touchpoint (mutex-protected mailbox).
-                const auto& targets =
-                    config_.shard_plan
-                        .ghost_targets_of_node[static_cast<std::size_t>(sender.id())];
-                // Namespace the id by source shard: ghost ids can never
-                // collide with the target channel's own signal ids (or
-                // another shard's ghosts) in a PHY's active-signal list.
-                const std::uint64_t ghost_id =
-                    signal_id | (static_cast<std::uint64_t>(s) + 1) << 56;
-                const util::SimTime at =
-                    shards_[static_cast<std::size_t>(s)]->scheduler.now();
-                for (int target : targets) {
-                    // The frame is copied, not pool-shared: FrameRecord
-                    // refcounts are not safe to touch from another shard.
-                    engine_->post(s, target, at,
-                                  [this, target, id = sender.id(), pos = sender.position(),
-                                   frame, duration_us, ghost_id]() mutable {
-                                      shard(target).channel.inject_ghost(
-                                          id, pos, std::move(frame), duration_us, ghost_id);
-                                  });
-                }
-            });
-    }
-
-    // Dynamic conservative horizon: no boundary node may transmit before
-    // it. Two bounds per shard, the min over both taken across shards:
-    //  * committed instants — armed SIFS/slot control triggers, CTS->data
-    //    follow-ups and registered backoff expiries of the boundary MACs
-    //    (commitments only ever move later, never earlier);
-    //  * new decisions — every decision-to-air path in the MAC spans at
-    //    least one SIFS (ACK/CTS/data-after-CTS at +SIFS, control retry
-    //    at +slot, any contention registration at +DIFS or more), and a
-    //    decision needs an event to run, so next_event_time() + SIFS
-    //    bounds every transmission not yet committed.
-    // Shards without boundary nodes never post and constrain nothing.
-    const util::SimTime sifs = config_.mac.sifs_us;
-    engine_->set_horizon_provider([this, sifs](util::SimTime, util::SimTime target) {
-        util::SimTime horizon = target;
-        const ShardPlan& shard_plan = config_.shard_plan;
-        for (int s = 0; s < shard_count(); ++s) {
-            const auto& boundary = shard_plan.boundary_nodes[static_cast<std::size_t>(s)];
-            if (boundary.empty()) continue;
-            for (int id : boundary) {
-                const util::SimTime committed =
-                    node(static_cast<NodeId>(id)).mac().earliest_committed_tx_at();
-                if (committed >= 0 && committed < horizon) horizon = committed;
-            }
-            const util::SimTime next = shard(s).scheduler.next_event_time();
-            if (next >= 0 && next + sifs < horizon) horizon = next + sifs;
-        }
-        return horizon;  // the engine clamps into (epoch start, target]
-    });
 }
 
 void Network::run_until(util::SimTime t)

@@ -21,9 +21,10 @@ namespace ezflow::net {
 ///
 /// With a ShardPlan in the config the Network is space-parallel: every
 /// shard owns its own Scheduler/Channel/ContentionCoordinator, nodes
-/// bind to their shard's trio, and run_until() drives the shards in
-/// lockstep epochs on sim::ShardedEngine. The plan guarantees no radio
-/// edge crosses shards (see plan_shards), so sharded execution is
+/// bind to their shard's trio, and each run_until() is one epoch of
+/// sim::ShardedEngine that runs every shard to the target. The plan
+/// guarantees no radio edge crosses shards (see plan_shards), so shards
+/// have no dependency on each other and sharded execution is
 /// byte-identical to the serial reference. Without a plan (the default)
 /// there is exactly one shard and execution is the serial reference
 /// itself.
@@ -57,8 +58,7 @@ public:
     /// Register a static flow path. All nodes must already exist,
     /// consecutive path nodes must be within delivery range, and the
     /// whole path must stay inside one shard (radio hops cannot cross
-    /// the partition; cross-shard wired handoffs go through
-    /// sim::ShardedEngine::post instead).
+    /// the partition).
     void add_flow(int flow_id, std::vector<NodeId> path);
 
     Node& node(NodeId id);
@@ -114,12 +114,6 @@ public:
 
     /// The epoch driver; built on demand when shard_count() > 1 (null
     /// for a single shard — run_until drives the scheduler directly).
-    /// For a connected-cut plan the first build also installs the
-    /// boundary-proxy layer: every boundary node's transmissions are
-    /// mirrored into the neighbouring shards' channels as read-only
-    /// ghost signals, and the epoch horizon is derived dynamically from
-    /// the boundary MACs' committed transmission times (see
-    /// sim::ShardedEngine::set_horizon_provider).
     sim::ShardedEngine* sharded_engine();
 
     // --- fault injection ---
@@ -152,10 +146,6 @@ private:
 
     Shard& shard(int s);
     const Shard& shard(int s) const;
-
-    /// Wire the ghost-mirror hooks and the dynamic horizon provider for a
-    /// connected-cut plan (called once, when the engine is built).
-    void install_connected_cut_support();
 
     Config config_;
     util::Rng rng_;

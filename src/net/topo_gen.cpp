@@ -381,14 +381,13 @@ Scenario make_cluster_grid(const ClustersSpec& spec, std::uint64_t seed)
         config.phy.capture_threshold_db = 10.0 * std::log10(spec.capture_threshold);
     }
     // The gap must open an interference-only band: beyond sense/delivery
-    // (no hard coupling, so the planner may cut it) but within
-    // interference range (otherwise the clusters are plain islands and
-    // the connected-cut machinery is never exercised).
+    // (no cross-cluster links or carrier sensing) but within interference
+    // range (otherwise the clusters are plain islands).
     const double radius_hard = std::max(config.phy.tx_range_m, config.phy.cs_range_m);
     if (spec.gap_m <= radius_hard)
         throw std::invalid_argument(
             "make_cluster_grid: gap must exceed the sense/delivery radius (clusters would "
-            "hard-couple into one shard unit)");
+            "sense each other)");
     if (spec.gap_m > config.phy.interference_range_m)
         throw std::invalid_argument(
             "make_cluster_grid: gap exceeds the interference range (use make_islands for "

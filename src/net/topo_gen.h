@@ -134,7 +134,8 @@ struct IslandsSpec {
 };
 
 /// Disconnected islands of convergecast traffic — the space-parallel
-/// benchmark topology (each island is a shard when max_shards allows).
+/// topology: each island is a shard when max_shards allows, and the
+/// shards share nothing.
 Scenario make_islands(const IslandsSpec& spec, std::uint64_t seed);
 
 /// Parameters for the clustered-grid scenario: `clusters` identical
@@ -142,15 +143,14 @@ Scenario make_islands(const IslandsSpec& spec, std::uint64_t seed);
 /// inter-cluster band is *interference-only*: wider than the
 /// sense/delivery radius (no cross-cluster links or carrier sensing) yet
 /// within interference range (facing rim columns still corrupt each
-/// other's receptions). This is the connected-cut partitioner's target
-/// case — the conflict graph is one component, but every cross-cluster
-/// edge is severable with ghost-signal mirroring. The capture threshold
-/// is raised so a lone cross-gap interferer actually corrupts a
-/// spacing_m-distance reception (two-ray 1/d^4: SIR at 600 m vs 200 m is
-/// 81, below the 100 default here but above the ns-2 default of 10) —
-/// without that, the mirrored ghosts would be outcome-inert. Each
-/// cluster runs its own convergecast exactly like IslandsSpec; node ids
-/// are cluster-major, flow ids cluster-major 1..clusters*sources.
+/// other's receptions). The conflict graph is therefore one component,
+/// and the shard planner keeps the whole grid in one shard whatever
+/// `max_shards` allows. The capture threshold is raised so a lone
+/// cross-gap interferer actually corrupts a spacing_m-distance reception
+/// (two-ray 1/d^4: SIR at 600 m vs 200 m is 81, below the 100 default
+/// here but above the ns-2 default of 10). Each cluster runs its own
+/// convergecast exactly like IslandsSpec; node ids are cluster-major,
+/// flow ids cluster-major 1..clusters*sources.
 struct ClustersSpec {
     int clusters = 4;
     int cols = 4;
@@ -160,7 +160,8 @@ struct ClustersSpec {
     /// Must satisfy max(tx, cs) < gap_m and gap_m <= interference range.
     double gap_m = 600.0;
     /// Ranges <= 0 keep the default_config values (250/550). The
-    /// interference default is widened past the gap so the cut exists.
+    /// interference default is widened past the gap so the clusters
+    /// interfere.
     double tx_range_m = 0.0;
     double cs_range_m = 0.0;
     double interference_range_m = 700.0;
@@ -168,12 +169,14 @@ struct ClustersSpec {
     double capture_threshold = 100.0;
     double start_s = 5.0;
     double duration_s = 30.0;
+    /// Upper bound for the shard planner; the connected conflict graph
+    /// always plans to one shard.
     int max_shards = 1;
 };
 
-/// Connected clustered grids of convergecast traffic — the connected-cut
-/// benchmark topology (one shard per cluster when max_shards allows,
-/// with boundary-node ghost mirroring across the interference-only gap).
+/// Clustered grids of convergecast traffic coupled only by cross-gap
+/// interference. They run in one shard: an interference-only edge is a
+/// conflict edge, and no conflict edge crosses a shard.
 Scenario make_cluster_grid(const ClustersSpec& spec, std::uint64_t seed);
 
 }  // namespace ezflow::net

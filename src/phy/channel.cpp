@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "phy/geometry.h"
+
 namespace ezflow::phy {
 
 Channel::Channel(sim::Scheduler& scheduler, util::Rng rng, PhyParams params)
@@ -22,7 +24,6 @@ void Channel::attach(NodePhy& phy)
     phys_.push_back(&phy);
     phy.set_channel(this);
     reach_.clear();  // topology grew: rebuild lazily on the next transmit
-    ghost_reach_.clear();
 }
 
 void Channel::detach(NodePhy& phy)
@@ -36,7 +37,6 @@ void Channel::detach(NodePhy& phy)
     phy.set_channel(nullptr);
     // The sets are indexed by attach position and list the dead PHY.
     reach_.clear();
-    ghost_reach_.clear();
 }
 
 bool Channel::is_attached(const NodePhy& phy) const
@@ -50,18 +50,9 @@ void Channel::set_models(const PhyModelConfig& config, std::uint64_t network_see
     if (config.is_reference()) return;  // exact no-op: golden-pinned path
     fading_ = make_fading(config, network_seed);
     reach_.clear();  // power law changed: precomputed powers are stale
-    ghost_reach_.clear();
     set_rate_manager(make_rate_manager(config));
     interference_ = config.interference;
     if (config.noise_floor_w >= 0.0) params_.noise_floor_w = config.noise_floor_w;
-}
-
-void Channel::set_mirror_hook(std::vector<net::NodeId> boundary_senders, MirrorHook hook)
-{
-    if (!std::is_sorted(boundary_senders.begin(), boundary_senders.end()))
-        throw std::invalid_argument("Channel::set_mirror_hook: senders must be sorted");
-    mirror_senders_ = std::move(boundary_senders);
-    mirror_hook_ = std::move(hook);
 }
 
 double Channel::link_power(net::NodeId tx, net::NodeId rx, double distance_m)
@@ -87,13 +78,13 @@ void Channel::ensure_reach()
     const bool static_power = fading_ == nullptr || fading_->time_invariant();
     std::vector<Position> positions;
     for (const NodePhy* phy : phys_) positions.push_back(phy->position());
-    geometry_.emplace(std::move(positions), params_.conflict_radius_m());
+    const GridIndex geometry(std::move(positions), params_.conflict_radius_m());
     reach_.assign(phys_.size(), {});
     std::vector<int> near;
     for (std::size_t s = 0; s < phys_.size(); ++s) {
         const NodePhy& sender = *phys_[s];
         // Ascending ids are attach order, which fixes same-instant FIFO order.
-        geometry_->within(sender.position(), near);
+        geometry.within(sender.position(), near);
         for (const int j : near) {
             NodePhy* phy = phys_[static_cast<std::size_t>(j)];
             if (phy == &sender) continue;
@@ -173,74 +164,15 @@ void Channel::transmit(NodePhy& sender, Frame frame)
                 if (rng_.bernoulli(loss)) rx.span_error_bits |= (1ull << i);
             rx.error = rx.span_error_bits == all_spans;
         }
-        start_signal(*phy, rx, record, end_at, &sender);
+        start_signal(*phy, rx, record, end_at, sender);
     }
     // The tx-end rides on the last batch; a transmission nobody hears
     // ends with a lone tx-end event.
-    if (record.receivers().empty()) schedule_ends(record, signal_id, end_at, 0, &sender);
-
-    // Boundary mirroring (connected-cut sharding): hand the transmission
-    // to the Network's hook so foreign shards receive it as a ghost. The
-    // hook only copies and posts — it consumes no channel RNG and cannot
-    // affect anything local, so the local simulation is untouched.
-    if (mirror_hook_ &&
-        std::binary_search(mirror_senders_.begin(), mirror_senders_.end(), sender.id()))
-        mirror_hook_(sender, shared, duration, signal_id);
-}
-
-void Channel::inject_ghost(net::NodeId foreign_id, const Position& foreign_pos, Frame frame,
-                           SimTime duration_us, std::uint64_t ghost_signal_id)
-{
-    auto it = ghost_reach_.find(foreign_id);
-    if (it == ghost_reach_.end()) {
-        // First ghost from this foreign node since the last topology
-        // change: precompute which local PHYs its energy reaches and with
-        // what power, using the same propagation code path as a local
-        // transmission would (bit-identical doubles).
-        const double radius_hard = std::max(params_.tx_range_m, params_.cs_range_m);
-        std::vector<GhostReachEntry> entries;
-        std::vector<int> near;
-        ensure_reach();  // (re)builds geometry_ with the reach sets
-        geometry_->within(foreign_pos, near);
-        for (const int j : near) {
-            NodePhy* phy = phys_[static_cast<std::size_t>(j)];
-            const double d = distance(foreign_pos, phy->position());
-            if (d <= radius_hard)
-                throw std::logic_error(
-                    "Channel::inject_ghost: foreign node within sense/delivery range "
-                    "(the shard plan must only cut interference-only edges)");
-            entries.push_back(GhostReachEntry{phy, link_power(foreign_id, phy->id(), d)});
-        }
-        it = ghost_reach_.emplace(foreign_id, std::move(entries)).first;
-    }
-
-    const FrameRef record = frame_pool_.make(std::move(frame));
-    const Frame& shared = *record;
-    const SimTime end_at = scheduler_.now() + duration_us;
-    const bool sinr = interference_ == PhyModelConfig::Interference::kSinrLedger;
-    const double threshold = frame_capture_threshold(shared);
-    const double noise_w = sinr ? params_.noise_floor_w : 0.0;
-    for (const GhostReachEntry& entry : it->second) {
-        RxEvent rx;
-        rx.signal_id = ghost_signal_id;
-        rx.frame = &shared;
-        rx.power_w = entry.power_w;
-        rx.noise_w = noise_w;
-        rx.capture_threshold = threshold;
-        // Interference-only by the plan (checked when the cache was
-        // built): no decode candidate, no carrier-sense energy, no
-        // loss roll — a pure SINR-ledger entry, which is what
-        // makes ghost delivery order-commutative against local events at
-        // the same instant.
-        rx.in_delivery = false;
-        rx.sensed = false;
-        rx.error = false;
-        start_signal(*entry.phy, rx, record, end_at, nullptr);
-    }
+    if (record.receivers().empty()) schedule_ends(record, signal_id, end_at, 0, sender);
 }
 
 void Channel::start_signal(NodePhy& phy, const RxEvent& rx, const FrameRef& record,
-                           SimTime end_at, NodePhy* sender)
+                           SimTime end_at, NodePhy& sender)
 {
     const std::uint64_t seq_before = scheduler_.next_event_seq();
     phy.signal_start(rx);
@@ -253,15 +185,15 @@ void Channel::start_signal(NodePhy& phy, const RxEvent& rx, const FrameRef& reco
 }
 
 void Channel::schedule_ends(const FrameRef& record, std::uint64_t signal_id, SimTime end_at,
-                            std::size_t begin, NodePhy* sender)
+                            std::size_t begin, NodePhy& sender)
 {
-    scheduler_.schedule_at(end_at, [ref = record, signal_id, begin, sender] {
+    scheduler_.schedule_at(end_at, [ref = record, signal_id, begin, tx = &sender] {
         const std::vector<NodePhy*>& receivers = ref.receivers();
         for (std::size_t i = begin; i < receivers.size(); ++i) {
             if (receivers[i] == nullptr) return;  // a later batch takes over
             receivers[i]->signal_end(signal_id, *ref);
         }
-        if (sender != nullptr) sender->tx_end(*ref);
+        tx->tx_end(*ref);
     });
 }
 

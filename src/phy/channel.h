@@ -1,10 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -100,30 +97,6 @@ public:
     /// order one event per receiver plus one for the tx-end would have.
     void transmit(NodePhy& sender, Frame frame);
 
-    // --- connected-cut sharding: boundary-proxy (ghost) layer ---
-    /// Observer of boundary transmissions. Called synchronously inside
-    /// transmit() for senders named in `set_mirror_hook`, after the local
-    /// fan-out; the Network's hook posts the mirror into the neighbouring
-    /// shards through the sharded engine's mailbox.
-    using MirrorHook = std::function<void(const NodePhy& sender, const Frame& frame,
-                                          SimTime duration_us, std::uint64_t signal_id)>;
-    /// Mark the node ids whose transmissions must be mirrored into
-    /// foreign shards and install the hook that performs the mirroring.
-    /// `boundary_senders` must be sorted ascending.
-    void set_mirror_hook(std::vector<net::NodeId> boundary_senders, MirrorHook hook);
-
-    /// Inject a foreign shard's boundary transmission as a read-only
-    /// ghost signal: every attached PHY within interference range of
-    /// `foreign_pos` receives a pure SINR-ledger RxEvent (no decode, no
-    /// carrier sense, no loss roll — and therefore no RNG
-    /// consumption), with signal-end scheduled `duration_us` later.
-    /// `ghost_signal_id` must be namespaced by the caller so it can never
-    /// collide with this channel's own signal ids. Throws if any local
-    /// PHY sits within sense/delivery range of the foreign node — that
-    /// would mean the shard plan cut a non-interference edge.
-    void inject_ghost(net::NodeId foreign_id, const Position& foreign_pos, Frame frame,
-                      SimTime duration_us, std::uint64_t ghost_signal_id);
-
     /// Rate for the next data attempt on tx -> rx (0 = PHY default).
     std::int64_t data_bitrate(net::NodeId tx, net::NodeId rx)
     {
@@ -185,21 +158,13 @@ private:
     /// scheduled, so `phy` joins the open batch unless its signal_start
     /// scheduled something — an event for `end_at` would then fire
     /// between the two ends — and opens a new batch otherwise. The last
-    /// batch also runs `sender`'s tx-end (null for ghosts).
+    /// batch also runs `sender`'s tx-end.
     void start_signal(NodePhy& phy, const RxEvent& rx, const FrameRef& record, SimTime end_at,
-                      NodePhy* sender);
+                      NodePhy& sender);
     /// Schedule the end event of the batch whose receivers start at
     /// index `begin` of `record`'s receiver list.
     void schedule_ends(const FrameRef& record, std::uint64_t signal_id, SimTime end_at,
-                       std::size_t begin, NodePhy* sender);
-
-    /// One local receiver of a foreign boundary node's ghost signals,
-    /// with its precomputed power. Cached per foreign node (positions are
-    /// fixed for a run); invalidated symmetrically with reach_.
-    struct GhostReachEntry {
-        NodePhy* phy;
-        double power_w;
-    };
+                       std::size_t begin, NodePhy& sender);
 
     sim::Scheduler& scheduler_;
     util::Rng rng_;
@@ -207,10 +172,6 @@ private:
     std::vector<NodePhy*> phys_;
     std::vector<std::int32_t> index_by_id_;  ///< attach position per node id; -1 = not attached
     std::vector<std::vector<ReachEntry>> reach_;  ///< per transmitter, in attach order
-    std::unordered_map<net::NodeId, std::vector<GhostReachEntry>> ghost_reach_;
-    std::optional<GridIndex> geometry_;  ///< attach positions; rebuilt with reach_
-    std::vector<net::NodeId> mirror_senders_;  ///< sorted; mirror their transmissions
-    MirrorHook mirror_hook_;
     LinkTable<double> link_loss_;
     std::unique_ptr<JakesFading> fading_;        ///< null = reference two-ray
     std::unique_ptr<RateManager> rate_manager_;  ///< null = fixed default

@@ -12,9 +12,9 @@ class FramePool;
 class NodePhy;
 
 /// One transmission's immutable on-air frame plus the receivers whose
-/// signal ends it owes. Allocated once per Channel::transmit (or ghost
-/// injection) and shared — via FrameRef handles small enough for the
-/// scheduler's inline event buffer — by the transmission's end events:
+/// signal ends it owes. Allocated once per Channel::transmit and shared —
+/// via FrameRef handles small enough for the scheduler's inline event
+/// buffer — by the transmission's end events:
 /// usually one, which runs every receiver's signal end in reach order and
 /// then the sender's tx-end, so the fan-out copies pointers instead of
 /// Frame+Packet payloads and schedules one event instead of one per

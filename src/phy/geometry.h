@@ -21,7 +21,7 @@ inline double distance(const Position& a, const Position& b)
 }
 
 /// Uniform-grid index over fixed points: the one range query behind the
-/// link graph, the Channel's reach and ghost sets and the shard planner.
+/// link graph, the Channel's reach sets and the shard planner.
 /// Cells are `radius` wide, in flat CSR arrays row-major over the bounding
 /// box (a box needing over ~4 cells per point gets wider cells, keeping
 /// memory O(n)). Build is O(n); a query visits the 3x3 cells around p.

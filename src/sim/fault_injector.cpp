@@ -8,16 +8,10 @@ namespace ezflow::sim {
 FaultInjector::FaultInjector(net::Network& network, net::FaultPlan plan)
     : network_(network), plan_(std::move(plan))
 {
-    // Deliberately re-asserted for connected-cut sharding too: beyond the
-    // routing-table race, a mid-run node death would invalidate the
-    // ghost-mirror wiring (boundary sets, cached ghost reach) and the
-    // horizon provider's committed-transmission bounds, none of which are
-    // safe to mutate while shard workers run.
     if (network.shard_count() > 1)
         throw std::invalid_argument(
             "FaultInjector: requires a single-shard network (route repair mutates the shared "
-            "routing table, which must not race shard threads; with connected-cut sharding "
-            "the ghost-mirror wiring would go stale as well)");
+            "routing table, which must not race shard threads)");
 }
 
 void FaultInjector::arm()

@@ -97,20 +97,6 @@ void Scheduler::compact_heap()
     stale_records_ = 0;
 }
 
-SimTime Scheduler::next_event_time()
-{
-    if (!staging_.empty()) flush_staging();
-    while (!heap_.empty()) {
-        const HeapRecord& rec = heap_.front();
-        const Slot& slot = slots_[rec.slot];
-        if (slot.armed && slot.gen == rec.gen) return rec.at;
-        std::pop_heap(heap_.begin(), heap_.end(), Later{});
-        heap_.pop_back();
-        if (stale_records_ > 0) --stale_records_;
-    }
-    return -1;
-}
-
 bool Scheduler::pop_and_run_next(SimTime limit)
 {
     if (!staging_.empty()) flush_staging();

@@ -72,13 +72,6 @@ public:
     std::size_t pending() const { return live_events_; }
     std::uint64_t processed() const { return processed_; }
 
-    /// Timestamp of the earliest pending event, or -1 when none is
-    /// queued. Flushes the staging buffer and discards stale (cancelled)
-    /// heap heads so the answer is exact. The sharded engine's dynamic
-    /// horizon peeks at this between epochs; it must not be called while
-    /// the scheduler is inside run()/run_until().
-    SimTime next_event_time();
-
     /// Simulated time at which the currently executing event was
     /// scheduled (-1 outside event execution). Lets observers reproduce
     /// the FIFO tie-break of a hypothetical event against the running one

@@ -39,16 +39,13 @@ void await(const Ready& ready, std::mutex& mutex, std::condition_variable& cv)
 }  // namespace
 
 ShardedEngine::ShardedEngine(std::vector<Scheduler*> shards, Options options)
-    : shards_(std::move(shards)),
-      options_(options),
-      post_seq_(shards_.size(), 0),
-      errors_(shards_.size())
+    : shards_(std::move(shards)), errors_(shards_.size())
 {
     if (shards_.empty()) throw std::invalid_argument("ShardedEngine: no shards");
     for (Scheduler* shard : shards_)
         if (shard == nullptr) throw std::invalid_argument("ShardedEngine: null shard");
-    const int threads = options_.threads > 0
-                            ? options_.threads
+    const int threads = options.threads > 0
+                            ? options.threads
                             : static_cast<int>(std::thread::hardware_concurrency());
     team_ = std::clamp(threads, 1, shard_count());
 }
@@ -57,50 +54,8 @@ ShardedEngine::~ShardedEngine() { stop_workers(); }
 
 void ShardedEngine::run_until(util::SimTime t)
 {
-    // Every shard's clock sits at clock_ between epochs (run_until leaves
-    // the scheduler clock at the horizon even when no event lands there).
-    while (clock_ < t) {
-        util::SimTime horizon;
-        if (horizon_provider_) {
-            // The provider's answer is conservative but may be stale or
-            // beyond the target; clamping into (clock_, t] preserves both
-            // progress and the posting contract (see set_horizon_provider).
-            horizon = horizon_provider_(clock_, t);
-            if (horizon <= clock_) horizon = clock_ + 1;
-            if (horizon > t) horizon = t;
-        } else {
-            horizon =
-                options_.lookahead > 0 ? std::min<util::SimTime>(t, clock_ + options_.lookahead) : t;
-        }
-        horizon_ = horizon;
-        run_epoch();
-
-        // Barrier: deliver the epoch's handoffs in one deterministic
-        // total order — by timestamp, then posting shard, then the
-        // poster's own sequence — so target-side event seqs are
-        // independent of worker interleaving.
-        {
-            std::lock_guard<std::mutex> lock(mailbox_mutex_);
-            drained_.swap(mailbox_);
-        }
-        std::sort(drained_.begin(), drained_.end(), [](const Handoff& a, const Handoff& b) {
-            if (a.at != b.at) return a.at < b.at;
-            if (a.from != b.from) return a.from < b.from;
-            return a.seq < b.seq;
-        });
-        for (Handoff& handoff : drained_) {
-            shards_[static_cast<std::size_t>(handoff.to)]->schedule_at(handoff.at,
-                                                                       std::move(handoff.fn));
-        }
-        handoffs_ += drained_.size();
-        drained_.clear();
-        clock_ = horizon;
-        ++epochs_;
-    }
-}
-
-void ShardedEngine::run_epoch()
-{
+    if (t <= clock_) return;
+    target_ = t;
     if (team_ > 1) {
         if (workers_.empty()) start_workers();
         next_generation(team_ - 1);
@@ -114,6 +69,10 @@ void ShardedEngine::run_epoch()
         error = nullptr;
     }
     if (lowest) std::rethrow_exception(lowest);
+    // Every shard's clock now sits at t (Scheduler::run_until leaves it
+    // there even when no event lands on t).
+    clock_ = t;
+    ++epochs_;
 }
 
 void ShardedEngine::run_slice(int member)
@@ -121,7 +80,7 @@ void ShardedEngine::run_slice(int member)
     for (std::size_t s = static_cast<std::size_t>(member); s < shards_.size();
          s += static_cast<std::size_t>(team_)) {
         try {
-            shards_[s]->run_until(horizon_);
+            shards_[s]->run_until(target_);
         } catch (...) {
             errors_[s] = std::current_exception();
         }
@@ -177,20 +136,6 @@ void ShardedEngine::stop_workers()
     for (std::thread& worker : workers_) worker.join();
     workers_.clear();
     stopping_ = false;
-}
-
-void ShardedEngine::post(int from_shard, int to_shard, util::SimTime at, EventFn fn)
-{
-    if (from_shard < 0 || from_shard >= shard_count() || to_shard < 0 ||
-        to_shard >= shard_count())
-        throw std::invalid_argument("ShardedEngine::post: bad shard id");
-    std::lock_guard<std::mutex> lock(mailbox_mutex_);
-    if (at < horizon_)
-        throw std::logic_error(
-            "ShardedEngine::post: handoff timestamp precedes the epoch horizon "
-            "(conservative lookahead contract violated)");
-    mailbox_.push_back(Handoff{at, from_shard, post_seq_[static_cast<std::size_t>(from_shard)]++,
-                               to_shard, std::move(fn)});
 }
 
 }  // namespace ezflow::sim
