@@ -24,8 +24,6 @@ std::atomic<std::uint64_t> g_runs{0};
 std::mutex g_shard_mutex;
 std::map<int, std::uint64_t> g_runs_by_shards;  ///< guarded by g_shard_mutex
 std::atomic<std::uint64_t> g_shard_events[PerfTotals::kShardSlots]{};
-std::atomic<std::uint64_t> g_epochs{0};
-std::atomic<std::uint64_t> g_sharded_events{0};
 
 }  // namespace
 
@@ -51,8 +49,6 @@ PerfTotals perf_totals()
     }
     for (const std::atomic<std::uint64_t>& events : g_shard_events)
         totals.shard_events.push_back(events.load(std::memory_order_relaxed));
-    totals.epochs = g_epochs.load(std::memory_order_relaxed);
-    totals.sharded_events = g_sharded_events.load(std::memory_order_relaxed);
     return totals;
 }
 
@@ -166,10 +162,6 @@ void Experiment::count_effort()
             g_shard_events[s].fetch_add(shard_events - counted, std::memory_order_relaxed);
             counted = shard_events;
         }
-        const std::uint64_t epochs = network.sharded_engine()->epochs();
-        g_epochs.fetch_add(epochs - counted_.epochs, std::memory_order_relaxed);
-        g_sharded_events.fetch_add(events - counted_.events, std::memory_order_relaxed);
-        counted_.epochs = epochs;
     }
     counted_.events = events;
 }

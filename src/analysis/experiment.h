@@ -63,10 +63,6 @@ struct PerfTotals {
     std::map<int, std::uint64_t> runs_by_shards;
     /// Events processed per shard id, summed across multi-shard runs.
     std::vector<std::uint64_t> shard_events;
-    /// Epoch barriers crossed by multi-shard runs, and the events those
-    /// runs processed (their ratio is the mean events per epoch).
-    std::uint64_t epochs = 0;
-    std::uint64_t sharded_events = 0;
 
     /// Widest shard count among the runs counted since `before` (1 when
     /// none was sharded).
@@ -153,7 +149,6 @@ private:
     struct Counted {
         bool run = false;
         std::uint64_t events = 0;
-        std::uint64_t epochs = 0;
         std::array<std::uint64_t, PerfTotals::kShardSlots> shard_events{};
     } counted_;
 };

@@ -9,10 +9,12 @@ namespace ezflow::analysis {
 namespace {
 
 /// Run one (cell, seed) task to completion and summarize every window.
+/// A sharded network runs its shards on `threads` threads too.
 SeedResult run_one(const ExperimentFactory& factory, const SweepConfig& config,
-                   std::uint64_t seed, std::unique_ptr<Experiment>* keep)
+                   std::uint64_t seed, int threads, std::unique_ptr<Experiment>* keep)
 {
     std::unique_ptr<Experiment> experiment = factory.make(seed);
+    experiment->network().set_shard_threads(threads);
     experiment->run();
     SeedResult result;
     result.seed = seed;
@@ -99,7 +101,7 @@ std::vector<SweepResult> SweepRunner::run_grid(const std::vector<ExperimentFacto
         const std::size_t s = static_cast<std::size_t>(task) % seeds;
         std::unique_ptr<Experiment>* keep =
             config.keep_experiments ? &results[c].experiments[s] : nullptr;
-        results[c].per_seed[s] = run_one(cells[c], config, config.seeds[s], keep);
+        results[c].per_seed[s] = run_one(cells[c], config, config.seeds[s], threads_, keep);
     });
 
     for (SweepResult& result : results) aggregate(config, result);

@@ -75,7 +75,9 @@ struct SweepResult {
 /// scheduling.
 class SweepRunner {
 public:
-    /// `threads` <= 0 selects hardware concurrency.
+    /// `threads` <= 0 selects hardware concurrency. It also bounds the
+    /// threads each sharded network runs its shards on
+    /// (net::Network::set_shard_threads).
     explicit SweepRunner(int threads = 0) : threads_(threads) {}
 
     /// Sweep one cell across config.seeds.

@@ -214,13 +214,8 @@ void print_perf(const FigureSpec& spec, const analysis::PerfTotals& before, doub
                 format_magnitude(static_cast<double>(now.shard_events[s] - before.shard_events[s]));
         }
         if (shards > static_cast<int>(now.shard_events.size())) per_shard += " ...";
-        const std::uint64_t epochs = now.epochs - before.epochs;
-        const std::uint64_t sharded_events = now.sharded_events - before.sharded_events;
-        std::printf("[perf] %s: %d shards, events/shard: %s, %s epochs, %.1f events/epoch\n",
-                    spec.name.c_str(), shards, per_shard.c_str(),
-                    format_magnitude(static_cast<double>(epochs)).c_str(),
-                    epochs > 0 ? static_cast<double>(sharded_events) / static_cast<double>(epochs)
-                               : 0.0);
+        std::printf("[perf] %s: %d shards, events/shard: %s\n", spec.name.c_str(), shards,
+                    per_shard.c_str());
     }
 }
 

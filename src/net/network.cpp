@@ -137,9 +137,7 @@ sim::ShardedEngine* Network::sharded_engine()
         std::vector<sim::Scheduler*> schedulers;
         schedulers.reserve(shards_.size());
         for (const auto& shard : shards_) schedulers.push_back(&shard->scheduler);
-        sim::ShardedEngine::Options options;
-        options.threads = shard_threads_;
-        engine_ = std::make_unique<sim::ShardedEngine>(std::move(schedulers), options);
+        engine_ = std::make_unique<sim::ShardedEngine>(std::move(schedulers), shard_threads_);
     }
     return engine_.get();
 }

@@ -106,10 +106,11 @@ public:
     /// after the topology is built and before traffic starts.
     void set_ampdu_max_mpdus(int k);
 
-    /// Worker threads for the sharded engine (<= 0: hardware
-    /// concurrency). Takes effect when the engine is first built, i.e.
-    /// set it before the first run_until(). No effect on results —
-    /// sharded execution is deterministic for any thread count.
+    /// Threads the sharded engine runs its shards on, the caller among
+    /// them (<= 0: hardware concurrency). Takes effect when the engine is
+    /// first built, i.e. set it before the first run_until(). No effect
+    /// on results — sharded execution is deterministic for any thread
+    /// count.
     void set_shard_threads(int threads) { shard_threads_ = threads; }
 
     /// The epoch driver; built on demand when shard_count() > 1 (null

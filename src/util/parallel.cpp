@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
-#include <mutex>
 #include <system_error>
 #include <thread>
 #include <vector>
@@ -15,21 +14,16 @@ void parallel_for(int count, int threads, const std::function<void(int)>& fn)
     if (count <= 0) return;
     const int hardware = static_cast<int>(std::thread::hardware_concurrency());
     const int n = std::clamp(threads > 0 ? threads : hardware, 1, count);
-    if (n == 1) {
-        for (int i = 0; i < count; ++i) fn(i);
-        return;
-    }
 
     std::atomic<int> next{0};
-    std::exception_ptr first_error;
-    std::mutex error_mutex;
+    // One slot per index, written only by the thread that ran it.
+    std::vector<std::exception_ptr> errors(static_cast<std::size_t>(count));
     const auto work = [&] {
         for (int i = next++; i < count; i = next++) {
             try {
                 fn(i);
             } catch (...) {
-                std::lock_guard<std::mutex> lock(error_mutex);
-                if (!first_error) first_error = std::current_exception();
+                errors[static_cast<std::size_t>(i)] = std::current_exception();
             }
         }
     };
@@ -44,7 +38,8 @@ void parallel_for(int count, int threads, const std::function<void(int)>& fn)
     }
     work();
     for (std::thread& worker : workers) worker.join();
-    if (first_error) std::rethrow_exception(first_error);
+    for (const std::exception_ptr& error : errors)
+        if (error) std::rethrow_exception(error);
 }
 
 }  // namespace ezflow::util

@@ -7,13 +7,14 @@ namespace ezflow::util {
 /// Run fn(0) .. fn(count - 1) on `threads` threads (the caller plus
 /// threads - 1 std::threads) that take indices from a shared counter, and
 /// return when all are done. Used by analysis::SweepRunner to fan
-/// independent simulations across cores; invocations must not touch
-/// shared mutable state unless they synchronize themselves.
+/// independent simulations across cores and by sim::ShardedEngine to run
+/// its shards; invocations must not touch shared mutable state unless
+/// they synchronize themselves.
 ///
 /// `threads` <= 0 selects hardware concurrency; an effective thread count
-/// of 1 (or count <= 1) runs inline on the caller's thread. The first
-/// exception thrown by any invocation is rethrown to the caller after all
-/// work completes.
+/// of 1 (or count <= 1) runs on the caller's thread alone. Every index
+/// runs even when some throw; once all are done, the exception of the
+/// lowest index that threw is rethrown, whatever the interleaving.
 void parallel_for(int count, int threads, const std::function<void(int)>& fn);
 
 }  // namespace ezflow::util

@@ -13,11 +13,13 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "analysis/experiment.h"
 #include "analysis/experiment_factory.h"
+#include "analysis/sweep.h"
 #include "cli/figures.h"
 #include "cli/registry.h"
 #include "experiment_fingerprint.h"
@@ -164,17 +166,10 @@ TEST(ShardPlanner, ClusterGridCollapsesToOneShard)
 
 // ------------------------------------------------ ShardedEngine contract
 
-sim::ShardedEngine::Options engine_options(int threads)
-{
-    sim::ShardedEngine::Options options;
-    options.threads = threads;
-    return options;
-}
-
 TEST(ShardedEngine, EachRunUntilIsOneEpochThatLeavesEveryShardAtTheTarget)
 {
     std::array<sim::Scheduler, 3> shards;
-    sim::ShardedEngine engine({&shards[0], &shards[1], &shards[2]}, engine_options(1));
+    sim::ShardedEngine engine({&shards[0], &shards[1], &shards[2]}, /*threads=*/1);
     int fired = 0;
     shards[1].schedule_at(40, [&] { ++fired; });  // shards 0 and 2 stay empty
     std::uint64_t epochs = 0;
@@ -190,10 +185,10 @@ TEST(ShardedEngine, EachRunUntilIsOneEpochThatLeavesEveryShardAtTheTarget)
     EXPECT_EQ(engine.handoffs(), 0u);
 }
 
-// A synthetic 4-shard workload for the worker team: every shard runs its
-// own self-rescheduling chain with pseudo-random gaps and logs each step.
-// Shards share nothing, so each shard's log must be the same whatever the
-// thread count and whichever member runs it.
+// A synthetic 4-shard workload for the threaded engine: every shard runs
+// its own self-rescheduling chain with pseudo-random gaps and logs each
+// step. Shards share nothing, so each shard's log must be the same
+// whatever the thread count and whichever thread runs it.
 constexpr std::size_t kChainShards = 4;
 
 class ChainWorkload {
@@ -201,7 +196,7 @@ public:
     using Trace = std::vector<std::pair<util::SimTime, std::uint64_t>>;  ///< (time, state)
 
     explicit ChainWorkload(int threads)
-        : engine_({&shards_[0], &shards_[1], &shards_[2], &shards_[3]}, engine_options(threads))
+        : engine_({&shards_[0], &shards_[1], &shards_[2], &shards_[3]}, threads)
     {
         for (std::size_t s = 0; s < kChainShards; ++s)
             schedule_step(s, static_cast<util::SimTime>(s), 0x9E3779B97F4A7C15ULL * (s + 1));
@@ -235,9 +230,9 @@ private:
     sim::ShardedEngine engine_;
 };
 
-TEST(ShardedEngine, WorkerTeamReproducesTheSerialEventOrder)
+TEST(ShardedEngine, ThreadedEpochsReproduceTheSerialEventOrder)
 {
-    // 1,000 run_until() calls, so the team persists across epochs.
+    // 1,000 run_until() calls, each fanning the shards out afresh.
     constexpr int kEpochs = 1000;
     constexpr util::SimTime kStep = 20;
     const auto run = [](ChainWorkload& workload) {
@@ -248,53 +243,34 @@ TEST(ShardedEngine, WorkerTeamReproducesTheSerialEventOrder)
     ASSERT_EQ(serial.engine().epochs(), static_cast<std::uint64_t>(kEpochs));
     for (std::size_t s = 0; s < kChainShards; ++s) ASSERT_GT(serial.trace(s).size(), 5000u);
     for (const int threads : {2, 4}) {
-        ChainWorkload team(threads);
-        run(team);
-        EXPECT_EQ(team.engine().threads_started(), threads - 1);
-        EXPECT_EQ(team.engine().epochs(), serial.engine().epochs()) << threads << " threads";
+        ChainWorkload threaded(threads);
+        run(threaded);
+        EXPECT_EQ(threaded.engine().epochs(), serial.engine().epochs()) << threads << " threads";
         for (std::size_t s = 0; s < kChainShards; ++s)
-            EXPECT_EQ(team.trace(s), serial.trace(s)) << "shard " << s << ", " << threads
-                                                      << " threads";
+            EXPECT_EQ(threaded.trace(s), serial.trace(s)) << "shard " << s << ", " << threads
+                                                          << " threads";
     }
 }
 
 TEST(ShardedEngine, LowestShardExceptionSurfacesWhateverTheInterleaving)
 {
-    // On 2 threads, shard 1 runs on the worker and shard 2 on the caller.
-    // Both throw in the same epoch; shard 1's exception must win every
-    // time, and the team must survive it.
+    // On 2 threads, shards 1 and 2 may run on either thread, in either
+    // order. Both throw in the same epoch; shard 1's exception must win
+    // every time, and the engine must stay usable.
     for (int rep = 0; rep < 50; ++rep) {
         std::array<sim::Scheduler, 4> shards;
-        auto engine = std::make_unique<sim::ShardedEngine>(
-            std::vector<sim::Scheduler*>{&shards[0], &shards[1], &shards[2], &shards[3]},
-            engine_options(2));
+        sim::ShardedEngine engine({&shards[0], &shards[1], &shards[2], &shards[3]},
+                                  /*threads=*/2);
         shards[1].schedule_at(10, [] { throw std::logic_error("shard 1"); });
         shards[2].schedule_at(10, [] { throw std::runtime_error("shard 2"); });
-        EXPECT_THROW(engine->run_until(300), std::logic_error) << "rep " << rep;
-        EXPECT_EQ(engine->now(), 0);
-        EXPECT_EQ(engine->epochs(), 0u);
+        EXPECT_THROW(engine.run_until(300), std::logic_error) << "rep " << rep;
+        EXPECT_EQ(engine.now(), 0);
+        EXPECT_EQ(engine.epochs(), 0u);
         // A later run_until() completes the failed epoch and carries on.
-        engine->run_until(300);
-        EXPECT_EQ(engine->now(), 300);
-        EXPECT_EQ(engine->epochs(), 1u);
-        EXPECT_EQ(engine->threads_started(), 1);
-        engine.reset();  // joins the parked worker
+        engine.run_until(300);
+        EXPECT_EQ(engine.now(), 300);
+        EXPECT_EQ(engine.epochs(), 1u);
     }
-}
-
-TEST(ShardedEngine, StartsWorkerThreadsOnlyForAMultiMemberTeam)
-{
-    const auto threads_started = [](int threads, bool run) {
-        std::array<sim::Scheduler, 4> shards;
-        sim::ShardedEngine engine({&shards[0], &shards[1], &shards[2], &shards[3]},
-                                  engine_options(threads));
-        if (run) engine.run_until(1000);
-        return engine.threads_started();
-    };
-    EXPECT_EQ(threads_started(4, /*run=*/false), 0) << "threads start lazily";
-    EXPECT_EQ(threads_started(1, /*run=*/true), 0) << "the caller is the whole team";
-    EXPECT_EQ(threads_started(2, /*run=*/true), 1);
-    EXPECT_EQ(threads_started(8, /*run=*/true), 3) << "the team never outnumbers the shards";
 }
 
 // --------------------------------------- end-to-end shard byte-identity
@@ -377,6 +353,32 @@ TEST(ShardedRun, ThreadedIslandsMatchSerialWithoutManualRouteCompile)
     };
     const auto serial = fingerprint(1, 1);
     for (int rep = 0; rep < 12; ++rep) EXPECT_EQ(fingerprint(4, 2), serial) << "rep " << rep;
+}
+
+TEST(ShardedRun, SweepThreadCountBoundsTheShardThreads)
+{
+    // SweepRunner(1) must leave a sharded network single-threaded too, so
+    // `ezflow run islands --threads=1 --shards=4` starts no thread. The
+    // kept experiment carries the setting into a further run_until_s.
+    analysis::SweepConfig config;
+    config.seeds = {3};
+    config.keep_experiments = true;
+    const analysis::ExperimentFactory factory(islands_scenario(4),
+                                              analysis::ExperimentOptions{});
+    analysis::SweepResult sweep = analysis::SweepRunner(1).run(factory, config);
+    analysis::Experiment& experiment = *sweep.experiments.front();
+    net::Network& network = experiment.network();
+    ASSERT_EQ(network.shard_count(), 4);
+    std::array<std::thread::id, 4> ran_on{};
+    for (int s = 0; s < network.shard_count(); ++s) {
+        sim::Scheduler& scheduler = network.shard_scheduler(s);
+        scheduler.schedule_at(scheduler.now() + util::kMillisecond, [&ran_on, s] {
+            ran_on[static_cast<std::size_t>(s)] = std::this_thread::get_id();
+        });
+    }
+    experiment.run_until_s(util::to_seconds(network.now()) + 0.01);
+    for (std::size_t s = 0; s < ran_on.size(); ++s)
+        EXPECT_EQ(ran_on[s], std::this_thread::get_id()) << "shard " << s;
 }
 
 TEST(ShardedRun, ClustersWithJakesFadingMatchTheSerialFingerprint)

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "analysis/experiment_factory.h"
@@ -167,6 +169,21 @@ TEST(ParallelFor, PropagatesFirstException)
                                     }),
                  std::runtime_error);
     EXPECT_EQ(ran.load(), 16);  // the throw comes after every index has run
+}
+
+TEST(ParallelFor, RethrowsTheLowestIndexsExceptionNotTheEarliest)
+{
+    // Index 2 throws first in time; index 1's exception must still win.
+    EXPECT_THROW(util::parallel_for(3, 2,
+                                    [](int i) {
+                                        if (i == 1) {
+                                            std::this_thread::sleep_for(
+                                                std::chrono::milliseconds(50));
+                                            throw std::logic_error("index 1");
+                                        }
+                                        if (i == 2) throw std::runtime_error("index 2");
+                                    }),
+                 std::logic_error);
 }
 
 }  // namespace
