@@ -169,8 +169,12 @@ void ContentionCoordinator::on_timer()
     // Fire every counter expiring now in chain order. An expiry's
     // transmission cascades busy carrier sense synchronously, so due
     // entries that heard it freeze (and unregister) before their turn —
-    // only stations hidden from every earlier transmitter also fire,
-    // which is exactly how per-slot DCF collides.
+    // only stations hidden from every earlier transmitter also fire.
+    // This is a known defect, not 802.11: there, two stations that count
+    // down to zero in the same slot both transmit and collide, because
+    // clear-channel assessment takes most of a slot. Here stations that
+    // hear each other never collide (ROADMAP.md, "Stations that hear
+    // each other never collide").
     for (;;) {
         std::size_t due = entries_.size();
         for (std::size_t i = 0; i < entries_.size(); ++i) {

@@ -25,6 +25,7 @@ DcfMac::DcfMac(phy::NodePhy& phy, sim::Scheduler& scheduler, ContentionCoordinat
 DcfMac::~DcfMac()
 {
     coordinator_.unregister(*this);
+    scheduler_.cancel(nav_event_);
 }
 
 bool DcfMac::enqueue(const QueueKey& key, const net::Packet& packet)
@@ -52,11 +53,14 @@ void DcfMac::quiesce()
     coordinator_.unregister(*this);  // no-op when not registered
     ack_timer_.cancel();
     cts_timer_.cancel();
-    // The control trigger and CTS follow-up are cancellable timers, so a
-    // teardown leaves nothing armed: no stale event can ever fire into a
-    // revived MAC's fresh control queue and violate SIFS spacing.
+    // The control trigger, the CTS follow-up and the NAV expiry are all
+    // cancellable, so a teardown leaves nothing armed: no stale event can
+    // ever fire into a revived MAC's fresh control queue and violate SIFS
+    // spacing.
     ctrl_timer_.cancel();
     cts_data_timer_.cancel();
+    scheduler_.cancel(nav_event_);
+    nav_event_ = {};
     pending_ctrl_.clear();
     ack_tx_scheduled_ = false;
     in_contention_ = false;
@@ -120,6 +124,10 @@ void DcfMac::start_new_contention()
     current_queue_ = queues_.next_nonempty();
     if (current_queue_ == nullptr) throw std::logic_error("DcfMac: no work to contend for");
     in_contention_ = true;
+    // A NAV set while the MAC had nothing to send left its expiry
+    // unscheduled; now the MAC waits on it. (A NAV ending at this very
+    // instant no longer holds the MAC back, so resume_access ignores it.)
+    if (scheduler_.now() < nav_until_ && !nav_event_.valid()) schedule_nav_expiry();
     retries_ = 0;
     // Fill the batch: the window persists across retries (only unsettled
     // MPDUs are retransmitted) and a new batch starts only once the
@@ -194,12 +202,23 @@ void DcfMac::set_nav_until(SimTime until)
         freeze_contention();
         state_ = State::kWaitMediumIdle;
     }
-    scheduler_.schedule_at(nav_until_, [this] { on_nav_expired(); });
+    // The expiry's FIFO place is taken here, after the freeze (which may
+    // arm the coordinator), but the event is scheduled only for a MAC
+    // that contends: on_nav_expired does nothing for any other.
+    scheduler_.cancel(nav_event_);  // superseded: it would fire inside this NAV
+    nav_event_ = {};
+    nav_place_ = scheduler_.reserve();
+    if (in_contention_) schedule_nav_expiry();
+}
+
+void DcfMac::schedule_nav_expiry()
+{
+    nav_event_ = scheduler_.schedule_reserved(nav_until_, nav_place_, [this] { on_nav_expired(); });
 }
 
 void DcfMac::on_nav_expired()
 {
-    if (scheduler_.now() < nav_until_) return;  // NAV was extended meanwhile
+    nav_event_ = {};
     if (state_ == State::kWaitMediumIdle && in_contention_ && !ack_tx_scheduled_ && !medium_busy())
         start_difs();
 }
@@ -431,7 +450,7 @@ void DcfMac::send_pending_control()
         return;
     }
     const PendingControl ctrl = pending_ctrl_.front();
-    pending_ctrl_.pop_front();
+    pending_ctrl_.erase(pending_ctrl_.begin());
     phy::Frame frame;
     frame.type = ctrl.type;
     frame.tx_node = phy_.id();

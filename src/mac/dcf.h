@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "mac/block_ack.h"
@@ -73,6 +72,14 @@ public:
 /// one batch. Same DCF dynamics (identical Rng draws and transmission
 /// instants), O(transmissions) scheduler events — one insert per
 /// contention cycle.
+///
+/// Virtual carrier sense costs no event at a bystander. Setting a NAV
+/// reserves its expiry's FIFO place (Scheduler::reserve) at once, but the
+/// expiry is scheduled into that place only while the MAC contends: when
+/// the NAV is set, or later when the MAC starts contending while the NAV
+/// still runs. The expiry acts only in contention, so every expiry that
+/// matters fires exactly where one event per NAV would have put it. A NAV
+/// extension cancels the superseded expiry.
 class DcfMac final : public phy::PhyListener, public BackoffClient {
 public:
     DcfMac(phy::NodePhy& phy, sim::Scheduler& scheduler, ContentionCoordinator& coordinator,
@@ -103,11 +110,10 @@ public:
 
     // --- fault injection ---
     /// Graceful teardown (node death): cancel the coordinator
-    /// registration and both response timers, abandon the contention
-    /// context and any pending SIFS control responses, and flush every
-    /// queue into the `dropped_node_down` bucket. Un-cancellable events
-    /// already scheduled against this MAC (SIFS sends, NAV expiries,
-    /// CTS follow-ups) become no-ops via their state guards. Idempotent.
+    /// registration, every timer and the NAV expiry, so nothing stays
+    /// scheduled against this MAC; abandon the contention context and any
+    /// pending SIFS control responses, and flush every queue into the
+    /// `dropped_node_down` bucket. Idempotent.
     void quiesce();
     /// Undo quiesce after the PHY is powered and reattached: clear the
     /// block-ack scoreboards (neighbours' sequence spaces moved on while
@@ -196,6 +202,8 @@ private:
     void set_nav_for_ack(bool ampdu);
     /// Extend the NAV to an absolute deadline (RTS/CTS Duration fields).
     void set_nav_until(SimTime until);
+    /// Schedule the NAV expiry into the place its NAV reserved.
+    void schedule_nav_expiry();
     void on_nav_expired();
     /// Start the frame exchange for the batch: either the data frame
     /// directly (basic access) or the RTS when the handshake applies.
@@ -252,7 +260,7 @@ private:
         std::uint32_t ba_start = 0;   ///< kBlockAck: scoreboard window start
         std::uint64_t ba_bitmap = 0;  ///< kBlockAck: compressed bitmap
     };
-    std::deque<PendingControl> pending_ctrl_;
+    std::vector<PendingControl> pending_ctrl_;  ///< rarely more than one entry
     bool ack_tx_scheduled_ = false;  ///< SIFS timer armed or control frame on air
     /// One re-armed timer per MAC for every SIFS/slot control trigger
     /// (and one for the CTS -> data follow-up) instead of a fresh
@@ -275,6 +283,9 @@ private:
 
     std::uint32_t next_seq_ = 1;
     SimTime nav_until_ = 0;  ///< virtual carrier sense (Duration field)
+    /// The NAV expiry's reserved FIFO place, and its event while scheduled.
+    sim::Scheduler::Reservation nav_place_;
+    sim::EventId nav_event_{};
 
     std::uint64_t data_attempts_ = 0;
     std::uint64_t retransmissions_ = 0;

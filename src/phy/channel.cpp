@@ -142,6 +142,9 @@ void Channel::transmit(NodePhy& sender, Frame frame)
     const bool dynamic_power = fading_ != nullptr && !fading_->time_invariant();
     const std::size_t spans = shared.span_count();
     const std::uint64_t all_spans = spans >= 64 ? ~0ull : (1ull << spans) - 1;
+    // A channel without link losses rolls nothing: its Rng feeds only
+    // these rolls, and bernoulli(0) never fires.
+    const bool lossy = !link_loss_.empty();
 
     ensure_reach();
     const std::int32_t index = attach_index(sender.id());
@@ -156,7 +159,7 @@ void Channel::transmit(NodePhy& sender, Frame frame)
         rx.capture_threshold = threshold;
         rx.in_delivery = r.in_delivery;
         rx.sensed = r.sensed;
-        if (r.in_delivery) {
+        if (r.in_delivery && lossy) {
             // The link loss corrupts each span independently (one roll
             // per span); `error` is the every-span-lost verdict.
             const double loss = link_loss(sender.id(), phy->id());

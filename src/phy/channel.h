@@ -40,7 +40,8 @@ namespace ezflow::phy {
 /// powers — is static (time-variant propagation stores the distance and
 /// re-derives power at transmit time). Transmissions iterate only that
 /// neighbour list, in attach order, rolling the per-link loss for the
-/// receivers within delivery range, so per-transmission cost is
+/// receivers within delivery range (no rolls while no link has a loss
+/// set), so per-transmission cost is
 /// O(reachable neighbours), not O(nodes). The sets come from a GridIndex
 /// over the attach positions at the conflict radius, so building them all
 /// is O(nodes). Every attach, detach and propagation change clears the

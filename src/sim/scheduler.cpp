@@ -37,14 +37,29 @@ EventId Scheduler::schedule_at(SimTime at, EventFn action)
 {
     if (at < now_) throw std::invalid_argument("Scheduler::schedule_at: time in the past");
     if (!action) throw std::invalid_argument("Scheduler::schedule_at: empty action");
+    return insert(at, Reservation{next_seq_++, now_}, std::move(action));
+}
+
+EventId Scheduler::schedule_reserved(SimTime at, Reservation place, EventFn action)
+{
+    if (at < now_) throw std::invalid_argument("Scheduler::schedule_reserved: time in the past");
+    if (!action) throw std::invalid_argument("Scheduler::schedule_reserved: empty action");
+    if (place.seq >= next_seq_)
+        throw std::invalid_argument("Scheduler::schedule_reserved: place was never reserved");
+    // current_event_seq_ is ~0 outside an event, so no place at now() passes.
+    if (at == now_ && place.seq <= current_event_seq_)
+        throw std::invalid_argument("Scheduler::schedule_reserved: place already passed");
+    return insert(at, place, std::move(action));
+}
+
+EventId Scheduler::insert(SimTime at, Reservation place, EventFn action)
+{
     const std::uint32_t index = acquire_slot();
     Slot& slot = slots_[index];
     slot.action = std::move(action);
-    slot.at = at;
-    slot.scheduled_at = now_;
-    slot.seq = next_seq_++;
+    slot.scheduled_at = place.scheduled_at;
     slot.armed = true;
-    staging_.push_back(HeapRecord{at, slot.seq, index, slot.gen});
+    staging_.push_back(HeapRecord{at, place.seq, index, slot.gen});
     ++live_events_;
     return EventId{index, slot.gen};
 }

@@ -54,6 +54,32 @@ public:
     /// Schedule `action` to run `delay` microseconds from now (delay >= 0).
     EventId schedule_in(SimTime delay, EventFn action);
 
+    /// A FIFO place taken now and filled later, or never: the sequence
+    /// number a schedule_at at the point of reserve() would have consumed,
+    /// and now() at that point.
+    struct Reservation {
+        std::uint64_t seq = 0;
+        SimTime scheduled_at = -1;
+    };
+
+    /// Take the place the next schedule_at would get, consuming its
+    /// sequence number, without scheduling anything. An event that may
+    /// turn out to be unneeded (a NAV expiry at a MAC with nothing to
+    /// send) can thus be left out, and scheduled later only if it is
+    /// needed, with the same-instant order it would have had.
+    Reservation reserve() { return Reservation{next_seq_++, now_}; }
+
+    /// Schedule `action` at `at` into `place`: it fires at (at,
+    /// place.seq), so exactly where a schedule_at at the point of
+    /// reserve() would have fired, and current_event_scheduled_at()
+    /// reports place.scheduled_at while it runs. Fill each place at most
+    /// once. Throws std::invalid_argument on what schedule_at rejects, on
+    /// a place reserve() never issued, and on a place the clock has
+    /// already passed: `at == now()` with a sequence number not after the
+    /// running event's (outside an event, every place at now() counts as
+    /// passed).
+    EventId schedule_reserved(SimTime at, Reservation place, EventFn action);
+
     /// Cancel a pending event. Returns false if the event already ran,
     /// was already cancelled, or the id is unknown/stale.
     bool cancel(EventId id);
@@ -101,9 +127,7 @@ private:
 
     struct Slot {
         EventFn action;
-        SimTime at = 0;
         SimTime scheduled_at = 0;  ///< now() when the event was scheduled
-        std::uint64_t seq = 0;
         std::uint32_t gen = 1;
         std::uint32_t next_free = kNoSlot;
         bool armed = false;
@@ -128,6 +152,7 @@ private:
 
     std::uint32_t acquire_slot();
     void release_slot(std::uint32_t index);
+    EventId insert(SimTime at, Reservation place, EventFn action);
     bool pop_and_run_next(SimTime limit);
     void flush_staging();
     void compact_heap();

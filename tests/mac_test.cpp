@@ -323,6 +323,34 @@ TEST(Dcf, BlockAckAgreementSendsEvenOnePacketAsAnAmpdu)
     EXPECT_EQ(bed.phy_params.tx_duration(data), 192 + 8288 + 4 * 8);
 }
 
+TEST(Dcf, NavExpiryNeverOutlivesItsMac)
+{
+    // w overhears a's data frame to b and gets a packet while its NAV
+    // runs, which schedules the NAV expiry. A quiesce, or destroying the
+    // MAC, must cancel exactly that event.
+    for (const bool destroy : {false, true}) {
+        MacBed bed;
+        DcfMac& a = bed.add(0);
+        bed.add(200);
+        DcfMac& w = bed.add(100, 150);
+        a.enqueue(QueueKey{1, true}, packet(0));
+        while (w.nav_until() == 0) bed.scheduler.run_until(bed.scheduler.now() + 1);
+        ASSERT_GT(w.nav_until(), bed.scheduler.now());
+        w.enqueue(QueueKey{0, true}, packet(1));
+        const std::size_t pending = bed.scheduler.pending();
+        if (destroy) {
+            bed.macs[2].reset();
+            EXPECT_EQ(bed.scheduler.pending(), pending - 1);
+            continue;  // w's PHY is left without a listener: run no further
+        }
+        w.quiesce();
+        EXPECT_EQ(bed.scheduler.pending(), pending - 1);
+        bed.scheduler.run_until(kSecond);
+        EXPECT_EQ(a.successes(), 1u);
+        EXPECT_EQ(w.data_attempts(), 0u);
+    }
+}
+
 TEST(Dcf, PromiscuousSniffSeesForeignFrames)
 {
     MacBed bed;

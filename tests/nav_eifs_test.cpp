@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "net/topologies.h"
 #include "traffic/sink.h"
 #include "traffic/source.h"
@@ -70,6 +72,76 @@ TEST(Nav, ExposedAckWindowProtectedAtOneHopSensing)
     ASSERT_GT(mac2.successes(), 500u);
     EXPECT_LT(static_cast<double>(mac2.retransmissions()),
               0.2 * static_cast<double>(mac2.successes()));
+}
+
+net::Packet one_packet(int flow_id)
+{
+    net::Packet packet;
+    packet.flow_id = flow_id;
+    packet.bytes = 1000;
+    return packet;
+}
+
+/// Advance `network` one microsecond at a time until `done` holds.
+template <typename Done>
+void step_until(net::Network& network, Done done)
+{
+    while (!done()) network.run_until(network.scheduler().now() + 1);
+}
+
+TEST(Nav, BystanderThatNeverContendsSchedulesNothing)
+{
+    // w overhears a's data frame to b and sets its NAV, but has nothing to
+    // send: the network must hold exactly the events of its twin without
+    // w, both while the NAV runs and at the end.
+    const auto build = [](bool with_bystander) {
+        auto network = std::make_unique<net::Network>(net::default_config(3));
+        const auto a = network->add_node({0, 0});
+        const auto b = network->add_node({200, 0});
+        if (with_bystander) network->add_node({100, 150});
+        network->add_flow(0, {a, b});
+        network->node(a).mac().enqueue(QueueKey{b, true}, one_packet(0));
+        return network;
+    };
+    const auto with = build(true);
+    const auto without = build(false);
+    const DcfMac& w = with->node(2).mac();
+    step_until(*with, [&] { return w.nav_until() > 0; });
+    const util::SimTime nav_set_at = with->scheduler().now();
+    ASSERT_GT(w.nav_until(), nav_set_at);
+    without->run_until(nav_set_at);
+    EXPECT_EQ(with->scheduler().pending(), without->scheduler().pending());
+    with->run_until(kSecond);
+    without->run_until(kSecond);
+    EXPECT_EQ(with->node(0).mac().successes(), 1u);
+    EXPECT_EQ(with->scheduler().processed(), without->scheduler().processed());
+}
+
+TEST(Nav, MacThatGetsAPacketMidNavStartsItsDifsAtNavEnd)
+{
+    // 1-hop carrier sensing: w decodes a's data to b but cannot sense b's
+    // ACK, so no busy edge ends its wait; only the NAV expiry does. With
+    // CWmin 1 the backoff is 0 slots, so w transmits one DIFS after it.
+    net::Network::Config config = net::testbed_config(4);
+    config.mac.cw_min = 1;
+    net::Network network(config);
+    const auto a = network.add_node({0, 0});
+    const auto b = network.add_node({200, 0});
+    const auto w = network.add_node({-200, 0});
+    network.add_flow(0, {a, b});
+    network.add_flow(1, {w, a});
+    network.node(a).mac().enqueue(QueueKey{b, true}, one_packet(0));
+    const DcfMac& mac_w = network.node(w).mac();
+    step_until(network, [&] { return mac_w.nav_until() > 0; });
+    const util::SimTime nav_until = mac_w.nav_until();
+    network.run_until(network.scheduler().now() + 5);
+    ASSERT_LT(network.scheduler().now(), nav_until);
+    network.node(w).mac().enqueue(QueueKey{a, true}, one_packet(1));
+    step_until(network, [&] {
+        return mac_w.data_attempts() > 0 || network.scheduler().now() > kSecond;
+    });
+    EXPECT_EQ(network.scheduler().now(), nav_until + config.mac.difs_us);
+    EXPECT_FALSE(network.node(w).phy().last_rx_error());
 }
 
 TEST(Eifs, AppliedAfterUndecodableBusyPeriod)

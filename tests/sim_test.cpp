@@ -268,6 +268,75 @@ TEST(Scheduler, CancellationInsideHandler)
     EXPECT_FALSE(second_fired);
 }
 
+TEST(Scheduler, ReserveConsumesOneSequenceNumber)
+{
+    Scheduler s;
+    s.schedule_at(10, [] {});
+    s.run_until(5);
+    const std::uint64_t before = s.next_event_seq();
+    const Scheduler::Reservation place = s.reserve();
+    EXPECT_EQ(place.seq, before);
+    EXPECT_EQ(place.scheduled_at, 5);
+    EXPECT_EQ(s.next_event_seq(), before + 1);
+    EXPECT_EQ(s.pending(), 1u);  // a reservation schedules nothing
+}
+
+// A place reserved between two same-instant events and filled later, from
+// a different instant, fires between them and reports the reservation as
+// its scheduling point.
+TEST(Scheduler, LateReservedEventFiresInItsPlace)
+{
+    Scheduler s;
+    std::vector<char> order;
+    Scheduler::Reservation place;
+    SimTime reported_scheduled_at = -2;
+    std::uint64_t reported_seq = 0;
+    s.schedule_at(3, [&] {
+        s.schedule_at(10, [&] { order.push_back('a'); });
+        place = s.reserve();
+        s.schedule_at(10, [&] { order.push_back('b'); });
+    });
+    s.schedule_at(7, [&] {
+        s.schedule_reserved(10, place, [&] {
+            order.push_back('r');
+            reported_scheduled_at = s.current_event_scheduled_at();
+            reported_seq = s.current_event_seq();
+        });
+    });
+    s.run();
+    EXPECT_EQ(order, (std::vector<char>{'a', 'r', 'b'}));
+    EXPECT_EQ(reported_scheduled_at, 3);
+    EXPECT_EQ(reported_seq, place.seq);
+}
+
+TEST(Scheduler, ScheduleReservedRejectsBadPlaces)
+{
+    Scheduler s;
+    const Scheduler::Reservation early = s.reserve();
+    EXPECT_THROW(s.schedule_reserved(5, early, EventFn{}), std::invalid_argument);
+    // Outside an event every place at now() has passed.
+    EXPECT_THROW(s.schedule_reserved(0, early, [] {}), std::invalid_argument);
+    // A place reserve() never issued.
+    const Scheduler::Reservation forged{s.next_event_seq(), 0};
+    EXPECT_THROW(s.schedule_reserved(5, forged, [] {}), std::invalid_argument);
+
+    bool checked = false;
+    bool same_instant_fired = false;
+    s.schedule_at(10, [&] {
+        // Past instant, and this instant behind the running event.
+        EXPECT_THROW(s.schedule_reserved(9, early, [] {}), std::invalid_argument);
+        EXPECT_THROW(s.schedule_reserved(10, early, [] {}), std::invalid_argument);
+        // A place reserved by the running event is still ahead of it.
+        const Scheduler::Reservation ahead = s.reserve();
+        s.schedule_reserved(10, ahead, [&] { same_instant_fired = true; });
+        checked = true;
+    });
+    s.run();
+    EXPECT_TRUE(checked);
+    EXPECT_TRUE(same_instant_fired);
+    EXPECT_EQ(s.pending(), 0u);
+}
+
 TEST(EventFn, SmallCapturesStayInline)
 {
     int hits = 0;
