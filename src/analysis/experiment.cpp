@@ -5,6 +5,7 @@
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <vector>
 
 #include "analysis/drop_audit.h"
 
@@ -78,6 +79,21 @@ Experiment::Experiment(net::Scenario scenario, ExperimentOptions options)
         }
     }
     transmitters_.assign(transmitters.begin(), transmitters.end());
+
+    // A node on no flow path never transmits, and nothing it hears can
+    // change the outcome: its channel stops delivering to it. Route
+    // repair may move a flow onto any live node, so under a fault plan
+    // every node listens.
+    if (scenario_.faults.empty()) {
+        std::vector<bool> on_path(static_cast<std::size_t>(net.node_count()), false);
+        for (const int flow : net.routing_table().flow_ids())
+            for (const net::NodeId id : net.routing_table().path(flow))
+                on_path[static_cast<std::size_t>(id)] = true;
+        std::vector<net::NodeId> bystanders;
+        for (net::NodeId id = 0; id < net.node_count(); ++id)
+            if (!on_path[static_cast<std::size_t>(id)]) bystanders.push_back(id);
+        net.set_deaf(bystanders);
+    }
 
     // Policy under test.
     switch (options_.mode) {

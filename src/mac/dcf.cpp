@@ -188,10 +188,8 @@ void DcfMac::start_difs()
 
 void DcfMac::set_nav_for_ack(bool ampdu)
 {
-    const phy::PhyParams& phy_params = phy_.channel_params();
-    phy::Frame ack;
-    ack.type = ampdu ? phy::FrameType::kBlockAck : phy::FrameType::kAck;
-    set_nav_until(scheduler_.now() + params_.sifs_us + phy_params.tx_duration(ack));
+    const phy::FrameType ack = ampdu ? phy::FrameType::kBlockAck : phy::FrameType::kAck;
+    set_nav_until(scheduler_.now() + params_.sifs_us + phy_.channel_params().control_duration(ack));
 }
 
 void DcfMac::set_nav_until(SimTime until)
@@ -260,10 +258,6 @@ void DcfMac::transmit_rts()
 {
     state_ = State::kTxRts;
     const phy::PhyParams& phy_params = phy_.channel_params();
-    phy::Frame cts;
-    cts.type = phy::FrameType::kCts;
-    phy::Frame ack;
-    ack.type = phy::FrameType::kAck;
     phy::Frame rts;
     rts.type = phy::FrameType::kRts;
     rts.tx_node = phy_.id();
@@ -271,8 +265,9 @@ void DcfMac::transmit_rts()
     rts.mac_seq = ba_.window_start();
     rts.retry = retries_;
     // Duration: the rest of the exchange after the RTS ends.
-    rts.duration_us = 3 * params_.sifs_us + phy_params.tx_duration(cts) +
-                      phy_params.tx_duration(data_frame()) + phy_params.tx_duration(ack);
+    rts.duration_us = 3 * params_.sifs_us + phy_params.control_duration(phy::FrameType::kCts) +
+                      phy_params.tx_duration(data_frame()) +
+                      phy_params.control_duration(phy::FrameType::kAck);
     phy_.start_tx(std::move(rts));
 }
 
@@ -332,18 +327,15 @@ void DcfMac::phy_tx_done(const phy::Frame& frame)
     if (frame.type == phy::FrameType::kRts) {
         // RTS sent: await the CTS.
         state_ = State::kWaitCts;
-        phy::Frame cts;
-        cts.type = phy::FrameType::kCts;
-        cts_timer_.arm_in(params_.sifs_us + phy_params.tx_duration(cts) +
+        cts_timer_.arm_in(params_.sifs_us + phy_params.control_duration(phy::FrameType::kCts) +
                           params_.ack_timeout_slack_us);
         return;
     }
     // Data frame sent: await the ACK (block-ack for an A-MPDU).
     state_ = State::kWaitAck;
-    phy::Frame ack;
-    ack.type = frame.ampdu ? phy::FrameType::kBlockAck : phy::FrameType::kAck;
-    const SimTime ack_air = phy_params.tx_duration(ack);
-    ack_timer_.arm_in(params_.sifs_us + ack_air + params_.ack_timeout_slack_us);
+    const phy::FrameType ack = frame.ampdu ? phy::FrameType::kBlockAck : phy::FrameType::kAck;
+    ack_timer_.arm_in(params_.sifs_us + phy_params.control_duration(ack) +
+                      params_.ack_timeout_slack_us);
 }
 
 void DcfMac::phy_frame_decoded(const phy::Frame& frame)
@@ -389,11 +381,8 @@ void DcfMac::phy_frame_decoded(const phy::Frame& frame)
             return;
         case phy::FrameType::kRts: {
             // Answer with a CTS advertising the rest of the exchange.
-            const phy::PhyParams& phy_params = phy_.channel_params();
-            phy::Frame cts;
-            cts.type = phy::FrameType::kCts;
-            const SimTime remaining =
-                frame.duration_us - params_.sifs_us - phy_params.tx_duration(cts);
+            const SimTime cts_air = phy_.channel_params().control_duration(phy::FrameType::kCts);
+            const SimTime remaining = frame.duration_us - params_.sifs_us - cts_air;
             pending_ctrl_.push_back(
                 PendingControl{phy::FrameType::kCts, frame.tx_node, frame.mac_seq,
                                std::max<SimTime>(0, remaining)});

@@ -30,6 +30,11 @@ void Network::set_ampdu_max_mpdus(int k)
     for (auto& node : nodes_) node->mac().set_ampdu_max_mpdus(k);
 }
 
+void Network::set_deaf(const std::vector<NodeId>& nodes)
+{
+    for (const NodeId id : nodes) shard(shard_of(id)).channel.set_deaf(node(id).phy());
+}
+
 NodeId Network::add_node(phy::Position position)
 {
     if (!std::isfinite(position.x) || !std::isfinite(position.y))

@@ -106,6 +106,12 @@ public:
     /// after the topology is built and before traffic starts.
     void set_ampdu_max_mpdus(int k);
 
+    /// Deafen `nodes` on their shards' channels (Channel::set_deaf): they
+    /// hear nothing and may not transmit for the rest of the run. For
+    /// nodes on no flow path of a run without faults, whose reception
+    /// cannot change the outcome. Call before traffic starts.
+    void set_deaf(const std::vector<NodeId>& nodes);
+
     /// Threads the sharded engine runs its shards on, the caller among
     /// them (<= 0: hardware concurrency). Takes effect when the engine is
     /// first built, i.e. set it before the first run_until(). No effect

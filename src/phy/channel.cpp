@@ -45,6 +45,13 @@ bool Channel::is_attached(const NodePhy& phy) const
     return index >= 0 && phys_[static_cast<std::size_t>(index)] == &phy;
 }
 
+void Channel::set_deaf(NodePhy& phy)
+{
+    if (!is_attached(phy)) throw std::invalid_argument("Channel::set_deaf: phy not attached");
+    phy.set_deaf();
+    reach_.clear();  // the PHY leaves every set, and its own empties
+}
+
 void Channel::set_models(const PhyModelConfig& config, std::uint64_t network_seed)
 {
     if (config.is_reference()) return;  // exact no-op: golden-pinned path
@@ -83,18 +90,23 @@ void Channel::ensure_reach()
     std::vector<int> near;
     for (std::size_t s = 0; s < phys_.size(); ++s) {
         const NodePhy& sender = *phys_[s];
+        if (sender.deaf()) continue;  // never transmits
         // Ascending ids are attach order, which fixes same-instant FIFO order.
         geometry.within(sender.position(), near);
         for (const int j : near) {
             NodePhy* phy = phys_[static_cast<std::size_t>(j)];
             if (phy == &sender) continue;
             const double d = distance(sender.position(), phy->position());
+            const bool in_delivery = d <= params_.tx_range_m;
+            // Beyond delivery range nothing is rolled for a deaf receiver.
+            if (phy->deaf() && !in_delivery) continue;
             // Time-variant propagation (fading) re-derives power at
             // transmit time from the stored distance; otherwise the power
-            // is precomputed here, once per topology.
+            // is precomputed here, once per topology. Fading ray banks are
+            // keyed per link, so skipping a link moves no other link's.
             const double power_w = static_power ? link_power(sender.id(), phy->id(), d) : 0.0;
-            reach_[s].push_back(
-                ReachEntry{phy, d <= params_.tx_range_m, d <= params_.cs_range_m, power_w, d});
+            reach_[s].push_back(ReachEntry{phy, in_delivery, d <= params_.cs_range_m,
+                                           !phy->deaf(), power_w, d});
         }
     }
 }
@@ -152,13 +164,6 @@ void Channel::transmit(NodePhy& sender, Frame frame)
     for (const ReachEntry& r : reach_[static_cast<std::size_t>(index)]) {
         NodePhy* phy = r.phy;
         RxEvent rx;
-        rx.signal_id = signal_id;
-        rx.frame = &shared;
-        rx.power_w = dynamic_power ? link_power(sender.id(), phy->id(), r.distance_m) : r.power_w;
-        rx.noise_w = noise_w;
-        rx.capture_threshold = threshold;
-        rx.in_delivery = r.in_delivery;
-        rx.sensed = r.sensed;
         if (r.in_delivery && lossy) {
             // The link loss corrupts each span independently (one roll
             // per span); `error` is the every-span-lost verdict.
@@ -167,6 +172,16 @@ void Channel::transmit(NodePhy& sender, Frame frame)
                 if (rng_.bernoulli(loss)) rx.span_error_bits |= (1ull << i);
             rx.error = rx.span_error_bits == all_spans;
         }
+        // A deaf receiver is rolled for (the Rng stream stays the
+        // all-listening one) but hears nothing.
+        if (!r.listens) continue;
+        rx.signal_id = signal_id;
+        rx.frame = &shared;
+        rx.power_w = dynamic_power ? link_power(sender.id(), phy->id(), r.distance_m) : r.power_w;
+        rx.noise_w = noise_w;
+        rx.capture_threshold = threshold;
+        rx.in_delivery = r.in_delivery;
+        rx.sensed = r.sensed;
         start_signal(*phy, rx, record, end_at, sender);
     }
     // The tx-end rides on the last batch; a transmission nobody hears

@@ -44,8 +44,15 @@ namespace ezflow::phy {
 /// set), so per-transmission cost is
 /// O(reachable neighbours), not O(nodes). The sets come from a GridIndex
 /// over the attach positions at the conflict radius, so building them all
-/// is O(nodes). Every attach, detach and propagation change clears the
-/// sets; the next transmission rebuilds them, index included.
+/// is O(nodes). Every attach, detach, deafening and propagation change
+/// clears the sets; the next transmission rebuilds them, index included.
+///
+/// A deaf PHY (`set_deaf`) hears nothing: it has an empty set of its own
+/// (it may not transmit), it is left out of every set beyond delivery
+/// range, and inside delivery range it keeps its entry only so that its
+/// link-loss roll still draws from the channel's Rng — the stream, and so
+/// every listening receiver's outcome, is the one an all-listening run
+/// sees. Its `frames_*` counters stay zero.
 class Channel {
 public:
     Channel(sim::Scheduler& scheduler, util::Rng rng, PhyParams params);
@@ -66,6 +73,13 @@ public:
 
     /// Whether this PHY is currently attached to the medium.
     bool is_attached(const NodePhy& phy) const;
+
+    /// Stop delivering signals to this attached PHY for good, and forbid
+    /// it to transmit (NodePhy::start_tx throws). Only for a node whose
+    /// reception cannot change any outcome: one that never transmits and
+    /// whose listener acts on nothing it hears. Clears the reach sets.
+    /// Throws if the PHY is not attached.
+    void set_deaf(NodePhy& phy);
 
     // --- models ---
     /// Install the full model selection: propagation, interference and
@@ -109,8 +123,10 @@ public:
         if (rate_manager_) rate_manager_->report(tx, rx, success);
     }
 
-    /// Size of `tx`'s reachability set (receivers within carrier-sense or
-    /// interference range). Exposed for tests and benchmarks.
+    /// Size of `tx`'s reachability set (listening receivers within
+    /// carrier-sense or interference range, plus deaf ones within
+    /// delivery range; 0 for a deaf `tx`). Exposed for tests and
+    /// benchmarks.
     std::size_t reachable_count(net::NodeId tx);
 
     const PhyParams& params() const { return params_; }
@@ -139,15 +155,21 @@ private:
     double frame_capture_threshold(const Frame& frame) const;
 
     /// One receiver a transmitter can affect, with the geometry-derived
-    /// facts transmit() needs, precomputed once per topology.
+    /// facts transmit() needs, precomputed once per topology. A deaf
+    /// receiver has an entry only within delivery range, for its loss
+    /// roll, and gets no signal.
     struct ReachEntry {
         NodePhy* phy;
         bool in_delivery;   ///< within tx_range: decode + per-link loss roll
         bool sensed;        ///< within cs_range: counts for energy detection
+        bool listens;       ///< false: deaf, the loss roll is all it gets
         double power_w;     ///< received power (capture decisions); stale for
                             ///< time-variant propagation — see distance_m
         double distance_m;  ///< link distance, for time-variant re-evaluation
     };
+    // The flags share the padding after the pointer: a large grid keeps
+    // millions of these.
+    static_assert(sizeof(ReachEntry) == 32, "ReachEntry must stay 32 bytes");
 
     /// Rebuild the per-transmitter reachability sets after they were
     /// cleared.

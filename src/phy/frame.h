@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "net/packet.h"
@@ -199,17 +200,27 @@ struct PhyParams {
     /// events-per-byte) win.
     SimTime tx_duration(const Frame& frame) const
     {
+        if (frame.type != FrameType::kData) return control_duration(frame.type);
         std::int64_t bytes = 0;
-        switch (frame.type) {
-            case FrameType::kAck: bytes = ack_frame_bytes; break;
-            case FrameType::kRts: bytes = rts_frame_bytes; break;
-            case FrameType::kCts: bytes = cts_frame_bytes; break;
-            case FrameType::kBlockAck: bytes = ba_frame_bytes; break;
-            case FrameType::kData:
-                for (const Mpdu& mpdu : frame.mpdus) bytes += mpdu_bytes(frame, mpdu);
-                break;
+        for (const Mpdu& mpdu : frame.mpdus) bytes += mpdu_bytes(frame, mpdu);
+        return airtime(rate_of(frame), bytes);
+    }
+
+    /// Airtime of a control frame (ACK, block-ack, RTS or CTS), in
+    /// microseconds. Control frames always go at the base rate
+    /// (`bitrate_bps`), so the MAC's NAV and timeout arithmetic needs no
+    /// frame. Throws std::invalid_argument for kData, which has no fixed
+    /// size.
+    SimTime control_duration(FrameType type) const
+    {
+        switch (type) {
+            case FrameType::kAck: return airtime(bitrate_bps, ack_frame_bytes);
+            case FrameType::kRts: return airtime(bitrate_bps, rts_frame_bytes);
+            case FrameType::kCts: return airtime(bitrate_bps, cts_frame_bytes);
+            case FrameType::kBlockAck: return airtime(bitrate_bps, ba_frame_bytes);
+            case FrameType::kData: break;
         }
-        return airtime(frame, bytes);
+        throw std::invalid_argument("PhyParams::control_duration: not a control frame type");
     }
 
     /// End offsets (microseconds from frame start) of the frame's
@@ -224,10 +235,11 @@ struct PhyParams {
             out.push_back(tx_duration(frame));
             return;
         }
+        const std::int64_t rate = rate_of(frame);
         std::int64_t cum_bytes = 0;
         for (const Mpdu& mpdu : frame.mpdus) {
             cum_bytes += mpdu_bytes(frame, mpdu);
-            out.push_back(airtime(frame, cum_bytes));
+            out.push_back(airtime(rate, cum_bytes));
         }
     }
 
@@ -253,9 +265,13 @@ private:
         return mac_data_overhead_bytes + (frame.ampdu ? ampdu_delimiter_bytes : 0) +
                mpdu.packet.bytes;
     }
-    SimTime airtime(const Frame& frame, std::int64_t bytes) const
+    /// Modulation rate of a data frame: its stamped rate or the default.
+    std::int64_t rate_of(const Frame& frame) const
     {
-        const std::int64_t rate = frame.bitrate_bps > 0 ? frame.bitrate_bps : bitrate_bps;
+        return frame.bitrate_bps > 0 ? frame.bitrate_bps : bitrate_bps;
+    }
+    SimTime airtime(std::int64_t rate, std::int64_t bytes) const
+    {
         return plcp_overhead_us + (bytes * 8 * 1'000'000 + rate - 1) / rate;
     }
 };

@@ -43,6 +43,7 @@ void NodePhy::close_bad_interval()
 
 void NodePhy::start_tx(Frame frame)
 {
+    if (deaf_) throw std::logic_error("NodePhy::start_tx: a deaf PHY cannot transmit");
     if (transmitting_) throw std::logic_error("NodePhy::start_tx: already transmitting");
     if (channel_ == nullptr) throw std::logic_error("NodePhy::start_tx: no channel attached");
     if (rx_active_) {

@@ -81,6 +81,13 @@ public:
     void set_channel(Channel* channel) { channel_ = channel; }
     void set_listener(PhyListener* listener) { listener_ = listener; }
 
+    /// Deaf for good: the channel delivers no signal here and start_tx
+    /// throws. Channel-facing — call Channel::set_deaf, which also drops
+    /// the PHY from the channel's reach sets. A deaf PHY's `frames_*`
+    /// counters stay zero.
+    void set_deaf() { deaf_ = true; }
+    bool deaf() const { return deaf_; }
+
     net::NodeId id() const { return id_; }
     const Position& position() const { return position_; }
 
@@ -94,7 +101,8 @@ public:
     /// Start transmitting `frame` (taken by value and moved into the
     /// channel's shared per-transmission record — pass an rvalue to keep
     /// the pipeline single-copy). Throws if a transmission is in
-    /// progress. Aborts (corrupts) any reception in progress: half-duplex.
+    /// progress or the PHY is deaf. Aborts (corrupts) any reception in
+    /// progress: half-duplex.
     void start_tx(Frame frame);
 
     // --- channel-facing interface ---
@@ -144,7 +152,7 @@ public:
     /// phy_frame_decoded callback.
     std::uint64_t last_decode_mpdu_errors() const { return last_decode_mpdu_errors_; }
 
-    // --- statistics ---
+    // --- statistics --- (zero at a deaf PHY; no result JSON reads them)
     std::uint64_t frames_decoded() const { return frames_decoded_; }
     std::uint64_t frames_corrupted() const { return frames_corrupted_; }
     std::uint64_t frames_missed_busy() const { return frames_missed_busy_; }
@@ -182,6 +190,7 @@ private:
     bool transmitting_ = false;
     bool last_busy_ = false;
     bool powered_ = true;
+    bool deaf_ = false;
     /// Set once the PHY has ever been power-cycled: from then on, stale
     /// signal-end/tx-end events referring to wiped state are silently
     /// ignored rather than treated as scheduler-integrity violations.

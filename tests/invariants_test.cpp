@@ -183,7 +183,9 @@ TEST_P(ModelPatternInvariants, SampledPatternsAreFeasible)
         for (int i = 0; i < hops; ++i) {
             if (z[static_cast<std::size_t>(i)] == 0) continue;
             // Active transmitter must be the source or backlogged.
-            if (i > 0) EXPECT_GT(relays[static_cast<std::size_t>(i - 1)], 0) << "link " << i;
+            if (i > 0) {
+                EXPECT_GT(relays[static_cast<std::size_t>(i - 1)], 0) << "link " << i;
+            }
             // No other active link's transmitter within 1 hop of the
             // receiver i+1.
             for (int j = 0; j < hops; ++j) {

@@ -115,6 +115,20 @@ TEST(PhyParams, AckFrameAirtime)
     EXPECT_EQ(params.tx_duration(ack), 192 + 112);
 }
 
+TEST(PhyParams, ControlDurationIsTheAirtimeOfEachControlFrame)
+{
+    PhyParams params;
+    using T = FrameType;
+    for (const FrameType type : {T::kAck, T::kBlockAck, T::kRts, T::kCts}) {
+        Frame frame;
+        frame.type = type;
+        EXPECT_EQ(params.control_duration(type), params.tx_duration(frame))
+            << "frame type " << static_cast<int>(type);
+    }
+    EXPECT_EQ(params.control_duration(FrameType::kRts), 192 + 160);
+    EXPECT_THROW(params.control_duration(FrameType::kData), std::invalid_argument);
+}
+
 TEST(PhyParams, AirtimeRoundsUpAtNonDividingBitrates)
 {
     // (1000 + 36) * 8 = 8288 bits. At 1 Mb/s that is exactly 8288 us
@@ -427,6 +441,62 @@ TEST(NodePhy, StartTxWhileTransmittingThrows)
     NodePhy& a = bed.add(0);
     a.start_tx(data_frame(0, 1));
     EXPECT_THROW(a.start_tx(data_frame(0, 1)), std::logic_error);
+}
+
+TEST(Channel, DeafPhyHearsNothingAndCannotTransmit)
+{
+    TestBed bed;
+    NodePhy& a = bed.add(0);
+    NodePhy& deaf = bed.add(200);  // delivery range
+    bed.add(400);                  // sensing range only
+    NodePhy& far = bed.add(300, 300);
+    bed.channel.set_deaf(deaf);
+    EXPECT_TRUE(deaf.deaf());
+    EXPECT_FALSE(a.deaf());
+    EXPECT_EQ(bed.channel.reachable_count(deaf.id()), 0u);
+    // A deaf receiver keeps its entry only inside delivery range.
+    EXPECT_EQ(bed.channel.reachable_count(far.id()), 2u);
+
+    a.start_tx(data_frame(0, 1));
+    bed.scheduler.run();
+    EXPECT_TRUE(bed.listener(1).decoded.empty());
+    EXPECT_TRUE(bed.listener(1).busy_transitions.empty());
+    EXPECT_EQ(deaf.frames_decoded() + deaf.frames_corrupted() + deaf.frames_missed_busy(), 0u);
+    EXPECT_EQ(bed.listener(2).busy_transitions.size(), 2u);
+
+    EXPECT_THROW(deaf.start_tx(data_frame(1, 0)), std::logic_error);
+    EXPECT_FALSE(deaf.transmitting());
+    NodePhy stranger(9, Position{0, 0}, bed.scheduler);
+    EXPECT_THROW(bed.channel.set_deaf(stranger), std::invalid_argument);
+}
+
+TEST(Channel, DeafReceiverInDeliveryRangeKeepsItsLossRoll)
+{
+    // Node 1 is deaf in the first bed and listens in the second; its
+    // lossy link from the sender is rolled either way, so the loss verdicts
+    // at node 2 (later in reach order) match frame for frame.
+    const auto decoded_at_2 = [](bool deafen) {
+        TestBed bed;
+        NodePhy& a = bed.add(0);
+        NodePhy& bystander = bed.add(100);
+        bed.add(200);
+        bed.channel.set_link_loss(0, 1, 0.5);
+        bed.channel.set_link_loss(0, 2, 0.5);
+        if (deafen) bed.channel.set_deaf(bystander);
+        std::vector<std::uint32_t> seqs;
+        for (std::uint32_t i = 0; i < 64; ++i) {
+            Frame frame = data_frame(0, 2);
+            frame.mac_seq = i;
+            a.start_tx(std::move(frame));
+            bed.scheduler.run();
+        }
+        for (const Frame& frame : bed.listener(2).decoded) seqs.push_back(frame.mac_seq);
+        return seqs;
+    };
+    const std::vector<std::uint32_t> listening = decoded_at_2(false);
+    EXPECT_GT(listening.size(), 8u);
+    EXPECT_LT(listening.size(), 56u);
+    EXPECT_EQ(decoded_at_2(true), listening);
 }
 
 TEST(NodePhy, BusyDuringOwnTransmission)
