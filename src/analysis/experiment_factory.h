@@ -69,10 +69,9 @@ struct ScenarioSpec {
     /// scenarios, which are all single-component.
     int shards = 1;
 
-    /// PHY model selection applied to the built Network (propagation /
-    /// interference / rate, see phy::PhyModelConfig). The default is the
-    /// reference configuration — an exact no-op, so every pre-existing
-    /// spec is unaffected.
+    /// PHY model selection applied to the built Network (fading, rate
+    /// manager, noise floor; see phy::PhyModelConfig). The default is
+    /// two-ray propagation at the fixed rate without noise.
     phy::PhyModelConfig models;
 
     /// Block-ack agreement applied to every node's MAC: up to this many

@@ -1,7 +1,7 @@
 // The pluggable-PHY figure family: what the interference-accurate models
 // add beyond the paper's binary-range reference. `fading` drives the
-// 4-hop chain through Jakes/Rayleigh fading over the cumulative-SINR
-// ledger; `rate_adapt` puts Minstrel rate adaptation on a noisy 2-hop
+// 4-hop chain through Jakes/Rayleigh fading over a noise floor;
+// `rate_adapt` puts Minstrel rate adaptation on a noisy 2-hop
 // relay at growing hop distances, where the per-rate SNR decode floors
 // turn link distance into a rate ladder.
 
@@ -28,15 +28,13 @@ FigureResult run_fading(const FigureContext& ctx)
     const double duration_s = 1500.0 * ctx.scale;
     // Noise floor such that the 200 m links run at ~22 dB mean SNR: only
     // deep fades (|h|^2 < ~0.06, about 6% of frames) drop below the 10 dB
-    // ledger threshold, so outage — not the mean — is what doppler adds.
+    // capture threshold, so outage — not the mean — is what doppler adds.
     const double noise_w = ctx.extra_double("noise", 4e-12);
     FigureResult result = make_result(ctx);
     const std::vector<SweepWindow> windows = {
         SweepWindow{"settled", 0.3 * duration_s, duration_s, {0}}};
     for (const double doppler_hz : {0.0, 2.5, 10.0}) {
         ScenarioSpec spec = ScenarioSpec::line(4, duration_s);
-        spec.models.propagation = phy::PhyModelConfig::Propagation::kJakes;
-        spec.models.interference = phy::PhyModelConfig::Interference::kSinrLedger;
         spec.models.jakes_doppler_hz = doppler_hz;
         spec.models.noise_floor_w = noise_w;
         const auto sweeps =
@@ -56,18 +54,20 @@ void rate_adapt_run(const FigureContext& ctx, RunResult& cell, double hop_m, boo
                     bool ezflow, double duration_s)
 {
     net::Network::Config config = net::default_config(ctx.seed);
-    // SINR ledger with the per-rate decode floors as the only thresholds:
-    // with a 6e-11 W noise floor the DSSS ladder binds by distance —
-    // 11 Mb/s decodes to ~170 m, 5.5 Mb/s to ~202 m, 2 Mb/s to ~240 m,
-    // 1 Mb/s to the 250 m delivery range.
-    config.phy.capture_threshold_db = 0.0;
-    config.phy.noise_floor_w = 6e-11;
-    config.models.interference = phy::PhyModelConfig::Interference::kSinrLedger;
-    if (minstrel) config.models.rate = phy::PhyModelConfig::Rate::kMinstrel;
+    // A unit capture threshold leaves the per-rate decode floors as the
+    // only thresholds: with a 6e-11 W noise floor the DSSS ladder binds by
+    // distance — 11 Mb/s decodes to ~170 m, 5.5 Mb/s to ~202 m, 2 Mb/s to
+    // ~240 m, 1 Mb/s to the 250 m delivery range.
+    config.phy.capture_threshold = 1.0;
+    phy::PhyModelConfig models;
+    models.noise_floor_w = 6e-11;
+    if (minstrel) models.rate = phy::PhyModelConfig::Rate::kMinstrel;
+    net::Scenario scenario = net::make_chain(config, 2, hop_m, 5.0, duration_s);
+    scenario.network->set_phy_models(models);
     ExperimentOptions options;
     options.mode = ezflow ? Mode::kEzFlow : Mode::kBaseline80211;
     options.cbr_rate_bps = 4e6;
-    Experiment exp(net::make_chain(config, 2, hop_m, 5.0, duration_s), options);
+    Experiment exp(std::move(scenario), options);
     exp.run_until_s(duration_s);
 
     const util::SimTime from = util::from_seconds(0.4 * duration_s);
@@ -109,7 +109,7 @@ void register_phy_model_figures()
     FigureRegistry& registry = FigureRegistry::instance();
     registry.add(FigureSpec{
         "fading", "", "figure", "Rayleigh fading outage on the 4-hop chain",
-        "PHY-model extension — Jakes fading over the cumulative-SINR ledger",
+        "PHY-model extension — Jakes fading over a noise floor",
         "Doppler 0 matches the clean chain; at 2.5 and 10 Hz deep fades corrupt ~6% of frames "
         "per link, retransmissions grow and goodput sags — while EZ-flow keeps the relay "
         "buffers bounded under the extra churn. Extra flags: --noise.",

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -157,7 +158,12 @@ public:
     MacQueue* next_nonempty();
 
     int total_packets() const;
-    bool all_empty() const { return total_packets() == 0; }
+    /// True when no queue holds a packet; stops at the first that does.
+    bool all_empty() const
+    {
+        return std::all_of(queues_.begin(), queues_.end(),
+                           [](const std::unique_ptr<MacQueue>& queue) { return queue->empty(); });
+    }
 
     /// Flush every queue into its `dropped_node_down` bucket (node
     /// teardown). Returns the total packets flushed.

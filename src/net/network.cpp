@@ -16,12 +16,10 @@ Network::Network(Config config) : config_(std::move(config)), rng_(config_.seed)
     shards_.reserve(static_cast<std::size_t>(shard_count));
     for (int s = 0; s < shard_count; ++s)
         shards_.push_back(std::make_unique<Shard>(channel_root.fork(), config_.phy));
-    set_phy_models(config_.models);
 }
 
 void Network::set_phy_models(const phy::PhyModelConfig& models)
 {
-    if (models.is_reference()) return;
     for (auto& shard : shards_) shard->channel.set_models(models, config_.seed);
 }
 

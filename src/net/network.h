@@ -33,11 +33,6 @@ public:
     struct Config {
         phy::PhyParams phy;
         mac::MacParams mac;
-        /// PHY model selection (propagation / interference / rate). The
-        /// default is the reference configuration, which is an exact no-op
-        /// on every channel. Applied to all shards at construction; can be
-        /// re-applied later via set_phy_models (before traffic starts).
-        phy::PhyModelConfig models;
         std::uint64_t seed = 1;
         /// Upper bound on shards a topology generator may plan for; the
         /// generators compute `shard_plan` from this before construction.
@@ -95,8 +90,9 @@ public:
     /// (for traffic sources, agents, etc.).
     util::Rng fork_rng() { return rng_.fork(); }
 
-    /// Apply a PHY model selection to every shard's channel. A reference
-    /// config is an exact no-op. Install models before traffic starts —
+    /// Install a PHY model selection on every shard's channel, replacing
+    /// the previous one (`Channel::set_models`); this is the only way to
+    /// install models. Install them before traffic starts —
     /// swapping mid-run would tear per-link state out from under in-flight
     /// frames.
     void set_phy_models(const phy::PhyModelConfig& models);

@@ -1,7 +1,6 @@
 #include "net/topo_gen.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -376,10 +375,7 @@ Scenario make_cluster_grid(const ClustersSpec& spec, std::uint64_t seed)
     if (spec.cols < 2 || spec.rows < 2)
         throw std::invalid_argument("make_cluster_grid: need at least 2x2 clusters");
     Network::Config config = grid_config(spec, seed);
-    if (spec.capture_threshold > 0) {
-        config.phy.capture_threshold = spec.capture_threshold;
-        config.phy.capture_threshold_db = 10.0 * std::log10(spec.capture_threshold);
-    }
+    if (spec.capture_threshold > 0) config.phy.capture_threshold = spec.capture_threshold;
     // The gap must open an interference-only band: beyond sense/delivery
     // (no cross-cluster links or carrier sensing) but within interference
     // range (otherwise the clusters are plain islands).

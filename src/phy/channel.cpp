@@ -1,7 +1,6 @@
 #include "phy/channel.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "phy/geometry.h"
@@ -54,35 +53,32 @@ void Channel::set_deaf(NodePhy& phy)
 
 void Channel::set_models(const PhyModelConfig& config, std::uint64_t network_seed)
 {
-    if (config.is_reference()) return;  // exact no-op: golden-pinned path
-    fading_ = make_fading(config, network_seed);
-    reach_.clear();  // power law changed: precomputed powers are stale
-    set_rate_manager(make_rate_manager(config));
-    interference_ = config.interference;
-    if (config.noise_floor_w >= 0.0) params_.noise_floor_w = config.noise_floor_w;
+    // Written so that NaN fails it too.
+    if (!(config.noise_floor_w >= 0.0))
+        throw std::invalid_argument("Channel::set_models: noise floor must be >= 0");
+    // The ray banks are keyed off a constant no other subsystem uses, so
+    // model randomness is independent of the channel/traffic fork sequence.
+    // JakesFading rejects a negative or NaN doppler.
+    fading_ = config.jakes_doppler_hz != 0.0
+                  ? std::make_unique<JakesFading>(config.jakes_doppler_hz,
+                                                  network_seed ^ 0xFAD1E5B00CULL)
+                  : nullptr;
+    reach_.clear();  // power law may have changed: precomputed powers are stale
+    rate_manager_ = config.rate == PhyModelConfig::Rate::kMinstrel
+                        ? std::make_unique<MinstrelRate>()
+                        : nullptr;
+    noise_floor_w_ = config.noise_floor_w;
 }
 
-double Channel::link_power(net::NodeId tx, net::NodeId rx, double distance_m)
+double Channel::capture_threshold(const Frame& frame) const
 {
-    if (fading_ == nullptr) return two_ray_power_w(1.0, distance_m);
-    return fading_->link_power_w(tx, rx, 1.0, distance_m, scheduler_.now());
-}
-
-double Channel::frame_capture_threshold(const Frame& frame) const
-{
-    if (interference_ == PhyModelConfig::Interference::kReference)
-        return params_.capture_threshold;
-    // Cumulative-SINR mode: the frame must clear both the capture threshold
-    // and its modulation's decode floor, whichever is harsher.
     const std::int64_t rate = frame.bitrate_bps > 0 ? frame.bitrate_bps : params_.bitrate_bps;
-    const double db = std::max(params_.capture_threshold_db, min_decode_snr_db(rate));
-    return std::pow(10.0, db / 10.0);
+    return std::max(params_.capture_threshold, decode_floor(rate));
 }
 
 void Channel::ensure_reach()
 {
     if (!reach_.empty()) return;
-    const bool static_power = fading_ == nullptr || fading_->time_invariant();
     std::vector<Position> positions;
     for (const NodePhy* phy : phys_) positions.push_back(phy->position());
     const GridIndex geometry(std::move(positions), params_.conflict_radius_m());
@@ -104,7 +100,7 @@ void Channel::ensure_reach()
             // transmit time from the stored distance; otherwise the power
             // is precomputed here, once per topology. Fading ray banks are
             // keyed per link, so skipping a link moves no other link's.
-            const double power_w = static_power ? link_power(sender.id(), phy->id(), d) : 0.0;
+            const double power_w = fading_ == nullptr ? two_ray_power_w(1.0, d) : 0.0;
             reach_[s].push_back(ReachEntry{phy, in_delivery, d <= params_.cs_range_m,
                                            !phy->deaf(), power_w, d});
         }
@@ -148,10 +144,7 @@ void Channel::transmit(NodePhy& sender, Frame frame)
     const SimTime end_at = scheduler_.now() + duration;
     const Frame& shared = *record;
 
-    const bool sinr = interference_ == PhyModelConfig::Interference::kSinrLedger;
-    const double threshold = frame_capture_threshold(shared);
-    const double noise_w = sinr ? params_.noise_floor_w : 0.0;
-    const bool dynamic_power = fading_ != nullptr && !fading_->time_invariant();
+    const double threshold = capture_threshold(shared);
     const std::size_t spans = shared.span_count();
     const std::uint64_t all_spans = spans >= 64 ? ~0ull : (1ull << spans) - 1;
     // A channel without link losses rolls nothing: its Rng feeds only
@@ -177,8 +170,10 @@ void Channel::transmit(NodePhy& sender, Frame frame)
         if (!r.listens) continue;
         rx.signal_id = signal_id;
         rx.frame = &shared;
-        rx.power_w = dynamic_power ? link_power(sender.id(), phy->id(), r.distance_m) : r.power_w;
-        rx.noise_w = noise_w;
+        rx.power_w = fading_ == nullptr ? r.power_w
+                                        : fading_->link_power_w(sender.id(), phy->id(), 1.0,
+                                                                r.distance_m, scheduler_.now());
+        rx.noise_w = noise_floor_w_;
         rx.capture_threshold = threshold;
         rx.in_delivery = r.in_delivery;
         rx.sensed = r.sensed;

@@ -10,6 +10,8 @@
 #include "phy/link_table.h"
 #include "phy/models.h"
 #include "phy/phy.h"
+#include "phy/propagation.h"
+#include "phy/rate_manager.h"
 #include "sim/scheduler.h"
 #include "util/rng.h"
 
@@ -23,15 +25,15 @@ namespace ezflow::phy {
 /// never filters by MAC address — everyone in range hears everything,
 /// which is exactly the property EZ-Flow's BOE exploits.
 ///
-/// Models beyond the golden-pinned reference are selected by one
-/// PhyModelConfig, installed through `set_models`:
-///  * propagation — the inlined reference two-ray 1/d^4 (the fast path), or
+/// Capture has one rule: a frame must clear, against the interference
+/// sum plus the noise floor, the larger of `PhyParams::capture_threshold`
+/// and its rate's decode floor (`decode_floor`). One PhyModelConfig,
+/// installed through `set_models`, selects the rest:
+///  * propagation — the inlined two-ray 1/d^4 (the fast path), or
 ///    JakesFading over it, re-evaluated per transmission;
-///  * interference — the reference capture test against the linear
-///    threshold, or the cumulative-SINR ledger (capture_threshold_db +
-///    per-rate decode floors + noise floor);
 ///  * rate — a RateManager consulted by the MAC through NodePhy; null means
-///    the fixed PHY default.
+///    the fixed PHY default;
+///  * the noise floor.
 /// Frame loss per directed link is a fixed probability (`set_link_loss`).
 ///
 /// Node positions are fixed for the lifetime of a run (NodePhy has no
@@ -82,10 +84,11 @@ public:
     void set_deaf(NodePhy& phy);
 
     // --- models ---
-    /// Install the full model selection: propagation, interference and
-    /// rate. A reference config is an exact no-op (models stay null,
-    /// semantics stay the inlined golden-pinned path). `network_seed` keys
-    /// model-private randomness.
+    /// Install exactly this model selection, replacing every model the
+    /// last call installed: the default config leaves no fading process
+    /// and no rate manager. `network_seed` keys model-private randomness;
+    /// no simulator stream is drawn. Throws on a negative doppler or
+    /// noise floor.
     void set_models(const PhyModelConfig& config, std::uint64_t network_seed);
 
     /// Rate manager consulted by MACs via NodePhy; nullptr = fixed default.
@@ -129,6 +132,10 @@ public:
     /// benchmarks.
     std::size_t reachable_count(net::NodeId tx);
 
+    /// Linear SINR a frame must clear at its receivers: the larger of
+    /// the capture threshold and the decode floor of the frame's rate.
+    double capture_threshold(const Frame& frame) const;
+
     const PhyParams& params() const { return params_; }
 
     std::uint64_t transmissions() const { return transmissions_; }
@@ -144,15 +151,6 @@ private:
         const auto slot = static_cast<std::size_t>(id);
         return id >= 0 && slot < index_by_id_.size() ? index_by_id_[slot] : -1;
     }
-
-    /// Received power on tx -> rx at distance d: the fading process, or
-    /// the inlined reference two-ray 1/max(d,1)^4.
-    double link_power(net::NodeId tx, net::NodeId rx, double distance_m);
-
-    /// Linear SINR threshold a frame must clear at its receivers: the
-    /// reference linear capture threshold, or (SINR mode) the max of the
-    /// dB capture threshold and the frame rate's decode floor.
-    double frame_capture_threshold(const Frame& frame) const;
 
     /// One receiver a transmitter can affect, with the geometry-derived
     /// facts transmit() needs, precomputed once per topology. A deaf
@@ -196,9 +194,9 @@ private:
     std::vector<std::int32_t> index_by_id_;  ///< attach position per node id; -1 = not attached
     std::vector<std::vector<ReachEntry>> reach_;  ///< per transmitter, in attach order
     LinkTable<double> link_loss_;
-    std::unique_ptr<JakesFading> fading_;        ///< null = reference two-ray
+    std::unique_ptr<JakesFading> fading_;        ///< null = two-ray
     std::unique_ptr<RateManager> rate_manager_;  ///< null = fixed default
-    PhyModelConfig::Interference interference_ = PhyModelConfig::Interference::kReference;
+    double noise_floor_w_ = 0.0;
     FramePool frame_pool_;
     std::uint64_t next_signal_id_ = 1;
     std::uint64_t transmissions_ = 0;

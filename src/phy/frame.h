@@ -162,22 +162,14 @@ struct PhyParams {
     double tx_range_m = 250.0;       ///< delivery range (two-ray, ns-2 default)
     double cs_range_m = 550.0;       ///< carrier-sense range
     double interference_range_m = 550.0;  ///< corrupts receptions within this range
-    /// Capture threshold (linear SIR). A locked reception survives
+    /// Capture threshold (linear SINR). A locked reception survives
     /// overlapping interference as long as its power exceeds the sum of
-    /// interferer powers by this ratio (ns-2 CPThresh = 10 dB). Power
-    /// follows the two-ray 1/d^4 law — all scenario distances exceed the
-    /// ~86 m crossover, so the d^-4 regime applies throughout.
+    /// interferer powers plus the noise floor by this ratio (ns-2 CPThresh
+    /// = 10 dB), or by its rate's decode floor when that is higher (4 dB
+    /// at 1 Mb/s, so the floor binds only below 2.51). Power follows the
+    /// two-ray 1/d^4 law — all scenario distances exceed the ~86 m
+    /// crossover, so the d^-4 regime applies throughout.
     double capture_threshold = 10.0;
-    /// Capture threshold in dB, used by the cumulative-SINR interference
-    /// ledger (`PhyModelConfig::Interference::kSinrLedger`). 10 dB is
-    /// exactly the linear 10.0 above, so the degenerate ledger (zero noise,
-    /// no rate floors binding) reproduces the reference capture test.
-    double capture_threshold_db = 10.0;
-    /// Thermal-noise floor added to the interference sum in SINR mode,
-    /// watts on the same normalized scale as the propagation model output
-    /// (reference two-ray emits 1/d^4 for unit tx power). 0 keeps SINR a
-    /// pure signal-to-interference ratio.
-    double noise_floor_w = 0.0;
     std::int64_t bitrate_bps = 1'000'000;
     SimTime plcp_overhead_us = 192;  ///< long PLCP preamble + header at 1 Mb/s
     int mac_data_overhead_bytes = 36;  ///< 24 B MAC header + 4 B FCS + 8 B LLC/SNAP

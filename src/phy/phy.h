@@ -20,11 +20,11 @@ struct RxEvent {
     const Frame* frame = nullptr;
     double power_w = 0.0;  ///< received power at this node (propagation model)
     /// Thermal noise added to the interference sum in the capture test
-    /// (0 in the reference configuration).
+    /// (`PhyModelConfig::noise_floor_w`, 0 by default).
     double noise_w = 0.0;
-    /// Linear SINR this frame needs to lock and survive: the capture
-    /// threshold, already combined with the rate's decode floor in SINR
-    /// mode (`PhyParams::capture_threshold` verbatim in reference mode).
+    /// Linear SINR this frame needs to lock and survive
+    /// (`Channel::capture_threshold`: the capture threshold or the rate's
+    /// decode floor, whichever is higher).
     double capture_threshold = 10.0;
     bool in_delivery = false;  ///< within tx_range: decode candidate
     bool sensed = false;       ///< within cs_range: counts for energy detection

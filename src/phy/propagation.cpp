@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include "util/rng.h"
 #include "util/units.h"
@@ -30,7 +31,7 @@ std::uint64_t splitmix_key(std::uint64_t x)
 JakesFading::JakesFading(double doppler_hz, std::uint64_t seed, int oscillators)
     : doppler_hz_(doppler_hz), seed_(seed), oscillators_(oscillators)
 {
-    if (doppler_hz < 0.0) throw std::invalid_argument("JakesFading: doppler must be >= 0");
+    if (!(doppler_hz >= 0.0)) throw std::invalid_argument("JakesFading: doppler must be >= 0");
     if (oscillators < 1) throw std::invalid_argument("JakesFading: need at least one oscillator");
 }
 
@@ -38,14 +39,11 @@ JakesFading::~JakesFading() = default;
 
 JakesFading::Oscillators& JakesFading::rays_for(net::NodeId tx, net::NodeId rx)
 {
-    const std::uint64_t key = (static_cast<std::uint64_t>(static_cast<std::uint32_t>(tx)) << 32) |
-                              static_cast<std::uint64_t>(static_cast<std::uint32_t>(rx));
-    for (auto& [k, bank] : banks_)
-        if (k == key) return *bank;
+    if (auto* found = banks_.find(tx, rx)) return **found;
 
     // Ray bank seeded by a keyed hash of (model seed, link): deterministic,
     // independent of every simulator RNG stream, and distinct per direction.
-    util::Rng rng(splitmix_key(seed_ ^ splitmix_key(key)));
+    util::Rng rng(splitmix_key(seed_ ^ splitmix_key(LinkTable<int>::link_key(tx, rx))));
     auto bank = std::make_unique<Oscillators>();
     const double omega_d = 2.0 * kPi * doppler_hz_;
     bank->omega.reserve(static_cast<std::size_t>(oscillators_));
@@ -55,8 +53,7 @@ JakesFading::Oscillators& JakesFading::rays_for(net::NodeId tx, net::NodeId rx)
         bank->omega.push_back(omega_d * std::cos(alpha));
         bank->phi.push_back(rng.uniform_real(0.0, 2.0 * kPi));
     }
-    banks_.emplace_back(key, std::move(bank));
-    return *banks_.back().second;
+    return *banks_.insert_or_assign(tx, rx, std::move(bank));
 }
 
 double JakesFading::power_gain(net::NodeId tx, net::NodeId rx, util::SimTime now)

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "net/packet.h"
+#include "phy/link_table.h"
 #include "util/units.h"
 
 namespace ezflow::phy {
@@ -39,7 +39,9 @@ inline double two_ray_power_w(double tx_power_w, double distance_m)
 /// configuration).
 ///
 /// With `doppler_hz == 0` the gain computation is bypassed entirely and
-/// link_power_w returns the two-ray power bit-for-bit.
+/// link_power_w returns the two-ray power bit-for-bit; the Channel builds
+/// no fading process for zero Doppler at all. Node ids must be
+/// non-negative (LinkTable keys).
 class JakesFading {
 public:
     JakesFading(double doppler_hz, std::uint64_t seed, int oscillators = 16);
@@ -48,9 +50,6 @@ public:
     /// Received power on the directed link tx -> rx at time `now`.
     double link_power_w(net::NodeId tx, net::NodeId rx, double tx_power_w, double distance_m,
                         util::SimTime now);
-    /// True when link_power_w depends only on distance (zero Doppler), so
-    /// the Channel may precompute per-link powers once.
-    bool time_invariant() const { return doppler_hz_ == 0.0; }
 
     /// Power gain |h(t)|^2 on a link at time t; exposed for the
     /// distribution tests.
@@ -63,10 +62,8 @@ private:
     double doppler_hz_;
     std::uint64_t seed_;
     int oscillators_;
-    // Lazily-populated per-link ray banks. Flat-hashed (LinkTable) would
-    // also work; the bank is touched once per transmission so a map is off
-    // the critical path, but we keep it pointer-stable via unique_ptr.
-    std::vector<std::pair<std::uint64_t, std::unique_ptr<Oscillators>>> banks_;
+    // Lazily-populated per-link ray banks, pointer-stable via unique_ptr.
+    LinkTable<std::unique_ptr<Oscillators>> banks_;
 };
 
 }  // namespace ezflow::phy

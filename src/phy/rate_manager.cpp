@@ -1,17 +1,23 @@
 #include "phy/rate_manager.h"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace ezflow::phy {
 
-double min_decode_snr_db(std::int64_t bitrate_bps)
+double decode_floor(std::int64_t bitrate_bps)
 {
     // DSSS/CCK receiver-sensitivity ladder: each modulation step costs
-    // roughly 3 dB of margin.
-    if (bitrate_bps <= 1'000'000) return 4.0;
-    if (bitrate_bps <= 2'000'000) return 7.0;
-    if (bitrate_bps <= 5'500'000) return 10.0;
-    return 13.0;
+    // roughly 3 dB of margin. Converted to linear once.
+    static const std::array<double, kDsssRates.size()> floors = [] {
+        const std::array<double, kDsssRates.size()> db = {4.0, 7.0, 10.0, 13.0};
+        std::array<double, kDsssRates.size()> linear{};
+        for (std::size_t i = 0; i < db.size(); ++i) linear[i] = std::pow(10.0, db[i] / 10.0);
+        return linear;
+    }();
+    std::size_t i = 0;
+    while (i + 1 < kDsssRates.size() && bitrate_bps > kDsssRates[i]) ++i;
+    return floors[i];
 }
 
 MinstrelRate::MinstrelRate(int probe_period, double ewma_weight)

@@ -13,11 +13,12 @@ namespace ezflow::phy {
 inline constexpr std::array<std::int64_t, 4> kDsssRates = {1'000'000, 2'000'000, 5'500'000,
                                                            11'000'000};
 
-/// Minimum SNR (dB) at which a frame modulated at `bitrate_bps` decodes,
-/// used by the cumulative-SINR interference ledger: faster modulations need
-/// more margin, which is what makes rate adaptation a real trade-off. The
-/// figures follow the usual DSSS/CCK receiver-sensitivity deltas.
-double min_decode_snr_db(std::int64_t bitrate_bps);
+/// Minimum SINR (linear) at which a frame modulated at `bitrate_bps`
+/// decodes, a floor under every capture test: faster modulations need more
+/// margin, which is what makes rate adaptation a real trade-off. The
+/// figures follow the usual DSSS/CCK receiver-sensitivity deltas: 4, 7, 10
+/// and 13 dB up the ladder.
+double decode_floor(std::int64_t bitrate_bps);
 
 /// Per-link transmission rate selection. The MAC asks for a rate once per
 /// data attempt (retries re-ask) and reports the attempt's outcome after

@@ -15,10 +15,9 @@
 #include "phy/rate_manager.h"
 #include "sim/scheduler.h"
 
-// Pluggable-PHY model tests: the degenerate-parameter equivalence suite
-// (every model family at its reference point must reproduce the reference
-// path exactly), the Rayleigh envelope distribution of the Jakes process,
-// and the cumulative-SINR capture semantics the interference ledger adds.
+// Pluggable-PHY model tests: a fixed-rate manager reproduces the default
+// path exactly, the Rayleigh envelope distribution of the Jakes process,
+// and the cumulative-SINR capture rule every frame is tested against.
 namespace ezflow::phy {
 namespace {
 
@@ -70,42 +69,13 @@ TEST(LinkTable, RejectsNegativeNodeIds)
 
 // --------------------------------------- degenerate-parameter equivalence
 
-std::vector<std::uint64_t> line_fingerprint(const PhyModelConfig& models, std::uint64_t seed)
+std::vector<std::uint64_t> line_fingerprint(std::uint64_t seed)
 {
     analysis::ScenarioSpec spec = analysis::ScenarioSpec::line(4, /*duration_s=*/12.0);
-    spec.models = models;
     analysis::ExperimentFactory factory(spec, analysis::ExperimentOptions{});
     std::unique_ptr<analysis::Experiment> experiment = factory.make(seed);
     experiment->run();
     return experiment_fingerprint(*experiment);
-}
-
-TEST(PhyModelEquivalence, JakesZeroDopplerMatchesReference)
-{
-    // Jakes with zero Doppler is a static unit-gain channel over the
-    // reference two-ray law: the full dynamic-model plumbing runs, yet
-    // every counter must match the reference path exactly.
-    for (std::uint64_t seed : {11ull, 12ull, 13ull}) {
-        PhyModelConfig fading;
-        fading.propagation = PhyModelConfig::Propagation::kJakes;
-        fading.jakes_doppler_hz = 0.0;
-        EXPECT_EQ(line_fingerprint(fading, seed), line_fingerprint(PhyModelConfig{}, seed))
-            << "seed " << seed;
-    }
-}
-
-TEST(PhyModelEquivalence, SinrLedgerWithoutNoiseMatchesReference)
-{
-    // Cumulative SINR with a zero noise floor and the default 10 dB
-    // threshold evaluates the exact reference capture expression (the
-    // 1 Mb/s decode floor sits below the capture threshold), so every
-    // capture decision — and therefore the whole run — is identical.
-    for (std::uint64_t seed : {11ull, 12ull, 13ull}) {
-        PhyModelConfig sinr;
-        sinr.interference = PhyModelConfig::Interference::kSinrLedger;
-        EXPECT_EQ(line_fingerprint(sinr, seed), line_fingerprint(PhyModelConfig{}, seed))
-            << "seed " << seed;
-    }
 }
 
 /// Stamps every data attempt with the 1 Mb/s PHY default.
@@ -124,9 +94,7 @@ TEST(PhyModelEquivalence, ExplicitFixedRateManagerMatchesReference)
         std::unique_ptr<analysis::Experiment> experiment = factory.make(seed);
         experiment->network().channel().set_rate_manager(std::make_unique<OneMegabitRate>());
         experiment->run();
-        EXPECT_EQ(experiment_fingerprint(*experiment),
-                  line_fingerprint(PhyModelConfig{}, seed))
-            << "seed " << seed;
+        EXPECT_EQ(experiment_fingerprint(*experiment), line_fingerprint(seed)) << "seed " << seed;
     }
 }
 
@@ -174,13 +142,11 @@ TEST(JakesFading, ZeroDopplerReturnsTwoRayPowerBitForBit)
     JakesFading model(0.0, 7);
     for (double d : {1.0, 150.0, 250.0, 420.0})
         EXPECT_EQ(model.link_power_w(0, 1, 1.0, d, 123'456), two_ray_power_w(1.0, d));
-    EXPECT_TRUE(model.time_invariant());
 }
 
 TEST(JakesFading, ScalesTheTwoRayPowerByTheGain)
 {
     JakesFading model(10.0, 7);
-    EXPECT_FALSE(model.time_invariant());
     for (double d : {150.0, 420.0}) {
         const double gain = model.power_gain(0, 1, 5000);
         EXPECT_EQ(model.link_power_w(0, 1, 1.0, d, 5000), two_ray_power_w(1.0, d) * gain);
@@ -190,7 +156,10 @@ TEST(JakesFading, ScalesTheTwoRayPowerByTheGain)
 TEST(JakesFading, RejectsBadParameters)
 {
     EXPECT_THROW(JakesFading(-1.0, 7), std::invalid_argument);
+    EXPECT_THROW(JakesFading(std::nan(""), 7), std::invalid_argument);
     EXPECT_THROW(JakesFading(10.0, 7, 0), std::invalid_argument);
+    JakesFading model(10.0, 7);
+    EXPECT_THROW(model.power_gain(-1, 0, 5000), std::invalid_argument);
 }
 
 // --------------------------------------------- cumulative-SINR semantics
@@ -211,11 +180,11 @@ struct SinrBed {
 
     explicit SinrBed(PhyParams params) : channel(scheduler, util::Rng(7), params) {}
 
-    /// Cumulative-SINR capture, installed the way every run installs it.
-    void use_sinr_ledger()
+    /// A noise floor, installed the way every run installs its models.
+    void set_noise_floor(double noise_w)
     {
         PhyModelConfig config;
-        config.interference = PhyModelConfig::Interference::kSinrLedger;
+        config.noise_floor_w = noise_w;
         channel.set_models(config, /*network_seed=*/0);
     }
 
@@ -246,62 +215,74 @@ struct SinrBed {
 
 // Geometry shared by the mid-frame capture tests: receiver R at 200 m from
 // the sender (power 1/200^4 = 6.25e-10 W) and a hidden interferer whose
-// power at R is 12x weaker — above the 10 dB capture ratio, so the
-// reference model lets R keep the frame. The interferer starts mid-frame.
+// power at R is `sir` times weaker. The interferer starts mid-frame.
 constexpr double kSenderX = 0.0;
 constexpr double kReceiverX = 200.0;
-const double kInterfererX = kReceiverX + 200.0 * std::pow(12.0, 0.25);  // ~372 m from R
+double interferer_x(double sir) { return kReceiverX + 200.0 * std::pow(sir, 0.25); }
 
-TEST(SinrCapture, MidFrameInterfererSurvivesReferenceCapture)
+/// Whether R decodes the sender's frame when an interferer at SIR `sir`
+/// starts 1 ms into it.
+bool decodes_past_interferer(SinrBed& bed, double sir)
 {
+    NodePhy& sender = bed.add(kSenderX);
+    bed.add(kReceiverX);
+    NodePhy& interferer = bed.add(interferer_x(sir));
+    sender.start_tx(SinrBed::data(0, 1));
+    bed.scheduler.schedule_at(1000, [&] { interferer.start_tx(SinrBed::data(2, 1)); });
+    bed.scheduler.run();
+    EXPECT_EQ(bed.listeners[1]->decoded.size() + bed.phys[1]->frames_corrupted(), 1u);
+    return bed.listeners[1]->decoded.size() == 1;
+}
+
+TEST(SinrCapture, MidFrameInterfererSurvivesCapture)
+{
+    // SIR 12 (interferer ~372 m from R): 6.25e-10 >= 10 x 5.2e-11, and
+    // no noise, so the lock survives.
     SinrBed bed{PhyParams{}};
-    NodePhy& sender = bed.add(kSenderX);
-    bed.add(kReceiverX);
-    NodePhy& interferer = bed.add(kInterfererX);
-    sender.start_tx(SinrBed::data(0, 1));
-    bed.scheduler.schedule_at(1000, [&] { interferer.start_tx(SinrBed::data(2, 1)); });
-    bed.scheduler.run();
-    // Reference capture: 6.25e-10 >= 10 x 5.2e-11, the lock survives.
-    EXPECT_EQ(bed.listeners[1]->decoded.size(), 1u);
-    EXPECT_EQ(bed.phys[1]->frames_corrupted(), 0u);
+    EXPECT_TRUE(decodes_past_interferer(bed, 12.0));
 }
 
-TEST(SinrCapture, MidFrameInterfererPlusNoiseCorruptsUnderSinrLedger)
+TEST(SinrCapture, DecodeFloorBindsUnderAUnitCaptureThreshold)
 {
-    // Same geometry, SINR mode with a 2e-11 W noise floor: at lock the
-    // frame clears 10 x noise easily, but when the interferer arrives the
-    // cumulative test 6.25e-10 < 10 x (5.2e-11 + 2e-11) fails — the
-    // mid-frame interferer corrupts a reception the reference model kept.
+    // With a unit capture threshold an interferer at SIR 2 would leave
+    // the lock alone, but a 1 Mb/s frame still needs its 4 dB (2.51x)
+    // decode floor: the floor binds and the frame is corrupted.
     PhyParams params;
-    params.noise_floor_w = 2e-11;
+    params.capture_threshold = 1.0;
     SinrBed bed{params};
-    bed.use_sinr_ledger();
-    NodePhy& sender = bed.add(kSenderX);
-    bed.add(kReceiverX);
-    NodePhy& interferer = bed.add(kInterfererX);
-    sender.start_tx(SinrBed::data(0, 1));
-    bed.scheduler.schedule_at(1000, [&] { interferer.start_tx(SinrBed::data(2, 1)); });
-    bed.scheduler.run();
-    EXPECT_EQ(bed.listeners[1]->decoded.size(), 0u);
-    EXPECT_EQ(bed.phys[1]->frames_corrupted(), 1u);
+    EXPECT_FALSE(decodes_past_interferer(bed, 2.0));
 }
 
-TEST(SinrCapture, StrongMidFrameInterfererCorruptsInBothModes)
+TEST(SinrCapture, OneMegabitThresholdIsTheCaptureThresholdExactly)
+{
+    // The 1 Mb/s decode floor (2.51x) sits below every capture threshold
+    // in use, so those runs keep their exact threshold.
+    for (const double threshold : {10.0, 100.0, 1e9}) {
+        PhyParams params;
+        params.capture_threshold = threshold;
+        SinrBed bed{params};
+        EXPECT_EQ(bed.channel.capture_threshold(SinrBed::data(0, 1)), threshold);
+        EXPECT_EQ(bed.channel.capture_threshold(SinrBed::data(0, 1, 1'000'000)), threshold);
+    }
+}
+
+TEST(SinrCapture, MidFrameInterfererPlusNoiseCorrupts)
+{
+    // Same geometry with a 2e-11 W noise floor: at lock the frame clears
+    // 10 x noise easily, but when the interferer arrives the cumulative
+    // test 6.25e-10 < 10 x (5.2e-11 + 2e-11) fails — the mid-frame
+    // interferer corrupts a reception the noiseless channel kept.
+    SinrBed bed{PhyParams{}};
+    bed.set_noise_floor(2e-11);
+    EXPECT_FALSE(decodes_past_interferer(bed, 12.0));
+}
+
+TEST(SinrCapture, StrongMidFrameInterfererCorrupts)
 {
     // Interferer only 5x weaker than the locked frame: below the 10 dB
-    // capture ratio, so reference and SINR mode agree on corruption.
-    for (const bool sinr : {false, true}) {
-        SinrBed bed{PhyParams{}};
-        if (sinr) bed.use_sinr_ledger();
-        NodePhy& sender = bed.add(kSenderX);
-        bed.add(kReceiverX);
-        NodePhy& interferer = bed.add(kReceiverX + 200.0 * std::pow(5.0, 0.25));
-        sender.start_tx(SinrBed::data(0, 1));
-        bed.scheduler.schedule_at(1000, [&] { interferer.start_tx(SinrBed::data(2, 1)); });
-        bed.scheduler.run();
-        EXPECT_EQ(bed.listeners[1]->decoded.size(), 0u) << "sinr=" << sinr;
-        EXPECT_EQ(bed.phys[1]->frames_corrupted(), 1u) << "sinr=" << sinr;
-    }
+    // capture ratio.
+    SinrBed bed{PhyParams{}};
+    EXPECT_FALSE(decodes_past_interferer(bed, 5.0));
 }
 
 TEST(SinrCapture, RateDecodeFloorBindsAtHighRates)
@@ -309,11 +290,9 @@ TEST(SinrCapture, RateDecodeFloorBindsAtHighRates)
     // 200 m link, 5e-11 W noise: SNR = 12.5 (11 dB). A 1 Mb/s frame needs
     // max(10 dB capture, 4 dB floor) = 10x and decodes; an 11 Mb/s frame
     // needs max(10 dB, 13 dB) = 19.95x and is corrupted by noise alone.
-    PhyParams params;
-    params.noise_floor_w = 5e-11;
     for (const std::int64_t rate : {std::int64_t{1'000'000}, std::int64_t{11'000'000}}) {
-        SinrBed bed{params};
-        bed.use_sinr_ledger();
+        SinrBed bed{PhyParams{}};
+        bed.set_noise_floor(5e-11);
         NodePhy& sender = bed.add(kSenderX);
         bed.add(kReceiverX);
         sender.start_tx(SinrBed::data(0, 1, rate));
@@ -321,6 +300,25 @@ TEST(SinrCapture, RateDecodeFloorBindsAtHighRates)
         const bool should_decode = rate == 1'000'000;
         EXPECT_EQ(bed.listeners[1]->decoded.size(), should_decode ? 1u : 0u) << rate;
     }
+}
+
+TEST(SetModels, InstallsExactlyTheGivenSelection)
+{
+    SinrBed bed{PhyParams{}};
+    PhyModelConfig minstrel;
+    minstrel.rate = PhyModelConfig::Rate::kMinstrel;
+    bed.channel.set_models(minstrel, /*network_seed=*/0);
+    EXPECT_NE(dynamic_cast<MinstrelRate*>(bed.channel.rate_manager()), nullptr);
+    // The default config replaces the manager instead of being ignored.
+    bed.channel.set_models(PhyModelConfig{}, /*network_seed=*/0);
+    EXPECT_EQ(bed.channel.rate_manager(), nullptr);
+
+    PhyModelConfig bad;
+    bad.jakes_doppler_hz = -1.0;
+    EXPECT_THROW(bed.channel.set_models(bad, 0), std::invalid_argument);
+    bad = PhyModelConfig{};
+    bad.noise_floor_w = std::nan("");
+    EXPECT_THROW(bed.channel.set_models(bad, 0), std::invalid_argument);
 }
 
 TEST(InterferenceLedger, TracksActivePowerAndSnapsToZero)

@@ -26,7 +26,7 @@ TEST(Geometry, DistanceEuclidean)
 
 // ---------------------------------------------------------- propagation
 
-TEST(Propagation, ReferenceLawIsInverseFourthClampedAtOneMetre)
+TEST(TwoRay, ReferenceLawIsInverseFourthClampedAtOneMetre)
 {
     EXPECT_EQ(two_ray_power_w(1.0, 2.0), 1.0 / 16.0);
     EXPECT_EQ(two_ray_power_w(2.0, 10.0), 2e-4);
@@ -35,7 +35,7 @@ TEST(Propagation, ReferenceLawIsInverseFourthClampedAtOneMetre)
     EXPECT_EQ(two_ray_power_w(1.0, 0.0), 1.0);
 }
 
-TEST(Propagation, Ns2ThresholdsYieldPaperRanges)
+TEST(TwoRay, Ns2ThresholdsYieldPaperRanges)
 {
     // The 250 m delivery / 550 m carrier-sense ranges the paper quotes are
     // the ns-2 defaults (wireless-phy.cc). Beyond the two-ray crossover

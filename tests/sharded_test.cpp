@@ -391,7 +391,6 @@ TEST(ShardedRun, ClustersWithJakesFadingMatchTheSerialFingerprint)
         clusters.duration_s = 4.0;
         clusters.max_shards = shards;
         analysis::ScenarioSpec spec = analysis::ScenarioSpec::clusters_spec(clusters);
-        spec.models.propagation = phy::PhyModelConfig::Propagation::kJakes;
         spec.models.jakes_doppler_hz = 5.0;
         analysis::ExperimentFactory factory(spec, analysis::ExperimentOptions{});
         std::unique_ptr<analysis::Experiment> experiment = factory.make(/*seed=*/3);
