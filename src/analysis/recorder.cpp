@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace ezflow::analysis {
@@ -32,14 +33,18 @@ BufferTracer::BufferTracer(net::Network& network, std::vector<net::NodeId> nodes
     : network_(network), period_(period), streaming_(streaming)
 {
     if (period_ <= 0) throw std::invalid_argument("BufferTracer: period must be > 0");
-    for (net::NodeId n : nodes) {
-        if (streaming_)
-            stats_[n];
-        else
-            traces_[n];
-    }
     sweeps_ = group_by_shard<net::NodeId, Sweep>(
         network_, nodes, [this](net::NodeId n) { return network_.shard_of(n); });
+    for (std::size_t s = 0; s < sweeps_.size(); ++s) {
+        Sweep& sweep = sweeps_[s];
+        for (std::size_t i = 0; i < sweep.nodes.size(); ++i)
+            if (!columns_.emplace(sweep.nodes[i], Column{s, i}).second)
+                throw std::invalid_argument("BufferTracer: node tracked twice");
+        if (streaming_)
+            sweep.stats.resize(sweep.nodes.size());
+        else
+            sweep.backlogs.resize(sweep.nodes.size());
+    }
 }
 
 void BufferTracer::start()
@@ -53,55 +58,70 @@ void BufferTracer::start()
 void BufferTracer::sample(std::size_t sweep)
 {
     Sweep& group = sweeps_[sweep];
-    const SimTime now = group.scheduler->now();
-    for (net::NodeId n : group.nodes) {
-        const int backlog = network_.node(n).mac().queues().total_packets();
+    if (!streaming_) group.times.push_back(group.scheduler->now());
+    for (std::size_t i = 0; i < group.nodes.size(); ++i) {
+        const int backlog = network_.node(group.nodes[i]).mac().queues().total_packets();
         if (streaming_)
-            stats_.at(n).add(static_cast<double>(backlog));
+            group.stats[i].add(static_cast<double>(backlog));
         else
-            traces_.at(n).add(now, static_cast<double>(backlog));
+            group.backlogs[i].push_back(static_cast<std::int32_t>(backlog));
     }
     group.scheduler->schedule_in(period_, [this, sweep] { sample(sweep); });
 }
 
-const util::TimeSeries& BufferTracer::trace(net::NodeId node) const
+const BufferTracer::Column& BufferTracer::column(net::NodeId node, const char* who) const
+{
+    const auto it = columns_.find(node);
+    if (it == columns_.end())
+        throw std::invalid_argument(std::string("BufferTracer::") + who + ": untracked node");
+    return it->second;
+}
+
+util::TimeSeries BufferTracer::trace(net::NodeId node) const
 {
     if (streaming_)
         throw std::logic_error("BufferTracer::trace: no series in streaming mode");
-    const auto it = traces_.find(node);
-    if (it == traces_.end()) throw std::invalid_argument("BufferTracer::trace: untracked node");
-    return it->second;
+    const Column& c = column(node, "trace");
+    const Sweep& sweep = sweeps_[c.sweep];
+    const std::vector<std::int32_t>& backlogs = sweep.backlogs[c.index];
+    util::TimeSeries series;
+    for (std::size_t i = 0; i < backlogs.size(); ++i)
+        series.add(sweep.times[i], static_cast<double>(backlogs[i]));
+    return series;
 }
 
 double BufferTracer::mean_occupancy(net::NodeId node, SimTime from, SimTime to) const
 {
-    if (streaming_) {
-        const auto it = stats_.find(node);
-        if (it == stats_.end())
-            throw std::invalid_argument("BufferTracer::mean_occupancy: untracked node");
-        return it->second.mean();  // whole-run mean; windows need the series
-    }
-    return trace(node).mean_between(from, to);
+    const Column& c = column(node, "mean_occupancy");
+    const Sweep& sweep = sweeps_[c.sweep];
+    if (streaming_) return sweep.stats[c.index].mean();  // whole-run mean; windows need the series
+    // The same values in the same order as TimeSeries::mean_between.
+    const std::vector<std::int32_t>& backlogs = sweep.backlogs[c.index];
+    util::RunningStats window;
+    const auto first = std::lower_bound(sweep.times.begin(), sweep.times.end(), from);
+    for (auto i = static_cast<std::size_t>(first - sweep.times.begin());
+         i < sweep.times.size() && sweep.times[i] < to; ++i)
+        window.add(static_cast<double>(backlogs[i]));
+    return window.mean();
 }
 
 double BufferTracer::max_occupancy(net::NodeId node) const
 {
+    const Column& c = column(node, "max_occupancy");
+    const Sweep& sweep = sweeps_[c.sweep];
     if (streaming_) {
-        const auto it = stats_.find(node);
-        if (it == stats_.end())
-            throw std::invalid_argument("BufferTracer::max_occupancy: untracked node");
-        return it->second.count() > 0 ? it->second.max() : 0.0;
+        const util::RunningStats& stats = sweep.stats[c.index];
+        return stats.count() > 0 ? stats.max() : 0.0;
     }
-    const util::TimeSeries& t = trace(node);
-    double max = 0.0;
-    for (double v : t.values()) max = std::max(max, v);
-    return max;
+    std::int32_t max = 0;
+    for (std::int32_t v : sweep.backlogs[c.index]) max = std::max(max, v);
+    return static_cast<double>(max);
 }
 
 std::size_t BufferTracer::stored_samples() const
 {
     std::size_t total = 0;
-    for (const auto& [node, series] : traces_) total += series.size();
+    for (const Sweep& sweep : sweeps_) total += sweep.nodes.size() * sweep.times.size();
     return total;
 }
 
@@ -136,14 +156,15 @@ CwTracer::CwTracer(net::Network& network, std::vector<Target> targets, SimTime p
     : network_(network), period_(period), streaming_(streaming)
 {
     if (period_ <= 0) throw std::invalid_argument("CwTracer: period must be > 0");
-    for (const Target& t : targets) {
-        if (streaming_)
-            stats_[t.node];
-        else
-            traces_[t.node];
-    }
     sweeps_ = group_by_shard<Target, Sweep>(
         network_, targets, [this](const Target& t) { return network_.shard_of(t.node); });
+    for (Sweep& sweep : sweeps_)
+        for (const Target& t : sweep.targets)
+            sweep.slots.push_back(slot_of_.emplace(t.node, slot_of_.size()).first->second);
+    if (streaming_)
+        stats_.resize(slot_of_.size());
+    else
+        traces_.resize(slot_of_.size());
 }
 
 void CwTracer::start()
@@ -158,7 +179,8 @@ void CwTracer::sample(std::size_t sweep)
 {
     Sweep& group = sweeps_[sweep];
     const SimTime now = group.scheduler->now();
-    for (const Target& t : group.targets) {
+    for (std::size_t i = 0; i < group.targets.size(); ++i) {
+        const Target& t = group.targets[i];
         // Either traffic class toward the successor carries the EZ-Flow
         // cw; prefer whichever queue exists.
         const mac::MacQueueSet& queues = network_.node(t.node).mac().queues();
@@ -166,9 +188,9 @@ void CwTracer::sample(std::size_t sweep)
         if (q == nullptr) q = queues.find(mac::QueueKey{t.successor, true});
         if (q == nullptr) continue;  // node has not transmitted yet
         if (streaming_)
-            stats_.at(t.node).add(static_cast<double>(q->cw_min()));
+            stats_[group.slots[i]].add(static_cast<double>(q->cw_min()));
         else
-            traces_.at(t.node).add(now, static_cast<double>(q->cw_min()));
+            traces_[group.slots[i]].add(now, static_cast<double>(q->cw_min()));
     }
     group.scheduler->schedule_in(period_, [this, sweep] { sample(sweep); });
 }
@@ -176,15 +198,15 @@ void CwTracer::sample(std::size_t sweep)
 const util::TimeSeries& CwTracer::trace(net::NodeId node) const
 {
     if (streaming_) throw std::logic_error("CwTracer::trace: no series in streaming mode");
-    const auto it = traces_.find(node);
-    if (it == traces_.end()) throw std::invalid_argument("CwTracer::trace: untracked node");
-    return it->second;
+    const auto it = slot_of_.find(node);
+    if (it == slot_of_.end()) throw std::invalid_argument("CwTracer::trace: untracked node");
+    return traces_[it->second];
 }
 
 std::size_t CwTracer::stored_samples() const
 {
     std::size_t total = 0;
-    for (const auto& [node, series] : traces_) total += series.size();
+    for (const util::TimeSeries& series : traces_) total += series.size();
     return total;
 }
 

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <vector>
 
@@ -22,19 +23,25 @@ using util::SimTime;
 /// reference — when the network is unsharded), so tracer event cost is
 /// O(shards) per period instead of O(nodes).
 ///
+/// Storage is columnar: each sweep keeps one time column shared by its
+/// nodes and one 4-byte backlog column per node, so a sample costs 4 B
+/// plus 8 B per sweep instant rather than a (time, value) pair per node.
+///
 /// `streaming` mode keeps only whole-run RunningStats per node instead
-/// of the full (time, value) series — O(nodes) memory for arbitrarily
-/// long runs. trace() is unavailable then; mean_occupancy ignores its
-/// window and reports the whole-run mean.
+/// of the columns — O(nodes) memory for arbitrarily long runs. trace()
+/// is unavailable then; mean_occupancy ignores its window and reports
+/// the whole-run mean.
 class BufferTracer {
 public:
+    /// `nodes` must not repeat a node.
     BufferTracer(net::Network& network, std::vector<net::NodeId> nodes, SimTime period,
                  bool streaming = false);
 
     /// Begin periodic sampling at the next period boundary.
     void start();
 
-    const util::TimeSeries& trace(net::NodeId node) const;
+    /// The (time, backlog) series of `node`, built from the columns.
+    util::TimeSeries trace(net::NodeId node) const;
     /// Mean occupancy of `node` over [from, to) (whole run in streaming
     /// mode).
     double mean_occupancy(net::NodeId node, SimTime from, SimTime to) const;
@@ -42,24 +49,32 @@ public:
     double max_occupancy(net::NodeId node) const;
 
     bool streaming() const { return streaming_; }
-    /// Total series samples held (stays 0 in streaming mode — the flat
-    /// memory assertion of the islands benchmark).
+    /// Node samples held, one per node per sweep instant (stays 0 in
+    /// streaming mode, where memory is flat in run length).
     std::size_t stored_samples() const;
 
 private:
     struct Sweep {
         sim::Scheduler* scheduler;
         std::vector<net::NodeId> nodes;
+        std::vector<SimTime> times{};                       ///< one per sweep instant
+        std::vector<std::vector<std::int32_t>> backlogs{};  ///< per node, aligned with times
+        std::vector<util::RunningStats> stats{};            ///< per node, streaming mode only
+    };
+    /// Where a node's column lives: its sweep and its index in it.
+    struct Column {
+        std::size_t sweep;
+        std::size_t index;
     };
 
     void sample(std::size_t sweep);
+    const Column& column(net::NodeId node, const char* who) const;
 
     net::Network& network_;
     SimTime period_;
     bool streaming_;
     std::vector<Sweep> sweeps_;  ///< one periodic chain per shard, shard id ascending
-    std::map<net::NodeId, util::TimeSeries> traces_;
-    std::map<net::NodeId, util::RunningStats> stats_;
+    std::map<net::NodeId, Column> columns_;
     bool started_ = false;
 };
 
@@ -123,6 +138,7 @@ private:
     struct Sweep {
         sim::Scheduler* scheduler;
         std::vector<Target> targets;
+        std::vector<std::size_t> slots{};  ///< per target, its node's series/stats index
     };
 
     void sample(std::size_t sweep);
@@ -131,8 +147,11 @@ private:
     SimTime period_;
     bool streaming_;
     std::vector<Sweep> sweeps_;  ///< one periodic chain per shard, shard id ascending
-    std::map<net::NodeId, util::TimeSeries> traces_;
-    std::map<net::NodeId, util::RunningStats> stats_;
+    std::map<net::NodeId, std::size_t> slot_of_;
+    /// Per tracked node, indexed by slot: a node's samples start once its
+    /// queue exists, so each keeps its own time axis.
+    std::vector<util::TimeSeries> traces_;
+    std::vector<util::RunningStats> stats_;  ///< streaming mode only
     bool started_ = false;
 };
 

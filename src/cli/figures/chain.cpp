@@ -24,7 +24,7 @@ FigureResult run_fig01(const FigureContext& ctx)
         RunResult& cell = result.add_cell(std::to_string(hops) + "-hop chain / IEEE 802.11");
         WindowResult& window = cell.add_window("settled");
         const double warmup = 0.2 * duration_s;
-        std::vector<std::pair<std::string, const util::TimeSeries*>> series;
+        std::vector<std::pair<std::string, util::TimeSeries>> series;
         for (int n = 1; n < hops; ++n) {
             const std::string prefix = "N" + std::to_string(n);
             window.set(prefix + ".buf_mean",
@@ -34,7 +34,7 @@ FigureResult run_fig01(const FigureContext& ctx)
             window.set(prefix + ".drops",
                        metric_point(static_cast<double>(
                            exp.network().node(n).forward_queue_drops())));
-            series.emplace_back(prefix, &exp.buffers().trace(n));
+            if (!ctx.csv_dir.empty()) series.emplace_back(prefix, exp.buffers().trace(n));
         }
         window.set("goodput_kbps", metric_point(exp.summarize(0, warmup, duration_s).mean_kbps));
         maybe_dump_series(ctx, "fig01_" + std::to_string(hops) + "hop", series);

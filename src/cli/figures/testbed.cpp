@@ -35,14 +35,14 @@ void fig04_case(const FigureContext& ctx, FigureResult& result, const FlowCase& 
     RunResult& cell = result.add_cell(std::string(fc.name) + " / " + mode_name(mode));
     WindowResult& window = cell.add_window("settled");
     const double warmup = 0.25 * duration_s;
-    std::vector<std::pair<std::string, const util::TimeSeries*>> series;
+    std::vector<std::pair<std::string, util::TimeSeries>> series;
     for (int n : fc.relays) {
         const std::string prefix = "N" + std::to_string(n);
         window.set(prefix + ".buf_mean",
                    metric_point(exp.buffers().mean_occupancy(n, util::from_seconds(warmup),
                                                              util::from_seconds(duration_s))));
         window.set(prefix + ".buf_max", metric_point(exp.buffers().max_occupancy(n)));
-        series.emplace_back(prefix, &exp.buffers().trace(n));
+        if (!ctx.csv_dir.empty()) series.emplace_back(prefix, exp.buffers().trace(n));
     }
     window.set("goodput_kbps",
                metric_point(exp.summarize(fc.flow_id, warmup, duration_s).mean_kbps));

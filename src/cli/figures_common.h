@@ -123,17 +123,31 @@ struct Scenario2Periods {
     }
 };
 
+/// Write `ts` as `<csv_dir>/<name>_<label>.csv`.
+inline void dump_series(const FigureContext& ctx, const std::string& name,
+                        const std::string& label, const util::TimeSeries& ts)
+{
+    util::CsvWriter csv(ctx.csv_dir + "/" + name + "_" + label + ".csv", {"time_s", "value"});
+    for (std::size_t i = 0; i < ts.size(); ++i)
+        csv.add_row(std::vector<double>{util::to_seconds(ts.times()[i]), ts.values()[i]});
+}
+
 /// Dump a time series set as CSV when the context carries a --csv dir.
 inline void maybe_dump_series(
     const FigureContext& ctx, const std::string& name,
     const std::vector<std::pair<std::string, const util::TimeSeries*>>& series)
 {
     if (ctx.csv_dir.empty()) return;
-    for (const auto& [label, ts] : series) {
-        util::CsvWriter csv(ctx.csv_dir + "/" + name + "_" + label + ".csv", {"time_s", "value"});
-        for (std::size_t i = 0; i < ts->size(); ++i)
-            csv.add_row(std::vector<double>{util::to_seconds(ts->times()[i]), ts->values()[i]});
-    }
+    for (const auto& [label, ts] : series) dump_series(ctx, name, label, *ts);
+}
+
+/// The same for series held by value (built only when there is a --csv
+/// dir to write them to, such as BufferTracer::trace).
+inline void maybe_dump_series(const FigureContext& ctx, const std::string& name,
+                              const std::vector<std::pair<std::string, util::TimeSeries>>& series)
+{
+    if (ctx.csv_dir.empty()) return;
+    for (const auto& [label, ts] : series) dump_series(ctx, name, label, ts);
 }
 
 /// Node id for a paper label like "N12" (-1 when absent).

@@ -298,6 +298,7 @@ phy::Frame DcfMac::data_frame() const
     frame.retry = retries_;
     frame.bitrate_bps = current_rate_bps_;
     frame.ampdu = batch_ampdu_;
+    frame.mpdus.reserve(ba_.window().size());
     for (const BlockAckManager::SenderEntry& entry : ba_.window())
         frame.mpdus.push_back(phy::Mpdu{entry.packet, entry.seq, entry.retry});
     return frame;

@@ -39,6 +39,13 @@ public:
     const Mpdu& operator[](std::size_t i) const { return many_.empty() ? one_ : many_[i]; }
     Mpdu& operator[](std::size_t i) { return many_.empty() ? one_ : many_[i]; }
 
+    /// Room for `n` MPDUs without reallocation; a single-MPDU list stays
+    /// inline and allocates nothing.
+    void reserve(std::size_t n)
+    {
+        if (n > 1) many_.reserve(n);
+    }
+
     void push_back(const Mpdu& mpdu)
     {
         if (many_.empty()) {

@@ -15,21 +15,20 @@ void Sink::set_streaming(bool on)
 void Sink::attach_flow(int flow_id)
 {
     if (flows_.count(flow_id) > 0) throw std::invalid_argument("Sink::attach_flow: already attached");
-    flows_[flow_id];  // default-construct the record
+    FlowRecord* record = &flows_[flow_id];  // default-construct the record
     const auto& path = network_.routing_table().path(flow_id);
-    schedulers_[flow_id] = &network_.scheduler_for(path.back());
+    const sim::Scheduler* clock = &network_.scheduler_for(path.back());
     net::Node& dst = network_.node(path.back());
     // Several flows can terminate at the same node; the callback filters
     // on the flow id this attach call registered.
-    dst.add_delivery_handler([this, flow_id](const net::Packet& packet) {
-        if (packet.flow_id == flow_id) on_delivery(flow_id, packet);
+    dst.add_delivery_handler([this, flow_id, record, clock](const net::Packet& packet) {
+        if (packet.flow_id == flow_id) on_delivery(*record, *clock, packet);
     });
 }
 
-void Sink::on_delivery(int flow_id, const net::Packet& packet)
+void Sink::on_delivery(FlowRecord& record, const sim::Scheduler& clock, const net::Packet& packet)
 {
-    FlowRecord& record = flows_.at(flow_id);
-    const SimTime now = schedulers_.at(flow_id)->now();
+    const SimTime now = clock.now();
     const auto seq = static_cast<std::int64_t>(packet.seq);
     if (seq <= record.max_seq_seen) {
         // Either a duplicate (lost ACK path) or reordering; with FIFO

@@ -61,19 +61,17 @@ public:
     double goodput_kbps(int flow_id, SimTime from, SimTime to) const;
 
     /// Stored per-delivery samples across all flows (one per delivery);
-    /// stays 0 in streaming mode — the flat-memory assertion of the
-    /// islands benchmark.
+    /// stays 0 in streaming mode, where memory is flat in run length.
     std::size_t stored_samples() const;
 
 private:
-    void on_delivery(int flow_id, const net::Packet& packet);
+    /// `clock` is the destination node's shard scheduler: delivery
+    /// timestamps are shard-local.
+    void on_delivery(FlowRecord& record, const sim::Scheduler& clock, const net::Packet& packet);
 
     net::Network& network_;
     bool streaming_ = false;
-    std::map<int, FlowRecord> flows_;
-    /// The destination node's shard scheduler per flow: delivery
-    /// timestamps are shard-local.
-    std::map<int, sim::Scheduler*> schedulers_;
+    std::map<int, FlowRecord> flows_;  ///< std::map: records stay put for the handlers
 };
 
 }  // namespace ezflow::traffic

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "analysis/drop_audit.h"
 #include "analysis/experiment.h"
 #include "analysis/experiment_factory.h"
@@ -8,6 +13,7 @@
 #include "analysis/result.h"
 #include "analysis/sweep.h"
 #include "core/pacer.h"
+#include "net/topo_gen.h"
 #include "net/topologies.h"
 #include "traffic/source.h"
 #include "util/stats.h"
@@ -119,6 +125,129 @@ TEST(CwTracer, TracksQueueCwMin)
     s.network->run_until(10 * kSecond + 1);
     ASSERT_FALSE(tracer.trace(0).empty());
     EXPECT_DOUBLE_EQ(tracer.trace(0).values().back(), 256.0);
+}
+
+/// Reference buffer sampler: one periodic event chain per node, each
+/// reading the node's MAC backlog into its own TimeSeries. Started right
+/// after a BufferTracer on the same period, its events fire next to the
+/// tracer's at every instant, so both see the same backlogs.
+class ReferenceBacklogSampler {
+public:
+    ReferenceBacklogSampler(net::Network& network, const std::vector<net::NodeId>& nodes,
+                            util::SimTime period)
+        : network_(network), period_(period)
+    {
+        for (const net::NodeId n : nodes) {
+            series_[n];
+            network_.scheduler_for(n).schedule_in(period_, [this, n] { sample(n); });
+        }
+    }
+
+    const util::TimeSeries& trace(net::NodeId node) const { return series_.at(node); }
+
+private:
+    void sample(net::NodeId node)
+    {
+        sim::Scheduler& scheduler = network_.scheduler_for(node);
+        series_.at(node).add(
+            scheduler.now(),
+            static_cast<double>(network_.node(node).mac().queues().total_packets()));
+        scheduler.schedule_in(period_, [this, node] { sample(node); });
+    }
+
+    net::Network& network_;
+    util::SimTime period_;
+    std::map<net::NodeId, util::TimeSeries> series_;
+};
+
+/// Experiment's buffer sampling period (Fig. 1 / Fig. 4's 100 ms).
+constexpr util::SimTime kExperimentBufferPeriod = 100 * util::kMillisecond;
+
+/// Run `scenario` for `seconds` with the tracer (streaming or not) and
+/// the reference side by side; every query must match bit for bit.
+void expect_tracer_matches_reference(net::Scenario scenario, double seconds, bool streaming)
+{
+    ExperimentOptions options;
+    options.streaming = streaming;
+    Experiment exp(std::move(scenario), options);
+    const std::vector<net::NodeId> nodes = exp.transmitting_nodes();
+    const ReferenceBacklogSampler reference(exp.network(), nodes, kExperimentBufferPeriod);
+    exp.run_until_s(seconds);
+
+    const BufferTracer& tracer = exp.buffers();
+    const std::size_t sweeps = reference.trace(nodes.front()).size();
+    ASSERT_GT(sweeps, 100u);
+    double busiest = 0.0;
+    for (const net::NodeId n : nodes) {
+        const util::TimeSeries& want = reference.trace(n);
+        ASSERT_EQ(want.size(), sweeps) << "node " << n;
+        double max = 0.0;
+        for (const double v : want.values()) max = std::max(max, v);
+        busiest = std::max(busiest, max);
+        EXPECT_EQ(tracer.max_occupancy(n), max) << "node " << n;
+        if (streaming) {
+            util::RunningStats whole;
+            for (const double v : want.values()) whole.add(v);
+            EXPECT_EQ(tracer.mean_occupancy(n, 0, 1), whole.mean()) << "node " << n;
+            continue;
+        }
+        const util::TimeSeries got = tracer.trace(n);
+        EXPECT_EQ(got.times(), want.times()) << "node " << n;
+        EXPECT_EQ(got.values(), want.values()) << "node " << n;
+        const util::SimTime end = util::from_seconds(seconds);
+        const std::vector<std::pair<util::SimTime, util::SimTime>> windows = {
+            {0, end + 1},                                // the whole run
+            {end + kSecond, end + 2 * kSecond},          // empty: after the run
+            {want.times()[10], want.times()[sweeps / 2]},  // half-open: from in, to out
+            {want.times()[10] + 1, want.times()[20] + 1},  // edges between samples
+        };
+        for (const auto& [from, to] : windows)
+            EXPECT_EQ(tracer.mean_occupancy(n, from, to), want.mean_between(from, to))
+                << "node " << n << " window [" << from << ", " << to << ")";
+    }
+    EXPECT_GT(busiest, 0.0);  // some relay queued, so the match is not vacuous
+    EXPECT_EQ(tracer.stored_samples(), streaming ? 0u : nodes.size() * sweeps);
+}
+
+net::Scenario two_islands()
+{
+    net::IslandsSpec islands;
+    islands.islands = 2;
+    islands.cols = 3;
+    islands.rows = 2;
+    islands.sources = 2;
+    islands.start_s = 1.0;
+    islands.duration_s = 30.0;
+    islands.max_shards = 2;
+    net::Scenario scenario = net::make_islands(islands, /*seed=*/5);
+    EXPECT_EQ(scenario.network->shard_count(), 2);
+    return scenario;
+}
+
+TEST(BufferTracer, ColumnsMatchReferenceSamplerOnChain)
+{
+    expect_tracer_matches_reference(net::make_line(4, 40, 3), 30.0, false);
+}
+
+TEST(BufferTracer, ColumnsMatchReferenceSamplerAcrossShards)
+{
+    expect_tracer_matches_reference(two_islands(), 30.0, false);
+}
+
+TEST(BufferTracer, StreamingStatsMatchReferenceSampler)
+{
+    expect_tracer_matches_reference(net::make_line(4, 40, 3), 30.0, true);
+    expect_tracer_matches_reference(two_islands(), 30.0, true);
+}
+
+TEST(BufferTracer, RejectsRepeatedNodesAndStreamingTrace)
+{
+    net::Scenario s = net::make_line(2, 100, 3);
+    EXPECT_THROW(BufferTracer(*s.network, {1, 0, 1}, kSecond), std::invalid_argument);
+    BufferTracer streaming(*s.network, {1}, kSecond, /*streaming=*/true);
+    EXPECT_THROW(streaming.trace(1), std::logic_error);
+    EXPECT_THROW(streaming.mean_occupancy(0, 0, kSecond), std::invalid_argument);
+    EXPECT_THROW(streaming.max_occupancy(0), std::invalid_argument);
 }
 
 // ------------------------------------------------------------- experiment
