@@ -267,10 +267,8 @@ int cmd_list(const util::Cli& cli)
     util::Table table({"name", "category", "scale", "seeds", "title"});
     for (const FigureSpec* spec : FigureRegistry::instance().list()) {
         if (!category.empty() && spec->category != category) continue;
-        table.add_row({spec->name + (spec->aka.empty() ? "" : " (" + spec->aka + ")"),
-                       spec->category,
-                       util::Table::num(spec->default_scale, 2), std::to_string(spec->default_seeds),
-                       spec->title});
+        table.add_row({spec->name, spec->category, util::Table::num(spec->default_scale, 2),
+                       std::to_string(spec->default_seeds), spec->title});
     }
     std::printf("%s", table.to_string().c_str());
     std::printf("%zu entries. `ezflow run <name>` runs one; `ezflow help` for flags.\n",

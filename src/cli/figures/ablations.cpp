@@ -245,43 +245,43 @@ void register_ablation_figures()
 {
     FigureRegistry& registry = FigureRegistry::instance();
     registry.add(FigureSpec{
-        "ablation_pacer", "", "ablation", "CWmin control vs routing-layer rate pacing",
+        "ablation_pacer", "ablation", "CWmin control vs routing-layer rate pacing",
         "Conclusion — the pacing variant for dense neighbourhoods",
         "Both EZ-flow variants drain the first relay's MAC buffer that plain 802.11 saturates; "
         "the paced variant keeps its backlog in the routing layer without touching the MAC.",
         0.1, 1, 0.02, 1, run_ablation_pacer});
     registry.add(FigureSpec{
-        "ablation_penalty_q", "", "ablation", "static penalty of [9] vs self-tuning EZ-Flow",
+        "ablation_penalty_q", "ablation", "static penalty of [9] vs self-tuning EZ-Flow",
         "Sec. 2.3 — q is topology-dependent; EZ-flow discovers it online",
         "No single q works everywhere — q = 1 saturates relays, very small q wastes capacity "
         "on short chains. EZ-flow matches the best static q per topology without knowing it.",
         0.1, 1, 0.015, 1, run_ablation_penalty_q});
     registry.add(FigureSpec{
-        "ablation_phy_capture", "", "ablation", "capture threshold vs the Fig. 1 dichotomy",
+        "ablation_phy_capture", "ablation", "capture threshold vs the Fig. 1 dichotomy",
         "modelling ablation — why SIR capture is required to reproduce the paper",
         "With 10 dB capture, 3-hop stays drained while 4-hop's first relay saturates. With "
         "capture disabled the structure degrades and congestion appears in the wrong places.",
         0.1, 1, 0.03, 1, run_ablation_phy_capture});
     registry.add(FigureSpec{
-        "ablation_rtscts", "", "ablation", "is RTS/CTS an alternative to EZ-Flow?",
+        "ablation_rtscts", "ablation", "is RTS/CTS an alternative to EZ-Flow?",
         "Sec. 5.1 — the paper disables RTS/CTS; EZ-flow attacks the cause instead",
         "Under 550 m carrier sense the handshake only costs airtime. Under 1-hop sensing it "
         "softens hidden-terminal losses but does not drain the relay buffers; EZ-flow does.",
         0.1, 1, 0.02, 1, run_ablation_rtscts});
     registry.add(FigureSpec{
-        "ablation_sample_window", "", "ablation", "CAA decision window sweep",
+        "ablation_sample_window", "ablation", "CAA decision window sweep",
         "Sec. 3.3 / Alg. 1 — decisions every 50 BOE samples",
         "Tiny windows over-react (more cw churn for no gain); huge windows adapt sluggishly "
         "when the second flow joins. The paper's 50 sits in the flat middle.",
         0.1, 1, 0.015, 1, run_ablation_sample_window});
     registry.add(FigureSpec{
-        "ablation_sniff_loss", "", "ablation", "EZ-Flow under missed sniffs",
+        "ablation_sniff_loss", "ablation", "EZ-Flow under missed sniffs",
         "Sec. 3.2 — robustness to forwarded packets that are not overheard",
         "Stabilization persists across the sweep — the relay buffer stays drained and goodput "
         "flat even when 95% of sniffs are lost; only the convergence time stretches.",
         0.1, 1, 0.02, 1, run_ablation_sniff_loss});
     registry.add(FigureSpec{
-        "ablation_thresholds", "", "ablation", "bmin/bmax sensitivity on the 4-hop chain",
+        "ablation_thresholds", "ablation", "bmin/bmax sensitivity on the 4-hop chain",
         "Sec. 3.3 — small bmin is essential; bmax trades reactivity for calm",
         "The paper's (0.05, 20) keeps the relay drained at full goodput. Large bmin makes "
         "nodes regain aggressiveness too easily; the bmax choice matters much less.",

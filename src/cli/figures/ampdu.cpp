@@ -58,7 +58,7 @@ void register_ampdu_figures()
 {
     FigureRegistry& registry = FigureRegistry::instance();
     registry.add(FigureSpec{
-        "ampdu", "", "figure",
+        "ampdu", "figure",
         "gateway convergecast at A-MPDU batch sizes K = 1, 4, 16",
         "802.11n-style frame aggregation applied to the EZ-flow relay workload",
         "Aggregation amortises contention overhead: aggregate throughput rises with K while "

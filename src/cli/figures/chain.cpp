@@ -47,7 +47,7 @@ FigureResult run_fig01(const FigureContext& ctx)
 void register_chain_figures()
 {
     FigureRegistry::instance().add(FigureSpec{
-        "fig01", "fig01_instability", "figure",
+        "fig01", "figure",
         "relay buffers, 3-hop vs 4-hop chain under 802.11",
         "Fig. 1 — 3-hop stable, 4-hop first relay saturates",
         "3-hop relay buffers stay bounded well below the 50-packet cap; the 4-hop chain's "

@@ -248,42 +248,42 @@ void register_example_figures()
 {
     FigureRegistry& registry = FigureRegistry::instance();
     registry.add(FigureSpec{
-        "quickstart", "", "example",
+        "quickstart", "example",
         "K-hop chain quickstart: 802.11 vs EZ-flow end to end",
         "the smallest end-to-end use of the library's public API",
         "EZ-flow stabilizes the chain plain 802.11 cannot: relay queues drain, goodput rises, "
         "delay collapses. Extra flag: --hops=<k>.",
         1.0, 1, 0.15, 1, run_quickstart});
     registry.add(FigureSpec{
-        "parking_lot", "", "example",
+        "parking_lot", "example",
         "testbed parking lot: short flow starves long flow",
         "Table 2's scenario as a library example",
         "802.11 starves the 7-hop flow; with EZ-flow both sources self-throttle and the "
         "fairness index recovers. Extra flag: --cap=<max_cw>.",
         1.0, 2, 0.2, 2, run_parking_lot});
     registry.add(FigureSpec{
-        "backhaul_gateway", "", "example",
+        "backhaul_gateway", "example",
         "two 8-hop access flows merging toward the gateway",
         "the workload the paper's introduction motivates (Fig. 2 / Fig. 5)",
         "EZ-flow keeps the merge smooth while plain 802.11 congests; no message passing — "
         "each node sniffs its successor's forwards and steers only its own CWmin.",
         0.2, 4, 0.05, 2, run_backhaul_gateway});
     registry.add(FigureSpec{
-        "voip_mesh", "", "example",
+        "voip_mesh", "example",
         "64 kb/s voice flow sharing a 4-hop backhaul with greedy bulk",
         "the delay-sensitive workload of the introduction",
         "Voice packets queue behind the bulk flow's backlog at every relay; EZ-flow keeps "
         "those buffers drained, so tail latency drops by an order of magnitude.",
         1.0, 1, 0.15, 1, run_voip_mesh});
     registry.add(FigureSpec{
-        "adaptive_traffic", "", "example",
+        "adaptive_traffic", "example",
         "EZ-flow windows breathing with a bursty on-off flow",
         "the adaptivity property Section 2.2 demands",
         "Both source windows follow the offered load up and down without any signalling: they "
         "climb while the burst is on and decay during silences.",
         1.0, 1, 0.1, 1, run_adaptive_traffic});
     registry.add(FigureSpec{
-        "model_explorer", "", "example",
+        "model_explorer", "example",
         "drive the Section 6 slotted random-walk model directly",
         "the stability boundary without packet-level simulation",
         "With fixed windows the backlog h(b) grows roughly linearly for hops >= 4; with "

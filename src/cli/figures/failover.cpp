@@ -186,7 +186,7 @@ void register_failover_figures()
 {
     FigureRegistry& registry = FigureRegistry::instance();
     registry.add(FigureSpec{
-        "failover_gateway", "", "figure",
+        "failover_gateway", "figure",
         "gateway death and revival mid-run on the convergecast grid",
         "fault injection / churn robustness (beyond the paper's static runs)",
         "The outage suspends every flow (goodput_dip_ratio -> 0, sources pause on backoff); "
@@ -195,7 +195,7 @@ void register_failover_figures()
         "--duration.",
         1.0, 2, 0.1, 2, run_failover_gateway});
     registry.add(FigureSpec{
-        "failover_relay", "", "figure",
+        "failover_relay", "figure",
         "arterial relay death on the convergecast grid, incremental reroute",
         "fault injection / churn robustness (beyond the paper's static runs)",
         "The incremental repair steers flows onto same-length detours (flows_rerouted > 0, "

@@ -155,7 +155,7 @@ void register_grid_figures()
 {
     FigureRegistry& registry = FigureRegistry::instance();
     registry.add(FigureSpec{
-        "grid_cross", "", "figure",
+        "grid_cross", "figure",
         "crossing row/column flows over a generated N x M grid",
         "the cross-traffic grid workload of Chan, Liew & Chan (arXiv:0704.0528)",
         "Plain 802.11 lets the crossing flows starve each other at the shared relays; EZ-flow "
@@ -163,7 +163,7 @@ void register_grid_figures()
         "--flows, --spacing, --cs-range, --duration.",
         1.0, 2, 0.1, 2, run_grid_cross});
     registry.add(FigureSpec{
-        "grid_gateway", "", "figure",
+        "grid_gateway", "figure",
         "edge sources converging on a corner gateway of a generated grid",
         "the convergecast backhaul pattern of mesh access networks",
         "All flows funnel into the gateway's one-hop neighbourhood; 802.11 starves the "
@@ -171,7 +171,7 @@ void register_grid_figures()
         "--sources, --spacing, --cs-range, --duration.",
         1.0, 2, 0.1, 2, run_grid_gateway});
     registry.add(FigureSpec{
-        "grid_maxmin", "", "figure",
+        "grid_maxmin", "figure",
         "per-flow throughput / max-min ratio over parking-lot chains",
         "the max-min fairness study style of Leith et al. (arXiv:1002.1581)",
         "With 802.11 the long flow's share collapses as entry flows are added "
@@ -179,7 +179,7 @@ void register_grid_figures()
         "Extra flags: --hops, --duration.",
         1.0, 2, 0.1, 2, run_grid_maxmin});
     registry.add(FigureSpec{
-        "islands", "", "figure",
+        "islands", "figure",
         "disconnected grid islands partitioned one shard per island",
         "the space-parallel sharded engine's embarrassingly-parallel case",
         "Each island is an independent convergecast grid; the conflict-graph partitioner "

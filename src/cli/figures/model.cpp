@@ -119,7 +119,7 @@ void register_model_figures()
 {
     FigureRegistry& registry = FigureRegistry::instance();
     registry.add(FigureSpec{
-        "fig12", "fig12_lyapunov_walk", "figure",
+        "fig12", "figure",
         "random-walk stability of the 4-hop model",
         "Fig. 12 / Theorem 1 — EZ-flow keeps the walk near the origin",
         "The fixed-window walk's backlog grows roughly linearly in time (instability of [9]); "
@@ -127,7 +127,7 @@ void register_model_figures()
         "negative — Foster's criterion, i.e. Theorem 1.",
         1.0, 1, 0.05, 1, run_fig12});
     registry.add(FigureSpec{
-        "table4", "table4_model_probabilities", "table",
+        "table4", "table",
         "pattern distribution per region of the slotted model",
         "Table 4 — closed forms vs the generative race/interference process",
         "Monte-Carlo matches the closed forms in every region; with the EZ-flow window vector "

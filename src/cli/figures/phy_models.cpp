@@ -108,14 +108,14 @@ void register_phy_model_figures()
 {
     FigureRegistry& registry = FigureRegistry::instance();
     registry.add(FigureSpec{
-        "fading", "", "figure", "Rayleigh fading outage on the 4-hop chain",
+        "fading", "figure", "Rayleigh fading outage on the 4-hop chain",
         "PHY-model extension — Jakes fading over a noise floor",
         "Doppler 0 matches the clean chain; at 2.5 and 10 Hz deep fades corrupt ~6% of frames "
         "per link, retransmissions grow and goodput sags — while EZ-flow keeps the relay "
         "buffers bounded under the extra churn. Extra flags: --noise.",
         0.1, 2, 0.03, 2, run_fading});
     registry.add(FigureSpec{
-        "rate_adapt", "", "figure", "Minstrel rate adaptation vs hop distance",
+        "rate_adapt", "figure", "Minstrel rate adaptation vs hop distance",
         "PHY-model extension — per-rate SNR decode floors + Minstrel probing",
         "At 150 m Minstrel settles at 11 Mb/s and multiplies goodput over the fixed-rate "
         "baseline; at 190 m it drops to 5.5, at 230 m to 2 — degrading gracefully to the "

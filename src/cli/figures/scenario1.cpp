@@ -113,21 +113,21 @@ void register_scenario1_figures()
 {
     FigureRegistry& registry = FigureRegistry::instance();
     registry.add(FigureSpec{
-        "fig06", "fig06_scenario1_throughput", "figure",
+        "fig06", "figure",
         "throughput vs time, 2-flow merge (scenario 1)",
         "Fig. 6 — EZ-flow raises F1-alone throughput ~20% and smooths both flows",
         "EZ-flow improves the single-flow period's throughput (~20% in the paper) and keeps "
         "the two-flow period smoother (lower spread) at an equal or better aggregate.",
         0.3, 8, 0.05, 2, run_fig06});
     registry.add(FigureSpec{
-        "fig07", "fig07_scenario1_delay", "figure",
+        "fig07", "figure",
         "end-to-end delay vs time, 2-flow merge (scenario 1)",
         "Fig. 7 — 802.11 ~4-6 s; EZ-flow ~0.2 s with transient peaks at load changes",
         "An order-of-magnitude delay reduction under EZ-flow in every period; a visible "
         "transient peak right after F2 joins, quickly damped as the windows re-converge.",
         0.3, 8, 0.05, 2, run_fig07});
     registry.add(FigureSpec{
-        "fig08", "fig08_scenario1_cw", "figure",
+        "fig08", "figure",
         "EZ-Flow contention-window evolution (scenario 1)",
         "Fig. 8 — relays at 2^4; F1 source to ~2^7 alone, sources to ~2^11 together",
         "Sources carry the largest windows (self-throttling), relays near the gateway stay "

@@ -96,21 +96,21 @@ void register_scenario2_figures()
 {
     FigureRegistry& registry = FigureRegistry::instance();
     registry.add(FigureSpec{
-        "fig10", "fig10_scenario2_delay", "figure",
+        "fig10", "figure",
         "end-to-end delay vs time, 3 crossing flows (scenario 2)",
         "Fig. 10 — 802.11: seconds-to-tens-of-seconds delays; EZ-flow: >=10x lower",
         "EZ-flow reduces every flow's delay by an order of magnitude in every period, and the "
         "final F1-alone period returns to the single-flow regime of scenario 1.",
         0.15, 8, 0.04, 2, run_fig10});
     registry.add(FigureSpec{
-        "fig11", "fig11_scenario2_cw", "figure",
+        "fig11", "figure",
         "contention windows at the flows' first nodes (scenario 2)",
         "Fig. 11 — sources self-throttle (2^7..2^10); first relays stay aggressive",
         "Each flow's source carries a much larger window than its first relay; windows grow "
         "when a new flow joins (period 2) and relax when traffic leaves (period 3).",
         0.15, 8, 0.04, 2, run_fig11});
     registry.add(FigureSpec{
-        "table3", "table3_scenario2", "table",
+        "table3", "table",
         "per-period throughput / stddev / fairness (scenario 2)",
         "Table 3 — EZ-flow: +62% cumulative throughput and FI 0.64 -> 0.80 in period 2",
         "Under 802.11 the crossing flows starve each other (low FI); EZ-flow lifts the starved "

@@ -145,7 +145,7 @@ void register_testbed_figures()
 {
     FigureRegistry& registry = FigureRegistry::instance();
     registry.add(FigureSpec{
-        "fig04", "fig04_testbed_buffers", "figure",
+        "fig04", "figure",
         "testbed relay buffers with/without EZ-Flow",
         "Fig. 4 — 802.11: ~42-44 pkts at N1/N2 (F1) and N4 (F2); EZ-flow: 29.5 / 5.2 / 5.3",
         "Under 802.11 the relays before the bottleneck saturate (F1: N1, N2 at the l2 "
@@ -153,14 +153,14 @@ void register_testbed_figures()
         "partially loaded because the 2^10 cw cap limits the source's self-throttling.",
         0.1, 1, 0.03, 1, run_fig04});
     registry.add(FigureSpec{
-        "table1", "table1_link_capacity", "table",
+        "table1", "table",
         "per-link capacity of flow F1's links",
         "Table 1 — l2 is the bottleneck at ~408 kb/s",
         "l0 fastest (~845 kb/s at 1 Mb/s PHY), l2 the bottleneck around half of that, the "
         "remaining links in between.",
         0.1, 1, 0.05, 1, run_table1});
     registry.add(FigureSpec{
-        "table2", "table2_testbed", "table",
+        "table2", "table",
         "testbed throughput / stddev / fairness",
         "Table 2 — 802.11: (7, 143) FI 0.55 together; EZ-flow: (71, 110) FI 0.96",
         "Alone, each flow gains ~20% with EZ-flow. Together, 802.11 starves the long flow F1 "

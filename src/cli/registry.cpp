@@ -46,7 +46,7 @@ void FigureRegistry::add(FigureSpec spec)
     if (spec.name.empty()) throw std::invalid_argument("FigureRegistry: empty name");
     if (!spec.run)
         throw std::invalid_argument("FigureRegistry: figure '" + spec.name + "' has no run");
-    if (find(spec.name) != nullptr || (!spec.aka.empty() && find(spec.aka) != nullptr))
+    if (find(spec.name) != nullptr)
         throw std::invalid_argument("FigureRegistry: duplicate figure '" + spec.name + "'");
     specs_.emplace(spec.name, std::move(spec));
 }
@@ -54,10 +54,7 @@ void FigureRegistry::add(FigureSpec spec)
 const FigureSpec* FigureRegistry::find(const std::string& name) const
 {
     const auto it = specs_.find(name);
-    if (it != specs_.end()) return &it->second;
-    for (const auto& [key, spec] : specs_)
-        if (spec.aka == name) return &spec;
-    return nullptr;
+    return it != specs_.end() ? &it->second : nullptr;
 }
 
 std::vector<const FigureSpec*> FigureRegistry::list() const

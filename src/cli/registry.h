@@ -47,10 +47,9 @@ struct FigureContext {
 
 /// A registered scenario/figure: the unit `ezflow list | run | sweep`
 /// operates on. Every former standalone bench/example main is one of
-/// these, reachable by its old target name too.
+/// these.
 struct FigureSpec {
     std::string name;        ///< canonical short name ("fig06", "table2", ...)
-    std::string aka;         ///< former bench/example target name, also resolvable
     std::string category;    ///< "figure" | "table" | "ablation" | "example"
     std::string title;       ///< one-line description for `ezflow list`
     std::string paper_ref;   ///< which paper artifact it reproduces
@@ -72,10 +71,10 @@ public:
     static FigureRegistry& instance();
 
     /// Throws std::invalid_argument on a missing name or run, or on a
-    /// duplicate name or aka.
+    /// duplicate name.
     void add(FigureSpec spec);
 
-    /// Lookup by canonical name or by former target name (aka).
+    /// Lookup by canonical name; nullptr when unknown.
     const FigureSpec* find(const std::string& name) const;
 
     /// All specs in canonical-name order.

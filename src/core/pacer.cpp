@@ -18,7 +18,7 @@ PacedQueue::PacedQueue(net::Network& network, net::NodeId node, mac::QueueKey ke
       caa_(config, [this](int cw) {
           interval_ = base_interval_ * cw / caa_.config().min_cw;
       }),
-      release_timer_(network.scheduler_for(node), [this] { release_one(); })
+      release_timer_(sim::Timer::bind<&PacedQueue::release_one>(network.scheduler_for(node), *this))
 {
     if (capacity <= 0) throw std::invalid_argument("PacedQueue: capacity must be > 0");
     if (base_interval <= 0) throw std::invalid_argument("PacedQueue: base_interval must be > 0");

@@ -6,7 +6,8 @@
 namespace ezflow::mac {
 
 ContentionCoordinator::ContentionCoordinator(sim::Scheduler& scheduler)
-    : scheduler_(scheduler), timer_(scheduler, [this] { on_timer(); })
+    : scheduler_(scheduler),
+      timer_(sim::Timer::bind<&ContentionCoordinator::on_timer>(scheduler, *this))
 {
 }
 

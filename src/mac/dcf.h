@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "mac/block_ack.h"
@@ -80,6 +81,14 @@ public:
 /// still runs. The expiry acts only in contention, so every expiry that
 /// matters fires exactly where one event per NAV would have put it. A NAV
 /// extension cancels the superseded expiry.
+///
+/// A MAC pays only for what it uses. Everything a frame exchange needs —
+/// the contention context, the four timers, the SIFS control responses
+/// and the block-ack window and scoreboards — lives in one Exchange,
+/// allocated the first time the MAC enqueues a packet or is addressed by
+/// a data or RTS frame. A bystander that never sends and is never
+/// addressed keeps only its queues, its NAV and its counters; building
+/// the Exchange schedules nothing and draws nothing.
 class DcfMac final : public phy::PhyListener, public BackoffClient {
 public:
     DcfMac(phy::NodePhy& phy, sim::Scheduler& scheduler, ContentionCoordinator& coordinator,
@@ -152,7 +161,7 @@ public:
     /// MPDUs of the batch in flight (0 when idle). Their receiver may
     /// already have progressed any of them — the in-flight slack the drop
     /// audit allows when a run is frozen mid-dialogue.
-    std::uint64_t in_flight_mpdus() const { return ba_.window_size(); }
+    std::uint64_t in_flight_mpdus() const { return ex_ ? ex_->ba.window_size() : 0; }
 
     /// MPDUs whose dialogue a node-down quiesce cut short. The receiver
     /// may already have decoded each before the teardown flushed it —
@@ -164,7 +173,10 @@ public:
     /// A-MPDU batch leaves its queue at fill, while a lone MPDU stays
     /// queue backlog until it settles (0 then). Counts as MAC-held
     /// backlog in the drop audit's conservation laws.
-    std::uint64_t ampdu_pending() const { return batch_ampdu_ ? ba_.window_size() : 0; }
+    std::uint64_t ampdu_pending() const
+    {
+        return ex_ && ex_->batch_ampdu ? ex_->ba.window_size() : 0;
+    }
     /// Dequeued A-MPDU MPDUs surrendered by a node-down quiesce (the
     /// batch analogue of a queue's dropped_node_down bucket: these packets
     /// were dequeued but never settled on the air).
@@ -227,6 +239,61 @@ private:
     void schedule_control_if_needed();
     void send_pending_control();
 
+    // SIFS-spaced control responses (ACK / CTS / block-ack), out-of-band
+    // wrt contention.
+    struct PendingControl {
+        phy::FrameType type;
+        net::NodeId to;
+        std::uint32_t seq;
+        SimTime duration_us;  ///< NAV to advertise (CTS)
+        std::uint32_t ba_start = 0;   ///< kBlockAck: scoreboard window start
+        std::uint64_t ba_bitmap = 0;  ///< kBlockAck: compressed bitmap
+    };
+
+    /// The frame-exchange state, allocated on first use (see the class
+    /// comment). Every state but kIdle implies it exists.
+    struct Exchange {
+        explicit Exchange(DcfMac& mac);
+
+        // Current contention context (valid when in_contention).
+        bool in_contention = false;
+        MacQueue* current_queue = nullptr;
+        int retries = 0;
+        int backoff_remaining = 0;
+        /// Rate of the in-flight attempt (0 = PHY default), chosen once per
+        /// attempt in start_exchange so RTS duration and data frame agree.
+        std::int64_t current_rate_bps = 0;
+
+        sim::Timer ack_timer;
+        sim::Timer cts_timer;
+        /// One re-armed timer per MAC for every SIFS/slot control trigger
+        /// (and one for the CTS -> data follow-up) instead of a fresh
+        /// scheduler insert per dialogue. Re-arming replaces the pending
+        /// expiry at the same call sites and instants a fresh insert would
+        /// have used, so event placement — and every golden — is unchanged;
+        /// quiesce simply cancels them (no generation counter needed: a
+        /// cancelled timer cannot fire after a teardown or revive).
+        sim::Timer ctrl_timer;
+        sim::Timer cts_data_timer;
+
+        std::vector<PendingControl> pending_ctrl;  ///< rarely more than one entry
+        bool ack_tx_scheduled = false;  ///< SIFS timer armed or control frame on air
+
+        // Batch state: the sender window (non-empty exactly while serving)
+        // and the receiver scoreboards.
+        BlockAckManager ba;
+        /// The batch in flight was filled under the block-ack agreement: its
+        /// MPDUs left the queue at fill and travel as an A-MPDU. Stamped on
+        /// its data frames as Frame::ampdu.
+        bool batch_ampdu = false;
+        std::vector<net::Packet> batch_fill;  ///< pop_batch scratch
+
+        std::uint32_t next_seq = 1;
+    };
+
+    /// The exchange, built on first use.
+    Exchange& exchange();
+
     phy::NodePhy& phy_;
     sim::Scheduler& scheduler_;
     ContentionCoordinator& coordinator_;
@@ -238,50 +305,8 @@ private:
     State state_ = State::kIdle;
     bool down_ = false;  ///< quiesced by fault injection
 
-    // Current contention context (valid when in_contention_).
-    bool in_contention_ = false;
-    MacQueue* current_queue_ = nullptr;
-    int retries_ = 0;
-    int backoff_remaining_ = 0;
-    /// Rate of the in-flight attempt (0 = PHY default), chosen once per
-    /// attempt in start_exchange so RTS duration and data frame agree.
-    std::int64_t current_rate_bps_ = 0;
+    std::unique_ptr<Exchange> ex_;  ///< null until first use
 
-    sim::Timer ack_timer_;
-    sim::Timer cts_timer_;
-
-    // SIFS-spaced control responses (ACK / CTS / block-ack), out-of-band
-    // wrt contention.
-    struct PendingControl {
-        phy::FrameType type;
-        net::NodeId to;
-        std::uint32_t seq;
-        SimTime duration_us;  ///< NAV to advertise (CTS)
-        std::uint32_t ba_start = 0;   ///< kBlockAck: scoreboard window start
-        std::uint64_t ba_bitmap = 0;  ///< kBlockAck: compressed bitmap
-    };
-    std::vector<PendingControl> pending_ctrl_;  ///< rarely more than one entry
-    bool ack_tx_scheduled_ = false;  ///< SIFS timer armed or control frame on air
-    /// One re-armed timer per MAC for every SIFS/slot control trigger
-    /// (and one for the CTS -> data follow-up) instead of a fresh
-    /// scheduler insert per dialogue. Re-arming replaces the pending
-    /// expiry at the same call sites and instants a fresh insert would
-    /// have used, so event placement — and every golden — is unchanged;
-    /// quiesce simply cancels them (no generation counter needed: a
-    /// cancelled timer cannot fire after a teardown or revive).
-    sim::Timer ctrl_timer_;
-    sim::Timer cts_data_timer_;
-
-    // Batch state: the sender window (non-empty exactly while serving)
-    // and the receiver scoreboards.
-    BlockAckManager ba_;
-    /// The batch in flight was filled under the block-ack agreement: its
-    /// MPDUs left the queue at fill and travel as an A-MPDU. Stamped on
-    /// its data frames as Frame::ampdu.
-    bool batch_ampdu_ = false;
-    std::vector<net::Packet> batch_fill_;  ///< pop_batch scratch
-
-    std::uint32_t next_seq_ = 1;
     SimTime nav_until_ = 0;  ///< virtual carrier sense (Duration field)
     /// The NAV expiry's reserved FIFO place, and its event while scheduled.
     sim::Scheduler::Reservation nav_place_;

@@ -16,11 +16,18 @@ Node::Node(NodeId id, phy::Position position, sim::Scheduler& scheduler,
     mac_.set_callbacks(this);
 }
 
+Node::Hooks& Node::hooks()
+{
+    if (!hooks_) hooks_ = std::make_unique<Hooks>();
+    return *hooks_;
+}
+
 void Node::set_forward_interceptor(ForwardInterceptor interceptor)
 {
-    if (interceptor_ && interceptor)
+    ForwardInterceptor& installed = hooks().interceptor;
+    if (installed && interceptor)
         throw std::logic_error("Node::set_forward_interceptor: already installed");
-    interceptor_ = std::move(interceptor);
+    installed = std::move(interceptor);
 }
 
 bool Node::send(Packet packet)
@@ -38,7 +45,7 @@ bool Node::send(Packet packet)
         return false;
     }
     const mac::QueueKey key{next, /*own_traffic=*/true};
-    if (interceptor_ && interceptor_(key, packet)) return true;
+    if (intercepted(key, packet)) return true;
     const bool accepted = mac_.enqueue(key, std::move(packet));
     if (!accepted) ++source_queue_drops_;
     return accepted;
@@ -80,7 +87,9 @@ void Node::handle_packet(const Packet& packet)
 {
     if (packet.dst == id_) {
         ++delivered_;
-        for (const auto& handler : delivery_) handler(packet);
+        if (hooks_) {
+            for (const auto& handler : hooks_->delivery) handler(packet);
+        }
         return;
     }
     const NodeId next = routing_.next_hop_or_none(packet.flow_id, id_);
@@ -92,7 +101,7 @@ void Node::handle_packet(const Packet& packet)
     }
     ++forwarded_;
     const mac::QueueKey key{next, /*own_traffic=*/false};
-    if (interceptor_ && interceptor_(key, packet)) return;
+    if (intercepted(key, packet)) return;
     if (!mac_.enqueue(key, packet)) ++forward_queue_drops_;
 }
 
@@ -145,12 +154,14 @@ std::uint64_t Node::reorder_buffered() const
 
 void Node::mac_sniffed(const phy::Frame& frame)
 {
-    for (const auto& handler : sniffers_) handler(frame);
+    if (!hooks_) return;
+    for (const auto& handler : hooks_->sniffers) handler(frame);
 }
 
 void Node::mac_first_tx(const mac::QueueKey& key, const Packet& packet)
 {
-    for (const auto& handler : first_tx_) handler(key, packet);
+    if (!hooks_) return;
+    for (const auto& handler : hooks_->first_tx) handler(key, packet);
 }
 
 }  // namespace ezflow::net

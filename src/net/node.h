@@ -55,13 +55,19 @@ public:
     /// Upper-layer delivery for packets whose end-to-end destination is
     /// this node. Multiple handlers may subscribe (sink, meters, taps);
     /// each sees every delivered packet.
-    void add_delivery_handler(DeliveryHandler handler) { delivery_.push_back(std::move(handler)); }
+    void add_delivery_handler(DeliveryHandler handler)
+    {
+        hooks().delivery.push_back(std::move(handler));
+    }
 
     /// Promiscuous observers (EZ-Flow BOE, debug taps). All registered
     /// handlers see every decoded frame not addressed to this node.
-    void add_sniff_handler(SniffHandler handler) { sniffers_.push_back(std::move(handler)); }
+    void add_sniff_handler(SniffHandler handler) { hooks().sniffers.push_back(std::move(handler)); }
     /// Observers of first on-air transmission attempts (BOE send hook).
-    void add_first_tx_handler(FirstTxHandler handler) { first_tx_.push_back(std::move(handler)); }
+    void add_first_tx_handler(FirstTxHandler handler)
+    {
+        hooks().first_tx.push_back(std::move(handler));
+    }
 
     /// Intercept outgoing packets (source and forwarded) before they reach
     /// the MAC. Used by the rate-pacing EZ-Flow variant (core/pacer.h).
@@ -105,6 +111,23 @@ public:
 private:
     /// Deliver locally or forward toward the next hop.
     void handle_packet(const Packet& packet);
+    /// Whether an installed interceptor consumed the outgoing packet.
+    bool intercepted(const mac::QueueKey& key, const Packet& packet) const
+    {
+        return hooks_ && hooks_->interceptor && hooks_->interceptor(key, packet);
+    }
+
+    /// What upper layers hang off the node. Only sinks, agents, pacers
+    /// and taps fill these, so most nodes of a large grid never allocate
+    /// them.
+    struct Hooks {
+        std::vector<DeliveryHandler> delivery;
+        std::vector<SniffHandler> sniffers;
+        std::vector<FirstTxHandler> first_tx;
+        ForwardInterceptor interceptor;
+    };
+    /// The hooks, built by the first add_* or set_forward_interceptor.
+    Hooks& hooks();
 
     /// Per-originator reorder stream: MPDUs of one sender are released
     /// upward strictly in sequence order. `next_seq` is the
@@ -120,10 +143,7 @@ private:
     mac::DcfMac mac_;
     const RoutingTable& routing_;
 
-    std::vector<DeliveryHandler> delivery_;
-    std::vector<SniffHandler> sniffers_;
-    std::vector<FirstTxHandler> first_tx_;
-    ForwardInterceptor interceptor_;
+    std::unique_ptr<Hooks> hooks_;  ///< null until first use
     std::map<NodeId, ReorderStream> reorder_;
 
     bool up_ = true;
@@ -134,5 +154,9 @@ private:
     std::uint64_t drops_node_down_ = 0;
     std::uint64_t drops_unroutable_ = 0;
 };
+
+// A 10k-node grid is mostly bystanders: a node's fixed footprint is the
+// simulator's memory at that scale.
+static_assert(sizeof(Node) <= 720, "Node must stay within 720 bytes");
 
 }  // namespace ezflow::net

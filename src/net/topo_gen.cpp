@@ -22,7 +22,7 @@ int spread_index(int i, int count, int extent)
     return std::min(index, extent - 1);
 }
 
-/// Instantiate a planned topology as a live Network + labels. When the
+/// Instantiate a planned topology as a live, unlabelled Network. When the
 /// config allows more than one shard, the planner partitions the layout
 /// along the radio conflict graph before construction (a connected
 /// topology still collapses to a single shard — the serial reference).
@@ -32,10 +32,7 @@ Scenario instantiate(const Topology& topo, Network::Config config)
         config.shard_plan = plan_shards(topo.positions, config.phy, config.max_shards);
     Scenario scenario;
     scenario.network = std::make_unique<Network>(std::move(config));
-    for (int i = 0; i < topo.node_count(); ++i) {
-        const NodeId id = scenario.network->add_node(topo.positions[static_cast<std::size_t>(i)]);
-        scenario.labels[id] = "N" + std::to_string(id);
-    }
+    for (const phy::Position& position : topo.positions) scenario.network->add_node(position);
     return scenario;
 }
 

@@ -24,7 +24,8 @@ struct Scenario {
     std::unique_ptr<Network> network;
     std::vector<FlowPlan> flows;
     /// Human-readable node labels matching the paper's figures
-    /// (e.g. "N1", "N0'" on the testbed map).
+    /// (e.g. "N1", "N0'" on the testbed map). Only the paper builders
+    /// (topologies.cpp) label nodes; generated topologies leave it empty.
     std::map<NodeId, std::string> labels;
     /// Scheduled node/link fault events (empty for the canned paper
     /// scenarios). Executed by a sim::FaultInjector when the scenario is

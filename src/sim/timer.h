@@ -1,27 +1,32 @@
 #pragma once
 
-#include <stdexcept>
-#include <utility>
-
 #include "sim/scheduler.h"
 
 namespace ezflow::sim {
 
 /// A re-armable one-shot timer over the Scheduler, for the recurring
-/// timeouts of the MAC (DIFS, backoff slot, ACK/CTS timeout) and the
-/// pacer's release clock.
+/// timeouts of the MAC (ACK/CTS timeout, SIFS control trigger), the
+/// contention coordinator's wake-up and the pacer's release clock.
 ///
-/// The callback is stored once at construction; every arm schedules only
-/// a `this`-capturing trampoline (inline in the event arena, no
+/// The callback is a member function of the timer's owner, bound at
+/// construction (`Timer::bind<&Owner::method>(scheduler, owner)`): the
+/// timer stores a plain function pointer and the owner pointer, not a
+/// type-erased callable, because every timer lives inside the object it
+/// calls back into and a MAC carries four of them. Every arm schedules
+/// only a `this`-capturing trampoline (inline in the event arena, no
 /// allocation), and re-arming or cancelling tracks the pending EventId so
 /// callers never juggle handles or hit stale-id bugs.
 class Timer {
 public:
-    Timer(Scheduler& scheduler, EventFn callback)
-        : scheduler_(scheduler), callback_(std::move(callback))
+    /// A timer calling `(owner.*Method)()` on expiry. `owner` must outlive
+    /// the timer (it normally holds it as a member).
+    template <auto Method, typename Owner>
+    static Timer bind(Scheduler& scheduler, Owner& owner)
     {
-        if (!callback_) throw std::invalid_argument("Timer: empty callback");
+        return Timer(scheduler, [](void* self) { (static_cast<Owner*>(self)->*Method)(); },
+                     &owner);
     }
+
     Timer(const Timer&) = delete;
     Timer& operator=(const Timer&) = delete;
 
@@ -54,15 +59,27 @@ public:
     bool armed() const { return id_.valid(); }
 
 private:
+    using Callback = void (*)(void*);
+
+    Timer(Scheduler& scheduler, Callback callback, void* owner)
+        : scheduler_(scheduler), callback_(callback), owner_(owner)
+    {
+    }
+
     void fire()
     {
         id_ = EventId{};  // cleared before the callback so it may re-arm
-        callback_();
+        callback_(owner_);
     }
 
     Scheduler& scheduler_;
-    EventFn callback_;
+    Callback callback_;
+    void* owner_;
     EventId id_{};
 };
+
+// Every MAC holds four timers and a 10k-node grid holds tens of
+// thousands: four words, no callable storage.
+static_assert(sizeof(Timer) <= 32, "Timer must stay 32 bytes");
 
 }  // namespace ezflow::sim

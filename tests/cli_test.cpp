@@ -50,12 +50,8 @@ TEST_F(RegistryTest, EnumeratesEveryFormerBenchAndExampleTarget)
     EXPECT_EQ(FigureRegistry::instance().find("micro_fault"), nullptr);
 }
 
-TEST_F(RegistryTest, FindResolvesFormerTargetNames)
+TEST_F(RegistryTest, FindReturnsNullForUnknownNames)
 {
-    const FigureSpec* by_aka = FigureRegistry::instance().find("fig06_scenario1_throughput");
-    ASSERT_NE(by_aka, nullptr);
-    EXPECT_EQ(by_aka->name, "fig06");
-    EXPECT_EQ(by_aka, FigureRegistry::instance().find("fig06"));
     EXPECT_EQ(FigureRegistry::instance().find("no_such_figure"), nullptr);
 }
 
@@ -83,12 +79,6 @@ TEST_F(RegistryTest, DuplicateRegistrationThrows)
     duplicate.name = "fig06";
     duplicate.run = run;
     EXPECT_THROW(FigureRegistry::instance().add(std::move(duplicate)), std::invalid_argument);
-    FigureSpec aka_clash;
-    aka_clash.name = "brand_new";
-    aka_clash.aka = "fig06";
-    aka_clash.run = run;
-    // An aka colliding with an existing canonical name is also rejected.
-    EXPECT_THROW(FigureRegistry::instance().add(std::move(aka_clash)), std::invalid_argument);
 }
 
 TEST_F(RegistryTest, SpecWithoutRunIsRejected)

@@ -144,8 +144,8 @@ public:
                    int cw, SimTime airtime, std::vector<int> visible_to,
                    std::vector<TxRecord>& log)
         : StationBase(id, scheduler, medium, rng_seed, cw, airtime, std::move(visible_to), log),
-          difs_timer_(scheduler, [this] { on_difs(); }),
-          slot_timer_(scheduler, [this] { on_slot(); })
+          difs_timer_(sim::Timer::bind<&PerSlotStation::on_difs>(scheduler, *this)),
+          slot_timer_(sim::Timer::bind<&PerSlotStation::on_slot>(scheduler, *this))
     {
     }
 

@@ -351,6 +351,104 @@ TEST(Dcf, NavExpiryNeverOutlivesItsMac)
     }
 }
 
+TEST(Dcf, UnusedMacQuiescesRevivesAndDiesWithoutTouchingTheScheduler)
+{
+    // w never enqueues and is never addressed: it only overhears a's
+    // exchange, so it has no frame-exchange state. Taking it down,
+    // bringing it back and destroying it must neither schedule nor
+    // cancel anything, mid-exchange or after it.
+    MacBed bed;
+    DcfMac& a = bed.add(0);
+    bed.add(200);
+    DcfMac& w = bed.add(100, 150);
+    a.enqueue(QueueKey{1, true}, packet(0));
+    while (w.nav_until() == 0) bed.scheduler.run_until(bed.scheduler.now() + 1);
+    const std::size_t pending = bed.scheduler.pending();
+    const std::uint64_t processed = bed.scheduler.processed();
+    w.quiesce();
+    EXPECT_EQ(bed.scheduler.pending(), pending);
+    EXPECT_EQ(bed.scheduler.processed(), processed);
+    w.revive();
+    EXPECT_EQ(bed.scheduler.pending(), pending);
+    EXPECT_EQ(bed.scheduler.processed(), processed);
+    EXPECT_EQ(w.in_flight_mpdus(), 0u);
+    EXPECT_EQ(w.ampdu_pending(), 0u);
+    bed.scheduler.run_until(kSecond);
+    EXPECT_EQ(a.successes(), 1u);
+    EXPECT_EQ(w.data_attempts(), 0u);
+    EXPECT_EQ(w.acks_sent(), 0u);
+    const std::size_t idle_pending = bed.scheduler.pending();
+    const std::uint64_t idle_processed = bed.scheduler.processed();
+    bed.macs[2].reset();
+    EXPECT_EQ(bed.scheduler.pending(), idle_pending);
+    EXPECT_EQ(bed.scheduler.processed(), idle_processed);
+}
+
+/// Records each foreign frame with the instant it finished decoding.
+class TimedSniffer final : public MacCallbacks {
+public:
+    struct Sniff {
+        phy::Frame frame;
+        SimTime end;
+    };
+
+    explicit TimedSniffer(const sim::Scheduler& scheduler) : scheduler_(scheduler) {}
+
+    std::vector<Sniff> sniffs;
+
+    void mac_rx(const phy::Frame&, std::uint64_t, std::uint32_t) override {}
+    void mac_sniffed(const phy::Frame& frame) override
+    {
+        sniffs.push_back(Sniff{frame, scheduler_.now()});
+    }
+    void mac_first_tx(const QueueKey&, const net::Packet&) override {}
+    void mac_tx_success(const QueueKey&, const net::Packet&) override {}
+    void mac_tx_drop(const QueueKey&, const net::Packet&) override {}
+
+private:
+    const sim::Scheduler& scheduler_;
+};
+
+TEST(Dcf, FirstActAnsweringDataAcksSifsLaterThenContendsNormally)
+{
+    // b's first act is answering a's data frame: its ACK starts exactly
+    // SIFS after the data frame ends. A packet enqueued at b afterwards
+    // then waits out DIFS plus b's first backoff draw, as for any MAC.
+    MacBed bed;
+    DcfMac& a = bed.add(0);
+    DcfMac& b = bed.add(200);
+    bed.add(100, 100);  // bystander
+    TimedSniffer sniffer(bed.scheduler);
+    bed.macs[2]->set_callbacks(&sniffer);
+    const auto start_of = [&bed](const TimedSniffer::Sniff& sniff) {
+        return sniff.end - bed.phy_params.tx_duration(sniff.frame);
+    };
+    a.enqueue(QueueKey{1, true}, packet(0));
+    bed.scheduler.run_until(kSecond);
+    ASSERT_EQ(a.successes(), 1u);
+    ASSERT_EQ(sniffer.sniffs.size(), 2u);
+    EXPECT_EQ(sniffer.sniffs[0].frame.type, phy::FrameType::kData);
+    EXPECT_EQ(sniffer.sniffs[1].frame.type, phy::FrameType::kAck);
+    EXPECT_EQ(start_of(sniffer.sniffs[1]), sniffer.sniffs[0].end + bed.mac_params.sifs_us);
+    EXPECT_EQ(b.acks_sent(), 1u);
+    EXPECT_EQ(b.in_flight_mpdus(), 0u);
+
+    const SimTime enqueued_at = bed.scheduler.now();
+    b.enqueue(QueueKey{0, true}, packet(1));
+    bed.scheduler.run_until(2 * kSecond);
+    EXPECT_EQ(b.successes(), 1u);
+    EXPECT_EQ(b.data_attempts(), 1u);
+    EXPECT_EQ(bed.recorders[0]->received.size(), 1u);
+    ASSERT_EQ(sniffer.sniffs.size(), 4u);
+    ASSERT_EQ(sniffer.sniffs[2].frame.type, phy::FrameType::kData);
+    EXPECT_EQ(sniffer.sniffs[2].frame.tx_node, 1);
+    // b's first backoff is the first draw of its Rng (MacBed seeds node
+    // i with 1000 + i), and the medium stayed idle throughout.
+    const int backoff = util::Rng(1001).uniform_int(0, bed.mac_params.cw_min - 1);
+    EXPECT_EQ(start_of(sniffer.sniffs[2]),
+              enqueued_at + bed.mac_params.difs_us + backoff * bed.mac_params.slot_us);
+}
+
 TEST(Dcf, PromiscuousSniffSeesForeignFrames)
 {
     MacBed bed;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -388,11 +389,23 @@ TEST(EventFn, MoveTransfersOwnership)
     EXPECT_EQ(seen, 7);
 }
 
+/// A Timer's owner, as the MAC and the pacer are: the timer calls back
+/// into a member function, which runs whatever the test put in `on_fire`.
+struct TimerOwner {
+    explicit TimerOwner(Scheduler& s) : timer(Timer::bind<&TimerOwner::fire>(s, *this)) {}
+    void fire() { on_fire(); }
+
+    std::function<void()> on_fire = [] {};
+    Timer timer;
+};
+
 TEST(Timer, FiresOnceAndCanRearm)
 {
     Scheduler s;
     int fired = 0;
-    Timer t(s, [&] { ++fired; });
+    TimerOwner owner(s);
+    owner.on_fire = [&] { ++fired; };
+    Timer& t = owner.timer;
     t.arm_in(10);
     EXPECT_TRUE(t.armed());
     s.run();
@@ -407,7 +420,9 @@ TEST(Timer, RearmReplacesPendingExpiry)
 {
     Scheduler s;
     std::vector<SimTime> fire_times;
-    Timer t(s, [&] { fire_times.push_back(s.now()); });
+    TimerOwner owner(s);
+    owner.on_fire = [&] { fire_times.push_back(s.now()); };
+    Timer& t = owner.timer;
     t.arm_at(10);
     t.arm_at(25);  // supersedes the first arm
     s.run();
@@ -417,7 +432,8 @@ TEST(Timer, RearmReplacesPendingExpiry)
 TEST(Timer, CancelReportsWhetherPending)
 {
     Scheduler s;
-    Timer t(s, [] {});
+    TimerOwner owner(s);
+    Timer& t = owner.timer;
     EXPECT_FALSE(t.cancel());
     t.arm_in(10);
     EXPECT_TRUE(t.cancel());
@@ -430,11 +446,11 @@ TEST(Timer, CallbackMayRearmItself)
 {
     Scheduler s;
     int ticks = 0;
-    std::unique_ptr<Timer> t;
-    t = std::make_unique<Timer>(s, [&] {
-        if (++ticks < 5) t->arm_in(10);
-    });
-    t->arm_in(10);
+    TimerOwner owner(s);
+    owner.on_fire = [&] {
+        if (++ticks < 5) owner.timer.arm_in(10);
+    };
+    owner.timer.arm_in(10);
     s.run();
     EXPECT_EQ(ticks, 5);
     EXPECT_EQ(s.now(), 50);
