@@ -1,6 +1,7 @@
 #include "analysis/recorder.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -12,18 +13,68 @@ namespace {
 /// Group items into per-shard sweeps, preserving the input order within
 /// each shard; sweeps ascend by shard id. One shard (the serial
 /// reference) yields a single sweep over the original order, so the
-/// event pattern is byte-identical to the unsharded tracer.
-template <typename Item, typename Sweep, typename ShardOf>
+/// event pattern is byte-identical to the unsharded tracer. Each item's
+/// node gets its column (sweep, index) in `columns`; a node listed twice
+/// throws.
+template <typename Item, typename Sweep, typename Column, typename NodeOf>
 std::vector<Sweep> group_by_shard(net::Network& network, const std::vector<Item>& items,
-                                  const ShardOf& shard_of)
+                                  const NodeOf& node_of, std::map<net::NodeId, Column>& columns,
+                                  const char* who)
 {
     std::map<int, std::vector<Item>> by_shard;
-    for (const Item& item : items) by_shard[shard_of(item)].push_back(item);
+    for (const Item& item : items) by_shard[network.shard_of(node_of(item))].push_back(item);
     std::vector<Sweep> sweeps;
     sweeps.reserve(by_shard.size());
-    for (auto& [shard, members] : by_shard)
+    for (auto& [shard, members] : by_shard) {
+        for (std::size_t i = 0; i < members.size(); ++i)
+            if (!columns.emplace(node_of(members[i]), Column{sweeps.size(), i}).second)
+                throw std::invalid_argument(std::string(who) + ": node tracked twice");
         sweeps.push_back(Sweep{&network.shard_scheduler(shard), std::move(members)});
+    }
     return sweeps;
+}
+
+template <typename Column>
+const Column& find_column(const std::map<net::NodeId, Column>& columns, net::NodeId node,
+                          const char* who)
+{
+    const auto it = columns.find(node);
+    if (it == columns.end()) throw std::invalid_argument(std::string(who) + ": untracked node");
+    return it->second;
+}
+
+/// `value` as a column sample; one that does not fit 16 bits throws
+/// rather than wraps.
+std::uint16_t narrow_sample(int value, const char* who, net::NodeId node)
+{
+    if (value < 0 || value > std::numeric_limits<std::uint16_t>::max())
+        throw std::overflow_error(std::string(who) + ": node " + std::to_string(node) +
+                                  " sampled " + std::to_string(value) +
+                                  ", which does not fit a 16-bit column");
+    return static_cast<std::uint16_t>(value);
+}
+
+/// A column whose samples were taken at times[first], times[first + 1], ...
+util::TimeSeries column_series(const std::vector<SimTime>& times, std::size_t first,
+                               const std::vector<std::uint16_t>& values)
+{
+    util::TimeSeries series;
+    for (std::size_t i = 0; i < values.size(); ++i)
+        series.add(times[first + i], static_cast<double>(values[i]));
+    return series;
+}
+
+/// Mean of such a column's samples taken in [from, to): the same values
+/// in the same order as TimeSeries::mean_between over column_series.
+double column_mean(const std::vector<SimTime>& times, std::size_t first,
+                   const std::vector<std::uint16_t>& values, SimTime from, SimTime to)
+{
+    const auto begin = times.begin() + static_cast<std::ptrdiff_t>(first);
+    const auto end = begin + static_cast<std::ptrdiff_t>(values.size());
+    util::RunningStats window;
+    for (auto it = std::lower_bound(begin, end, from); it != end && *it < to; ++it)
+        window.add(static_cast<double>(values[static_cast<std::size_t>(it - begin)]));
+    return window.mean();
 }
 
 }  // namespace
@@ -34,12 +85,8 @@ BufferTracer::BufferTracer(net::Network& network, std::vector<net::NodeId> nodes
 {
     if (period_ <= 0) throw std::invalid_argument("BufferTracer: period must be > 0");
     sweeps_ = group_by_shard<net::NodeId, Sweep>(
-        network_, nodes, [this](net::NodeId n) { return network_.shard_of(n); });
-    for (std::size_t s = 0; s < sweeps_.size(); ++s) {
-        Sweep& sweep = sweeps_[s];
-        for (std::size_t i = 0; i < sweep.nodes.size(); ++i)
-            if (!columns_.emplace(sweep.nodes[i], Column{s, i}).second)
-                throw std::invalid_argument("BufferTracer: node tracked twice");
+        network_, nodes, [](net::NodeId n) { return n; }, columns_, "BufferTracer");
+    for (Sweep& sweep : sweeps_) {
         if (streaming_)
             sweep.stats.resize(sweep.nodes.size());
         else
@@ -64,57 +111,38 @@ void BufferTracer::sample(std::size_t sweep)
         if (streaming_)
             group.stats[i].add(static_cast<double>(backlog));
         else
-            group.backlogs[i].push_back(static_cast<std::int32_t>(backlog));
+            group.backlogs[i].push_back(narrow_sample(backlog, "BufferTracer", group.nodes[i]));
     }
     group.scheduler->schedule_in(period_, [this, sweep] { sample(sweep); });
-}
-
-const BufferTracer::Column& BufferTracer::column(net::NodeId node, const char* who) const
-{
-    const auto it = columns_.find(node);
-    if (it == columns_.end())
-        throw std::invalid_argument(std::string("BufferTracer::") + who + ": untracked node");
-    return it->second;
 }
 
 util::TimeSeries BufferTracer::trace(net::NodeId node) const
 {
     if (streaming_)
         throw std::logic_error("BufferTracer::trace: no series in streaming mode");
-    const Column& c = column(node, "trace");
+    const Column& c = find_column(columns_, node, "BufferTracer::trace");
     const Sweep& sweep = sweeps_[c.sweep];
-    const std::vector<std::int32_t>& backlogs = sweep.backlogs[c.index];
-    util::TimeSeries series;
-    for (std::size_t i = 0; i < backlogs.size(); ++i)
-        series.add(sweep.times[i], static_cast<double>(backlogs[i]));
-    return series;
+    return column_series(sweep.times, 0, sweep.backlogs[c.index]);
 }
 
 double BufferTracer::mean_occupancy(net::NodeId node, SimTime from, SimTime to) const
 {
-    const Column& c = column(node, "mean_occupancy");
+    const Column& c = find_column(columns_, node, "BufferTracer::mean_occupancy");
     const Sweep& sweep = sweeps_[c.sweep];
     if (streaming_) return sweep.stats[c.index].mean();  // whole-run mean; windows need the series
-    // The same values in the same order as TimeSeries::mean_between.
-    const std::vector<std::int32_t>& backlogs = sweep.backlogs[c.index];
-    util::RunningStats window;
-    const auto first = std::lower_bound(sweep.times.begin(), sweep.times.end(), from);
-    for (auto i = static_cast<std::size_t>(first - sweep.times.begin());
-         i < sweep.times.size() && sweep.times[i] < to; ++i)
-        window.add(static_cast<double>(backlogs[i]));
-    return window.mean();
+    return column_mean(sweep.times, 0, sweep.backlogs[c.index], from, to);
 }
 
 double BufferTracer::max_occupancy(net::NodeId node) const
 {
-    const Column& c = column(node, "max_occupancy");
+    const Column& c = find_column(columns_, node, "BufferTracer::max_occupancy");
     const Sweep& sweep = sweeps_[c.sweep];
     if (streaming_) {
         const util::RunningStats& stats = sweep.stats[c.index];
         return stats.count() > 0 ? stats.max() : 0.0;
     }
-    std::int32_t max = 0;
-    for (std::int32_t v : sweep.backlogs[c.index]) max = std::max(max, v);
+    std::uint16_t max = 0;
+    for (std::uint16_t v : sweep.backlogs[c.index]) max = std::max(max, v);
     return static_cast<double>(max);
 }
 
@@ -157,14 +185,15 @@ CwTracer::CwTracer(net::Network& network, std::vector<Target> targets, SimTime p
 {
     if (period_ <= 0) throw std::invalid_argument("CwTracer: period must be > 0");
     sweeps_ = group_by_shard<Target, Sweep>(
-        network_, targets, [this](const Target& t) { return network_.shard_of(t.node); });
-    for (Sweep& sweep : sweeps_)
-        for (const Target& t : sweep.targets)
-            sweep.slots.push_back(slot_of_.emplace(t.node, slot_of_.size()).first->second);
-    if (streaming_)
-        stats_.resize(slot_of_.size());
-    else
-        traces_.resize(slot_of_.size());
+        network_, targets, [](const Target& t) { return t.node; }, columns_, "CwTracer");
+    for (Sweep& sweep : sweeps_) {
+        if (streaming_) {
+            sweep.stats.resize(sweep.targets.size());
+        } else {
+            sweep.first.resize(sweep.targets.size());
+            sweep.cws.resize(sweep.targets.size());
+        }
+    }
 }
 
 void CwTracer::start()
@@ -178,7 +207,7 @@ void CwTracer::start()
 void CwTracer::sample(std::size_t sweep)
 {
     Sweep& group = sweeps_[sweep];
-    const SimTime now = group.scheduler->now();
+    if (!streaming_) group.times.push_back(group.scheduler->now());
     for (std::size_t i = 0; i < group.targets.size(); ++i) {
         const Target& t = group.targets[i];
         // Either traffic class toward the successor carries the EZ-Flow
@@ -186,27 +215,45 @@ void CwTracer::sample(std::size_t sweep)
         const mac::MacQueueSet& queues = network_.node(t.node).mac().queues();
         const mac::MacQueue* q = queues.find(mac::QueueKey{t.successor, false});
         if (q == nullptr) q = queues.find(mac::QueueKey{t.successor, true});
-        if (q == nullptr) continue;  // node has not transmitted yet
-        if (streaming_)
-            stats_[group.slots[i]].add(static_cast<double>(q->cw_min()));
-        else
-            traces_[group.slots[i]].add(now, static_cast<double>(q->cw_min()));
+        const bool sampled = streaming_ ? group.stats[i].count() > 0 : !group.cws[i].empty();
+        if (q == nullptr) {
+            if (sampled)
+                throw std::logic_error("CwTracer: node " + std::to_string(t.node) +
+                                       " lost its queue toward " + std::to_string(t.successor));
+            continue;  // node has not transmitted yet
+        }
+        if (streaming_) {
+            group.stats[i].add(static_cast<double>(q->cw_min()));
+            continue;
+        }
+        const std::uint16_t cw = narrow_sample(q->cw_min(), "CwTracer", t.node);
+        if (!sampled) group.first[i] = group.times.size() - 1;
+        group.cws[i].push_back(cw);
     }
     group.scheduler->schedule_in(period_, [this, sweep] { sample(sweep); });
 }
 
-const util::TimeSeries& CwTracer::trace(net::NodeId node) const
+util::TimeSeries CwTracer::trace(net::NodeId node) const
 {
     if (streaming_) throw std::logic_error("CwTracer::trace: no series in streaming mode");
-    const auto it = slot_of_.find(node);
-    if (it == slot_of_.end()) throw std::invalid_argument("CwTracer::trace: untracked node");
-    return traces_[it->second];
+    const Column& c = find_column(columns_, node, "CwTracer::trace");
+    const Sweep& sweep = sweeps_[c.sweep];
+    return column_series(sweep.times, sweep.first[c.index], sweep.cws[c.index]);
+}
+
+double CwTracer::mean_cw(net::NodeId node, SimTime from, SimTime to) const
+{
+    const Column& c = find_column(columns_, node, "CwTracer::mean_cw");
+    const Sweep& sweep = sweeps_[c.sweep];
+    if (streaming_) return sweep.stats[c.index].mean();  // whole-run mean; windows need the series
+    return column_mean(sweep.times, sweep.first[c.index], sweep.cws[c.index], from, to);
 }
 
 std::size_t CwTracer::stored_samples() const
 {
     std::size_t total = 0;
-    for (const util::TimeSeries& series : traces_) total += series.size();
+    for (const Sweep& sweep : sweeps_)
+        for (const std::vector<std::uint16_t>& column : sweep.cws) total += column.size();
     return total;
 }
 

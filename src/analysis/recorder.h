@@ -24,8 +24,10 @@ using util::SimTime;
 /// O(shards) per period instead of O(nodes).
 ///
 /// Storage is columnar: each sweep keeps one time column shared by its
-/// nodes and one 4-byte backlog column per node, so a sample costs 4 B
+/// nodes and one 2-byte backlog column per node, so a sample costs 2 B
 /// plus 8 B per sweep instant rather than a (time, value) pair per node.
+/// A backlog is a packet count bounded by the queue capacity; one above
+/// 65,535 throws std::overflow_error naming the node instead of wrapping.
 ///
 /// `streaming` mode keeps only whole-run RunningStats per node instead
 /// of the columns — O(nodes) memory for arbitrarily long runs. trace()
@@ -57,9 +59,9 @@ private:
     struct Sweep {
         sim::Scheduler* scheduler;
         std::vector<net::NodeId> nodes;
-        std::vector<SimTime> times{};                       ///< one per sweep instant
-        std::vector<std::vector<std::int32_t>> backlogs{};  ///< per node, aligned with times
-        std::vector<util::RunningStats> stats{};            ///< per node, streaming mode only
+        std::vector<SimTime> times{};                        ///< one per sweep instant
+        std::vector<std::vector<std::uint16_t>> backlogs{};  ///< per node, aligned with times
+        std::vector<util::RunningStats> stats{};             ///< per node, streaming mode only
     };
     /// Where a node's column lives: its sweep and its index in it.
     struct Column {
@@ -68,7 +70,6 @@ private:
     };
 
     void sample(std::size_t sweep);
-    const Column& column(net::NodeId node, const char* who) const;
 
     net::Network& network_;
     SimTime period_;
@@ -117,6 +118,15 @@ private:
 /// periodically: the data behind Fig. 8 / Fig. 11. Works off the MAC's
 /// queue CWmin so it also traces the baseline and penalty policies.
 /// Vectorized per shard and streamable exactly like BufferTracer.
+///
+/// Storage is columnar too: each sweep keeps one time column, and each
+/// target one 2-byte CW column plus the index of its first sample in
+/// the time column, so a sample costs 2 B plus 8 B per sweep instant.
+/// A node's samples start once its queue toward the successor exists,
+/// and MAC queues are never removed, so its column covers a contiguous
+/// run of sweep instants up to the latest; a queue that disappears
+/// after the first sample throws std::logic_error. A CWmin above 65,535
+/// throws std::overflow_error naming the node.
 class CwTracer {
 public:
     struct Target {
@@ -124,12 +134,17 @@ public:
         net::NodeId successor;
     };
 
+    /// `targets` must not repeat a node.
     CwTracer(net::Network& network, std::vector<Target> targets, SimTime period,
              bool streaming = false);
 
     void start();
 
-    const util::TimeSeries& trace(net::NodeId node) const;
+    /// The (time, CWmin) series of `node`, built from the columns.
+    util::TimeSeries trace(net::NodeId node) const;
+    /// Mean CWmin of `node` over [from, to) (whole run in streaming mode;
+    /// 0 when no sample falls in the window).
+    double mean_cw(net::NodeId node, SimTime from, SimTime to) const;
 
     bool streaming() const { return streaming_; }
     std::size_t stored_samples() const;
@@ -138,7 +153,14 @@ private:
     struct Sweep {
         sim::Scheduler* scheduler;
         std::vector<Target> targets;
-        std::vector<std::size_t> slots{};  ///< per target, its node's series/stats index
+        std::vector<SimTime> times{};                   ///< one per sweep instant
+        std::vector<std::size_t> first{};               ///< per target, its first sample's instant
+        std::vector<std::vector<std::uint16_t>> cws{};  ///< per target, from times[first] on
+        std::vector<util::RunningStats> stats{};        ///< per target, streaming mode only
+    };
+    struct Column {
+        std::size_t sweep;
+        std::size_t index;
     };
 
     void sample(std::size_t sweep);
@@ -147,11 +169,7 @@ private:
     SimTime period_;
     bool streaming_;
     std::vector<Sweep> sweeps_;  ///< one periodic chain per shard, shard id ascending
-    std::map<net::NodeId, std::size_t> slot_of_;
-    /// Per tracked node, indexed by slot: a node's samples start once its
-    /// queue exists, so each keeps its own time axis.
-    std::vector<util::TimeSeries> traces_;
-    std::vector<util::RunningStats> stats_;  ///< streaming mode only
+    std::map<net::NodeId, Column> columns_;
     bool started_ = false;
 };
 

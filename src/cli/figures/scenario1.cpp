@@ -58,10 +58,10 @@ FigureResult run_fig07(const FigureContext& ctx)
     return result;
 }
 
-double log_cw_at(const util::TimeSeries& trace, double t_s, double scale)
+double log_cw_at(const CwTracer& tracer, net::NodeId node, double t_s, double scale)
 {
-    const double cw = trace.mean_between(util::from_seconds(t_s - 10.0 * scale),
-                                         util::from_seconds(t_s + 40.0 * scale));
+    const double cw = tracer.mean_cw(node, util::from_seconds(t_s - 10.0 * scale),
+                                     util::from_seconds(t_s + 40.0 * scale));
     return cw > 0 ? std::log2(cw) : 0.0;
 }
 
@@ -85,7 +85,6 @@ FigureResult run_fig08(const FigureContext& ctx)
 
     FigureResult result = make_result(ctx);
     RunResult& cell = result.add_cell(sweep.label);
-    std::vector<std::pair<std::string, const util::TimeSeries*>> series;
     for (int t = 0; t < 3; ++t) {
         WindowResult& window = cell.add_window(window_names[t]);
         for (const std::string& label : labels) {
@@ -93,15 +92,15 @@ FigureResult run_fig08(const FigureContext& ctx)
             if (node < 0) continue;
             util::RunningStats stats;
             for (const auto& experiment : sweep.experiments)
-                stats.add(
-                    log_cw_at(experiment->cw_tracer().trace(node), sample_times[t], ctx.scale));
+                stats.add(log_cw_at(experiment->cw_tracer(), node, sample_times[t], ctx.scale));
             window.set(label + ".log2_cw", metric_from_stats(stats));
         }
     }
+    std::vector<std::pair<std::string, util::TimeSeries>> series;
     for (const std::string& label : labels) {
         const int node = label_to_node(scenario, label);
-        if (node >= 0)
-            series.emplace_back(label, &sweep.experiments.front()->cw_tracer().trace(node));
+        if (node >= 0 && !ctx.csv_dir.empty())
+            series.emplace_back(label, sweep.experiments.front()->cw_tracer().trace(node));
     }
     maybe_dump_series(ctx, "fig08_cw", series);
     return result;

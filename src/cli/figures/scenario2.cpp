@@ -34,10 +34,10 @@ FigureResult run_fig10(const FigureContext& ctx)
     return result;
 }
 
-double log_cw_before(const util::TimeSeries& trace, double t_s, double scale)
+double log_cw_before(const CwTracer& tracer, net::NodeId node, double t_s, double scale)
 {
     const double cw =
-        trace.mean_between(util::from_seconds(t_s - 60.0 * scale), util::from_seconds(t_s));
+        tracer.mean_cw(node, util::from_seconds(t_s - 60.0 * scale), util::from_seconds(t_s));
     return cw > 0 ? std::log2(cw) : 0.0;
 }
 
@@ -63,16 +63,16 @@ FigureResult run_fig11(const FigureContext& ctx)
             if (node < 0) continue;
             util::RunningStats stats;
             for (const auto& experiment : sweep.experiments)
-                stats.add(log_cw_before(experiment->cw_tracer().trace(node), sample_times[t],
-                                        ctx.scale));
+                stats.add(
+                    log_cw_before(experiment->cw_tracer(), node, sample_times[t], ctx.scale));
             window.set(label + ".log2_cw", metric_from_stats(stats));
         }
     }
-    std::vector<std::pair<std::string, const util::TimeSeries*>> series;
+    std::vector<std::pair<std::string, util::TimeSeries>> series;
     for (const std::string& label : labels) {
         const int node = label_to_node(scenario, label);
-        if (node >= 0)
-            series.emplace_back(label, &sweep.experiments.front()->cw_tracer().trace(node));
+        if (node >= 0 && !ctx.csv_dir.empty())
+            series.emplace_back(label, sweep.experiments.front()->cw_tracer().trace(node));
     }
     maybe_dump_series(ctx, "fig11_cw", series);
     return result;

@@ -1,6 +1,8 @@
 #include "traffic/sink.h"
 
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace ezflow::traffic {
 
@@ -28,6 +30,10 @@ void Sink::attach_flow(int flow_id)
 
 void Sink::on_delivery(FlowRecord& record, const sim::Scheduler& clock, const net::Packet& packet)
 {
+    if (!streaming_ && packet.bytes > std::numeric_limits<std::uint16_t>::max())
+        throw std::overflow_error("Sink: flow " + std::to_string(packet.flow_id) +
+                                  " delivered a " + std::to_string(packet.bytes) +
+                                  " B packet, beyond a 16-bit log entry");
     const SimTime now = clock.now();
     const auto seq = static_cast<std::int64_t>(packet.seq);
     if (seq <= record.max_seq_seen) {
@@ -47,7 +53,7 @@ void Sink::on_delivery(FlowRecord& record, const sim::Scheduler& clock, const ne
     record.total_delay_us.add(static_cast<double>(now - packet.created_at));
     if (!streaming_) {
         record.delay_series.add(now, delay);
-        record.delivered_bytes.push_back(packet.bytes);
+        record.delivered_bytes.push_back(static_cast<std::uint16_t>(packet.bytes));
     }
 }
 

@@ -34,7 +34,9 @@ public:
         util::TimeSeries delay_series;
         /// Delivered bytes, one entry per delay_series sample (same
         /// index, same delivery instant) — kept to window throughput.
-        std::vector<int> delivered_bytes;
+        /// 2 B each: an 802.11 MSDU is at most 2,304 B, and a packet over
+        /// 65,535 B throws std::overflow_error rather than wrap.
+        std::vector<std::uint16_t> delivered_bytes;
         /// Highest sequence number seen, for reorder/duplicate detection.
         std::int64_t max_seq_seen = -1;
     };

@@ -250,6 +250,178 @@ TEST(BufferTracer, RejectsRepeatedNodesAndStreamingTrace)
     EXPECT_THROW(streaming.max_occupancy(0), std::invalid_argument);
 }
 
+TEST(BufferTracer, BacklogBeyondSixteenBitsThrowsInsteadOfWrapping)
+{
+    net::Network::Config config = net::testbed_config(3);
+    config.mac.queue_capacity = 80'000;
+    net::Scenario s = net::make_chain(config, 1, 200.0, 0.0, 1.0);
+    BufferTracer tracer(*s.network, {0}, kSecond);
+    tracer.start();
+    for (std::uint64_t seq = 0; seq < 70'000; ++seq) {
+        net::Packet packet;
+        packet.flow_id = 0;
+        packet.seq = seq;
+        packet.src = 0;
+        packet.dst = 1;
+        packet.bytes = 100;
+        ASSERT_TRUE(s.network->node(0).send(packet));
+    }
+    EXPECT_THROW(s.network->run_until(kSecond + 1), std::overflow_error);
+}
+
+/// Reference CW sampler: one periodic event chain per target, each
+/// reading the target's queue CWmin (once the queue exists) into its own
+/// TimeSeries. Started right after a CwTracer on the same period, its
+/// events fire next to the tracer's at every instant.
+class ReferenceCwSampler {
+public:
+    ReferenceCwSampler(net::Network& network, const std::vector<CwTracer::Target>& targets,
+                       util::SimTime period)
+        : network_(network), period_(period)
+    {
+        for (const CwTracer::Target& t : targets) {
+            series_[t.node];
+            network_.scheduler_for(t.node).schedule_in(period_, [this, t] { sample(t); });
+        }
+    }
+
+    const util::TimeSeries& trace(net::NodeId node) const { return series_.at(node); }
+
+private:
+    void sample(CwTracer::Target t)
+    {
+        sim::Scheduler& scheduler = network_.scheduler_for(t.node);
+        const mac::MacQueueSet& queues = network_.node(t.node).mac().queues();
+        const mac::MacQueue* q = queues.find(mac::QueueKey{t.successor, false});
+        if (q == nullptr) q = queues.find(mac::QueueKey{t.successor, true});
+        if (q != nullptr)
+            series_.at(t.node).add(scheduler.now(), static_cast<double>(q->cw_min()));
+        scheduler.schedule_in(period_, [this, t] { sample(t); });
+    }
+
+    net::Network& network_;
+    util::SimTime period_;
+    std::map<net::NodeId, util::TimeSeries> series_;
+};
+
+/// Experiment's CW targets: each transmitting node toward its successor
+/// on the first flow that crosses it.
+std::vector<CwTracer::Target> experiment_cw_targets(const net::Scenario& scenario)
+{
+    std::vector<CwTracer::Target> targets;
+    for (const net::FlowPlan& plan : scenario.flows)
+        for (std::size_t i = 0; i + 1 < plan.path.size(); ++i)
+            if (std::none_of(targets.begin(), targets.end(),
+                             [&](const CwTracer::Target& t) { return t.node == plan.path[i]; }))
+                targets.push_back(CwTracer::Target{plan.path[i], plan.path[i + 1]});
+    return targets;
+}
+
+/// Run `scenario` under EZ-Flow for `seconds` with the CW tracer
+/// (streaming or not) and the reference side by side; every query must
+/// match bit for bit. Returns the earliest first-sample time of any
+/// target and the latest, so callers can check late queues were covered.
+std::pair<util::SimTime, util::SimTime> expect_cw_tracer_matches_reference(
+    net::Scenario scenario, double seconds, bool streaming)
+{
+    ExperimentOptions options;
+    options.mode = Mode::kEzFlow;
+    options.streaming = streaming;
+    Experiment exp(std::move(scenario), options);
+    const std::vector<CwTracer::Target> targets = experiment_cw_targets(exp.scenario());
+    const ReferenceCwSampler reference(exp.network(), targets, kSecond);
+    exp.run_until_s(seconds);
+
+    const CwTracer& tracer = exp.cw_tracer();
+    std::size_t samples = 0;
+    util::SimTime earliest = util::from_seconds(seconds);
+    util::SimTime latest = 0;
+    bool varied = false;
+    for (const CwTracer::Target& t : targets) {
+        const util::TimeSeries& want = reference.trace(t.node);
+        EXPECT_GE(want.size(), 6u) << "node " << t.node;
+        if (want.size() < 6) continue;
+        samples += want.size();
+        earliest = std::min(earliest, want.times().front());
+        latest = std::max(latest, want.times().front());
+        varied = varied || std::any_of(want.values().begin(), want.values().end(),
+                                       [&](double v) { return v != want.values().front(); });
+        if (streaming) {
+            util::RunningStats whole;
+            for (const double v : want.values()) whole.add(v);
+            EXPECT_EQ(tracer.mean_cw(t.node, 0, 1), whole.mean()) << "node " << t.node;
+            continue;
+        }
+        const util::TimeSeries got = tracer.trace(t.node);
+        EXPECT_EQ(got.times(), want.times()) << "node " << t.node;
+        EXPECT_EQ(got.values(), want.values()) << "node " << t.node;
+        const util::SimTime end = util::from_seconds(seconds);
+        const std::size_t n = want.size();
+        const std::vector<std::pair<util::SimTime, util::SimTime>> windows = {
+            {0, end + 1},                                  // the whole run
+            {0, want.times().front()},                     // ends before the first sample
+            {want.times()[2], want.times()[n / 2]},        // half-open: from in, to out
+            {want.times()[1] + 1, want.times()[5] + 1},    // edges between samples
+        };
+        for (const auto& [from, to] : windows)
+            EXPECT_EQ(tracer.mean_cw(t.node, from, to), want.mean_between(from, to))
+                << "node " << t.node << " window [" << from << ", " << to << ")";
+    }
+    EXPECT_TRUE(varied);  // EZ-Flow moved some window, so the match is not vacuous
+    EXPECT_EQ(tracer.stored_samples(), streaming ? 0u : samples);
+    return {earliest, latest};
+}
+
+TEST(CwTracer, ColumnsMatchReferenceSamplerOnChain)
+{
+    // The flow starts at 5 s, so every queue first appears after several
+    // sweeps and every column starts past index 0 of its time column.
+    const auto [earliest, latest] =
+        expect_cw_tracer_matches_reference(net::make_line(4, 40, 3), 30.0, false);
+    EXPECT_GE(earliest, 5 * kSecond);
+    EXPECT_GE(latest, earliest);
+}
+
+TEST(CwTracer, ColumnsMatchReferenceSamplerAcrossShards)
+{
+    // The second island's flow starts late: its columns begin mid-sweep
+    // while the first island's begin at the first sweep instants.
+    net::Scenario scenario = two_islands();
+    scenario.flows.back().start_s = 6.5;
+    const auto [earliest, latest] =
+        expect_cw_tracer_matches_reference(std::move(scenario), 30.0, false);
+    EXPECT_LE(earliest, 2 * kSecond);
+    EXPECT_GE(latest, 7 * kSecond);
+}
+
+TEST(CwTracer, StreamingStatsMatchReferenceSampler)
+{
+    expect_cw_tracer_matches_reference(net::make_line(4, 40, 3), 30.0, true);
+    expect_cw_tracer_matches_reference(two_islands(), 30.0, true);
+}
+
+TEST(CwTracer, RejectsRepeatedNodesStreamingTraceAndUntrackedNodes)
+{
+    net::Scenario s = net::make_line(2, 100, 3);
+    EXPECT_THROW(CwTracer(*s.network, {{0, 1}, {1, 2}, {0, 2}}, kSecond),
+                 std::invalid_argument);
+    CwTracer streaming(*s.network, {{0, 1}}, kSecond, /*streaming=*/true);
+    EXPECT_THROW(streaming.trace(0), std::logic_error);
+    CwTracer tracer(*s.network, {{0, 1}}, kSecond);
+    EXPECT_THROW(tracer.trace(1), std::invalid_argument);
+    EXPECT_THROW(tracer.mean_cw(1, 0, kSecond), std::invalid_argument);
+    EXPECT_THROW(streaming.mean_cw(1, 0, kSecond), std::invalid_argument);
+}
+
+TEST(CwTracer, CwBeyondSixteenBitsThrowsInsteadOfWrapping)
+{
+    net::Scenario s = net::make_line(2, 100, 3);
+    CwTracer tracer(*s.network, {{0, 1}}, kSecond);
+    tracer.start();
+    s.network->node(0).mac().set_queue_cw_min(mac::QueueKey{1, true}, 1 << 16);
+    EXPECT_THROW(s.network->run_until(kSecond + 1), std::overflow_error);
+}
+
 // ------------------------------------------------------------- experiment
 
 TEST(Experiment, ModeNames)

@@ -360,6 +360,30 @@ TEST(Sink, UnknownFlowThrows)
     EXPECT_THROW(sink.attach_flow(0), std::invalid_argument);
 }
 
+TEST(Sink, PacketBeyondSixteenBitsThrowsInsteadOfWrapping)
+{
+    // The delivery log keeps 2 B per packet; a larger packet than that can
+    // hold is refused loudly, while streaming mode keeps no log to narrow.
+    for (const bool streaming : {false, true}) {
+        OneLink bed;
+        Sink sink(bed.net);
+        sink.set_streaming(streaming);
+        sink.attach_flow(0);
+        net::Packet packet;
+        packet.flow_id = 0;
+        packet.src = 0;
+        packet.dst = 1;
+        packet.bytes = 70'000;
+        ASSERT_TRUE(bed.net.node(0).send(packet));
+        if (streaming) {
+            bed.net.run_until(10 * kSecond);
+            EXPECT_EQ(sink.flow(0).bytes, 70'000u);
+        } else {
+            EXPECT_THROW(bed.net.run_until(10 * kSecond), std::overflow_error);
+        }
+    }
+}
+
 TEST(Sink, SeparatesFlowsAtSharedDestination)
 {
     // Two flows ending at the same node: records must not mix.
