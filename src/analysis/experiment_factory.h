@@ -1,8 +1,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "analysis/experiment.h"
 #include "net/topo_gen.h"
@@ -106,38 +108,38 @@ std::string scenario_name(const ScenarioSpec& spec);
 /// Throws std::invalid_argument when `ampdu_max_mpdus` is outside [1, 64].
 net::Scenario build_scenario(const ScenarioSpec& spec, std::uint64_t seed);
 
-/// Binds a ScenarioSpec to the ExperimentOptions under test and stamps
-/// out independent, identically-configured experiments per seed — the
-/// unit of work a SweepRunner fans across threads.
+/// Binds a scenario (a ScenarioSpec, or a seed -> Scenario builder for a
+/// network the specs do not describe) to the ExperimentOptions under test
+/// and stamps out independent, identically-configured experiments per
+/// seed — the unit of work a SweepRunner fans across threads.
 class ExperimentFactory {
 public:
-    ExperimentFactory(ScenarioSpec spec, ExperimentOptions options)
-        : spec_(spec), options_(options)
+    using Builder = std::function<net::Scenario(std::uint64_t seed)>;
+
+    ExperimentFactory(const ScenarioSpec& spec, ExperimentOptions options)
+        : ExperimentFactory(scenario_name(spec),
+                            [spec](std::uint64_t seed) { return build_scenario(spec, seed); },
+                            options)
+    {
+    }
+
+    ExperimentFactory(std::string scenario_label, Builder build, ExperimentOptions options)
+        : scenario_label_(std::move(scenario_label)), build_(std::move(build)), options_(options)
     {
     }
 
     /// A fresh experiment over a fresh Network, deterministic in `seed`.
     std::unique_ptr<Experiment> make(std::uint64_t seed) const
     {
-        return std::make_unique<Experiment>(build_scenario(spec_, seed), options_);
+        return std::make_unique<Experiment>(build_(seed), options_);
     }
-
-    /// Same spec, different policy — convenience for building mode grids.
-    ExperimentFactory with_mode(Mode mode) const
-    {
-        ExperimentOptions options = options_;
-        options.mode = mode;
-        return ExperimentFactory(spec_, options);
-    }
-
-    const ScenarioSpec& spec() const { return spec_; }
-    const ExperimentOptions& options() const { return options_; }
 
     /// "scenario1 x0.3 / EZ-flow" — used in sweep reports.
-    std::string label() const { return scenario_name(spec_) + " / " + mode_name(options_.mode); }
+    std::string label() const { return scenario_label_ + " / " + mode_name(options_.mode); }
 
 private:
-    ScenarioSpec spec_;
+    std::string scenario_label_;
+    Builder build_;
     ExperimentOptions options_;
 };
 

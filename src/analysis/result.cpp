@@ -2,13 +2,9 @@
 
 #include <stdexcept>
 
-namespace ezflow::analysis {
+#include "util/stats.h"
 
-MetricStat metric_from_stats(const util::RunningStats& stats)
-{
-    return MetricStat{stats.mean(), util::ci95_halfwidth(stats),
-                      static_cast<int>(stats.count())};
-}
+namespace ezflow::analysis {
 
 void WindowResult::set(const std::string& name, MetricStat value)
 {
@@ -151,27 +147,40 @@ std::string FigureResult::to_csv() const
     return out;
 }
 
-RunResult run_result_from_sweep(const SweepResult& sweep, const std::vector<SweepWindow>& windows)
+RunResult fold_seeds(const std::vector<RunResult>& per_seed)
 {
-    RunResult cell;
-    cell.label = sweep.label;
-    for (std::size_t w = 0; w < windows.size() && w < sweep.windows.size(); ++w) {
-        const SweepWindow& spec = windows[w];
-        const WindowAggregate& aggregate = sweep.windows[w];
-        WindowResult& window = cell.add_window(spec.label);
-        for (std::size_t f = 0; f < spec.flow_ids.size() && f < aggregate.flows.size(); ++f) {
-            const std::string prefix = "F" + std::to_string(spec.flow_ids[f]);
-            const FlowAggregate& flow = aggregate.flows[f];
-            window.set(prefix + ".kbps", metric_from_stats(flow.mean_kbps));
-            window.set(prefix + ".kbps_sd", metric_from_stats(flow.stddev_kbps));
-            window.set(prefix + ".delay_s", metric_from_stats(flow.mean_delay_s));
-            window.set(prefix + ".delay_max_s", metric_from_stats(flow.max_delay_s));
+    if (per_seed.empty()) throw std::invalid_argument("fold_seeds: no seeds");
+    const RunResult& first = per_seed.front();
+    for (const RunResult& seed : per_seed) {
+        bool same = seed.label == first.label && seed.windows.size() == first.windows.size();
+        for (std::size_t w = 0; same && w < first.windows.size(); ++w) {
+            const WindowResult& a = first.windows[w];
+            const WindowResult& b = seed.windows[w];
+            same = a.label == b.label && a.metrics.size() == b.metrics.size();
+            for (std::size_t m = 0; same && m < a.metrics.size(); ++m)
+                same = a.metrics[m].first == b.metrics[m].first;
         }
-        if (spec.flow_ids.size() > 1)
-            window.set("fairness", metric_from_stats(aggregate.fairness));
-        window.set("aggregate_kbps", metric_from_stats(aggregate.aggregate_kbps));
+        if (!same)
+            throw std::logic_error("fold_seeds: seeds of cell '" + first.label +
+                                   "' disagree on window or metric names");
     }
-    return cell;
+
+    RunResult folded{first.label, {}};
+    for (std::size_t w = 0; w < first.windows.size(); ++w) {
+        WindowResult& window = folded.add_window(first.windows[w].label);
+        for (std::size_t m = 0; m < first.windows[w].metrics.size(); ++m) {
+            util::RunningStats stats;
+            for (const RunResult& seed : per_seed) {
+                const MetricStat& stat = seed.windows[w].metrics[m].second;
+                if (stat.n > 0) stats.add(stat.mean);
+            }
+            window.metrics.emplace_back(
+                first.windows[w].metrics[m].first,
+                MetricStat{stats.mean(), util::ci95_halfwidth(stats),
+                           static_cast<int>(stats.count())});
+        }
+    }
+    return folded;
 }
 
 }  // namespace ezflow::analysis

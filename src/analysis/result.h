@@ -5,15 +5,14 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/sweep.h"
 #include "util/json.h"
-#include "util/stats.h"
 
 namespace ezflow::analysis {
 
 /// One reported metric of a figure: the across-seed mean, the 95%
-/// confidence half-width, and the number of seeds behind it (n = 1 for
-/// point measurements from a single run).
+/// confidence half-width, and the number of seeds behind it. A single
+/// seed's measurement is a point value: n = 1 when measured, n = 0 when
+/// declared but not measured (a delay window with no deliveries).
 struct MetricStat {
     double mean = 0.0;
     double ci95 = 0.0;
@@ -25,9 +24,6 @@ inline MetricStat metric_point(double value)
 {
     return MetricStat{value, 0.0, 1};
 }
-
-/// Across-seed aggregate of a RunningStats accumulator.
-MetricStat metric_from_stats(const util::RunningStats& stats);
 
 /// One measurement window of one grid cell: a label ("F1 alone", "P2",
 /// "settled") plus an insertion-ordered metric map. Metric names are
@@ -76,11 +72,13 @@ struct FigureResult {
     std::string to_csv() const;
 };
 
-/// Convert one sweep cell into a RunResult: per window, per flow, the
-/// across-seed mean/CI of kbps / stddev / delay, plus fairness and the
-/// aggregate throughput when the window spans several flows. `windows`
-/// must be the SweepConfig windows the sweep ran with (for labels and
-/// flow ids).
-RunResult run_result_from_sweep(const SweepResult& sweep, const std::vector<SweepWindow>& windows);
+/// Fold one cell's per-seed results, in seed order: each metric's
+/// measured seeds (n = 1) go through a util::RunningStats into its mean,
+/// 95% CI half-width and count, so a single seed folds to exactly its
+/// point value and a metric no seed measured keeps its name with n = 0.
+/// The result keeps the first seed's cell, window and metric order.
+/// Throws std::invalid_argument on no seeds and std::logic_error when
+/// seeds disagree on any label or name.
+RunResult fold_seeds(const std::vector<RunResult>& per_seed);
 
 }  // namespace ezflow::analysis

@@ -6,80 +6,45 @@
 
 namespace ezflow::analysis {
 
-namespace {
-
-/// Run one (cell, seed) task to completion and summarize every window.
-/// A sharded network runs its shards on `threads` threads too.
-SeedResult run_one(const ExperimentFactory& factory, const SweepConfig& config,
-                   std::uint64_t seed, int threads, std::unique_ptr<Experiment>* keep)
+SeedMeasure summarize_windows(std::vector<SweepWindow> windows)
 {
-    std::unique_ptr<Experiment> experiment = factory.make(seed);
-    experiment->network().set_shard_threads(threads);
-    experiment->run();
-    SeedResult result;
-    result.seed = seed;
-    result.windows.reserve(config.windows.size());
-    for (const SweepWindow& window : config.windows) {
-        SeedResult::Window measured;
-        measured.flows.reserve(window.flow_ids.size());
-        for (int flow_id : window.flow_ids) {
-            const auto summary = experiment->summarize(flow_id, window.from_s, window.to_s);
-            measured.aggregate_kbps += summary.mean_kbps;
-            measured.flows.push_back(summary);
-        }
-        measured.fairness = window.flow_ids.empty()
-                                ? 1.0
-                                : experiment->fairness(window.flow_ids, window.from_s, window.to_s);
-        result.windows.push_back(std::move(measured));
-    }
-    if (keep != nullptr) *keep = std::move(experiment);
-    return result;
-}
-
-/// Serial, seed-ordered merge of per-seed measurements — the aggregation
-/// order is fixed so sweeps are bit-identical across thread counts.
-void aggregate(const SweepConfig& config, SweepResult& sweep)
-{
-    sweep.windows.assign(config.windows.size(), WindowAggregate{});
-    for (std::size_t w = 0; w < config.windows.size(); ++w)
-        sweep.windows[w].flows.assign(config.windows[w].flow_ids.size(), FlowAggregate{});
-
-    for (const SeedResult& seed_result : sweep.per_seed) {
-        for (std::size_t w = 0; w < seed_result.windows.size(); ++w) {
-            const SeedResult::Window& measured = seed_result.windows[w];
-            WindowAggregate& agg = sweep.windows[w];
-            for (std::size_t f = 0; f < measured.flows.size(); ++f) {
-                const Experiment::FlowSummary& summary = measured.flows[f];
+    return [windows = std::move(windows)](Experiment& experiment, RunResult& cell) {
+        experiment.run();
+        for (const SweepWindow& spec : windows) {
+            WindowResult& window = cell.add_window(spec.label);
+            double aggregate_kbps = 0.0;
+            for (int flow_id : spec.flow_ids) {
+                const auto summary = experiment.summarize(flow_id, spec.from_s, spec.to_s);
+                aggregate_kbps += summary.mean_kbps;
                 // A window the run never measured (no throughput windows /
-                // no deliveries inside it) contributes no sample: its 0.0
-                // is fabricated, and folding it in would be
-                // indistinguishable from a genuine zero. The across-seed
-                // count then lands in the result JSON as n=0 — diffable as
-                // missing data, not as a measured zero.
-                if (summary.throughput_samples > 0) {
-                    agg.flows[f].mean_kbps.add(summary.mean_kbps);
-                    agg.flows[f].stddev_kbps.add(summary.stddev_kbps);
-                }
-                if (summary.delay_samples > 0) {
-                    agg.flows[f].mean_delay_s.add(summary.mean_delay_s);
-                    agg.flows[f].max_delay_s.add(summary.max_delay_s);
-                }
+                // no deliveries inside it) reads 0.0 either way; n = 0 keeps
+                // it out of the fold, diffable as missing data rather than
+                // as a measured zero.
+                const int rate_n = summary.throughput_samples > 0 ? 1 : 0;
+                const int delay_n = summary.delay_samples > 0 ? 1 : 0;
+                const std::string prefix = "F" + std::to_string(flow_id);
+                window.set(prefix + ".kbps", MetricStat{summary.mean_kbps, 0.0, rate_n});
+                window.set(prefix + ".kbps_sd", MetricStat{summary.stddev_kbps, 0.0, rate_n});
+                window.set(prefix + ".delay_s", MetricStat{summary.mean_delay_s, 0.0, delay_n});
+                window.set(prefix + ".delay_max_s",
+                           MetricStat{summary.max_delay_s, 0.0, delay_n});
             }
-            agg.fairness.add(measured.fairness);
-            agg.aggregate_kbps.add(measured.aggregate_kbps);
+            if (spec.flow_ids.size() > 1) {
+                const double fairness = experiment.fairness(spec.flow_ids, spec.from_s, spec.to_s);
+                window.set("fairness", metric_point(fairness));
+            }
+            window.set("aggregate_kbps", metric_point(aggregate_kbps));
         }
-    }
+    };
 }
 
-}  // namespace
-
-SweepResult SweepRunner::run(const ExperimentFactory& factory, const SweepConfig& config) const
+SweepResult SweepRunner::run(const SweepCell& cell, const SweepConfig& config) const
 {
-    std::vector<SweepResult> results = run_grid({factory}, config);
+    std::vector<SweepResult> results = run_grid({cell}, config);
     return std::move(results.front());
 }
 
-std::vector<SweepResult> SweepRunner::run_grid(const std::vector<ExperimentFactory>& cells,
+std::vector<SweepResult> SweepRunner::run_grid(const std::vector<SweepCell>& cells,
                                                const SweepConfig& config) const
 {
     if (cells.empty()) throw std::invalid_argument("SweepRunner::run_grid: no cells");
@@ -87,24 +52,22 @@ std::vector<SweepResult> SweepRunner::run_grid(const std::vector<ExperimentFacto
 
     std::vector<SweepResult> results(cells.size());
     const std::size_t seeds = config.seeds.size();
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-        results[c].label = cells[c].label();
-        results[c].per_seed.resize(seeds);
-        if (config.keep_experiments) results[c].experiments.resize(seeds);
-    }
+    for (SweepResult& result : results) result.per_seed.resize(seeds);
 
     // One task per (cell, seed); every task owns its Network and writes
-    // only to its pre-sized slot.
+    // only to its pre-sized slot. A sharded network runs its shards on
+    // the same thread budget.
     const int task_count = static_cast<int>(cells.size() * seeds);
     util::parallel_for(task_count, threads_, [&](int task) {
         const std::size_t c = static_cast<std::size_t>(task) / seeds;
         const std::size_t s = static_cast<std::size_t>(task) % seeds;
-        std::unique_ptr<Experiment>* keep =
-            config.keep_experiments ? &results[c].experiments[s] : nullptr;
-        results[c].per_seed[s] = run_one(cells[c], config, config.seeds[s], threads_, keep);
+        std::unique_ptr<Experiment> experiment = cells[c].factory.make(config.seeds[s]);
+        experiment->network().set_shard_threads(threads_);
+        RunResult& cell = results[c].per_seed[s];
+        cell.label = cells[c].factory.label();
+        cells[c].measure(*experiment, cell);
+        if (config.keep_first && s == 0) results[c].first = std::move(experiment);
     });
-
-    for (SweepResult& result : results) aggregate(config, result);
     return results;
 }
 

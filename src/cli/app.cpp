@@ -30,7 +30,7 @@ int usage(const char* message = nullptr)
     std::printf(
         "usage: ezflow <command> [args]\n"
         "\n"
-        "  list  [--category=figure|table|ablation|example]\n"
+        "  list  [--category=figure|table|ablation]\n"
         "        enumerate the registered scenarios/figures\n"
         "  run   <figure...> [--scale=F] [--seed=N] [--seeds=K] [--threads=T]\n"
         "        [--shards=S] [--streaming] [--out=DIR] [--csv=DIR] [--smoke] [--all]\n"
@@ -81,7 +81,7 @@ RunFlags parse_run_flags(const util::Cli& cli)
     flags.json_only = cli.get_bool("json-only", false);
     flags.quiet = cli.get_bool("quiet", false);
     // Anything not claimed above rides along as a figure-specific knob
-    // (e.g. quickstart's --hops), exposed via FigureContext::extra.
+    // (e.g. grid_maxmin's --hops), exposed via FigureContext::extra.
     static const std::set<std::string> known = {"scale", "seed",      "seeds", "threads",
                                                "shards", "streaming",
                                                "out",   "csv",       "smoke", "all",
@@ -264,6 +264,15 @@ int cmd_list(const util::Cli& cli)
 {
     register_builtin_figures();
     const std::string category = cli.get("category", "");
+    std::set<std::string> categories;
+    for (const FigureSpec* spec : FigureRegistry::instance().list())
+        categories.insert(spec->category);
+    if (!category.empty() && categories.count(category) == 0) {
+        std::string known;
+        for (const std::string& name : categories) known += (known.empty() ? "" : ", ") + name;
+        return usage(("list: unknown category '" + category + "' (categories: " + known + ")")
+                         .c_str());
+    }
     util::Table table({"name", "category", "scale", "seeds", "title"});
     for (const FigureSpec* spec : FigureRegistry::instance().list()) {
         if (!category.empty() && spec->category != category) continue;

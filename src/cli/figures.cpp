@@ -17,7 +17,6 @@ void register_builtin_figures()
         register_failover_figures();
         register_phy_model_figures();
         register_ablation_figures();
-        register_example_figures();
         return true;
     }();
     (void)registered;

@@ -15,6 +15,5 @@ void register_ampdu_figures();      // ampdu (gateway convergecast at K = 1, 4, 
 void register_failover_figures();   // failover_gateway, failover_relay
 void register_phy_model_figures();  // fading, rate_adapt
 void register_ablation_figures();   // ablation_*
-void register_example_figures();    // quickstart, parking_lot, ...
 
 }  // namespace ezflow::cli

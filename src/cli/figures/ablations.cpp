@@ -17,138 +17,161 @@ using namespace ezflow::analysis;
 
 // -- ablation_pacer: CWmin control vs routing-layer rate pacing ----------
 
-void pacer_cw_variant(const FigureContext& ctx, FigureResult& result, Mode mode,
-                      double duration_s)
-{
-    ExperimentOptions options;
-    options.mode = mode;
-    Experiment exp(net::make_line(4, duration_s, ctx.seed), options);
-    exp.run();
-    const double from = 0.5 * duration_s;
-    const auto summary = exp.summarize(0, from, duration_s);
-    WindowResult& window = result.add_cell(mode_name(mode)).add_window("settled");
-    window.set("goodput_kbps", metric_point(summary.mean_kbps));
-    window.set("mac_b1", metric_point(exp.buffers().mean_occupancy(
-                             1, util::from_seconds(from), util::from_seconds(duration_s))));
-    window.set("delay_s", metric_point(summary.mean_delay_s));
-}
-
 FigureResult run_ablation_pacer(const FigureContext& ctx)
 {
     const double duration_s = 4000.0 * ctx.scale;
-    FigureResult result = make_result(ctx);
-    pacer_cw_variant(ctx, result, Mode::kBaseline80211, duration_s);
-    pacer_cw_variant(ctx, result, Mode::kEzFlow, duration_s);
-
-    ExperimentOptions options;
-    options.mode = Mode::kPaced;
-    Experiment exp(net::make_chain(net::testbed_config(ctx.seed), 4, 200.0, 5.0, duration_s),
-                   options);
-    exp.run_until_s(duration_s);
     const double from = 0.5 * duration_s;
-    WindowResult& window = result.add_cell(mode_name(Mode::kPaced)).add_window("settled");
-    window.set("goodput_kbps", metric_point(exp.sink().goodput_kbps(
-                                   0, util::from_seconds(from), util::from_seconds(duration_s))));
-    window.set("mac_b1", metric_point(exp.buffers().mean_occupancy(
-                             1, util::from_seconds(from), util::from_seconds(duration_s))));
-    window.set("delay_s", metric_point(exp.summarize(0, from, duration_s).mean_delay_s));
+    const auto buffer_b1 = [from, duration_s](Experiment& exp) {
+        return metric_point(exp.buffers().mean_occupancy(1, util::from_seconds(from),
+                                                         util::from_seconds(duration_s)));
+    };
+    std::vector<SweepCell> cells;
+    for (const Mode mode : {Mode::kBaseline80211, Mode::kEzFlow}) {
+        ExperimentOptions options;
+        options.mode = mode;
+        const auto measure = [=](Experiment& exp, RunResult& cell) {
+            exp.run();
+            const auto summary = exp.summarize(0, from, duration_s);
+            cell.label = mode_name(mode);
+            WindowResult& window = cell.add_window("settled");
+            window.set("goodput_kbps", metric_point(summary.mean_kbps));
+            window.set("mac_b1", buffer_b1(exp));
+            window.set("delay_s", metric_point(summary.mean_delay_s));
+        };
+        cells.push_back({ExperimentFactory(ScenarioSpec::line(4, duration_s), options), measure});
+    }
+
+    ExperimentOptions paced;
+    paced.mode = Mode::kPaced;
+    const auto build_paced = [duration_s](std::uint64_t seed) {
+        return net::make_chain(net::testbed_config(seed), 4, 200.0, 5.0, duration_s);
+    };
+    const auto measure_paced = [=](Experiment& exp, RunResult& cell) {
+        exp.run_until_s(duration_s);
+        cell.label = mode_name(Mode::kPaced);
+        WindowResult& window = cell.add_window("settled");
+        window.set("goodput_kbps",
+                   metric_point(exp.sink().goodput_kbps(0, util::from_seconds(from),
+                                                        util::from_seconds(duration_s))));
+        window.set("mac_b1", buffer_b1(exp));
+        window.set("delay_s", metric_point(exp.summarize(0, from, duration_s).mean_delay_s));
+    };
+    cells.push_back({ExperimentFactory("paced chain", build_paced, paced), measure_paced});
+
+    FigureResult result = make_result(ctx);
+    add_folded(result, sweep_cells(ctx, cells));
     return result;
 }
 
 // -- ablation_penalty_q: static penalty of [9] vs self-tuning EZ-Flow ----
 
-void penalty_run(const FigureContext& ctx, RunResult& cell, const std::string& window_label,
-                 int hops, Mode mode, double q)
-{
-    const double duration_s = 4000.0 * ctx.scale;
-    ExperimentOptions options;
-    options.mode = mode;
-    options.penalty.relay_cw = 1 << 4;
-    options.penalty.q = q;
-    Experiment exp(net::make_line(hops, duration_s, ctx.seed), options);
-    exp.run();
-    const double warmup = 0.4 * duration_s;
-    double b_worst = 0.0;
-    for (int n = 1; n < hops; ++n)
-        b_worst = std::max(b_worst,
-                           exp.buffers().mean_occupancy(n, util::from_seconds(warmup),
-                                                        util::from_seconds(duration_s + 5)));
-    WindowResult& window = cell.add_window(window_label);
-    window.set("b_worst", metric_point(b_worst));
-    window.set("goodput_kbps", metric_point(exp.summarize(0, warmup, duration_s).mean_kbps));
-}
-
 FigureResult run_ablation_penalty_q(const FigureContext& ctx)
 {
-    FigureResult result = make_result(ctx);
+    const double duration_s = 4000.0 * ctx.scale;
+    const double warmup = 0.4 * duration_s;
+    std::vector<SweepCell> cells;
     for (const int hops : {3, 4, 5}) {
-        RunResult& cell = result.add_cell(std::to_string(hops) + "-hop chain");
+        const auto add = [&](const std::string& window_label, Mode mode, double q) {
+            ExperimentOptions options;
+            options.mode = mode;
+            options.penalty.relay_cw = 1 << 4;
+            options.penalty.q = q;
+            const auto measure = [=](Experiment& exp, RunResult& cell) {
+                exp.run();
+                double b_worst = 0.0;
+                for (int n = 1; n < hops; ++n)
+                    b_worst = std::max(b_worst, exp.buffers().mean_occupancy(
+                                                    n, util::from_seconds(warmup),
+                                                    util::from_seconds(duration_s + 5)));
+                cell.label = std::to_string(hops) + "-hop chain";
+                WindowResult& window = cell.add_window(window_label);
+                window.set("b_worst", metric_point(b_worst));
+                window.set("goodput_kbps",
+                           metric_point(exp.summarize(0, warmup, duration_s).mean_kbps));
+            };
+            cells.push_back(
+                {ExperimentFactory(ScenarioSpec::line(hops, duration_s), options), measure});
+        };
         for (const double q : {1.0, 1.0 / 4.0, 1.0 / 16.0, 1.0 / 64.0})
-            penalty_run(ctx, cell, "penalty q=1/" + std::to_string(int(1.0 / q)), hops,
-                        Mode::kPenalty, q);
-        penalty_run(ctx, cell, "EZ-flow (self-tuned)", hops, Mode::kEzFlow, 1.0);
+            add("penalty q=1/" + std::to_string(int(1.0 / q)), Mode::kPenalty, q);
+        add("EZ-flow (self-tuned)", Mode::kEzFlow, 1.0);
     }
+    FigureResult result = make_result(ctx);
+    add_folded(result, sweep_cells(ctx, cells));
     return result;
 }
 
 // -- ablation_phy_capture: SIR capture vs the Fig. 1 dichotomy -----------
 
-void capture_run(const FigureContext& ctx, RunResult& cell, int hops, double capture_threshold,
-                 double duration_s)
-{
-    net::Network::Config config = net::testbed_config(ctx.seed);
-    config.phy.capture_threshold = capture_threshold;
-    Experiment exp(net::make_chain(config, hops, 200.0, 5.0, duration_s), ExperimentOptions{});
-    exp.run_until_s(duration_s);
-    const util::SimTime from = util::from_seconds(0.4 * duration_s);
-    const util::SimTime to = util::from_seconds(duration_s);
-    WindowResult& window = cell.add_window(std::to_string(hops) + "-hop");
-    window.set("b1", metric_point(exp.buffers().mean_occupancy(1, from, to)));
-    window.set("b_last", metric_point(exp.buffers().mean_occupancy(hops - 1, from, to)));
-    window.set("goodput_kbps", metric_point(exp.sink().goodput_kbps(0, from, to)));
-}
-
 FigureResult run_ablation_phy_capture(const FigureContext& ctx)
 {
     const double duration_s = 1800.0 * ctx.scale;
-    FigureResult result = make_result(ctx);
+    const util::SimTime from = util::from_seconds(0.4 * duration_s);
+    const util::SimTime to = util::from_seconds(duration_s);
+    std::vector<SweepCell> cells;
     for (const double threshold : {10.0, 1e9}) {
-        RunResult& cell =
-            result.add_cell(threshold < 1e6 ? "capture 10 dB (ns-2)" : "capture disabled");
-        for (const int hops : {3, 4}) capture_run(ctx, cell, hops, threshold, duration_s);
+        const std::string label = threshold < 1e6 ? "capture 10 dB (ns-2)" : "capture disabled";
+        for (const int hops : {3, 4}) {
+            const auto build = [=](std::uint64_t seed) {
+                net::Network::Config config = net::testbed_config(seed);
+                config.phy.capture_threshold = threshold;
+                return net::make_chain(config, hops, 200.0, 5.0, duration_s);
+            };
+            const auto measure = [=](Experiment& exp, RunResult& cell) {
+                exp.run_until_s(duration_s);
+                cell.label = label;
+                WindowResult& window = cell.add_window(std::to_string(hops) + "-hop");
+                window.set("b1", metric_point(exp.buffers().mean_occupancy(1, from, to)));
+                window.set("b_last",
+                           metric_point(exp.buffers().mean_occupancy(hops - 1, from, to)));
+                window.set("goodput_kbps", metric_point(exp.sink().goodput_kbps(0, from, to)));
+            };
+            cells.push_back({ExperimentFactory(label, build, {}), measure});
+        }
     }
+    FigureResult result = make_result(ctx);
+    add_folded(result, sweep_cells(ctx, cells));
     return result;
 }
 
 // -- ablation_rtscts: is RTS/CTS an alternative to EZ-Flow? --------------
 
-void rtscts_run(const FigureContext& ctx, RunResult& cell, const std::string& window_label,
-                double cs_range, bool rts, bool ezflow, double duration_s)
-{
-    net::Network::Config config = net::default_config(ctx.seed);
-    config.phy.cs_range_m = cs_range;
-    config.mac.rts_cts_enabled = rts;
-    ExperimentOptions options;
-    options.mode = ezflow ? Mode::kEzFlow : Mode::kBaseline80211;
-    Experiment exp(net::make_chain(config, 4, 200.0, 5.0, duration_s), options);
-    exp.run_until_s(duration_s);
-    const util::SimTime from = util::from_seconds(0.4 * duration_s);
-    const util::SimTime to = util::from_seconds(duration_s);
-    WindowResult& window = cell.add_window(window_label);
-    window.set("goodput_kbps", metric_point(exp.sink().goodput_kbps(0, from, to)));
-    window.set("b1", metric_point(exp.buffers().mean_occupancy(1, from, to)));
-}
-
 FigureResult run_ablation_rtscts(const FigureContext& ctx)
 {
     const double duration_s = 3000.0 * ctx.scale;
-    FigureResult result = make_result(ctx);
+    const util::SimTime from = util::from_seconds(0.4 * duration_s);
+    const util::SimTime to = util::from_seconds(duration_s);
+    struct Variant {
+        const char* label;
+        bool rts;
+        bool ezflow;
+    };
+    std::vector<SweepCell> cells;
     for (const double cs : {550.0, 250.0}) {
-        RunResult& cell = result.add_cell(cs > 400 ? "CS ns-2 (550 m)" : "CS testbed (1-hop)");
-        rtscts_run(ctx, cell, "802.11 basic", cs, false, false, duration_s);
-        rtscts_run(ctx, cell, "802.11 + RTS/CTS", cs, true, false, duration_s);
-        rtscts_run(ctx, cell, "EZ-flow (no RTS)", cs, false, true, duration_s);
+        const std::string label = cs > 400 ? "CS ns-2 (550 m)" : "CS testbed (1-hop)";
+        for (const Variant v : {Variant{"802.11 basic", false, false},
+                                Variant{"802.11 + RTS/CTS", true, false},
+                                Variant{"EZ-flow (no RTS)", false, true}}) {
+            const auto build = [=](std::uint64_t seed) {
+                net::Network::Config config = net::default_config(seed);
+                config.phy.cs_range_m = cs;
+                config.mac.rts_cts_enabled = v.rts;
+                return net::make_chain(config, 4, 200.0, 5.0, duration_s);
+            };
+            ExperimentOptions options;
+            options.mode = v.ezflow ? Mode::kEzFlow : Mode::kBaseline80211;
+            const auto measure = [=](Experiment& exp, RunResult& cell) {
+                exp.run_until_s(duration_s);
+                cell.label = label;
+                WindowResult& window = cell.add_window(v.label);
+                window.set("goodput_kbps", metric_point(exp.sink().goodput_kbps(0, from, to)));
+                window.set("b1", metric_point(exp.buffers().mean_occupancy(1, from, to)));
+            };
+            cells.push_back({ExperimentFactory(label, build, options), measure});
+        }
     }
+    FigureResult result = make_result(ctx);
+    add_folded(result, sweep_cells(ctx, cells));
     return result;
 }
 
@@ -157,32 +180,34 @@ FigureResult run_ablation_rtscts(const FigureContext& ctx)
 FigureResult run_ablation_sample_window(const FigureContext& ctx)
 {
     const double duration_s = 6000.0 * ctx.scale;
-    FigureResult result = make_result(ctx);
-    RunResult& cell = result.add_cell("4-hop + joining flow");
+    const double warmup = 0.15 * duration_s;
+    // F2 joins for the middle third of the run.
+    const ScenarioSpec spec =
+        ScenarioSpec::testbed(5.0, duration_s, duration_s / 3.0, 2.0 * duration_s / 3.0);
+    std::vector<SweepCell> cells;
     for (const int sample_window : {5, 20, 50, 200, 1000}) {
         ExperimentOptions options;
         options.mode = Mode::kEzFlow;
         options.caa.sample_window = sample_window;
-        // F2 joins for the middle third of the run.
-        net::Scenario scenario = net::make_testbed(5.0, duration_s, duration_s / 3.0,
-                                                   2.0 * duration_s / 3.0, ctx.seed);
-        Experiment exp(std::move(scenario), options);
-        exp.run_until_s(duration_s);
-        const double warmup = 0.15 * duration_s;
-        const auto summary = exp.summarize(1, warmup, duration_s);
-        const auto* agent = exp.agent(0);
-        std::uint64_t changes = 0;
-        if (agent != nullptr) {
-            for (const auto& [succ, state] : agent->successors())
-                changes += state->caa->increases() + state->caa->decreases();
-        }
-        WindowResult& window = cell.add_window("window " + std::to_string(sample_window));
-        window.set("b1", metric_point(exp.buffers().mean_occupancy(
-                       1, util::from_seconds(warmup), util::from_seconds(duration_s))));
-        window.set("goodput_kbps", metric_point(summary.mean_kbps));
-        window.set("delay_s", metric_point(summary.mean_delay_s));
-        window.set("cw_changes", metric_point(static_cast<double>(changes)));
+        const auto measure = [=](Experiment& exp, RunResult& cell) {
+            exp.run_until_s(duration_s);
+            const auto summary = exp.summarize(1, warmup, duration_s);
+            std::uint64_t changes = 0;
+            if (const auto* agent = exp.agent(0))
+                for (const auto& [succ, state] : agent->successors())
+                    changes += state->caa->increases() + state->caa->decreases();
+            cell.label = "4-hop + joining flow";
+            WindowResult& window = cell.add_window("window " + std::to_string(sample_window));
+            window.set("b1", metric_point(exp.buffers().mean_occupancy(
+                                 1, util::from_seconds(warmup), util::from_seconds(duration_s))));
+            window.set("goodput_kbps", metric_point(summary.mean_kbps));
+            window.set("delay_s", metric_point(summary.mean_delay_s));
+            window.set("cw_changes", metric_point(static_cast<double>(changes)));
+        };
+        cells.push_back({ExperimentFactory(spec, options), measure});
     }
+    FigureResult result = make_result(ctx);
+    add_folded(result, sweep_cells(ctx, cells));
     return result;
 }
 
@@ -191,24 +216,29 @@ FigureResult run_ablation_sample_window(const FigureContext& ctx)
 FigureResult run_ablation_sniff_loss(const FigureContext& ctx)
 {
     const double duration_s = 6000.0 * ctx.scale;
-    FigureResult result = make_result(ctx);
-    RunResult& cell = result.add_cell("4-hop chain / EZ-flow");
+    const double warmup = 0.4 * duration_s;
+    std::vector<SweepCell> cells;
     for (const double loss : {0.0, 0.5, 0.8, 0.95}) {
         ExperimentOptions options;
         options.mode = Mode::kEzFlow;
         options.boe_sniff_loss = loss;
-        Experiment exp(net::make_line(4, duration_s, ctx.seed), options);
-        exp.run();
-        const double warmup = 0.4 * duration_s;
-        const auto summary = exp.summarize(0, warmup, duration_s);
-        const auto* agent = exp.agent(0);
-        WindowResult& window = cell.add_window("loss " + util::Table::num(loss, 2));
-        window.set("b1", metric_point(exp.buffers().mean_occupancy(
-                       1, util::from_seconds(warmup), util::from_seconds(duration_s + 5))));
-        window.set("goodput_kbps", metric_point(summary.mean_kbps));
-        window.set("delay_s", metric_point(summary.mean_delay_s));
-        window.set("source_cw", metric_point(agent != nullptr ? agent->cw_toward(1) : -1));
+        const auto measure = [=](Experiment& exp, RunResult& cell) {
+            exp.run();
+            const auto summary = exp.summarize(0, warmup, duration_s);
+            const auto* agent = exp.agent(0);
+            cell.label = "4-hop chain / EZ-flow";
+            WindowResult& window = cell.add_window("loss " + util::Table::num(loss, 2));
+            window.set("b1", metric_point(exp.buffers().mean_occupancy(
+                                 1, util::from_seconds(warmup),
+                                 util::from_seconds(duration_s + 5))));
+            window.set("goodput_kbps", metric_point(summary.mean_kbps));
+            window.set("delay_s", metric_point(summary.mean_delay_s));
+            window.set("source_cw", metric_point(agent != nullptr ? agent->cw_toward(1) : -1));
+        };
+        cells.push_back({ExperimentFactory(ScenarioSpec::line(4, duration_s), options), measure});
     }
+    FigureResult result = make_result(ctx);
+    add_folded(result, sweep_cells(ctx, cells));
     return result;
 }
 
@@ -217,25 +247,31 @@ FigureResult run_ablation_sniff_loss(const FigureContext& ctx)
 FigureResult run_ablation_thresholds(const FigureContext& ctx)
 {
     const double duration_s = 600.0 * ctx.scale * 10.0;  // default scale 0.1 -> 600 s
-    FigureResult result = make_result(ctx);
+    const double warmup = 0.4 * duration_s;
+    std::vector<SweepCell> cells;
     for (const double bmin : {0.05, 0.5, 2.0}) {
-        RunResult& cell = result.add_cell("bmin " + util::Table::num(bmin, 2));
         for (const double bmax : {10.0, 20.0, 40.0}) {
             ExperimentOptions options;
             options.mode = Mode::kEzFlow;
             options.caa.bmin = bmin;
             options.caa.bmax = bmax;
-            Experiment exp(net::make_line(4, duration_s, ctx.seed), options);
-            exp.run();
-            const double warmup = 0.4 * duration_s;
-            const auto summary = exp.summarize(0, warmup, duration_s);
-            WindowResult& window = cell.add_window("bmax " + util::Table::num(bmax, 0));
-            window.set("b1", metric_point(exp.buffers().mean_occupancy(
-                           1, util::from_seconds(warmup), util::from_seconds(duration_s + 5))));
-            window.set("goodput_kbps", metric_point(summary.mean_kbps));
-            window.set("delay_s", metric_point(summary.mean_delay_s));
+            const auto measure = [=](Experiment& exp, RunResult& cell) {
+                exp.run();
+                const auto summary = exp.summarize(0, warmup, duration_s);
+                cell.label = "bmin " + util::Table::num(bmin, 2);
+                WindowResult& window = cell.add_window("bmax " + util::Table::num(bmax, 0));
+                window.set("b1", metric_point(exp.buffers().mean_occupancy(
+                                     1, util::from_seconds(warmup),
+                                     util::from_seconds(duration_s + 5))));
+                window.set("goodput_kbps", metric_point(summary.mean_kbps));
+                window.set("delay_s", metric_point(summary.mean_delay_s));
+            };
+            cells.push_back(
+                {ExperimentFactory(ScenarioSpec::line(4, duration_s), options), measure});
         }
     }
+    FigureResult result = make_result(ctx);
+    add_folded(result, sweep_cells(ctx, cells));
     return result;
 }
 

@@ -44,10 +44,8 @@ FigureResult run_ampdu(const FigureContext& ctx)
         spec.ampdu_max_mpdus = k;
         // Cell labels stay distinct per batch size: scenario_name appends
         // "-k<K>" for K > 1, so the K=1 cells keep their plain labels.
-        const auto sweeps =
-            sweep_modes(ctx, spec, {Mode::kBaseline80211, Mode::kEzFlow}, windows);
-        for (const SweepResult& sweep : sweeps)
-            result.cells.push_back(run_result_from_sweep(sweep, windows));
+        add_folded(result, sweep_modes(ctx, spec, {Mode::kBaseline80211, Mode::kEzFlow},
+                                       summarize_windows(windows)));
     }
     return result;
 }

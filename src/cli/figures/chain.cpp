@@ -3,7 +3,6 @@
 
 #include "cli/figures.h"
 #include "cli/figures_common.h"
-#include "net/topologies.h"
 
 namespace ezflow::cli {
 
@@ -13,31 +12,41 @@ using namespace ezflow::analysis;
 
 FigureResult run_fig01(const FigureContext& ctx)
 {
-    FigureResult result = make_result(ctx);
-    for (const int hops : {3, 4}) {
-        const double duration_s = 1800.0 * ctx.scale;
-        ExperimentOptions options;
-        options.mode = Mode::kBaseline80211;
-        Experiment exp(net::make_line(hops, duration_s, ctx.seed), options);
-        exp.run();
+    const double duration_s = 1800.0 * ctx.scale;
+    const double warmup = 0.2 * duration_s;
+    const std::vector<int> hop_counts = {3, 4};
+    std::vector<SweepCell> cells;
+    for (const int hops : hop_counts) {
+        const auto measure = [hops, duration_s, warmup](Experiment& exp, RunResult& cell) {
+            exp.run();
+            cell.label = std::to_string(hops) + "-hop chain / IEEE 802.11";
+            WindowResult& window = cell.add_window("settled");
+            for (int n = 1; n < hops; ++n) {
+                const std::string prefix = "N" + std::to_string(n);
+                window.set(prefix + ".buf_mean",
+                           metric_point(exp.buffers().mean_occupancy(
+                               n, util::from_seconds(warmup), util::from_seconds(duration_s + 5))));
+                window.set(prefix + ".buf_max", metric_point(exp.buffers().max_occupancy(n)));
+                window.set(prefix + ".drops",
+                           metric_point(static_cast<double>(
+                               exp.network().node(n).forward_queue_drops())));
+            }
+            window.set("goodput_kbps",
+                       metric_point(exp.summarize(0, warmup, duration_s).mean_kbps));
+        };
+        cells.push_back({ExperimentFactory(ScenarioSpec::line(hops, duration_s), {}), measure});
+    }
+    const auto sweeps = sweep_cells(ctx, cells);
 
-        RunResult& cell = result.add_cell(std::to_string(hops) + "-hop chain / IEEE 802.11");
-        WindowResult& window = cell.add_window("settled");
-        const double warmup = 0.2 * duration_s;
-        std::vector<std::pair<std::string, util::TimeSeries>> series;
-        for (int n = 1; n < hops; ++n) {
-            const std::string prefix = "N" + std::to_string(n);
-            window.set(prefix + ".buf_mean",
-                       metric_point(exp.buffers().mean_occupancy(
-                           n, util::from_seconds(warmup), util::from_seconds(duration_s + 5))));
-            window.set(prefix + ".buf_max", metric_point(exp.buffers().max_occupancy(n)));
-            window.set(prefix + ".drops",
-                       metric_point(static_cast<double>(
-                           exp.network().node(n).forward_queue_drops())));
-            if (!ctx.csv_dir.empty()) series.emplace_back(prefix, exp.buffers().trace(n));
+    FigureResult result = make_result(ctx);
+    add_folded(result, sweeps);
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+        if (Experiment* first = sweeps[c].first.get()) {
+            std::vector<std::pair<std::string, util::TimeSeries>> series;
+            for (int n = 1; n < hop_counts[c]; ++n)
+                series.emplace_back("N" + std::to_string(n), first->buffers().trace(n));
+            maybe_dump_series(ctx, "fig01_" + std::to_string(hop_counts[c]) + "hop", series);
         }
-        window.set("goodput_kbps", metric_point(exp.summarize(0, warmup, duration_s).mean_kbps));
-        maybe_dump_series(ctx, "fig01_" + std::to_string(hops) + "hop", series);
     }
     return result;
 }

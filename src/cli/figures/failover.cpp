@@ -69,44 +69,40 @@ double reconvergence_time_s(Experiment& experiment, const std::vector<int>& flow
     return horizon;
 }
 
-/// Custom failover metrics, aggregated across the kept per-seed
-/// experiments: goodput dip depth, re-convergence time, stranded
-/// packets, and the injector's repair counters.
-void add_failover_metrics(RunResult& cell, const SweepResult& sweep,
-                          const std::vector<SweepWindow>& windows,
-                          const FailoverTimeline& timeline)
+/// The flow-window measure plus the failover metrics of one seed:
+/// goodput dip depth, re-convergence time, stranded packets, and the
+/// injector's repair counters.
+SeedMeasure measure_failover(const std::vector<SweepWindow>& windows,
+                             const FailoverTimeline& timeline, const std::string& victim_label)
 {
-    util::RunningStats dip_ratio, recovery_ratio, reconv_s, stranded, backoffs;
-    util::RunningStats rerouted, suspended, restored;
-    for (std::size_t s = 0; s < sweep.per_seed.size(); ++s) {
-        const SeedResult& seed = sweep.per_seed[s];
-        const double pre = seed.windows[0].aggregate_kbps;
-        dip_ratio.add(pre > 0.0 ? seed.windows[1].aggregate_kbps / pre : 1.0);
-        recovery_ratio.add(pre > 0.0 ? seed.windows[2].aggregate_kbps / pre : 1.0);
-
-        Experiment& experiment = *sweep.experiments[s];
-        reconv_s.add(reconvergence_time_s(experiment, windows[0].flow_ids, timeline, pre));
+    return [summarize = summarize_windows(windows), flow_ids = windows[0].flow_ids, timeline,
+            victim_label](Experiment& experiment, RunResult& cell) {
+        summarize(experiment, cell);
+        cell.label += " / " + victim_label;
+        const auto aggregate_kbps = [&cell](std::size_t w) {
+            return cell.windows[w].find("aggregate_kbps")->mean;
+        };
+        const double pre = aggregate_kbps(0);
+        const double reconv_s = reconvergence_time_s(experiment, flow_ids, timeline, pre);
         const DropLedger ledger = collect_drop_ledger(experiment);
-        stranded.add(static_cast<double>(ledger.drops_node_down + ledger.drops_unroutable));
         double retries = 0.0;
         for (const auto& source : experiment.sources())
             retries += static_cast<double>(source->stats().backoff_retries);
-        backoffs.add(retries);
-        const sim::FaultInjector* injector = experiment.fault_injector();
-        rerouted.add(static_cast<double>(injector->stats().flows_rerouted));
-        suspended.add(static_cast<double>(injector->stats().flows_suspended));
-        restored.add(static_cast<double>(injector->stats().flows_restored));
-    }
-    WindowResult& outage = cell.windows[1];
-    outage.set("goodput_dip_ratio", metric_from_stats(dip_ratio));
-    outage.set("stranded_packets", metric_from_stats(stranded));
-    outage.set("source_backoff_retries", metric_from_stats(backoffs));
-    outage.set("flows_rerouted", metric_from_stats(rerouted));
-    outage.set("flows_suspended", metric_from_stats(suspended));
-    WindowResult& recovery = cell.windows[2];
-    recovery.set("reconv_time_s", metric_from_stats(reconv_s));
-    recovery.set("recovery_ratio", metric_from_stats(recovery_ratio));
-    recovery.set("flows_restored", metric_from_stats(restored));
+        const sim::FaultInjector::Stats& repairs = experiment.fault_injector()->stats();
+
+        WindowResult& outage = cell.windows[1];
+        outage.set("goodput_dip_ratio", metric_point(pre > 0.0 ? aggregate_kbps(1) / pre : 1.0));
+        outage.set("stranded_packets",
+                   metric_point(static_cast<double>(ledger.drops_node_down +
+                                                    ledger.drops_unroutable)));
+        outage.set("source_backoff_retries", metric_point(retries));
+        outage.set("flows_rerouted", metric_point(static_cast<double>(repairs.flows_rerouted)));
+        outage.set("flows_suspended", metric_point(static_cast<double>(repairs.flows_suspended)));
+        WindowResult& recovery = cell.windows[2];
+        recovery.set("reconv_time_s", metric_point(reconv_s));
+        recovery.set("recovery_ratio", metric_point(pre > 0.0 ? aggregate_kbps(2) / pre : 1.0));
+        recovery.set("flows_restored", metric_point(static_cast<double>(repairs.flows_restored)));
+    };
 }
 
 FigureResult run_failover(const FigureContext& ctx, net::NodeId victim,
@@ -121,40 +117,33 @@ FigureResult run_failover(const FigureContext& ctx, net::NodeId victim,
 
     ScenarioSpec spec = ScenarioSpec::grid_gateway(grid);
     spec.faults.node_down(timeline.down_s, victim).node_up(timeline.up_s, victim);
+    if (ctx.shards > 0) spec.shards = ctx.shards;
 
-    const std::vector<SweepWindow> windows = timeline.windows(grid.sources);
-    FigureResult result = make_result(ctx);
+    const SeedMeasure measure = measure_failover(timeline.windows(grid.sources), timeline,
+                                                 victim_label);
     // Not sweep_modes: failover windows are fractions of the active
     // period, so the goodput meter must resolve well below the default
     // 10 s window or a smoke-scaled outage holds no samples at all.
-    if (ctx.shards > 0) spec.shards = ctx.shards;
-    std::vector<ExperimentFactory> cells;
+    std::vector<SweepCell> cells;
     for (Mode mode : {Mode::kBaseline80211, Mode::kEzFlow}) {
         ExperimentOptions options;
         options.mode = mode;
         options.streaming = ctx.streaming;
         options.throughput_window =
             std::max<util::SimTime>(util::from_seconds(grid.duration_s / 60.0), 1);
-        cells.emplace_back(spec, options);
+        cells.push_back({ExperimentFactory(spec, options), measure});
     }
-    SweepConfig config;
-    config.windows = windows;
-    config.seeds = ctx.seed_grid();
-    config.keep_experiments = true;
-    const auto sweeps = SweepRunner(ctx.threads).run_grid(cells, config);
+    const auto sweeps = sweep_cells(ctx, cells);
+
+    FigureResult result = make_result(ctx);
+    add_folded(result, sweeps);
     for (std::size_t m = 0; m < sweeps.size(); ++m) {
-        const SweepResult& sweep = sweeps[m];
-        RunResult cell = run_result_from_sweep(sweep, windows);
-        cell.label += " / " + victim_label;
-        add_failover_metrics(cell, sweep, windows, timeline);
-        result.cells.push_back(std::move(cell));
-        if (!sweep.experiments.empty()) {
+        if (Experiment* first = sweeps[m].first.get()) {
             // First-seed per-flow goodput timeline: the dip-and-recovery
             // curve the figure's windowed numbers summarize.
-            Experiment& first = *sweep.experiments.front();
             std::vector<std::pair<std::string, const util::TimeSeries*>> series;
             for (int f = 1; f <= grid.sources; ++f)
-                series.emplace_back("F" + std::to_string(f), &first.throughput(f).series());
+                series.emplace_back("F" + std::to_string(f), &first->throughput(f).series());
             maybe_dump_series(ctx,
                               ctx.spec->name + std::string(m == 0 ? "_80211" : "_ezflow"),
                               series);

@@ -34,30 +34,28 @@ std::vector<SweepWindow> settled_window(const net::GridSpec& grid, int flows)
     return {SweepWindow{"settled", begin, end, flow_ids_upto(flows)}};
 }
 
-/// Per-seed min/max across the flows of each window, aggregated across
-/// seeds — the per-flow-throughput summary a max-min study reports.
-void add_maxmin_metrics(RunResult& cell, const SweepResult& sweep)
+/// The flow-window measure plus, per window, the min and max flow
+/// throughput and their ratio — the per-flow-throughput summary a max-min
+/// study reports, taken per seed (unmeasured flows count as 0 kb/s).
+SeedMeasure summarize_maxmin(const std::vector<SweepWindow>& windows)
 {
-    for (std::size_t w = 0; w < cell.windows.size(); ++w) {
-        util::RunningStats min_kbps, max_kbps, maxmin;
-        for (const SeedResult& seed : sweep.per_seed) {
-            const SeedResult::Window& window = seed.windows[w];
-            if (window.flows.empty()) continue;
-            double lo = window.flows.front().mean_kbps;
-            double hi = lo;
-            for (const Experiment::FlowSummary& flow : window.flows) {
-                lo = std::min(lo, flow.mean_kbps);
-                hi = std::max(hi, flow.mean_kbps);
+    return [summarize = summarize_windows(windows), windows](Experiment& exp, RunResult& cell) {
+        summarize(exp, cell);
+        for (std::size_t w = 0; w < windows.size(); ++w) {
+            WindowResult& window = cell.windows[w];
+            double lo = 0.0;
+            double hi = 0.0;
+            for (std::size_t f = 0; f < windows[w].flow_ids.size(); ++f) {
+                const double kbps =
+                    window.find("F" + std::to_string(windows[w].flow_ids[f]) + ".kbps")->mean;
+                lo = f == 0 ? kbps : std::min(lo, kbps);
+                hi = f == 0 ? kbps : std::max(hi, kbps);
             }
-            min_kbps.add(lo);
-            max_kbps.add(hi);
-            maxmin.add(hi > 0 ? lo / hi : 1.0);
+            window.set("min_flow_kbps", metric_point(lo));
+            window.set("max_flow_kbps", metric_point(hi));
+            window.set("maxmin_ratio", metric_point(hi > 0 ? lo / hi : 1.0));
         }
-        WindowResult& window = cell.windows[w];
-        window.set("min_flow_kbps", metric_from_stats(min_kbps));
-        window.set("max_flow_kbps", metric_from_stats(max_kbps));
-        window.set("maxmin_ratio", metric_from_stats(maxmin));
-    }
+    };
 }
 
 net::GridSpec grid_spec_from(const FigureContext& ctx, int default_cols, int default_rows)
@@ -75,12 +73,8 @@ net::GridSpec grid_spec_from(const FigureContext& ctx, int default_cols, int def
 void append_mode_cells(FigureResult& result, const FigureContext& ctx, const ScenarioSpec& spec,
                        const std::vector<SweepWindow>& windows, bool maxmin)
 {
-    const std::vector<Mode> modes = {Mode::kBaseline80211, Mode::kEzFlow};
-    const auto sweeps = sweep_modes(ctx, spec, modes, windows);
-    for (const SweepResult& sweep : sweeps) {
-        result.cells.push_back(run_result_from_sweep(sweep, windows));
-        if (maxmin) add_maxmin_metrics(result.cells.back(), sweep);
-    }
+    const SeedMeasure measure = maxmin ? summarize_maxmin(windows) : summarize_windows(windows);
+    add_folded(result, sweep_modes(ctx, spec, {Mode::kBaseline80211, Mode::kEzFlow}, measure));
 }
 
 // -- grid_cross: crossing row/column flows over an N x M lattice ---------

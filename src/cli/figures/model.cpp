@@ -2,6 +2,7 @@
 // random walk, driven without any packet-level simulation.
 
 #include <algorithm>
+#include <functional>
 #include <map>
 
 #include "cli/figures.h"
@@ -10,6 +11,7 @@
 #include "model/region.h"
 #include "model/table4.h"
 #include "model/walk.h"
+#include "util/parallel.h"
 
 namespace ezflow::cli {
 
@@ -17,21 +19,41 @@ namespace {
 
 using namespace ezflow::analysis;
 
-FigureResult run_fig12(const FigureContext& ctx)
+/// The model figures' seed sweep: `run_seed` draws every cell of the
+/// figure from its seed; the seeds of the context run on util::parallel_for
+/// (--threads) and each cell is folded across them.
+FigureResult fold_model_seeds(const FigureContext& ctx,
+                              const std::function<std::vector<RunResult>(std::uint64_t)>& run_seed)
 {
+    const std::vector<std::uint64_t> seeds = ctx.seed_grid();
+    std::vector<std::vector<RunResult>> per_seed(seeds.size());
+    util::parallel_for(static_cast<int>(seeds.size()), ctx.threads, [&](int s) {
+        per_seed[static_cast<std::size_t>(s)] = run_seed(seeds[static_cast<std::size_t>(s)]);
+    });
     FigureResult result = make_result(ctx);
+    for (std::size_t c = 0; c < per_seed.front().size(); ++c) {
+        std::vector<RunResult> cell;
+        for (std::vector<RunResult>& cells : per_seed) cell.push_back(std::move(cells[c]));
+        result.cells.push_back(fold_seeds(cell));
+    }
+    return result;
+}
+
+std::vector<RunResult> fig12_seed(double scale, std::uint64_t seed)
+{
+    std::vector<RunResult> cells;
 
     // (i) trajectories of the total backlog h(b) with fixed equal windows
     // (divergent) vs EZ-Flow dynamics (bounded).
-    const std::uint64_t slots =
-        static_cast<std::uint64_t>(300000 * std::max(ctx.scale, 0.05));
+    const std::uint64_t slots = static_cast<std::uint64_t>(300000 * std::max(scale, 0.05));
     for (const bool ezflow : {false, true}) {
         model::RandomWalkModel::Config config;
         config.hops = 4;
         config.ezflow_enabled = ezflow;
         if (!ezflow) config.initial_cw = {32, 32, 32, 32};
-        model::RandomWalkModel walk(config, util::Rng(ctx.seed));
-        RunResult& cell = result.add_cell(ezflow ? "EZ-flow (Eq. 2)" : "fixed cw = 32");
+        model::RandomWalkModel walk(config, util::Rng(seed));
+        RunResult& cell = cells.emplace_back();
+        cell.label = ezflow ? "EZ-flow (Eq. 2)" : "fixed cw = 32";
         WindowResult& window = cell.add_window("trajectory");
         const char* quarter_names[] = {"h_q1", "h_q2", "h_q3", "h_end"};
         for (int quarter = 0; quarter < 4; ++quarter) {
@@ -48,7 +70,7 @@ FigureResult run_fig12(const FigureContext& ctx)
     config.hops = 4;
     config.ezflow_enabled = true;
     model::LyapunovEstimator estimator(config, {1 << 9, 1 << 4, 1 << 4, 1 << 4},
-                                       util::Rng(ctx.seed));
+                                       util::Rng(seed));
     const long long big = 60;
     const std::vector<std::pair<int, model::BufferVector>> states = {
         {model::kRegionB, {big, 0, 0}},   {model::kRegionC, {0, big, 0}},
@@ -56,8 +78,9 @@ FigureResult run_fig12(const FigureContext& ctx)
         {model::kRegionF, {big, 0, big}}, {model::kRegionG, {0, big, big}},
         {model::kRegionH, {big, big, big}},
     };
-    const int samples = static_cast<int>(8000 * std::max(ctx.scale, 0.05));
-    RunResult& drift_cell = result.add_cell("Foster-Lyapunov drift");
+    const int samples = static_cast<int>(8000 * std::max(scale, 0.05));
+    RunResult& drift_cell = cells.emplace_back();
+    drift_cell.label = "Foster-Lyapunov drift";
     for (const auto& [region, relays] : states) {
         const int k = model::LyapunovEstimator::paper_horizon(region);
         const auto d = estimator.estimate(relays, k, samples);
@@ -67,7 +90,13 @@ FigureResult run_fig12(const FigureContext& ctx)
         window.set("stderr_drift", metric_point(d.stderr_drift));
         window.set("stable", metric_point(d.mean_drift + 2 * d.stderr_drift < 0.05 ? 1.0 : 0.0));
     }
-    return result;
+    return cells;
+}
+
+FigureResult run_fig12(const FigureContext& ctx)
+{
+    return fold_model_seeds(ctx,
+                            [&ctx](std::uint64_t seed) { return fig12_seed(ctx.scale, seed); });
 }
 
 std::string pattern_key(const std::vector<int>& z)
@@ -77,16 +106,17 @@ std::string pattern_key(const std::vector<int>& z)
     return key;
 }
 
-void table4_report(const FigureContext& ctx, FigureResult& result, const std::vector<double>& cw,
-                   const char* cw_label)
+RunResult table4_cell(double scale, std::uint64_t seed, const std::vector<double>& cw,
+                      const char* cw_label)
 {
-    RunResult& cell = result.add_cell(cw_label);
+    RunResult cell;
+    cell.label = cw_label;
 
     model::RandomWalkModel::Config config;
     config.hops = 4;
-    model::RandomWalkModel sampler(config, util::Rng(ctx.seed));
+    model::RandomWalkModel sampler(config, util::Rng(seed));
 
-    const int n = static_cast<int>(50000 * std::max(ctx.scale, 0.02));
+    const int n = static_cast<int>(50000 * std::max(scale, 0.02));
     for (int region = 0; region < 8; ++region) {
         model::BufferVector relays = {0, 0, 0};
         for (int i = 0; i < 3; ++i)
@@ -103,14 +133,17 @@ void table4_report(const FigureContext& ctx, FigureResult& result, const std::ve
             window.set(key + ".monte_carlo", metric_point(observed));
         }
     }
+    return cell;
 }
 
 FigureResult run_table4(const FigureContext& ctx)
 {
-    FigureResult result = make_result(ctx);
-    table4_report(ctx, result, {32, 32, 32, 32}, "cw = (32 32 32 32) [plain 802.11]");
-    table4_report(ctx, result, {512, 16, 16, 16}, "cw = (512 16 16 16) [EZ-flow stable]");
-    return result;
+    return fold_model_seeds(ctx, [&ctx](std::uint64_t seed) {
+        return std::vector<RunResult>{
+            table4_cell(ctx.scale, seed, {32, 32, 32, 32}, "cw = (32 32 32 32) [plain 802.11]"),
+            table4_cell(ctx.scale, seed, {512, 16, 16, 16},
+                        "cw = (512 16 16 16) [EZ-flow stable]")};
+    });
 }
 
 }  // namespace

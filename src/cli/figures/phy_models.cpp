@@ -30,75 +30,74 @@ FigureResult run_fading(const FigureContext& ctx)
     // deep fades (|h|^2 < ~0.06, about 6% of frames) drop below the 10 dB
     // capture threshold, so outage — not the mean — is what doppler adds.
     const double noise_w = ctx.extra_double("noise", 4e-12);
+    const SeedMeasure settled =
+        summarize_windows({SweepWindow{"settled", 0.3 * duration_s, duration_s, {0}}});
     FigureResult result = make_result(ctx);
-    const std::vector<SweepWindow> windows = {
-        SweepWindow{"settled", 0.3 * duration_s, duration_s, {0}}};
     for (const double doppler_hz : {0.0, 2.5, 10.0}) {
         ScenarioSpec spec = ScenarioSpec::line(4, duration_s);
         spec.models.jakes_doppler_hz = doppler_hz;
         spec.models.noise_floor_w = noise_w;
-        const auto sweeps =
-            sweep_modes(ctx, spec, {Mode::kBaseline80211, Mode::kEzFlow}, windows);
-        for (const SweepResult& sweep : sweeps) {
-            RunResult cell = run_result_from_sweep(sweep, windows);
+        const auto measure = [&settled, doppler_hz](Experiment& exp, RunResult& cell) {
+            settled(exp, cell);
             cell.label = "doppler " + util::Table::num(doppler_hz, 1) + " Hz / " + cell.label;
-            result.cells.push_back(std::move(cell));
-        }
+        };
+        add_folded(result, sweep_modes(ctx, spec, {Mode::kBaseline80211, Mode::kEzFlow}, measure));
     }
     return result;
 }
 
 // -- rate_adapt: Minstrel vs fixed rate on a noisy 2-hop relay -----------
 
-void rate_adapt_run(const FigureContext& ctx, RunResult& cell, double hop_m, bool minstrel,
-                    bool ezflow, double duration_s)
-{
-    net::Network::Config config = net::default_config(ctx.seed);
-    // A unit capture threshold leaves the per-rate decode floors as the
-    // only thresholds: with a 6e-11 W noise floor the DSSS ladder binds by
-    // distance — 11 Mb/s decodes to ~170 m, 5.5 Mb/s to ~202 m, 2 Mb/s to
-    // ~240 m, 1 Mb/s to the 250 m delivery range.
-    config.phy.capture_threshold = 1.0;
-    phy::PhyModelConfig models;
-    models.noise_floor_w = 6e-11;
-    if (minstrel) models.rate = phy::PhyModelConfig::Rate::kMinstrel;
-    net::Scenario scenario = net::make_chain(config, 2, hop_m, 5.0, duration_s);
-    scenario.network->set_phy_models(models);
-    ExperimentOptions options;
-    options.mode = ezflow ? Mode::kEzFlow : Mode::kBaseline80211;
-    options.cbr_rate_bps = 4e6;
-    Experiment exp(std::move(scenario), options);
-    exp.run_until_s(duration_s);
-
-    const util::SimTime from = util::from_seconds(0.4 * duration_s);
-    const util::SimTime to = util::from_seconds(duration_s);
-    WindowResult& window = cell.add_window("hop " + util::Table::num(hop_m, 0) + " m");
-    window.set("goodput_kbps", metric_point(exp.sink().goodput_kbps(0, from, to)));
-    window.set("b1", metric_point(exp.buffers().mean_occupancy(1, from, to)));
-    net::Network& network = exp.network();
-    auto* manager = dynamic_cast<phy::MinstrelRate*>(network.channel().rate_manager());
-    window.set("rate_0_1_mbps",
-               metric_point(manager != nullptr
-                                ? static_cast<double>(manager->best_rate_bps(0, 1)) / 1e6
-                                : static_cast<double>(network.config().phy.bitrate_bps) / 1e6));
-}
-
 FigureResult run_rate_adapt(const FigureContext& ctx)
 {
     const double duration_s = 1800.0 * ctx.scale;
-    FigureResult result = make_result(ctx);
+    const util::SimTime from = util::from_seconds(0.4 * duration_s);
+    const util::SimTime to = util::from_seconds(duration_s);
     struct Variant {
         const char* label;
         bool minstrel;
         bool ezflow;
     };
+    std::vector<SweepCell> cells;
     for (const Variant v : {Variant{"802.11 / fixed 1 Mb/s", false, false},
                             Variant{"802.11 / minstrel", true, false},
                             Variant{"EZ-flow / minstrel", true, true}}) {
-        RunResult& cell = result.add_cell(v.label);
-        for (const double hop_m : {150.0, 190.0, 230.0})
-            rate_adapt_run(ctx, cell, hop_m, v.minstrel, v.ezflow, duration_s);
+        for (const double hop_m : {150.0, 190.0, 230.0}) {
+            const auto build = [=](std::uint64_t seed) {
+                net::Network::Config config = net::default_config(seed);
+                // A unit capture threshold leaves the per-rate decode floors
+                // as the only thresholds: with a 6e-11 W noise floor the DSSS
+                // ladder binds by distance — 11 Mb/s decodes to ~170 m,
+                // 5.5 Mb/s to ~202 m, 2 Mb/s to ~240 m, 1 Mb/s to the 250 m
+                // delivery range.
+                config.phy.capture_threshold = 1.0;
+                phy::PhyModelConfig models;
+                models.noise_floor_w = 6e-11;
+                if (v.minstrel) models.rate = phy::PhyModelConfig::Rate::kMinstrel;
+                net::Scenario scenario = net::make_chain(config, 2, hop_m, 5.0, duration_s);
+                scenario.network->set_phy_models(models);
+                return scenario;
+            };
+            ExperimentOptions options;
+            options.mode = v.ezflow ? Mode::kEzFlow : Mode::kBaseline80211;
+            options.cbr_rate_bps = 4e6;
+            const auto measure = [=](Experiment& exp, RunResult& cell) {
+                exp.run_until_s(duration_s);
+                cell.label = v.label;
+                WindowResult& window = cell.add_window("hop " + util::Table::num(hop_m, 0) + " m");
+                window.set("goodput_kbps", metric_point(exp.sink().goodput_kbps(0, from, to)));
+                window.set("b1", metric_point(exp.buffers().mean_occupancy(1, from, to)));
+                net::Network& network = exp.network();
+                auto* manager = dynamic_cast<phy::MinstrelRate*>(network.channel().rate_manager());
+                const auto rate_bps = manager != nullptr ? manager->best_rate_bps(0, 1)
+                                                         : network.config().phy.bitrate_bps;
+                window.set("rate_0_1_mbps", metric_point(static_cast<double>(rate_bps) / 1e6));
+            };
+            cells.push_back({ExperimentFactory(v.label, build, options), measure});
+        }
     }
+    FigureResult result = make_result(ctx);
+    add_folded(result, sweep_cells(ctx, cells));
     return result;
 }
 

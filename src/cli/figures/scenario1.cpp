@@ -17,18 +17,16 @@ FigureResult run_fig06(const FigureContext& ctx)
 {
     const Scenario1Periods periods(ctx.scale);
     const std::vector<Mode> modes = {Mode::kBaseline80211, Mode::kEzFlow};
-    const auto windows = periods.windows();
-    const auto sweeps = sweep_modes(ctx, ScenarioSpec::scenario1(ctx.scale), modes, windows);
+    const auto sweeps = sweep_modes(ctx, ScenarioSpec::scenario1(ctx.scale), modes,
+                                    summarize_windows(periods.windows()));
 
     FigureResult result = make_result(ctx);
+    add_folded(result, sweeps);
     for (std::size_t m = 0; m < modes.size(); ++m) {
-        result.cells.push_back(run_result_from_sweep(sweeps[m], windows));
-        if (!sweeps[m].experiments.empty()) {
-            Experiment& first = *sweeps[m].experiments.front();
+        if (Experiment* first = sweeps[m].first.get())
             maybe_dump_series(
                 ctx, std::string("fig06_") + (modes[m] == Mode::kEzFlow ? "ezflow" : "80211"),
-                {{"F1", &first.throughput(1).series()}, {"F2", &first.throughput(2).series()}});
-        }
+                {{"F1", &first->throughput(1).series()}, {"F2", &first->throughput(2).series()}});
     }
     return result;
 }
@@ -42,18 +40,17 @@ FigureResult run_fig07(const FigureContext& ctx)
     const double w2 = 0.3 * (periods.p2_end - periods.p2_begin);
     windows.push_back(SweepWindow{"transient", periods.p2_begin, periods.p2_begin + w2, {1, 2}});
     const std::vector<Mode> modes = {Mode::kBaseline80211, Mode::kEzFlow};
-    const auto sweeps = sweep_modes(ctx, ScenarioSpec::scenario1(ctx.scale), modes, windows);
+    const auto sweeps = sweep_modes(ctx, ScenarioSpec::scenario1(ctx.scale), modes,
+                                    summarize_windows(std::move(windows)));
 
     FigureResult result = make_result(ctx);
+    add_folded(result, sweeps);
     for (std::size_t m = 0; m < modes.size(); ++m) {
-        result.cells.push_back(run_result_from_sweep(sweeps[m], windows));
-        if (!sweeps[m].experiments.empty()) {
-            Experiment& first = *sweeps[m].experiments.front();
+        if (Experiment* first = sweeps[m].first.get())
             maybe_dump_series(
                 ctx, std::string("fig07_") + (modes[m] == Mode::kEzFlow ? "ezflow" : "80211"),
-                {{"F1", &first.sink().flow(1).delay_series},
-                 {"F2", &first.sink().flow(2).delay_series}});
-        }
+                {{"F1", &first->sink().flow(1).delay_series},
+                 {"F2", &first->sink().flow(2).delay_series}});
     }
     return result;
 }
@@ -68,41 +65,36 @@ double log_cw_at(const CwTracer& tracer, net::NodeId node, double t_s, double sc
 FigureResult run_fig08(const FigureContext& ctx)
 {
     const Scenario1Periods periods(ctx.scale);
-    // The contention windows live in the per-seed CwTracers, so keep the
-    // experiments alive rather than relying on FlowSummary aggregates.
-    const auto sweeps = sweep_modes(ctx, ScenarioSpec::scenario1(ctx.scale), {Mode::kEzFlow},
-                                    periods.windows(), /*keep_experiments=*/true);
-    const SweepResult& sweep = sweeps.front();
-    const net::Scenario& scenario = sweep.experiments.front()->scenario();
-
     // The nodes the paper plots: the two sources (N12, N11), the first
     // relays of each branch (N10, N9, N8, N7) and a trunk relay (N4).
     const std::vector<std::string> labels = {"N12", "N11", "N10", "N9", "N8", "N7", "N4"};
-    const double sample_times[] = {periods.p1_end - 50 * ctx.scale,
-                                   periods.p2_end - 50 * ctx.scale,
-                                   periods.p3_end - 50 * ctx.scale};
-    const char* window_names[] = {"F1 alone", "F1 + F2", "end"};
+    const auto measure = [&](Experiment& experiment, RunResult& cell) {
+        experiment.run();
+        const double sample_times[] = {periods.p1_end - 50 * ctx.scale,
+                                       periods.p2_end - 50 * ctx.scale,
+                                       periods.p3_end - 50 * ctx.scale};
+        const char* window_names[] = {"F1 alone", "F1 + F2", "end"};
+        for (int t = 0; t < 3; ++t) {
+            WindowResult& window = cell.add_window(window_names[t]);
+            for (const std::string& label : labels)
+                window.set(label + ".log2_cw",
+                           metric_point(log_cw_at(experiment.cw_tracer(),
+                                                  label_to_node(experiment.scenario(), label),
+                                                  sample_times[t], ctx.scale)));
+        }
+    };
+    const auto sweeps =
+        sweep_modes(ctx, ScenarioSpec::scenario1(ctx.scale), {Mode::kEzFlow}, measure);
 
     FigureResult result = make_result(ctx);
-    RunResult& cell = result.add_cell(sweep.label);
-    for (int t = 0; t < 3; ++t) {
-        WindowResult& window = cell.add_window(window_names[t]);
-        for (const std::string& label : labels) {
-            const int node = label_to_node(scenario, label);
-            if (node < 0) continue;
-            util::RunningStats stats;
-            for (const auto& experiment : sweep.experiments)
-                stats.add(log_cw_at(experiment->cw_tracer(), node, sample_times[t], ctx.scale));
-            window.set(label + ".log2_cw", metric_from_stats(stats));
-        }
+    add_folded(result, sweeps);
+    if (Experiment* first = sweeps.front().first.get()) {
+        std::vector<std::pair<std::string, util::TimeSeries>> series;
+        for (const std::string& label : labels)
+            series.emplace_back(label,
+                                first->cw_tracer().trace(label_to_node(first->scenario(), label)));
+        maybe_dump_series(ctx, "fig08_cw", series);
     }
-    std::vector<std::pair<std::string, util::TimeSeries>> series;
-    for (const std::string& label : labels) {
-        const int node = label_to_node(scenario, label);
-        if (node >= 0 && !ctx.csv_dir.empty())
-            series.emplace_back(label, sweep.experiments.front()->cw_tracer().trace(node));
-    }
-    maybe_dump_series(ctx, "fig08_cw", series);
     return result;
 }
 

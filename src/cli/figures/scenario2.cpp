@@ -16,20 +16,18 @@ FigureResult run_fig10(const FigureContext& ctx)
 {
     const Scenario2Periods periods(ctx.scale);
     const std::vector<Mode> modes = {Mode::kBaseline80211, Mode::kEzFlow};
-    const auto windows = periods.windows();
-    const auto sweeps = sweep_modes(ctx, ScenarioSpec::scenario2(ctx.scale), modes, windows);
+    const auto sweeps = sweep_modes(ctx, ScenarioSpec::scenario2(ctx.scale), modes,
+                                    summarize_windows(periods.windows()));
 
     FigureResult result = make_result(ctx);
+    add_folded(result, sweeps);
     for (std::size_t m = 0; m < modes.size(); ++m) {
-        result.cells.push_back(run_result_from_sweep(sweeps[m], windows));
-        if (!sweeps[m].experiments.empty()) {
-            Experiment& first = *sweeps[m].experiments.front();
+        if (Experiment* first = sweeps[m].first.get())
             maybe_dump_series(
                 ctx, std::string("fig10_") + (modes[m] == Mode::kEzFlow ? "ezflow" : "80211"),
-                {{"F1", &first.sink().flow(1).delay_series},
-                 {"F2", &first.sink().flow(2).delay_series},
-                 {"F3", &first.sink().flow(3).delay_series}});
-        }
+                {{"F1", &first->sink().flow(1).delay_series},
+                 {"F2", &first->sink().flow(2).delay_series},
+                 {"F3", &first->sink().flow(3).delay_series}});
     }
     return result;
 }
@@ -44,49 +42,43 @@ double log_cw_before(const CwTracer& tracer, net::NodeId node, double t_s, doubl
 FigureResult run_fig11(const FigureContext& ctx)
 {
     const Scenario2Periods periods(ctx.scale);
-    const auto sweeps = sweep_modes(ctx, ScenarioSpec::scenario2(ctx.scale), {Mode::kEzFlow},
-                                    periods.windows(), /*keep_experiments=*/true);
-    const SweepResult& sweep = sweeps.front();
-    const net::Scenario& scenario = sweep.experiments.front()->scenario();
-
     // The paper plots cw0, cw1 (F1), cw10, cw11 (F2), cw19, cw20 (F3).
     const std::vector<std::string> labels = {"N0", "N1", "N10", "N11", "N19", "N20"};
-    const double sample_times[] = {periods.p1_end, periods.p2_end, periods.p3_end};
-    const char* window_names[] = {"P1", "P2", "P3"};
+    const auto measure = [&](Experiment& experiment, RunResult& cell) {
+        experiment.run();
+        const double sample_times[] = {periods.p1_end, periods.p2_end, periods.p3_end};
+        const char* window_names[] = {"P1", "P2", "P3"};
+        for (int t = 0; t < 3; ++t) {
+            WindowResult& window = cell.add_window(window_names[t]);
+            for (const std::string& label : labels)
+                window.set(label + ".log2_cw",
+                           metric_point(log_cw_before(experiment.cw_tracer(),
+                                                      label_to_node(experiment.scenario(), label),
+                                                      sample_times[t], ctx.scale)));
+        }
+    };
+    const auto sweeps =
+        sweep_modes(ctx, ScenarioSpec::scenario2(ctx.scale), {Mode::kEzFlow}, measure);
 
     FigureResult result = make_result(ctx);
-    RunResult& cell = result.add_cell(sweep.label);
-    for (int t = 0; t < 3; ++t) {
-        WindowResult& window = cell.add_window(window_names[t]);
-        for (const std::string& label : labels) {
-            const int node = label_to_node(scenario, label);
-            if (node < 0) continue;
-            util::RunningStats stats;
-            for (const auto& experiment : sweep.experiments)
-                stats.add(
-                    log_cw_before(experiment->cw_tracer(), node, sample_times[t], ctx.scale));
-            window.set(label + ".log2_cw", metric_from_stats(stats));
-        }
+    add_folded(result, sweeps);
+    if (Experiment* first = sweeps.front().first.get()) {
+        std::vector<std::pair<std::string, util::TimeSeries>> series;
+        for (const std::string& label : labels)
+            series.emplace_back(label,
+                                first->cw_tracer().trace(label_to_node(first->scenario(), label)));
+        maybe_dump_series(ctx, "fig11_cw", series);
     }
-    std::vector<std::pair<std::string, util::TimeSeries>> series;
-    for (const std::string& label : labels) {
-        const int node = label_to_node(scenario, label);
-        if (node >= 0 && !ctx.csv_dir.empty())
-            series.emplace_back(label, sweep.experiments.front()->cw_tracer().trace(node));
-    }
-    maybe_dump_series(ctx, "fig11_cw", series);
     return result;
 }
 
 FigureResult run_table3(const FigureContext& ctx)
 {
     const Scenario2Periods periods(ctx.scale);
-    const std::vector<Mode> modes = {Mode::kBaseline80211, Mode::kEzFlow};
-    const auto windows = periods.windows();
-    const auto sweeps = sweep_modes(ctx, ScenarioSpec::scenario2(ctx.scale), modes, windows);
-
     FigureResult result = make_result(ctx);
-    for (const SweepResult& sweep : sweeps) result.cells.push_back(run_result_from_sweep(sweep, windows));
+    add_folded(result, sweep_modes(ctx, ScenarioSpec::scenario2(ctx.scale),
+                                   {Mode::kBaseline80211, Mode::kEzFlow},
+                                   summarize_windows(periods.windows())));
     return result;
 }
 

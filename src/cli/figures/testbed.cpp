@@ -17,125 +17,134 @@ struct FlowCase {
     std::vector<int> relays;  ///< labels of the relay nodes the paper plots
 };
 
-void fig04_case(const FigureContext& ctx, FigureResult& result, const FlowCase& fc, Mode mode)
-{
-    const double duration_s = 2000.0 * ctx.scale;
-    // Activate only the flow under test (the other gets a null window).
-    const bool is_f1 = fc.flow_id == 1;
-    net::Scenario scenario =
-        net::make_testbed(is_f1 ? 5.0 : duration_s, is_f1 ? duration_s : duration_s + 0.001,
-                          is_f1 ? duration_s : 5.0, is_f1 ? duration_s + 0.001 : duration_s,
-                          ctx.seed);
-    ExperimentOptions options;
-    options.mode = mode;
-    options.caa.max_cw = 1 << 10;  // MadWifi hardware limit (Sec. 4.1)
-    Experiment exp(std::move(scenario), options);
-    exp.run_until_s(duration_s);
-
-    RunResult& cell = result.add_cell(std::string(fc.name) + " / " + mode_name(mode));
-    WindowResult& window = cell.add_window("settled");
-    const double warmup = 0.25 * duration_s;
-    std::vector<std::pair<std::string, util::TimeSeries>> series;
-    for (int n : fc.relays) {
-        const std::string prefix = "N" + std::to_string(n);
-        window.set(prefix + ".buf_mean",
-                   metric_point(exp.buffers().mean_occupancy(n, util::from_seconds(warmup),
-                                                             util::from_seconds(duration_s))));
-        window.set(prefix + ".buf_max", metric_point(exp.buffers().max_occupancy(n)));
-        if (!ctx.csv_dir.empty()) series.emplace_back(prefix, exp.buffers().trace(n));
-    }
-    window.set("goodput_kbps",
-               metric_point(exp.summarize(fc.flow_id, warmup, duration_s).mean_kbps));
-    if (mode == Mode::kEzFlow) {
-        const auto& path = exp.scenario().flows[static_cast<std::size_t>(fc.flow_id - 1)].path;
-        if (const auto* src = exp.agent(path[0]))
-            window.set("source_cw", metric_point(src->cw_toward(path[1])));
-    }
-    maybe_dump_series(ctx,
-                      std::string("fig04_") + fc.name + "_" +
-                          (mode == Mode::kEzFlow ? "ezflow" : "80211"),
-                      series);
-}
-
 FigureResult run_fig04(const FigureContext& ctx)
 {
+    const double duration_s = 2000.0 * ctx.scale;
+    const double warmup = 0.25 * duration_s;
+    const std::vector<FlowCase> cases = {{"F1", 1, {1, 2, 3}}, {"F2", 2, {4, 5, 6}}};
+    const std::vector<Mode> modes = {Mode::kBaseline80211, Mode::kEzFlow};
+    std::vector<SweepCell> cells;
+    for (const FlowCase& fc : cases) {
+        // Activate only the flow under test (the other gets a null window).
+        const bool is_f1 = fc.flow_id == 1;
+        const ScenarioSpec spec = ScenarioSpec::testbed(
+            is_f1 ? 5.0 : duration_s, is_f1 ? duration_s : duration_s + 0.001,
+            is_f1 ? duration_s : 5.0, is_f1 ? duration_s + 0.001 : duration_s);
+        for (const Mode mode : modes) {
+            ExperimentOptions options;
+            options.mode = mode;
+            options.caa.max_cw = 1 << 10;  // MadWifi hardware limit (Sec. 4.1)
+            const auto measure = [fc, mode, duration_s, warmup](Experiment& exp, RunResult& cell) {
+                exp.run_until_s(duration_s);
+                cell.label = std::string(fc.name) + " / " + mode_name(mode);
+                WindowResult& window = cell.add_window("settled");
+                for (int n : fc.relays) {
+                    const std::string prefix = "N" + std::to_string(n);
+                    window.set(prefix + ".buf_mean",
+                               metric_point(exp.buffers().mean_occupancy(
+                                   n, util::from_seconds(warmup), util::from_seconds(duration_s))));
+                    window.set(prefix + ".buf_max", metric_point(exp.buffers().max_occupancy(n)));
+                }
+                window.set("goodput_kbps",
+                           metric_point(exp.summarize(fc.flow_id, warmup, duration_s).mean_kbps));
+                if (mode == Mode::kEzFlow) {
+                    const auto& path =
+                        exp.scenario().flows[static_cast<std::size_t>(fc.flow_id - 1)].path;
+                    if (const auto* src = exp.agent(path[0]))
+                        window.set("source_cw", metric_point(src->cw_toward(path[1])));
+                }
+            };
+            cells.push_back({ExperimentFactory(spec, options), measure});
+        }
+    }
+    const auto sweeps = sweep_cells(ctx, cells);
+
     FigureResult result = make_result(ctx);
-    const FlowCase f1{"F1", 1, {1, 2, 3}};
-    const FlowCase f2{"F2", 2, {4, 5, 6}};
-    for (const FlowCase& fc : {f1, f2}) {
-        fig04_case(ctx, result, fc, Mode::kBaseline80211);
-        fig04_case(ctx, result, fc, Mode::kEzFlow);
+    add_folded(result, sweeps);
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+        if (Experiment* first = sweeps[c].first.get()) {
+            const FlowCase& fc = cases[c / modes.size()];
+            std::vector<std::pair<std::string, util::TimeSeries>> series;
+            for (int n : fc.relays)
+                series.emplace_back("N" + std::to_string(n), first->buffers().trace(n));
+            maybe_dump_series(ctx,
+                              std::string("fig04_") + fc.name + "_" +
+                                  (modes[c % modes.size()] == Mode::kEzFlow ? "ezflow" : "80211"),
+                              series);
+        }
     }
     return result;
-}
-
-double measure_link(const FigureContext& ctx, int link, double duration_s)
-{
-    // A 1-hop network with the link's loss rate applied.
-    net::Scenario scenario = net::make_chain(
-        net::testbed_config(ctx.seed + static_cast<std::uint64_t>(link)), 1, 200.0, 0.0,
-        duration_s);
-    scenario.network->channel().set_link_loss(
-        0, 1, net::testbed_link_loss()[static_cast<std::size_t>(link)]);
-    Experiment exp(std::move(scenario), ExperimentOptions{});
-    exp.run_until_s(duration_s);
-    return exp.sink().goodput_kbps(0, util::from_seconds(duration_s * 0.05),
-                                   util::from_seconds(duration_s));
 }
 
 FigureResult run_table1(const FigureContext& ctx)
 {
     const double duration_s = 1200.0 * ctx.scale;
+    std::vector<SweepCell> cells;
+    for (int link = 0; link < 7; ++link) {
+        // A 1-hop network with the link's loss rate applied, on its own
+        // seed stream.
+        const auto build = [link, duration_s](std::uint64_t seed) {
+            net::Scenario scenario = net::make_chain(
+                net::testbed_config(seed + static_cast<std::uint64_t>(link)), 1, 200.0, 0.0,
+                duration_s);
+            scenario.network->channel().set_link_loss(
+                0, 1, net::testbed_link_loss()[static_cast<std::size_t>(link)]);
+            return scenario;
+        };
+        const auto measure = [link, duration_s](Experiment& exp, RunResult& cell) {
+            exp.run_until_s(duration_s);
+            const double kbps = exp.sink().goodput_kbps(0, util::from_seconds(duration_s * 0.05),
+                                                        util::from_seconds(duration_s));
+            // One metric of the one shared window (add_folded merges them).
+            cell.label = "per-link capacity";
+            cell.add_window("isolation").set("l" + std::to_string(link) + ".kbps",
+                                             metric_point(kbps));
+        };
+        cells.push_back({ExperimentFactory("testbed link", build, {}), measure});
+    }
     FigureResult result = make_result(ctx);
-    RunResult& cell = result.add_cell("per-link capacity");
-    WindowResult& window = cell.add_window("isolation");
-    for (int l = 0; l < 7; ++l)
-        window.set("l" + std::to_string(l) + ".kbps",
-                   metric_point(measure_link(ctx, l, duration_s)));
+    add_folded(result, sweep_cells(ctx, cells));
     return result;
-}
-
-void table2_config(const FigureContext& ctx, FigureResult& result, bool f1_active, bool f2_active,
-                   Mode mode, double duration_s)
-{
-    // Disabled flows get a zero-length window after the measured horizon.
-    const double off = duration_s + 1.0;
-    net::Scenario scenario = net::make_testbed(
-        f1_active ? 5.0 : off, f1_active ? duration_s : off + 0.001, f2_active ? 5.0 : off,
-        f2_active ? duration_s : off + 0.001, ctx.seed);
-    ExperimentOptions options;
-    options.mode = mode;
-    options.caa.max_cw = 1 << 10;  // testbed hardware cap
-    Experiment exp(std::move(scenario), options);
-    exp.run_until_s(duration_s);
-
-    const double warmup = 0.2 * duration_s;
-    std::string label = f1_active && f2_active ? "both" : (f1_active ? "F1 alone" : "F2 alone");
-    RunResult& cell = result.add_cell(label + " / " + mode_name(mode));
-    WindowResult& window = cell.add_window("settled");
-    if (f1_active) {
-        const auto s = exp.summarize(1, warmup, duration_s);
-        window.set("F1.kbps", metric_point(s.mean_kbps));
-        window.set("F1.kbps_sd", metric_point(s.stddev_kbps));
-    }
-    if (f2_active) {
-        const auto s = exp.summarize(2, warmup, duration_s);
-        window.set("F2.kbps", metric_point(s.mean_kbps));
-        window.set("F2.kbps_sd", metric_point(s.stddev_kbps));
-    }
-    if (f1_active && f2_active)
-        window.set("fairness", metric_point(exp.fairness({1, 2}, warmup, duration_s)));
 }
 
 FigureResult run_table2(const FigureContext& ctx)
 {
     const double duration_s = 1800.0 * ctx.scale;
-    FigureResult result = make_result(ctx);
+    const double warmup = 0.2 * duration_s;
+    // Disabled flows get a zero-length window after the measured horizon.
+    const double off = duration_s + 1.0;
+    std::vector<SweepCell> cells;
     for (const Mode mode : {Mode::kBaseline80211, Mode::kEzFlow}) {
-        table2_config(ctx, result, true, false, mode, duration_s);
-        table2_config(ctx, result, false, true, mode, duration_s);
-        table2_config(ctx, result, true, true, mode, duration_s);
+        for (const int active : {0b01, 0b10, 0b11}) {
+            const bool f1_active = (active & 0b01) != 0;
+            const bool f2_active = (active & 0b10) != 0;
+            const ScenarioSpec spec = ScenarioSpec::testbed(
+                f1_active ? 5.0 : off, f1_active ? duration_s : off + 0.001,
+                f2_active ? 5.0 : off, f2_active ? duration_s : off + 0.001);
+            ExperimentOptions options;
+            options.mode = mode;
+            options.caa.max_cw = 1 << 10;  // testbed hardware cap
+            const auto measure = [=](Experiment& exp, RunResult& cell) {
+                exp.run_until_s(duration_s);
+                const std::string label =
+                    f1_active && f2_active ? "both" : (f1_active ? "F1 alone" : "F2 alone");
+                cell.label = label + " / " + mode_name(mode);
+                WindowResult& window = cell.add_window("settled");
+                for (const int flow : {1, 2}) {
+                    if (!(flow == 1 ? f1_active : f2_active)) continue;
+                    const auto s = exp.summarize(flow, warmup, duration_s);
+                    const std::string prefix = "F" + std::to_string(flow);
+                    window.set(prefix + ".kbps", metric_point(s.mean_kbps));
+                    window.set(prefix + ".kbps_sd", metric_point(s.stddev_kbps));
+                }
+                if (f1_active && f2_active)
+                    window.set("fairness", metric_point(exp.fairness({1, 2}, warmup, duration_s)));
+            };
+            cells.push_back({ExperimentFactory(spec, options), measure});
+        }
     }
+    FigureResult result = make_result(ctx);
+    add_folded(result, sweep_cells(ctx, cells));
     return result;
 }
 

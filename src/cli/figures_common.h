@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,35 +18,68 @@
 // instead of printf tables.
 namespace ezflow::cli {
 
-/// Fan `modes` x the context's seed grid across a thread pool; one
-/// ExperimentFactory cell per mode, results in mode order.
-inline std::vector<analysis::SweepResult> sweep_modes(
-    const FigureContext& ctx, const analysis::ScenarioSpec& spec,
-    const std::vector<analysis::Mode>& modes, std::vector<analysis::SweepWindow> windows,
-    bool keep_experiments = false)
+/// Sweep `cells` over the context's seed grid on one pool (--threads);
+/// under --csv each cell also keeps its first-seed Experiment. Results in
+/// cell order; fold each one's per_seed with analysis::fold_seeds.
+inline std::vector<analysis::SweepResult> sweep_cells(const FigureContext& ctx,
+                                                      const std::vector<analysis::SweepCell>& cells)
+{
+    analysis::SweepConfig config;
+    config.seeds = ctx.seed_grid();
+    config.keep_first = !ctx.csv_dir.empty();
+    return analysis::SweepRunner(ctx.threads).run_grid(cells, config);
+}
+
+/// One cell per mode over `spec`, each measured by `measure`; results in
+/// mode order.
+inline std::vector<analysis::SweepResult> sweep_modes(const FigureContext& ctx,
+                                                      const analysis::ScenarioSpec& spec,
+                                                      const std::vector<analysis::Mode>& modes,
+                                                      const analysis::SeedMeasure& measure)
 {
     analysis::ScenarioSpec resolved = spec;
     // --shards overrides the figure's shard budget; connected topologies
     // collapse back to one shard, so this is always safe to pass.
     if (ctx.shards > 0) resolved.shards = ctx.shards;
-    std::vector<analysis::ExperimentFactory> cells;
+    std::vector<analysis::SweepCell> cells;
     cells.reserve(modes.size());
     for (analysis::Mode mode : modes) {
         analysis::ExperimentOptions options;
         options.mode = mode;
         options.streaming = ctx.streaming;
-        cells.emplace_back(resolved, options);
+        cells.push_back({analysis::ExperimentFactory(resolved, options), measure});
     }
-    analysis::SweepConfig config;
-    config.windows = std::move(windows);
-    config.seeds = ctx.seed_grid();
-    config.keep_experiments = keep_experiments || !ctx.csv_dir.empty();
-    auto results = analysis::SweepRunner(ctx.threads).run_grid(cells, config);
-    if (!keep_experiments) {
-        for (analysis::SweepResult& result : results)
-            if (result.experiments.size() > 1) result.experiments.resize(1);
+    return sweep_cells(ctx, cells);
+}
+
+/// Fold each sweep's seeds (analysis::fold_seeds) into `result`, merging
+/// by label in sweep order: a fold under a new cell label becomes a cell;
+/// otherwise its windows join that cell, and a window whose label the
+/// cell already has adds its metrics to that window. So a figure cell can
+/// gather one sweep cell per window (the ablations), and a window one
+/// sweep cell per metric (table1).
+inline void add_folded(analysis::FigureResult& result,
+                       const std::vector<analysis::SweepResult>& sweeps)
+{
+    for (const analysis::SweepResult& sweep : sweeps) {
+        analysis::RunResult folded = analysis::fold_seeds(sweep.per_seed);
+        auto cell =
+            std::find_if(result.cells.begin(), result.cells.end(),
+                         [&](const analysis::RunResult& c) { return c.label == folded.label; });
+        if (cell == result.cells.end()) {
+            result.cells.push_back(std::move(folded));
+            continue;
+        }
+        for (analysis::WindowResult& window : folded.windows) {
+            auto same = std::find_if(
+                cell->windows.begin(), cell->windows.end(),
+                [&](const analysis::WindowResult& w) { return w.label == window.label; });
+            if (same == cell->windows.end())
+                cell->windows.push_back(std::move(window));
+            else
+                for (const auto& [name, stat] : window.metrics) same->set(name, stat);
+        }
     }
-    return results;
 }
 
 /// Start a FigureResult stamped with the context's run options.

@@ -16,7 +16,7 @@ struct FigureSpec;
 /// Everything a registered figure runner needs for one invocation:
 /// the resolved knobs (scale/seed/seeds/threads already defaulted from
 /// the spec) plus any extra `--name=value` flags the caller passed
-/// through (for figure-specific knobs like quickstart's --hops).
+/// through (for figure-specific knobs like grid_maxmin's --hops).
 struct FigureContext {
     const FigureSpec* spec = nullptr;
     double scale = 1.0;
@@ -46,11 +46,10 @@ struct FigureContext {
 };
 
 /// A registered scenario/figure: the unit `ezflow list | run | sweep`
-/// operates on. Every former standalone bench/example main is one of
-/// these.
+/// operates on. Every former standalone bench main is one of these.
 struct FigureSpec {
     std::string name;        ///< canonical short name ("fig06", "table2", ...)
-    std::string category;    ///< "figure" | "table" | "ablation" | "example"
+    std::string category;    ///< "figure" | "table" | "ablation"
     std::string title;       ///< one-line description for `ezflow list`
     std::string paper_ref;   ///< which paper artifact it reproduces
     std::string expectation; ///< the qualitative shape the paper predicts
@@ -86,7 +85,7 @@ private:
     std::map<std::string, FigureSpec> specs_;  ///< keyed by canonical name
 };
 
-/// Register every figure/table/ablation/example entry exactly once
+/// Register every figure/table/ablation entry exactly once
 /// (idempotent).
 void register_builtin_figures();
 

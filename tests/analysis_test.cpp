@@ -484,19 +484,72 @@ TEST(Sweep, UnmeasuredWindowAggregatesToZeroSeedCells)
     // The aggregation guard: a window no seed ever measured must land in
     // the result JSON as n=0 (missing data), not as a measured zero that
     // drags the across-seed mean down.
-    ExperimentFactory factory(ScenarioSpec::line(2, 10.0), ExperimentOptions{});
+    const SweepCell cell{ExperimentFactory(ScenarioSpec::line(2, 10.0), ExperimentOptions{}),
+                         summarize_windows({SweepWindow{"active", 6.0, 15.0, {0}},
+                                            SweepWindow{"after", 500.0, 600.0, {0}}})};
     SweepConfig config;
-    config.windows = {SweepWindow{"active", 6.0, 15.0, {0}},
-                      SweepWindow{"after", 500.0, 600.0, {0}}};
     config.seeds = {3, 4};
-    const SweepResult sweep = SweepRunner(1).run(factory, config);
-    const FlowAggregate& active = sweep.windows[0].flows[0];
-    const FlowAggregate& after = sweep.windows[1].flows[0];
-    EXPECT_EQ(active.mean_kbps.count(), 2);
-    EXPECT_EQ(after.mean_kbps.count(), 0);
-    EXPECT_EQ(after.mean_delay_s.count(), 0);
-    EXPECT_EQ(metric_from_stats(after.mean_kbps).n, 0);
-    EXPECT_DOUBLE_EQ(metric_from_stats(after.mean_kbps).mean, 0.0);
+    const RunResult folded = fold_seeds(SweepRunner(1).run(cell, config).per_seed);
+    const WindowResult& active = folded.windows[0];
+    const WindowResult& after = folded.windows[1];
+    EXPECT_EQ(active.find("F0.kbps")->n, 2);
+    EXPECT_EQ(after.find("F0.kbps")->n, 0);
+    EXPECT_EQ(after.find("F0.delay_s")->n, 0);
+    EXPECT_DOUBLE_EQ(after.find("F0.kbps")->mean, 0.0);
+}
+
+/// One seed's cell: window "w" holding the given metrics.
+RunResult seed_cell(std::vector<std::pair<std::string, MetricStat>> metrics)
+{
+    RunResult cell{"cell", {}};
+    cell.add_window("w").metrics = std::move(metrics);
+    return cell;
+}
+
+TEST(FoldSeeds, OneSeedSerializesLikeItsPointValues)
+{
+    const double value = 0.1 + 0.2;  // not exactly representable: a mean must not round it
+    FigureResult point;
+    point.add_cell("cell").add_window("w").set("x", metric_point(value));
+    point.cells[0].windows[0].set("unmeasured", MetricStat{0.0, 0.0, 0});
+    FigureResult folded;
+    folded.cells.push_back(fold_seeds({seed_cell(
+        {{"x", metric_point(value)}, {"unmeasured", MetricStat{0.0, 0.0, 0}}})}));
+    EXPECT_EQ(folded.to_json().dump(), point.to_json().dump());
+}
+
+TEST(FoldSeeds, UnmeasuredSeedsKeepTheKeyAndDoNotCount)
+{
+    const RunResult folded =
+        fold_seeds({seed_cell({{"delay_s", metric_point(2.0)}, {"kbps", metric_point(100.0)}}),
+                    seed_cell({{"delay_s", MetricStat{0.0, 0.0, 0}}, {"kbps", metric_point(50.0)}}),
+                    seed_cell({{"delay_s", metric_point(4.0)}, {"kbps", metric_point(75.0)}})});
+    ASSERT_EQ(folded.windows.size(), 1u);
+    const WindowResult& window = folded.windows[0];
+    ASSERT_EQ(window.metrics.size(), 2u);
+    EXPECT_EQ(window.metrics[0].first, "delay_s");  // the first seed's order
+    EXPECT_EQ(window.find("delay_s")->n, 2);
+    EXPECT_DOUBLE_EQ(window.find("delay_s")->mean, 3.0);  // not dragged toward 0
+    EXPECT_GT(window.find("delay_s")->ci95, 0.0);
+    EXPECT_EQ(window.find("kbps")->n, 3);
+    EXPECT_DOUBLE_EQ(window.find("kbps")->mean, 75.0);
+}
+
+TEST(FoldSeeds, SeedsThatDisagreeOnNamesThrow)
+{
+    const RunResult base = seed_cell({{"a", metric_point(1.0)}, {"b", metric_point(2.0)}});
+    RunResult renamed = base;
+    renamed.windows[0].metrics[1].first = "c";
+    RunResult reordered = seed_cell({{"b", metric_point(2.0)}, {"a", metric_point(1.0)}});
+    RunResult missing = seed_cell({{"a", metric_point(1.0)}});
+    RunResult other_window = base;
+    other_window.windows[0].label = "v";
+    RunResult other_cell = base;
+    other_cell.label = "other";
+    for (const RunResult& bad : {renamed, reordered, missing, other_window, other_cell})
+        EXPECT_THROW(fold_seeds({base, bad}), std::logic_error);
+    EXPECT_THROW(fold_seeds({}), std::invalid_argument);
+    EXPECT_NO_THROW(fold_seeds({base, base}));
 }
 
 TEST(DropAudit, PacedRunBalancesWithPacerBacklogMidRun)

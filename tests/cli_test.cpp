@@ -7,10 +7,12 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cli/app.h"
 #include "cli/figures.h"
+#include "util/json.h"
 
 namespace ezflow::cli {
 namespace {
@@ -28,7 +30,7 @@ TEST_F(RegistryTest, RegistrationIsIdempotent)
     EXPECT_EQ(FigureRegistry::instance().size(), count);
 }
 
-TEST_F(RegistryTest, EnumeratesEveryFormerBenchAndExampleTarget)
+TEST_F(RegistryTest, EnumeratesEveryFormerBenchTarget)
 {
     // Every figure the former standalone mains ran stays reachable by
     // name through `ezflow run`.
@@ -38,10 +40,7 @@ TEST_F(RegistryTest, EnumeratesEveryFormerBenchAndExampleTarget)
         "table1", "table2", "table3", "table4",
         // bench ablations
         "ablation_pacer", "ablation_penalty_q", "ablation_phy_capture", "ablation_rtscts",
-        "ablation_sample_window", "ablation_sniff_loss", "ablation_thresholds",
-        // examples
-        "quickstart", "parking_lot", "backhaul_gateway", "voip_mesh", "adaptive_traffic",
-        "model_explorer"};
+        "ablation_sample_window", "ablation_sniff_loss", "ablation_thresholds"};
     for (const std::string& name : expected)
         EXPECT_NE(FigureRegistry::instance().find(name), nullptr) << name;
     EXPECT_GE(FigureRegistry::instance().size(), expected.size());
@@ -66,7 +65,7 @@ TEST_F(RegistryTest, ListIsNameSortedAndCategorized)
     for (const FigureSpec* spec : specs) {
         EXPECT_FALSE(spec->title.empty()) << spec->name;
         EXPECT_TRUE(spec->category == "figure" || spec->category == "table" ||
-                    spec->category == "ablation" || spec->category == "example")
+                    spec->category == "ablation")
             << spec->name << " has category " << spec->category;
         EXPECT_TRUE(static_cast<bool>(spec->run)) << spec->name;
     }
@@ -85,7 +84,7 @@ TEST_F(RegistryTest, SpecWithoutRunIsRejected)
 {
     FigureSpec listed_only;
     listed_only.name = "listed_only";
-    listed_only.category = "example";
+    listed_only.category = "figure";
     listed_only.title = "no runner";
     EXPECT_THROW(FigureRegistry::instance().add(std::move(listed_only)), std::invalid_argument);
     EXPECT_EQ(FigureRegistry::instance().find("listed_only"), nullptr);
@@ -129,17 +128,17 @@ TEST_F(RegistryTest, ExtrasRejectMalformedValues)
 
 TEST_F(RegistryTest, RunnableFigureProducesStructuredResult)
 {
-    const FigureSpec* spec = FigureRegistry::instance().find("quickstart");
+    const FigureSpec* spec = FigureRegistry::instance().find("fig01");
     ASSERT_NE(spec, nullptr);
     FigureContext ctx;
     ctx.spec = spec;
-    ctx.scale = 0.1;  // 30 simulated seconds
+    ctx.scale = 0.02;  // 36 simulated seconds
     ctx.seed = 7;
     ctx.seeds = 1;
     ctx.threads = 1;
     const analysis::FigureResult result = spec->run(ctx);
-    EXPECT_EQ(result.figure, "quickstart");
-    ASSERT_EQ(result.cells.size(), 2u);  // 802.11 and EZ-flow
+    EXPECT_EQ(result.figure, "fig01");
+    ASSERT_EQ(result.cells.size(), 2u);  // the 3-hop and the 4-hop chain
     for (const analysis::RunResult& cell : result.cells) {
         ASSERT_FALSE(cell.windows.empty());
         EXPECT_NE(cell.windows[0].find("goodput_kbps"), nullptr);
@@ -193,17 +192,17 @@ TEST(App, MalformedFlagValuesAreUsageErrors)
     // ignored). Both must now stop before any figure runs, with exit 2.
     testing::internal::CaptureStdout();
     testing::internal::CaptureStderr();
-    EXPECT_EQ(run_cli({"ezflow", "run", "quickstart", "--smoke=ture"}), 2);
-    EXPECT_EQ(run_cli({"ezflow", "run", "quickstart", "--shards=4x"}), 2);
-    EXPECT_EQ(run_cli({"ezflow", "run", "quickstart", "--seed=7x"}), 2);
-    EXPECT_EQ(run_cli({"ezflow", "run", "quickstart", "--seed=-1"}), 2);
-    EXPECT_EQ(run_cli({"ezflow", "sweep", "quickstart", "--grid=scale=0.1x"}), 2);
+    EXPECT_EQ(run_cli({"ezflow", "run", "fig01", "--smoke=ture"}), 2);
+    EXPECT_EQ(run_cli({"ezflow", "run", "fig01", "--shards=4x"}), 2);
+    EXPECT_EQ(run_cli({"ezflow", "run", "fig01", "--seed=7x"}), 2);
+    EXPECT_EQ(run_cli({"ezflow", "run", "fig01", "--seed=-1"}), 2);
+    EXPECT_EQ(run_cli({"ezflow", "sweep", "fig01", "--grid=scale=0.1x"}), 2);
     testing::internal::GetCapturedStdout();
     const std::string errors = testing::internal::GetCapturedStderr();
     EXPECT_NE(errors.find("--smoke: 'ture' is not a boolean"), std::string::npos) << errors;
     EXPECT_NE(errors.find("--shards: '4x' is not an integer"), std::string::npos) << errors;
 
-    // Regression: `run model_explorer --scale=-1 --seeds=0 --shards=-3`
+    // Regression: `run <figure> --scale=-1 --seeds=0 --shards=-3`
     // exited 0 after running at scale 1 with 1 seed, and a sweep point
     // `scale=0` fell back to the default scale. A given flag is checked
     // where run and every sweep point build their figure context.
@@ -218,21 +217,21 @@ TEST(App, MalformedFlagValuesAreUsageErrors)
         std::vector<std::string> args;
         const char* names;
     } out_of_range[] = {
-        {{"ezflow", "run", "model_explorer", "--scale=-1", "--seeds=0", "--shards=-3"},
+        {{"ezflow", "run", "table4", "--scale=-1", "--seeds=0", "--shards=-3"},
          "--scale"},
-        {{"ezflow", "run", "model_explorer", "--scale=0"}, "--scale"},
-        {{"ezflow", "run", "model_explorer", "--scale=nan"}, "--scale"},
-        {{"ezflow", "run", "model_explorer", "--scale=inf"}, "--scale"},
-        {{"ezflow", "run", "model_explorer", "--seeds=0"}, "--seeds"},
-        {{"ezflow", "run", "model_explorer", "--seeds=-2"}, "--seeds"},
-        {{"ezflow", "run", "model_explorer", "--shards=-3"}, "--shards"},
-        {{"ezflow", "run", "model_explorer", "--threads=-1"}, "--threads"},
+        {{"ezflow", "run", "table4", "--scale=0"}, "--scale"},
+        {{"ezflow", "run", "table4", "--scale=nan"}, "--scale"},
+        {{"ezflow", "run", "table4", "--scale=inf"}, "--scale"},
+        {{"ezflow", "run", "table4", "--seeds=0"}, "--seeds"},
+        {{"ezflow", "run", "table4", "--seeds=-2"}, "--seeds"},
+        {{"ezflow", "run", "table4", "--shards=-3"}, "--shards"},
+        {{"ezflow", "run", "table4", "--threads=-1"}, "--threads"},
         // --all checks before the first figure runs.
         {{"ezflow", "run", "--all", "--seeds=0"}, "--seeds"},
-        {{"ezflow", "sweep", "model_explorer", "--grid=scale=0"}, "--scale"},
-        {{"ezflow", "sweep", "model_explorer", "--grid=seeds=0"}, "--seeds"},
-        {{"ezflow", "sweep", "model_explorer", "--grid=threads=-1"}, "--threads"},
-        {{"ezflow", "sweep", "model_explorer", "--grid=shards=-1"}, "--shards"},
+        {{"ezflow", "sweep", "table4", "--grid=scale=0"}, "--scale"},
+        {{"ezflow", "sweep", "table4", "--grid=seeds=0"}, "--seeds"},
+        {{"ezflow", "sweep", "table4", "--grid=threads=-1"}, "--threads"},
+        {{"ezflow", "sweep", "table4", "--grid=shards=-1"}, "--shards"},
     };
     for (const auto& test_case : out_of_range) {
         const std::string message = error_of(test_case.args);
@@ -263,15 +262,66 @@ TEST(App, PerfLineReportsEachFiguresOwnShardCount)
     EXPECT_EQ(serial.find("epoch"), std::string::npos) << serial;
 }
 
-TEST(App, PerfLineCoversFiguresThatDoNotSweep)
+TEST(App, PerfLineCountsEveryScenarioBuilderCell)
 {
-    // table1 runs seven Experiments directly, with no SweepRunner: they
-    // are counted all the same.
+    // table1 sweeps seven cells built by scenario builders (one 1-hop
+    // network per link, not a ScenarioSpec): each run is counted.
     testing::internal::CaptureStdout();
     EXPECT_EQ(run_cli({"ezflow", "run", "table1", "--smoke", "--json-only"}), 0);
     const std::string out = testing::internal::GetCapturedStdout();
     EXPECT_NE(out.find("[perf] table1:"), std::string::npos) << out;
     EXPECT_NE(out.find("(7 runs)"), std::string::npos) << out;
+}
+
+TEST(App, ListRejectsUnknownCategories)
+{
+    // Regression: an unknown category printed an empty table and exited 0.
+    const auto list = [](const std::string& category, std::string* err) {
+        testing::internal::CaptureStdout();
+        testing::internal::CaptureStderr();
+        const int rc = run_cli({"ezflow", "list", "--category=" + category});
+        const std::string out = testing::internal::GetCapturedStdout();
+        *err = testing::internal::GetCapturedStderr();
+        return std::make_pair(rc, out);
+    };
+    std::string err;
+    for (const std::string bogus : {"bogus", "example"}) {
+        EXPECT_EQ(list(bogus, &err).first, 2) << bogus;
+        const std::string expected =
+            "unknown category '" + bogus + "' (categories: ablation, figure, table)";
+        EXPECT_NE(err.find(expected), std::string::npos)
+            << err;
+    }
+    const auto [rc, out] = list("table", &err);
+    EXPECT_EQ(rc, 0);
+    EXPECT_NE(out.find("table2"), std::string::npos) << out;
+    EXPECT_EQ(out.find("fig06"), std::string::npos) << out;
+}
+
+TEST(App, EveryEntrySweepsTheSeedsItIsGiven)
+{
+    // Regression: 16 entries ran one Experiment on --seed alone and
+    // reported n = 1 for every metric whatever --seeds said.
+    const std::string out = testing::TempDir() + "ezflow_every_entry_seeds2";
+    std::filesystem::remove_all(out);
+    ASSERT_EQ(run_cli({"ezflow", "run", "--all", "--smoke", "--seeds=2", "--threads=2", "--quiet",
+                       "--json-only", "--out=" + out}),
+              0);
+    register_builtin_figures();
+    for (const FigureSpec* spec : FigureRegistry::instance().list()) {
+        const analysis::FigureResult result = analysis::FigureResult::from_json(
+            util::Json::parse(slurp(out + "/" + spec->name + ".json")));
+        EXPECT_EQ(result.seeds, 2) << spec->name;
+        int folded_twice = 0;
+        for (const analysis::RunResult& cell : result.cells)
+            for (const analysis::WindowResult& window : cell.windows)
+                for (const auto& [name, stat] : window.metrics) {
+                    EXPECT_LE(stat.n, 2) << spec->name << " " << name;
+                    folded_twice += stat.n == 2 ? 1 : 0;
+                }
+        EXPECT_GT(folded_twice, 0) << spec->name << " has no metric over both seeds";
+    }
+    std::filesystem::remove_all(out);
 }
 
 }  // namespace

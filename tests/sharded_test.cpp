@@ -362,11 +362,12 @@ TEST(ShardedRun, SweepThreadCountBoundsTheShardThreads)
     // kept experiment carries the setting into a further run_until_s.
     analysis::SweepConfig config;
     config.seeds = {3};
-    config.keep_experiments = true;
-    const analysis::ExperimentFactory factory(islands_scenario(4),
-                                              analysis::ExperimentOptions{});
-    analysis::SweepResult sweep = analysis::SweepRunner(1).run(factory, config);
-    analysis::Experiment& experiment = *sweep.experiments.front();
+    config.keep_first = true;
+    const analysis::SweepCell cell{
+        analysis::ExperimentFactory(islands_scenario(4), analysis::ExperimentOptions{}),
+        analysis::summarize_windows({})};
+    analysis::SweepResult sweep = analysis::SweepRunner(1).run(cell, config);
+    analysis::Experiment& experiment = *sweep.first;
     net::Network& network = experiment.network();
     ASSERT_EQ(network.shard_count(), 4);
     std::array<std::thread::id, 4> ran_on{};

@@ -9,63 +9,66 @@
 
 #include "analysis/experiment_factory.h"
 #include "analysis/sweep.h"
+#include "net/topologies.h"
 #include "util/parallel.h"
 
 namespace ezflow::analysis {
 namespace {
 
+// make_line flows are active on [5, 5 + duration); measure the settled
+// tail of that window.
+const std::vector<SweepWindow> kSteady = {SweepWindow{"steady", 7.0, 11.0, {0}}};
+
 SweepConfig small_config()
 {
     SweepConfig config;
-    // make_line flows are active on [5, 5 + duration); measure the settled
-    // tail of that window.
-    config.windows.push_back(SweepWindow{"steady", 7.0, 11.0, {0}});
     config.seeds = {7, 8, 9};
     return config;
 }
 
-ExperimentFactory small_factory(Mode mode)
+SweepCell small_cell(Mode mode, std::vector<SweepWindow> windows = kSteady)
 {
     ExperimentOptions options;
     options.mode = mode;
     options.throughput_window = util::kSecond;
-    return ExperimentFactory(ScenarioSpec::line(3, 6.0), options);
+    return {ExperimentFactory(ScenarioSpec::line(3, 6.0), options),
+            summarize_windows(std::move(windows))};
+}
+
+/// Bit-identical, not approximately equal: the sweep must not depend on
+/// thread count or scheduling.
+void expect_identical(const RunResult& a, const RunResult& b)
+{
+    EXPECT_EQ(a.label, b.label);
+    ASSERT_EQ(a.windows.size(), b.windows.size());
+    for (std::size_t w = 0; w < a.windows.size(); ++w) {
+        const WindowResult& wa = a.windows[w];
+        const WindowResult& wb = b.windows[w];
+        EXPECT_EQ(wa.label, wb.label);
+        ASSERT_EQ(wa.metrics.size(), wb.metrics.size());
+        for (std::size_t m = 0; m < wa.metrics.size(); ++m) {
+            EXPECT_EQ(wa.metrics[m].first, wb.metrics[m].first);
+            EXPECT_EQ(wa.metrics[m].second.mean, wb.metrics[m].second.mean) << wa.metrics[m].first;
+            EXPECT_EQ(wa.metrics[m].second.ci95, wb.metrics[m].second.ci95) << wa.metrics[m].first;
+            EXPECT_EQ(wa.metrics[m].second.n, wb.metrics[m].second.n) << wa.metrics[m].first;
+        }
+    }
 }
 
 void expect_identical(const SweepResult& a, const SweepResult& b)
 {
     ASSERT_EQ(a.per_seed.size(), b.per_seed.size());
-    for (std::size_t s = 0; s < a.per_seed.size(); ++s) {
-        EXPECT_EQ(a.per_seed[s].seed, b.per_seed[s].seed);
-        ASSERT_EQ(a.per_seed[s].windows.size(), b.per_seed[s].windows.size());
-        for (std::size_t w = 0; w < a.per_seed[s].windows.size(); ++w) {
-            const auto& wa = a.per_seed[s].windows[w];
-            const auto& wb = b.per_seed[s].windows[w];
-            // Bit-identical, not approximately equal: the sweep must not
-            // depend on thread count or scheduling.
-            EXPECT_EQ(wa.fairness, wb.fairness);
-            EXPECT_EQ(wa.aggregate_kbps, wb.aggregate_kbps);
-            ASSERT_EQ(wa.flows.size(), wb.flows.size());
-            for (std::size_t f = 0; f < wa.flows.size(); ++f) {
-                EXPECT_EQ(wa.flows[f].mean_kbps, wb.flows[f].mean_kbps);
-                EXPECT_EQ(wa.flows[f].stddev_kbps, wb.flows[f].stddev_kbps);
-                EXPECT_EQ(wa.flows[f].mean_delay_s, wb.flows[f].mean_delay_s);
-                EXPECT_EQ(wa.flows[f].max_delay_s, wb.flows[f].max_delay_s);
-            }
-        }
-    }
-    ASSERT_EQ(a.windows.size(), b.windows.size());
-    for (std::size_t w = 0; w < a.windows.size(); ++w) {
-        EXPECT_EQ(a.windows[w].fairness.mean(), b.windows[w].fairness.mean());
-        EXPECT_EQ(a.windows[w].aggregate_kbps.mean(), b.windows[w].aggregate_kbps.mean());
-    }
+    for (std::size_t s = 0; s < a.per_seed.size(); ++s)
+        expect_identical(a.per_seed[s], b.per_seed[s]);
+    // And so is their fold.
+    expect_identical(fold_seeds(a.per_seed), fold_seeds(b.per_seed));
 }
 
 TEST(SweepRunner, SameSeedGridIsBitIdenticalAcrossThreadCounts)
 {
     const SweepConfig config = small_config();
-    const std::vector<ExperimentFactory> cells = {small_factory(Mode::kBaseline80211),
-                                                  small_factory(Mode::kEzFlow)};
+    const std::vector<SweepCell> cells = {small_cell(Mode::kBaseline80211),
+                                          small_cell(Mode::kEzFlow)};
     const std::vector<SweepResult> serial = SweepRunner(1).run_grid(cells, config);
     const std::vector<SweepResult> threaded = SweepRunner(4).run_grid(cells, config);
     ASSERT_EQ(serial.size(), 2u);
@@ -76,32 +79,42 @@ TEST(SweepRunner, SameSeedGridIsBitIdenticalAcrossThreadCounts)
     const std::vector<SweepResult> again = SweepRunner(4).run_grid(cells, config);
     expect_identical(threaded[0], again[0]);
     expect_identical(threaded[1], again[1]);
+    // Each cell is labelled by its factory.
+    EXPECT_EQ(serial[0].per_seed[0].label, "line-3hop / 802.11");
+    EXPECT_EQ(serial[1].per_seed[0].label, "line-3hop / EZ-flow");
 }
 
 TEST(SweepRunner, SeedsActuallyVaryTheRuns)
 {
     const SweepConfig config = small_config();
-    const SweepResult result = SweepRunner(2).run(small_factory(Mode::kBaseline80211), config);
+    const SweepCell cell = small_cell(Mode::kBaseline80211);
+    const SweepResult result = SweepRunner(2).run(cell, config);
     ASSERT_EQ(result.per_seed.size(), 3u);
     std::set<double> distinct;
-    for (const SeedResult& seed_result : result.per_seed)
-        distinct.insert(seed_result.windows[0].flows[0].mean_kbps);
+    for (const RunResult& seed_result : result.per_seed)
+        distinct.insert(seed_result.windows[0].find("F0.kbps")->mean);
     EXPECT_GT(distinct.size(), 1u);  // different seeds, different runs
-    // The aggregate accumulated one sample per seed.
-    EXPECT_EQ(result.windows[0].flows[0].mean_kbps.count(), 3);
-    EXPECT_GT(result.windows[0].flows[0].mean_kbps.mean(), 0.0);
+    // Slot s holds seed s's run.
+    RunResult alone;
+    alone.label = cell.factory.label();
+    cell.measure(*cell.factory.make(config.seeds[1]), alone);
+    expect_identical(result.per_seed[1], alone);
+    // The fold accumulated one sample per seed.
+    const MetricStat folded = *fold_seeds(result.per_seed).windows[0].find("F0.kbps");
+    EXPECT_EQ(folded.n, 3);
+    EXPECT_GT(folded.mean, 0.0);
 }
 
-TEST(SweepRunner, KeepExperimentsRetainsPerSeedRuns)
+TEST(SweepRunner, KeepFirstRetainsTheFirstSeedsRun)
 {
     SweepConfig config = small_config();
-    config.keep_experiments = true;
-    const SweepResult result = SweepRunner(2).run(small_factory(Mode::kBaseline80211), config);
-    ASSERT_EQ(result.experiments.size(), 3u);
-    for (const auto& experiment : result.experiments) {
-        ASSERT_NE(experiment, nullptr);
-        EXPECT_FALSE(experiment->throughput(0).series().empty());
-    }
+    EXPECT_EQ(SweepRunner(2).run(small_cell(Mode::kBaseline80211), config).first, nullptr);
+    config.keep_first = true;
+    const SweepResult result = SweepRunner(2).run(small_cell(Mode::kBaseline80211), config);
+    ASSERT_NE(result.first, nullptr);
+    EXPECT_FALSE(result.first->throughput(0).series().empty());
+    EXPECT_EQ(result.first->summarize(0, 7.0, 11.0).mean_kbps,
+              result.per_seed[0].windows[0].find("F0.kbps")->mean);
 }
 
 TEST(SweepRunner, RejectsEmptyGrids)
@@ -110,14 +123,15 @@ TEST(SweepRunner, RejectsEmptyGrids)
     const SweepRunner runner(2);
     EXPECT_THROW(runner.run_grid({}, config), std::invalid_argument);
     config.seeds.clear();
-    EXPECT_THROW(runner.run(small_factory(Mode::kBaseline80211), config), std::invalid_argument);
+    EXPECT_THROW(runner.run(small_cell(Mode::kBaseline80211), config), std::invalid_argument);
 }
 
 TEST(SweepRunner, WorkerExceptionsPropagate)
 {
-    SweepConfig config = small_config();
-    config.windows[0].flow_ids = {42};  // no such flow in the scenario
-    EXPECT_THROW(SweepRunner(2).run(small_factory(Mode::kBaseline80211), config),
+    // No such flow in the scenario.
+    EXPECT_THROW(SweepRunner(2).run(small_cell(Mode::kBaseline80211,
+                                               {SweepWindow{"steady", 7.0, 11.0, {42}}}),
+                                    small_config()),
                  std::invalid_argument);
 }
 
@@ -133,15 +147,23 @@ TEST(ScenarioSpec, BuildsEveryKind)
     EXPECT_DOUBLE_EQ(testbed.flows[1].start_s, 10.0);
 }
 
-TEST(ExperimentFactory, WithModeChangesOnlyTheMode)
+TEST(ExperimentFactory, BuilderCellsRunTheBuiltScenarioPerSeed)
 {
-    const ExperimentFactory base = small_factory(Mode::kBaseline80211);
-    const ExperimentFactory ez = base.with_mode(Mode::kEzFlow);
-    EXPECT_EQ(ez.options().mode, Mode::kEzFlow);
-    EXPECT_EQ(ez.options().caa.bmin, base.options().caa.bmin);
-    EXPECT_EQ(ez.spec().line_hops, base.spec().line_hops);
-    EXPECT_EQ(base.label(), "line-3hop / 802.11");
-    EXPECT_EQ(ez.label(), "line-3hop / EZ-flow");
+    std::vector<std::uint64_t> built;
+    ExperimentOptions options;
+    options.mode = Mode::kEzFlow;
+    const ExperimentFactory factory(
+        "two hops",
+        [&built](std::uint64_t seed) {
+            built.push_back(seed);
+            return net::make_line(2, 6.0, seed);
+        },
+        options);
+    EXPECT_EQ(factory.label(), "two hops / EZ-flow");
+    const auto experiment = factory.make(11);
+    EXPECT_EQ(built, (std::vector<std::uint64_t>{11}));
+    EXPECT_EQ(experiment->network().node_count(), 3);
+    EXPECT_NE(experiment->agent(0), nullptr);  // the options reach the experiment
 }
 
 TEST(ParallelFor, CoversEveryIndexOnce)

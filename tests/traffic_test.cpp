@@ -162,7 +162,8 @@ std::vector<std::uint64_t> source_run_fingerprint(net::Network& net, const Sink&
 
 /// One leg of a gated-vs-reference race: a `hops`-hop line with a sink on
 /// flows 0..flows-1. Extra flows share flow 0's path, and so its
-/// own-traffic queue at the source node (the voip_mesh shape).
+/// own-traffic queue at the source node (a second flow riding a bulk
+/// flow's path).
 struct RaceBed {
     net::Scenario scenario;
     net::Network& net;
