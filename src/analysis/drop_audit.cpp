@@ -20,7 +20,7 @@ DropLedger collect_drop_ledger(Experiment& experiment)
 {
     DropLedger ledger;
     for (const auto& source : experiment.sources()) {
-        const traffic::Source::Stats& stats = source->stats();
+        const traffic::CbrSource::Stats& stats = source->stats();
         ledger.generated += stats.generated;
         ledger.dropped_at_source += stats.dropped_at_source;
     }

@@ -69,13 +69,14 @@ Experiment::Experiment(net::Scenario scenario, ExperimentOptions options)
 {
     net::Network& net = *scenario_.network;
 
-    // Collect transmitting nodes (sources + relays) and cw-trace targets.
+    // Collect transmitting nodes (sources + relays), each traced toward
+    // its successor on the first flow that crosses it.
     std::set<net::NodeId> transmitters;
-    std::vector<CwTracer::Target> cw_targets;
+    std::vector<QueueTracer::Target> targets;
     for (const net::FlowPlan& plan : scenario_.flows) {
         for (std::size_t i = 0; i + 1 < plan.path.size(); ++i) {
             if (transmitters.insert(plan.path[i]).second)
-                cw_targets.push_back(CwTracer::Target{plan.path[i], plan.path[i + 1]});
+                targets.push_back(QueueTracer::Target{plan.path[i], plan.path[i + 1]});
         }
     }
     transmitters_.assign(transmitters.begin(), transmitters.end());
@@ -127,11 +128,12 @@ Experiment::Experiment(net::Scenario scenario, ExperimentOptions options)
         source->activate(util::from_seconds(plan.start_s), util::from_seconds(plan.stop_s));
         sources_.push_back(std::move(source));
     }
-    buffer_tracer_ = std::make_unique<BufferTracer>(net, transmitters_, kBufferSamplePeriod,
-                                                    options_.streaming);
+    buffer_tracer_ = std::make_unique<QueueTracer>(net, QueueTracer::Quantity::kBacklog, targets,
+                                                   kBufferSamplePeriod, options_.streaming);
     buffer_tracer_->start();
-    cw_tracer_ = std::make_unique<CwTracer>(net, cw_targets, kCwSamplePeriod,
-                                            options_.streaming);
+    cw_tracer_ = std::make_unique<QueueTracer>(net, QueueTracer::Quantity::kCwMin,
+                                               std::move(targets), kCwSamplePeriod,
+                                               options_.streaming);
     cw_tracer_->start();
 
     if (!scenario_.faults.empty()) {

@@ -94,8 +94,10 @@ public:
     net::Network& network() { return *scenario_.network; }
     const net::Scenario& scenario() const { return scenario_; }
     traffic::Sink& sink() { return *sink_; }
-    BufferTracer& buffers() { return *buffer_tracer_; }
-    CwTracer& cw_tracer() { return *cw_tracer_; }
+    /// MAC backlog of every transmitting node.
+    QueueTracer& buffers() { return *buffer_tracer_; }
+    /// CWmin of every transmitting node toward its successor.
+    QueueTracer& cw_tracer() { return *cw_tracer_; }
     ThroughputMeter& throughput(int flow_id);
     const core::EzFlowAgent* agent(net::NodeId node) const;
     /// The paced agent at `node` (mode kPaced), or null.
@@ -124,7 +126,7 @@ public:
 
     /// The flows' traffic sources, in scenario flow-plan order (stats()
     /// settles closed-form accounting, hence non-const).
-    const std::vector<std::unique_ptr<traffic::Source>>& sources() { return sources_; }
+    const std::vector<std::unique_ptr<traffic::CbrSource>>& sources() { return sources_; }
 
     /// The armed fault injector, or null when the scenario carries no
     /// fault plan.
@@ -138,10 +140,10 @@ private:
     net::Scenario scenario_;
     ExperimentOptions options_;
     std::unique_ptr<traffic::Sink> sink_;
-    std::vector<std::unique_ptr<traffic::Source>> sources_;
+    std::vector<std::unique_ptr<traffic::CbrSource>> sources_;
     std::map<int, std::unique_ptr<ThroughputMeter>> throughput_;
-    std::unique_ptr<BufferTracer> buffer_tracer_;
-    std::unique_ptr<CwTracer> cw_tracer_;
+    std::unique_ptr<QueueTracer> buffer_tracer_;
+    std::unique_ptr<QueueTracer> cw_tracer_;
     std::map<net::NodeId, std::unique_ptr<core::EzFlowAgent>> agents_;
     std::map<net::NodeId, std::unique_ptr<core::PacedEzFlowAgent>> paced_agents_;
     std::vector<net::NodeId> transmitters_;

@@ -37,8 +37,6 @@ int usage(const char* message = nullptr)
         "        [--json-only] [--quiet]\n"
         "        run figures; with --out, write <out>/<figure>.json (+ .csv)\n"
         "        --smoke uses each figure's canned fast grid (the goldens grid)\n"
-        "  sweep <figure...> --grid=axis=v1:v2[,axis=...] [run flags]\n"
-        "        cross-product sweep over axes scale, seeds, seed, threads, shards\n"
         "  diff  <golden> <candidate> [--rel-tol=R] [--abs-tol=A] [--bit-exact]\n"
         "        compare result JSON files (or directories of them); exit 1 on drift\n"
         "  help  show this text\n");
@@ -82,19 +80,17 @@ RunFlags parse_run_flags(const util::Cli& cli)
     flags.quiet = cli.get_bool("quiet", false);
     // Anything not claimed above rides along as a figure-specific knob
     // (e.g. grid_maxmin's --hops), exposed via FigureContext::extra.
-    static const std::set<std::string> known = {"scale", "seed",      "seeds", "threads",
-                                               "shards", "streaming",
-                                               "out",   "csv",       "smoke", "all",
-                                               "grid",  "json-only", "quiet", "rel-tol",
-                                               "abs-tol", "bit-exact", "category"};
+    static const std::set<std::string> known = {
+        "scale", "seed", "seeds", "threads", "shards", "streaming", "out", "csv", "smoke", "all",
+        "json-only", "quiet", "rel-tol", "abs-tol", "bit-exact", "category"};
     for (const auto& [name, value] : cli.flags())
         if (known.count(name) == 0) flags.extra[name] = value;
     return flags;
 }
 
-/// Every `run` and each `sweep` grid point passes through here, so this is
-/// where out-of-range values are rejected: the throw becomes a usage error
-/// (exit 2) in run_app.
+/// Every `run` figure passes through here, so this is where out-of-range
+/// values are rejected: the throw becomes a usage error (exit 2) in
+/// run_app.
 FigureContext make_context(const FigureSpec& spec, const RunFlags& flags)
 {
     if (flags.scale && !(std::isfinite(*flags.scale) && *flags.scale > 0.0))
@@ -326,87 +322,6 @@ int cmd_run(const util::Cli& cli)
     return rc;
 }
 
-/// Parse "--grid=scale=0.02:0.05,seeds=2:4" into ordered (axis, values).
-bool parse_grid(const std::string& grid,
-                std::vector<std::pair<std::string, std::vector<std::string>>>& axes)
-{
-    std::stringstream all(grid);
-    std::string axis_spec;
-    while (std::getline(all, axis_spec, ',')) {
-        const std::size_t eq = axis_spec.find('=');
-        if (eq == std::string::npos) return false;
-        const std::string axis = axis_spec.substr(0, eq);
-        if (axis != "scale" && axis != "seeds" && axis != "seed" && axis != "threads" &&
-            axis != "shards")
-            return false;
-        for (const auto& [existing, values] : axes)
-            if (existing == axis) return false;  // a duplicate axis would clobber the first
-        std::vector<std::string> values;
-        std::stringstream vs(axis_spec.substr(eq + 1));
-        std::string value;
-        while (std::getline(vs, value, ':'))
-            if (!value.empty()) values.push_back(value);
-        if (values.empty()) return false;
-        axes.emplace_back(axis, std::move(values));
-    }
-    return !axes.empty();
-}
-
-int cmd_sweep(const util::Cli& cli)
-{
-    register_builtin_figures();
-    RunFlags flags = parse_run_flags(cli);
-    std::vector<std::string> names(cli.positional().begin() + 1, cli.positional().end());
-    if (names.empty() && !flags.all) return usage("sweep: no figures given (or use --all)");
-    std::vector<std::pair<std::string, std::vector<std::string>>> axes;
-    if (!parse_grid(cli.get("grid", ""), axes))
-        return usage(
-            "sweep: --grid=axis=v1:v2[,axis=...] with axes scale/seeds/seed/threads/shards");
-    std::string error;
-    const auto specs = resolve_figures(names, flags.all, error);
-    if (!error.empty()) return usage(error.c_str());
-
-    // Cross product, first axis slowest.
-    std::vector<std::map<std::string, std::string>> points{{}};
-    for (const auto& [axis, values] : axes) {
-        std::vector<std::map<std::string, std::string>> next;
-        for (const auto& point : points) {
-            for (const std::string& value : values) {
-                auto extended = point;
-                extended[axis] = value;
-                next.push_back(std::move(extended));
-            }
-        }
-        points = std::move(next);
-    }
-
-    const std::string out_root = flags.out_dir;
-    int rc = 0;
-    for (const FigureSpec* spec : specs) {
-        for (const auto& point : points) {
-            RunFlags point_flags = flags;
-            std::string suffix;
-            for (const auto& [axis, value] : point) {
-                suffix += "_" + axis + value;
-                const std::string what = "--grid " + axis;
-                if (axis == "scale") point_flags.scale = util::Cli::parse_double(value, what);
-                if (axis == "seeds") point_flags.seeds = util::Cli::parse_int(value, what);
-                if (axis == "seed") point_flags.seed = util::Cli::parse_uint64(value, what);
-                if (axis == "threads") point_flags.threads = util::Cli::parse_int(value, what);
-                if (axis == "shards") point_flags.shards = util::Cli::parse_int(value, what);
-            }
-            if (!out_root.empty()) point_flags.out_dir = out_root + "/" + spec->name + suffix;
-            if (!flags.quiet)
-                std::printf("[sweep] %s%s\n", spec->name.c_str(), suffix.c_str());
-            // With --out, per-point results go to files and the console
-            // reports are suppressed; without it, printing is all there is.
-            if (!out_root.empty()) point_flags.quiet = true;
-            rc = std::max(rc, run_one(*spec, point_flags));
-        }
-    }
-    return rc;
-}
-
 analysis::FigureResult load_result(const std::string& path)
 {
     std::ifstream in(path, std::ios::binary);
@@ -492,7 +407,6 @@ int run_app(int argc, char** argv)
     try {
         if (command == "list") return cmd_list(cli);
         if (command == "run") return cmd_run(cli);
-        if (command == "sweep") return cmd_sweep(cli);
         if (command == "diff") return cmd_diff(cli);
     } catch (const std::invalid_argument& e) {
         return usage(("malformed flag value: " + std::string(e.what())).c_str());

@@ -6,7 +6,6 @@ namespace ezflow::cli {
 ///   ezflow list [--category=<c>]
 ///   ezflow run <figure...> [--scale= --seed= --seeds= --threads= --out=
 ///                           --csv= --smoke --all --json-only --quiet]
-///   ezflow sweep <figure...> --grid=axis=v1:v2,axis=v1:v2 [run flags]
 ///   ezflow diff <golden> <candidate> [--rel-tol= --abs-tol= --bit-exact]
 ///   ezflow help [command]
 /// Returns a process exit code (0 ok, 1 run/diff failure, 2 usage error).

@@ -22,8 +22,8 @@ FigureResult run_ablation_pacer(const FigureContext& ctx)
     const double duration_s = 4000.0 * ctx.scale;
     const double from = 0.5 * duration_s;
     const auto buffer_b1 = [from, duration_s](Experiment& exp) {
-        return metric_point(exp.buffers().mean_occupancy(1, util::from_seconds(from),
-                                                         util::from_seconds(duration_s)));
+        return metric_point(exp.buffers().mean(1, util::from_seconds(from),
+                                               util::from_seconds(duration_s)));
     };
     std::vector<SweepCell> cells;
     for (const Mode mode : {Mode::kBaseline80211, Mode::kEzFlow}) {
@@ -80,7 +80,7 @@ FigureResult run_ablation_penalty_q(const FigureContext& ctx)
                 exp.run();
                 double b_worst = 0.0;
                 for (int n = 1; n < hops; ++n)
-                    b_worst = std::max(b_worst, exp.buffers().mean_occupancy(
+                    b_worst = std::max(b_worst, exp.buffers().mean(
                                                     n, util::from_seconds(warmup),
                                                     util::from_seconds(duration_s + 5)));
                 cell.label = std::to_string(hops) + "-hop chain";
@@ -121,9 +121,8 @@ FigureResult run_ablation_phy_capture(const FigureContext& ctx)
                 exp.run_until_s(duration_s);
                 cell.label = label;
                 WindowResult& window = cell.add_window(std::to_string(hops) + "-hop");
-                window.set("b1", metric_point(exp.buffers().mean_occupancy(1, from, to)));
-                window.set("b_last",
-                           metric_point(exp.buffers().mean_occupancy(hops - 1, from, to)));
+                window.set("b1", metric_point(exp.buffers().mean(1, from, to)));
+                window.set("b_last", metric_point(exp.buffers().mean(hops - 1, from, to)));
                 window.set("goodput_kbps", metric_point(exp.sink().goodput_kbps(0, from, to)));
             };
             cells.push_back({ExperimentFactory(label, build, {}), measure});
@@ -165,7 +164,7 @@ FigureResult run_ablation_rtscts(const FigureContext& ctx)
                 cell.label = label;
                 WindowResult& window = cell.add_window(v.label);
                 window.set("goodput_kbps", metric_point(exp.sink().goodput_kbps(0, from, to)));
-                window.set("b1", metric_point(exp.buffers().mean_occupancy(1, from, to)));
+                window.set("b1", metric_point(exp.buffers().mean(1, from, to)));
             };
             cells.push_back({ExperimentFactory(label, build, options), measure});
         }
@@ -198,8 +197,8 @@ FigureResult run_ablation_sample_window(const FigureContext& ctx)
                     changes += state->caa->increases() + state->caa->decreases();
             cell.label = "4-hop + joining flow";
             WindowResult& window = cell.add_window("window " + std::to_string(sample_window));
-            window.set("b1", metric_point(exp.buffers().mean_occupancy(
-                                 1, util::from_seconds(warmup), util::from_seconds(duration_s))));
+            window.set("b1", metric_point(exp.buffers().mean(1, util::from_seconds(warmup),
+                                                             util::from_seconds(duration_s))));
             window.set("goodput_kbps", metric_point(summary.mean_kbps));
             window.set("delay_s", metric_point(summary.mean_delay_s));
             window.set("cw_changes", metric_point(static_cast<double>(changes)));
@@ -228,9 +227,8 @@ FigureResult run_ablation_sniff_loss(const FigureContext& ctx)
             const auto* agent = exp.agent(0);
             cell.label = "4-hop chain / EZ-flow";
             WindowResult& window = cell.add_window("loss " + util::Table::num(loss, 2));
-            window.set("b1", metric_point(exp.buffers().mean_occupancy(
-                                 1, util::from_seconds(warmup),
-                                 util::from_seconds(duration_s + 5))));
+            window.set("b1", metric_point(exp.buffers().mean(1, util::from_seconds(warmup),
+                                                             util::from_seconds(duration_s + 5))));
             window.set("goodput_kbps", metric_point(summary.mean_kbps));
             window.set("delay_s", metric_point(summary.mean_delay_s));
             window.set("source_cw", metric_point(agent != nullptr ? agent->cw_toward(1) : -1));
@@ -260,7 +258,7 @@ FigureResult run_ablation_thresholds(const FigureContext& ctx)
                 const auto summary = exp.summarize(0, warmup, duration_s);
                 cell.label = "bmin " + util::Table::num(bmin, 2);
                 WindowResult& window = cell.add_window("bmax " + util::Table::num(bmax, 0));
-                window.set("b1", metric_point(exp.buffers().mean_occupancy(
+                window.set("b1", metric_point(exp.buffers().mean(
                                      1, util::from_seconds(warmup),
                                      util::from_seconds(duration_s + 5))));
                 window.set("goodput_kbps", metric_point(summary.mean_kbps));

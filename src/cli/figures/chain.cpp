@@ -24,9 +24,9 @@ FigureResult run_fig01(const FigureContext& ctx)
             for (int n = 1; n < hops; ++n) {
                 const std::string prefix = "N" + std::to_string(n);
                 window.set(prefix + ".buf_mean",
-                           metric_point(exp.buffers().mean_occupancy(
-                               n, util::from_seconds(warmup), util::from_seconds(duration_s + 5))));
-                window.set(prefix + ".buf_max", metric_point(exp.buffers().max_occupancy(n)));
+                           metric_point(exp.buffers().mean(n, util::from_seconds(warmup),
+                                                           util::from_seconds(duration_s + 5))));
+                window.set(prefix + ".buf_max", metric_point(exp.buffers().max(n)));
                 window.set(prefix + ".drops",
                            metric_point(static_cast<double>(
                                exp.network().node(n).forward_queue_drops())));

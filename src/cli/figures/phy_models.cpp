@@ -86,7 +86,7 @@ FigureResult run_rate_adapt(const FigureContext& ctx)
                 cell.label = v.label;
                 WindowResult& window = cell.add_window("hop " + util::Table::num(hop_m, 0) + " m");
                 window.set("goodput_kbps", metric_point(exp.sink().goodput_kbps(0, from, to)));
-                window.set("b1", metric_point(exp.buffers().mean_occupancy(1, from, to)));
+                window.set("b1", metric_point(exp.buffers().mean(1, from, to)));
                 net::Network& network = exp.network();
                 auto* manager = dynamic_cast<phy::MinstrelRate*>(network.channel().rate_manager());
                 const auto rate_bps = manager != nullptr ? manager->best_rate_bps(0, 1)

@@ -55,10 +55,10 @@ FigureResult run_fig07(const FigureContext& ctx)
     return result;
 }
 
-double log_cw_at(const CwTracer& tracer, net::NodeId node, double t_s, double scale)
+double log_cw_at(const QueueTracer& tracer, net::NodeId node, double t_s, double scale)
 {
-    const double cw = tracer.mean_cw(node, util::from_seconds(t_s - 10.0 * scale),
-                                     util::from_seconds(t_s + 40.0 * scale));
+    const double cw = tracer.mean(node, util::from_seconds(t_s - 10.0 * scale),
+                                  util::from_seconds(t_s + 40.0 * scale));
     return cw > 0 ? std::log2(cw) : 0.0;
 }
 

@@ -32,10 +32,10 @@ FigureResult run_fig10(const FigureContext& ctx)
     return result;
 }
 
-double log_cw_before(const CwTracer& tracer, net::NodeId node, double t_s, double scale)
+double log_cw_before(const QueueTracer& tracer, net::NodeId node, double t_s, double scale)
 {
     const double cw =
-        tracer.mean_cw(node, util::from_seconds(t_s - 60.0 * scale), util::from_seconds(t_s));
+        tracer.mean(node, util::from_seconds(t_s - 60.0 * scale), util::from_seconds(t_s));
     return cw > 0 ? std::log2(cw) : 0.0;
 }
 

@@ -41,9 +41,9 @@ FigureResult run_fig04(const FigureContext& ctx)
                 for (int n : fc.relays) {
                     const std::string prefix = "N" + std::to_string(n);
                     window.set(prefix + ".buf_mean",
-                               metric_point(exp.buffers().mean_occupancy(
-                                   n, util::from_seconds(warmup), util::from_seconds(duration_s))));
-                    window.set(prefix + ".buf_max", metric_point(exp.buffers().max_occupancy(n)));
+                               metric_point(exp.buffers().mean(n, util::from_seconds(warmup),
+                                                               util::from_seconds(duration_s))));
+                    window.set(prefix + ".buf_max", metric_point(exp.buffers().max(n)));
                 }
                 window.set("goodput_kbps",
                            metric_point(exp.summarize(fc.flow_id, warmup, duration_s).mean_kbps));

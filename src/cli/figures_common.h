@@ -176,7 +176,7 @@ inline void maybe_dump_series(
 }
 
 /// The same for series held by value (built only when there is a --csv
-/// dir to write them to, such as BufferTracer::trace and CwTracer::trace).
+/// dir to write them to, such as QueueTracer::trace).
 inline void maybe_dump_series(const FigureContext& ctx, const std::string& name,
                               const std::vector<std::pair<std::string, util::TimeSeries>>& series)
 {

@@ -28,13 +28,6 @@ double FigureContext::extra_double(const std::string& name, double fallback) con
     return it == extra.end() ? fallback : util::Cli::parse_double(it->second, "--" + name);
 }
 
-bool FigureContext::extra_bool(const std::string& name, bool fallback) const
-{
-    extra_consumed.insert(name);
-    const auto it = extra.find(name);
-    return it == extra.end() ? fallback : util::Cli::parse_bool(it->second, "--" + name);
-}
-
 FigureRegistry& FigureRegistry::instance()
 {
     static FigureRegistry registry;

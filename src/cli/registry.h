@@ -42,10 +42,9 @@ struct FigureContext {
     /// either way.
     int extra_int(const std::string& name, int fallback) const;
     double extra_double(const std::string& name, double fallback) const;
-    bool extra_bool(const std::string& name, bool fallback) const;
 };
 
-/// A registered scenario/figure: the unit `ezflow list | run | sweep`
+/// A registered scenario/figure: the unit `ezflow list | run`
 /// operates on. Every former standalone bench main is one of these.
 struct FigureSpec {
     std::string name;        ///< canonical short name ("fig06", "table2", ...)

@@ -19,7 +19,7 @@ namespace ezflow::core {
 ///
 /// The agent keeps no per-sample history: each successor holds only the
 /// latest BOE estimate, so its memory is O(successors) however long the
-/// run. The CWmin trajectory is sampled by analysis::CwTracer.
+/// run. The CWmin trajectory is sampled by analysis::QueueTracer.
 ///
 /// The last hop before a destination never overhears forwarded packets
 /// (the destination consumes them), so its cw stays at the initial value —

@@ -2,15 +2,23 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
 namespace ezflow::traffic {
 
-Source::Source(net::Network& network, int flow_id, int payload_bytes)
+CbrSource::CbrSource(net::Network& network, int flow_id, int payload_bytes, double rate_bps)
     : network_(network), flow_id_(flow_id), payload_bytes_(payload_bytes)
 {
-    if (payload_bytes <= 0) throw std::invalid_argument("Source: payload must be > 0");
+    if (payload_bytes <= 0) throw std::invalid_argument("CbrSource: payload must be > 0");
+    // A NaN rate passes `rate_bps <= 0`, so ask for what is wanted. An
+    // interval beyond the clock's range makes next_interval's cast undefined.
+    if (!(std::isfinite(rate_bps) && rate_bps > 0.0))
+        throw std::invalid_argument("CbrSource: rate must be finite and > 0");
+    ideal_interval_us_ = static_cast<double>(payload_bytes) * 8.0 * 1e6 / rate_bps;
+    if (!(ideal_interval_us_ < static_cast<double>(std::numeric_limits<SimTime>::max())))
+        throw std::invalid_argument("CbrSource: rate too small for the microsecond clock");
     const auto& path = network.routing_table().path(flow_id);
     src_node_ = path.front();
     dst_node_ = path.back();
@@ -19,15 +27,15 @@ Source::Source(net::Network& network, int flow_id, int payload_bytes)
     next_uid_base_ = static_cast<std::uint64_t>(flow_id + 1) << 40;
 }
 
-Source::~Source()
+CbrSource::~CbrSource()
 {
     if (gated_ && gate_queue_ != nullptr) gate_queue_->remove_vacancy_waiter(this);
 }
 
-void Source::activate(SimTime start, SimTime stop)
+void CbrSource::activate(SimTime start, SimTime stop)
 {
-    if (activated_) throw std::logic_error("Source::activate: already activated");
-    if (stop <= start) throw std::invalid_argument("Source::activate: empty active period");
+    if (activated_) throw std::logic_error("CbrSource::activate: already activated");
+    if (stop <= start) throw std::invalid_argument("CbrSource::activate: empty active period");
     activated_ = true;
     stop_at_ = stop;
     chain_scheduled_at_ = scheduler_->now();
@@ -35,7 +43,7 @@ void Source::activate(SimTime start, SimTime stop)
     scheduler_->schedule_at(start, [this] { emit(); });
 }
 
-bool Source::boundary_emit_fires_first() const
+bool CbrSource::boundary_emit_fires_first() const
 {
     // Whether a virtual generation due exactly now would already have
     // fired before the currently running event: its (virtual) emit event
@@ -60,7 +68,7 @@ bool Source::boundary_emit_fires_first() const
     return true;
 }
 
-const Source::Stats& Source::stats()
+const CbrSource::Stats& CbrSource::stats()
 {
     // While gated there are no emit events; bring the closed-form
     // accounting up to date so readers see the reference counters.
@@ -68,12 +76,12 @@ const Source::Stats& Source::stats()
     return stats_;
 }
 
-bool Source::routable() const
+bool CbrSource::routable() const
 {
     return network_.node_is_up(src_node_) && !network_.routing_table().is_suspended(flow_id_);
 }
 
-void Source::emit()
+void CbrSource::emit()
 {
     if (scheduler_->now() >= stop_at_) {
         chain_dead_ = true;
@@ -83,8 +91,8 @@ void Source::emit()
     if (!routable()) {
         // The source node is down or the flow is suspended (partition).
         // Pause the application: nothing is generated (no next_interval
-        // draw — the CBR/Poisson chain resumes where it left off) and
-        // the probe backs off exponentially instead of spinning.
+        // step — the CBR timeline resumes where it left off) and the
+        // probe backs off exponentially instead of spinning.
         ++stats_.backoff_retries;
         const SimTime delay = retry_backoff_us_;
         retry_backoff_us_ = std::min(retry_backoff_us_ * 2, kRetryBackoffMaxUs);
@@ -134,14 +142,14 @@ void Source::emit()
     scheduler_->schedule_at(next_emit_at_, [this] { emit(); });
 }
 
-void Source::enter_gate(mac::MacQueue& queue)
+void CbrSource::enter_gate(mac::MacQueue& queue)
 {
     queue.add_vacancy_waiter(this);
     gate_queue_ = &queue;
     gated_ = true;
 }
 
-void Source::account_skipped_generation()
+void CbrSource::account_skipped_generation()
 {
     // What the per-packet reference would have done at this instant with
     // a full queue: generate, consume a sequence number, push (counting a
@@ -154,7 +162,7 @@ void Source::account_skipped_generation()
     network_.node(src_node_).count_gated_source_drops(1);
 }
 
-bool Source::settle(SimTime horizon, bool include_boundary)
+bool CbrSource::settle(SimTime horizon, bool include_boundary)
 {
     if (chain_dead_) return false;
     while (next_emit_at_ < horizon || (include_boundary && next_emit_at_ == horizon)) {
@@ -171,7 +179,7 @@ bool Source::settle(SimTime horizon, bool include_boundary)
     return true;
 }
 
-Source::Resume Source::vacancy_prepare()
+CbrSource::Resume CbrSource::vacancy_prepare()
 {
     // The queue detached this registration before calling; we are no
     // longer parked either way.
@@ -188,17 +196,10 @@ Source::Resume Source::vacancy_prepare()
     return Resume{next_emit_at_, chain_scheduled_at_};
 }
 
-void Source::vacancy_commit()
+void CbrSource::vacancy_commit()
 {
     gate_queue_ = nullptr;
     scheduler_->schedule_at(next_emit_at_, [this] { emit(); });
-}
-
-CbrSource::CbrSource(net::Network& network, int flow_id, int payload_bytes, double rate_bps)
-    : Source(network, flow_id, payload_bytes)
-{
-    if (rate_bps <= 0.0) throw std::invalid_argument("CbrSource: rate must be > 0");
-    ideal_interval_us_ = static_cast<double>(payload_bytes) * 8.0 * 1e6 / rate_bps;
 }
 
 SimTime CbrSource::next_interval()
@@ -212,52 +213,6 @@ SimTime CbrSource::next_interval()
     const double next = static_cast<double>(ticks_) * ideal_interval_us_;
     return std::max<SimTime>(1, static_cast<SimTime>(std::floor(next)) -
                                     static_cast<SimTime>(std::floor(prev)));
-}
-
-PoissonSource::PoissonSource(net::Network& network, int flow_id, int payload_bytes, double rate_bps)
-    : Source(network, flow_id, payload_bytes), rng_(network.fork_rng())
-{
-    if (rate_bps <= 0.0) throw std::invalid_argument("PoissonSource: rate must be > 0");
-    mean_interval_us_ = static_cast<double>(payload_bytes) * 8.0 * 1e6 / rate_bps;
-}
-
-SimTime PoissonSource::next_interval()
-{
-    return static_cast<SimTime>(rng_.exponential(mean_interval_us_));
-}
-
-OnOffSource::OnOffSource(net::Network& network, int flow_id, int payload_bytes,
-                         double peak_rate_bps, double mean_on_s, double mean_off_s)
-    : Source(network, flow_id, payload_bytes), rng_(network.fork_rng())
-{
-    if (peak_rate_bps <= 0.0) throw std::invalid_argument("OnOffSource: rate must be > 0");
-    if (mean_on_s <= 0.0 || mean_off_s <= 0.0)
-        throw std::invalid_argument("OnOffSource: on/off means must be > 0");
-    interval_us_ =
-        std::max<SimTime>(1, static_cast<SimTime>(static_cast<double>(payload_bytes) * 8.0 * 1e6 / peak_rate_bps));
-    mean_on_us_ = util::from_seconds(mean_on_s);
-    mean_off_us_ = util::from_seconds(mean_off_s);
-}
-
-SimTime OnOffSource::next_interval()
-{
-    if (!first_burst_drawn_) {
-        // The activation packet opens the first burst: its length is an
-        // on-draw like every later burst's, not a hardwired singleton
-        // followed by an off-gap.
-        first_burst_drawn_ = true;
-        burst_remaining_us_ = std::max(
-            interval_us_,
-            static_cast<SimTime>(rng_.exponential(static_cast<double>(mean_on_us_))));
-    }
-    if (burst_remaining_us_ >= interval_us_) {
-        burst_remaining_us_ -= interval_us_;
-        return interval_us_;
-    }
-    const auto off = static_cast<SimTime>(rng_.exponential(static_cast<double>(mean_off_us_)));
-    burst_remaining_us_ =
-        std::max(interval_us_, static_cast<SimTime>(rng_.exponential(static_cast<double>(mean_on_us_))));
-    return std::max<SimTime>(1, off) + interval_us_;
 }
 
 }  // namespace ezflow::traffic

@@ -1,22 +1,28 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "mac/mac_queue.h"
 #include "net/network.h"
 #include "net/packet.h"
 #include "sim/scheduler.h"
-#include "util/rng.h"
 
 namespace ezflow::traffic {
 
 using util::SimTime;
 
-/// Common behaviour of packet sources: generate packets of a flow at a
-/// node between start/stop times. Packets enter the node's own-traffic
-/// MAC queue; when it is full they are dropped at the source, which is how
-/// a saturated (greedy) application behaves on real hardware.
+/// Constant bit rate source (the paper's workload: CBR at 2 Mb/s to keep
+/// sources saturated): generates packets of a flow at a node between
+/// start/stop times. Packets enter the node's own-traffic MAC queue; when
+/// it is full they are dropped at the source, which is how a saturated
+/// (greedy) application behaves on real hardware.
+///
+/// Emissions follow an error-carrying ideal timeline: the n-th packet is
+/// due floor(n * payload_bits / rate) after start, so the realized rate
+/// matches the nominal one even when the ideal interval is not a whole
+/// number of microseconds (a single truncated interval would
+/// systematically exceed the nominal rate). Rates that divide
+/// payload*8e6 evenly — all the paper's — produce a uniform grid.
 ///
 /// Saturated sources are backpressure-gated: when an emission finds the
 /// own-traffic queue full, the source stops burning one scheduler event
@@ -25,10 +31,10 @@ using util::SimTime;
 /// one-event-per-period emitter would have produced — and dropped — while
 /// the queue stayed full are accounted in closed form when the queue
 /// frees a slot (or when stats() is read), consuming the same
-/// per-generation next_interval() draws in the same order, so packet
-/// sequence numbers, Rng streams, per-queue/per-node drop counters and
-/// delivery order are identical to that reference. The reference lives
-/// in tests/reference_source.h; tests/traffic_test.cpp races the two.
+/// per-generation next_interval() steps in the same order, so packet
+/// sequence numbers, per-queue/per-node drop counters and delivery order
+/// are identical to that reference. The reference lives in
+/// tests/reference_source.h; tests/traffic_test.cpp races the two.
 ///
 /// Residual tie caveat: an emit re-materialized at a vacancy is
 /// scheduled "now", so against an unrelated event scheduled during the
@@ -40,11 +46,11 @@ using util::SimTime;
 /// committed goldens and the seeded gated-vs-reference races pin the
 /// practical space down.
 ///
-/// Lifetime: a Source references its Network (and, while gated, the MAC
+/// Lifetime: a source references its Network (and, while gated, the MAC
 /// queue it waits on), so it must be destroyed before the Network —
 /// declare sources after the network/scenario that owns it, as every
 /// in-tree user does.
-class Source : private mac::VacancyWaiter {
+class CbrSource final : private mac::VacancyWaiter {
 public:
     struct Stats {
         std::uint64_t generated = 0;
@@ -60,10 +66,12 @@ public:
         std::uint64_t backoff_retries = 0;
     };
 
-    Source(net::Network& network, int flow_id, int payload_bytes);
-    ~Source() override;
-    Source(const Source&) = delete;
-    Source& operator=(const Source&) = delete;
+    /// `rate_bps` must be finite, positive and large enough that one
+    /// packet interval fits the microsecond clock.
+    CbrSource(net::Network& network, int flow_id, int payload_bytes, double rate_bps);
+    ~CbrSource() override;
+    CbrSource(const CbrSource&) = delete;
+    CbrSource& operator=(const CbrSource&) = delete;
 
     /// Schedule the active period [start, stop). Call once.
     void activate(SimTime start, SimTime stop);
@@ -76,16 +84,11 @@ public:
     const Stats& stats();
     int flow_id() const { return flow_id_; }
 
-protected:
-    /// Time until the next packet (strictly positive). Called exactly
-    /// once per generation — real or closed-form — in generation order,
-    /// so Rng-drawing implementations reproduce their draw sequence
-    /// exactly under gating.
-    virtual SimTime next_interval() = 0;
-
-    net::Network& network() { return network_; }
-
 private:
+    /// Time until the next packet (strictly positive) on the ideal
+    /// timeline. Called exactly once per generation — real or
+    /// closed-form — in generation order.
+    SimTime next_interval();
     void emit();
     /// Whether a packet generated now could leave this node at all: the
     /// source node is up and the flow has not been suspended by route
@@ -114,6 +117,8 @@ private:
     sim::Scheduler* scheduler_ = nullptr;
     int flow_id_;
     int payload_bytes_;
+    double ideal_interval_us_ = 0.0;
+    std::uint64_t ticks_ = 0;  ///< intervals elapsed on the ideal timeline
     net::NodeId src_node_;
     net::NodeId dst_node_;
     SimTime stop_at_ = 0;
@@ -142,59 +147,6 @@ private:
     static constexpr SimTime kRetryBackoffBaseUs = 10'000;  ///< 10 ms
     static constexpr SimTime kRetryBackoffMaxUs = 200'000;  ///< 200 ms
     SimTime retry_backoff_us_ = kRetryBackoffBaseUs;
-};
-
-/// Constant bit rate source (the paper's workload: CBR at 2 Mb/s to keep
-/// sources saturated). Emissions follow an error-carrying ideal timeline:
-/// the n-th packet is due floor(n * payload_bits / rate) after start, so
-/// the realized rate matches the nominal one even when the ideal interval
-/// is not a whole number of microseconds (a single truncated interval
-/// would systematically exceed the nominal rate). Rates that divide
-/// payload*8e6 evenly — all the paper's — produce the exact same uniform
-/// grid as the truncated interval did.
-class CbrSource final : public Source {
-public:
-    CbrSource(net::Network& network, int flow_id, int payload_bytes, double rate_bps);
-
-protected:
-    SimTime next_interval() override;
-
-private:
-    double ideal_interval_us_;
-    std::uint64_t ticks_ = 0;  ///< intervals elapsed on the ideal timeline
-};
-
-/// Poisson (exponential inter-arrival) source, for non-saturated and
-/// bursty-load experiments.
-class PoissonSource final : public Source {
-public:
-    PoissonSource(net::Network& network, int flow_id, int payload_bytes, double rate_bps);
-
-protected:
-    SimTime next_interval() override;
-
-private:
-    double mean_interval_us_;
-    util::Rng rng_;
-};
-
-/// On-off source: exponentially distributed bursts at peak rate separated
-/// by exponential silences. Used by the traffic-adaptivity ablations.
-class OnOffSource final : public Source {
-public:
-    OnOffSource(net::Network& network, int flow_id, int payload_bytes, double peak_rate_bps,
-                double mean_on_s, double mean_off_s);
-
-protected:
-    SimTime next_interval() override;
-
-private:
-    SimTime interval_us_;
-    SimTime mean_on_us_;
-    SimTime mean_off_us_;
-    util::Rng rng_;
-    SimTime burst_remaining_us_ = 0;
-    bool first_burst_drawn_ = false;
 };
 
 }  // namespace ezflow::traffic

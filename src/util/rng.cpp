@@ -58,13 +58,6 @@ bool Rng::bernoulli(double p)
     return dist(engine());
 }
 
-double Rng::exponential(double mean)
-{
-    if (!(mean > 0.0)) throw std::invalid_argument("Rng::exponential: mean must be > 0");
-    std::exponential_distribution<double> dist(1.0 / mean);
-    return dist(engine());
-}
-
 int Rng::weighted_index(const std::vector<double>& weights)
 {
     double total = 0.0;

@@ -47,10 +47,6 @@ public:
     /// NaN throws).
     bool bernoulli(double p);
 
-    /// Exponentially distributed value with the given mean (> 0; NaN
-    /// throws).
-    double exponential(double mean);
-
     /// Pick an index in [0, weights.size()) with probability proportional
     /// to weights[i]. Requires at least one strictly positive weight.
     int weighted_index(const std::vector<double>& weights);

@@ -130,8 +130,7 @@ TEST(Agent, SniffLossStillStabilizes)
     options.boe_sniff_loss = 0.8;
     analysis::Experiment exp(net::make_line(4, 400.0, 8), options);
     exp.run();
-    const double b1 =
-        exp.buffers().mean_occupancy(1, util::from_seconds(250), util::from_seconds(400));
+    const double b1 = exp.buffers().mean(1, util::from_seconds(250), util::from_seconds(400));
     EXPECT_LT(b1, 20.0);
 }
 

@@ -61,10 +61,12 @@ TEST(Jain, RejectsBadInput)
 
 // -------------------------------------------------------------- recorders
 
-TEST(BufferTracer, SamplesPeriodically)
+using Quantity = QueueTracer::Quantity;
+
+TEST(QueueTracer, SamplesBacklogPeriodically)
 {
     net::Scenario s = net::make_line(2, 100, 3);
-    BufferTracer tracer(*s.network, {1}, kSecond);
+    QueueTracer tracer(*s.network, Quantity::kBacklog, {{1, 2}}, kSecond);
     tracer.start();
     s.network->run_until(10 * kSecond + 1);
     EXPECT_EQ(tracer.trace(1).size(), 10u);
@@ -114,10 +116,10 @@ TEST(ThroughputMeter, ExposesWindowSampleCounts)
     EXPECT_DOUBLE_EQ(meter.mean_kbps(50 * kSecond, 60 * kSecond), 0.0);
 }
 
-TEST(CwTracer, TracksQueueCwMin)
+TEST(QueueTracer, TracksQueueCwMin)
 {
     net::Scenario s = net::make_line(2, 100, 3);
-    CwTracer tracer(*s.network, {{0, 1}}, kSecond);
+    QueueTracer tracer(*s.network, Quantity::kCwMin, {{0, 1}}, kSecond);
     tracer.start();
     traffic::CbrSource source(*s.network, 0, 1000, 50'000.0);
     source.activate(0, 10 * kSecond);
@@ -127,86 +129,59 @@ TEST(CwTracer, TracksQueueCwMin)
     EXPECT_DOUBLE_EQ(tracer.trace(0).values().back(), 256.0);
 }
 
-/// Reference buffer sampler: one periodic event chain per node, each
-/// reading the node's MAC backlog into its own TimeSeries. Started right
-/// after a BufferTracer on the same period, its events fire next to the
-/// tracer's at every instant, so both see the same backlogs.
-class ReferenceBacklogSampler {
+/// Reference sampler: one periodic event chain per target, each reading
+/// the target's quantity (the node's MAC backlog, or its queue's CWmin
+/// once the queue exists) into its own TimeSeries. Started right after
+/// an Experiment's tracers on the same period, its events fire next to
+/// the tracer's at every instant, so both see the same values.
+class ReferenceSampler {
 public:
-    ReferenceBacklogSampler(net::Network& network, const std::vector<net::NodeId>& nodes,
-                            util::SimTime period)
-        : network_(network), period_(period)
+    ReferenceSampler(net::Network& network, Quantity quantity,
+                     const std::vector<QueueTracer::Target>& targets, util::SimTime period)
+        : network_(network), quantity_(quantity), period_(period)
     {
-        for (const net::NodeId n : nodes) {
-            series_[n];
-            network_.scheduler_for(n).schedule_in(period_, [this, n] { sample(n); });
+        for (const QueueTracer::Target& t : targets) {
+            series_[t.node];
+            network_.scheduler_for(t.node).schedule_in(period_, [this, t] { sample(t); });
         }
     }
 
     const util::TimeSeries& trace(net::NodeId node) const { return series_.at(node); }
 
 private:
-    void sample(net::NodeId node)
+    void sample(QueueTracer::Target t)
     {
-        sim::Scheduler& scheduler = network_.scheduler_for(node);
-        series_.at(node).add(
-            scheduler.now(),
-            static_cast<double>(network_.node(node).mac().queues().total_packets()));
-        scheduler.schedule_in(period_, [this, node] { sample(node); });
+        sim::Scheduler& scheduler = network_.scheduler_for(t.node);
+        const mac::MacQueueSet& queues = network_.node(t.node).mac().queues();
+        if (quantity_ == Quantity::kBacklog) {
+            series_.at(t.node).add(scheduler.now(), static_cast<double>(queues.total_packets()));
+        } else {
+            const mac::MacQueue* q = queues.find(mac::QueueKey{t.successor, false});
+            if (q == nullptr) q = queues.find(mac::QueueKey{t.successor, true});
+            if (q != nullptr)
+                series_.at(t.node).add(scheduler.now(), static_cast<double>(q->cw_min()));
+        }
+        scheduler.schedule_in(period_, [this, t] { sample(t); });
     }
 
     net::Network& network_;
+    Quantity quantity_;
     util::SimTime period_;
     std::map<net::NodeId, util::TimeSeries> series_;
 };
 
-/// Experiment's buffer sampling period (Fig. 1 / Fig. 4's 100 ms).
-constexpr util::SimTime kExperimentBufferPeriod = 100 * util::kMillisecond;
-
-/// Run `scenario` for `seconds` with the tracer (streaming or not) and
-/// the reference side by side; every query must match bit for bit.
-void expect_tracer_matches_reference(net::Scenario scenario, double seconds, bool streaming)
+/// Experiment's trace targets: each transmitting node toward its
+/// successor on the first flow that crosses it.
+std::vector<QueueTracer::Target> experiment_targets(const net::Scenario& scenario)
 {
-    ExperimentOptions options;
-    options.streaming = streaming;
-    Experiment exp(std::move(scenario), options);
-    const std::vector<net::NodeId> nodes = exp.transmitting_nodes();
-    const ReferenceBacklogSampler reference(exp.network(), nodes, kExperimentBufferPeriod);
-    exp.run_until_s(seconds);
-
-    const BufferTracer& tracer = exp.buffers();
-    const std::size_t sweeps = reference.trace(nodes.front()).size();
-    ASSERT_GT(sweeps, 100u);
-    double busiest = 0.0;
-    for (const net::NodeId n : nodes) {
-        const util::TimeSeries& want = reference.trace(n);
-        ASSERT_EQ(want.size(), sweeps) << "node " << n;
-        double max = 0.0;
-        for (const double v : want.values()) max = std::max(max, v);
-        busiest = std::max(busiest, max);
-        EXPECT_EQ(tracer.max_occupancy(n), max) << "node " << n;
-        if (streaming) {
-            util::RunningStats whole;
-            for (const double v : want.values()) whole.add(v);
-            EXPECT_EQ(tracer.mean_occupancy(n, 0, 1), whole.mean()) << "node " << n;
-            continue;
-        }
-        const util::TimeSeries got = tracer.trace(n);
-        EXPECT_EQ(got.times(), want.times()) << "node " << n;
-        EXPECT_EQ(got.values(), want.values()) << "node " << n;
-        const util::SimTime end = util::from_seconds(seconds);
-        const std::vector<std::pair<util::SimTime, util::SimTime>> windows = {
-            {0, end + 1},                                // the whole run
-            {end + kSecond, end + 2 * kSecond},          // empty: after the run
-            {want.times()[10], want.times()[sweeps / 2]},  // half-open: from in, to out
-            {want.times()[10] + 1, want.times()[20] + 1},  // edges between samples
-        };
-        for (const auto& [from, to] : windows)
-            EXPECT_EQ(tracer.mean_occupancy(n, from, to), want.mean_between(from, to))
-                << "node " << n << " window [" << from << ", " << to << ")";
-    }
-    EXPECT_GT(busiest, 0.0);  // some relay queued, so the match is not vacuous
-    EXPECT_EQ(tracer.stored_samples(), streaming ? 0u : nodes.size() * sweeps);
+    std::vector<QueueTracer::Target> targets;
+    for (const net::FlowPlan& plan : scenario.flows)
+        for (std::size_t i = 0; i + 1 < plan.path.size(); ++i)
+            if (std::none_of(targets.begin(), targets.end(), [&](const QueueTracer::Target& t) {
+                    return t.node == plan.path[i];
+                }))
+                targets.push_back(QueueTracer::Target{plan.path[i], plan.path[i + 1]});
+    return targets;
 }
 
 net::Scenario two_islands()
@@ -224,203 +199,156 @@ net::Scenario two_islands()
     return scenario;
 }
 
-TEST(BufferTracer, ColumnsMatchReferenceSamplerOnChain)
+/// Both of an Experiment's tracers held against the reference sampler:
+/// the backlog tracer (Fig. 1 / Fig. 4, 100 ms, 802.11) and the CW tracer
+/// (Fig. 8 / Fig. 11, 1 s, EZ-Flow so the windows move).
+class QueueTracerColumns : public testing::TestWithParam<Quantity> {
+protected:
+    bool backlog() const { return GetParam() == Quantity::kBacklog; }
+    util::SimTime period() const { return backlog() ? 100 * util::kMillisecond : kSecond; }
+
+    /// Run `scenario` for `seconds` with the tracer (streaming or not)
+    /// and the reference side by side; every query must match bit for
+    /// bit. Returns the earliest first-sample time of any target and the
+    /// latest, so callers can check where columns start.
+    std::pair<util::SimTime, util::SimTime> expect_matches_reference(net::Scenario scenario,
+                                                                     double seconds,
+                                                                     bool streaming) const
+    {
+        ExperimentOptions options;
+        options.mode = backlog() ? Mode::kBaseline80211 : Mode::kEzFlow;
+        options.streaming = streaming;
+        Experiment exp(std::move(scenario), options);
+        const std::vector<QueueTracer::Target> targets = experiment_targets(exp.scenario());
+        const ReferenceSampler reference(exp.network(), GetParam(), targets, period());
+        exp.run_until_s(seconds);
+
+        const QueueTracer& tracer = backlog() ? exp.buffers() : exp.cw_tracer();
+        const util::SimTime end = util::from_seconds(seconds);
+        std::size_t samples = 0;
+        util::SimTime earliest = end;
+        util::SimTime latest = 0;
+        bool varied = false;
+        for (const QueueTracer::Target& t : targets) {
+            const util::TimeSeries& want = reference.trace(t.node);
+            EXPECT_GE(want.size(), 6u) << "node " << t.node;
+            if (want.size() < 6) continue;
+            samples += want.size();
+            earliest = std::min(earliest, want.times().front());
+            latest = std::max(latest, want.times().front());
+            varied = varied || std::any_of(want.values().begin(), want.values().end(),
+                                           [&](double v) { return v != want.values().front(); });
+            EXPECT_EQ(tracer.max(t.node),
+                      *std::max_element(want.values().begin(), want.values().end()))
+                << "node " << t.node;
+            if (streaming) {
+                util::RunningStats whole;
+                for (const double v : want.values()) whole.add(v);
+                EXPECT_EQ(tracer.mean(t.node, 0, 1), whole.mean()) << "node " << t.node;
+                continue;
+            }
+            const util::TimeSeries got = tracer.trace(t.node);
+            EXPECT_EQ(got.times(), want.times()) << "node " << t.node;
+            EXPECT_EQ(got.values(), want.values()) << "node " << t.node;
+            const std::size_t n = want.size();
+            const std::vector<std::pair<util::SimTime, util::SimTime>> windows = {
+                {0, end + 1},                                // the whole run
+                {end + kSecond, end + 2 * kSecond},          // empty: after the run
+                {0, want.times().front()},                   // ends before the first sample
+                {want.times()[2], want.times()[n / 2]},      // half-open: from in, to out
+                {want.times()[1] + 1, want.times()[5] + 1},  // edges between samples
+            };
+            for (const auto& [from, to] : windows)
+                EXPECT_EQ(tracer.mean(t.node, from, to), want.mean_between(from, to))
+                    << "node " << t.node << " window [" << from << ", " << to << ")";
+        }
+        EXPECT_TRUE(varied);  // some queue or window moved, so the match is not vacuous
+        EXPECT_EQ(tracer.stored_samples(), streaming ? 0u : samples);
+        return {earliest, latest};
+    }
+};
+
+TEST_P(QueueTracerColumns, MatchReferenceSamplerOnChain)
 {
-    expect_tracer_matches_reference(net::make_line(4, 40, 3), 30.0, false);
+    // The flow starts at 5 s: a backlog column starts at the first sweep
+    // regardless, while every CW queue first appears after several sweeps,
+    // so every CW column starts past index 0 of its time column.
+    const auto [earliest, latest] =
+        expect_matches_reference(net::make_line(4, 40, 3), 30.0, false);
+    if (backlog()) {
+        EXPECT_EQ(earliest, period());
+        EXPECT_EQ(latest, period());
+    } else {
+        EXPECT_GE(earliest, 5 * kSecond);
+        EXPECT_GE(latest, earliest);
+    }
 }
 
-TEST(BufferTracer, ColumnsMatchReferenceSamplerAcrossShards)
+TEST_P(QueueTracerColumns, MatchReferenceSamplerAcrossShards)
 {
-    expect_tracer_matches_reference(two_islands(), 30.0, false);
+    // The second island's flow starts late: its CW columns begin mid-sweep
+    // while the first island's begin at the first sweep instants.
+    net::Scenario scenario = two_islands();
+    scenario.flows.back().start_s = 6.5;
+    const auto [earliest, latest] = expect_matches_reference(std::move(scenario), 30.0, false);
+    if (backlog()) {
+        EXPECT_EQ(earliest, period());
+        EXPECT_EQ(latest, period());
+    } else {
+        EXPECT_LE(earliest, 2 * kSecond);
+        EXPECT_GE(latest, 7 * kSecond);
+    }
 }
 
-TEST(BufferTracer, StreamingStatsMatchReferenceSampler)
+TEST_P(QueueTracerColumns, StreamingStatsMatchReferenceSampler)
 {
-    expect_tracer_matches_reference(net::make_line(4, 40, 3), 30.0, true);
-    expect_tracer_matches_reference(two_islands(), 30.0, true);
+    expect_matches_reference(net::make_line(4, 40, 3), 30.0, true);
+    expect_matches_reference(two_islands(), 30.0, true);
 }
 
-TEST(BufferTracer, RejectsRepeatedNodesAndStreamingTrace)
+TEST_P(QueueTracerColumns, RejectsRepeatedNodesStreamingTraceAndUntrackedNodes)
 {
     net::Scenario s = net::make_line(2, 100, 3);
-    EXPECT_THROW(BufferTracer(*s.network, {1, 0, 1}, kSecond), std::invalid_argument);
-    BufferTracer streaming(*s.network, {1}, kSecond, /*streaming=*/true);
-    EXPECT_THROW(streaming.trace(1), std::logic_error);
-    EXPECT_THROW(streaming.mean_occupancy(0, 0, kSecond), std::invalid_argument);
-    EXPECT_THROW(streaming.max_occupancy(0), std::invalid_argument);
+    EXPECT_THROW(QueueTracer(*s.network, GetParam(), {{0, 1}, {1, 2}, {0, 2}}, kSecond),
+                 std::invalid_argument);
+    QueueTracer streaming(*s.network, GetParam(), {{0, 1}}, kSecond, /*streaming=*/true);
+    EXPECT_THROW(streaming.trace(0), std::logic_error);
+    EXPECT_THROW(streaming.mean(1, 0, kSecond), std::invalid_argument);
+    EXPECT_THROW(streaming.max(1), std::invalid_argument);
+    QueueTracer tracer(*s.network, GetParam(), {{0, 1}}, kSecond);
+    EXPECT_THROW(tracer.trace(1), std::invalid_argument);
+    EXPECT_THROW(tracer.mean(1, 0, kSecond), std::invalid_argument);
+    EXPECT_THROW(tracer.max(1), std::invalid_argument);
 }
 
-TEST(BufferTracer, BacklogBeyondSixteenBitsThrowsInsteadOfWrapping)
+TEST_P(QueueTracerColumns, SampleBeyondSixteenBitsThrowsInsteadOfWrapping)
 {
     net::Network::Config config = net::testbed_config(3);
     config.mac.queue_capacity = 80'000;
     net::Scenario s = net::make_chain(config, 1, 200.0, 0.0, 1.0);
-    BufferTracer tracer(*s.network, {0}, kSecond);
+    QueueTracer tracer(*s.network, GetParam(), {{0, 1}}, kSecond);
     tracer.start();
-    for (std::uint64_t seq = 0; seq < 70'000; ++seq) {
-        net::Packet packet;
-        packet.flow_id = 0;
-        packet.seq = seq;
-        packet.src = 0;
-        packet.dst = 1;
-        packet.bytes = 100;
-        ASSERT_TRUE(s.network->node(0).send(packet));
+    if (backlog()) {
+        for (std::uint64_t seq = 0; seq < 70'000; ++seq) {
+            net::Packet packet;
+            packet.flow_id = 0;
+            packet.seq = seq;
+            packet.src = 0;
+            packet.dst = 1;
+            packet.bytes = 100;
+            ASSERT_TRUE(s.network->node(0).send(packet));
+        }
+    } else {
+        s.network->node(0).mac().set_queue_cw_min(mac::QueueKey{1, true}, 1 << 16);
     }
     EXPECT_THROW(s.network->run_until(kSecond + 1), std::overflow_error);
 }
 
-/// Reference CW sampler: one periodic event chain per target, each
-/// reading the target's queue CWmin (once the queue exists) into its own
-/// TimeSeries. Started right after a CwTracer on the same period, its
-/// events fire next to the tracer's at every instant.
-class ReferenceCwSampler {
-public:
-    ReferenceCwSampler(net::Network& network, const std::vector<CwTracer::Target>& targets,
-                       util::SimTime period)
-        : network_(network), period_(period)
-    {
-        for (const CwTracer::Target& t : targets) {
-            series_[t.node];
-            network_.scheduler_for(t.node).schedule_in(period_, [this, t] { sample(t); });
-        }
-    }
-
-    const util::TimeSeries& trace(net::NodeId node) const { return series_.at(node); }
-
-private:
-    void sample(CwTracer::Target t)
-    {
-        sim::Scheduler& scheduler = network_.scheduler_for(t.node);
-        const mac::MacQueueSet& queues = network_.node(t.node).mac().queues();
-        const mac::MacQueue* q = queues.find(mac::QueueKey{t.successor, false});
-        if (q == nullptr) q = queues.find(mac::QueueKey{t.successor, true});
-        if (q != nullptr)
-            series_.at(t.node).add(scheduler.now(), static_cast<double>(q->cw_min()));
-        scheduler.schedule_in(period_, [this, t] { sample(t); });
-    }
-
-    net::Network& network_;
-    util::SimTime period_;
-    std::map<net::NodeId, util::TimeSeries> series_;
-};
-
-/// Experiment's CW targets: each transmitting node toward its successor
-/// on the first flow that crosses it.
-std::vector<CwTracer::Target> experiment_cw_targets(const net::Scenario& scenario)
-{
-    std::vector<CwTracer::Target> targets;
-    for (const net::FlowPlan& plan : scenario.flows)
-        for (std::size_t i = 0; i + 1 < plan.path.size(); ++i)
-            if (std::none_of(targets.begin(), targets.end(),
-                             [&](const CwTracer::Target& t) { return t.node == plan.path[i]; }))
-                targets.push_back(CwTracer::Target{plan.path[i], plan.path[i + 1]});
-    return targets;
-}
-
-/// Run `scenario` under EZ-Flow for `seconds` with the CW tracer
-/// (streaming or not) and the reference side by side; every query must
-/// match bit for bit. Returns the earliest first-sample time of any
-/// target and the latest, so callers can check late queues were covered.
-std::pair<util::SimTime, util::SimTime> expect_cw_tracer_matches_reference(
-    net::Scenario scenario, double seconds, bool streaming)
-{
-    ExperimentOptions options;
-    options.mode = Mode::kEzFlow;
-    options.streaming = streaming;
-    Experiment exp(std::move(scenario), options);
-    const std::vector<CwTracer::Target> targets = experiment_cw_targets(exp.scenario());
-    const ReferenceCwSampler reference(exp.network(), targets, kSecond);
-    exp.run_until_s(seconds);
-
-    const CwTracer& tracer = exp.cw_tracer();
-    std::size_t samples = 0;
-    util::SimTime earliest = util::from_seconds(seconds);
-    util::SimTime latest = 0;
-    bool varied = false;
-    for (const CwTracer::Target& t : targets) {
-        const util::TimeSeries& want = reference.trace(t.node);
-        EXPECT_GE(want.size(), 6u) << "node " << t.node;
-        if (want.size() < 6) continue;
-        samples += want.size();
-        earliest = std::min(earliest, want.times().front());
-        latest = std::max(latest, want.times().front());
-        varied = varied || std::any_of(want.values().begin(), want.values().end(),
-                                       [&](double v) { return v != want.values().front(); });
-        if (streaming) {
-            util::RunningStats whole;
-            for (const double v : want.values()) whole.add(v);
-            EXPECT_EQ(tracer.mean_cw(t.node, 0, 1), whole.mean()) << "node " << t.node;
-            continue;
-        }
-        const util::TimeSeries got = tracer.trace(t.node);
-        EXPECT_EQ(got.times(), want.times()) << "node " << t.node;
-        EXPECT_EQ(got.values(), want.values()) << "node " << t.node;
-        const util::SimTime end = util::from_seconds(seconds);
-        const std::size_t n = want.size();
-        const std::vector<std::pair<util::SimTime, util::SimTime>> windows = {
-            {0, end + 1},                                  // the whole run
-            {0, want.times().front()},                     // ends before the first sample
-            {want.times()[2], want.times()[n / 2]},        // half-open: from in, to out
-            {want.times()[1] + 1, want.times()[5] + 1},    // edges between samples
-        };
-        for (const auto& [from, to] : windows)
-            EXPECT_EQ(tracer.mean_cw(t.node, from, to), want.mean_between(from, to))
-                << "node " << t.node << " window [" << from << ", " << to << ")";
-    }
-    EXPECT_TRUE(varied);  // EZ-Flow moved some window, so the match is not vacuous
-    EXPECT_EQ(tracer.stored_samples(), streaming ? 0u : samples);
-    return {earliest, latest};
-}
-
-TEST(CwTracer, ColumnsMatchReferenceSamplerOnChain)
-{
-    // The flow starts at 5 s, so every queue first appears after several
-    // sweeps and every column starts past index 0 of its time column.
-    const auto [earliest, latest] =
-        expect_cw_tracer_matches_reference(net::make_line(4, 40, 3), 30.0, false);
-    EXPECT_GE(earliest, 5 * kSecond);
-    EXPECT_GE(latest, earliest);
-}
-
-TEST(CwTracer, ColumnsMatchReferenceSamplerAcrossShards)
-{
-    // The second island's flow starts late: its columns begin mid-sweep
-    // while the first island's begin at the first sweep instants.
-    net::Scenario scenario = two_islands();
-    scenario.flows.back().start_s = 6.5;
-    const auto [earliest, latest] =
-        expect_cw_tracer_matches_reference(std::move(scenario), 30.0, false);
-    EXPECT_LE(earliest, 2 * kSecond);
-    EXPECT_GE(latest, 7 * kSecond);
-}
-
-TEST(CwTracer, StreamingStatsMatchReferenceSampler)
-{
-    expect_cw_tracer_matches_reference(net::make_line(4, 40, 3), 30.0, true);
-    expect_cw_tracer_matches_reference(two_islands(), 30.0, true);
-}
-
-TEST(CwTracer, RejectsRepeatedNodesStreamingTraceAndUntrackedNodes)
-{
-    net::Scenario s = net::make_line(2, 100, 3);
-    EXPECT_THROW(CwTracer(*s.network, {{0, 1}, {1, 2}, {0, 2}}, kSecond),
-                 std::invalid_argument);
-    CwTracer streaming(*s.network, {{0, 1}}, kSecond, /*streaming=*/true);
-    EXPECT_THROW(streaming.trace(0), std::logic_error);
-    CwTracer tracer(*s.network, {{0, 1}}, kSecond);
-    EXPECT_THROW(tracer.trace(1), std::invalid_argument);
-    EXPECT_THROW(tracer.mean_cw(1, 0, kSecond), std::invalid_argument);
-    EXPECT_THROW(streaming.mean_cw(1, 0, kSecond), std::invalid_argument);
-}
-
-TEST(CwTracer, CwBeyondSixteenBitsThrowsInsteadOfWrapping)
-{
-    net::Scenario s = net::make_line(2, 100, 3);
-    CwTracer tracer(*s.network, {{0, 1}}, kSecond);
-    tracer.start();
-    s.network->node(0).mac().set_queue_cw_min(mac::QueueKey{1, true}, 1 << 16);
-    EXPECT_THROW(s.network->run_until(kSecond + 1), std::overflow_error);
-}
+INSTANTIATE_TEST_SUITE_P(Quantities, QueueTracerColumns,
+                         testing::Values(Quantity::kBacklog, Quantity::kCwMin),
+                         [](const testing::TestParamInfo<Quantity>& info) {
+                             return info.param == Quantity::kBacklog ? "Backlog" : "CwMin";
+                         });
 
 // ------------------------------------------------------------- experiment
 

@@ -105,25 +105,22 @@ TEST_F(RegistryTest, ContextDerivesSeedGridAndExtras)
     FigureContext ctx;
     ctx.seed = 100;
     ctx.seeds = 3;
-    ctx.extra = {{"hops", "6"}, {"flag", "false"}};
+    ctx.extra = {{"hops", "6"}, {"duration", "2.5"}};
     EXPECT_EQ(ctx.seed_grid(), (std::vector<std::uint64_t>{100, 101, 102}));
     EXPECT_EQ(ctx.extra_int("hops", 4), 6);
     EXPECT_EQ(ctx.extra_int("absent", 4), 4);
-    EXPECT_FALSE(ctx.extra_bool("flag", true));
-    EXPECT_TRUE(ctx.extra_bool("absent", true));
+    EXPECT_EQ(ctx.extra_double("duration", 1.0), 2.5);
+    EXPECT_EQ(ctx.extra_double("absent", 1.0), 1.0);
 }
 
 TEST_F(RegistryTest, ExtrasRejectMalformedValues)
 {
-    // Regression: any unknown boolean spelling used to read as true, and
-    // numeric extras ignored trailing characters.
+    // Regression: numeric extras ignored trailing characters.
     FigureContext ctx;
-    ctx.extra = {{"flag", "ture"}, {"hops", "6x"}, {"duration", "1.5s"}, {"on", "on"}};
-    EXPECT_THROW(ctx.extra_bool("flag", false), std::invalid_argument);
+    ctx.extra = {{"hops", "6x"}, {"duration", "1.5s"}};
     EXPECT_THROW(ctx.extra_int("hops", 4), std::invalid_argument);
     EXPECT_THROW(ctx.extra_double("duration", 1.0), std::invalid_argument);
-    EXPECT_TRUE(ctx.extra_bool("on", false));
-    EXPECT_EQ(ctx.extra_consumed.count("flag"), 1u);
+    EXPECT_EQ(ctx.extra_consumed.count("hops"), 1u);
 }
 
 TEST_F(RegistryTest, RunnableFigureProducesStructuredResult)
@@ -164,25 +161,15 @@ std::string slurp(const std::string& path)
     return buffer.str();
 }
 
-TEST(App, SweepGridAcceptsShardsAxis)
+TEST(App, SweepIsAnUnknownCommand)
 {
-    // Regression: the sweep grid advertised scale/seeds/seed/threads but
-    // rejected shards, so shard-scaling sweeps needed hand-rolled loops.
-    const std::string out = testing::TempDir() + "ezflow_sweep_shards";
-    std::filesystem::remove_all(out);
-    EXPECT_EQ(run_cli({"ezflow", "sweep", "islands", "--grid=shards=1:2", "--smoke", "--quiet",
-                       "--json-only", "--out=" + out}),
-              0);
-    const std::string s1 = slurp(out + "/islands_shards1/islands.json");
-    const std::string s2 = slurp(out + "/islands_shards2/islands.json");
-    EXPECT_FALSE(s1.empty());
-    // Shard count is an execution knob, never a result knob: the two
-    // sweep points must be byte-identical.
-    EXPECT_EQ(s1, s2);
-    std::filesystem::remove_all(out);
-
-    // Unknown axes are still a usage error (exit code 2).
-    EXPECT_EQ(run_cli({"ezflow", "sweep", "islands", "--grid=bogus=1:2", "--quiet"}), 2);
+    // There is no `sweep` command: a grid is a shell loop over `ezflow run`.
+    testing::internal::CaptureStdout();
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(run_cli({"ezflow", "sweep", "islands", "--grid=shards=1:2"}), 2);
+    testing::internal::GetCapturedStdout();
+    const std::string errors = testing::internal::GetCapturedStderr();
+    EXPECT_NE(errors.find("unknown command 'sweep'"), std::string::npos) << errors;
 }
 
 TEST(App, MalformedFlagValuesAreUsageErrors)
@@ -196,16 +183,14 @@ TEST(App, MalformedFlagValuesAreUsageErrors)
     EXPECT_EQ(run_cli({"ezflow", "run", "fig01", "--shards=4x"}), 2);
     EXPECT_EQ(run_cli({"ezflow", "run", "fig01", "--seed=7x"}), 2);
     EXPECT_EQ(run_cli({"ezflow", "run", "fig01", "--seed=-1"}), 2);
-    EXPECT_EQ(run_cli({"ezflow", "sweep", "fig01", "--grid=scale=0.1x"}), 2);
     testing::internal::GetCapturedStdout();
     const std::string errors = testing::internal::GetCapturedStderr();
     EXPECT_NE(errors.find("--smoke: 'ture' is not a boolean"), std::string::npos) << errors;
     EXPECT_NE(errors.find("--shards: '4x' is not an integer"), std::string::npos) << errors;
 
     // Regression: `run <figure> --scale=-1 --seeds=0 --shards=-3`
-    // exited 0 after running at scale 1 with 1 seed, and a sweep point
-    // `scale=0` fell back to the default scale. A given flag is checked
-    // where run and every sweep point build their figure context.
+    // exited 0 after running at scale 1 with 1 seed. A given flag is
+    // checked where run builds each figure's context.
     const auto error_of = [](std::vector<std::string> args) {
         testing::internal::CaptureStdout();
         testing::internal::CaptureStderr();
@@ -228,10 +213,6 @@ TEST(App, MalformedFlagValuesAreUsageErrors)
         {{"ezflow", "run", "table4", "--threads=-1"}, "--threads"},
         // --all checks before the first figure runs.
         {{"ezflow", "run", "--all", "--seeds=0"}, "--seeds"},
-        {{"ezflow", "sweep", "table4", "--grid=scale=0"}, "--scale"},
-        {{"ezflow", "sweep", "table4", "--grid=seeds=0"}, "--seeds"},
-        {{"ezflow", "sweep", "table4", "--grid=threads=-1"}, "--threads"},
-        {{"ezflow", "sweep", "table4", "--grid=shards=-1"}, "--shards"},
     };
     for (const auto& test_case : out_of_range) {
         const std::string message = error_of(test_case.args);

@@ -23,7 +23,7 @@ TEST(Instability, ThreeHopChainKeepsFirstRelayBounded)
     Experiment exp = line_experiment(3, Mode::kBaseline80211, 120.0, 21);
     exp.run();
     // Mean backlog at N1 stays well below the 50-packet buffer.
-    const double mean_b1 = exp.buffers().mean_occupancy(1, util::from_seconds(30), util::from_seconds(125));
+    const double mean_b1 = exp.buffers().mean(1, util::from_seconds(30), util::from_seconds(125));
     EXPECT_LT(mean_b1, 35.0);
 }
 
@@ -31,7 +31,7 @@ TEST(Instability, FourHopChainSaturatesFirstRelay)
 {
     Experiment exp = line_experiment(4, Mode::kBaseline80211, 120.0, 21);
     exp.run();
-    const double mean_b1 = exp.buffers().mean_occupancy(1, util::from_seconds(30), util::from_seconds(125));
+    const double mean_b1 = exp.buffers().mean(1, util::from_seconds(30), util::from_seconds(125));
     // Turbulence: the first relay's buffer rides near its 50-packet cap.
     EXPECT_GT(mean_b1, 40.0);
 }
@@ -49,8 +49,7 @@ TEST(EzFlowStabilization, FourHopRelaysDrainUnderEzFlow)
     exp.run();
     // After convergence the relay buffers stay small (the paper's Fig. 4
     // shows ~5 packets at stabilized relays).
-    const double mean_b1 =
-        exp.buffers().mean_occupancy(1, util::from_seconds(150), util::from_seconds(305));
+    const double mean_b1 = exp.buffers().mean(1, util::from_seconds(150), util::from_seconds(305));
     EXPECT_LT(mean_b1, 15.0);
 }
 
@@ -108,8 +107,7 @@ TEST(Penalty, StaticPolicyAlsoStabilizesFourHop)
     options.penalty.q = 1.0 / 8.0;
     Experiment exp(net::make_line(4, 300.0, 24), options);
     exp.run();
-    const double mean_b1 =
-        exp.buffers().mean_occupancy(1, util::from_seconds(150), util::from_seconds(305));
+    const double mean_b1 = exp.buffers().mean(1, util::from_seconds(150), util::from_seconds(305));
     EXPECT_LT(mean_b1, 15.0);
 }
 

@@ -129,13 +129,14 @@ TEST(PacedAgent, MacQueueStaysShallow)
     auto agents = install_paced_ezflow(bed.net, PacedEzFlowAgent::Options{});
     traffic::CbrSource source(bed.net, 0, 1000, 2e6);
     source.activate(0, 120 * kSecond);
-    analysis::BufferTracer tracer(bed.net, {0, 1, 2, 3}, 100 * kMillisecond);
+    analysis::QueueTracer tracer(bed.net, analysis::QueueTracer::Quantity::kBacklog,
+                                 {{0, 1}, {1, 2}, {2, 3}, {3, 4}}, 100 * kMillisecond);
     tracer.start();
     bed.net.run_until(120 * kSecond);
     for (int n = 0; n < 4; ++n) {
         // Far below the 50-packet cap: the backlog lives in the pacing
         // queue, not the MAC buffer.
-        EXPECT_LT(tracer.mean_occupancy(n, util::from_seconds(60), util::from_seconds(120)), 20.0)
+        EXPECT_LT(tracer.mean(n, util::from_seconds(60), util::from_seconds(120)), 20.0)
             << "MAC queue at N" << n;
     }
 }
@@ -150,10 +151,11 @@ TEST(PacedAgent, StabilizesFourHopChain)
     sink.attach_flow(0);
     traffic::CbrSource source(bed.net, 0, 1000, 2e6);
     source.activate(0, 300 * kSecond);
-    analysis::BufferTracer tracer(bed.net, {1, 2, 3}, 100 * kMillisecond);
+    analysis::QueueTracer tracer(bed.net, analysis::QueueTracer::Quantity::kBacklog,
+                                 {{1, 2}, {2, 3}, {3, 4}}, 100 * kMillisecond);
     tracer.start();
     bed.net.run_until(300 * kSecond);
-    EXPECT_LT(tracer.mean_occupancy(1, util::from_seconds(150), util::from_seconds(300)), 15.0);
+    EXPECT_LT(tracer.mean(1, util::from_seconds(150), util::from_seconds(300)), 15.0);
     EXPECT_GT(sink.goodput_kbps(0, util::from_seconds(150), util::from_seconds(300)), 100.0);
 }
 

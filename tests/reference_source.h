@@ -2,7 +2,7 @@
 
 // Per-period reference emitter for the backpressure-gated sources. It
 // schedules one event per nominal packet period and sends every packet,
-// whether or not the own-traffic queue has room. traffic::Source parks on
+// whether or not the own-traffic queue has room. traffic::CbrSource parks on
 // a queue-vacancy callback instead and accounts the dropped generations in
 // closed form; traffic_test.cpp races the two and demands identical runs.
 //
@@ -13,8 +13,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <utility>
 
 #include "net/network.h"
@@ -31,17 +29,15 @@ public:
         std::uint64_t accepted = 0;
         std::uint64_t dropped_at_source = 0;
     };
-    /// Time until the next generation, drawn once per generation.
-    using IntervalLaw = std::function<util::SimTime()>;
 
-    ReferenceSource(net::Network& network, int flow_id, int payload_bytes, IntervalLaw law)
+    ReferenceSource(net::Network& network, int flow_id, int payload_bytes, double rate_bps)
         : network_(network),
           flow_id_(flow_id),
           payload_bytes_(payload_bytes),
+          ideal_us_(static_cast<double>(payload_bytes) * 8.0 * 1e6 / rate_bps),
           src_(network.routing_table().path(flow_id).front()),
           dst_(network.routing_table().path(flow_id).back()),
-          scheduler_(network.scheduler_for(src_)),
-          law_(std::move(law))
+          scheduler_(network.scheduler_for(src_))
     {
     }
 
@@ -71,47 +67,29 @@ private:
             ++stats_.accepted;
         else
             ++stats_.dropped_at_source;
-        const util::SimTime gap = std::max<util::SimTime>(1, law_());
+        ++ticks_;
+        const util::SimTime gap = std::max<util::SimTime>(1, due(ticks_) - due(ticks_ - 1));
         scheduler_.schedule_at(scheduler_.now() + gap, [this] { emit(); });
+    }
+
+    /// traffic::CbrSource's error-carrying ideal timeline: packet n is
+    /// due floor(n * payload_bits / rate) microseconds after activation.
+    util::SimTime due(std::uint64_t n) const
+    {
+        return static_cast<util::SimTime>(std::floor(static_cast<double>(n) * ideal_us_));
     }
 
     net::Network& network_;
     int flow_id_;
     int payload_bytes_;
+    double ideal_us_;
     net::NodeId src_;
     net::NodeId dst_;
     sim::Scheduler& scheduler_;
-    IntervalLaw law_;
     util::SimTime stop_at_ = 0;
     std::uint64_t next_seq_ = 0;
+    std::uint64_t ticks_ = 0;
     Stats stats_;
 };
-
-/// traffic::CbrSource's error-carrying ideal timeline: packet n is due
-/// floor(n * payload_bits / rate) microseconds after activation.
-inline ReferenceSource::IntervalLaw cbr_law(int payload_bytes, double rate_bps)
-{
-    const double ideal_us = static_cast<double>(payload_bytes) * 8.0 * 1e6 / rate_bps;
-    return [ideal_us, ticks = std::uint64_t{0}]() mutable {
-        const auto due = [ideal_us](std::uint64_t n) {
-            return static_cast<util::SimTime>(std::floor(static_cast<double>(n) * ideal_us));
-        };
-        ++ticks;
-        return std::max<util::SimTime>(1, due(ticks) - due(ticks - 1));
-    };
-}
-
-/// traffic::PoissonSource's exponential draws. Forks the network stream at
-/// construction, exactly where a PoissonSource would.
-inline ReferenceSource::IntervalLaw poisson_law(net::Network& network, int payload_bytes,
-                                                double rate_bps)
-{
-    const double mean_us = static_cast<double>(payload_bytes) * 8.0 * 1e6 / rate_bps;
-    // std::function needs a copyable callable and Rng is move-only, so
-    // the law's copies share one stream.
-    return [mean_us, rng = std::make_shared<util::Rng>(network.fork_rng())]() {
-        return static_cast<util::SimTime>(rng->exponential(mean_us));
-    };
-}
 
 }  // namespace ezflow::testutil

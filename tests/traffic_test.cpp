@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -64,24 +65,16 @@ TEST(Cbr, ActivateTwiceThrows)
     EXPECT_THROW(CbrSource(bed.net, 0, 1000, 0.0), std::invalid_argument);
 }
 
-TEST(Poisson, MeanRateApproximatesTarget)
+TEST(Cbr, RejectsRatesThatAreNotFiniteAndPositive)
 {
+    // Regression: a NaN rate slipped past `rate <= 0` and the first
+    // interval cast floor(NaN) to an integer; at 1e-12 b/s the interval
+    // overflowed that cast and the source emitted every microsecond.
     OneLink bed;
-    PoissonSource src(bed.net, 0, 1000, 160'000.0);  // 20 pkt/s
-    src.activate(0, 100 * kSecond);
-    bed.net.run_until(100 * kSecond);
-    EXPECT_NEAR(static_cast<double>(src.stats().generated), 2000.0, 150.0);
-}
-
-TEST(OnOff, AlternatesBurstsAndSilence)
-{
-    OneLink bed;
-    OnOffSource src(bed.net, 0, 1000, 400'000.0, 1.0, 1.0);
-    src.activate(0, 100 * kSecond);
-    bed.net.run_until(100 * kSecond);
-    // Peak 50 pkt/s with ~50% duty cycle: between 15% and 85% of peak.
-    EXPECT_GT(src.stats().generated, 750u);
-    EXPECT_LT(src.stats().generated, 4250u);
+    for (const double rate : {std::numeric_limits<double>::quiet_NaN(), -1e6,
+                              std::numeric_limits<double>::infinity(), 1e-12})
+        EXPECT_THROW(CbrSource(bed.net, 0, 1000, rate), std::invalid_argument) << rate;
+    EXPECT_THROW(CbrSource(bed.net, 0, 0, 1e5), std::invalid_argument);
 }
 
 TEST(Cbr, ErrorCarryingTimelineMatchesAwkwardRate)
@@ -181,10 +174,10 @@ struct RaceBed {
     }
 
     /// Activates `sources` (flow i = sources[i]) over [0, 20 s), runs to
-    /// 25 s and fingerprints the run at every whole second. The CBR grids
-    /// divide a second, so stats() is read mid-gate with a generation due
-    /// exactly at the checkpoint, which the reference fires before the
-    /// run stops.
+    /// 25 s and fingerprints the run at every whole second. Paper-rate
+    /// grids divide a second, so stats() is read mid-gate with a
+    /// generation due exactly at the checkpoint, which the reference
+    /// fires before the run stops.
     template <class SourcePtr>
     std::vector<std::uint64_t> race(const std::vector<SourcePtr>& sources)
     {
@@ -216,11 +209,11 @@ TEST(Gating, SharedQueueMatchesPerPeriodReferenceAcrossSeeds)
         RaceBed gated_bed(3, 2, seed);
         CbrSource bulk(gated_bed.net, 0, 1000, 2e6);
         CbrSource second(gated_bed.net, 1, 200, 64'000.0);
-        const auto gated = gated_bed.race(std::vector<Source*>{&bulk, &second});
+        const auto gated = gated_bed.race(std::vector{&bulk, &second});
 
         RaceBed reference_bed(3, 2, seed);
-        ReferenceSource ref_bulk(reference_bed.net, 0, 1000, testutil::cbr_law(1000, 2e6));
-        ReferenceSource ref_second(reference_bed.net, 1, 200, testutil::cbr_law(200, 64'000.0));
+        ReferenceSource ref_bulk(reference_bed.net, 0, 1000, 2e6);
+        ReferenceSource ref_second(reference_bed.net, 1, 200, 64'000.0);
         const auto reference = reference_bed.race(std::vector{&ref_bulk, &ref_second});
 
         EXPECT_EQ(gated, reference) << "seed=" << seed;
@@ -232,58 +225,24 @@ TEST(Gating, SharedQueueMatchesPerPeriodReferenceAcrossSeeds)
     }
 }
 
-TEST(Gating, PoissonSourceReproducesDrawSequence)
+TEST(Gating, AwkwardRateReproducesItsTimeline)
 {
-    // An Rng-drawing source saturating the link: closed-form accounting
-    // must consume the exact same draw sequence as per-packet events.
+    // A saturating rate whose ideal interval is not a whole number of
+    // microseconds (1000 B at 2.3 Mb/s: 3478.26 us): closed-form
+    // accounting must step the error-carrying timeline exactly as
+    // per-packet events do.
     for (const std::uint64_t seed : {5u, 23u}) {
         RaceBed gated_bed(1, 1, seed);
-        PoissonSource src(gated_bed.net, 0, 1000, 2.5e6);
-        const auto gated = gated_bed.race(std::vector<Source*>{&src});
+        CbrSource src(gated_bed.net, 0, 1000, 2.3e6);
+        const auto gated = gated_bed.race(std::vector{&src});
 
         RaceBed reference_bed(1, 1, seed);
-        ReferenceSource ref(reference_bed.net, 0, 1000,
-                            testutil::poisson_law(reference_bed.net, 1000, 2.5e6));
+        ReferenceSource ref(reference_bed.net, 0, 1000, 2.3e6);
         const auto reference = reference_bed.race(std::vector{&ref});
 
         EXPECT_EQ(gated, reference) << "seed=" << seed;
         EXPECT_GT(src.stats().gated_skips, 0u) << "seed=" << seed;
     }
-}
-
-TEST(OnOff, BurstLengthsFollowTheOnDraws)
-{
-    // Non-saturating one-hop flow (peak 400 kb/s, 500 B packets, link
-    // capacity well above), so deliveries track generations closely and
-    // off-gaps (mean 5 s) are clearly separable from in-burst gaps
-    // (10 ms): classify a >1 s delivery gap as a burst boundary.
-    OneLink bed;
-    Sink sink(bed.net);
-    sink.attach_flow(0);
-    OnOffSource src(bed.net, 0, 500, 400'000.0, /*mean_on_s=*/0.2, /*mean_off_s=*/5.0);
-    src.activate(0, 400 * kSecond);
-    bed.net.run_until(405 * kSecond);
-
-    const auto& times = sink.flow(0).delay_series.times();
-    ASSERT_GT(times.size(), 100u);
-    std::vector<std::uint64_t> burst_lengths{1};
-    for (std::size_t i = 1; i < times.size(); ++i) {
-        if (times[i] - times[i - 1] > kSecond) burst_lengths.push_back(0);
-        ++burst_lengths.back();
-    }
-    // The activation burst is a real on-draw, not the singleton the
-    // pre-fix first-burst produced unconditionally.
-    EXPECT_GE(burst_lengths.front(), 2u);
-    // Burst count and mean length must match the configured on/off
-    // process: ~60 cycles of ~5.2 s in 400 s, ~20 packets per 0.2 s
-    // burst at 100 pkt/s (loose bounds; the run is one seeded sample).
-    EXPECT_GT(burst_lengths.size(), 20u);
-    EXPECT_LT(burst_lengths.size(), 130u);
-    std::uint64_t total = 0;
-    for (const std::uint64_t len : burst_lengths) total += len;
-    const double mean_len = static_cast<double>(total) / static_cast<double>(burst_lengths.size());
-    EXPECT_GT(mean_len, 5.0);
-    EXPECT_LT(mean_len, 80.0);
 }
 
 TEST(Sink, RecordsDeliveriesAndDelay)
@@ -328,10 +287,10 @@ TEST(Sink, GoodputMatchesADeliveryLogBitForBit)
     bed.net.node(1).add_delivery_handler([&](const net::Packet& packet) {
         log.emplace_back(bed.net.scheduler().now(), packet.bytes);
     });
-    CbrSource cbr(bed.net, 0, 1000, 80'000.0);
-    PoissonSource poisson(bed.net, 0, 300, 60'000.0);
-    cbr.activate(0, 10 * kSecond);
-    poisson.activate(0, 10 * kSecond);
+    CbrSource large(bed.net, 0, 1000, 80'000.0);
+    CbrSource small(bed.net, 0, 300, 70'000.0);  // 34.29 ms: drifts against the 100 ms grid
+    large.activate(0, 10 * kSecond);
+    small.activate(0, 10 * kSecond);
     bed.net.run_until(10 * kSecond);
 
     const auto& rec = sink.flow(0);

@@ -285,24 +285,6 @@ TEST(Rng, BernoulliRateApproximatesP)
     EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.02);
 }
 
-TEST(Rng, ExponentialMeanApproximatesParameter)
-{
-    Rng rng(5);
-    double sum = 0.0;
-    const int n = 20000;
-    for (int i = 0; i < n; ++i) sum += rng.exponential(250.0);
-    EXPECT_NEAR(sum / n, 250.0, 10.0);
-}
-
-TEST(Rng, ExponentialRejectsNonPositiveMean)
-{
-    Rng rng(5);
-    EXPECT_THROW(rng.exponential(0.0), std::invalid_argument);
-    EXPECT_THROW(rng.exponential(-1.0), std::invalid_argument);
-    EXPECT_THROW(rng.exponential(std::numeric_limits<double>::quiet_NaN()),
-                 std::invalid_argument);
-}
-
 TEST(Rng, UniformRealRejectsInvertedOrNanRange)
 {
     Rng rng(5);
