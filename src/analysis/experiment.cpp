@@ -193,7 +193,8 @@ const core::PacedEzFlowAgent* Experiment::paced_agent(net::NodeId node) const
 ThroughputMeter& Experiment::throughput(int flow_id)
 {
     const auto it = throughput_.find(flow_id);
-    if (it == throughput_.end()) throw std::invalid_argument("Experiment::throughput: unknown flow");
+    if (it == throughput_.end())
+        throw std::invalid_argument("Experiment::throughput: unknown flow");
     return *it->second;
 }
 
@@ -236,7 +237,8 @@ double Experiment::fairness(const std::vector<int>& flow_ids, double from_s, dou
     rates.reserve(flow_ids.size());
     for (int id : flow_ids) {
         const auto it = throughput_.find(id);
-        if (it == throughput_.end()) throw std::invalid_argument("Experiment::fairness: unknown flow");
+        if (it == throughput_.end())
+            throw std::invalid_argument("Experiment::fairness: unknown flow");
         rates.push_back(
             it->second->mean_kbps(util::from_seconds(from_s), util::from_seconds(to_s)));
     }

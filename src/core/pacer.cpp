@@ -64,8 +64,9 @@ PacedEzFlowAgent::PacedEzFlowAgent(net::Network& network, net::NodeId node, Opti
     if (options.base_interval <= 0)
         throw std::invalid_argument("PacedEzFlowAgent: base_interval must be > 0");
     net::Node& n = network_.node(node_id_);
-    n.set_forward_interceptor(
-        [this](const mac::QueueKey& key, const net::Packet& packet) { return intercept(key, packet); });
+    n.set_forward_interceptor([this](const mac::QueueKey& key, const net::Packet& packet) {
+        return intercept(key, packet);
+    });
     n.add_first_tx_handler(
         [this](const mac::QueueKey& key, const net::Packet& packet) { on_first_tx(key, packet); });
     n.add_sniff_handler([this](const phy::Frame& frame) { on_sniffed(frame); });

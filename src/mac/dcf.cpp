@@ -40,22 +40,11 @@ DcfMac::Exchange& DcfMac::exchange()
     return *ex_;
 }
 
-bool DcfMac::enqueue(const QueueKey& key, const net::Packet& packet)
+bool DcfMac::enqueue(const QueueKey& key, net::Packet packet)
 {
     if (down_) return false;  // callers account the drop (node-down bucket)
-    exchange();  // a MAC with work contends through its exchange
-    MacQueue& queue = queues_.ensure(key);
-    const bool accepted = queue.push(packet);
-    maybe_start_work();
-    return accepted;
-}
-
-bool DcfMac::enqueue(const QueueKey& key, net::Packet&& packet)
-{
-    if (down_) return false;  // callers account the drop (node-down bucket)
-    exchange();  // a MAC with work contends through its exchange
-    MacQueue& queue = queues_.ensure(key);
-    const bool accepted = queue.push(std::move(packet));
+    exchange();               // a MAC with work contends through its exchange
+    const bool accepted = queues_.ensure(key).push(packet);
     maybe_start_work();
     return accepted;
 }
@@ -88,8 +77,8 @@ void DcfMac::quiesce()
         // a lone MPDU is still queue backlog, which the flush below
         // accounts exactly once, in drops_node_down, never as a dequeue.
         const std::size_t flushed = ex.ba.flush();
-        teardown_aborts_ += flushed;
-        if (ex.batch_ampdu) ampdu_node_down_drops_ += flushed;
+        ex.teardown_aborts += flushed;
+        if (ex.batch_ampdu) ex.ampdu_node_down_drops += flushed;
         ex.retries = 0;
         ex.backoff_remaining = 0;
     }
@@ -308,8 +297,8 @@ void DcfMac::transmit_batch()
                 callbacks_->mac_first_tx(ex.current_queue->key(), entry.packet);
         }
     }
-    ++data_attempts_;
-    if (ex.retries > 0) ++retransmissions_;
+    ++ex.data_attempts;
+    if (ex.retries > 0) ++ex.retransmissions;
     phy_.start_tx(data_frame());
 }
 
@@ -336,8 +325,8 @@ void DcfMac::phy_tx_done(const phy::Frame& frame)
     Exchange& ex = *ex_;  // only an exchange transmits
     if (frame.type == phy::FrameType::kAck || frame.type == phy::FrameType::kCts ||
         frame.type == phy::FrameType::kBlockAck) {
-        if (frame.type == phy::FrameType::kAck) ++acks_sent_;
-        if (frame.type == phy::FrameType::kBlockAck) ++block_acks_sent_;
+        if (frame.type == phy::FrameType::kAck) ++ex.acks_sent;
+        if (frame.type == phy::FrameType::kBlockAck) ++ex.block_acks_sent;
         ex.ack_tx_scheduled = false;
         if (!ex.pending_ctrl.empty()) {
             schedule_control_if_needed();
@@ -430,7 +419,7 @@ void DcfMac::phy_frame_decoded(const phy::Frame& frame)
             Exchange& ex = exchange();
             const BlockAckManager::RxVerdict verdict =
                 ex.ba.receive(frame, phy_.last_decode_mpdu_errors());
-            dup_rx_suppressed_ += verdict.duplicates;
+            ex.dup_rx_suppressed += verdict.duplicates;
             PendingControl ctrl{phy::FrameType::kAck, frame.tx_node, frame.mac_seq, 0};
             if (frame.ampdu) {
                 const BlockAckManager::BaResponse response = ex.ba.response_for(frame.tx_node);
@@ -507,11 +496,11 @@ void DcfMac::settle(const BlockAckManager::Settled& settled)
     // queue now that it settled.
     if (!ex.batch_ampdu && !ex.ba.batch_active()) ex.current_queue->pop();
     for (const BlockAckManager::SenderEntry& entry : settled.acked) {
-        ++successes_;
+        ++ex.successes;
         if (callbacks_ != nullptr) callbacks_->mac_tx_success(key, entry.packet);
     }
     for (const BlockAckManager::SenderEntry& entry : settled.dropped) {
-        ++retry_drops_;
+        ++ex.retry_drops;
         if (callbacks_ != nullptr) callbacks_->mac_tx_drop(key, entry.packet);
     }
     if (ex.ba.batch_active()) {

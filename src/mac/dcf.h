@@ -86,8 +86,9 @@ public:
 /// the contention context, the four timers, the SIFS control responses
 /// and the block-ack window and scoreboards — lives in one Exchange,
 /// allocated the first time the MAC enqueues a packet or is addressed by
-/// a data or RTS frame. A bystander that never sends and is never
-/// addressed keeps only its queues, its NAV and its counters; building
+/// a data or RTS frame. Every statistic counts something an exchange
+/// does, so the counters live there too. A bystander that never sends
+/// and is never addressed keeps only its queues and its NAV; building
 /// the Exchange schedules nothing and draws nothing.
 class DcfMac final : public phy::PhyListener, public BackoffClient {
 public:
@@ -100,10 +101,8 @@ public:
     void set_callbacks(MacCallbacks* callbacks) { callbacks_ = callbacks; }
 
     /// Enqueue a packet toward `key.next_hop`. Returns false when the
-    /// interface queue was full and the packet was dropped. The rvalue
-    /// overload moves the packet into the queue (single-copy pipeline).
-    bool enqueue(const QueueKey& key, const net::Packet& packet);
-    bool enqueue(const QueueKey& key, net::Packet&& packet);
+    /// interface queue was full and the packet was dropped.
+    bool enqueue(const QueueKey& key, net::Packet packet);
 
     /// Per-queue CWmin control (EZ-Flow's single knob). Creates the queue
     /// if it does not exist yet.
@@ -143,17 +142,17 @@ public:
     // --- BackoffClient ---
     void backoff_expired() override;
 
-    // --- statistics ---
-    std::uint64_t data_attempts() const { return data_attempts_; }
-    std::uint64_t retransmissions() const { return retransmissions_; }
-    std::uint64_t retry_drops() const { return retry_drops_; }
-    std::uint64_t acks_sent() const { return acks_sent_; }
-    std::uint64_t successes() const { return successes_; }
+    // --- statistics --- (counted inside the exchange: zero without one)
+    std::uint64_t data_attempts() const { return ex_ ? ex_->data_attempts : 0; }
+    std::uint64_t retransmissions() const { return ex_ ? ex_->retransmissions : 0; }
+    std::uint64_t retry_drops() const { return ex_ ? ex_->retry_drops : 0; }
+    std::uint64_t acks_sent() const { return ex_ ? ex_->acks_sent : 0; }
+    std::uint64_t successes() const { return ex_ ? ex_->successes : 0; }
     /// Duplicate MPDUs suppressed by the block-ack scoreboard. Each one
     /// marks a packet the sender may have retry-dropped (or will ACK
     /// later) after it already progressed — the exact slack the
     /// end-to-end drop audit must allow for cloned outcomes.
-    std::uint64_t dup_rx_suppressed() const { return dup_rx_suppressed_; }
+    std::uint64_t dup_rx_suppressed() const { return ex_ ? ex_->dup_rx_suppressed : 0; }
 
     /// Virtual carrier sense deadline (NAV). Exposed for tests.
     SimTime nav_until() const { return nav_until_; }
@@ -167,7 +166,7 @@ public:
     /// may already have decoded each before the teardown flushed it —
     /// each abort is therefore one more potential cloned outcome the drop
     /// audit must allow.
-    std::uint64_t teardown_aborts() const { return teardown_aborts_; }
+    std::uint64_t teardown_aborts() const { return ex_ ? ex_->teardown_aborts : 0; }
 
     /// In-flight MPDUs already dequeued from their interface queue: an
     /// A-MPDU batch leaves its queue at fill, while a lone MPDU stays
@@ -180,9 +179,9 @@ public:
     /// Dequeued A-MPDU MPDUs surrendered by a node-down quiesce (the
     /// batch analogue of a queue's dropped_node_down bucket: these packets
     /// were dequeued but never settled on the air).
-    std::uint64_t ampdu_node_down_drops() const { return ampdu_node_down_drops_; }
+    std::uint64_t ampdu_node_down_drops() const { return ex_ ? ex_->ampdu_node_down_drops : 0; }
     /// Compressed block-acks transmitted by this MAC.
-    std::uint64_t block_acks_sent() const { return block_acks_sent_; }
+    std::uint64_t block_acks_sent() const { return ex_ ? ex_->block_acks_sent : 0; }
 
 private:
     enum class State {
@@ -289,6 +288,16 @@ private:
         std::vector<net::Packet> batch_fill;  ///< pop_batch scratch
 
         std::uint32_t next_seq = 1;
+
+        std::uint64_t data_attempts = 0;
+        std::uint64_t retransmissions = 0;
+        std::uint64_t retry_drops = 0;
+        std::uint64_t acks_sent = 0;
+        std::uint64_t successes = 0;
+        std::uint64_t dup_rx_suppressed = 0;
+        std::uint64_t teardown_aborts = 0;
+        std::uint64_t ampdu_node_down_drops = 0;
+        std::uint64_t block_acks_sent = 0;
     };
 
     /// The exchange, built on first use.
@@ -311,16 +320,6 @@ private:
     /// The NAV expiry's reserved FIFO place, and its event while scheduled.
     sim::Scheduler::Reservation nav_place_;
     sim::EventId nav_event_{};
-
-    std::uint64_t data_attempts_ = 0;
-    std::uint64_t retransmissions_ = 0;
-    std::uint64_t retry_drops_ = 0;
-    std::uint64_t acks_sent_ = 0;
-    std::uint64_t successes_ = 0;
-    std::uint64_t dup_rx_suppressed_ = 0;
-    std::uint64_t teardown_aborts_ = 0;
-    std::uint64_t ampdu_node_down_drops_ = 0;
-    std::uint64_t block_acks_sent_ = 0;
 };
 
 }  // namespace ezflow::mac

@@ -13,47 +13,45 @@ MacQueue::MacQueue(QueueKey key, int capacity, int cw_min)
     if (cw_min <= 0) throw std::invalid_argument("MacQueue: cw_min must be > 0");
 }
 
-bool MacQueue::accept_one()
+bool MacQueue::push(net::Packet packet)
 {
-    if (static_cast<int>(packets_.size()) >= capacity_) {
+    if (size_ >= capacity_) {
         ++dropped_full_;
         return false;
     }
     ++enqueued_;
+    if (size_ == static_cast<int>(ring_.size())) grow();
+    ring_[slot(size_)] = packet;
+    ++size_;
     return true;
 }
 
-bool MacQueue::push(const net::Packet& packet)
+void MacQueue::grow()
 {
-    if (!accept_one()) return false;
-    packets_.push_back(packet);
-    return true;
-}
-
-bool MacQueue::push(net::Packet&& packet)
-{
-    if (!accept_one()) return false;
-    packets_.push_back(std::move(packet));
-    return true;
+    const int slots = std::min(capacity_, std::max(4, 2 * static_cast<int>(ring_.size())));
+    std::vector<net::Packet> grown(slots);
+    for (int i = 0; i < size_; ++i) grown[i] = ring_[slot(i)];
+    ring_.swap(grown);
+    head_ = 0;
 }
 
 const net::Packet& MacQueue::front() const
 {
-    if (packets_.empty()) throw std::logic_error("MacQueue::front: empty");
-    return packets_.front();
+    if (size_ == 0) throw std::logic_error("MacQueue::front: empty");
+    return ring_[head_];
 }
 
-net::Packet& MacQueue::mutable_front()
+void MacQueue::drop_front()
 {
-    if (packets_.empty()) throw std::logic_error("MacQueue::mutable_front: empty");
-    return packets_.front();
+    head_ = slot(1);
+    --size_;
+    ++dequeued_;
 }
 
 void MacQueue::pop()
 {
-    if (packets_.empty()) throw std::logic_error("MacQueue::pop: empty");
-    packets_.pop_front();
-    ++dequeued_;
+    if (size_ == 0) throw std::logic_error("MacQueue::pop: empty");
+    drop_front();
     if (!waiters_.empty()) notify_vacancy();
 }
 
@@ -61,13 +59,12 @@ int MacQueue::pop_batch(int max_count, std::int64_t max_bytes, std::vector<net::
 {
     int taken = 0;
     std::int64_t bytes = 0;
-    while (taken < max_count && !packets_.empty()) {
-        const std::int64_t next_bytes = bytes + packets_.front().bytes;
+    while (taken < max_count && size_ > 0) {
+        const std::int64_t next_bytes = bytes + ring_[head_].bytes;
         if (taken > 0 && max_bytes > 0 && next_bytes > max_bytes) break;
         bytes = next_bytes;
-        out.push_back(std::move(packets_.front()));
-        packets_.pop_front();
-        ++dequeued_;
+        out.push_back(ring_[head_]);
+        drop_front();
         ++taken;
     }
     if (taken > 0 && !waiters_.empty()) notify_vacancy();
@@ -76,8 +73,9 @@ int MacQueue::pop_batch(int max_count, std::int64_t max_bytes, std::vector<net::
 
 std::uint64_t MacQueue::flush_node_down()
 {
-    const auto count = static_cast<std::uint64_t>(packets_.size());
-    packets_.clear();
+    const auto count = static_cast<std::uint64_t>(size_);
+    head_ = 0;
+    size_ = 0;
     dropped_node_down_ += count;
     // Waiters only exist while the queue is full, so a non-empty flush is
     // the vacancy they were parked for. They settle their closed-form

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -58,7 +57,9 @@ public:
 };
 
 /// One DropTail FIFO interface queue with its own CWmin — the single
-/// IEEE 802.11 parameter EZ-Flow manipulates.
+/// IEEE 802.11 parameter EZ-Flow manipulates. Its packets sit in a ring
+/// that grows by doubling up to the capacity, so a queue that never holds
+/// a packet allocates nothing. front() is invalidated by a push.
 class MacQueue {
 public:
     MacQueue(QueueKey key, int capacity, int cw_min);
@@ -66,11 +67,8 @@ public:
     const QueueKey& key() const { return key_; }
 
     /// Returns false (and counts a drop) when the queue is full.
-    bool push(const net::Packet& packet);
-    bool push(net::Packet&& packet);
+    bool push(net::Packet packet);
     const net::Packet& front() const;
-    /// Mutable head access (the MAC stamps first-transmission times).
-    net::Packet& mutable_front();
     void pop();
 
     /// Dequeue up to `max_count` packets (stopping before the packet that
@@ -102,8 +100,8 @@ public:
     /// of packets flushed.
     std::uint64_t flush_node_down();
 
-    int size() const { return static_cast<int>(packets_.size()); }
-    bool empty() const { return packets_.empty(); }
+    int size() const { return size_; }
+    bool empty() const { return size_ == 0; }
     int capacity() const { return capacity_; }
 
     int cw_min() const { return cw_min_; }
@@ -117,9 +115,17 @@ public:
     std::uint64_t dropped_node_down() const { return dropped_node_down_; }
 
 private:
-    /// Capacity check + drop/enqueue accounting shared by both push
-    /// overloads (counts the enqueue on acceptance).
-    bool accept_one();
+    /// Ring index of the slot `i` places behind the front (i <= slots).
+    int slot(int i) const
+    {
+        const int at = head_ + i;
+        const int slots = static_cast<int>(ring_.size());
+        return at < slots ? at : at - slots;
+    }
+    /// Take the front packet off the ring.
+    void drop_front();
+    /// Double the ring (up to capacity_), unrolling it to start at slot 0.
+    void grow();
     void notify_vacancy();
 
     struct PendingResume {
@@ -131,7 +137,11 @@ private:
     QueueKey key_;
     int capacity_;
     int cw_min_;
-    std::deque<net::Packet> packets_;
+    /// The FIFO: a ring of ring_.size() slots, size_ of them occupied from
+    /// head_ on. A queue that never held a packet owns no slots.
+    std::vector<net::Packet> ring_;
+    int head_ = 0;
+    int size_ = 0;
     std::vector<VacancyWaiter*> waiters_;  ///< one-shot, registration order
     std::vector<VacancyWaiter*> notifying_;  ///< scratch for notify_vacancy
     std::vector<PendingResume> pending_;     ///< scratch for notify_vacancy

@@ -12,7 +12,8 @@ Pattern make(std::vector<int> z, double p) { return Pattern{std::move(z), p}; }
 
 /// P(node i wins a rate-1/cw race among `contenders`):
 ///   (1/cw_i) / sum_j (1/cw_j)  ==  prod_{j != i} cw_j / sum_k prod_{j != k} cw_j.
-double win_probability(int winner, const std::vector<int>& contenders, const std::vector<double>& cw)
+double win_probability(int winner, const std::vector<int>& contenders,
+                       const std::vector<double>& cw)
 {
     double numerator = 0.0;
     double denominator = 0.0;

@@ -33,7 +33,8 @@ void RandomWalkModel::set_relays(BufferVector relays)
 
 void RandomWalkModel::set_cw(std::vector<long long> cw)
 {
-    if (cw.size() != cw_.size()) throw std::invalid_argument("RandomWalkModel::set_cw: size mismatch");
+    if (cw.size() != cw_.size())
+        throw std::invalid_argument("RandomWalkModel::set_cw: size mismatch");
     for (long long w : cw)
         if (w <= 0) throw std::invalid_argument("RandomWalkModel::set_cw: cw must be positive");
     cw_ = std::move(cw);

@@ -58,12 +58,15 @@ NodeId Network::add_node(phy::Position position)
 void Network::add_flow(int flow_id, std::vector<NodeId> path)
 {
     for (NodeId n : path) {
-        if (n < 0 || n >= node_count()) throw std::invalid_argument("Network::add_flow: unknown node");
+        if (n < 0 || n >= node_count())
+            throw std::invalid_argument("Network::add_flow: unknown node");
     }
     for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-        const double d = phy::distance(node(path[i]).phy().position(), node(path[i + 1]).phy().position());
+        const double d =
+            phy::distance(node(path[i]).phy().position(), node(path[i + 1]).phy().position());
         if (d > config_.phy.tx_range_m)
-            throw std::invalid_argument("Network::add_flow: consecutive hops out of delivery range");
+            throw std::invalid_argument(
+                "Network::add_flow: consecutive hops out of delivery range");
     }
     for (std::size_t i = 0; i + 1 < path.size(); ++i) {
         if (shard_of(path[i]) != shard_of(path[i + 1]))

@@ -22,6 +22,12 @@ Node::Hooks& Node::hooks()
     return *hooks_;
 }
 
+Node::Forwarding& Node::forwarding()
+{
+    if (!fwd_) fwd_ = std::make_unique<Forwarding>();
+    return *fwd_;
+}
+
 void Node::set_forward_interceptor(ForwardInterceptor interceptor)
 {
     ForwardInterceptor& installed = hooks().interceptor;
@@ -32,8 +38,9 @@ void Node::set_forward_interceptor(ForwardInterceptor interceptor)
 
 bool Node::send(Packet packet)
 {
+    Forwarding& fwd = forwarding();
     if (!up_) {
-        ++drops_node_down_;
+        ++fwd.drops_node_down;
         return false;
     }
     const NodeId next = routing_.next_hop_or_none(packet.flow_id, id_);
@@ -41,13 +48,13 @@ bool Node::send(Packet packet)
         // Suspended (partitioned) flow, or repair in flight. Sources
         // check routability before generating, so this is the rare race
         // window between a repair and an already-scheduled emission.
-        ++drops_unroutable_;
+        ++fwd.drops_unroutable;
         return false;
     }
     const mac::QueueKey key{next, /*own_traffic=*/true};
     if (intercepted(key, packet)) return true;
     const bool accepted = mac_.enqueue(key, std::move(packet));
-    if (!accepted) ++source_queue_drops_;
+    if (!accepted) ++fwd.source_queue_drops;
     return accepted;
 }
 
@@ -71,8 +78,9 @@ void Node::teardown()
     // Reorder-parked MPDUs die with the node: they were received but
     // never released upward, so they leave the system through the same
     // node-down bucket as flushed queue backlog.
-    for (auto& [src, stream] : reorder_) drops_node_down_ += stream.held.size();
-    reorder_.clear();
+    if (!fwd_) return;
+    for (auto& [src, stream] : fwd_->reorder) fwd_->drops_node_down += stream.held.size();
+    fwd_->reorder.clear();
 }
 
 void Node::revive()
@@ -85,8 +93,9 @@ void Node::revive()
 
 void Node::handle_packet(const Packet& packet)
 {
+    Forwarding& fwd = *fwd_;  // built by mac_rx, the only caller
     if (packet.dst == id_) {
-        ++delivered_;
+        ++fwd.delivered;
         if (hooks_) {
             for (const auto& handler : hooks_->delivery) handler(packet);
         }
@@ -96,18 +105,18 @@ void Node::handle_packet(const Packet& packet)
     if (next == RoutingTable::kNoNextHop) {
         // The flow was suspended or re-routed around this node while the
         // packet was in flight: it dies here, accounted.
-        ++drops_unroutable_;
+        ++fwd.drops_unroutable;
         return;
     }
-    ++forwarded_;
+    ++fwd.forwarded;
     const mac::QueueKey key{next, /*own_traffic=*/false};
     if (intercepted(key, packet)) return;
-    if (!mac_.enqueue(key, packet)) ++forward_queue_drops_;
+    if (!mac_.enqueue(key, packet)) ++fwd.forward_queue_drops;
 }
 
 void Node::mac_rx(const phy::Frame& frame, std::uint64_t ok_bits, std::uint32_t release_below)
 {
-    ReorderStream& stream = reorder_[frame.tx_node];
+    ReorderStream& stream = forwarding().reorder[frame.tx_node];
     // Release the contiguous run the buffer holds from next_seq on.
     const auto drain = [this, &stream] {
         while (!stream.held.empty() && stream.held.begin()->first == stream.next_seq) {
@@ -148,7 +157,8 @@ void Node::mac_rx(const phy::Frame& frame, std::uint64_t ok_bits, std::uint32_t 
 std::uint64_t Node::reorder_buffered() const
 {
     std::uint64_t total = 0;
-    for (const auto& [src, stream] : reorder_) total += stream.held.size();
+    if (!fwd_) return total;
+    for (const auto& [src, stream] : fwd_->reorder) total += stream.held.size();
     return total;
 }
 

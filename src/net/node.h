@@ -50,7 +50,7 @@ public:
     /// Account `count` source-side drops a gated source skipped in
     /// closed form (the per-packet reference would have routed each
     /// through send() individually).
-    void count_gated_source_drops(std::uint64_t count) { source_queue_drops_ += count; }
+    void count_gated_source_drops(std::uint64_t count) { forwarding().source_queue_drops += count; }
 
     /// Upper-layer delivery for packets whose end-to-end destination is
     /// this node. Multiple handlers may subscribe (sink, meters, taps);
@@ -83,17 +83,17 @@ public:
     void revive();
     bool is_up() const { return up_; }
 
-    // Forwarding statistics.
-    std::uint64_t forwarded() const { return forwarded_; }
-    std::uint64_t delivered() const { return delivered_; }
-    std::uint64_t forward_queue_drops() const { return forward_queue_drops_; }
-    std::uint64_t source_queue_drops() const { return source_queue_drops_; }
+    // Forwarding statistics (zero at a node that never forwarded).
+    std::uint64_t forwarded() const { return fwd_ ? fwd_->forwarded : 0; }
+    std::uint64_t delivered() const { return fwd_ ? fwd_->delivered : 0; }
+    std::uint64_t forward_queue_drops() const { return fwd_ ? fwd_->forward_queue_drops : 0; }
+    std::uint64_t source_queue_drops() const { return fwd_ ? fwd_->source_queue_drops : 0; }
     /// Packets refused because this node was down (send/forward into a
     /// quiesced MAC); queue flushes count separately, per queue.
-    std::uint64_t drops_node_down() const { return drops_node_down_; }
+    std::uint64_t drops_node_down() const { return fwd_ ? fwd_->drops_node_down : 0; }
     /// Packets abandoned because the flow had no next hop here (flow
     /// suspended after a partition, or repair in progress).
-    std::uint64_t drops_unroutable() const { return drops_unroutable_; }
+    std::uint64_t drops_unroutable() const { return fwd_ ? fwd_->drops_unroutable : 0; }
     /// Packets parked in the per-originator reorder buffers: received out
     /// of order and awaiting their predecessors (counts as
     /// in-flight backlog for the drop audit's conservation laws).
@@ -138,25 +138,34 @@ private:
         std::uint32_t next_seq = 0;
         std::map<std::uint32_t, Packet> held;
     };
+    /// The forwarding plane's state: the reorder streams and the counters.
+    /// Only sources, relays and destinations touch it, so a bystander of a
+    /// large grid never allocates it.
+    struct Forwarding {
+        std::map<NodeId, ReorderStream> reorder;
+        std::uint64_t forwarded = 0;
+        std::uint64_t delivered = 0;
+        std::uint64_t forward_queue_drops = 0;
+        std::uint64_t source_queue_drops = 0;
+        std::uint64_t drops_node_down = 0;
+        std::uint64_t drops_unroutable = 0;
+    };
+    /// The forwarding state, built by the first send, received data frame
+    /// or count_gated_source_drops.
+    Forwarding& forwarding();
+
     NodeId id_;
+    bool up_ = true;
     phy::NodePhy phy_;
     mac::DcfMac mac_;
     const RoutingTable& routing_;
 
-    std::unique_ptr<Hooks> hooks_;  ///< null until first use
-    std::map<NodeId, ReorderStream> reorder_;
-
-    bool up_ = true;
-    std::uint64_t forwarded_ = 0;
-    std::uint64_t delivered_ = 0;
-    std::uint64_t forward_queue_drops_ = 0;
-    std::uint64_t source_queue_drops_ = 0;
-    std::uint64_t drops_node_down_ = 0;
-    std::uint64_t drops_unroutable_ = 0;
+    std::unique_ptr<Hooks> hooks_;     ///< null until first use
+    std::unique_ptr<Forwarding> fwd_;  ///< null until first use
 };
 
 // A 10k-node grid is mostly bystanders: a node's fixed footprint is the
 // simulator's memory at that scale.
-static_assert(sizeof(Node) <= 720, "Node must stay within 720 bytes");
+static_assert(sizeof(Node) <= 384, "Node must stay within 384 bytes");
 
 }  // namespace ezflow::net

@@ -19,25 +19,31 @@ const PhyParams& NodePhy::channel_params() const
     return channel_->params();
 }
 
-double NodePhy::interference_sum(std::uint64_t except_id) const
+NodePhy::Receiver& NodePhy::receiver()
+{
+    if (!rx_) rx_ = std::make_unique<Receiver>();
+    return *rx_;
+}
+
+double NodePhy::Receiver::interference_sum(std::uint64_t except_id) const
 {
     double sum = 0.0;
-    for (const ActiveSignal& s : active_)
+    for (const ActiveSignal& s : active)
         if (s.id != except_id) sum += s.power_w;
     return sum;
 }
 
-void NodePhy::close_bad_interval()
+void NodePhy::close_bad_interval(Receiver& r)
 {
-    const SimTime bad_from = rx_bad_since_;
+    const SimTime bad_from = r.rx_bad_since;
     const SimTime bad_to = scheduler_.now();
-    rx_bad_since_ = -1;
+    r.rx_bad_since = -1;
     if (bad_to <= bad_from) return;  // zero length: overlaps nothing
-    channel_params().span_end_offsets(*rx_frame_, span_ends_);
-    for (std::size_t i = 0; i < span_ends_.size() && i < 64; ++i) {
-        const SimTime begin = rx_started_at_ + (i == 0 ? 0 : span_ends_[i - 1]);
-        const SimTime end = rx_started_at_ + span_ends_[i];
-        if (bad_from < end && bad_to > begin) rx_span_errors_ |= (1ull << i);
+    channel_params().span_end_offsets(*r.rx_frame, r.span_ends);
+    for (std::size_t i = 0; i < r.span_ends.size() && i < 64; ++i) {
+        const SimTime begin = r.rx_started_at + (i == 0 ? 0 : r.span_ends[i - 1]);
+        const SimTime end = r.rx_started_at + r.span_ends[i];
+        if (bad_from < end && bad_to > begin) r.rx_span_errors |= (1ull << i);
     }
 }
 
@@ -46,10 +52,10 @@ void NodePhy::start_tx(Frame frame)
     if (deaf_) throw std::logic_error("NodePhy::start_tx: a deaf PHY cannot transmit");
     if (transmitting_) throw std::logic_error("NodePhy::start_tx: already transmitting");
     if (channel_ == nullptr) throw std::logic_error("NodePhy::start_tx: no channel attached");
-    if (rx_active_) {
+    if (rx_ && rx_->rx_active) {
         // Half-duplex: starting a transmission abandons the reception.
-        rx_active_ = false;
-        ++frames_corrupted_;
+        rx_->rx_active = false;
+        ++rx_->frames_corrupted;
     }
     transmitting_ = true;
     update_busy();
@@ -60,18 +66,20 @@ void NodePhy::power_off()
 {
     powered_ = false;
     power_cycled_ = true;
+    transmitting_ = false;
+    last_busy_ = false;
+    if (!rx_) return;
     // Wipe everything on the air at this node. No listener callbacks: the
     // MAC was quiesced before the radio died, and a busy->idle edge here
     // must not restart its contention machinery.
-    active_.clear();
-    sensed_active_ = 0;
-    ledger_w_ = 0.0;
-    transmitting_ = false;
-    rx_active_ = false;
-    rx_frame_ = nullptr;
-    rx_bad_since_ = -1;
-    last_rx_error_ = false;
-    last_busy_ = false;
+    Receiver& r = *rx_;
+    r.active.clear();
+    r.sensed_active = 0;
+    r.ledger_w = 0.0;
+    r.rx_active = false;
+    r.rx_frame = nullptr;
+    r.rx_bad_since = -1;
+    r.last_rx_error = false;
 }
 
 void NodePhy::power_on()
@@ -82,40 +90,42 @@ void NodePhy::power_on()
 void NodePhy::signal_start(const RxEvent& rx)
 {
     if (!powered_) return;  // dead radios hear nothing (and are detached anyway)
-    active_.push_back(ActiveSignal{rx.signal_id, rx.power_w, rx.sensed});
-    ledger_w_ += rx.power_w;
-    if (rx.sensed) ++sensed_active_;
+    Receiver& r = receiver();
+    r.active.push_back(ActiveSignal{rx.signal_id, rx.power_w, rx.sensed});
+    r.ledger_w += rx.power_w;
+    if (rx.sensed) ++r.sensed_active;
     const bool decodable = rx.decodable();
     if (transmitting_) {
         // Cannot hear anything while transmitting.
-        if (decodable) ++frames_missed_busy_;
-    } else if (rx_active_) {
+        if (decodable) ++r.frames_missed_busy;
+    } else if (r.rx_active) {
         // An arrival only raises interference, so it can open (never
         // close) a below-threshold interval; recovery is observed at
         // interferer signal ends.
-        if (rx_bad_since_ < 0 && rx_below_threshold()) rx_bad_since_ = scheduler_.now();
-        if (decodable) ++frames_missed_busy_;
+        if (r.rx_bad_since < 0 && r.rx_below_threshold()) r.rx_bad_since = scheduler_.now();
+        if (decodable) ++r.frames_missed_busy;
     } else if (decodable) {
-        rx_active_ = true;
-        rx_signal_id_ = rx.signal_id;
-        rx_power_w_ = rx.power_w;
-        rx_threshold_ = rx.capture_threshold;
-        rx_noise_w_ = rx.noise_w;
-        rx_frame_ = rx.frame;
-        rx_started_at_ = scheduler_.now();
-        rx_span_errors_ = rx.span_error_bits;
+        r.rx_active = true;
+        r.rx_signal_id = rx.signal_id;
+        r.rx_power_w = rx.power_w;
+        r.rx_threshold = rx.capture_threshold;
+        r.rx_noise_w = rx.noise_w;
+        r.rx_frame = rx.frame;
+        r.rx_started_at = scheduler_.now();
+        r.rx_span_errors = rx.span_error_bits;
         // Pre-existing overlapping energy opens an interval at once unless
         // the frame captures over it.
-        rx_bad_since_ = rx_below_threshold() ? scheduler_.now() : -1;
+        r.rx_bad_since = r.rx_below_threshold() ? scheduler_.now() : -1;
     }
     update_busy();
 }
 
 void NodePhy::signal_end(std::uint64_t signal_id, const Frame& frame)
 {
-    const auto it = std::find_if(active_.begin(), active_.end(),
+    Receiver& r = receiver();
+    const auto it = std::find_if(r.active.begin(), r.active.end(),
                                  [signal_id](const ActiveSignal& s) { return s.id == signal_id; });
-    if (it == active_.end()) {
+    if (it == r.active.end()) {
         // A power cycle wiped the signal this end-event refers to; the
         // event itself could not be cancelled (the channel schedules it
         // without keeping a handle). Only then is the miss legitimate.
@@ -123,35 +133,35 @@ void NodePhy::signal_end(std::uint64_t signal_id, const Frame& frame)
         throw std::logic_error("NodePhy::signal_end: unknown signal");
     }
     const bool was_sensed = it->sensed;
-    ledger_w_ -= it->power_w;
-    active_.erase(it);
-    if (active_.empty()) ledger_w_ = 0.0;  // empty ledger is exactly quiet
-    if (was_sensed) --sensed_active_;
+    r.ledger_w -= it->power_w;
+    r.active.erase(it);
+    if (r.active.empty()) r.ledger_w = 0.0;  // empty ledger is exactly quiet
+    if (was_sensed) --r.sensed_active;
 
-    const bool completes_rx = rx_active_ && rx_signal_id_ == signal_id;
+    const bool completes_rx = r.rx_active && r.rx_signal_id == signal_id;
     // An interferer left while a frame is locked: interference just
     // dropped, so an open below-threshold interval may close here.
-    if (rx_active_ && !completes_rx && rx_bad_since_ >= 0 && !rx_below_threshold())
-        close_bad_interval();
+    if (r.rx_active && !completes_rx && r.rx_bad_since >= 0 && !r.rx_below_threshold())
+        close_bad_interval(r);
     bool deliver = false;
     if (completes_rx) {
-        if (rx_bad_since_ >= 0) close_bad_interval();
-        rx_active_ = false;
-        rx_frame_ = nullptr;
+        if (r.rx_bad_since >= 0) close_bad_interval(r);
+        r.rx_active = false;
+        r.rx_frame = nullptr;
         const std::size_t n = frame.span_count();
         const std::uint64_t all = n >= 64 ? ~0ull : ((1ull << n) - 1);
-        if ((rx_span_errors_ & all) == all) {
-            ++frames_corrupted_;
+        if ((r.rx_span_errors & all) == all) {
+            ++r.frames_corrupted;
         } else {
-            ++frames_decoded_;
-            last_decode_mpdu_errors_ = rx_span_errors_ & all;
+            ++r.frames_decoded;
+            r.last_decode_mpdu_errors = r.rx_span_errors & all;
             deliver = true;
         }
     }
     // EIFS bookkeeping: a sensed busy period that did not end in a clean
     // decode leaves the station obliged to wait EIFS next (unless it was
     // transmitting itself, in which case it saw nothing).
-    if (was_sensed && !transmitting_) last_rx_error_ = !deliver;
+    if (was_sensed && !transmitting_) r.last_rx_error = !deliver;
     update_busy();
     if (deliver && listener_ != nullptr) listener_->phy_frame_decoded(frame);
 }

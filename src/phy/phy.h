@@ -1,6 +1,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <vector>
 
 #include "phy/frame.h"
 #include "phy/geometry.h"
@@ -72,6 +74,12 @@ public:
 /// instant a locked frame ends does not overlap it, and of two signals
 /// where one ends at the instant the other starts, neither sees the
 /// other — an interval of zero length corrupts nothing.
+///
+/// A PHY pays only for what it uses. The receive path's state — the
+/// active-signal ledger, the reception lock and the frame counters —
+/// lives in one Receiver, built by the first signal that reaches the
+/// node. Until then the PHY is idle, has no receive error and counts
+/// nothing, so a deaf bystander keeps only its identity and flags.
 class NodePhy {
 public:
     NodePhy(net::NodeId id, Position position, sim::Scheduler& scheduler);
@@ -95,7 +103,7 @@ public:
     const PhyParams& channel_params() const;
 
     /// Medium busy for carrier sense: own TX or any sensed energy.
-    bool busy() const { return transmitting_ || sensed_active_ > 0; }
+    bool busy() const { return transmitting_ || (rx_ && rx_->sensed_active > 0); }
     bool transmitting() const { return transmitting_; }
 
     /// Start transmitting `frame` (taken by value and moved into the
@@ -140,22 +148,22 @@ public:
     /// Total power currently on the air at this node — the interference
     /// ledger. Maintained incrementally (O(1) per signal edge) and snapped
     /// to exactly 0 whenever the ledger empties, so it cannot drift.
-    double interference_ledger_w() const { return ledger_w_; }
+    double interference_ledger_w() const { return rx_ ? rx_->ledger_w : 0.0; }
 
     /// Whether the most recent sensed signal ended without a correct
     /// decode at this node (drives the MAC's EIFS rule).
-    bool last_rx_error() const { return last_rx_error_; }
+    bool last_rx_error() const { return rx_ && rx_->last_rx_error; }
 
     /// Per-MPDU corruption verdict of the most recently decoded frame
     /// (link-loss bits combined with the per-span interference
     /// intervals; bit i = MPDU i lost). Valid during the
     /// phy_frame_decoded callback.
-    std::uint64_t last_decode_mpdu_errors() const { return last_decode_mpdu_errors_; }
+    std::uint64_t last_decode_mpdu_errors() const { return rx_ ? rx_->last_decode_mpdu_errors : 0; }
 
     // --- statistics --- (zero at a deaf PHY; no result JSON reads them)
-    std::uint64_t frames_decoded() const { return frames_decoded_; }
-    std::uint64_t frames_corrupted() const { return frames_corrupted_; }
-    std::uint64_t frames_missed_busy() const { return frames_missed_busy_; }
+    std::uint64_t frames_decoded() const { return rx_ ? rx_->frames_decoded : 0; }
+    std::uint64_t frames_corrupted() const { return rx_ ? rx_->frames_corrupted : 0; }
+    std::uint64_t frames_missed_busy() const { return rx_ ? rx_->frames_missed_busy : 0; }
 
 private:
     struct ActiveSignal {
@@ -164,20 +172,53 @@ private:
         bool sensed;
     };
 
+    /// Everything the receive path keeps: the active-signal ledger, the
+    /// reception lock and the statistics. Built by the first signal_start,
+    /// so a deaf PHY, which is never signalled, never builds one.
+    struct Receiver {
+        std::vector<ActiveSignal> active;  ///< overlapping signals at this node
+        int sensed_active = 0;             ///< sensed members of active (O(1) carrier sense)
+        double ledger_w = 0.0;             ///< incremental total of active signal power
+
+        bool rx_active = false;
+        std::uint64_t rx_signal_id = 0;
+        double rx_power_w = 0.0;
+        double rx_threshold = 0.0;  ///< linear SINR the locked frame must keep clearing
+        double rx_noise_w = 0.0;    ///< noise floor under the locked frame
+        /// The locked frame. Its pooled record outlives the lock: the
+        /// pending signal-end event that completes the reception holds a
+        /// reference.
+        const Frame* rx_frame = nullptr;
+        SimTime rx_started_at = 0;
+        SimTime rx_bad_since = -1;         ///< start of the open below-threshold interval
+        std::uint64_t rx_span_errors = 0;  ///< link-loss + interference bits
+        std::vector<SimTime> span_ends;    ///< scratch: span end offsets from lock
+        std::uint64_t last_decode_mpdu_errors = 0;
+        bool last_rx_error = false;
+
+        std::uint64_t frames_decoded = 0;
+        std::uint64_t frames_corrupted = 0;
+        std::uint64_t frames_missed_busy = 0;
+
+        /// Sum of active signal powers excluding `except_id`.
+        double interference_sum(std::uint64_t except_id) const;
+        /// Instantaneous capture test of the locked frame against the
+        /// current interference sum plus noise (true = below threshold,
+        /// corrupting). The sum is recomputed from the ledger entries
+        /// rather than taken from the incremental total: capture decisions
+        /// must be bit-exact.
+        bool rx_below_threshold() const
+        {
+            return rx_power_w < rx_threshold * (interference_sum(rx_signal_id) + rx_noise_w);
+        }
+    };
+
+    /// The receiver block, built on first use.
+    Receiver& receiver();
     void update_busy();
-    /// Sum of active signal powers excluding `except_id`.
-    double interference_sum(std::uint64_t except_id) const;
-    /// Instantaneous capture test of the locked frame against the current
-    /// interference sum plus noise (true = below threshold, corrupting).
-    /// The sum is recomputed from the ledger entries rather than taken
-    /// from the incremental total: capture decisions must be bit-exact.
-    bool rx_below_threshold() const
-    {
-        return rx_power_w_ < rx_threshold_ * (interference_sum(rx_signal_id_) + rx_noise_w_);
-    }
     /// Close the open below-threshold interval at now and mark every span
     /// of the locked frame it overlaps as lost.
-    void close_bad_interval();
+    void close_bad_interval(Receiver& r);
 
     net::NodeId id_;
     Position position_;
@@ -185,8 +226,6 @@ private:
     Channel* channel_ = nullptr;
     PhyListener* listener_ = nullptr;
 
-    std::vector<ActiveSignal> active_;  ///< overlapping signals at this node
-    int sensed_active_ = 0;  ///< sensed members of active_ (O(1) carrier sense)
     bool transmitting_ = false;
     bool last_busy_ = false;
     bool powered_ = true;
@@ -196,25 +235,7 @@ private:
     /// ignored rather than treated as scheduler-integrity violations.
     bool power_cycled_ = false;
 
-    bool rx_active_ = false;
-    std::uint64_t rx_signal_id_ = 0;
-    double rx_power_w_ = 0.0;
-    double rx_threshold_ = 0.0;  ///< linear SINR the locked frame must keep clearing
-    double rx_noise_w_ = 0.0;    ///< noise floor under the locked frame
-    /// The locked frame. Its pooled record outlives the lock: the pending
-    /// signal-end event that completes the reception holds a reference.
-    const Frame* rx_frame_ = nullptr;
-    SimTime rx_started_at_ = 0;
-    SimTime rx_bad_since_ = -1;  ///< start of the open below-threshold interval
-    std::uint64_t rx_span_errors_ = 0;  ///< link-loss + interference bits
-    std::vector<SimTime> span_ends_;    ///< scratch: span end offsets from lock
-    std::uint64_t last_decode_mpdu_errors_ = 0;
-    bool last_rx_error_ = false;
-    double ledger_w_ = 0.0;  ///< incremental total of active signal power
-
-    std::uint64_t frames_decoded_ = 0;
-    std::uint64_t frames_corrupted_ = 0;
-    std::uint64_t frames_missed_busy_ = 0;
+    std::unique_ptr<Receiver> rx_;  ///< null until the first signal
 };
 
 }  // namespace ezflow::phy

@@ -23,7 +23,8 @@ void FaultInjector::arm()
     // the repair graph and the restoration targets.
     const int n = network_.node_count();
     topo_.positions.reserve(static_cast<std::size_t>(n));
-    for (net::NodeId id = 0; id < n; ++id) topo_.positions.push_back(network_.node(id).phy().position());
+    for (net::NodeId id = 0; id < n; ++id)
+        topo_.positions.push_back(network_.node(id).phy().position());
     topo_.link_range_m = network_.config().phy.tx_range_m;
     net::rebuild_links(topo_);
     live_ = topo_;

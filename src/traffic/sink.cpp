@@ -16,7 +16,8 @@ void Sink::set_streaming(bool on)
 
 void Sink::attach_flow(int flow_id)
 {
-    if (flows_.count(flow_id) > 0) throw std::invalid_argument("Sink::attach_flow: already attached");
+    if (flows_.count(flow_id) > 0)
+        throw std::invalid_argument("Sink::attach_flow: already attached");
     FlowRecord* record = &flows_[flow_id];  // default-construct the record
     const auto& path = network_.routing_table().path(flow_id);
     const sim::Scheduler* clock = &network_.scheduler_for(path.back());

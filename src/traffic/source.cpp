@@ -111,7 +111,8 @@ void CbrSource::emit()
     packet.src = src_node_;
     packet.dst = dst_node_;
     packet.bytes = payload_bytes_;
-    packet.checksum = net::packet_checksum(flow_id_, packet.seq, src_node_, dst_node_, payload_bytes_);
+    packet.checksum =
+        net::packet_checksum(flow_id_, packet.seq, src_node_, dst_node_, payload_bytes_);
     packet.created_at = scheduler_->now();
 
     ++stats_.generated;

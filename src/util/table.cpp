@@ -46,7 +46,8 @@ std::string Table::to_string() const
     };
     emit_row(header_);
     for (std::size_t c = 0; c < header_.size(); ++c) {
-        os << (c == 0 ? "|" : "") << std::string(width[c] + 3, '-') << (c + 1 == header_.size() ? "|\n" : "");
+        os << (c == 0 ? "|" : "") << std::string(width[c] + 3, '-')
+           << (c + 1 == header_.size() ? "|\n" : "");
     }
     for (const auto& row : rows_) emit_row(row);
     return os.str();

@@ -20,10 +20,16 @@ inline constexpr SimTime kSecond = 1000 * kMillisecond;
 inline constexpr double kPi = 3.14159265358979323846;
 
 /// Convert a microsecond timestamp to (floating) seconds, for reporting.
-constexpr double to_seconds(SimTime t) { return static_cast<double>(t) / static_cast<double>(kSecond); }
+constexpr double to_seconds(SimTime t)
+{
+    return static_cast<double>(t) / static_cast<double>(kSecond);
+}
 
 /// Convert seconds to the integer microsecond clock (truncating).
-constexpr SimTime from_seconds(double s) { return static_cast<SimTime>(s * static_cast<double>(kSecond)); }
+constexpr SimTime from_seconds(double s)
+{
+    return static_cast<SimTime>(s * static_cast<double>(kSecond));
+}
 
 /// Throughput helper: bits delivered over a duration, in kilobits/second.
 constexpr double kbps(std::int64_t bits, SimTime duration)

@@ -34,6 +34,47 @@ TEST(MacQueue, PushPopFifo)
     EXPECT_EQ(q.dequeued(), 1u);
 }
 
+TEST(MacQueue, RingKeepsFifoOrderAcrossWrapAndGrowth)
+{
+    // Interleave pushes, pops and batch pops so the ring grows to 4, 8,
+    // 16 and the capacity of 20 slots and wraps at each size (at 20 on
+    // the refill below): packets must leave in push order.
+    MacQueue q(QueueKey{1, false}, 20, 32);
+    std::uint64_t pushed = 0;
+    std::uint64_t popped = 0;
+    std::vector<net::Packet> batch;
+    const auto push = [&](int n) {
+        for (int i = 0; i < n; ++i) {
+            net::Packet p;
+            p.seq = pushed++;
+            ASSERT_TRUE(q.push(p));
+        }
+    };
+    for (int round = 0; round < 6; ++round) {
+        push(3 + round);
+        ASSERT_EQ(q.front().seq, popped);
+        q.pop();
+        ++popped;
+        batch.clear();
+        EXPECT_EQ(q.pop_batch(2, 0, batch), 2);
+        for (const net::Packet& p : batch) EXPECT_EQ(p.seq, popped++);
+    }
+    EXPECT_EQ(q.size(), static_cast<int>(pushed - popped));
+    while (!q.empty()) {
+        EXPECT_EQ(q.front().seq, popped++);
+        q.pop();
+    }
+    EXPECT_EQ(popped, pushed);
+    // Fill to capacity, flush, refill: the ring restarts cleanly.
+    push(20);
+    net::Packet extra;
+    EXPECT_FALSE(q.push(extra));
+    EXPECT_EQ(q.flush_node_down(), 20u);
+    push(5);
+    EXPECT_EQ(q.front().seq, pushed - 5);
+    EXPECT_EQ(q.enqueued(), q.dequeued() + q.dropped_node_down() + 5);
+}
+
 TEST(MacQueue, DropTailWhenFull)
 {
     MacQueue q(QueueKey{1, false}, 2, 32);
@@ -375,8 +416,12 @@ TEST(Dcf, UnusedMacQuiescesRevivesAndDiesWithoutTouchingTheScheduler)
     EXPECT_EQ(w.ampdu_pending(), 0u);
     bed.scheduler.run_until(kSecond);
     EXPECT_EQ(a.successes(), 1u);
-    EXPECT_EQ(w.data_attempts(), 0u);
-    EXPECT_EQ(w.acks_sent(), 0u);
+    // The counters live in the exchange w never built: all nine read 0.
+    for (const std::uint64_t counter :
+         {w.data_attempts(), w.retransmissions(), w.retry_drops(), w.acks_sent(), w.successes(),
+          w.dup_rx_suppressed(), w.teardown_aborts(), w.ampdu_node_down_drops(),
+          w.block_acks_sent()})
+        EXPECT_EQ(counter, 0u);
     const std::size_t idle_pending = bed.scheduler.pending();
     const std::uint64_t idle_processed = bed.scheduler.processed();
     bed.macs[2].reset();
@@ -500,8 +545,8 @@ TEST(Dcf, SingleLinkSaturationThroughputMatchesAnalytic)
     Saturator sat(bed, a, QueueKey{1, true});
     const SimTime horizon = 20 * kSecond;
     bed.scheduler.run_until(horizon);
-    const double kbps =
-        static_cast<double>(bed.recorders[1]->received.size()) * 8000.0 / util::to_seconds(horizon) / 1000.0;
+    const double kbps = static_cast<double>(bed.recorders[1]->received.size()) * 8000.0 /
+                        util::to_seconds(horizon) / 1000.0;
     EXPECT_NEAR(kbps, 874.0, 30.0);
 }
 

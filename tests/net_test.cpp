@@ -77,6 +77,41 @@ TEST(Network, AddFlowValidatesNodesAndRange)
     net.add_flow(1, {0, 1});                                        // fine
 }
 
+TEST(Network, NodeThatNeverForwardedCountsNothing)
+{
+    // Node 3 overhears every hop of the 0 -> 1 -> 2 flow but is on no
+    // path: its forwarding counters and reorder buffer stay empty, also
+    // through a node-down/up cycle.
+    Network net(topo_config());
+    net.add_node({0, 0});
+    net.add_node({200, 0});
+    net.add_node({400, 0});
+    const NodeId bystander = net.add_node({200, 150});
+    net.add_flow(0, {0, 1, 2});
+    for (std::uint64_t seq = 0; seq < 5; ++seq) {
+        Packet packet;
+        packet.uid = seq;
+        packet.flow_id = 0;
+        packet.seq = seq;
+        packet.src = 0;
+        packet.dst = 2;
+        packet.bytes = 500;
+        EXPECT_TRUE(net.node(0).send(packet));
+    }
+    net.run_until(util::kSecond);
+    EXPECT_EQ(net.node(1).forwarded(), 5u);
+    EXPECT_EQ(net.node(2).delivered(), 5u);
+    net.set_node_down(bystander);
+    net.set_node_up(bystander);
+    const Node& node = net.node(bystander);
+    for (const std::uint64_t counter :
+         {node.forwarded(), node.delivered(), node.forward_queue_drops(),
+          node.source_queue_drops(), node.drops_node_down(), node.drops_unroutable(),
+          node.reorder_buffered()})
+        EXPECT_EQ(counter, 0u);
+    EXPECT_GT(node.phy().frames_decoded(), 0u);  // it did hear the flow
+}
+
 TEST(Network, ForkRngDeterministicPerSeed)
 {
     Network a(topo_config());

@@ -458,10 +458,14 @@ TEST(Channel, DeafPhyHearsNothingAndCannotTransmit)
     EXPECT_EQ(bed.channel.reachable_count(far.id()), 2u);
 
     a.start_tx(data_frame(0, 1));
+    EXPECT_FALSE(deaf.busy());  // the frame is on the air next to it
+    EXPECT_EQ(deaf.interference_ledger_w(), 0.0);
     bed.scheduler.run();
     EXPECT_TRUE(bed.listener(1).decoded.empty());
     EXPECT_TRUE(bed.listener(1).busy_transitions.empty());
     EXPECT_EQ(deaf.frames_decoded() + deaf.frames_corrupted() + deaf.frames_missed_busy(), 0u);
+    EXPECT_FALSE(deaf.last_rx_error());
+    EXPECT_EQ(deaf.last_decode_mpdu_errors(), 0u);
     EXPECT_EQ(bed.listener(2).busy_transitions.size(), 2u);
 
     EXPECT_THROW(deaf.start_tx(data_frame(1, 0)), std::logic_error);
@@ -509,6 +513,62 @@ TEST(NodePhy, BusyDuringOwnTransmission)
     EXPECT_TRUE(a.transmitting());
     bed.scheduler.run();
     EXPECT_FALSE(a.busy());
+}
+
+TEST(NodePhy, NeverSignalledPhyIsIdleAndCountsNothing)
+{
+    // No signal ever reached `lone` (it is beyond every range), so it has
+    // no receive state: idle, no receive error, every counter zero —
+    // before and after traffic elsewhere, across a power cycle, and
+    // around a transmission of its own.
+    TestBed bed;
+    NodePhy& a = bed.add(0);
+    bed.add(200);
+    NodePhy& lone = bed.add(5000);
+    const auto expect_quiet = [&lone] {
+        EXPECT_FALSE(lone.busy());
+        EXPECT_FALSE(lone.last_rx_error());
+        EXPECT_EQ(lone.last_decode_mpdu_errors(), 0u);
+        EXPECT_EQ(lone.interference_ledger_w(), 0.0);
+        EXPECT_EQ(lone.frames_decoded(), 0u);
+        EXPECT_EQ(lone.frames_corrupted(), 0u);
+        EXPECT_EQ(lone.frames_missed_busy(), 0u);
+    };
+    expect_quiet();
+    a.start_tx(data_frame(0, 1));
+    bed.scheduler.run();
+    EXPECT_EQ(bed.listener(1).decoded.size(), 1u);
+    expect_quiet();
+    lone.power_off();
+    expect_quiet();
+    lone.power_on();
+    expect_quiet();
+    lone.start_tx(data_frame(2, 0));
+    EXPECT_TRUE(lone.busy());
+    bed.scheduler.run();
+    EXPECT_EQ(bed.listener(2).busy_transitions, (std::vector<bool>{true, false}));
+    expect_quiet();
+}
+
+TEST(NodePhy, PowerCycleWipesTheReceptionButKeepsTheCounters)
+{
+    TestBed bed;
+    NodePhy& a = bed.add(0);
+    NodePhy& b = bed.add(200);
+    a.start_tx(data_frame(0, 1));
+    bed.scheduler.run();
+    a.start_tx(data_frame(0, 1));
+    EXPECT_TRUE(b.busy());
+    EXPECT_GT(b.interference_ledger_w(), 0.0);
+    b.power_off();
+    EXPECT_FALSE(b.busy());
+    EXPECT_EQ(b.interference_ledger_w(), 0.0);
+    EXPECT_FALSE(b.last_rx_error());
+    b.power_on();
+    bed.scheduler.run();  // the wiped frame's end is a tolerated no-op
+    EXPECT_EQ(bed.listener(1).decoded.size(), 1u);
+    EXPECT_EQ(b.frames_decoded(), 1u);
+    EXPECT_FALSE(b.busy());
 }
 
 TEST(NodePhy, TxWhileReceivingAbortsReception)

@@ -305,7 +305,8 @@ TEST(Sink, GoodputMatchesADeliveryLogBitForBit)
         double bits = 0.0;
         for (const auto& [at, bytes] : log)
             if (at >= from && at < to) bits += static_cast<double>(bytes) * 8.0;
-        const double reference = to > from ? util::kbps(static_cast<std::int64_t>(bits), to - from) : 0.0;
+        const double reference =
+            to > from ? util::kbps(static_cast<std::int64_t>(bits), to - from) : 0.0;
         EXPECT_EQ(sink.goodput_kbps(0, from, to), reference) << "[" << from << ", " << to << ")";
     }
 }
