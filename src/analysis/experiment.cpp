@@ -224,10 +224,10 @@ Experiment::FlowSummary Experiment::summarize(int flow_id, double from_s, double
         }
         return summary;
     }
-    const util::TimeSeries& delays = sink_->flow(flow_id).delay_series;
-    summary.delay_samples = delays.count_between(from, to);
-    summary.mean_delay_s = delays.mean_between(from, to) / static_cast<double>(util::kSecond);
-    summary.max_delay_s = delays.max_between(from, to) / static_cast<double>(util::kSecond);
+    const util::RunningStats delays = sink_->flow(flow_id).deliveries.delay_stats(from, to);
+    summary.delay_samples = delays.count();
+    summary.mean_delay_s = delays.mean() / static_cast<double>(util::kSecond);
+    summary.max_delay_s = delays.max() / static_cast<double>(util::kSecond);
     return summary;
 }
 

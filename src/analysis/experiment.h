@@ -37,13 +37,13 @@ struct ExperimentOptions {
     util::SimTime throughput_window = 10 * util::kSecond;
     double boe_sniff_loss = 0.0;       ///< ablation: fraction of sniffs missed (kEzFlow)
     /// Streaming measurement: the sink and the buffer and CW tracers
-    /// keep whole-run summaries (RunningStats) instead of per-event
-    /// series, so peak memory is O(nodes + flows) regardless of run
-    /// length (EZ-Flow agents keep no series in either mode). summarize()
-    /// then reports whole-run delay stats instead of windowed ones; series
-    /// accessors (delay_series, tracer trace(), goodput_kbps) are
-    /// unavailable. For long perf runs (islands / 10k grids), not for
-    /// figure generation.
+    /// keep whole-run summaries (RunningStats) instead of per-event logs
+    /// (10 B per delivery, 2 B per tracer sample), so peak memory is
+    /// O(nodes + flows) regardless of run length (EZ-Flow agents keep no
+    /// series in either mode). summarize() then reports whole-run delay
+    /// stats instead of windowed ones; the sink's delivery log, tracer
+    /// trace() and goodput_kbps are unavailable. For long perf runs
+    /// (islands / 10k grids), not for figure generation.
     bool streaming = false;
 };
 

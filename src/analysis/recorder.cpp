@@ -56,7 +56,14 @@ std::optional<int> QueueTracer::read(const Target& target) const
 void QueueTracer::sample(std::size_t sweep)
 {
     Sweep& group = sweeps_[sweep];
-    if (!streaming_) group.times.push_back(group.scheduler->now());
+    if (!streaming_) {
+        const SimTime now = group.scheduler->now();
+        if (group.instants == 0)
+            group.t0 = now;
+        else if (now != instant(group, group.instants))
+            throw std::logic_error("QueueTracer: a sweep fired off its period grid");
+        ++group.instants;
+    }
     for (std::size_t i = 0; i < group.targets.size(); ++i) {
         const Target& t = group.targets[i];
         const std::optional<int> value = read(t);
@@ -75,7 +82,7 @@ void QueueTracer::sample(std::size_t sweep)
             throw std::overflow_error("QueueTracer: node " + std::to_string(t.node) + " sampled " +
                                       std::to_string(*value) +
                                       ", which does not fit a 16-bit column");
-        if (!sampled) group.first[i] = group.times.size() - 1;
+        if (!sampled) group.first[i] = group.instants - 1;
         group.columns[i].push_back(static_cast<std::uint16_t>(*value));
     }
     group.scheduler->schedule_in(period_, [this, sweep] { sample(sweep); });
@@ -98,7 +105,7 @@ util::TimeSeries QueueTracer::trace(net::NodeId node) const
     const std::size_t first = sweep.first[c.index];
     util::TimeSeries series;
     for (std::size_t i = 0; i < values.size(); ++i)
-        series.add(sweep.times[first + i], static_cast<double>(values[i]));
+        series.add(instant(sweep, first + i), static_cast<double>(values[i]));
     return series;
 }
 
@@ -110,11 +117,14 @@ double QueueTracer::mean(net::NodeId node, SimTime from, SimTime to) const
     // The samples taken in [from, to): the same values in the same order
     // as TimeSeries::mean_between over trace().
     const std::vector<std::uint16_t>& values = sweep.columns[c.index];
-    const auto begin = sweep.times.begin() + static_cast<std::ptrdiff_t>(sweep.first[c.index]);
-    const auto end = begin + static_cast<std::ptrdiff_t>(values.size());
+    const std::size_t first = sweep.first[c.index];
+    // The first instant at or after `from`, by ceiling division.
+    std::size_t k = first;
+    if (from > sweep.t0)
+        k = std::max(k, static_cast<std::size_t>((from - sweep.t0 + period_ - 1) / period_));
     util::RunningStats window;
-    for (auto it = std::lower_bound(begin, end, from); it != end && *it < to; ++it)
-        window.add(static_cast<double>(values[static_cast<std::size_t>(it - begin)]));
+    for (; k < first + values.size() && instant(sweep, k) < to; ++k)
+        window.add(static_cast<double>(values[k - first]));
     return window.mean();
 }
 

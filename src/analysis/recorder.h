@@ -27,10 +27,12 @@ using util::SimTime;
 /// reference — when the network is unsharded), so tracer event cost is
 /// O(shards) per period instead of O(nodes).
 ///
-/// Storage is columnar: each sweep keeps one time column, and each
-/// target one 2-byte column plus the index of its first sample in the
-/// time column, so a sample costs 2 B plus 8 B per sweep instant. A
-/// backlog is sampled from the first sweep on. A CWmin is sampled once
+/// Storage is columnar: each target keeps one 2-byte column plus the
+/// index of its first sample among its sweep's instants, so a sample
+/// costs 2 B. No time is stored per instant: a sweep re-arms itself one
+/// period after each instant, so instant k is its first instant plus k
+/// periods (a sweep that fires off that grid throws std::logic_error).
+/// A backlog is sampled from the first sweep on. A CWmin is sampled once
 /// the queue toward the successor exists, and MAC queues are never
 /// removed, so the column covers a contiguous run of sweep instants up
 /// to the latest; a queue that disappears after the first sample throws
@@ -75,9 +77,10 @@ private:
     struct Sweep {
         sim::Scheduler* scheduler;
         std::vector<Target> targets;
-        std::vector<SimTime> times{};                       ///< one per sweep instant
+        SimTime t0 = 0;                                     ///< the first instant
+        std::size_t instants = 0;                           ///< instants swept so far
         std::vector<std::size_t> first{};                   ///< per target, first sample's instant
-        std::vector<std::vector<std::uint16_t>> columns{};  ///< per target, from times[first] on
+        std::vector<std::vector<std::uint16_t>> columns{};  ///< per target, from instant first on
         std::vector<util::RunningStats> stats{};            ///< per target, streaming mode only
     };
     /// Where a node's column lives: its sweep and its index in it.
@@ -87,6 +90,11 @@ private:
     };
 
     void sample(std::size_t sweep);
+    /// Instant k of `sweep`.
+    SimTime instant(const Sweep& sweep, std::size_t k) const
+    {
+        return sweep.t0 + static_cast<SimTime>(k) * period_;
+    }
     /// The quantity at `target` now; none while its CW queue does not exist.
     std::optional<int> read(const Target& target) const;
     /// Throws std::invalid_argument for an untracked node.

@@ -186,19 +186,33 @@ std::string format_magnitude(double value)
     return os.str();
 }
 
-/// Wall-time/event-rate line for one figure run. Reported to the console
-/// only — the result JSON stays byte-deterministic across thread counts
-/// and machines.
+/// This process's peak resident set size in MB, read in-process from
+/// VmHWM (a wrapper's ru_maxrss can carry its forking parent's high-water
+/// mark across exec); none where /proc/self/status is absent.
+std::optional<double> peak_rss_mb()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line))
+        if (line.rfind("VmHWM:", 0) == 0) return std::stod(line.substr(6)) / 1024.0;
+    return std::nullopt;
+}
+
+/// Wall-time/event-rate/peak-memory line for one figure run. Reported to
+/// the console only — the result JSON stays byte-deterministic across
+/// thread counts and machines.
 void print_perf(const FigureSpec& spec, const analysis::PerfTotals& before, double wall)
 {
     const analysis::PerfTotals now = analysis::perf_totals();
     const std::uint64_t events = now.events - before.events;
     const std::uint64_t runs = now.runs - before.runs;
     if (runs == 0 || wall <= 0.0) return;
-    std::printf("[perf] %s: %.2f s wall, %s events, %s events/s (%llu run%s)\n",
-                spec.name.c_str(), wall, format_magnitude(static_cast<double>(events)).c_str(),
+    std::printf("[perf] %s: %.2f s wall, %s events, %s events/s (%llu run%s)", spec.name.c_str(),
+                wall, format_magnitude(static_cast<double>(events)).c_str(),
                 format_magnitude(static_cast<double>(events) / wall).c_str(),
                 static_cast<unsigned long long>(runs), runs == 1 ? "" : "s");
+    if (const std::optional<double> rss = peak_rss_mb()) std::printf(", peak RSS %.1f MB", *rss);
+    std::printf("\n");
     // This figure's own shard count, not the widest any earlier figure in
     // the process used.
     const int shards = now.shards_since(before);

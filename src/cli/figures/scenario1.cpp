@@ -49,8 +49,8 @@ FigureResult run_fig07(const FigureContext& ctx)
         if (Experiment* first = sweeps[m].first.get())
             maybe_dump_series(
                 ctx, std::string("fig07_") + (modes[m] == Mode::kEzFlow ? "ezflow" : "80211"),
-                {{"F1", &first->sink().flow(1).delay_series},
-                 {"F2", &first->sink().flow(2).delay_series}});
+                {{"F1", first->sink().flow(1).deliveries.delay_series()},
+                 {"F2", first->sink().flow(2).deliveries.delay_series()}});
     }
     return result;
 }

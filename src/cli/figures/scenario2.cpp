@@ -25,9 +25,9 @@ FigureResult run_fig10(const FigureContext& ctx)
         if (Experiment* first = sweeps[m].first.get())
             maybe_dump_series(
                 ctx, std::string("fig10_") + (modes[m] == Mode::kEzFlow ? "ezflow" : "80211"),
-                {{"F1", &first->sink().flow(1).delay_series},
-                 {"F2", &first->sink().flow(2).delay_series},
-                 {"F3", &first->sink().flow(3).delay_series}});
+                {{"F1", first->sink().flow(1).deliveries.delay_series()},
+                 {"F2", first->sink().flow(2).deliveries.delay_series()},
+                 {"F3", first->sink().flow(3).deliveries.delay_series()}});
     }
     return result;
 }

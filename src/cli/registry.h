@@ -30,7 +30,7 @@ struct FigureContext {
     /// Streaming recorders: O(nodes + flows) peak memory, whole-run delay
     /// stats instead of windowed ones. For long perf runs only.
     bool streaming = false;
-    std::string csv_dir;        ///< when non-empty, dump first-seed series here
+    std::string csv_dir;                       ///< when non-empty, dump first-seed series here
     std::map<std::string, std::string> extra;  ///< unclaimed --key=value flags
     /// Names the runner actually read, so the CLI can warn about flags
     /// (typos, legacy knobs) that silently did nothing.

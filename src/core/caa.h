@@ -11,12 +11,12 @@ namespace ezflow::core {
 /// the paper's simulations use: bmin = 0.05, bmax = 20, mincw = 2^4,
 /// maxcw = 2^15, decisions every 50 BOE samples.
 struct CaaConfig {
-    double bmin = 0.05;   ///< below: successor under-utilized -> more aggressive
-    double bmax = 20.0;   ///< above: successor over-utilized -> less aggressive
-    int min_cw = 1 << 4;  ///< 2^4, smallest contention window
-    int max_cw = 1 << 15; ///< 2^15 (the testbed hardware capped at 2^10)
-    int sample_window = 50;  ///< BOE samples averaged per decision
-    int initial_cw = 1 << 4; ///< relays start aggressive and back off as needed
+    double bmin = 0.05;       ///< below: successor under-utilized -> more aggressive
+    double bmax = 20.0;       ///< above: successor over-utilized -> less aggressive
+    int min_cw = 1 << 4;      ///< 2^4, smallest contention window
+    int max_cw = 1 << 15;     ///< 2^15 (the testbed hardware capped at 2^10)
+    int sample_window = 50;   ///< BOE samples averaged per decision
+    int initial_cw = 1 << 4;  ///< relays start aggressive and back off as needed
     /// countdown threshold constant: cw halves after
     /// (count_base - log2(cw)) consecutive under-utilization signals.
     int count_base = 15;

@@ -123,12 +123,12 @@ public:
 private:
     struct Entry {
         BackoffClient* client;
-        SimTime reg_at;  ///< DIFS end: the first decrement is owed here
-        SimTime armed;   ///< when the pending DIFS-end event was armed
+        SimTime reg_at;     ///< DIFS end: the first decrement is owed here
+        SimTime armed;      ///< when the pending DIFS-end event was armed
         std::uint64_t seq;  ///< registration order, ties in (reg_at, armed)
-        SimTime slot;    ///< slot duration, microseconds
-        int owed;        ///< decrements owed: at reg_at, then one per slot
-        SimTime expiry;  ///< fire instant: reg_at + owed * slot
+        SimTime slot;       ///< slot duration, microseconds
+        int owed;           ///< decrements owed: at reg_at, then one per slot
+        SimTime expiry;     ///< fire instant: reg_at + owed * slot
     };
 
     void insert_entry(Entry entry);

@@ -120,7 +120,7 @@ void DcfMac::maybe_start_work()
 {
     if (down_) return;
     if (state_ != State::kIdle) return;
-    if (!ex_) return;  // nothing was ever enqueued
+    if (!ex_) return;                   // nothing was ever enqueued
     if (ex_->ack_tx_scheduled) return;  // finish the ACK exchange first
     if (queues_.all_empty()) return;
     start_new_contention();

@@ -244,7 +244,7 @@ private:
         phy::FrameType type;
         net::NodeId to;
         std::uint32_t seq;
-        SimTime duration_us;  ///< NAV to advertise (CTS)
+        SimTime duration_us;          ///< NAV to advertise (CTS)
         std::uint32_t ba_start = 0;   ///< kBlockAck: scoreboard window start
         std::uint64_t ba_bitmap = 0;  ///< kBlockAck: compressed bitmap
     };
@@ -276,7 +276,7 @@ private:
         sim::Timer cts_data_timer;
 
         std::vector<PendingControl> pending_ctrl;  ///< rarely more than one entry
-        bool ack_tx_scheduled = false;  ///< SIFS timer armed or control frame on air
+        bool ack_tx_scheduled = false;             ///< SIFS timer armed or control frame on air
 
         // Batch state: the sender window (non-empty exactly while serving)
         // and the receiver scoreboards.

@@ -142,7 +142,7 @@ private:
     std::vector<net::Packet> ring_;
     int head_ = 0;
     int size_ = 0;
-    std::vector<VacancyWaiter*> waiters_;  ///< one-shot, registration order
+    std::vector<VacancyWaiter*> waiters_;    ///< one-shot, registration order
     std::vector<VacancyWaiter*> notifying_;  ///< scratch for notify_vacancy
     std::vector<PendingResume> pending_;     ///< scratch for notify_vacancy
     std::uint64_t enqueued_ = 0;

@@ -34,8 +34,8 @@ struct ModelCaaParams {
 class RandomWalkModel {
 public:
     struct Config {
-        int hops = 4;               ///< K; relays are nodes 1..K-1
-        bool ezflow_enabled = true; ///< fixed windows when false
+        int hops = 4;                       ///< K; relays are nodes 1..K-1
+        bool ezflow_enabled = true;         ///< fixed windows when false
         std::vector<long long> initial_cw;  ///< per node 0..K-1; defaults to min_cw
         ModelCaaParams caa{};
     };

@@ -166,8 +166,8 @@ private:
 /// PHY parameters: IEEE 802.11b DSSS, long preamble, fixed 1 Mb/s, and the
 /// ns-2 default ranges the paper's simulations use.
 struct PhyParams {
-    double tx_range_m = 250.0;       ///< delivery range (two-ray, ns-2 default)
-    double cs_range_m = 550.0;       ///< carrier-sense range
+    double tx_range_m = 250.0;            ///< delivery range (two-ray, ns-2 default)
+    double cs_range_m = 550.0;            ///< carrier-sense range
     double interference_range_m = 550.0;  ///< corrupts receptions within this range
     /// Capture threshold (linear SINR). A locked reception survives
     /// overlapping interference as long as its power exceeds the sum of
@@ -178,7 +178,7 @@ struct PhyParams {
     /// crossover, so the d^-4 regime applies throughout.
     double capture_threshold = 10.0;
     std::int64_t bitrate_bps = 1'000'000;
-    SimTime plcp_overhead_us = 192;  ///< long PLCP preamble + header at 1 Mb/s
+    SimTime plcp_overhead_us = 192;    ///< long PLCP preamble + header at 1 Mb/s
     int mac_data_overhead_bytes = 36;  ///< 24 B MAC header + 4 B FCS + 8 B LLC/SNAP
     int ack_frame_bytes = 14;
     int rts_frame_bytes = 20;

@@ -1,10 +1,97 @@
 #include "traffic/sink.h"
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
 #include <string>
 
 namespace ezflow::traffic {
+
+void DeliveryLog::add(SimTime at, SimTime delay, std::uint16_t bytes)
+{
+    if (delay < 0) throw std::invalid_argument("DeliveryLog::add: negative delay");
+    if (!chunks_.empty()) {
+        const Chunk& last = *chunks_.back();
+        if (at < last.base + last.offsets[last.count - 1])
+            throw std::invalid_argument("DeliveryLog::add: instants must be non-decreasing");
+    }
+    if (chunks_.empty() || chunks_.back()->count == kChunkEntries ||
+        at - chunks_.back()->base > std::numeric_limits<std::uint32_t>::max()) {
+        chunks_.push_back(std::make_unique<Chunk>());
+        chunks_.back()->base = at;
+    }
+    Chunk& chunk = *chunks_.back();
+    const std::uint32_t slot = chunk.count++;
+    chunk.offsets[slot] = static_cast<std::uint32_t>(at - chunk.base);
+    if (delay >= kLongDelay) {
+        long_delays_.emplace(size_, delay);
+        chunk.delays[slot] = kLongDelay;
+    } else {
+        chunk.delays[slot] = static_cast<std::uint32_t>(delay);
+    }
+    chunk.bytes[slot] = bytes;
+    ++size_;
+}
+
+template <typename Fn>
+void DeliveryLog::for_each_between(SimTime from, SimTime to, Fn&& fn) const
+{
+    // The last chunk based before `from` may hold deliveries at or after
+    // it; no earlier chunk can.
+    auto it = std::lower_bound(
+        chunks_.begin(), chunks_.end(), from,
+        [](const std::unique_ptr<Chunk>& chunk, SimTime t) { return chunk->base < t; });
+    if (it != chunks_.begin()) --it;
+    std::size_t index = 0;
+    for (auto before = chunks_.begin(); before != it; ++before) index += (*before)->count;
+    const auto offset_before = [](std::uint32_t offset, SimTime t) { return offset < t; };
+    for (; it != chunks_.end(); ++it) {
+        const Chunk& chunk = **it;
+        const auto begin = chunk.offsets.begin();
+        const auto first =
+            std::lower_bound(begin, begin + chunk.count, from - chunk.base, offset_before);
+        for (auto slot = static_cast<std::uint32_t>(first - begin); slot < chunk.count; ++slot) {
+            if (chunk.base + chunk.offsets[slot] >= to) return;
+            fn(chunk, slot, index + slot);
+        }
+        index += chunk.count;
+    }
+}
+
+double DeliveryLog::delay_of(const Chunk& chunk, std::uint32_t slot, std::size_t index) const
+{
+    const std::uint32_t delay = chunk.delays[slot];
+    return static_cast<double>(delay != kLongDelay ? delay : long_delays_.at(index));
+}
+
+util::RunningStats DeliveryLog::delay_stats(SimTime from, SimTime to) const
+{
+    util::RunningStats stats;
+    for_each_between(from, to, [&](const Chunk& chunk, std::uint32_t slot, std::size_t index) {
+        stats.add(delay_of(chunk, slot, index));
+    });
+    return stats;
+}
+
+double DeliveryLog::goodput_kbps(SimTime from, SimTime to) const
+{
+    if (to <= from) return 0.0;
+    double bits = 0.0;
+    for_each_between(from, to, [&](const Chunk& chunk, std::uint32_t slot, std::size_t) {
+        bits += static_cast<double>(chunk.bytes[slot]) * 8.0;
+    });
+    return util::kbps(static_cast<std::int64_t>(bits), to - from);
+}
+
+util::TimeSeries DeliveryLog::delay_series() const
+{
+    util::TimeSeries series;
+    std::size_t index = 0;
+    for (const std::unique_ptr<Chunk>& chunk : chunks_)
+        for (std::uint32_t slot = 0; slot < chunk->count; ++slot, ++index)
+            series.add(chunk->base + chunk->offsets[slot], delay_of(*chunk, slot, index));
+    return series;
+}
 
 Sink::Sink(net::Network& network) : network_(network) {}
 
@@ -49,13 +136,11 @@ void Sink::on_delivery(FlowRecord& record, const sim::Scheduler& clock, const ne
     ++record.packets;
     record.bytes += static_cast<std::uint64_t>(packet.bytes);
     const SimTime network_start = packet.first_tx_at >= 0 ? packet.first_tx_at : packet.created_at;
-    const auto delay = static_cast<double>(now - network_start);
-    record.delay_us.add(delay);
+    const SimTime delay = now - network_start;
+    record.delay_us.add(static_cast<double>(delay));
     record.total_delay_us.add(static_cast<double>(now - packet.created_at));
-    if (!streaming_) {
-        record.delay_series.add(now, delay);
-        record.delivered_bytes.push_back(static_cast<std::uint16_t>(packet.bytes));
-    }
+    if (!streaming_)
+        record.deliveries.add(now, delay, static_cast<std::uint16_t>(packet.bytes));
 }
 
 const Sink::FlowRecord& Sink::flow(int flow_id) const
@@ -69,21 +154,13 @@ double Sink::goodput_kbps(int flow_id, SimTime from, SimTime to) const
 {
     if (streaming_)
         throw std::logic_error("Sink::goodput_kbps: no delivery log in streaming mode");
-    const FlowRecord& record = flow(flow_id);
-    if (to <= from) return 0.0;
-    double bits = 0.0;
-    const auto& times = record.delay_series.times();
-    for (std::size_t i = 0; i < times.size(); ++i) {
-        if (times[i] >= from && times[i] < to)
-            bits += static_cast<double>(record.delivered_bytes[i]) * 8.0;
-    }
-    return util::kbps(static_cast<std::int64_t>(bits), to - from);
+    return flow(flow_id).deliveries.goodput_kbps(from, to);
 }
 
 std::size_t Sink::stored_samples() const
 {
     std::size_t total = 0;
-    for (const auto& [flow, record] : flows_) total += record.delay_series.size();
+    for (const auto& [flow, record] : flows_) total += record.deliveries.size();
     return total;
 }
 

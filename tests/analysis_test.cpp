@@ -170,6 +170,57 @@ private:
     std::map<net::NodeId, util::TimeSeries> series_;
 };
 
+TEST(QueueTracer, TimeAxisStartedOffThePeriodGridMatchesReferenceSampler)
+{
+    // A sweep stores no time per instant: instant k is its first sample's
+    // instant plus k periods. Started at 1.234567 s, no instant falls on a
+    // multiple of the period, so an axis anchored anywhere else misplaces
+    // every sample.
+    net::Scenario s = net::make_line(4, 40, 3);
+    traffic::CbrSource source(*s.network, 0, 1000, 2e6);
+    source.activate(0, 20 * kSecond);
+    const util::SimTime start = 1'234'567;
+    const util::SimTime period = 100 * util::kMillisecond;
+    const util::SimTime end = 20 * kSecond;
+    s.network->run_until(start);
+    const std::vector<QueueTracer::Target> targets = {{0, 1}, {1, 2}, {2, 3}, {3, 4}};
+    QueueTracer tracer(*s.network, Quantity::kBacklog, targets, period);
+    tracer.start();
+    const ReferenceSampler reference(*s.network, Quantity::kBacklog, targets, period);
+    s.network->run_until(end);
+
+    std::size_t samples = 0;
+    bool varied = false;
+    for (const QueueTracer::Target& t : targets) {
+        const util::TimeSeries& want = reference.trace(t.node);
+        ASSERT_GT(want.size(), 100u) << "node " << t.node;
+        samples += want.size();
+        varied = varied || std::any_of(want.values().begin(), want.values().end(),
+                                       [&](double v) { return v != want.values().front(); });
+        EXPECT_EQ(want.times().front(), start + period);
+        const util::TimeSeries got = tracer.trace(t.node);
+        EXPECT_EQ(got.times(), want.times()) << "node " << t.node;
+        EXPECT_EQ(got.values(), want.values()) << "node " << t.node;
+        const std::vector<util::SimTime>& at = want.times();
+        const std::vector<std::pair<util::SimTime, util::SimTime>> windows = {
+            {0, end + 1},                        // the whole run
+            {0, at.front()},                     // ends on the first instant
+            {period, 2 * period},                // on the period grid, before the first instant
+            {at[3], at[40]},                     // on instants: from in, to out
+            {at[3] + 1, at[40] - 1},             // between instants
+            {at[3] - 1, at[40] + 1},             // just outside instants
+            {10 * period, 60 * period},          // on the period grid, between instants
+            {at.back(), at.back() + 1},          // the last instant alone
+            {end + kSecond, end + 2 * kSecond},  // after the run
+        };
+        for (const auto& [from, to] : windows)
+            EXPECT_EQ(tracer.mean(t.node, from, to), want.mean_between(from, to))
+                << "node " << t.node << " window [" << from << ", " << to << ")";
+    }
+    EXPECT_TRUE(varied);
+    EXPECT_EQ(tracer.stored_samples(), samples);
+}
+
 /// Experiment's trace targets: each transmitting node toward its
 /// successor on the first flow that crosses it.
 std::vector<QueueTracer::Target> experiment_targets(const net::Scenario& scenario)

@@ -254,6 +254,22 @@ TEST(App, PerfLineCountsEveryScenarioBuilderCell)
     EXPECT_NE(out.find("(7 runs)"), std::string::npos) << out;
 }
 
+TEST(App, PerfLineReportsPeakResidentMemory)
+{
+    // The process's own VmHWM, appended to the [perf] line where
+    // /proc/self/status exists.
+    if (!std::ifstream("/proc/self/status")) GTEST_SKIP() << "no /proc/self/status";
+    testing::internal::CaptureStdout();
+    EXPECT_EQ(run_cli({"ezflow", "run", "table1", "--smoke", "--json-only"}), 0);
+    const std::string out = testing::internal::GetCapturedStdout();
+    const std::string field = "(7 runs), peak RSS ";
+    const std::size_t at = out.find(field);
+    ASSERT_NE(at, std::string::npos) << out;
+    const double mb = std::stod(out.substr(at + field.size()));
+    EXPECT_GT(mb, 0.0) << out;
+    EXPECT_NE(out.find(" MB\n", at), std::string::npos) << out;
+}
+
 TEST(App, ListRejectsUnknownCategories)
 {
     // Regression: an unknown category printed an empty table and exited 0.

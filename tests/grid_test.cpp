@@ -150,8 +150,9 @@ Outcome run_bystander_grid(bool listening_oracle, bool lossy, analysis::Mode mod
         const traffic::Sink::FlowRecord& record = experiment->sink().flow(plan.flow_id);
         counts.insert(counts.end(), {record.packets, record.bytes, record.duplicates});
         counts.push_back(record.reordered);
-        outcome.delay_times.push_back(record.delay_series.times());
-        outcome.delays.push_back(record.delay_series.values());
+        const util::TimeSeries delays = record.deliveries.delay_series();
+        outcome.delay_times.push_back(delays.times());
+        outcome.delays.push_back(delays.values());
     }
     for (net::NodeId id = 0; id < network.node_count(); ++id) {
         if (!on_path[static_cast<std::size_t>(id)]) continue;

@@ -260,7 +260,7 @@ TEST(Channel, CollisionWhenSecondSignalArrivesFirstFrameAlreadyLocked)
     // the later signal itself is not decodable either.
     TestBed bed;
     NodePhy& a = bed.add(0);
-    bed.add(200);          // receiver
+    bed.add(200);                    // receiver
     NodePhy& c = bed.add(150, 150);  // also within delivery range of b
     a.start_tx(data_frame(0, 1));
     bed.scheduler.schedule_at(500, [&] { c.start_tx(data_frame(2, 1)); });

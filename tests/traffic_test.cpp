@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -295,8 +296,10 @@ TEST(Sink, GoodputMatchesADeliveryLogBitForBit)
 
     const auto& rec = sink.flow(0);
     ASSERT_GT(log.size(), 150u);
-    ASSERT_EQ(rec.delay_series.size(), log.size());
-    ASSERT_EQ(rec.delivered_bytes.size(), log.size());
+    ASSERT_EQ(rec.deliveries.size(), log.size());
+    const util::TimeSeries delays = rec.deliveries.delay_series();
+    ASSERT_EQ(delays.size(), log.size());
+    for (std::size_t i = 0; i < log.size(); ++i) EXPECT_EQ(delays.times()[i], log[i].first) << i;
     EXPECT_EQ(sink.stored_samples(), log.size());
     const std::vector<std::pair<util::SimTime, util::SimTime>> windows = {
         {0, 10 * kSecond},       {0, kSecond},           {kSecond, 2 * kSecond},
@@ -309,6 +312,139 @@ TEST(Sink, GoodputMatchesADeliveryLogBitForBit)
             to > from ? util::kbps(static_cast<std::int64_t>(bits), to - from) : 0.0;
         EXPECT_EQ(sink.goodput_kbps(0, from, to), reference) << "[" << from << ", " << to << ")";
     }
+}
+
+/// Test-local delivery log: the (instant, delay) doubles and sizes the
+/// chunked DeliveryLog replaces, queried the way the sink queried them.
+struct ReferenceLog {
+    util::TimeSeries delays;
+    std::vector<std::uint16_t> bytes;
+
+    void add(DeliveryLog& log, util::SimTime at, util::SimTime delay, std::uint16_t size)
+    {
+        log.add(at, delay, size);
+        delays.add(at, static_cast<double>(delay));
+        bytes.push_back(size);
+    }
+
+    double goodput_kbps(util::SimTime from, util::SimTime to) const
+    {
+        if (to <= from) return 0.0;
+        double bits = 0.0;
+        for (std::size_t i = 0; i < bytes.size(); ++i)
+            if (delays.times()[i] >= from && delays.times()[i] < to)
+                bits += static_cast<double>(bytes[i]) * 8.0;
+        return util::kbps(static_cast<std::int64_t>(bits), to - from);
+    }
+};
+
+/// Every query of `log` against the reference, bit for bit, over windows
+/// whose edges sit on, between and outside the delivery instants around
+/// each index in `pivots`.
+void expect_log_matches(const DeliveryLog& log, const ReferenceLog& ref,
+                        const std::vector<std::size_t>& pivots)
+{
+    ASSERT_EQ(log.size(), ref.bytes.size());
+    const util::TimeSeries series = log.delay_series();
+    EXPECT_EQ(series.times(), ref.delays.times());
+    EXPECT_EQ(series.values(), ref.delays.values());
+    const std::vector<util::SimTime>& t = ref.delays.times();
+    const util::SimTime first = t.front();
+    const util::SimTime last = t.back();
+    std::vector<std::pair<util::SimTime, util::SimTime>> windows = {
+        {first - 10, last + 10},  // everything
+        {first - 10, first},      // ends on the first delivery
+        {last + 1, last + 10},    // after the last
+        {last, last + 1},         // the last instant alone
+        {last, first},            // inverted
+    };
+    for (const std::size_t i : pivots) {
+        for (const std::size_t j : {i + 1, i + 3, i + 150, ref.bytes.size() - 1}) {
+            if (j <= i || j >= t.size()) continue;
+            windows.emplace_back(t[i], t[j]);          // on instants: from in, to out
+            windows.emplace_back(t[i] + 1, t[j] - 1);  // between instants
+            windows.emplace_back(t[i] - 1, t[j] + 1);
+            windows.emplace_back(t[i], t[i]);  // empty
+        }
+    }
+    for (const auto& [from, to] : windows) {
+        SCOPED_TRACE("[" + std::to_string(from) + ", " + std::to_string(to) + ")");
+        const util::RunningStats stats = log.delay_stats(from, to);
+        EXPECT_EQ(stats.count(), ref.delays.count_between(from, to));
+        EXPECT_EQ(stats.mean(), ref.delays.mean_between(from, to));
+        EXPECT_EQ(stats.max(), ref.delays.max_between(from, to));
+        EXPECT_EQ(log.goodput_kbps(from, to), ref.goodput_kbps(from, to));
+    }
+}
+
+TEST(DeliveryLog, MatchesReferenceAcrossChunkBoundaries)
+{
+    // 1,000 deliveries fill two 408-entry chunks and part of a third.
+    // Deliveries 400..420 share one instant, so equal instants straddle
+    // the first boundary; sizes and delays vary so a misaligned entry
+    // moves some window's result.
+    DeliveryLog log;
+    ReferenceLog ref;
+    EXPECT_EQ(log.size(), 0u);
+    util::SimTime at = 5'000;
+    for (std::size_t i = 0; i < 1'000; ++i) {
+        if (i < 400 || i > 420) at += 1 + static_cast<util::SimTime>((i * 7'919) % 50'000);
+        const auto delay = static_cast<util::SimTime>(1'000 + (i * 104'729) % 900'000);
+        const auto size = static_cast<std::uint16_t>(i % 3 == 0 ? 300 : 1'000 + i % 500);
+        ref.add(log, at, delay, size);
+    }
+    expect_log_matches(log, ref, {0, 1, 200, 399, 400, 407, 408, 409, 420, 815, 816, 817, 998});
+}
+
+TEST(DeliveryLog, GapBeyondThirtyTwoBitsOpensANewChunk)
+{
+    // An offset of 2^32 - 1 us still fits the chunk; 2^32 does not, so
+    // each such gap starts a chunk at the delivery's own instant.
+    constexpr util::SimTime kMaxOffset = 0xFFFFFFFF;
+    DeliveryLog log;
+    ReferenceLog ref;
+    ref.add(log, 100, 10, 500);
+    ref.add(log, 200, 20, 600);
+    ref.add(log, 100 + kMaxOffset, 30, 700);      // fits the first chunk
+    ref.add(log, 200 + kMaxOffset + 1, 40, 800);  // does not
+    ref.add(log, 200 + 3 * kMaxOffset, 50, 900);
+    ref.add(log, 200 + 3 * kMaxOffset, 60, 1'000);
+    for (int i = 0; i < 500; ++i) ref.add(log, 200 + 3 * kMaxOffset + i * 1'000, 70 + i, 1'100);
+    expect_log_matches(log, ref, {0, 1, 2, 3, 4, 5, 6, 400});
+}
+
+TEST(DeliveryLog, DelayBeyondThirtyTwoBitsIsKeptExactly)
+{
+    // Delays from 2^32 - 1 us (the marker value itself) up are kept in
+    // the side table, keyed by delivery index, including ones past the
+    // first chunk that a window starting mid-log reaches.
+    constexpr util::SimTime kLong = 0xFFFFFFFF;
+    DeliveryLog log;
+    ReferenceLog ref;
+    for (std::size_t i = 0; i < 900; ++i) {
+        util::SimTime delay = 1'000 + static_cast<util::SimTime>(i);
+        if (i == 3) delay = kLong - 1;
+        if (i == 4 || i == 500) delay = kLong;
+        if (i == 5 || i == 600) delay = kLong + 7;
+        if (i == 830) delay = 10'000'000'000'000;  // 116 days
+        ref.add(log, static_cast<util::SimTime>(i) * 100'000, delay, 1'000);
+    }
+    expect_log_matches(log, ref, {0, 3, 4, 5, 6, 499, 500, 501, 600, 829, 830});
+    EXPECT_EQ(log.delay_stats(0, 1'000 * kSecond).max(), 1e13);
+}
+
+TEST(DeliveryLog, RejectsDecreasingInstantsAndNegativeDelays)
+{
+    DeliveryLog log;
+    log.add(50, 1, 100);
+    log.add(50, 1, 100);  // equal instants are fine
+    EXPECT_THROW(log.add(49, 1, 100), std::invalid_argument);
+    for (int i = 0; i < 406; ++i) log.add(60, 1, 100);  // the first chunk is full
+    EXPECT_THROW(log.add(59, 1, 100), std::invalid_argument);
+    log.add(60, 1, 100);  // the second chunk's first entry
+    EXPECT_THROW(log.add(59, 1, 100), std::invalid_argument);
+    EXPECT_THROW(log.add(70, -1, 100), std::invalid_argument);
+    EXPECT_EQ(log.size(), 409u);
 }
 
 TEST(Sink, UnknownFlowThrows)
