@@ -18,11 +18,11 @@ struct DropLedger {
     std::uint64_t dropped_at_source = 0;  ///< refused at the full own-queue
     std::uint64_t delivered = 0;          ///< reached a destination node
     std::uint64_t forward_queue_drops = 0;
-    std::uint64_t retry_drops = 0;        ///< abandoned at the MAC retry limit
-    std::uint64_t drops_node_down = 0;    ///< queue flushes + refused sends at dead nodes
-    std::uint64_t drops_unroutable = 0;   ///< no next hop (suspension / repair window)
-    std::uint64_t pacer_drops = 0;        ///< lost in a paced queue (full, or MAC refused)
-    std::uint64_t backlog = 0;            ///< still queued (MAC or pacer) when the run froze
+    std::uint64_t retry_drops = 0;       ///< abandoned at the MAC retry limit
+    std::uint64_t drops_node_down = 0;   ///< queue flushes + refused sends at dead nodes
+    std::uint64_t drops_unroutable = 0;  ///< no next hop (suspension / repair window)
+    std::uint64_t pacer_drops = 0;       ///< lost in a paced queue (full, or MAC refused)
+    std::uint64_t backlog = 0;           ///< still queued (MAC or pacer) when the run froze
     /// Accounted instances (the right-hand side of the partition).
     std::uint64_t accounted() const
     {

@@ -31,11 +31,11 @@ std::string mode_name(Mode mode);
 
 struct ExperimentOptions {
     Mode mode = Mode::kBaseline80211;
-    core::CaaConfig caa{};             ///< EZ-Flow parameters (modes kEzFlow, kPaced)
-    core::PenaltyConfig penalty{};     ///< penalty parameters (mode kPenalty)
-    double cbr_rate_bps = 2e6;         ///< saturating CBR, as in the paper
+    core::CaaConfig caa{};          ///< EZ-Flow parameters (modes kEzFlow, kPaced)
+    core::PenaltyConfig penalty{};  ///< penalty parameters (mode kPenalty)
+    double cbr_rate_bps = 2e6;      ///< saturating CBR, as in the paper
     util::SimTime throughput_window = 10 * util::kSecond;
-    double boe_sniff_loss = 0.0;       ///< ablation: fraction of sniffs missed (kEzFlow)
+    double boe_sniff_loss = 0.0;  ///< ablation: fraction of sniffs missed (kEzFlow)
     /// Streaming measurement: the sink and the buffer and CW tracers
     /// keep whole-run summaries (RunningStats) instead of per-event logs
     /// (10 B per delivery, 2 B per tracer sample), so peak memory is

@@ -18,16 +18,16 @@ namespace ezflow::analysis {
 /// seeds, modes, and threads.
 struct ScenarioSpec {
     enum class Kind {
-        kLine,        ///< K-hop chain (Fig. 1 family)
-        kTestbed,     ///< 9-router testbed of Fig. 3 (Table 1/2, Fig. 4)
-        kScenario1,   ///< two 8-hop flows merging at a gateway (Figs. 6-8)
-        kScenario2,   ///< three crossing flows, hidden sources (Figs. 9-11)
-        kGridCross,   ///< N x M lattice with crossing row/column flows
-        kGridGateway, ///< N x M lattice, edge sources converging on node 0
-        kParkingLot,  ///< arbitrary-length chain, staggered entry flows
-        kMesh,        ///< seeded random mesh, shortest-path flows
-        kIslands,     ///< disconnected grid islands (sharded-engine bench)
-        kClusters,    ///< clustered grids coupled by interference only
+        kLine,         ///< K-hop chain (Fig. 1 family)
+        kTestbed,      ///< 9-router testbed of Fig. 3 (Table 1/2, Fig. 4)
+        kScenario1,    ///< two 8-hop flows merging at a gateway (Figs. 6-8)
+        kScenario2,    ///< three crossing flows, hidden sources (Figs. 9-11)
+        kGridCross,    ///< N x M lattice with crossing row/column flows
+        kGridGateway,  ///< N x M lattice, edge sources converging on node 0
+        kParkingLot,   ///< arbitrary-length chain, staggered entry flows
+        kMesh,         ///< seeded random mesh, shortest-path flows
+        kIslands,      ///< disconnected grid islands (sharded-engine bench)
+        kClusters,     ///< clustered grids coupled by interference only
     };
 
     Kind kind = Kind::kScenario1;

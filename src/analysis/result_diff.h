@@ -23,14 +23,14 @@ struct DiffOptions {
 /// ("cells[scenario1 / EZ-flow].windows[F1 alone].metrics[F1.kbps]").
 struct DiffFinding {
     enum class Kind {
-        kMissingCell,     ///< golden cell absent from the candidate
-        kMissingWindow,   ///< golden window absent from the candidate cell
-        kMissingMetric,   ///< golden metric absent from the candidate window
-        kExtraCell,       ///< candidate cell the golden does not have
-        kExtraWindow,     ///< candidate window the golden does not have
-        kExtraMetric,     ///< candidate metric the golden does not have
-        kValue,           ///< metric present on both sides but out of tolerance
-        kMetadata,        ///< figure name / options mismatch
+        kMissingCell,    ///< golden cell absent from the candidate
+        kMissingWindow,  ///< golden window absent from the candidate cell
+        kMissingMetric,  ///< golden metric absent from the candidate window
+        kExtraCell,      ///< candidate cell the golden does not have
+        kExtraWindow,    ///< candidate window the golden does not have
+        kExtraMetric,    ///< candidate metric the golden does not have
+        kValue,          ///< metric present on both sides but out of tolerance
+        kMetadata,       ///< figure name / options mismatch
     };
 
     Kind kind;

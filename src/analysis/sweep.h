@@ -51,8 +51,8 @@ struct SweepConfig {
 /// thread count (each task runs an independent Network and writes to its
 /// own slot); fold_seeds merges them serially in seed order.
 struct SweepResult {
-    std::vector<RunResult> per_seed;     ///< parallel to config.seeds
-    std::unique_ptr<Experiment> first;   ///< when config.keep_first
+    std::vector<RunResult> per_seed;    ///< parallel to config.seeds
+    std::unique_ptr<Experiment> first;  ///< when config.keep_first
 };
 
 /// Fans an experiment grid (sweep cells x seeds) across a thread pool.

@@ -22,7 +22,7 @@ struct FigureContext {
     double scale = 1.0;
     std::uint64_t seed = 7;
     int seeds = 1;
-    int threads = 0;            ///< 0 = hardware concurrency
+    int threads = 0;  ///< 0 = hardware concurrency
     /// Shard budget for generated topologies (0 = the figure's default).
     /// Results are byte-identical across shard counts; only event
     /// partitioning changes.
@@ -47,11 +47,11 @@ struct FigureContext {
 /// A registered scenario/figure: the unit `ezflow list | run`
 /// operates on. Every former standalone bench main is one of these.
 struct FigureSpec {
-    std::string name;        ///< canonical short name ("fig06", "table2", ...)
-    std::string category;    ///< "figure" | "table" | "ablation"
-    std::string title;       ///< one-line description for `ezflow list`
-    std::string paper_ref;   ///< which paper artifact it reproduces
-    std::string expectation; ///< the qualitative shape the paper predicts
+    std::string name;         ///< canonical short name ("fig06", "table2", ...)
+    std::string category;     ///< "figure" | "table" | "ablation"
+    std::string title;        ///< one-line description for `ezflow list`
+    std::string paper_ref;    ///< which paper artifact it reproduces
+    std::string expectation;  ///< the qualitative shape the paper predicts
 
     double default_scale = 1.0;
     int default_seeds = 1;

@@ -155,8 +155,8 @@ private:
     sim::Timer timer_;
     std::vector<Entry> entries_;  ///< virtual pending-event fire order
     std::uint64_t next_seq_ = 0;
-    SimTime armed_at_ = -1;       ///< pending wake-up instant (-1: none)
-    bool armed_final_ = false;    ///< armed at an expiry (else at its stage)
+    SimTime armed_at_ = -1;     ///< pending wake-up instant (-1: none)
+    bool armed_final_ = false;  ///< armed at an expiry (else at its stage)
     const BackoffClient* firing_ = nullptr;
     int external_depth_ = 0;
     bool external_late_ = false;

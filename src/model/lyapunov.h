@@ -23,7 +23,7 @@ class LyapunovEstimator {
 public:
     struct Drift {
         int region = 0;
-        int horizon = 0;        ///< k(region) used
+        int horizon = 0;  ///< k(region) used
         double mean_drift = 0.0;
         double stderr_drift = 0.0;
         int samples = 0;

@@ -70,8 +70,8 @@ private:
 
     Config config_;
     util::Rng rng_;
-    BufferVector relays_;          ///< b1..b_{K-1}
-    std::vector<long long> cw_;    ///< cw0..cw_{K-1}
+    BufferVector relays_;        ///< b1..b_{K-1}
+    std::vector<long long> cw_;  ///< cw0..cw_{K-1}
     std::vector<int> last_pattern_;
     std::uint64_t slots_ = 0;
     std::uint64_t delivered_ = 0;

@@ -241,9 +241,9 @@ struct BusyInterval {
 
 struct TraceSpec {
     std::vector<BusyInterval> intervals;
-    std::vector<int> cw;                          ///< per station
-    std::vector<SimTime> airtime;                 ///< per station
-    std::vector<std::vector<int>> visible_to;     ///< per station (includes self-free set)
+    std::vector<int> cw;                       ///< per station
+    std::vector<SimTime> airtime;              ///< per station
+    std::vector<std::vector<int>> visible_to;  ///< per station (includes self-free set)
     SimTime horizon = 0;
 };
 

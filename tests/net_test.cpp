@@ -72,9 +72,9 @@ TEST(Network, AddFlowValidatesNodesAndRange)
     net.add_node({0, 0});
     net.add_node({200, 0});
     net.add_node({600, 0});
-    EXPECT_THROW(net.add_flow(1, {0, 5}), std::invalid_argument);   // unknown node
-    EXPECT_THROW(net.add_flow(1, {1, 2}), std::invalid_argument);   // 400 m hop
-    net.add_flow(1, {0, 1});                                        // fine
+    EXPECT_THROW(net.add_flow(1, {0, 5}), std::invalid_argument);  // unknown node
+    EXPECT_THROW(net.add_flow(1, {1, 2}), std::invalid_argument);  // 400 m hop
+    net.add_flow(1, {0, 1});                                       // fine
 }
 
 TEST(Network, NodeThatNeverForwardedCountsNothing)
