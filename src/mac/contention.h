@@ -73,6 +73,9 @@ public:
     ContentionCoordinator(const ContentionCoordinator&) = delete;
     ContentionCoordinator& operator=(const ContentionCoordinator&) = delete;
 
+    /// The shard's scheduler, which every registrant's timers share.
+    sim::Scheduler& scheduler() const { return scheduler_; }
+
     /// Fused DIFS + backoff registration: the medium just went idle (or
     /// the MAC re-entered the access procedure) and the interframe space
     /// of `difs_us` begins now. `backoff_slots` is the full remaining

@@ -6,23 +6,18 @@
 
 namespace ezflow::mac {
 
-DcfMac::DcfMac(phy::NodePhy& phy, sim::Scheduler& scheduler, ContentionCoordinator& coordinator,
-               util::Rng rng, MacParams params)
-    : phy_(phy),
-      scheduler_(scheduler),
-      coordinator_(coordinator),
-      rng_(std::move(rng)),
-      params_(params),
-      queues_(params.queue_capacity, params.cw_min)
+DcfMac::DcfMac(phy::NodePhy& phy, ContentionCoordinator& coordinator, util::Rng rng,
+               const MacParams& params)
+    : phy_(phy), coordinator_(coordinator), rng_(std::move(rng)), params_(params)
 {
     phy_.set_listener(this);
 }
 
 DcfMac::Exchange::Exchange(DcfMac& mac)
-    : ack_timer(sim::Timer::bind<&DcfMac::on_ack_timeout>(mac.scheduler_, mac)),
-      cts_timer(sim::Timer::bind<&DcfMac::on_cts_timeout>(mac.scheduler_, mac)),
-      ctrl_timer(sim::Timer::bind<&DcfMac::send_pending_control>(mac.scheduler_, mac)),
-      cts_data_timer(sim::Timer::bind<&DcfMac::on_cts_data_follow_up>(mac.scheduler_, mac))
+    : ack_timer(sim::Timer::bind<&DcfMac::on_ack_timeout>(mac.scheduler(), mac)),
+      cts_timer(sim::Timer::bind<&DcfMac::on_cts_timeout>(mac.scheduler(), mac)),
+      ctrl_timer(sim::Timer::bind<&DcfMac::send_pending_control>(mac.scheduler(), mac)),
+      cts_data_timer(sim::Timer::bind<&DcfMac::on_cts_data_follow_up>(mac.scheduler(), mac))
 {
 }
 
@@ -31,7 +26,7 @@ DcfMac::~DcfMac()
     // Only an exchange registers with the coordinator; its timers cancel
     // themselves when it is destroyed.
     if (ex_) coordinator_.unregister(*this);
-    scheduler_.cancel(nav_event_);
+    scheduler().cancel(nav_event_);
 }
 
 DcfMac::Exchange& DcfMac::exchange()
@@ -44,7 +39,7 @@ bool DcfMac::enqueue(const QueueKey& key, net::Packet packet)
 {
     if (down_) return false;  // callers account the drop (node-down bucket)
     exchange();               // a MAC with work contends through its exchange
-    const bool accepted = queues_.ensure(key).push(packet);
+    const bool accepted = queues_.ensure(key, params_).push(packet);
     maybe_start_work();
     return accepted;
 }
@@ -57,7 +52,7 @@ void DcfMac::quiesce()
     // follow-up, are all cancellable, so a teardown leaves nothing armed:
     // no stale event can ever fire into a revived MAC's fresh control
     // queue and violate SIFS spacing.
-    scheduler_.cancel(nav_event_);
+    scheduler().cancel(nav_event_);
     nav_event_ = {};
     nav_until_ = 0;
     if (ex_) {
@@ -97,16 +92,9 @@ void DcfMac::revive()
     maybe_start_work();
 }
 
-void DcfMac::set_ampdu_max_mpdus(int k)
-{
-    if (k < 1 || k > kMaxAmpduMpdus)
-        throw std::invalid_argument("DcfMac::set_ampdu_max_mpdus: batch size outside [1, 64]");
-    params_.ampdu_max_mpdus = k;
-}
-
 void DcfMac::set_queue_cw_min(const QueueKey& key, int cw)
 {
-    queues_.ensure(key).set_cw_min(cw);
+    queues_.ensure(key, params_).set_cw_min(cw);
 }
 
 int DcfMac::queue_cw_min(const QueueKey& key) const
@@ -135,7 +123,7 @@ void DcfMac::start_new_contention()
     // A NAV set while the MAC had nothing to send left its expiry
     // unscheduled; now the MAC waits on it. (A NAV ending at this very
     // instant no longer holds the MAC back, so resume_access ignores it.)
-    if (scheduler_.now() < nav_until_ && !nav_event_.valid()) schedule_nav_expiry();
+    if (scheduler().now() < nav_until_ && !nav_event_.valid()) schedule_nav_expiry();
     ex.retries = 0;
     // Fill the batch: the window persists across retries (only unsettled
     // MPDUs are retransmitted) and a new batch starts only once the
@@ -172,7 +160,7 @@ int DcfMac::effective_cw() const
 
 bool DcfMac::medium_busy() const
 {
-    return phy_.busy() || scheduler_.now() < nav_until_;
+    return phy_.busy() || scheduler().now() < nav_until_;
 }
 
 void DcfMac::resume_access()
@@ -200,12 +188,13 @@ void DcfMac::start_difs()
 void DcfMac::set_nav_for_ack(bool ampdu)
 {
     const phy::FrameType ack = ampdu ? phy::FrameType::kBlockAck : phy::FrameType::kAck;
-    set_nav_until(scheduler_.now() + params_.sifs_us + phy_.channel_params().control_duration(ack));
+    set_nav_until(scheduler().now() + params_.sifs_us +
+                  phy_.channel_params().control_duration(ack));
 }
 
 void DcfMac::set_nav_until(SimTime until)
 {
-    if (until <= nav_until_ || until <= scheduler_.now()) return;
+    if (until <= nav_until_ || until <= scheduler().now()) return;
     nav_until_ = until;
     if (state_ == State::kContending) {
         freeze_contention();
@@ -214,15 +203,16 @@ void DcfMac::set_nav_until(SimTime until)
     // The expiry's FIFO place is taken here, after the freeze (which may
     // arm the coordinator), but the event is scheduled only for a MAC
     // that contends: on_nav_expired does nothing for any other.
-    scheduler_.cancel(nav_event_);  // superseded: it would fire inside this NAV
+    scheduler().cancel(nav_event_);  // superseded: it would fire inside this NAV
     nav_event_ = {};
-    nav_place_ = scheduler_.reserve();
+    nav_place_ = scheduler().reserve();
     if (ex_ && ex_->in_contention) schedule_nav_expiry();
 }
 
 void DcfMac::schedule_nav_expiry()
 {
-    nav_event_ = scheduler_.schedule_reserved(nav_until_, nav_place_, [this] { on_nav_expired(); });
+    nav_event_ =
+        scheduler().schedule_reserved(nav_until_, nav_place_, [this] { on_nav_expired(); });
 }
 
 void DcfMac::on_nav_expired()
@@ -292,7 +282,7 @@ void DcfMac::transmit_batch()
     if (ex.retries == 0) {
         // First attempt of a fresh batch: its MPDUs reach the air.
         for (BlockAckManager::SenderEntry& entry : ex.ba.window()) {
-            if (entry.packet.first_tx_at < 0) entry.packet.first_tx_at = scheduler_.now();
+            if (entry.packet.first_tx_at < 0) entry.packet.first_tx_at = scheduler().now();
             if (callbacks_ != nullptr)
                 callbacks_->mac_first_tx(ex.current_queue->key(), entry.packet);
         }
@@ -365,7 +355,7 @@ void DcfMac::phy_frame_decoded(const phy::Frame& frame)
         if (frame.type == phy::FrameType::kData) {
             set_nav_for_ack(frame.ampdu);
         } else if (frame.type == phy::FrameType::kRts || frame.type == phy::FrameType::kCts) {
-            set_nav_until(scheduler_.now() + frame.duration_us);
+            set_nav_until(scheduler().now() + frame.duration_us);
         }
         if (callbacks_ != nullptr) callbacks_->mac_sniffed(frame);
         return;

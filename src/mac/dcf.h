@@ -92,8 +92,12 @@ public:
 /// the Exchange schedules nothing and draws nothing.
 class DcfMac final : public phy::PhyListener, public BackoffClient {
 public:
-    DcfMac(phy::NodePhy& phy, sim::Scheduler& scheduler, ContentionCoordinator& coordinator,
-           util::Rng rng, MacParams params);
+    /// `params` are the network's one set, shared by every MAC, so a
+    /// temporary cannot bind. Timers run on the coordinator's scheduler.
+    DcfMac(phy::NodePhy& phy, ContentionCoordinator& coordinator, util::Rng rng,
+           const MacParams& params);
+    DcfMac(phy::NodePhy& phy, ContentionCoordinator& coordinator, util::Rng rng,
+           MacParams&& params) = delete;
     ~DcfMac() override;
     DcfMac(const DcfMac&) = delete;
     DcfMac& operator=(const DcfMac&) = delete;
@@ -108,13 +112,6 @@ public:
     /// if it does not exist yet.
     void set_queue_cw_min(const QueueKey& key, int cw);
     int queue_cw_min(const QueueKey& key) const;
-
-    /// Block-ack agreement: up to `k` MPDUs per A-MPDU batch (1 = no
-    /// agreement: one MPDU per access, answered by a normal ACK). Throws
-    /// std::invalid_argument outside [1, kMaxAmpduMpdus]; call before
-    /// traffic starts — mid-run changes only take effect at the next batch
-    /// fill.
-    void set_ampdu_max_mpdus(int k);
 
     // --- fault injection ---
     /// Graceful teardown (node death): cancel the coordinator
@@ -302,12 +299,12 @@ private:
 
     /// The exchange, built on first use.
     Exchange& exchange();
+    sim::Scheduler& scheduler() const { return coordinator_.scheduler(); }
 
     phy::NodePhy& phy_;
-    sim::Scheduler& scheduler_;
     ContentionCoordinator& coordinator_;
     util::Rng rng_;
-    MacParams params_;
+    const MacParams& params_;  ///< the network's, shared by every MAC
     MacCallbacks* callbacks_ = nullptr;
 
     MacQueueSet queues_;
@@ -321,5 +318,8 @@ private:
     sim::Scheduler::Reservation nav_place_;
     sim::EventId nav_event_{};
 };
+
+// Every node embeds a MAC, so what all MACs share lives once per network.
+static_assert(sizeof(DcfMac) <= 152, "DcfMac must stay within 152 bytes");
 
 }  // namespace ezflow::mac

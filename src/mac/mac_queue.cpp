@@ -136,15 +136,10 @@ void MacQueue::set_cw_min(int cw)
     cw_min_ = cw;
 }
 
-MacQueueSet::MacQueueSet(int capacity, int default_cw_min)
-    : capacity_(capacity), default_cw_min_(default_cw_min)
-{
-}
-
-MacQueue& MacQueueSet::ensure(const QueueKey& key)
+MacQueue& MacQueueSet::ensure(const QueueKey& key, const MacParams& params)
 {
     if (MacQueue* q = find(key)) return *q;
-    queues_.push_back(std::make_unique<MacQueue>(key, capacity_, default_cw_min_));
+    queues_.push_back(std::make_unique<MacQueue>(key, params.queue_capacity, params.cw_min));
     return *queues_.back();
 }
 

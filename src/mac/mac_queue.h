@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "mac/mac_params.h"
 #include "net/packet.h"
 
 namespace ezflow::mac {
@@ -155,10 +156,9 @@ private:
 /// successor (and no traffic class) is starved by the MAC itself.
 class MacQueueSet {
 public:
-    MacQueueSet(int capacity, int default_cw_min);
-
-    /// Get or create the queue for `key`.
-    MacQueue& ensure(const QueueKey& key);
+    /// Get or create the queue for `key`; a new queue takes its capacity
+    /// and initial CWmin from `params`.
+    MacQueue& ensure(const QueueKey& key, const MacParams& params);
     /// Lookup; nullptr when absent.
     MacQueue* find(const QueueKey& key);
     const MacQueue* find(const QueueKey& key) const;
@@ -182,8 +182,6 @@ public:
     const std::vector<std::unique_ptr<MacQueue>>& queues() const { return queues_; }
 
 private:
-    int capacity_;
-    int default_cw_min_;
     std::vector<std::unique_ptr<MacQueue>> queues_;
     std::size_t rr_cursor_ = 0;
 };

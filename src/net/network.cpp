@@ -25,7 +25,9 @@ void Network::set_phy_models(const phy::PhyModelConfig& models)
 
 void Network::set_ampdu_max_mpdus(int k)
 {
-    for (auto& node : nodes_) node->mac().set_ampdu_max_mpdus(k);
+    if (k < 1 || k > mac::kMaxAmpduMpdus)
+        throw std::invalid_argument("Network::set_ampdu_max_mpdus: batch size outside [1, 64]");
+    config_.mac.ampdu_max_mpdus = k;
 }
 
 void Network::set_deaf(const std::vector<NodeId>& nodes)

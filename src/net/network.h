@@ -97,9 +97,10 @@ public:
     /// frames.
     void set_phy_models(const phy::PhyModelConfig& models);
 
-    /// Set the block-ack agreement (A-MPDU batch size) on every node's
-    /// MAC (1 = one MPDU per access, the golden-pinned default). Call
-    /// after the topology is built and before traffic starts.
+    /// Set the block-ack agreement (A-MPDU batch size) in the one
+    /// MacParams every MAC reads (1 = one MPDU per access, the golden-pinned
+    /// default). Throws std::invalid_argument outside [1, 64], changing
+    /// nothing. Call before traffic starts.
     void set_ampdu_max_mpdus(int k);
 
     /// Deafen `nodes` on their shards' channels (Channel::set_deaf): they
@@ -150,7 +151,7 @@ private:
     Shard& shard(int s);
     const Shard& shard(int s) const;
 
-    Config config_;
+    Config config_;  ///< its `mac` is the one MacParams every MAC reads
     util::Rng rng_;
     std::vector<std::unique_ptr<Shard>> shards_;
     std::vector<int> shard_of_;  ///< dense by node id

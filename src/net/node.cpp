@@ -10,7 +10,7 @@ Node::Node(NodeId id, phy::Position position, sim::Scheduler& scheduler,
            const RoutingTable& routing)
     : id_(id),
       phy_(id, position, scheduler),
-      mac_(phy_, scheduler, coordinator, std::move(rng), mac_params),
+      mac_(phy_, coordinator, std::move(rng), mac_params),
       routing_(routing)
 {
     mac_.set_callbacks(this);

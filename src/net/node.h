@@ -31,6 +31,9 @@ public:
     Node(NodeId id, phy::Position position, sim::Scheduler& scheduler,
          mac::ContentionCoordinator& coordinator, util::Rng rng, const mac::MacParams& mac_params,
          const RoutingTable& routing);
+    Node(NodeId id, phy::Position position, sim::Scheduler& scheduler,
+         mac::ContentionCoordinator& coordinator, util::Rng rng, mac::MacParams&& mac_params,
+         const RoutingTable& routing) = delete;
 
     NodeId id() const { return id_; }
     phy::NodePhy& phy() { return phy_; }
@@ -166,6 +169,6 @@ private:
 
 // A 10k-node grid is mostly bystanders: a node's fixed footprint is the
 // simulator's memory at that scale.
-static_assert(sizeof(Node) <= 384, "Node must stay within 384 bytes");
+static_assert(sizeof(Node) <= 256, "Node must stay within 256 bytes");
 
 }  // namespace ezflow::net

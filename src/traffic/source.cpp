@@ -150,34 +150,37 @@ void CbrSource::enter_gate(mac::MacQueue& queue)
     gated_ = true;
 }
 
-void CbrSource::account_skipped_generation()
+void CbrSource::account_skipped_generations(std::uint64_t count)
 {
-    // What the per-packet reference would have done at this instant with
-    // a full queue: generate, consume a sequence number, push (counting a
-    // queue drop), and count the source-side drop.
-    ++stats_.generated;
-    ++stats_.dropped_at_source;
-    ++stats_.gated_skips;
-    ++next_seq_;
-    if (gate_queue_ != nullptr) gate_queue_->count_gated_drops(1);
-    network_.node(src_node_).count_gated_source_drops(1);
+    // What the per-packet reference would have done at each skipped
+    // instant with a full queue: generate, consume a sequence number, push
+    // (counting a queue drop), and count the source-side drop.
+    if (count == 0) return;
+    stats_.generated += count;
+    stats_.dropped_at_source += count;
+    stats_.gated_skips += count;
+    next_seq_ += count;
+    if (gate_queue_ != nullptr) gate_queue_->count_gated_drops(count);
+    network_.node(src_node_).count_gated_source_drops(count);
 }
 
 bool CbrSource::settle(SimTime horizon, bool include_boundary)
 {
     if (chain_dead_) return false;
+    std::uint64_t skipped = 0;
     while (next_emit_at_ < horizon || (include_boundary && next_emit_at_ == horizon)) {
         if (next_emit_at_ >= stop_at_) {
             chain_dead_ = true;
-            return false;
+            break;
         }
-        account_skipped_generation();
+        ++skipped;
         const SimTime gap = std::max<SimTime>(1, next_interval());
         chain_scheduled_at_ = next_emit_at_;
         virtual_chain_seq_ = kUnknownSeq;  // this chain event never ran
         next_emit_at_ += gap;
     }
-    return true;
+    account_skipped_generations(skipped);  // once per call, not per skip
+    return !chain_dead_;
 }
 
 CbrSource::Resume CbrSource::vacancy_prepare()

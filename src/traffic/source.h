@@ -104,7 +104,8 @@ private:
     /// FIFO tie-break for a virtual generation due exactly now against
     /// the currently running event (true outside event execution).
     bool boundary_emit_fires_first() const;
-    void account_skipped_generation();
+    /// Account `count` skipped generations at once (nothing when 0).
+    void account_skipped_generations(std::uint64_t count);
     void enter_gate(mac::MacQueue& queue);
 
     // --- mac::VacancyWaiter ---

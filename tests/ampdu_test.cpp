@@ -205,12 +205,12 @@ TEST(AmpduSpec, BatchSizeOutsideTheBitmapWidthIsRejected)
         net::Scenario scenario = analysis::build_scenario(spec, /*seed=*/1);
         EXPECT_EQ(scenario.network->node(0).mac().params().ampdu_max_mpdus, k);
     }
-    // The MAC setter no longer clamps either.
+    // The network setter no longer clamps either.
     net::Scenario scenario = analysis::build_scenario(ScenarioSpec::line(2, 1.0), 1);
-    mac::DcfMac& mac = scenario.network->node(0).mac();
-    EXPECT_THROW(mac.set_ampdu_max_mpdus(65), std::invalid_argument);
-    EXPECT_THROW(mac.set_ampdu_max_mpdus(0), std::invalid_argument);
-    EXPECT_EQ(mac.params().ampdu_max_mpdus, 1);
+    net::Network& network = *scenario.network;
+    EXPECT_THROW(network.set_ampdu_max_mpdus(65), std::invalid_argument);
+    EXPECT_THROW(network.set_ampdu_max_mpdus(0), std::invalid_argument);
+    EXPECT_EQ(network.node(0).mac().params().ampdu_max_mpdus, 1);
 }
 
 TEST(AmpduEndToEnd, RandomLossDeliversExactlyOnceInOrder)

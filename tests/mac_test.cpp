@@ -104,20 +104,22 @@ TEST(MacQueue, CwMinValidation)
 
 TEST(MacQueueSet, EnsureCreatesOnce)
 {
-    MacQueueSet set(50, 32);
-    MacQueue& a = set.ensure(QueueKey{1, false});
-    MacQueue& b = set.ensure(QueueKey{1, false});
+    MacQueueSet set;
+    const MacParams params;
+    MacQueue& a = set.ensure(QueueKey{1, false}, params);
+    MacQueue& b = set.ensure(QueueKey{1, false}, params);
     EXPECT_EQ(&a, &b);
-    MacQueue& own = set.ensure(QueueKey{1, true});
+    MacQueue& own = set.ensure(QueueKey{1, true}, params);
     EXPECT_NE(&a, &own);  // own-traffic queue is separate (paper Sec. 3.1)
 }
 
 TEST(MacQueueSet, RoundRobinSkipsEmpty)
 {
-    MacQueueSet set(50, 32);
-    MacQueue& q1 = set.ensure(QueueKey{1, false});
-    set.ensure(QueueKey{2, false});
-    MacQueue& q3 = set.ensure(QueueKey{3, false});
+    MacQueueSet set;
+    const MacParams params;
+    MacQueue& q1 = set.ensure(QueueKey{1, false}, params);
+    set.ensure(QueueKey{2, false}, params);
+    MacQueue& q3 = set.ensure(QueueKey{3, false}, params);
     net::Packet p;
     q1.push(p);
     q3.push(p);
@@ -128,19 +130,21 @@ TEST(MacQueueSet, RoundRobinSkipsEmpty)
 
 TEST(MacQueueSet, NextNonemptyOnAllEmpty)
 {
-    MacQueueSet set(50, 32);
+    MacQueueSet set;
+    const MacParams params;
     EXPECT_EQ(set.next_nonempty(), nullptr);
-    set.ensure(QueueKey{1, false});
+    set.ensure(QueueKey{1, false}, params);
     EXPECT_EQ(set.next_nonempty(), nullptr);
 }
 
 TEST(MacQueueSet, TotalPacketsSumsQueues)
 {
-    MacQueueSet set(50, 32);
+    MacQueueSet set;
+    const MacParams params;
     net::Packet p;
-    set.ensure(QueueKey{1, false}).push(p);
-    set.ensure(QueueKey{2, false}).push(p);
-    set.ensure(QueueKey{2, false}).push(p);
+    set.ensure(QueueKey{1, false}, params).push(p);
+    set.ensure(QueueKey{2, false}, params).push(p);
+    set.ensure(QueueKey{2, false}, params).push(p);
     EXPECT_EQ(set.total_packets(), 3);
 }
 
@@ -150,7 +154,7 @@ TEST(MacQueueSet, TotalPacketsSumsQueues)
 struct MacBed {
     sim::Scheduler scheduler;
     phy::PhyParams phy_params;
-    MacParams mac_params;
+    MacParams mac_params;  ///< the one set every MAC of the bed reads
     phy::Channel channel;
     ContentionCoordinator coordinator{scheduler};
     std::vector<std::unique_ptr<phy::NodePhy>> phys;
@@ -189,8 +193,8 @@ DcfMac& MacBed::add(double x, double y)
     const auto id = static_cast<net::NodeId>(phys.size());
     phys.push_back(std::make_unique<phy::NodePhy>(id, phy::Position{x, y}, scheduler));
     channel.attach(*phys.back());
-    macs.push_back(std::make_unique<DcfMac>(*phys.back(), scheduler, coordinator,
-                                            util::Rng(1000 + id), mac_params));
+    macs.push_back(
+        std::make_unique<DcfMac>(*phys.back(), coordinator, util::Rng(1000 + id), mac_params));
     recorders.push_back(std::make_unique<Recorder>());
     macs.back()->set_callbacks(recorders.back().get());
     return *macs.back();
@@ -348,10 +352,10 @@ TEST(Dcf, BlockAckAgreementSendsEvenOnePacketAsAnAmpdu)
     // K > 1 with a single packet queued: still a one-subframe A-MPDU,
     // delimiter included, answered by a compressed block-ack.
     MacBed bed;
+    bed.mac_params.ampdu_max_mpdus = 4;  // every MAC of the bed reads it
     DcfMac& a = bed.add(0);
     DcfMac& b = bed.add(200);
     bed.add(100, 100);  // bystander
-    a.set_ampdu_max_mpdus(4);
     a.enqueue(QueueKey{1, true}, packet(0));
     bed.scheduler.run_until(kSecond);
     EXPECT_EQ(a.successes(), 1u);

@@ -112,6 +112,29 @@ TEST(Network, NodeThatNeverForwardedCountsNothing)
     EXPECT_GT(node.phy().frames_decoded(), 0u);  // it did hear the flow
 }
 
+TEST(Network, EveryMacReadsTheNetworksOneMacParams)
+{
+    Network net(topo_config());
+    net.add_node({0, 0});
+    net.add_node({200, 0});
+    EXPECT_EQ(&net.node(0).mac().params(), &net.node(1).mac().params());
+    EXPECT_EQ(&net.node(0).mac().params(), &net.config().mac);
+    net.set_ampdu_max_mpdus(8);
+    EXPECT_EQ(net.node(1).mac().params().ampdu_max_mpdus, 8);
+}
+
+TEST(Network, AmpduBatchSizeOutsideTheBitmapWidthIsRejected)
+{
+    Network net(topo_config());
+    net.add_node({0, 0});
+    net.set_ampdu_max_mpdus(4);
+    EXPECT_THROW(net.set_ampdu_max_mpdus(0), std::invalid_argument);
+    EXPECT_THROW(net.set_ampdu_max_mpdus(65), std::invalid_argument);
+    EXPECT_EQ(net.config().mac.ampdu_max_mpdus, 4);
+    net.set_ampdu_max_mpdus(64);
+    EXPECT_EQ(net.node(0).mac().params().ampdu_max_mpdus, 64);
+}
+
 TEST(Network, ForkRngDeterministicPerSeed)
 {
     Network a(topo_config());
