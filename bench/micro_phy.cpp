@@ -1,8 +1,6 @@
-// Microbenchmarks for the non-reference PHY models, which no ladder
-// workload installs: per-link model lookup in a populated LinkTable (the
+// PHY microbenchmarks: per-link lookup in a populated LinkTable (the
 // ladder's tables stay empty), interference-ledger maintenance at signal
-// edges, the cumulative-SINR capture decision, and the Jakes fading gain
-// evaluation.
+// edges and the cumulative-SINR capture decision.
 
 #include <benchmark/benchmark.h>
 
@@ -12,9 +10,7 @@
 #include "phy/frame.h"
 #include "phy/link_table.h"
 #include "phy/phy.h"
-#include "phy/propagation.h"
 #include "sim/scheduler.h"
-#include "util/rng.h"
 
 namespace {
 
@@ -100,7 +96,6 @@ void BM_SinrCaptureDecision(benchmark::State& state)
         lock.signal_id = id;
         lock.frame = &frame;
         lock.power_w = 6.25e-10;
-        lock.noise_w = 1e-12;
         lock.capture_threshold = 10.0;
         lock.in_delivery = true;
         lock.sensed = true;
@@ -123,23 +118,6 @@ void BM_SinrCaptureDecision(benchmark::State& state)
     state.SetItemsProcessed(state.iterations() * (kInterferers + 1));
 }
 BENCHMARK(BM_SinrCaptureDecision);
-
-void BM_JakesGain(benchmark::State& state)
-{
-    // Per-transmission fading evaluation: one |h(t)|^2 over the default
-    // 16-oscillator ray bank (the extra cost every transmit pays per
-    // reachable receiver when fading is installed).
-    phy::JakesFading model(/*doppler_hz=*/10.0, /*seed=*/7);
-    util::SimTime now = 0;
-    double sum = 0.0;
-    for (auto _ : state) {
-        sum += model.power_gain(0, 1, now);
-        now += 8480;  // one data-frame airtime apart
-    }
-    benchmark::DoNotOptimize(sum);
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_JakesGain);
 
 }  // namespace
 

@@ -189,9 +189,6 @@ net::Scenario build_scenario(const ScenarioSpec& spec, std::uint64_t seed)
     if (spec.ampdu_max_mpdus < 1 || spec.ampdu_max_mpdus > mac::kMaxAmpduMpdus)
         throw std::invalid_argument("build_scenario: ampdu_max_mpdus outside [1, 64]");
     net::Scenario scenario = build_topology(spec, seed);
-    // Model installation is applied after construction rather than threaded
-    // through every topology builder.
-    scenario.network->set_phy_models(spec.models);
     if (spec.ampdu_max_mpdus > 1) scenario.network->set_ampdu_max_mpdus(spec.ampdu_max_mpdus);
     scenario.faults = spec.faults;
     return scenario;

@@ -71,11 +71,6 @@ struct ScenarioSpec {
     /// scenarios, which are all single-component.
     int shards = 1;
 
-    /// PHY model selection applied to the built Network (fading, rate
-    /// manager, noise floor; see phy::PhyModelConfig). The default is
-    /// two-ray propagation at the fixed rate without noise.
-    phy::PhyModelConfig models;
-
     /// Block-ack agreement applied to every node's MAC: up to this many
     /// MPDUs per A-MPDU batch, in [1, 64]. 1 (the default) sends one MPDU
     /// per access, answered by a normal ACK; larger values batch under

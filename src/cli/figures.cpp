@@ -15,7 +15,6 @@ void register_builtin_figures()
         register_grid_figures();
         register_ampdu_figures();
         register_failover_figures();
-        register_phy_model_figures();
         register_ablation_figures();
         return true;
     }();

@@ -13,7 +13,6 @@ void register_model_figures();      // fig12, table4
 void register_grid_figures();       // grid_cross, grid_gateway, grid_maxmin, islands
 void register_ampdu_figures();      // ampdu (gateway convergecast at K = 1, 4, 16)
 void register_failover_figures();   // failover_gateway, failover_relay
-void register_phy_model_figures();  // fading, rate_adapt
 void register_ablation_figures();   // ablation_*
 
 }  // namespace ezflow::cli

@@ -241,12 +241,7 @@ void DcfMac::backoff_expired()
 
 void DcfMac::start_exchange()
 {
-    // One rate decision per attempt (retries re-ask, so the manager can
-    // walk a failing link down); 0 = the fixed PHY default. The choice is
-    // cached so the RTS duration field and the data frame agree on the
-    // airtime.
     Exchange& ex = *ex_;
-    ex.current_rate_bps = phy_.data_bitrate_for(ex.current_queue->key().next_hop);
     // An A-MPDU is always basic access: the block-ack exchange is its own
     // protection and RTS/CTS duration fields cannot describe a
     // selective-retransmit TXOP.
@@ -302,7 +297,6 @@ phy::Frame DcfMac::data_frame() const
     frame.mac_seq = ex.ba.window_start();
     frame.ba_start_seq = ex.ba.window_start();
     frame.retry = ex.retries;
-    frame.bitrate_bps = ex.current_rate_bps;
     frame.ampdu = ex.batch_ampdu;
     frame.mpdus.reserve(ex.ba.window().size());
     for (const BlockAckManager::SenderEntry& entry : ex.ba.window())
@@ -377,7 +371,6 @@ void DcfMac::phy_frame_decoded(const phy::Frame& frame)
             const BlockAckManager::Settled& settled =
                 ack ? ex.ba.on_block_ack(frame.mac_seq, 1, params_.retry_limit)
                     : ex.ba.on_block_ack(frame.ba_start_seq, frame.ba_bitmap, params_.retry_limit);
-            phy_.report_tx_result(frame.tx_node, /*success=*/!settled.acked.empty());
             settle(settled);
             return;
         }
@@ -511,15 +504,13 @@ void DcfMac::on_ack_timeout()
 {
     if (state_ != State::kWaitAck) throw std::logic_error("DcfMac::on_ack_timeout: bad state");
     // No response at all: every MPDU of the batch burns a retry.
-    phy_.report_tx_result(ex_->current_queue->key().next_hop, /*success=*/false);
     settle(ex_->ba.on_timeout(params_.retry_limit));
 }
 
 void DcfMac::on_cts_timeout()
 {
     if (state_ != State::kWaitCts) throw std::logic_error("DcfMac::on_cts_timeout: bad state");
-    // The protected MPDU burns a retry; no data frame went out, so the
-    // rate manager hears nothing.
+    // The protected MPDU burns a retry.
     settle(ex_->ba.on_timeout(params_.retry_limit));
 }
 

@@ -256,9 +256,6 @@ private:
         MacQueue* current_queue = nullptr;
         int retries = 0;
         int backoff_remaining = 0;
-        /// Rate of the in-flight attempt (0 = PHY default), chosen once per
-        /// attempt in start_exchange so RTS duration and data frame agree.
-        std::int64_t current_rate_bps = 0;
 
         sim::Timer ack_timer;
         sim::Timer cts_timer;

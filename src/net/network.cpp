@@ -18,11 +18,6 @@ Network::Network(Config config) : config_(std::move(config)), rng_(config_.seed)
         shards_.push_back(std::make_unique<Shard>(channel_root.fork(), config_.phy));
 }
 
-void Network::set_phy_models(const phy::PhyModelConfig& models)
-{
-    for (auto& shard : shards_) shard->channel.set_models(models, config_.seed);
-}
-
 void Network::set_ampdu_max_mpdus(int k)
 {
     if (k < 1 || k > mac::kMaxAmpduMpdus)

@@ -90,13 +90,6 @@ public:
     /// (for traffic sources, agents, etc.).
     util::Rng fork_rng() { return rng_.fork(); }
 
-    /// Install a PHY model selection on every shard's channel, replacing
-    /// the previous one (`Channel::set_models`); this is the only way to
-    /// install models. Install them before traffic starts —
-    /// swapping mid-run would tear per-link state out from under in-flight
-    /// frames.
-    void set_phy_models(const phy::PhyModelConfig& models);
-
     /// Set the block-ack agreement (A-MPDU batch size) in the one
     /// MacParams every MAC reads (1 = one MPDU per access, the golden-pinned
     /// default). Throws std::invalid_argument outside [1, 64], changing

@@ -1,14 +1,34 @@
 #include "phy/channel.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "phy/geometry.h"
 
 namespace ezflow::phy {
 
+double decode_floor(std::int64_t bitrate_bps)
+{
+    // DSSS/CCK receiver-sensitivity ladder: each modulation step costs
+    // roughly 3 dB of margin. Converted to linear once.
+    static const std::array<double, kDsssRates.size()> floors = [] {
+        const std::array<double, kDsssRates.size()> db = {4.0, 7.0, 10.0, 13.0};
+        std::array<double, kDsssRates.size()> linear{};
+        for (std::size_t i = 0; i < db.size(); ++i) linear[i] = std::pow(10.0, db[i] / 10.0);
+        return linear;
+    }();
+    std::size_t i = 0;
+    while (i + 1 < kDsssRates.size() && bitrate_bps > kDsssRates[i]) ++i;
+    return floors[i];
+}
+
 Channel::Channel(sim::Scheduler& scheduler, util::Rng rng, PhyParams params)
-    : scheduler_(scheduler), rng_(std::move(rng)), params_(params)
+    : scheduler_(scheduler),
+      rng_(std::move(rng)),
+      params_(params),
+      capture_threshold_(std::max(params_.capture_threshold, decode_floor(params_.bitrate_bps)))
 {
 }
 
@@ -51,31 +71,6 @@ void Channel::set_deaf(NodePhy& phy)
     reach_.clear();  // the PHY leaves every set, and its own empties
 }
 
-void Channel::set_models(const PhyModelConfig& config, std::uint64_t network_seed)
-{
-    // Written so that NaN fails it too.
-    if (!(config.noise_floor_w >= 0.0))
-        throw std::invalid_argument("Channel::set_models: noise floor must be >= 0");
-    // The ray banks are keyed off a constant no other subsystem uses, so
-    // model randomness is independent of the channel/traffic fork sequence.
-    // JakesFading rejects a negative or NaN doppler.
-    fading_ = config.jakes_doppler_hz != 0.0
-                  ? std::make_unique<JakesFading>(config.jakes_doppler_hz,
-                                                  network_seed ^ 0xFAD1E5B00CULL)
-                  : nullptr;
-    reach_.clear();  // power law may have changed: precomputed powers are stale
-    rate_manager_ = config.rate == PhyModelConfig::Rate::kMinstrel
-                        ? std::make_unique<MinstrelRate>()
-                        : nullptr;
-    noise_floor_w_ = config.noise_floor_w;
-}
-
-double Channel::capture_threshold(const Frame& frame) const
-{
-    const std::int64_t rate = frame.bitrate_bps > 0 ? frame.bitrate_bps : params_.bitrate_bps;
-    return std::max(params_.capture_threshold, decode_floor(rate));
-}
-
 void Channel::ensure_reach()
 {
     if (!reach_.empty()) return;
@@ -96,13 +91,8 @@ void Channel::ensure_reach()
             const bool in_delivery = d <= params_.tx_range_m;
             // Beyond delivery range nothing is rolled for a deaf receiver.
             if (phy->deaf() && !in_delivery) continue;
-            // Time-variant propagation (fading) re-derives power at
-            // transmit time from the stored distance; otherwise the power
-            // is precomputed here, once per topology. Fading ray banks are
-            // keyed per link, so skipping a link moves no other link's.
-            const double power_w = fading_ == nullptr ? two_ray_power_w(1.0, d) : 0.0;
             reach_[s].push_back(ReachEntry{phy, in_delivery, d <= params_.cs_range_m,
-                                           !phy->deaf(), power_w, d});
+                                           !phy->deaf(), two_ray_power_w(1.0, d)});
         }
     }
 }
@@ -144,7 +134,6 @@ void Channel::transmit(NodePhy& sender, Frame frame)
     const SimTime end_at = scheduler_.now() + duration;
     const Frame& shared = *record;
 
-    const double threshold = capture_threshold(shared);
     const std::size_t spans = shared.span_count();
     const std::uint64_t all_spans = spans >= 64 ? ~0ull : (1ull << spans) - 1;
     // A channel without link losses rolls nothing: its Rng feeds only
@@ -170,11 +159,8 @@ void Channel::transmit(NodePhy& sender, Frame frame)
         if (!r.listens) continue;
         rx.signal_id = signal_id;
         rx.frame = &shared;
-        rx.power_w = fading_ == nullptr ? r.power_w
-                                        : fading_->link_power_w(sender.id(), phy->id(), 1.0,
-                                                                r.distance_m, scheduler_.now());
-        rx.noise_w = noise_floor_w_;
-        rx.capture_threshold = threshold;
+        rx.power_w = r.power_w;
+        rx.capture_threshold = capture_threshold_;
         rx.in_delivery = r.in_delivery;
         rx.sensed = r.sensed;
         start_signal(*phy, rx, record, end_at, sender);

@@ -1,17 +1,13 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "phy/frame.h"
 #include "phy/frame_record.h"
 #include "phy/link_table.h"
-#include "phy/models.h"
 #include "phy/phy.h"
 #include "phy/propagation.h"
-#include "phy/rate_manager.h"
 #include "sim/scheduler.h"
 #include "util/rng.h"
 
@@ -26,28 +22,22 @@ namespace ezflow::phy {
 /// which is exactly the property EZ-Flow's BOE exploits.
 ///
 /// Capture has one rule: a frame must clear, against the interference
-/// sum plus the noise floor, the larger of `PhyParams::capture_threshold`
-/// and its rate's decode floor (`decode_floor`). One PhyModelConfig,
-/// installed through `set_models`, selects the rest:
-///  * propagation — the inlined two-ray 1/d^4 (the fast path), or
-///    JakesFading over it, re-evaluated per transmission;
-///  * rate — a RateManager consulted by the MAC through NodePhy; null means
-///    the fixed PHY default;
-///  * the noise floor.
+/// sum, the larger of `PhyParams::capture_threshold` and the decode floor
+/// of `PhyParams::bitrate_bps` (`decode_floor`), computed once per
+/// channel. Received power is two-ray 1/d^4 (`two_ray_power_w`).
 /// Frame loss per directed link is a fixed probability (`set_link_loss`).
 ///
 /// Node positions are fixed for the lifetime of a run (NodePhy has no
 /// position setter), so the per-transmitter reachability set — which
 /// receivers can sense or be interfered by it, with their precomputed
-/// powers — is static (time-variant propagation stores the distance and
-/// re-derives power at transmit time). Transmissions iterate only that
-/// neighbour list, in attach order, rolling the per-link loss for the
-/// receivers within delivery range (no rolls while no link has a loss
-/// set), so per-transmission cost is
-/// O(reachable neighbours), not O(nodes). The sets come from a GridIndex
-/// over the attach positions at the conflict radius, so building them all
-/// is O(nodes). Every attach, detach, deafening and propagation change
-/// clears the sets; the next transmission rebuilds them, index included.
+/// powers — is static. Transmissions iterate only that neighbour list, in
+/// attach order, rolling the per-link loss for the receivers within
+/// delivery range (no rolls while no link has a loss set), so
+/// per-transmission cost is O(reachable neighbours), not O(nodes). The
+/// sets come from a GridIndex over the attach positions at the conflict
+/// radius, so building them all is O(nodes). Every attach, detach and
+/// deafening clears the sets; the next transmission rebuilds them, index
+/// included.
 ///
 /// A deaf PHY (`set_deaf`) hears nothing: it has an empty set of its own
 /// (it may not transmit), it is left out of every set beyond delivery
@@ -83,22 +73,6 @@ public:
     /// Throws if the PHY is not attached.
     void set_deaf(NodePhy& phy);
 
-    // --- models ---
-    /// Install exactly this model selection, replacing every model the
-    /// last call installed: the default config leaves no fading process
-    /// and no rate manager. `network_seed` keys model-private randomness;
-    /// no simulator stream is drawn. Throws on a negative doppler or
-    /// noise floor.
-    void set_models(const PhyModelConfig& config, std::uint64_t network_seed);
-
-    /// Rate manager consulted by MACs via NodePhy; nullptr = fixed default.
-    /// Replaces the one `set_models` installed (tests substitute fakes).
-    void set_rate_manager(std::unique_ptr<RateManager> manager)
-    {
-        rate_manager_ = std::move(manager);
-    }
-    RateManager* rate_manager() { return rate_manager_.get(); }
-
     /// Frame loss probability for the directed link tx -> rx, replacing
     /// any previous one: every span of a frame on the link is lost
     /// independently with this probability. Models link quality
@@ -115,26 +89,15 @@ public:
     /// order one event per receiver plus one for the tx-end would have.
     void transmit(NodePhy& sender, Frame frame);
 
-    /// Rate for the next data attempt on tx -> rx (0 = PHY default).
-    std::int64_t data_bitrate(net::NodeId tx, net::NodeId rx)
-    {
-        return rate_manager_ ? rate_manager_->bitrate_bps(tx, rx) : 0;
-    }
-    /// ACK verdict of the most recent attempt on tx -> rx.
-    void report_tx_result(net::NodeId tx, net::NodeId rx, bool success)
-    {
-        if (rate_manager_) rate_manager_->report(tx, rx, success);
-    }
-
     /// Size of `tx`'s reachability set (listening receivers within
     /// carrier-sense or interference range, plus deaf ones within
     /// delivery range; 0 for a deaf `tx`). Exposed for tests and
     /// benchmarks.
     std::size_t reachable_count(net::NodeId tx);
 
-    /// Linear SINR a frame must clear at its receivers: the larger of
-    /// the capture threshold and the decode floor of the frame's rate.
-    double capture_threshold(const Frame& frame) const;
+    /// Linear SINR every frame must clear at its receivers: the larger of
+    /// the capture threshold and the decode floor of the PHY bitrate.
+    double capture_threshold() const { return capture_threshold_; }
 
     const PhyParams& params() const { return params_; }
 
@@ -158,16 +121,14 @@ private:
     /// roll, and gets no signal.
     struct ReachEntry {
         NodePhy* phy;
-        bool in_delivery;   ///< within tx_range: decode + per-link loss roll
-        bool sensed;        ///< within cs_range: counts for energy detection
-        bool listens;       ///< false: deaf, the loss roll is all it gets
-        double power_w;     ///< received power (capture decisions); stale for
-                            ///< time-variant propagation — see distance_m
-        double distance_m;  ///< link distance, for time-variant re-evaluation
+        bool in_delivery;  ///< within tx_range: decode + per-link loss roll
+        bool sensed;       ///< within cs_range: counts for energy detection
+        bool listens;      ///< false: deaf, the loss roll is all it gets
+        double power_w;    ///< received power (capture decisions)
     };
     // The flags share the padding after the pointer: a large grid keeps
     // millions of these.
-    static_assert(sizeof(ReachEntry) == 32, "ReachEntry must stay 32 bytes");
+    static_assert(sizeof(ReachEntry) == 24, "ReachEntry must stay 24 bytes");
 
     /// Rebuild the per-transmitter reachability sets after they were
     /// cleared.
@@ -190,13 +151,11 @@ private:
     sim::Scheduler& scheduler_;
     util::Rng rng_;
     PhyParams params_;
+    double capture_threshold_;  ///< max(capture_threshold, decode_floor(bitrate_bps))
     std::vector<NodePhy*> phys_;
     std::vector<std::int32_t> index_by_id_;  ///< attach position per node id; -1 = not attached
     std::vector<std::vector<ReachEntry>> reach_;  ///< per transmitter, in attach order
     LinkTable<double> link_loss_;
-    std::unique_ptr<JakesFading> fading_;        ///< null = two-ray
-    std::unique_ptr<RateManager> rate_manager_;  ///< null = fixed default
-    double noise_floor_w_ = 0.0;
     FramePool frame_pool_;
     std::uint64_t next_signal_id_ = 1;
     std::uint64_t transmissions_ = 0;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -85,11 +86,6 @@ struct Frame {
     /// Meaningful on RTS/CTS; third parties defer for this long after the
     /// frame ends.
     SimTime duration_us = 0;
-    /// Payload bitrate this frame is modulated at; 0 means the PHY default
-    /// (`PhyParams::bitrate_bps`). Stamped by the MAC when a RateManager
-    /// picks a per-link rate; control frames always stay at the default so
-    /// timeout/NAV arithmetic is rate-independent.
-    std::int64_t bitrate_bps = 0;
 
     /// Data frames: the MPDUs, each error-checked, acknowledged and
     /// retransmitted individually. At most 64 (the compressed block-ack
@@ -125,7 +121,6 @@ struct Frame {
           mac_seq(other.mac_seq),
           retry(other.retry),
           duration_us(other.duration_us),
-          bitrate_bps(other.bitrate_bps),
           mpdus(other.mpdus),
           ampdu(other.ampdu),
           ba_start_seq(other.ba_start_seq),
@@ -142,7 +137,6 @@ struct Frame {
             mac_seq = other.mac_seq;
             retry = other.retry;
             duration_us = other.duration_us;
-            bitrate_bps = other.bitrate_bps;
             mpdus = other.mpdus;
             ampdu = other.ampdu;
             ba_start_seq = other.ba_start_seq;
@@ -163,6 +157,16 @@ private:
     }
 };
 
+/// The 802.11b DSSS/CCK rate ladder, bits per second.
+inline constexpr std::array<std::int64_t, 4> kDsssRates = {1'000'000, 2'000'000, 5'500'000,
+                                                           11'000'000};
+
+/// Minimum SINR (linear) at which a frame modulated at `bitrate_bps`
+/// decodes, a floor under the capture threshold: faster modulations need
+/// more margin. The figures follow the usual DSSS/CCK
+/// receiver-sensitivity deltas: 4, 7, 10 and 13 dB up the ladder.
+double decode_floor(std::int64_t bitrate_bps);
+
 /// PHY parameters: IEEE 802.11b DSSS, long preamble, fixed 1 Mb/s, and the
 /// ns-2 default ranges the paper's simulations use.
 struct PhyParams {
@@ -171,12 +175,13 @@ struct PhyParams {
     double interference_range_m = 550.0;  ///< corrupts receptions within this range
     /// Capture threshold (linear SINR). A locked reception survives
     /// overlapping interference as long as its power exceeds the sum of
-    /// interferer powers plus the noise floor by this ratio (ns-2 CPThresh
-    /// = 10 dB), or by its rate's decode floor when that is higher (4 dB
-    /// at 1 Mb/s, so the floor binds only below 2.51). Power follows the
-    /// two-ray 1/d^4 law — all scenario distances exceed the ~86 m
-    /// crossover, so the d^-4 regime applies throughout.
+    /// interferer powers by this ratio (ns-2 CPThresh = 10 dB), or by
+    /// `bitrate_bps`'s decode floor when that is higher (4 dB at 1 Mb/s,
+    /// so the floor binds only below 2.51). Power follows the two-ray
+    /// 1/d^4 law — all scenario distances exceed the ~86 m crossover, so
+    /// the d^-4 regime applies throughout.
     double capture_threshold = 10.0;
+    /// Modulation rate of every frame, data and control alike.
     std::int64_t bitrate_bps = 1'000'000;
     SimTime plcp_overhead_us = 192;    ///< long PLCP preamble + header at 1 Mb/s
     int mac_data_overhead_bytes = 36;  ///< 24 B MAC header + 4 B FCS + 8 B LLC/SNAP
@@ -202,14 +207,13 @@ struct PhyParams {
         if (frame.type != FrameType::kData) return control_duration(frame.type);
         std::int64_t bytes = 0;
         for (const Mpdu& mpdu : frame.mpdus) bytes += mpdu_bytes(frame, mpdu);
-        return airtime(rate_of(frame), bytes);
+        return airtime(bitrate_bps, bytes);
     }
 
     /// Airtime of a control frame (ACK, block-ack, RTS or CTS), in
-    /// microseconds. Control frames always go at the base rate
-    /// (`bitrate_bps`), so the MAC's NAV and timeout arithmetic needs no
-    /// frame. Throws std::invalid_argument for kData, which has no fixed
-    /// size.
+    /// microseconds. A control frame's size is fixed by its type, so the
+    /// MAC's NAV and timeout arithmetic needs no frame. Throws
+    /// std::invalid_argument for kData, which has no fixed size.
     SimTime control_duration(FrameType type) const
     {
         switch (type) {
@@ -234,11 +238,10 @@ struct PhyParams {
             out.push_back(tx_duration(frame));
             return;
         }
-        const std::int64_t rate = rate_of(frame);
         std::int64_t cum_bytes = 0;
         for (const Mpdu& mpdu : frame.mpdus) {
             cum_bytes += mpdu_bytes(frame, mpdu);
-            out.push_back(airtime(rate, cum_bytes));
+            out.push_back(airtime(bitrate_bps, cum_bytes));
         }
     }
 
@@ -263,11 +266,6 @@ private:
     {
         return mac_data_overhead_bytes + (frame.ampdu ? ampdu_delimiter_bytes : 0) +
                mpdu.packet.bytes;
-    }
-    /// Modulation rate of a data frame: its stamped rate or the default.
-    std::int64_t rate_of(const Frame& frame) const
-    {
-        return frame.bitrate_bps > 0 ? frame.bitrate_bps : bitrate_bps;
     }
     SimTime airtime(std::int64_t rate, std::int64_t bytes) const
     {

@@ -109,7 +109,6 @@ void NodePhy::signal_start(const RxEvent& rx)
         r.rx_signal_id = rx.signal_id;
         r.rx_power_w = rx.power_w;
         r.rx_threshold = rx.capture_threshold;
-        r.rx_noise_w = rx.noise_w;
         r.rx_frame = rx.frame;
         r.rx_started_at = scheduler_.now();
         r.rx_span_errors = rx.span_error_bits;
@@ -175,20 +174,6 @@ void NodePhy::tx_end(const Frame& frame)
     transmitting_ = false;
     update_busy();
     if (listener_ != nullptr) listener_->phy_tx_done(frame);
-}
-
-std::int64_t NodePhy::data_bitrate_for(net::NodeId rx) const
-{
-    if (channel_ == nullptr)
-        throw std::logic_error("NodePhy::data_bitrate_for: no channel attached");
-    return channel_->data_bitrate(id_, rx);
-}
-
-void NodePhy::report_tx_result(net::NodeId rx, bool success)
-{
-    if (channel_ == nullptr)
-        throw std::logic_error("NodePhy::report_tx_result: no channel attached");
-    channel_->report_tx_result(id_, rx, success);
 }
 
 void NodePhy::update_busy()

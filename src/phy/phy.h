@@ -13,20 +13,16 @@ namespace ezflow::phy {
 class Channel;
 
 /// Everything the channel tells a receiver about an arriving signal: the
-/// geometry/range facts, the received power, and the model verdicts
-/// (per-link loss roll, the SINR threshold this frame must clear, the
-/// noise floor beneath it). One struct instead of a positional boolean
-/// soup — a new model extends this type, not every signal_start call site.
+/// geometry/range facts, the received power, and the channel's verdicts
+/// (per-link loss roll, the SINR threshold this frame must clear). One
+/// struct instead of a positional boolean soup.
 struct RxEvent {
     std::uint64_t signal_id = 0;
     const Frame* frame = nullptr;
-    double power_w = 0.0;  ///< received power at this node (propagation model)
-    /// Thermal noise added to the interference sum in the capture test
-    /// (`PhyModelConfig::noise_floor_w`, 0 by default).
-    double noise_w = 0.0;
+    double power_w = 0.0;  ///< received power at this node (two-ray)
     /// Linear SINR this frame needs to lock and survive
-    /// (`Channel::capture_threshold`: the capture threshold or the rate's
-    /// decode floor, whichever is higher).
+    /// (`Channel::capture_threshold`: the capture threshold or the PHY
+    /// bitrate's decode floor, whichever is higher).
     double capture_threshold = 10.0;
     bool in_delivery = false;  ///< within tx_range: decode candidate
     bool sensed = false;       ///< within cs_range: counts for energy detection
@@ -58,8 +54,8 @@ public:
 ///  * the node locks onto the first decodable signal while idle;
 ///  * overlapping signals within interference range accumulate in the
 ///    interference ledger; the locked frame's power must clear
-///    `capture_threshold x (interference + noise)` (cumulative SINR — the
-///    threshold and noise arrive per-frame in the RxEvent);
+///    `capture_threshold x interference` (cumulative SINR — the threshold
+///    arrives in the RxEvent);
 ///  * a transmitting node hears nothing (half duplex) — this is what made
 ///    the authors use a second radio as sniffer on the testbed.
 ///
@@ -115,11 +111,11 @@ public:
 
     // --- channel-facing interface ---
     /// A signal reaching this node started; `rx` carries the power, range
-    /// facts and model verdicts (see RxEvent). The node locks onto the
+    /// facts and channel verdicts (see RxEvent). The node locks onto the
     /// first decodable arrival while idle and applies the capture test —
-    /// locked power vs threshold x (interference + noise) — at lock and
-    /// at every later edge, so a mid-frame interferer corrupts the spans
-    /// it overlaps while the reception no longer clears its SINR.
+    /// locked power vs threshold x interference — at lock and at every
+    /// later edge, so a mid-frame interferer corrupts the spans it
+    /// overlaps while the reception no longer clears its SINR.
     void signal_start(const RxEvent& rx);
     /// The same signal ended.
     void signal_end(std::uint64_t signal_id, const Frame& frame);
@@ -137,13 +133,6 @@ public:
     /// Bring the radio back (typically right after Channel::attach).
     void power_on();
     bool powered() const { return powered_; }
-
-    // --- rate adaptation (MAC-facing, forwards to the channel's manager) ---
-    /// Rate for the next data attempt to `rx`; 0 means the PHY default
-    /// (leave the frame unstamped).
-    std::int64_t data_bitrate_for(net::NodeId rx) const;
-    /// Report the ACK verdict of the most recent attempt to `rx`.
-    void report_tx_result(net::NodeId rx, bool success);
 
     /// Total power currently on the air at this node — the interference
     /// ledger. Maintained incrementally (O(1) per signal edge) and snapped
@@ -184,7 +173,6 @@ private:
         std::uint64_t rx_signal_id = 0;
         double rx_power_w = 0.0;
         double rx_threshold = 0.0;  ///< linear SINR the locked frame must keep clearing
-        double rx_noise_w = 0.0;    ///< noise floor under the locked frame
         /// The locked frame. Its pooled record outlives the lock: the
         /// pending signal-end event that completes the reception holds a
         /// reference.
@@ -203,13 +191,13 @@ private:
         /// Sum of active signal powers excluding `except_id`.
         double interference_sum(std::uint64_t except_id) const;
         /// Instantaneous capture test of the locked frame against the
-        /// current interference sum plus noise (true = below threshold,
+        /// current interference sum (true = below threshold,
         /// corrupting). The sum is recomputed from the ledger entries
         /// rather than taken from the incremental total: capture decisions
         /// must be bit-exact.
         bool rx_below_threshold() const
         {
-            return rx_power_w < rx_threshold * (interference_sum(rx_signal_id) + rx_noise_w);
+            return rx_power_w < rx_threshold * interference_sum(rx_signal_id);
         }
     };
 

@@ -5,9 +5,8 @@
 // The teardown lifetime scan is the heart: killing a node at many
 // instants across an active period catches it mid-transmission,
 // mid-backoff, mid-DIFS and while frames are locked in the interference
-// ledger, with and without Jakes fading — every case must drain without
-// a FramePool leak and with every queue's conservation law intact. CI
-// runs this suite under ASan+UBSan.
+// ledger — every case must drain without a FramePool leak and with every
+// queue's conservation law intact. CI runs this suite under ASan+UBSan.
 
 #include <gtest/gtest.h>
 
@@ -146,10 +145,9 @@ TEST(ChannelDetach, ReachCacheInvalidatedSymmetrically)
 /// `kill_us` and reviving 300 ms later. Returns the run's fingerprint.
 /// Asserts zero FramePool leakage and exact queue/MAC conservation
 /// afterwards — whatever MAC/PHY state the kill interrupted.
-std::vector<std::uint64_t> chain_kill_cycle(util::SimTime kill_us, bool fading)
+std::vector<std::uint64_t> chain_kill_cycle(util::SimTime kill_us)
 {
     ScenarioSpec spec = ScenarioSpec::line(4, /*duration_s=*/1.2);
-    if (fading) spec.models.jakes_doppler_hz = 10.0;
     spec.faults.events.push_back(
         {kill_us, net::FaultKind::kNodeDown, /*node=*/2, -1, -1});
     spec.faults.events.push_back(
@@ -179,18 +177,7 @@ TEST(FaultLifetime, KillScanAcrossActivePeriodLeaksNothing)
     // mid-data, mid-ACK-wait and the PHY mid-signal.
     for (int i = 0; i < 12; ++i) {
         const util::SimTime kill = util::from_seconds(5.2) + i * 13'777;
-        chain_kill_cycle(kill, /*fading=*/false);
-    }
-}
-
-TEST(FaultLifetime, KillScanUnderJakesFading)
-{
-    // Fading re-derives every received power at transmit time, so locks
-    // and captures fall differently; killing a node mid-lock must still
-    // release every record.
-    for (int i = 0; i < 8; ++i) {
-        const util::SimTime kill = util::from_seconds(5.2) + i * 17'333;
-        chain_kill_cycle(kill, /*fading=*/true);
+        chain_kill_cycle(kill);
     }
 }
 
@@ -399,7 +386,7 @@ TEST(FaultInjectorGuards, DeterministicAcrossRepeatedRuns)
 {
     // Same spec + seed -> byte-identical fingerprint, fault plan and all.
     const util::SimTime kill = util::from_seconds(5.3);
-    EXPECT_EQ(chain_kill_cycle(kill, false), chain_kill_cycle(kill, false));
+    EXPECT_EQ(chain_kill_cycle(kill), chain_kill_cycle(kill));
 }
 
 }  // namespace

@@ -27,7 +27,6 @@
 #include "net/shard_plan.h"
 #include "net/topo_gen.h"
 #include "phy/frame.h"
-#include "phy/models.h"
 #include "sim/scheduler.h"
 #include "sim/sharded_engine.h"
 #include "util/rng.h"
@@ -382,17 +381,16 @@ TEST(ShardedRun, SweepThreadCountBoundsTheShardThreads)
         EXPECT_EQ(ran_on[s], std::this_thread::get_id()) << "shard " << s;
 }
 
-TEST(ShardedRun, ClustersWithJakesFadingMatchTheSerialFingerprint)
+TEST(ShardedRun, ClustersUnderAShardBudgetMatchTheSerialFingerprint)
 {
     // The clusters interfere across their gaps, so a 4-shard budget still
-    // plans one shard, and a drawing PHY model builds and runs exactly as
-    // the 1-shard reference does.
+    // plans one shard, and the run builds and runs exactly as the 1-shard
+    // reference does.
     const auto run_with_shards = [](int shards, int* shard_count) {
         net::ClustersSpec clusters;
         clusters.duration_s = 4.0;
         clusters.max_shards = shards;
         analysis::ScenarioSpec spec = analysis::ScenarioSpec::clusters_spec(clusters);
-        spec.models.jakes_doppler_hz = 5.0;
         analysis::ExperimentFactory factory(spec, analysis::ExperimentOptions{});
         std::unique_ptr<analysis::Experiment> experiment = factory.make(/*seed=*/3);
         experiment->run();
